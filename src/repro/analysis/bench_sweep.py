@@ -158,8 +158,7 @@ def _cold_point_digest(spec: ExperimentSpec) -> str:
     digest crosses back, keeping IPC out of the measurement as much as
     possible.
     """
-    result, _, _, _ = _run_point_job(spec)
-    return result_digest(result)
+    return result_digest(_run_point_job(spec).result)
 
 
 def _mode_record(wall: float, count: int) -> dict:
@@ -206,7 +205,6 @@ def _run_warm_pool(
     executor_stats = {
         "jobs": resolved_jobs,
         "warm_points": metrics.warm_points if metrics else 0,
-        "prewarmed_keys": metrics.prewarmed_keys if metrics else 0,
         "batches": metrics.batches if metrics else 0,
     }
     return digests, wall, executor_stats

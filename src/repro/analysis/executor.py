@@ -22,12 +22,11 @@ rest of the harness routes through:
 
 Sweep grids repeat the same few ``(topology, algorithm)`` pairs across
 many loads, so the executor amortizes construction through
-:mod:`repro.analysis.prewarm`: points are batched by pair, each batch
-reuses one warm context (shared topology/routing objects plus an
-accumulated raw route table), and prewarmable pairs get their full
-route table precomputed once and shared with workers — by fork
-inheritance when the pool has not started yet, or as a compact
-serialized artifact shipped with the batch otherwise.
+:mod:`repro.analysis.prewarm`: points are batched by pair and each
+batch reuses one warm context per process (shared topology/routing
+objects plus the pair's compiled route table, filled lazily by the
+points that run on it — in the workers, in parallel, exactly as the
+serial path fills it).
 
 Per-point results are bit-identical between the serial, parallel, and
 warmed paths because each point is simulated from its spec alone: same
@@ -40,7 +39,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import multiprocessing
 import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -49,26 +47,19 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, TextIO, Tuple, Union
 
-from repro.analysis.prewarm import (
-    WarmContext,
-    get_warm_context,
-    load_route_table,
-    prewarm_route_table,
-    serialize_route_table,
-)
+from repro.analysis.prewarm import WarmContext, get_warm_context
 from repro.obs.spec import ObsSpec
 from repro.routing.base import RoutingAlgorithm
-from repro.routing.cache import RouteCache
 from repro.routing.registry import canonical_name, make_routing
 from repro.routing.selection import make_input_policy, make_output_policy
 from repro.sim.config import FLITS_PER_USEC, SimulationConfig
-from repro.sim.simulator import simulate
+from repro.sim.flatcore import make_simulator
 from repro.sim.stats import SimulationResult
 from repro.topology.base import Topology
 from repro.topology.spec import parse_topology, topology_spec
 from repro.traffic.patterns import TrafficPattern
 from repro.traffic.permutations import make_pattern
-from repro.traffic.workload import PAPER_SIZES, SizeDistribution
+from repro.traffic.workload import PAPER_SIZES, SizeDistribution, Workload
 
 __all__ = [
     "SPEC_VERSION",
@@ -327,7 +318,7 @@ class ExperimentSpec:
         Args:
             warm: optional warm context for this spec's ``(topology,
                 routing)`` pair; its shared topology, routing, pattern,
-                and raw route table are reused instead of rebuilt.  The
+                and route tables are reused instead of rebuilt.  The
                 objects are immutable (and routing decisions pure), so
                 resolution through a warm context is bit-identical to a
                 cold one.
@@ -348,7 +339,7 @@ class ExperimentSpec:
                 pattern=warm.pattern(self.pattern),
                 sizes=self.size_distribution(),
                 config=self.config.to_config(),
-                route_source=warm.route_source,
+                warm=warm,
             )
         topology = parse_topology(self.topology)
         return ResolvedSpec(
@@ -377,10 +368,13 @@ class ExperimentSpec:
     def run_full(self, warm: Optional[WarmContext] = None) -> "RunResult":
         """Simulate this point and return everything it produced.
 
-        Fault-free points take exactly the historical :func:`simulate`
-        path; the resilience machinery is imported — and the controller
-        built — only when the spec asks for it.  Likewise the metrics
-        collector exists only when ``obs`` is set, and its presence is
+        Every point is built by :func:`~repro.sim.flatcore
+        .make_simulator`, which reads the engine core off the spec: the
+        flat core unless ``obs`` or a non-empty fault schedule needs the
+        object core (recorded on the returned :class:`RunResult`).  The
+        resilience machinery is imported — and the controller built —
+        only when the spec asks for it.  Likewise the metrics collector
+        exists only when ``obs`` is set, and its presence is
         bit-invisible to the result.
 
         Args:
@@ -397,49 +391,37 @@ class ExperimentSpec:
             from repro.obs.metrics import MetricsCollector
 
             collector = MetricsCollector(self.obs)
-        if self.resilience is None:
-            result = simulate(
-                resolved.topology,
-                resolved.routing,
-                resolved.pattern,
-                offered_load=self.load,
-                sizes=resolved.sizes,
-                config=resolved.config,
-                seed=self.seed,
-                obs=collector,
-                route_source=resolved.route_source,
-            )
-            return RunResult(
-                spec=self,
-                result=result,
-                metrics=collector.summary() if collector is not None else None,
-            )
-        from repro.resilience.controller import build_controller
-        from repro.sim.engine import WormholeSimulator
-        from repro.traffic.workload import Workload
+        controller = None
+        if self.resilience is not None:
+            from repro.resilience.controller import build_controller
 
-        controller = build_controller(
-            resolved.topology, self.routing, self.resilience, resolved.config
-        )
+            controller = build_controller(
+                resolved.topology, self.routing, self.resilience, resolved.config
+            )
         workload = Workload(
             pattern=resolved.pattern,
             sizes=resolved.sizes,
             offered_load=self.load,
             seed=self.seed,
         )
-        simulator = WormholeSimulator(
+        simulator = make_simulator(
             resolved.routing,
             workload,
             resolved.config,
             resilience=controller,
             obs=collector,
+            warm=resolved.warm,
         )
         result = simulator.run()
         return RunResult(
             spec=self,
             result=result,
-            resilience=controller.stats.summary(),
+            resilience=(
+                controller.stats.summary() if controller is not None else None
+            ),
             metrics=collector.summary() if collector is not None else None,
+            core_used=simulator.core,
+            core_fallback_reason=simulator.core_fallback_reason,
         )
 
 
@@ -447,9 +429,9 @@ class ExperimentSpec:
 class ResolvedSpec:
     """The live objects an :class:`ExperimentSpec` names.
 
-    ``route_source`` is the warm context's shared raw route table when
-    the spec was resolved through one (``None`` on a cold resolve); the
-    engine consults it before recomputing any routing decision.
+    ``warm`` is the warm context the spec was resolved through (``None``
+    on a cold resolve); the engine consults its shared routing state
+    before recomputing any routing decision.
     """
 
     spec: ExperimentSpec
@@ -458,7 +440,7 @@ class ResolvedSpec:
     pattern: TrafficPattern
     sizes: SizeDistribution
     config: SimulationConfig
-    route_source: Optional[RouteCache] = None
+    warm: Optional[WarmContext] = None
 
 
 def resolve_spec(spec: ExperimentSpec) -> ResolvedSpec:
@@ -496,6 +478,12 @@ class RunResult:
             ``None`` when collection was off.
         cached: whether the result came from a result cache.
         wall_time_s: seconds the simulation took (0.0 for cache hits).
+        core_used: the engine core that ran the point (``"flat"`` or
+            ``"object"``); ``None`` for a cache hit, which ran nothing.
+        core_fallback_reason: why the object core ran instead of the
+            flat one; ``None`` when the flat core ran.  Provenance
+            only: neither field enters the spec hash, the cache key or
+            the result digest.
     """
 
     spec: ExperimentSpec
@@ -504,6 +492,8 @@ class RunResult:
     metrics: Optional[dict] = None
     cached: bool = False
     wall_time_s: float = 0.0
+    core_used: Optional[str] = None
+    core_fallback_reason: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -537,6 +527,12 @@ class PointOutcome:
         metrics: the obs metrics summary; ``None`` for points without
             an obs spec (and for cache entries stored before metrics
             existed).
+        core_used, core_fallback_reason: which engine core ran the
+            point and why not the flat one (see :class:`RunResult`);
+            both ``None`` for cache hits.
+        cache_problem: why the point's existing cache entry was
+            rejected and the point re-simulated (see
+            :meth:`ResultCache.read_entry`); ``None`` normally.
     """
 
     point: PointSpec
@@ -545,6 +541,9 @@ class PointOutcome:
     cached: bool
     resilience: Optional[dict] = None
     metrics: Optional[dict] = None
+    core_used: Optional[str] = None
+    core_fallback_reason: Optional[str] = None
+    cache_problem: Optional[str] = None
 
 
 @dataclass
@@ -553,8 +552,10 @@ class ExecutorMetrics:
 
     ``warm_points`` counts simulations resolved through a warm context,
     ``batches`` the parallel jobs dispatched (each carries a chunk of
-    same-key points), and ``prewarmed_keys`` the ``(topology, routing)``
-    pairs whose full route table was precomputed up front.
+    same-key points), and ``cache_corrupt`` the cache entries that
+    existed but could not be used (unparsable, another spec's, or a
+    malformed result) — each such point was re-simulated and its entry
+    rewritten.
     """
 
     points_total: int = 0
@@ -565,7 +566,7 @@ class ExecutorMetrics:
     wall_time_s: float = 0.0
     warm_points: int = 0
     batches: int = 0
-    prewarmed_keys: int = 0
+    cache_corrupt: int = 0
 
 
 class ExecutorHooks:
@@ -615,14 +616,23 @@ class ProgressPrinter(ExecutorHooks):
         )
 
     def on_run_end(self, metrics: ExecutorMetrics) -> None:
+        corrupt = (
+            f", {metrics.cache_corrupt} corrupt cache entries re-simulated"
+            if metrics.cache_corrupt
+            else ""
+        )
         print(
             f"done: {metrics.points_completed} points "
             f"({metrics.cache_hits} cached, {metrics.simulated} simulated, "
-            f"{metrics.cycles_simulated} cycles) "
+            f"{metrics.cycles_simulated} cycles{corrupt}) "
             f"in {metrics.wall_time_s:.1f}s",
             file=self.stream,
             flush=True,
         )
+
+
+#: One cache entry: (result, resilience summary, obs metrics summary).
+_CacheEntry = Tuple[SimulationResult, Optional[dict], Optional[dict]]
 
 
 class ResultCache:
@@ -660,32 +670,49 @@ class ResultCache:
             return None
         return entry[0], entry[1]
 
-    def load_entry(
-        self, spec: ExperimentSpec
-    ) -> Optional[Tuple[SimulationResult, Optional[dict], Optional[dict]]]:
+    def load_entry(self, spec: ExperimentSpec) -> Optional[_CacheEntry]:
         """The cached (result, resilience summary, obs metrics summary),
         or ``None`` on a miss or a corrupt entry.  Either summary is
         ``None`` when the entry was stored without it."""
+        return self.read_entry(spec)[0]
+
+    def read_entry(
+        self, spec: ExperimentSpec
+    ) -> Tuple[Optional[_CacheEntry], Optional[str]]:
+        """:meth:`load_entry` plus why an existing entry was rejected.
+
+        Returns ``(entry, problem)``.  A missing file is a plain miss,
+        ``(None, None)``.  A file that is there but unusable — it does
+        not parse, it holds another spec, or its ``result`` is
+        malformed — is ``(None, <what is wrong>)``, so the caller can
+        count it instead of mistaking it for a miss.
+        """
         from repro.analysis.results_io import result_from_dict
 
         path = self.path_for(spec)
         try:
-            payload = json.loads(path.read_text())
-        except (OSError, ValueError):
-            return None
-        if payload.get("spec") != spec.to_dict():
-            return None
+            text = path.read_text()
+        except FileNotFoundError:
+            return None, None
+        except OSError as exc:
+            return None, f"unreadable ({exc.__class__.__name__})"
+        try:
+            payload = json.loads(text)
+        except ValueError:
+            return None, "not valid JSON"
+        if not isinstance(payload, dict) or payload.get("spec") != spec.to_dict():
+            return None, "holds a different spec"
         try:
             result = result_from_dict(payload["result"])
         except (KeyError, TypeError, ValueError):
-            return None
+            return None, "malformed result"
         extras = payload.get("resilience")
         metrics = payload.get("obs")
         return (
             result,
             extras if isinstance(extras, dict) else None,
             metrics if isinstance(metrics, dict) else None,
-        )
+        ), None
 
     def store(
         self,
@@ -716,11 +743,6 @@ class ResultCache:
         return sum(1 for _ in self.root.glob("*.json"))
 
 
-#: One completed simulation as the executor's wire format:
-#: (result, resilience summary, obs metrics summary, seconds).
-_JobResult = Tuple[SimulationResult, Optional[dict], Optional[dict], float]
-
-
 def _warm_context_for(spec: ExperimentSpec) -> Optional[WarmContext]:
     """This process's warm context for a spec, or ``None`` when the
     point must run cold (resilience points degrade routing mid-run)."""
@@ -732,45 +754,31 @@ def _warm_context_for(spec: ExperimentSpec) -> Optional[WarmContext]:
 def _run_point_job(
     spec: ExperimentSpec,
     warm: Optional[WarmContext] = None,
-) -> _JobResult:
+) -> RunResult:
     """Worker entry point: simulate one spec, timing it.
 
     Module-level so it pickles under every multiprocessing start method.
-    Returns (result, resilience summary, obs metrics summary, seconds).
     """
     started = time.perf_counter()
     full = spec.run_full(warm=warm)
-    return full.result, full.resilience, full.metrics, (
-        time.perf_counter() - started
+    return dataclasses.replace(
+        full, wall_time_s=time.perf_counter() - started
     )
 
 
 def _run_batch_job(
-    specs: List[ExperimentSpec],
-    use_warm: bool,
-    table_payload: Optional[dict],
-) -> List[_JobResult]:
+    specs: List[ExperimentSpec], use_warm: bool
+) -> List[RunResult]:
     """Worker entry point: simulate a chunk of same-key specs in order.
 
     With ``use_warm`` set, every spec resolves through this worker
-    process's warm context for the chunk's ``(topology, routing)`` pair;
-    ``table_payload`` (a serialized full route table from the parent's
-    precomputation) is installed into that context first, so even the
-    worker's first point never recomputes a route.
+    process's warm context for the chunk's ``(topology, routing)`` pair,
+    whose compiled route table the chunk's points fill as they go.
     """
-    results: List[_JobResult] = []
-    for spec in specs:
-        warm = _warm_context_for(spec) if use_warm else None
-        if warm is not None and table_payload is not None:
-            load_route_table(warm, table_payload)
-            table_payload = None  # same key for the whole chunk
-        results.append(_run_point_job(spec, warm))
-    return results
-
-
-#: Same-key point count below which the full route table is not worth
-#: precomputing (a lone point fills what it needs lazily anyway).
-PREWARM_MIN_POINTS = 2
+    return [
+        _run_point_job(spec, _warm_context_for(spec) if use_warm else None)
+        for spec in specs
+    ]
 
 
 class SweepExecutor:
@@ -839,12 +847,8 @@ class SweepExecutor:
         self._git_resolved = False
         self._certified: set = set()
         # Persistent worker pool (jobs > 1), created on first parallel
-        # run and kept across calls.  _inherited_keys tracks which warm
-        # keys were prewarmed in this process before the pool forked —
-        # those tables reach workers by fork inheritance, everything
-        # later ships serialized.
+        # run and kept across calls.
         self._pool: Optional[ProcessPoolExecutor] = None
-        self._inherited_keys: set = set()
 
     # -- worker-pool lifecycle ----------------------------------------
 
@@ -856,7 +860,6 @@ class SweepExecutor:
     def close(self) -> None:
         """Shut down the persistent worker pool (idempotent)."""
         pool, self._pool = self._pool, None
-        self._inherited_keys = set()
         if pool is not None:
             pool.shutdown(wait=True)
 
@@ -919,13 +922,13 @@ class SweepExecutor:
             for i, point in enumerate(points):
                 outcomes[i] = self._execute_one(point, metrics)
         else:
-            missing: List[int] = []
+            missing: Dict[int, Optional[str]] = {}
             for i, point in enumerate(points):
-                outcome = self._from_cache(point, metrics)
+                outcome, cache_problem = self._from_cache(point, metrics)
                 if outcome is not None:
                     outcomes[i] = outcome
                 else:
-                    missing.append(i)
+                    missing[i] = cache_problem
             if missing:
                 self._run_parallel(points, missing, outcomes, metrics)
 
@@ -964,20 +967,29 @@ class SweepExecutor:
             series=point.series,
             index=point.index,
             git_version=self._git_version,
-            executor={"jobs": self.jobs, "warm": self.warm},
+            executor={
+                "jobs": self.jobs,
+                "warm": self.warm,
+                "core_used": outcome.core_used,
+                "core_fallback_reason": outcome.core_fallback_reason,
+                "cache_problem": outcome.cache_problem,
+            },
         )
         write_manifest(manifest, self.manifest_dir)
 
     def _from_cache(
         self, point: PointSpec, metrics: ExecutorMetrics
-    ) -> Optional[PointOutcome]:
-        cached = (
-            self.cache.load_entry(point.spec)
-            if self.cache is not None
-            else None
-        )
+    ) -> Tuple[Optional[PointOutcome], Optional[str]]:
+        """The point's outcome from the cache, or ``(None, problem)``
+        where ``problem`` says why an entry that exists was rejected
+        (``None`` for a plain miss)."""
+        if self.cache is None:
+            return None, None
+        cached, problem = self.cache.read_entry(point.spec)
         if cached is None:
-            return None
+            if problem is not None:
+                metrics.cache_corrupt += 1
+            return None, problem
         result, extras, obs_metrics = cached
         outcome = PointOutcome(
             point, result, 0.0, True, resilience=extras, metrics=obs_metrics
@@ -986,22 +998,26 @@ class SweepExecutor:
         metrics.points_completed += 1
         self._write_manifest(outcome)
         self.hooks.on_point_done(outcome)
-        return outcome
+        return outcome, None
 
     def _complete_fresh(
         self,
         point: PointSpec,
-        result: SimulationResult,
-        wall_time: float,
+        run: RunResult,
         metrics: ExecutorMetrics,
-        extras: Optional[dict] = None,
-        obs_metrics: Optional[dict] = None,
+        cache_problem: Optional[str] = None,
     ) -> PointOutcome:
         if self.cache is not None:
-            self.cache.store(point.spec, result, extras=extras, metrics=obs_metrics)
+            self.cache.store(
+                point.spec, run.result, extras=run.resilience,
+                metrics=run.metrics,
+            )
         outcome = PointOutcome(
-            point, result, wall_time, False,
-            resilience=extras, metrics=obs_metrics,
+            point, run.result, run.wall_time_s, False,
+            resilience=run.resilience, metrics=run.metrics,
+            core_used=run.core_used,
+            core_fallback_reason=run.core_fallback_reason,
+            cache_problem=cache_problem,
         )
         metrics.simulated += 1
         metrics.points_completed += 1
@@ -1014,69 +1030,28 @@ class SweepExecutor:
         self, point: PointSpec, metrics: ExecutorMetrics
     ) -> PointOutcome:
         """Cache-check then simulate one point in-process."""
-        outcome = self._from_cache(point, metrics)
+        outcome, cache_problem = self._from_cache(point, metrics)
         if outcome is not None:
             return outcome
         self.hooks.on_point_start(point)
         warm = _warm_context_for(point.spec) if self.warm else None
         if warm is not None:
             metrics.warm_points += 1
-        result, extras, obs_metrics, wall_time = _run_point_job(
-            point.spec, warm
-        )
         return self._complete_fresh(
-            point, result, wall_time, metrics, extras, obs_metrics
+            point, _run_point_job(point.spec, warm), metrics, cache_problem
         )
-
-    def _prewarm_groups(
-        self,
-        points: Sequence[PointSpec],
-        groups: Dict[Tuple[str, str], List[int]],
-        metrics: ExecutorMetrics,
-    ) -> Dict[Tuple[str, str], Optional[dict]]:
-        """Precompute route tables for the grid's warm keys.
-
-        Builds the full ``(node, dest)`` table once per prewarmable key
-        with enough points to repay it, in this (parent) process's warm
-        context.  Returns the serialized artifact each batch must ship
-        to its worker — ``None`` for keys the workers will inherit by
-        fork (the pool has not started yet, so forked children see the
-        parent's contexts) and for keys not worth precomputing (their
-        shared tables still fill lazily inside each worker).
-        """
-        payloads: Dict[Tuple[str, str], Optional[dict]] = {}
-        fork_inherits = (
-            self._pool is None
-            and multiprocessing.get_start_method() == "fork"
-        )
-        for key, indices in groups.items():
-            payloads[key] = None
-            specs = [points[i].spec for i in indices]
-            plain = [spec for spec in specs if spec.resilience is None]
-            if len(plain) < PREWARM_MIN_POINTS:
-                continue
-            context = _warm_context_for(plain[0])
-            if context is None or not context.prewarmable:
-                continue
-            prewarm_route_table(context)
-            metrics.prewarmed_keys += 1
-            if fork_inherits:
-                self._inherited_keys.add(key)
-            if key not in self._inherited_keys:
-                assert context.route_source is not None
-                payloads[key] = serialize_route_table(
-                    context.topology, context.route_source.export_table()
-                )
-        return payloads
 
     def _run_parallel(
         self,
         points: Sequence[PointSpec],
-        missing: Sequence[int],
+        missing: Dict[int, Optional[str]],
         outcomes: List[Optional[PointOutcome]],
         metrics: ExecutorMetrics,
     ) -> None:
         """Fan the missing points out over the persistent pool.
+
+        ``missing`` maps each point index to why its cache entry was
+        rejected (``None`` for a plain miss).
 
         Points are grouped by ``(topology, routing)`` key and each group
         is split into at most ``jobs`` strided chunks (striding
@@ -1090,12 +1065,9 @@ class SweepExecutor:
         for i in missing:
             spec = points[i].spec
             groups.setdefault((spec.topology, spec.routing), []).append(i)
-        payloads: Dict[Tuple[str, str], Optional[dict]] = {}
-        if self.warm:
-            payloads = self._prewarm_groups(points, groups, metrics)
         pool = self._ensure_pool()
         futures = {}
-        for key, indices in groups.items():
+        for indices in groups.values():
             if self.warm:
                 chunk_count = min(self.jobs, len(indices))
             else:
@@ -1108,7 +1080,6 @@ class SweepExecutor:
                     _run_batch_job,
                     [points[i].spec for i in chunk],
                     self.warm,
-                    payloads.get(key),
                 )
                 futures[future] = chunk
                 metrics.batches += 1
@@ -1118,13 +1089,11 @@ class SweepExecutor:
                 done, pending = wait(pending, return_when=FIRST_COMPLETED)
                 for future in done:
                     chunk = futures[future]
-                    for i, job_result in zip(chunk, future.result()):
-                        result, extras, obs_metrics, wall_time = job_result
+                    for i, run in zip(chunk, future.result()):
                         if self.warm and points[i].spec.resilience is None:
                             metrics.warm_points += 1
                         outcomes[i] = self._complete_fresh(
-                            points[i], result, wall_time, metrics, extras,
-                            obs_metrics,
+                            points[i], run, metrics, missing[i]
                         )
         except BrokenProcessPool:
             # A dead worker poisons the whole pool; drop it so the next

@@ -10,25 +10,17 @@ This module is the amortization layer the :class:`~repro.analysis
 * :class:`WarmContext` — the reusable live objects for one
   ``(topology, algorithm)`` key: the parsed topology (with its
   ``out_channels`` caches hot), the routing instance, a lazily built
-  pattern cache, and a shared **raw route table** — a
-  :class:`~repro.routing.cache.RouteCache` that stores unresolved
-  channel tuples and therefore outlives any single simulation.  Each
-  simulation layers its own per-run cache (resolving channels to its
-  private :class:`~repro.sim.resources.ChannelState` objects) on top,
-  so a routing state any earlier point visited never calls
-  ``routing.route`` again.
+  pattern cache, and the key's shared routing state — one
+  :class:`~repro.sim.flatcore.CompiledRoutes` (channel index plus
+  routing decisions as id tuples) that every flat-core simulation of
+  the key shares by reference, and one raw
+  :class:`~repro.routing.cache.RouteCache` consulted only by the points
+  that fall back to the object core.  Both fill lazily, so a routing
+  state any earlier point visited never calls ``routing.route`` again
+  and nothing is computed that no point asks for.
 * :func:`get_warm_context` — a bounded per-process context cache.  The
-  executor's serial path uses it directly; worker processes populate
-  their own copy, either by fork inheritance (contexts built before the
-  pool forks are simply inherited) or from a serialized table shipped
-  with their first batch.
-* :func:`build_route_table` / :func:`serialize_route_table` /
-  :func:`deserialize_route_table` — the artifact precomputation layer:
-  the full ``(node, dest) -> candidates`` table for algorithms that
-  provably ignore the arrival channel, encoded as a flat integer array
-  over the topology's canonical node/channel order (a 16x16 mesh's
-  65,280-entry table is a few hundred kilobytes, not a pickle of
-  65,280 Channel tuples).
+  executor's serial path uses it directly; each worker process fills
+  its own copy the same way, in parallel.
 
 Sharing is bit-safe by construction: topologies, routing algorithms,
 and traffic patterns are immutable after construction, and a cached
@@ -41,42 +33,30 @@ points deliberately take the cold path.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.routing.base import RoutingAlgorithm
 from repro.routing.cache import RouteCache
 from repro.routing.registry import canonical_name, make_routing
+from repro.sim.flatcore import CompiledRoutes
 from repro.topology.base import Topology
-from repro.topology.channels import Channel, NodeId
 from repro.traffic.patterns import TrafficPattern
 from repro.traffic.permutations import make_pattern
 
 __all__ = [
-    "ROUTE_TABLE_FORMAT",
     "WarmContext",
     "warm_key",
     "get_warm_context",
     "peek_warm_context",
     "clear_warm_contexts",
     "warm_context_count",
-    "build_route_table",
-    "prewarm_route_table",
-    "serialize_route_table",
-    "deserialize_route_table",
-    "load_route_table",
 ]
-
-#: Version tag of the serialized route-table payload.
-ROUTE_TABLE_FORMAT = 1
 
 #: Contexts kept per process; oldest-touched is evicted beyond this.
 MAX_WARM_CONTEXTS = 16
 
 #: A warm-context key: canonical (topology spec, routing name).
 WarmKey = Tuple[str, str]
-
-#: A full precomputed route table: (node, dest) -> candidate channels.
-RouteTable = Dict[Tuple[NodeId, NodeId], Tuple[Channel, ...]]
 
 
 def warm_key(topology: str, routing: str) -> WarmKey:
@@ -91,12 +71,14 @@ class WarmContext:
         key: the canonical ``(topology spec, routing name)`` pair.
         topology: the parsed topology (shared; immutable).
         routing: the routing algorithm instance (shared; immutable).
-        route_source: shared raw route cache — unresolved candidate
-            tuples accumulated across every run that used this context,
-            or ``None`` for uncacheable algorithms.
+        route_source: shared raw route cache for the points that run on
+            the object core — unresolved candidate tuples accumulated
+            across every such run — or ``None`` for uncacheable
+            algorithms.
     """
 
-    __slots__ = ("key", "topology", "routing", "route_source", "_patterns")
+    __slots__ = ("key", "topology", "routing", "route_source", "_compiled",
+                 "_patterns")
 
     def __init__(self, key: WarmKey, topology: Topology,
                  routing: RoutingAlgorithm) -> None:
@@ -108,7 +90,18 @@ class WarmContext:
             if getattr(routing, "cacheable", True)
             else None
         )
+        self._compiled: Optional[CompiledRoutes] = None
         self._patterns: Dict[str, TrafficPattern] = {}
+
+    @property
+    def compiled_routes(self) -> CompiledRoutes:
+        """The key's shared compiled program, built on first use (a
+        sweep whose points all run on the object core never pays for
+        it)."""
+        compiled = self._compiled
+        if compiled is None:
+            compiled = self._compiled = CompiledRoutes(self.routing)
+        return compiled
 
     def pattern(self, name: str) -> TrafficPattern:
         """The shared pattern instance for ``name`` (patterns are
@@ -120,20 +113,13 @@ class WarmContext:
             self._patterns[canonical] = pattern
         return pattern
 
-    @property
-    def prewarmable(self) -> bool:
-        """Whether the full (node, dest) table can be precomputed —
-        the algorithm must be pure *and* provably ignore the arrival
-        channel (otherwise the table is keyed on in-channel and is only
-        worth filling lazily)."""
-        return (
-            self.route_source is not None
-            and not getattr(self.routing, "uses_in_channel", True)
-        )
-
     def __repr__(self) -> str:
-        entries = len(self.route_source) if self.route_source else 0
-        return f"WarmContext({self.key!r}, table_entries={entries})"
+        compiled = len(self._compiled) if self._compiled is not None else 0
+        source = len(self.route_source) if self.route_source else 0
+        return (
+            f"WarmContext({self.key!r}, compiled_entries={compiled}, "
+            f"source_entries={source})"
+        )
 
 
 _CONTEXTS: Dict[WarmKey, WarmContext] = {}
@@ -173,125 +159,3 @@ def clear_warm_contexts() -> None:
 def warm_context_count() -> int:
     """How many contexts this process currently caches."""
     return len(_CONTEXTS)
-
-
-def build_route_table(routing: RoutingAlgorithm) -> RouteTable:
-    """Every routing decision of an arrival-channel-blind algorithm.
-
-    Computes ``routing.route(None, node, dest)`` for all ordered node
-    pairs — the complete decision table a sweep will ever consult.
-
-    Raises:
-        ValueError: if the algorithm is not cacheable or reads the
-            arrival channel (its table is not a function of
-            ``(node, dest)``).
-    """
-    if not getattr(routing, "cacheable", True):
-        raise ValueError(
-            f"{routing.name} declares cacheable=False; its decisions "
-            "cannot be tabulated"
-        )
-    if getattr(routing, "uses_in_channel", True):
-        raise ValueError(
-            f"{routing.name} reads the arrival channel; its table is "
-            "not a function of (node, dest)"
-        )
-    nodes = list(routing.topology.nodes())
-    route = routing.route
-    table: RouteTable = {}
-    for node in nodes:
-        for dest in nodes:
-            if node != dest:
-                table[(node, dest)] = tuple(route(None, node, dest))
-    return table
-
-
-def prewarm_route_table(context: WarmContext) -> int:
-    """Eagerly fill the context's shared route table.
-
-    No-op (returning 0) unless the context is :attr:`~WarmContext
-    .prewarmable`; otherwise builds the full table once — later calls
-    return immediately because the table is already complete.
-
-    Returns:
-        The number of entries added.
-    """
-    if not context.prewarmable:
-        return 0
-    source = context.route_source
-    assert source is not None
-    nodes_total = len(list(context.topology.nodes()))
-    complete = nodes_total * (nodes_total - 1)
-    if len(source) >= complete:
-        return 0
-    before = len(source)
-    source.prefill(build_route_table(context.routing))
-    return len(source) - before
-
-
-def serialize_route_table(topology: Topology, table: RouteTable) -> dict:
-    """Encode a full route table as a flat integer array.
-
-    Nodes and channels are replaced by their indices in the topology's
-    canonical ``nodes()`` / ``channels()`` iteration order, which every
-    process reconstructs identically from the topology spec alone.  The
-    payload is pure primitives, so it pickles to workers (or dumps to
-    JSON) compactly.
-    """
-    node_index = {node: i for i, node in enumerate(topology.nodes())}
-    channel_index = {ch: i for i, ch in enumerate(topology.channels())}
-    flat: List[int] = []
-    for (node, dest), channels in table.items():
-        flat.append(node_index[node])
-        flat.append(node_index[dest])
-        flat.append(len(channels))
-        flat.extend(channel_index[ch] for ch in channels)
-    return {"format": ROUTE_TABLE_FORMAT, "entries": flat}
-
-
-def deserialize_route_table(topology: Topology, payload: dict) -> RouteTable:
-    """Rebuild a route table serialized by :func:`serialize_route_table`.
-
-    The returned channel tuples reference ``topology``'s own channel
-    objects, so the table plugs straight into a :class:`RouteCache`
-    built over the same topology instance.
-    """
-    if payload.get("format") != ROUTE_TABLE_FORMAT:
-        raise ValueError(
-            f"unsupported route-table format {payload.get('format')!r}"
-        )
-    nodes = list(topology.nodes())
-    channels = list(topology.channels())
-    flat = payload["entries"]
-    table: RouteTable = {}
-    pos = 0
-    end = len(flat)
-    while pos < end:
-        node = nodes[flat[pos]]
-        dest = nodes[flat[pos + 1]]
-        count = flat[pos + 2]
-        pos += 3
-        table[(node, dest)] = tuple(
-            channels[index] for index in flat[pos:pos + count]
-        )
-        pos += count
-    return table
-
-
-def load_route_table(context: WarmContext, payload: dict) -> int:
-    """Install a serialized table into a context's shared route cache.
-
-    Entries the context already derived on its own are kept (they are
-    identical by purity); only missing ones are added.  No-op for
-    contexts that cannot host a (node, dest) table.
-
-    Returns:
-        The number of entries added.
-    """
-    if not context.prewarmable:
-        return 0
-    source = context.route_source
-    assert source is not None
-    before = len(source)
-    source.prefill(deserialize_route_table(context.topology, payload))
-    return len(source) - before

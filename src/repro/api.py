@@ -310,6 +310,8 @@ def run(
         metrics=outcome.metrics,
         cached=outcome.cached,
         wall_time_s=outcome.wall_time_s,
+        core_used=outcome.core_used,
+        core_fallback_reason=outcome.core_fallback_reason,
     )
 
 

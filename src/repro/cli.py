@@ -123,7 +123,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         config=config,
         seed=args.seed,
         obs=collector,
-        core=args.core,
     )
     print(result.summary())
     print(f"  avg hops:        {result.avg_hops:.2f}")
@@ -460,7 +459,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
         payload = run_bench(
             args.scenario, quick=args.quick, repeat=args.repeat,
-            progress=progress, core=args.core, profile=args.profile,
+            progress=progress, profile=args.profile,
         )
         render, tool = render_report, "bench"
         out = args.out if args.out is not None else "BENCH_engine.json"
@@ -655,13 +654,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--obs",
         action="store_true",
         help="print channel-utilization heatmap and throughput timeline",
-    )
-    p_sim.add_argument(
-        "--core",
-        choices=("object", "flat"),
-        default="object",
-        help="engine core: reference object core, or the bit-identical "
-        "compiled flat core (falls back to object when --obs is set)",
     )
     p_sim.set_defaults(func=_cmd_simulate)
 
@@ -898,10 +890,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", type=int, default=None,
         help="warm-pool worker processes (sweep bench only; default: "
         "one per CPU)",
-    )
-    p_bench.add_argument(
-        "--core", choices=("object", "flat"), default=None,
-        help="restrict engine-bench scenarios to one core (default: both)",
     )
     p_bench.add_argument(
         "--profile", action="store_true",

@@ -1,4 +1,5 @@
-"""Engine-discipline rules: guarded optional hooks, pure pool workers.
+"""Engine-discipline rules: guarded optional hooks, pure pool workers,
+one simulator factory.
 
 The simulator's optional subsystems (observability, fault injection)
 ride on the *cheap-optional-hook* contract: a run without a collector
@@ -6,7 +7,10 @@ or controller pays one ``is not None`` test per hook site and nothing
 else, and hook access is only ever performed under such a guard.  The
 sweep executor's process-pool workers have their own discipline: they
 must be pure functions of their (pickled) arguments, or warm-context
-sharing silently diverges between fork and spawn start methods.
+sharing silently diverges between fork and spawn start methods.  And
+the engine core a point runs on is read off its inputs in exactly one
+place, ``make_simulator`` — a second construction site is a second way
+to run a point.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from repro.lint.framework import (
 __all__ = [
     "RULES",
     "GuardedHooksRule",
+    "SingleFactoryRule",
     "WorkerPurityRule",
 ]
 
@@ -356,7 +361,54 @@ class WorkerPurityRule(Rule):
         return None
 
 
+class SingleFactoryRule(Rule):
+    """Only ``make_simulator`` constructs a simulator.
+
+    Flags every call of an engine-core class by name
+    (``WormholeSimulator(...)``, ``FlatWormholeSimulator(...)``, however
+    qualified) outside the body of ``make_simulator`` in
+    ``sim/flatcore.py``.  The factory reads the core off the run's
+    inputs and records why it fell back; a direct construction bypasses
+    both.  Code that measures one specific core (the engine bench's
+    object/flat twins) says so with a pragma.
+    """
+
+    id = "single-factory"
+    summary = (
+        "simulators are constructed only by sim/flatcore.py's "
+        "make_simulator(), which picks the engine core from the inputs"
+    )
+
+    #: The engine-core classes and the one function allowed to call them.
+    classes = ("WormholeSimulator", "FlatWormholeSimulator")
+    factory = ("sim/flatcore.py", "make_simulator")
+
+    def check_module(
+        self, module: ModuleContext, project: Project
+    ) -> Iterator[Finding]:
+        allowed: Set[ast.AST] = set()
+        if module.relpath == self.factory[0]:
+            for func in iter_functions(module.tree):
+                if func.name == self.factory[1]:
+                    allowed.update(ast.walk(func))
+        path = display_path(module.path)
+        for node in ast.walk(module.tree):
+            if not isinstance(node, ast.Call) or node in allowed:
+                continue
+            name = dotted_name(node.func)
+            if name is not None and name.rsplit(".", 1)[-1] in self.classes:
+                yield Finding(
+                    path,
+                    node.lineno,
+                    self.id,
+                    f"{name}(...) constructs a simulator outside "
+                    "make_simulator(); build it through the factory so "
+                    "the engine core is chosen (and reported) in one place",
+                )
+
+
 RULES: Tuple[Rule, ...] = (
     GuardedHooksRule(),
     WorkerPurityRule(),
+    SingleFactoryRule(),
 )

@@ -95,10 +95,14 @@ def build_manifest(
         series: sweep-series label the point belonged to.
         index: position within its series.
         git_version: code version; defaults to :func:`git_describe`.
-        executor: how the executor ran the point, e.g.
-            ``{"jobs": 8, "warm": True}`` — the effective worker count
-            (after a ``jobs=None`` request resolves to the CPU count)
-            and whether warm-state reuse was on.
+        executor: how the executor ran the point — ``jobs`` (the
+            effective worker count, after a ``jobs=None`` request
+            resolves to the CPU count), ``warm`` (whether warm-state
+            reuse was on), ``core_used`` and ``core_fallback_reason``
+            (which engine core ran and, for the object core, why not
+            the flat one; both ``None`` for a cache hit), and
+            ``cache_problem`` (why an existing cache entry was rejected
+            and the point re-simulated, else ``None``).
     """
     from repro.analysis.results_io import result_to_dict
 

@@ -174,7 +174,7 @@ def render_manifest_report(
     """The full text report for one run manifest.
 
     Sections: provenance header (spec, hash, git, timing,
-    certification), headline results, the resilience ledger when
+    certification, engine core), headline results, the resilience ledger when
     present, then the channel heatmap and timeline when metrics were
     collected.
     """
@@ -201,6 +201,18 @@ def render_manifest_report(
         f"required={certification.get('required', False)} "
         f"certified={certification.get('certified', False)}"
     )
+    executor = manifest.get("executor") or {}
+    if executor.get("core_used"):
+        reason = executor.get("core_fallback_reason")
+        lines.append(
+            f"core: {executor['core_used']}"
+            + (f" (not flat: {reason})" if reason else "")
+        )
+    if executor.get("cache_problem"):
+        lines.append(
+            f"cache: existing entry rejected ({executor['cache_problem']}); "
+            "re-simulated and rewritten"
+        )
     resilience_spec = spec.get("resilience")
     if resilience_spec:
         lines.append(

@@ -3,6 +3,7 @@
 from repro.sim.config import FLITS_PER_USEC, SimulationConfig
 from repro.sim.engine import RoutingError, WormholeSimulator
 from repro.sim.flatcore import (
+    CompiledRoutes,
     FlatCoreUnsupported,
     FlatWormholeSimulator,
     make_simulator,
@@ -20,6 +21,7 @@ __all__ = [
     "RoutingError",
     "FlatWormholeSimulator",
     "FlatCoreUnsupported",
+    "CompiledRoutes",
     "make_simulator",
     "Packet",
     "ChannelState",

@@ -37,6 +37,7 @@ from repro.routing.registry import make_routing
 from repro.sim.config import SimulationConfig
 from repro.sim.digest import result_digest
 from repro.sim.engine import WormholeSimulator
+from repro.sim.flatcore import CompiledRoutes, FlatWormholeSimulator
 from repro.topology.hypercube import Hypercube
 from repro.topology.mesh import Mesh2D
 from repro.traffic.permutations import make_pattern
@@ -60,50 +61,53 @@ class BenchScenario:
     Attributes:
         name: stable identifier (keys ``BENCH_engine.json``).
         description: one-line summary for the report.
-        build: ``build(config) -> WormholeSimulator``.
-        core: which engine core the scenario exercises (``object`` or
-            ``flat``); flat scenarios share their object twin's seed and
-            workload, so ``run_bench`` cross-checks their digests.
-        twin: the same-workload scenario on the other core, if any.
+        build: ``build(config) -> WormholeSimulator``.  The engine bench
+            measures each core on its own, so builders construct the
+            core's class directly rather than through ``make_simulator``.
+        twin: the same-workload scenario on the other core, if any; the
+            pair shares seed and workload, so ``run_bench`` cross-checks
+            their digests.
     """
 
     name: str
     description: str
     build: Callable[[SimulationConfig], WormholeSimulator]
-    core: str = "object"
     twin: Optional[str] = None
+
+
+def _workload(topology, load: float, seed: int) -> Workload:
+    return Workload(
+        pattern=make_pattern("uniform", topology),
+        sizes=SizeDistribution(_BENCH_SIZES),
+        offered_load=load,
+        seed=seed,
+    )
 
 
 def _simulator(topology, routing_name: str, load: float,
                config: SimulationConfig, seed: int) -> WormholeSimulator:
     routing = make_routing(routing_name, topology)
-    workload = Workload(
-        pattern=make_pattern("uniform", topology),
-        sizes=SizeDistribution(_BENCH_SIZES),
-        offered_load=load,
-        seed=seed,
-    )
-    return WormholeSimulator(routing, workload, config)
+    # repro-lint: allow[single-factory] the engine bench times the object core itself, whatever the factory would pick
+    return WormholeSimulator(routing, _workload(topology, load, seed), config)
 
 
 def _flat_simulator(topology, routing_name: str, load: float,
-                    config: SimulationConfig, seed: int):
-    # Construction — compiling the topology and the full prewarmed
-    # route table into the flat arrays — is deliberately outside the
-    # timed region, like a warm sweep's shared precomputation.
-    from repro.analysis.prewarm import build_route_table, serialize_route_table
-    from repro.sim.flatcore import make_simulator
-
-    routing = make_routing(routing_name, topology)
-    workload = Workload(
-        pattern=make_pattern("uniform", topology),
-        sizes=SizeDistribution(_BENCH_SIZES),
-        offered_load=load,
-        seed=seed,
+                    config: SimulationConfig, seed: int) -> WormholeSimulator:
+    # Construction — compiling the topology and the key's full route
+    # table — is deliberately outside the timed region, like the table
+    # a warm sweep's earlier points leave behind.
+    compiled = CompiledRoutes(make_routing(routing_name, topology))
+    if compiled.dense is not None:
+        count = compiled.index.num_nodes
+        for node in range(count):
+            for dest in range(count):
+                if node != dest:
+                    compiled.fill_dense(node * count + dest, node, dest)
+    # repro-lint: allow[single-factory] the engine bench times the flat core itself, whatever the factory would pick
+    return FlatWormholeSimulator(
+        compiled.routing, _workload(topology, load, seed), config,
+        compiled_routes=compiled,
     )
-    table = serialize_route_table(topology, build_route_table(routing))
-    return make_simulator(routing, workload, config, core="flat",
-                          route_table=table)
 
 
 BENCH_SCENARIOS: Dict[str, BenchScenario] = {
@@ -142,7 +146,6 @@ BENCH_SCENARIOS: Dict[str, BenchScenario] = {
             "16x16 mesh, west-first, uniform, load 0.05 (flat core)",
             lambda config: _flat_simulator(Mesh2D(16, 16), "west-first",
                                            _LOW_LOAD, config, seed=101),
-            core="flat",
             twin="mesh16-west-first-low",
         ),
         BenchScenario(
@@ -150,7 +153,6 @@ BENCH_SCENARIOS: Dict[str, BenchScenario] = {
             "16x16 mesh, west-first, uniform, load 0.45 (flat core)",
             lambda config: _flat_simulator(Mesh2D(16, 16), "west-first",
                                            _SAT_LOAD, config, seed=102),
-            core="flat",
             twin="mesh16-west-first-sat",
         ),
         BenchScenario(
@@ -158,7 +160,6 @@ BENCH_SCENARIOS: Dict[str, BenchScenario] = {
             "binary 8-cube, e-cube, uniform, load 0.05 (flat core)",
             lambda config: _flat_simulator(Hypercube(8), "e-cube",
                                            _LOW_LOAD, config, seed=103),
-            core="flat",
             twin="cube8-ecube-low",
         ),
         BenchScenario(
@@ -166,7 +167,6 @@ BENCH_SCENARIOS: Dict[str, BenchScenario] = {
             "binary 8-cube, p-cube, uniform, load 0.45 (flat core)",
             lambda config: _flat_simulator(Hypercube(8), "p-cube",
                                            _SAT_LOAD, config, seed=104),
-            core="flat",
             twin="cube8-pcube-sat",
         ),
     )
@@ -236,7 +236,6 @@ def _run_one(scenario: BenchScenario, config: SimulationConfig,
                 "entries": len(cache),
                 "hits": cache.hits,
                 "misses": cache.misses,
-                "prefilled": cache.prefilled,
                 "prefilled_entries": cache.prefilled_entries,
                 "hit_rate": round(cache.hit_rate, 6),
             }
@@ -251,7 +250,7 @@ def _run_one(scenario: BenchScenario, config: SimulationConfig,
 def run_bench(names: Optional[Iterable[str]] = None, quick: bool = False,
               repeat: int = 1,
               progress: Optional[Callable[[str], None]] = None,
-              core: Optional[str] = None, profile: bool = False) -> dict:
+              profile: bool = False) -> dict:
     """Run the named scenarios (default: all) and return the payload.
 
     The payload maps each scenario name to its measurements plus a
@@ -259,8 +258,6 @@ def run_bench(names: Optional[Iterable[str]] = None, quick: bool = False,
     to ``BENCH_engine.json``.
 
     Args:
-        core: restrict to scenarios of one engine core (``object`` or
-            ``flat``); default runs both.
         profile: attach the top-25 cumulative-time functions (one extra
             untimed cProfile run per scenario) to each record.
 
@@ -275,8 +272,6 @@ def run_bench(names: Optional[Iterable[str]] = None, quick: bool = False,
         except KeyError:
             known = ", ".join(sorted(BENCH_SCENARIOS))
             raise KeyError(f"unknown bench scenario {name!r}; known: {known}")
-    if core is not None:
-        selected = [s for s in selected if s.core == core]
     config = _bench_config(quick)
     payload: dict = {
         "meta": {
@@ -360,8 +355,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="subset of scenarios to run")
     parser.add_argument("--repeat", type=int, default=1,
                         help="repetitions per scenario (best wall time wins)")
-    parser.add_argument("--core", choices=("object", "flat"), default=None,
-                        help="restrict to one engine core (default: both)")
     parser.add_argument("--profile", action="store_true",
                         help="attach top-25 cProfile functions per scenario")
     parser.add_argument("--baseline", default=None,
@@ -372,7 +365,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     payload = run_bench(args.scenario, quick=args.quick, repeat=args.repeat,
                         progress=lambda msg: print(msg, file=sys.stderr),
-                        core=args.core, profile=args.profile)
+                        profile=args.profile)
     if args.baseline:
         with open(args.baseline) as fh:
             apply_baseline(payload, json.load(fh))

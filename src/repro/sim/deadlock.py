@@ -20,7 +20,7 @@ from repro.core.restrictions import figure4_restriction, fully_adaptive
 from repro.routing.base import RoutingAlgorithm
 from repro.routing.turn_table import TurnRestrictionRouting
 from repro.sim.config import SimulationConfig
-from repro.sim.engine import WormholeSimulator
+from repro.sim.flatcore import make_simulator
 from repro.sim.stats import SimulationResult
 from repro.topology.mesh import Mesh, Mesh2D
 from repro.traffic.patterns import UniformTraffic
@@ -142,7 +142,7 @@ def run_deadlock_demo(
         drain_cycles=0,
         deadlock_threshold=detector_threshold,
     )
-    return WormholeSimulator(routing, workload, config).run()
+    return make_simulator(routing, workload, config).run()
 
 
 def southeast_shift_pattern(routing: RoutingAlgorithm, shift: int = 1):
@@ -198,4 +198,4 @@ def run_figure4_demo(
         drain_cycles=0,
         deadlock_threshold=detector_threshold,
     )
-    return WormholeSimulator(routing, workload, config).run()
+    return make_simulator(routing, workload, config).run()

@@ -97,6 +97,10 @@ class WormholeSimulator:
     #: Which engine core this class implements ("object" is the
     #: reference implementation; see :mod:`repro.sim.flatcore`).
     core = "object"
+    #: Why :func:`repro.sim.flatcore.make_simulator` built this core
+    #: rather than the flat one; ``None`` on the flat core and on a
+    #: simulator constructed directly.
+    core_fallback_reason: Optional[str] = None
 
     def __init__(
         self,

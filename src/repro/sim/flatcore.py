@@ -29,23 +29,27 @@ The flat core intentionally models a subset of engine features.  A
 configuration it cannot model — an observability collector (which
 samples live :class:`ChannelState` objects every cycle) or a fault
 controller with a non-empty schedule (mid-run topology rebuilds) —
-raises :class:`FlatCoreUnsupported`; :func:`make_simulator` catches
-this and falls back to the object core, so callers can always request
-``core="flat"`` safely.  Everything else — virtual channels, deep
-buffers, preloads, uncacheable routing, idle fault controllers — runs
-flat, and every golden-digest scenario reproduces its exact digest
-under either core (CI-gated).
+runs on the object core instead: :func:`make_simulator`, the one place
+a simulator is constructed, reads the choice off the input and records
+the reason on the simulator it returns.  Everything else — virtual
+channels, deep buffers, preloads, uncacheable routing, idle fault
+controllers — runs flat, and every golden-digest scenario reproduces
+its exact digest under either core (CI-gated).
+
+Routing decisions compile lazily into a :class:`CompiledRoutes` that
+every flat simulator of one ``(topology, routing)`` key shares by
+reference (the sweep runtime keeps one per warm context), so a key's
+table is computed once per process however many points run on it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.routing.base import RoutingAlgorithm
-from repro.routing.cache import RouteCache
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import RoutingError, WormholeSimulator
-from repro.sim.ids import ChannelIndex, compile_route_payload
+from repro.sim.ids import ChannelIndex
 from repro.sim.packet import Packet
 from repro.sim.resources import ChannelState
 from repro.sim.stats import StatsCollector
@@ -53,7 +57,11 @@ from repro.sim.trace import TraceRecorder
 from repro.topology.channels import Channel, NodeId
 from repro.traffic.workload import Workload
 
+if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids a cycle
+    from repro.analysis.prewarm import WarmContext
+
 __all__ = [
+    "CompiledRoutes",
     "FlatCoreUnsupported",
     "FlatPacket",
     "FlatRouteTable",
@@ -115,156 +123,114 @@ class FlatPacket(Packet):
         return self.occ_bits.bit_count()
 
 
-class FlatRouteTable:
-    """Compiled routing table over dense ids, with bench-style stats.
+class CompiledRoutes:
+    """One ``(topology, routing)`` key's compiled program, shared by reference.
 
-    For an algorithm that provably ignores the arrival channel the
-    table is one dense list indexed by ``node_index * N + dest_index``
-    (``None`` marks an uncompiled entry — an empty tuple is a valid
-    "no route" answer).  In-channel-sensitive algorithms use an
-    int-keyed dict instead: ``node * N + dest`` for injection arrivals,
-    ``N*N + in_cid * N + dest`` otherwise.
+    Holds what every flat simulator of one key needs and none of them
+    owns: the topology's :class:`~repro.sim.ids.ChannelIndex` and the
+    routing decisions compiled to id tuples.  For an algorithm that
+    provably ignores the arrival channel the table is one dense list
+    indexed by ``node_index * N + dest_index`` (``None`` marks an
+    uncompiled entry — an empty tuple is a valid "no route" answer);
+    in-channel-sensitive algorithms use an int-keyed dict instead:
+    ``node * N + dest`` for injection arrivals, ``N*N + in_cid * N +
+    dest`` otherwise.  An uncacheable algorithm has neither table (its
+    simulators route live and share only the index).
 
-    Misses chain through an optional shared raw
-    :class:`~repro.routing.cache.RouteCache` (the prewarm layer's
-    ``route_source``) before calling ``routing.route``; answers the
-    source already held count as ``prefilled``, mirroring the object
-    core's cache accounting so ``repro bench`` reports are comparable.
+    Entries are filled lazily, straight from ``routing.route``, by
+    whichever simulator first needs them.  ``route`` is pure for a
+    cacheable algorithm, so an entry is the same whoever computed it
+    and a warmed run is bit-identical to a cold one — the same argument
+    that makes the object core's shared ``route_source`` safe.
     """
 
-    __slots__ = ("routing", "dense", "bykey", "hits", "misses", "prefilled",
-                 "prefilled_entries", "filled", "_index", "_source")
+    __slots__ = ("routing", "index", "dense", "bykey", "filled")
 
-    def __init__(
-        self,
-        routing: RoutingAlgorithm,
-        index: ChannelIndex,
-        source: Optional[RouteCache] = None,
-    ):
+    def __init__(self, routing: RoutingAlgorithm):
         self.routing = routing
-        self._index = index
-        self.hits = 0
-        self.misses = 0
-        self.prefilled = 0
-        self.prefilled_entries = 0
+        self.index = ChannelIndex(routing.topology)
+        self.dense: Optional[List[Optional[Tuple[int, ...]]]] = None
+        self.bykey: Optional[Dict[int, Tuple[int, ...]]] = None
         self.filled = 0
-        self._source = source
-        num_nodes = index.num_nodes
-        uses_in = getattr(routing, "uses_in_channel", True)
-        self.dense: Optional[List[Optional[Tuple[int, ...]]]] = (
-            None if uses_in else [None] * (num_nodes * num_nodes)
-        )
-        self.bykey: Optional[Dict[int, Tuple[int, ...]]] = (
-            {} if uses_in else None
-        )
-        if source is not None:
-            # Eagerly compile everything the shared table already holds
-            # into id tuples — a prewarmed full table makes the run's
-            # entire routing phase allocation-free list indexing.
-            cid = index.cid
-            node_id = index.node_id
-            for key, channels in source.export_table().items():
-                ids = tuple(cid[channel] for channel in channels)
-                if self.dense is not None:
-                    node, dest = key
-                    self.dense[node_id[node] * num_nodes + node_id[dest]] = ids
-                    self.filled += 1
-                else:
-                    in_channel, node, dest = key
-                    assert self.bykey is not None
-                    if in_channel is None:
-                        flat_key = node_id[node] * num_nodes + node_id[dest]
-                    else:
-                        flat_key = (
-                            num_nodes * num_nodes
-                            + cid[in_channel] * num_nodes
-                            + node_id[dest]
-                        )
-                    self.bykey[flat_key] = ids
-            self.prefilled_entries = len(source)
-
-    def prefill_payload(self, payload: dict) -> int:
-        """Install a serialized route table (see :mod:`repro.sim.ids`).
-
-        Only arrival-channel-blind algorithms have ``(node, dest)``
-        tables; entries already compiled are kept.  Returns the number
-        of entries added.
-        """
-        dense = self.dense
-        if dense is None:
-            raise ValueError(
-                f"{self.routing.name} reads the arrival channel; a "
-                "(node, dest) table payload does not apply"
-            )
-        added = 0
-        for key, ids in compile_route_payload(self._index, payload).items():
-            if dense[key] is None:
-                dense[key] = ids
-                added += 1
-        self.filled += added
-        self.prefilled_entries += added
-        return added
+        if getattr(routing, "cacheable", True):
+            if getattr(routing, "uses_in_channel", True):
+                self.bykey = {}
+            else:
+                self.dense = [None] * (self.index.num_nodes ** 2)
 
     def fill_dense(self, key: int, node_idx: int, dest_idx: int) -> tuple:
-        index = self._index
-        node = index.nodes[node_idx]
-        dest = index.nodes[dest_idx]
-        source = self._source
-        if source is not None:
-            channels, warm = source.lookup(None, node, dest)
-        else:
-            channels = tuple(self.routing.route(None, node, dest))
-            warm = False
+        index = self.index
         cid = index.cid
-        resolved = tuple(cid[channel] for channel in channels)
+        resolved = tuple(
+            cid[channel]
+            for channel in self.routing.route(
+                None, index.nodes[node_idx], index.nodes[dest_idx]
+            )
+        )
         assert self.dense is not None
         self.dense[key] = resolved
         self.filled += 1
-        if warm:
-            self.prefilled += 1
-        else:
-            self.misses += 1
         return resolved
 
     def fill_keyed(
         self, key: int, front: int, node_idx: int, dest_idx: int
     ) -> tuple:
-        index = self._index
+        index = self.index
         in_channel = index.channel_of[front] if front < index.inj_base else None
-        node = index.nodes[node_idx]
-        dest = index.nodes[dest_idx]
-        source = self._source
-        if source is not None:
-            channels, warm = source.lookup(in_channel, node, dest)
-        else:
-            channels = tuple(self.routing.route(in_channel, node, dest))
-            warm = False
         cid = index.cid
-        resolved = tuple(cid[channel] for channel in channels)
+        resolved = tuple(
+            cid[channel]
+            for channel in self.routing.route(
+                in_channel, index.nodes[node_idx], index.nodes[dest_idx]
+            )
+        )
         assert self.bykey is not None
         self.bykey[key] = resolved
-        if warm:
-            self.prefilled += 1
-        else:
-            self.misses += 1
+        self.filled += 1
         return resolved
 
     def __len__(self) -> int:
-        if self.bykey is not None:
-            return len(self.bykey)
         return self.filled
+
+    def __repr__(self) -> str:
+        return f"CompiledRoutes({self.routing.name}, entries={self.filled})"
+
+
+class FlatRouteTable:
+    """One simulator's view of a :class:`CompiledRoutes`, with its own counters.
+
+    ``dense`` / ``bykey`` alias the shared tables; the counters are this
+    simulator's alone, so runs sharing a table never see each other's
+    lookups: ``hits`` are answers the compiled table already held
+    (whoever compiled them), ``misses`` the entries this simulator had
+    to compute, and ``prefilled_entries`` what the shared table held
+    when this simulator was built.
+    """
+
+    __slots__ = ("compiled", "dense", "bykey", "hits", "misses",
+                 "prefilled_entries")
+
+    def __init__(self, compiled: CompiledRoutes):
+        self.compiled = compiled
+        self.dense = compiled.dense
+        self.bykey = compiled.bykey
+        self.hits = 0
+        self.misses = 0
+        self.prefilled_entries = compiled.filled
+
+    def __len__(self) -> int:
+        return self.compiled.filled
 
     @property
     def hit_rate(self) -> float:
         """Fraction of lookups answered without computing a route."""
-        total = self.hits + self.prefilled + self.misses
-        return (self.hits + self.prefilled) / total if total else 0.0
+        total = self.hits + self.misses
+        return self.hits / total if total else 0.0
 
     def __repr__(self) -> str:
         return (
-            f"FlatRouteTable({self.routing.name}, entries={len(self)}, "
-            f"hits={self.hits}, misses={self.misses}, "
-            f"prefilled={self.prefilled})"
+            f"FlatRouteTable({self.compiled.routing.name}, "
+            f"entries={len(self)}, hits={self.hits}, misses={self.misses})"
         )
 
 
@@ -283,7 +249,7 @@ class FlatWormholeSimulator(WormholeSimulator):
         FlatCoreUnsupported: when the configuration needs a feature the
             flat core does not model (see
             :func:`flat_unsupported_reason`); :func:`make_simulator`
-            turns this into an object-core fallback.
+            checks first and builds the object core instead.
     """
 
     core = "flat"
@@ -297,17 +263,33 @@ class FlatWormholeSimulator(WormholeSimulator):
         trace: Optional[TraceRecorder] = None,
         resilience=None,
         obs=None,
-        route_source: Optional[RouteCache] = None,
-        route_table: Optional[dict] = None,
+        compiled_routes: Optional[CompiledRoutes] = None,
     ):
+        """
+        Args:
+            compiled_routes: the key's shared :class:`CompiledRoutes`
+                (see :class:`repro.analysis.prewarm.WarmContext`); must
+                have been compiled for this very ``routing`` instance.
+                Omitted, the simulator compiles a private one.
+
+        Other arguments match :class:`WormholeSimulator`.
+        """
         reason = flat_unsupported_reason(resilience=resilience, obs=obs)
         if reason is not None:
             raise FlatCoreUnsupported(reason)
+        if compiled_routes is None:
+            compiled_routes = CompiledRoutes(routing)
+        elif compiled_routes.routing is not routing:
+            raise ValueError(
+                f"compiled routes belong to another routing instance "
+                f"({compiled_routes.routing.name!r}), not this "
+                f"{routing.name!r}"
+            )
         super().__init__(
             routing, workload, config, preload=preload, trace=trace,
-            resilience=resilience, obs=obs, route_source=route_source,
+            resilience=resilience, obs=obs,
         )
-        index = ChannelIndex(self.topology)
+        index = compiled_routes.index
         self._index = index
         total = index.total_ids
         num_nodes = index.num_nodes
@@ -352,13 +334,9 @@ class FlatWormholeSimulator(WormholeSimulator):
         # by super().__init__) is replaced wholesale; uncacheable
         # algorithms route live with id conversion at the call site.
         self._flat_routes: Optional[FlatRouteTable] = None
-        if getattr(routing, "cacheable", True):
-            self._flat_routes = FlatRouteTable(
-                routing, index, source=route_source
-            )
+        if compiled_routes.dense is not None or compiled_routes.bykey is not None:
+            self._flat_routes = FlatRouteTable(compiled_routes)
         self._route_cache = None
-        if route_table is not None and self._flat_routes is not None:
-            self._flat_routes.prefill_payload(route_table)
         # Object-state mirror for cold consumers, built on first use.
         self._state_list: Optional[List[ChannelState]] = None
 
@@ -504,7 +482,10 @@ class FlatWormholeSimulator(WormholeSimulator):
                     table.hits += 1
                     candidates = cached
                 else:
-                    candidates = table.fill_dense(key, node_idx, dest_idx)
+                    table.misses += 1
+                    candidates = table.compiled.fill_dense(
+                        key, node_idx, dest_idx
+                    )
             else:
                 if front >= self._inj_base:
                     key = node_idx * num_nodes + dest_idx
@@ -518,7 +499,8 @@ class FlatWormholeSimulator(WormholeSimulator):
                     table.hits += 1
                     candidates = cached
                 else:
-                    candidates = table.fill_keyed(
+                    table.misses += 1
+                    candidates = table.compiled.fill_keyed(
                         key, front, node_idx, dest_idx
                     )
         if not candidates and self._strict_routes:
@@ -926,51 +908,42 @@ def make_simulator(
     workload: Workload,
     config: Optional[SimulationConfig] = None,
     *,
-    core: str = "object",
     preload: Optional[List[Tuple[NodeId, NodeId, int, float]]] = None,
     trace: Optional[TraceRecorder] = None,
     resilience=None,
     obs=None,
-    route_source: Optional[RouteCache] = None,
-    route_table: Optional[dict] = None,
-) -> Union[WormholeSimulator, FlatWormholeSimulator]:
-    """Build a simulator on the requested core, falling back safely.
+    warm: Optional["WarmContext"] = None,
+) -> WormholeSimulator:
+    """Build the simulator for one run — the only place one is constructed.
+
+    The core is read off the input, never chosen by the caller: the
+    flat core whenever it can model the run, the object core otherwise
+    (see :func:`flat_unsupported_reason`).  The returned simulator's
+    ``core`` attribute says which one was built and its
+    ``core_fallback_reason`` why it is not the flat one (``None`` when
+    it is).
 
     Args:
-        core: ``"object"`` for the reference
-            :class:`~repro.sim.engine.WormholeSimulator`; ``"flat"``
-            for the compiled :class:`FlatWormholeSimulator`, falling
-            back to the object core when the configuration needs an
-            unsupported feature (see :func:`flat_unsupported_reason`).
-            The returned simulator's ``core`` attribute reports which
-            core was actually built.
-        route_table: optional serialized route-table payload
-            (:func:`repro.analysis.prewarm.serialize_route_table`);
-            compiled directly into the flat core's arrays, or installed
-            into a fresh raw route source for the object core.
+        warm: the warm context of the run's ``(topology, routing)`` key
+            (:mod:`repro.analysis.prewarm`), whose ``routing`` must be
+            this ``routing``.  The factory takes from it only the shared
+            routing state the chosen core uses — the
+            :class:`CompiledRoutes` for the flat core, the raw route
+            source for the object core — so the other is never built.
 
     Other arguments match :class:`WormholeSimulator`.
     """
-    if core not in ("object", "flat"):
-        raise ValueError(f"unknown engine core {core!r} (object or flat)")
-    if core == "flat":
-        try:
-            return FlatWormholeSimulator(
-                routing, workload, config, preload=preload, trace=trace,
-                resilience=resilience, obs=obs, route_source=route_source,
-                route_table=route_table,
-            )
-        except FlatCoreUnsupported:
-            pass
-    if route_table is not None and getattr(routing, "cacheable", True):
-        if route_source is None:
-            from repro.analysis.prewarm import deserialize_route_table
-
-            route_source = RouteCache(routing)
-            route_source.prefill(
-                deserialize_route_table(routing.topology, route_table)
-            )
-    return WormholeSimulator(
+    reason = flat_unsupported_reason(resilience=resilience, obs=obs)
+    if reason is None:
+        return FlatWormholeSimulator(
+            routing, workload, config, preload=preload, trace=trace,
+            resilience=resilience, obs=obs,
+            compiled_routes=warm.compiled_routes if warm is not None else None,
+        )
+    simulator = WormholeSimulator(
         routing, workload, config, preload=preload, trace=trace,
-        resilience=resilience, obs=obs, route_source=route_source,
+        resilience=resilience, obs=obs,
+        route_source=warm.route_source if warm is not None else None,
     )
+    simulator.core_fallback_reason = reason
+    return simulator

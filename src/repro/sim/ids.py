@@ -5,9 +5,7 @@ Python objects with parallel arrays indexed by a *channel id*.  This
 module owns the id layout, derived purely from the topology's canonical
 iteration order so every process reconstructs the same encoding:
 
-* network channels get ids ``0 .. C-1`` in ``topology.channels()`` order
-  (the same order :func:`repro.analysis.prewarm.serialize_route_table`
-  uses, so a serialized route table's channel indices *are* flat ids);
+* network channels get ids ``0 .. C-1`` in ``topology.channels()`` order;
 * injection channels get ids ``C + node_index`` and ejection channels
   ``C + N + node_index``, with ``node_index`` taken from
   ``topology.nodes()`` order — a channel's kind is derivable from its
@@ -25,7 +23,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.topology.base import Topology
 from repro.topology.channels import Channel, NodeId
 
-__all__ = ["ChannelIndex", "compile_route_payload"]
+__all__ = ["ChannelIndex"]
 
 
 class ChannelIndex:
@@ -116,33 +114,3 @@ class ChannelIndex:
             f"ChannelIndex(C={self.num_channels}, N={self.num_nodes}, "
             f"multilane={self.multilane})"
         )
-
-
-def compile_route_payload(
-    index: ChannelIndex, payload: dict
-) -> Dict[int, Tuple[int, ...]]:
-    """Decode a serialized route table straight into flat-id tuples.
-
-    ``payload`` is the dict produced by
-    :func:`repro.analysis.prewarm.serialize_route_table`, whose node and
-    channel indices already follow the canonical iteration order this
-    module encodes — so the flat core consumes the artifact without
-    materializing a single :class:`Channel`.  Keys are
-    ``node_index * N + dest_index``.
-    """
-    if payload.get("format") != 1:
-        raise ValueError(
-            f"unsupported route-table format {payload.get('format')!r}"
-        )
-    flat = payload["entries"]
-    num_nodes = index.num_nodes
-    table: Dict[int, Tuple[int, ...]] = {}
-    pos = 0
-    end = len(flat)
-    while pos < end:
-        key = flat[pos] * num_nodes + flat[pos + 1]
-        count = flat[pos + 2]
-        pos += 3
-        table[key] = tuple(flat[pos:pos + count])
-        pos += count
-    return table

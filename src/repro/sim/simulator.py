@@ -3,8 +3,10 @@
 ``simulate(...)`` wires together a topology, a routing algorithm, a traffic
 pattern, and a workload, runs the engine, and returns the
 :class:`~repro.sim.stats.SimulationResult`.  This is the entry point the
-examples and the benchmark harness use; power users can assemble
-:class:`~repro.sim.engine.WormholeSimulator` directly.
+examples and the benchmark harness use.  The engine core is chosen by
+:func:`~repro.sim.flatcore.make_simulator` from the input (the flat
+core unless ``obs`` needs the object core); results are bit-identical
+either way.
 """
 
 from __future__ import annotations
@@ -12,10 +14,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional, Union
 
 from repro.routing.base import RoutingAlgorithm
-from repro.routing.cache import RouteCache
 from repro.routing.registry import make_routing
 from repro.sim.config import SimulationConfig
-from repro.sim.engine import WormholeSimulator
+from repro.sim.flatcore import make_simulator
 from repro.sim.stats import SimulationResult
 from repro.topology.base import Topology
 from repro.traffic.patterns import TrafficPattern
@@ -37,8 +38,6 @@ def simulate(
     config: Optional[SimulationConfig] = None,
     seed: int = 1,
     obs: Optional["MetricsCollector"] = None,
-    route_source: Optional[RouteCache] = None,
-    core: str = "object",
 ) -> SimulationResult:
     """Simulate one (routing, pattern, load) point and return its result.
 
@@ -57,14 +56,6 @@ def simulate(
         obs: optional :class:`~repro.obs.metrics.MetricsCollector`;
             bit-invisible sampling of channel utilization, latency, and
             throughput (read its ``summary()`` after the call).
-        route_source: optional shared raw route cache for the same
-            algorithm (:mod:`repro.analysis.prewarm`); bit-invisible to
-            the result, it only skips recomputing known routes.
-        core: engine core — ``"object"`` (reference) or ``"flat"``
-            (compiled integer-indexed hot path, bit-identical; see
-            :mod:`repro.sim.flatcore`).  ``"flat"`` falls back to the
-            object core when an unsupported feature (an obs collector)
-            is requested.
 
     Returns:
         The run's :class:`SimulationResult`.
@@ -76,15 +67,4 @@ def simulate(
     workload = Workload(
         pattern=pattern, sizes=sizes, offered_load=offered_load, seed=seed
     )
-    if core == "object":
-        simulator: WormholeSimulator = WormholeSimulator(
-            routing, workload, config, obs=obs, route_source=route_source
-        )
-    else:
-        from repro.sim.flatcore import make_simulator
-
-        simulator = make_simulator(
-            routing, workload, config, core=core, obs=obs,
-            route_source=route_source,
-        )
-    return simulator.run()
+    return make_simulator(routing, workload, config, obs=obs).run()

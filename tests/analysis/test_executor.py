@@ -1,6 +1,7 @@
 """Tests for the parallel sweep executor, specs, and the result cache."""
 
 import dataclasses
+import io
 import json
 import pickle
 import subprocess
@@ -13,6 +14,7 @@ from repro.analysis.executor import (
     ExecutorHooks,
     ExperimentSpec,
     PointSpec,
+    ProgressPrinter,
     ResultCache,
     SweepExecutor,
     resolve_spec,
@@ -22,6 +24,7 @@ from repro.analysis.sweep import (
     sweep_loads,
     truncate_at_saturation,
 )
+from repro.obs.manifest import iter_manifests
 from repro.routing.base import RoutingAlgorithm
 from repro.routing.selection import OutputSelectionPolicy
 from repro.sim.config import SimulationConfig
@@ -191,6 +194,27 @@ class TestResultCache:
         assert cache.load(spec) is None
 
 
+    def test_read_entry_tells_a_miss_from_a_corrupt_entry(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        spec = make_spec()
+        assert cache.read_entry(spec) == (None, None)  # no file: a plain miss
+        cache.store(spec, spec.run())
+        entry, problem = cache.read_entry(spec)
+        assert entry is not None and problem is None
+        whole = cache.path_for(spec).read_text()
+        payload = json.loads(whole)
+        damaged = {
+            "not valid JSON": whole[: len(whole) // 2],
+            "holds a different spec": json.dumps(
+                {**payload, "spec": {**payload["spec"], "load": 0.999}}),
+            "malformed result": json.dumps({**payload, "result": {"nope": 1}}),
+        }
+        for expected, text in damaged.items():
+            cache.path_for(spec).write_text(text)
+            assert cache.read_entry(spec) == (None, expected)
+            assert cache.load_entry(spec) is None
+
+
 class CountingHooks(ExecutorHooks):
     def __init__(self):
         self.started = 0
@@ -268,6 +292,69 @@ class TestSweepExecutor:
         SweepExecutor(cache_dir=tmp_path, hooks=hooks).run_specs(specs)
         assert hooks.started == 0
         assert hooks.done == len(LOADS)
+
+
+class TruncatingHooks(ExecutorHooks):
+    """Cuts one cache entry in half once the sweep is under way."""
+
+    def __init__(self, victim):
+        self.victim = victim
+        self.whole = None
+
+    def on_point_done(self, outcome):
+        if self.whole is None:
+            self.whole = self.victim.read_text()
+            self.victim.write_text(self.whole[: len(self.whole) // 2])
+
+
+class TestCorruptCacheEntry:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_truncated_mid_sweep_is_resimulated_and_counted(self, tmp_path, jobs):
+        cache_dir, manifests = tmp_path / "cache", tmp_path / "manifests"
+        specs = [make_spec(load=load) for load in LOADS]
+        reference = SweepExecutor(cache_dir=cache_dir).run_specs(specs)
+        victim = ResultCache(cache_dir).path_for(specs[2])
+        # jobs=1 checks the cache point by point, so the entry is cut
+        # after the first point completes; jobs=2 checks every entry up
+        # front, so cut it before the run.
+        hooks = TruncatingHooks(victim)
+        if jobs == 2:
+            hooks.on_point_done(None)
+        stream = io.StringIO()
+        printer = ProgressPrinter(stream)
+
+        class Both(ExecutorHooks):
+            def on_point_done(self, outcome):
+                hooks.on_point_done(outcome)
+
+            def on_run_end(self, metrics):
+                printer.on_run_end(metrics)
+
+        with SweepExecutor(jobs=jobs, cache_dir=cache_dir, hooks=Both(),
+                           manifest_dir=manifests) as executor:
+            outcomes = executor.run_points(
+                [PointSpec(spec=s, index=i) for i, s in enumerate(specs)])
+            metrics = executor.last_metrics
+        assert [o.result for o in outcomes] == reference
+        assert [o.cached for o in outcomes] == [True, True, False, True]
+        assert outcomes[2].cache_problem == "not valid JSON"
+        assert (metrics.cache_corrupt, metrics.cache_hits, metrics.simulated) == (1, 3, 1)
+        # The entry was rewritten whole and serves the next run.
+        assert json.loads(victim.read_text()) == json.loads(hooks.whole)
+        again = SweepExecutor(cache_dir=cache_dir)
+        again.run_specs(specs)
+        assert (again.last_metrics.cache_corrupt, again.last_metrics.cache_hits) == (0, 4)
+        assert "1 corrupt cache entries re-simulated" in stream.getvalue()
+        blocks = {m["point"]["index"]: m["executor"] for m in iter_manifests(manifests)}
+        assert blocks[2]["cache_problem"] == "not valid JSON"
+        assert blocks[0]["cache_problem"] is None
+
+    def test_clean_run_reports_no_corrupt_entries(self, tmp_path):
+        stream = io.StringIO()
+        executor = SweepExecutor(cache_dir=tmp_path, hooks=ProgressPrinter(stream))
+        executor.run_specs([make_spec()])
+        assert executor.last_metrics.cache_corrupt == 0
+        assert "corrupt" not in stream.getvalue()
 
 
 class TestSweepThroughExecutor:

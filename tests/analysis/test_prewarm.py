@@ -1,23 +1,23 @@
-"""Tests for the artifact precomputation layer (:mod:`repro.analysis.prewarm`)."""
+"""Tests for the warm-state layer (:mod:`repro.analysis.prewarm`)."""
 
 import pytest
 
+from repro.analysis.executor import ConfigSpec, ExperimentSpec
 from repro.analysis.prewarm import (
     MAX_WARM_CONTEXTS,
-    build_route_table,
     clear_warm_contexts,
-    deserialize_route_table,
     get_warm_context,
-    load_route_table,
     peek_warm_context,
-    prewarm_route_table,
-    serialize_route_table,
     warm_context_count,
     warm_key,
 )
+from repro.obs.spec import ObsSpec
 from repro.routing.cache import RouteCache
 from repro.routing.registry import make_routing
+from repro.sim.flatcore import CompiledRoutes
 from repro.topology import parse_topology
+
+from tests.routing.test_cache_prefilled import build_route_table
 
 
 @pytest.fixture(autouse=True)
@@ -71,7 +71,13 @@ class TestContextCache:
         assert context.pattern("uniform") is context.pattern("uniform")
 
 
+def _ids(compiled, channels):
+    return tuple(compiled.index.cid[channel] for channel in channels)
+
+
 class TestBuildRouteTable:
+    """The compiled table a key's flat simulators share and fill."""
+
     @pytest.mark.parametrize(
         "spec,name",
         [
@@ -87,62 +93,84 @@ class TestBuildRouteTable:
     def test_table_matches_route(self, spec, name):
         topology = parse_topology(spec)
         routing = make_routing(name, topology)
-        table = build_route_table(routing)
-        nodes = list(topology.nodes())
-        assert len(table) == len(nodes) * (len(nodes) - 1)
-        for (node, dest), channels in table.items():
-            assert channels == tuple(routing.route(None, node, dest))
+        compiled = CompiledRoutes(routing)
+        nodes = compiled.index.nodes
+        count = len(nodes)
+        for node_idx, node in enumerate(nodes):
+            for dest_idx, dest in enumerate(nodes):
+                if node_idx == dest_idx:
+                    continue
+                key = node_idx * count + dest_idx
+                filled = compiled.fill_dense(key, node_idx, dest_idx)
+                assert filled == _ids(compiled, routing.route(None, node, dest))
+                assert compiled.dense[key] is filled
+        assert len(compiled) == count * (count - 1)
 
     def test_rejects_in_channel_dependent_routing(self):
+        # An algorithm that reads the arrival channel gets no
+        # (node, dest) table: its decisions are keyed by arrival channel.
         topology = parse_topology("mesh:4x4")
         routing = make_routing("negative-first-nonminimal", topology)
         assert routing.uses_in_channel
-        with pytest.raises(ValueError):
-            build_route_table(routing)
+        compiled = CompiledRoutes(routing)
+        assert compiled.dense is None
+        index = compiled.index
+        count = index.num_nodes
+        channel = index.channels[0]
+        front = index.cid[channel]
+        node_idx = index.dest_node_id[front]
+        dest_idx = (node_idx + 5) % count
+        key = count * count + front * count + dest_idx
+        filled = compiled.fill_keyed(key, front, node_idx, dest_idx)
+        assert filled == _ids(compiled, routing.route(
+            channel, index.nodes[node_idx], index.nodes[dest_idx]))
+        assert compiled.bykey == {key: filled}
 
 
 class TestPrewarm:
+    """What a run through a warm context leaves behind for the next."""
+
+    SPEC = ExperimentSpec(
+        topology="mesh:4x4", routing="west-first", pattern="uniform",
+        load=0.2, config=ConfigSpec(
+            warmup_cycles=20, measure_cycles=150, drain_cycles=60),
+    )
+
     def test_prewarm_fills_route_source(self):
-        context = get_warm_context("mesh:4x4", "negative-first")
-        assert context.prewarmable
-        added = prewarm_route_table(context)
-        nodes = list(context.topology.nodes())
-        assert added == len(nodes) * (len(nodes) - 1)
-        # Idempotent: a second call adds nothing.
-        assert prewarm_route_table(context) == 0
+        # An object-core point (obs forces it) fills the context's raw
+        # route source and leaves the compiled table alone; a flat point
+        # does the opposite — nothing is stored twice.
+        import dataclasses
+
+        context = get_warm_context("mesh:4x4", "west-first")
+        observed = dataclasses.replace(self.SPEC, obs=ObsSpec())
+        assert observed.run_full(warm=context).core_used == "object"
+        filled = len(context.route_source)
+        assert filled > 0
+        assert len(context.compiled_routes) == 0
+        assert self.SPEC.run_full(warm=context).core_used == "flat"
+        assert len(context.route_source) == filled
+        assert len(context.compiled_routes) > 0
 
     def test_prewarmed_source_agrees_with_routing(self):
         context = get_warm_context("mesh:4x4", "west-first")
-        prewarm_route_table(context)
-        nodes = list(context.topology.nodes())
-        for node in nodes[:4]:
-            for dest in nodes:
-                if dest == node:
-                    continue
-                assert context.route_source.candidates(
-                    None, node, dest
-                ) == tuple(context.routing.route(None, node, dest))
+        self.SPEC.run_full(warm=context)
+        compiled = context.compiled_routes
+        assert compiled.routing is context.routing
+        nodes = compiled.index.nodes
+        count = len(nodes)
+        seen = 0
+        for key, ids in enumerate(compiled.dense):
+            if ids is None:
+                continue
+            node, dest = nodes[key // count], nodes[key % count]
+            assert ids == _ids(compiled, context.routing.route(None, node, dest))
+            seen += 1
+        assert seen == len(compiled) > 0
 
-
-class TestSerializeRoundTrip:
-    def test_round_trip(self):
-        topology = parse_topology("mesh:4x4")
-        routing = make_routing("negative-first", topology)
-        table = build_route_table(routing)
-        payload = serialize_route_table(topology, table)
-        assert payload["format"] == 1
-        assert all(isinstance(value, int) for value in payload["entries"])
-        assert deserialize_route_table(topology, payload) == table
-
-    def test_load_into_context(self):
+    def test_compiled_routes_built_once_per_context(self):
         context = get_warm_context("mesh:4x4", "xy")
-        table = build_route_table(context.routing)
-        payload = serialize_route_table(context.topology, table)
-        clear_warm_contexts()
-        fresh = get_warm_context("mesh:4x4", "xy")
-        loaded = load_route_table(fresh, payload)
-        assert loaded == len(table)
-        assert len(fresh.route_source) == len(table)
+        assert context.compiled_routes is context.compiled_routes
 
 
 class TestRouteCacheSource:

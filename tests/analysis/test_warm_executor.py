@@ -17,7 +17,7 @@ from repro.analysis.executor import (
     ResultCache,
     SweepExecutor,
 )
-from repro.analysis.prewarm import clear_warm_contexts
+from repro.analysis.prewarm import clear_warm_contexts, warm_context_count
 from repro.obs.manifest import iter_manifests
 from repro.obs.spec import ObsSpec
 from repro.sim.digest import result_digest
@@ -146,17 +146,21 @@ class TestMetricsCounters:
             metrics = executor.last_metrics
         # The resilience point must run cold; every plain point warms.
         assert metrics.warm_points == len(points) - 1
-        assert metrics.prewarmed_keys == 3
         # Each of the three keys is split into min(jobs, points) chunks.
         assert metrics.batches == 6
         assert metrics.points_completed == len(points)
+        assert metrics.cache_corrupt == 0
+        # Nothing is prebuilt in the parent: the workers fill their own
+        # tables, so the dispatching process never creates a context.
+        assert warm_context_count() == 0
 
     def test_cold_mode_counts_nothing_warm(self):
         points = _grid_points()[:2]
         with SweepExecutor(jobs=1, warm=False) as executor:
             executor.run_points(points)
             assert executor.last_metrics.warm_points == 0
-            assert executor.last_metrics.prewarmed_keys == 0
+            assert executor.last_metrics.batches == 0
+        assert warm_context_count() == 0
 
 
 class TestManifestExecutorBlock:
@@ -168,7 +172,29 @@ class TestManifestExecutorBlock:
             executor.run_points(points)
         manifests = iter_manifests(tmp_path)
         assert len(manifests) == 1
-        assert manifests[0]["executor"] == {"jobs": 2, "warm": True}
+        assert manifests[0]["executor"] == {
+            "jobs": 2, "warm": True, "core_used": "flat",
+            "core_fallback_reason": None, "cache_problem": None,
+        }
+
+    def test_manifest_records_the_fallback_and_report_prints_it(self, tmp_path):
+        from repro.obs.report import render_manifest_report
+
+        points = _grid_points()
+        with SweepExecutor(jobs=1, manifest_dir=tmp_path) as executor:
+            outcomes = executor.run_points(points)
+        by_series = {m["point"]["series"]: m for m in iter_manifests(tmp_path)
+                     if m["point"]["index"] == 0}
+        assert by_series["xy"]["executor"]["core_used"] == "flat"
+        for series, word in (("observed", "observability"),
+                             ("faulted", "fault schedule")):
+            block = by_series[series]["executor"]
+            assert block["core_used"] == "object"
+            assert word in block["core_fallback_reason"]
+            report = render_manifest_report(by_series[series])
+            assert f"core: object (not flat: {block['core_fallback_reason']})" in report
+        assert "core: flat" in render_manifest_report(by_series["xy"])
+        assert [o.core_used for o in outcomes] == ["flat"] * 6 + ["object"] * 2
 
 
 def _sweep_into_cache(cache_dir: str) -> None:

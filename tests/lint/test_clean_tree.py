@@ -37,6 +37,8 @@ def test_known_suppressions_inventory():
         for entry in report.suppressed
     )
     assert inventory == [
+        ("bench.py", "single-factory"),
+        ("bench.py", "single-factory"),
         ("channels.py", "hash-stability"),
         ("directions.py", "hash-stability"),
         ("manifest.py", "no-wallclock"),

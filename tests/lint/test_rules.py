@@ -34,6 +34,10 @@ EXPECTED = {
         ("analysis/executor.py", 8),
         ("analysis/executor.py", 13),
     ],
+    "single-factory": [
+        ("analysis/runner.py", 8),
+        ("analysis/runner.py", 12),
+    ],
     "frozen-spec": [
         ("core/spec.py", 9),
         ("core/spec.py", 15),

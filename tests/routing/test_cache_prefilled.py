@@ -8,10 +8,18 @@ the shared table already held).  Before this accounting every warm
 sweep reported ``entries == misses``, deflating its true hit rate.
 """
 
-from repro.analysis.prewarm import build_route_table
 from repro.routing import make_routing
 from repro.routing.cache import RouteCache
 from repro.topology import Mesh2D
+
+
+def build_route_table(routing):
+    """Every (node, dest) decision of an arrival-channel-blind routing."""
+    nodes = list(routing.topology.nodes())
+    return {
+        (node, dest): tuple(routing.route(None, node, dest))
+        for node in nodes for dest in nodes if node != dest
+    }
 
 
 def _cache(mesh=None):

@@ -2,30 +2,31 @@
 
 The bit-identity of whole runs is pinned by the golden gate
 (``test_flatcore_identity.py``) and the property suite; these tests
-cover the pieces in isolation — the id encoding, the compiled route
-payload, the ``make_simulator`` fallback contract, and the on-demand
-object-state projection.
+cover the pieces in isolation — the id encoding, the shared compiled
+route table and its per-simulator counters, the ``make_simulator``
+core-selection contract, and the on-demand object-state projection.
 """
 
 import pytest
 
-from repro.analysis.prewarm import build_route_table, serialize_route_table
 from repro.resilience import FaultController, FaultEvent, FaultSchedule
 from repro.routing import make_routing
 from repro.sim import SimulationConfig, WormholeSimulator
 from repro.sim.digest import result_digest
 from repro.sim.flatcore import (
+    CompiledRoutes,
     FlatCoreUnsupported,
     FlatWormholeSimulator,
     flat_unsupported_reason,
     make_simulator,
 )
-from repro.sim.ids import ChannelIndex, compile_route_payload
+from repro.sim.ids import ChannelIndex
 from repro.sim.simulator import simulate
 from repro.topology import Mesh2D
 from repro.topology.virtual import VirtualChannelTopology
 from repro.traffic import UniformTraffic, Workload
-from repro.traffic.workload import SizeDistribution
+from repro.traffic.permutations import make_pattern
+from repro.traffic.workload import PAPER_SIZES, SizeDistribution
 
 
 def _workload(mesh, load=0.1, seed=7):
@@ -89,49 +90,26 @@ class TestChannelIndex:
         assert all(len(pairs) == 1 for pairs in by_phys.values())
 
 
-class TestCompileRoutePayload:
-    def test_payload_compiles_to_flat_id_tuples(self):
-        mesh = Mesh2D(4, 4)
-        routing = make_routing("west-first", mesh)
-        table = build_route_table(routing)
-        payload = serialize_route_table(mesh, table)
-        index = ChannelIndex(mesh)
-        compiled = compile_route_payload(index, payload)
-        assert len(compiled) == len(table)
-        for (node, dest), channels in table.items():
-            key = index.node_id[node] * index.num_nodes + index.node_id[dest]
-            assert compiled[key] == tuple(index.cid[ch] for ch in channels)
-
-    def test_unknown_format_rejected(self):
-        index = ChannelIndex(Mesh2D(3, 3))
-        with pytest.raises(ValueError, match="format"):
-            compile_route_payload(index, {"format": 99, "entries": []})
-
-
 class TestMakeSimulator:
     def test_object_core_by_default(self):
+        # The reference class itself: constructed directly (as tests and
+        # the engine bench's object twins do) it is the object core and
+        # carries no fallback reason — only the factory sets one.
+        mesh = Mesh2D(4, 4)
+        sim = WormholeSimulator(
+            make_routing("xy", mesh), _workload(mesh), _config()
+        )
+        assert (sim.core, sim.core_fallback_reason) == ("object", None)
+
+    def test_flat_core_on_request(self):
+        # Asking the factory for a simulator is asking for the flat core
+        # whenever the input allows it.
         mesh = Mesh2D(4, 4)
         sim = make_simulator(
             make_routing("xy", mesh), _workload(mesh), _config()
         )
-        assert type(sim) is WormholeSimulator
-        assert sim.core == "object"
-
-    def test_flat_core_on_request(self):
-        mesh = Mesh2D(4, 4)
-        sim = make_simulator(
-            make_routing("xy", mesh), _workload(mesh), _config(), core="flat"
-        )
         assert isinstance(sim, FlatWormholeSimulator)
-        assert sim.core == "flat"
-
-    def test_unknown_core_rejected(self):
-        mesh = Mesh2D(4, 4)
-        with pytest.raises(ValueError, match="unknown engine core"):
-            make_simulator(
-                make_routing("xy", mesh), _workload(mesh), _config(),
-                core="vectorized",
-            )
+        assert (sim.core, sim.core_fallback_reason) == ("flat", None)
 
     def test_obs_falls_back_to_object_core(self):
         from repro.obs.metrics import MetricsCollector
@@ -140,9 +118,11 @@ class TestMakeSimulator:
         mesh = Mesh2D(4, 4)
         sim = make_simulator(
             make_routing("xy", mesh), _workload(mesh), _config(),
-            core="flat", obs=MetricsCollector(ObsSpec()),
+            obs=MetricsCollector(ObsSpec()),
         )
+        assert type(sim) is WormholeSimulator
         assert sim.core == "object"
+        assert "observability" in sim.core_fallback_reason
 
     def test_fault_schedule_falls_back_to_object_core(self):
         mesh = Mesh2D(4, 4)
@@ -152,15 +132,16 @@ class TestMakeSimulator:
         )
         sim = make_simulator(
             make_routing("xy", mesh), _workload(mesh), _config(),
-            core="flat", resilience=FaultController(schedule),
+            resilience=FaultController(schedule),
         )
         assert sim.core == "object"
+        assert "fault schedule" in sim.core_fallback_reason
 
     def test_idle_fault_controller_stays_flat(self):
         mesh = Mesh2D(4, 4)
         sim = make_simulator(
             make_routing("xy", mesh), _workload(mesh), _config(),
-            core="flat", resilience=FaultController(FaultSchedule(())),
+            resilience=FaultController(FaultSchedule(())),
         )
         assert sim.core == "flat"
 
@@ -182,13 +163,43 @@ class TestMakeSimulator:
         ) is None
         assert "observability" in flat_unsupported_reason(obs=object())
 
+    def test_each_core_takes_only_its_own_shared_state(self):
+        from repro.analysis.prewarm import WarmContext
+        from repro.obs.metrics import MetricsCollector
+        from repro.obs.spec import ObsSpec
+
+        mesh = Mesh2D(4, 4)
+        warm = WarmContext(
+            ("mesh:4x4", "west-first"), mesh, make_routing("west-first", mesh)
+        )
+
+        def run(obs):
+            sim = make_simulator(
+                warm.routing, _workload(mesh, load=0.2), _config(),
+                obs=obs, warm=warm,
+            )
+            sim.run()
+            return sim.route_cache
+
+        # Object-core runs fill (and then reuse) the raw route source and
+        # never build the compiled table ...
+        assert run(MetricsCollector(ObsSpec())).misses > 0
+        assert run(MetricsCollector(ObsSpec())).misses == 0
+        assert len(warm.route_source) > 0
+        assert warm._compiled is None
+        # ... flat runs the reverse.
+        source_entries = len(warm.route_source)
+        assert run(None).misses > 0
+        assert run(None).misses == 0
+        assert len(warm.route_source) == source_entries
+
 
 class TestFlatRouteTableStats:
     def test_cold_run_counts_misses(self):
         mesh = Mesh2D(4, 4)
         sim = make_simulator(
             make_routing("west-first", mesh), _workload(mesh, load=0.2),
-            _config(), core="flat",
+            _config(),
         )
         sim.run()
         table = sim.route_cache
@@ -196,38 +207,94 @@ class TestFlatRouteTableStats:
         assert table.misses > 0
         assert table.prefilled_entries == 0
         assert 0.0 < table.hit_rate < 1.0
-        assert len(table) == table.filled
+        assert len(table) == table.misses
 
     def test_prewarmed_run_never_misses(self):
         mesh = Mesh2D(4, 4)
         routing = make_routing("west-first", mesh)
-        payload = serialize_route_table(mesh, build_route_table(routing))
-        sim = make_simulator(
-            routing, _workload(mesh, load=0.2), _config(), core="flat",
-            route_table=payload,
-        )
-        sim.run()
-        table = sim.route_cache
+        compiled = CompiledRoutes(routing)
+
+        def run():
+            sim = FlatWormholeSimulator(
+                routing, _workload(mesh, load=0.2), _config(),
+                compiled_routes=compiled,
+            )
+            return sim, result_digest(sim.run())
+
+        first, cold_digest = run()
+        second, warm_digest = run()
+        assert warm_digest == cold_digest
+        table = second.route_cache
         assert table.misses == 0
-        assert table.prefilled_entries == len(build_route_table(routing))
+        assert table.prefilled_entries == first.route_cache.misses
         assert table.hit_rate == 1.0
 
-    def test_route_table_payload_works_on_object_core_too(self):
+    def test_counters_do_not_leak_between_sharing_simulators(self):
         mesh = Mesh2D(4, 4)
+        routing = make_routing("west-first", mesh)
+        compiled = CompiledRoutes(routing)
+        first = FlatWormholeSimulator(
+            routing, _workload(mesh, load=0.2), _config(),
+            compiled_routes=compiled,
+        )
+        second = FlatWormholeSimulator(
+            routing, _workload(mesh, load=0.2, seed=8), _config(),
+            compiled_routes=compiled,
+        )
+        assert first.route_cache is not second.route_cache
+        assert first.route_cache.dense is second.route_cache.dense
+        first.run()
+        mine = (first.route_cache.hits, first.route_cache.misses)
+        assert mine[0] > 0 and mine[1] > 0
+        # The second simulator has looked nothing up yet ...
+        assert (second.route_cache.hits, second.route_cache.misses) == (0, 0)
+        second.run()
+        # ... and its own lookups leave the first one's counts alone.
+        assert (first.route_cache.hits, first.route_cache.misses) == mine
+        assert second.route_cache.hits > 0
+        assert len(compiled) == (
+            first.route_cache.misses + second.route_cache.misses
+        )
 
-        def build(core):
-            routing = make_routing("west-first", mesh)
-            payload = serialize_route_table(mesh, build_route_table(routing))
-            return make_simulator(
-                routing, _workload(mesh, load=0.2), _config(), core=core,
-                route_table=payload,
+    def test_in_channel_routing_compiles_a_keyed_table(self):
+        mesh = Mesh2D(4, 4)
+        routing = make_routing("negative-first-nonminimal", mesh)
+        assert routing.uses_in_channel
+        compiled = CompiledRoutes(routing)
+        assert compiled.dense is None and compiled.bykey == {}
+        sim = FlatWormholeSimulator(
+            routing, _workload(mesh, load=0.2), _config(),
+            compiled_routes=compiled,
+        )
+        sim.run()
+        assert len(compiled.bykey) == sim.route_cache.misses > 0
+
+    def test_uncacheable_routing_shares_only_the_index(self):
+        mesh = Mesh2D(4, 4)
+        routing = make_routing("west-first", mesh)
+        routing.cacheable = False
+        compiled = CompiledRoutes(routing)
+        assert compiled.dense is None and compiled.bykey is None
+        sim = FlatWormholeSimulator(
+            routing, _workload(mesh, load=0.2), _config(),
+            compiled_routes=compiled,
+        )
+        assert sim.route_cache is None
+        cached = make_simulator(
+            make_routing("west-first", mesh), _workload(mesh, load=0.2),
+            _config(),
+        )
+        assert result_digest(sim.run()) == result_digest(cached.run())
+        assert len(compiled) == 0
+
+    def test_compiled_routes_of_another_routing_are_rejected(self):
+        mesh = Mesh2D(4, 4)
+        compiled = CompiledRoutes(make_routing("west-first", mesh))
+        with pytest.raises(ValueError, match="another routing instance"):
+            FlatWormholeSimulator(
+                make_routing("west-first", mesh), _workload(mesh), _config(),
+                compiled_routes=compiled,
             )
-
-        flat = build("flat")
-        obj = build("object")
-        assert obj.core == "object"
-        assert result_digest(obj.run()) == result_digest(flat.run())
-        assert obj.route_cache.misses == 0
 
 
 class TestObjectStateProjection:
@@ -237,7 +304,6 @@ class TestObjectStateProjection:
             make_routing("xy", mesh), _workload(mesh, load=0.0),
             _config(max_packets=0, warmup_cycles=0, drain_cycles=0,
                     measure_cycles=400),
-            core="flat",
             preload=[((0, 0), (3, 3), 5, 0.0), ((2, 0), (0, 2), 3, 0.0)],
         )
         result = sim.run()
@@ -250,7 +316,7 @@ class TestObjectStateProjection:
         mesh = Mesh2D(4, 4)
         sim = make_simulator(
             make_routing("xy", mesh), _workload(mesh, load=0.3, seed=3),
-            _config(), core="flat",
+            _config(),
         )
         # Drive the engine a few cycles by hand, then cross-check the
         # projected ChannelState counts against the bitmask snapshot.
@@ -265,9 +331,26 @@ class TestObjectStateProjection:
 
 class TestSimulateFacade:
     def test_simulate_core_flag_is_bit_identical(self):
+        # simulate() has no core argument: the core follows from the
+        # input (flat; object when obs is on) and never shows in results.
+        from repro.obs.metrics import MetricsCollector
+        from repro.obs.spec import ObsSpec
+
         mesh = Mesh2D(5, 5)
-        obj = simulate(mesh, "west-first", "transpose", 0.2,
-                       config=_config(), seed=9)
         flat = simulate(mesh, "west-first", "transpose", 0.2,
-                        config=_config(), seed=9, core="flat")
-        assert result_digest(obj) == result_digest(flat)
+                        config=_config(), seed=9)
+        observed = simulate(mesh, "west-first", "transpose", 0.2,
+                            config=_config(), seed=9,
+                            obs=MetricsCollector(ObsSpec()))
+        reference = WormholeSimulator(
+            make_routing("west-first", mesh),
+            Workload(
+                pattern=make_pattern("transpose", mesh),
+                sizes=PAPER_SIZES, offered_load=0.2, seed=9,
+            ),
+            _config(),
+        ).run()
+        assert (
+            result_digest(flat) == result_digest(observed)
+            == result_digest(reference)
+        )
