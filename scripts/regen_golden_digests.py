@@ -20,17 +20,23 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 sys.path.insert(0, str(REPO))
 
+from repro.obs.metrics import MetricsCollector  # noqa: E402
 from repro.sim.digest import result_digest, run_digest, trace_digest  # noqa: E402
 
-from tests.sim.golden_scenarios import GOLDEN_SCENARIOS  # noqa: E402
+from tests.sim.golden_scenarios import (  # noqa: E402
+    FAULTED_SCENARIOS,
+    GOLDEN_SCENARIOS,
+    OBS_SUMMARY_SPEC,
+    summary_digest,
+)
 
 FIXTURE = REPO / "tests" / "sim" / "golden_digests.json"
 
 
 def main() -> int:
     fixtures = {}
-    for name, build in GOLDEN_SCENARIOS.items():
-        sim, trace = build()
+    for name, build in {**GOLDEN_SCENARIOS, **FAULTED_SCENARIOS}.items():
+        sim, trace, *controller = build()
         result = sim.run()
         fixtures[name] = {
             "result": result_digest(result),
@@ -40,6 +46,14 @@ def main() -> int:
             "total_delivered": result.total_delivered,
             "deadlocked": result.deadlocked,
         }
+        if controller:
+            fixtures[name]["ledger"] = summary_digest(
+                controller[0].stats.summary()
+            )
+        # The same run again with a collector bound, for its summary.
+        collector = MetricsCollector(OBS_SUMMARY_SPEC)
+        build(obs=collector)[0].run()
+        fixtures[name]["obs_summary"] = summary_digest(collector.summary())
         print(f"{name:32s} run={fixtures[name]['run'][:16]}... "
               f"delivered={result.total_delivered} "
               f"deadlocked={result.deadlocked}")

@@ -5,7 +5,10 @@ Every golden-digest scenario is re-run with a MetricsCollector attached
 bucketing all enabled) and must reproduce the committed digest byte for
 byte.  If collection perturbs as much as one low-order float bit of any
 scenario, this fails loudly — the obs subsystem reads engine state, it
-never participates in it.
+never participates in it.  The faulted scenarios run the same gate with
+a live fault schedule, and what the collector reports is pinned too:
+the sha256 of its summary (park/wake counters, per-channel busy and
+occupancy, timeline) must match the committed ``obs_summary``.
 """
 
 import json
@@ -17,7 +20,15 @@ from repro.obs.metrics import MetricsCollector
 from repro.obs.spec import ObsSpec
 from repro.sim.digest import run_digest
 
-from tests.sim.golden_scenarios import GOLDEN_SCENARIOS, build_scenario
+from tests.sim.golden_scenarios import (
+    FAULTED_SCENARIOS,
+    GOLDEN_SCENARIOS,
+    OBS_SUMMARY_SPEC,
+    build_scenario,
+    summary_digest,
+)
+
+BUILDERS = {**GOLDEN_SCENARIOS, **FAULTED_SCENARIOS}
 
 FIXTURE = Path(__file__).parent.parent / "sim" / "golden_digests.json"
 
@@ -27,12 +38,10 @@ def fixtures():
     return json.loads(FIXTURE.read_text())
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_SCENARIOS))
+@pytest.mark.parametrize("name", sorted(BUILDERS))
 def test_obs_enabled_run_matches_golden_digest(name, fixtures):
-    collector = MetricsCollector(
-        ObsSpec(sample_every=1, timeline_window=64, latency_reservoir=256)
-    )
-    sim, trace = build_scenario(name, obs=collector)
+    collector = MetricsCollector(OBS_SUMMARY_SPEC)
+    sim, trace = BUILDERS[name](obs=collector)[:2]
     result = sim.run()
     assert run_digest(result, trace) == fixtures[name]["run"]
     # And the collector really was live, not a no-op.
@@ -40,16 +49,17 @@ def test_obs_enabled_run_matches_golden_digest(name, fixtures):
     summary = collector.summary()
     assert summary["counters"]["delivered_packets"] == result.total_delivered
     assert summary["counters"]["cycles_observed"] > 0
+    assert summary_digest(summary) == fixtures[name]["obs_summary"]
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_SCENARIOS))
+@pytest.mark.parametrize("name", sorted(BUILDERS))
 def test_coarse_sampling_matches_golden_digest(name, fixtures):
     # Thinned channel sampling and a tiny reservoir take different
     # internal paths (modulo skip, reservoir eviction) — still invisible.
     collector = MetricsCollector(
         ObsSpec(sample_every=7, timeline_window=500, latency_reservoir=8)
     )
-    sim, trace = build_scenario(name, obs=collector)
+    sim, trace = BUILDERS[name](obs=collector)[:2]
     result = sim.run()
     assert run_digest(result, trace) == fixtures[name]["run"]
 

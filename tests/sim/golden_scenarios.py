@@ -10,6 +10,14 @@ scenario's result and trace as produced by the reference engine; any
 engine change that alters behavior for identical seeds fails the digest
 comparison loudly.
 
+``FAULTED_SCENARIOS`` pins the same for runs whose fault schedule is
+*not* empty — filter-mode degradation, factory rebuild, retransmission
+with capped backoff, fail-then-heal, abort, deep buffers and virtual
+channels — plus each run's resilience ledger; every scenario of both
+tables also pins the sha256 of its obs metrics summary
+(``OBS_SUMMARY_SPEC``).  All of it was generated on the object engine
+core before the engine was collapsed onto int ids.
+
 Regenerate fixtures (only when a behavior change is *intended*) with::
 
     python scripts/regen_golden_digests.py
@@ -17,6 +25,17 @@ Regenerate fixtures (only when a behavior change is *intended*) with::
 
 from __future__ import annotations
 
+import hashlib
+import json
+
+from repro.obs.spec import ObsSpec
+from repro.resilience import (
+    AbortRun,
+    DropAndCount,
+    FaultController,
+    FaultSchedule,
+    SourceRetransmit,
+)
 from repro.routing.registry import make_routing
 from repro.routing.virtual_channels import DatelineTorusRouting, o1turn_routing
 from repro.sim.config import SimulationConfig
@@ -30,13 +49,33 @@ from repro.topology.virtual import VirtualChannelTopology
 from repro.traffic.permutations import make_pattern
 from repro.traffic.workload import SizeDistribution, Workload
 
-__all__ = ["GOLDEN_SCENARIOS", "build_scenario"]
+__all__ = [
+    "FAULTED_SCENARIOS",
+    "GOLDEN_SCENARIOS",
+    "OBS_SUMMARY_SPEC",
+    "build_faulted",
+    "build_scenario",
+    "summary_digest",
+]
+
+#: The collector settings behind every pinned ``obs_summary`` digest:
+#: every cycle sampled, so per-channel busy/occupancy, the park/wake
+#: counters and the timeline all enter the hash.
+OBS_SUMMARY_SPEC = ObsSpec(sample_every=1, timeline_window=64,
+                           latency_reservoir=256)
+
+
+def summary_digest(summary: dict) -> str:
+    """sha256 of a JSON-ready dict (an obs summary, a resilience
+    ledger) in canonical form."""
+    text = json.dumps(summary, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _open_sim(topology, routing_name, pattern_name, load, seed, *,
               routing=None, sizes=None, warmup=200, measure=1200, drain=400,
-              deadlock_threshold=2_000, simulator_cls=WormholeSimulator,
-              **engine_kwargs):
+              deadlock_threshold=2_000, buffer_depth=1,
+              simulator_cls=WormholeSimulator, **engine_kwargs):
     if routing is None:
         routing = make_routing(routing_name, topology)
     pattern = make_pattern(pattern_name, topology)
@@ -51,6 +90,7 @@ def _open_sim(topology, routing_name, pattern_name, load, seed, *,
         measure_cycles=measure,
         drain_cycles=drain,
         deadlock_threshold=deadlock_threshold,
+        buffer_depth=buffer_depth,
     )
     trace = TraceRecorder(max_events=200_000)
     sim = simulator_cls(routing, workload, config, trace=trace,
@@ -70,8 +110,6 @@ def _mesh6_west_first_nofault_resilience(**kw):
     # The transpose scenario with an idle fault controller attached: the
     # resilience hooks must be bit-invisible when the schedule is empty,
     # so this digest must equal mesh6-west-first-transpose's exactly.
-    from repro.resilience import FaultController, FaultSchedule
-
     return _mesh6_west_first_transpose(
         resilience=FaultController(FaultSchedule(())), **kw
     )
@@ -165,3 +203,98 @@ GOLDEN_SCENARIOS = {
 def build_scenario(name: str, **engine_kwargs):
     """Build one named scenario; returns ``(simulator, trace)``."""
     return GOLDEN_SCENARIOS[name](**engine_kwargs)
+
+
+# ----------------------------------------------------------------------
+# Runs with a live fault schedule
+
+
+def _faulted(topology, routing_name, load, seed, *, faults, fault_seed,
+             policy, heal_after=None, rebuild=False, routing=None,
+             pattern="uniform", **kw):
+    """An open run under ``faults`` seed-drawn link failures striking in
+    the first 600 measured cycles.  ``rebuild`` re-derives the algorithm
+    by name on every degraded topology (what ``build_controller`` does
+    for nonminimal routers); otherwise the healthy decisions are
+    filtered.  Every degraded pair is re-certified."""
+    schedule = FaultSchedule.random(
+        topology, faults, seed=fault_seed, window=(200, 800),
+        heal_after=heal_after,
+    )
+    controller = FaultController(
+        schedule, policy,
+        routing_factory=(
+            (lambda degraded: make_routing(routing_name, degraded))
+            if rebuild else None
+        ),
+    )
+    sim, trace = _open_sim(
+        topology, routing_name, pattern, load, seed, routing=routing,
+        drain=800, resilience=controller, **kw
+    )
+    return sim, trace, controller
+
+
+def _mesh6_xy_faults_drop(**kw):
+    return _faulted(Mesh2D(6, 6), "xy", 0.10, 21, faults=4, fault_seed=3,
+                    policy=DropAndCount(), **kw)
+
+
+def _mesh6_west_first_faults_drop(**kw):
+    return _faulted(Mesh2D(6, 6), "west-first", 0.25, 22, faults=5,
+                    fault_seed=4, policy=DropAndCount(), **kw)
+
+
+def _mesh6_nonminimal_rebuild(**kw):
+    return _faulted(Mesh2D(6, 6), "west-first-nonminimal", 0.12, 23,
+                    faults=5, fault_seed=4, policy=DropAndCount(),
+                    rebuild=True, **kw)
+
+
+def _mesh6_xy_retransmit_deep(**kw):
+    # Eight faults against a three-attempt budget with the backoff cap
+    # at twice the base delay: retries hit the cap, and some give up.
+    # buffer_depth=2 sends the run through the generic mover.
+    return _faulted(Mesh2D(6, 6), "xy", 0.10, 24, faults=8, fault_seed=1,
+                    policy=SourceRetransmit(base_delay=8, delay_cap=16,
+                                            max_attempts=3),
+                    buffer_depth=2, **kw)
+
+
+def _mesh6_nonminimal_fail_heal(**kw):
+    # Every fault heals 150 cycles after it strikes, so the run ends on
+    # the healthy routing it started with.
+    return _faulted(Mesh2D(6, 6), "west-first-nonminimal", 0.12, 25,
+                    faults=4, fault_seed=3, heal_after=150, rebuild=True,
+                    policy=SourceRetransmit(base_delay=4, delay_cap=32,
+                                            max_attempts=6), **kw)
+
+
+def _mesh6_xy_abort(**kw):
+    return _faulted(Mesh2D(6, 6), "xy", 0.10, 26, faults=8, fault_seed=1,
+                    policy=AbortRun(), **kw)
+
+
+def _mesh44_o1turn_vc_faults(**kw):
+    vc = VirtualChannelTopology(Mesh2D(4, 4), 2)
+    return _faulted(vc, None, 0.20, 27, faults=4, fault_seed=3,
+                    policy=DropAndCount(), routing=o1turn_routing(vc),
+                    pattern="transpose", **kw)
+
+
+#: name -> builder(**engine_kwargs) -> (simulator, trace, controller)
+FAULTED_SCENARIOS = {
+    "mesh6-xy-faults-drop": _mesh6_xy_faults_drop,
+    "mesh6-west-first-faults-drop": _mesh6_west_first_faults_drop,
+    "mesh6-nonminimal-rebuild-drop": _mesh6_nonminimal_rebuild,
+    "mesh6-xy-retransmit-deep": _mesh6_xy_retransmit_deep,
+    "mesh6-nonminimal-fail-heal": _mesh6_nonminimal_fail_heal,
+    "mesh6-xy-abort": _mesh6_xy_abort,
+    "mesh44-o1turn-vc-faults": _mesh44_o1turn_vc_faults,
+}
+
+
+def build_faulted(name: str, **engine_kwargs):
+    """Build one faulted scenario; returns ``(simulator, trace,
+    controller)`` — read the ledger off ``controller.stats.summary()``."""
+    return FAULTED_SCENARIOS[name](**engine_kwargs)

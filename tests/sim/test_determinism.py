@@ -8,6 +8,9 @@ optimization that changes *any* observable of *any* seeded run — a
 low-order float bit of an average, a reordered trace event, a shifted
 deadlock cycle — fails here loudly.
 
+The faulted scenarios pin the same three digests for runs with a live
+fault schedule, plus the resilience ledger each one ends with.
+
 If a behavior change is intended, regenerate the fixtures with
 ``python scripts/regen_golden_digests.py`` and justify the change in the
 commit message.
@@ -20,7 +23,15 @@ import pytest
 
 from repro.sim.digest import result_digest, run_digest, trace_digest
 
-from tests.sim.golden_scenarios import GOLDEN_SCENARIOS, build_scenario
+from tests.sim.golden_scenarios import (
+    FAULTED_SCENARIOS,
+    GOLDEN_SCENARIOS,
+    build_faulted,
+    build_scenario,
+    summary_digest,
+)
+
+ALL_SCENARIOS = sorted({**GOLDEN_SCENARIOS, **FAULTED_SCENARIOS})
 
 FIXTURE = Path(__file__).parent / "golden_digests.json"
 
@@ -32,41 +43,59 @@ def fixtures():
 
 @pytest.fixture(scope="module")
 def runs():
-    """Run every golden scenario once; share the outcomes across tests."""
+    """Run every scenario once; share the outcomes across tests: per
+    name ``(simulator, trace, result)``, with the fault controller in
+    the simulator's place for a faulted scenario."""
     outcomes = {}
     for name in GOLDEN_SCENARIOS:
         sim, trace = build_scenario(name)
         result = sim.run()
         outcomes[name] = (sim, trace, result)
+    for name in FAULTED_SCENARIOS:
+        sim, trace, controller = build_faulted(name)
+        outcomes[name] = (controller, trace, sim.run())
     return outcomes
 
 
 class TestGoldenDigests:
     def test_fixture_covers_every_scenario(self, fixtures):
-        assert sorted(fixtures) == sorted(GOLDEN_SCENARIOS)
+        assert sorted(fixtures) == ALL_SCENARIOS
 
-    @pytest.mark.parametrize("name", sorted(GOLDEN_SCENARIOS))
+    @pytest.mark.parametrize("name", ALL_SCENARIOS)
     def test_result_digest(self, name, fixtures, runs):
         _, _, result = runs[name]
         assert result_digest(result) == fixtures[name]["result"]
 
-    @pytest.mark.parametrize("name", sorted(GOLDEN_SCENARIOS))
+    @pytest.mark.parametrize("name", ALL_SCENARIOS)
     def test_trace_digest(self, name, fixtures, runs):
         _, trace, _ = runs[name]
         assert len(trace.events) == fixtures[name]["trace_events"]
         assert trace_digest(trace) == fixtures[name]["trace"]
 
-    @pytest.mark.parametrize("name", sorted(GOLDEN_SCENARIOS))
+    @pytest.mark.parametrize("name", ALL_SCENARIOS)
     def test_joint_run_digest(self, name, fixtures, runs):
         _, trace, result = runs[name]
         assert run_digest(result, trace) == fixtures[name]["run"]
 
-    @pytest.mark.parametrize("name", sorted(GOLDEN_SCENARIOS))
+    @pytest.mark.parametrize("name", ALL_SCENARIOS)
     def test_headline_outcomes(self, name, fixtures, runs):
         # Redundant with the digests, but failures read much better.
         _, _, result = runs[name]
         assert result.total_delivered == fixtures[name]["total_delivered"]
         assert result.deadlocked == fixtures[name]["deadlocked"]
+
+
+    @pytest.mark.parametrize("name", sorted(FAULTED_SCENARIOS))
+    def test_resilience_ledger_digest(self, name, fixtures, runs):
+        controller, _, _ = runs[name]
+        ledger = controller.stats.summary()
+        assert ledger["faults_applied"] > 0
+        assert summary_digest(ledger) == fixtures[name]["ledger"]
+
+    def test_fail_heal_scenario_ends_on_the_healthy_routing(self, runs):
+        controller, _, _ = runs["mesh6-nonminimal-fail-heal"]
+        assert controller.stats.heals_applied == controller.stats.faults_applied
+        assert controller.current_routing is controller.base_routing
 
 
 class TestNoFaultResilienceIdentity:
