@@ -26,7 +26,7 @@ invocation with repeatable ``--check`` specs — e.g. both bench families
 at once::
 
     python scripts/check_bench_regression.py \\
-        --check 'BENCH_engine.json:/tmp/eng.json:cycles_per_sec:mesh16-west-first-sat,mesh16-west-first-sat-flat' \\
+        --check 'BENCH_engine.json:/tmp/eng.json:cycles_per_sec:mesh16-west-first-sat,cube8-pcube-sat' \\
         --check 'BENCH_sweep.json:/tmp/sweep.json:points_per_sec:mesh16-grid'
 
 Each spec is ``baseline:current:metric:scenario[,scenario...]``; the

@@ -21,16 +21,16 @@ The package is organized as the paper is:
 * :mod:`repro.experiments` — one driver per paper table and figure.
 * :mod:`repro.api` — the stable facade programmatic users should import
   from (:class:`~repro.analysis.executor.ExperimentSpec`,
-  :class:`~repro.analysis.executor.SweepExecutor`, ``simulate``,
-  ``sweep_loads``, ``parse_topology``, the registries).
+  :class:`~repro.analysis.executor.SweepExecutor`, ``run``,
+  ``parse_topology``, the registries).
 
 Quickstart::
 
-    from repro.api import parse_topology, simulate
+    from repro.api import run
 
-    result = simulate(parse_topology("mesh:8x8"), "negative-first",
-                      "transpose", offered_load=0.1)
-    print(result.summary())
+    out = run(topology="mesh:8x8", routing="negative-first",
+              pattern="transpose", load=0.1)
+    print(out.result.summary())
 """
 
 __version__ = "1.0.0"

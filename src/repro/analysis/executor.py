@@ -53,7 +53,7 @@ from repro.routing.base import RoutingAlgorithm
 from repro.routing.registry import canonical_name, make_routing
 from repro.routing.selection import make_input_policy, make_output_policy
 from repro.sim.config import FLITS_PER_USEC, SimulationConfig
-from repro.sim.flatcore import make_simulator
+from repro.sim.engine import make_simulator
 from repro.sim.stats import SimulationResult
 from repro.topology.base import Topology
 from repro.topology.spec import parse_topology, topology_spec
@@ -355,24 +355,11 @@ class ExperimentSpec:
         """Simulate this point and return its result."""
         return self.run_full().result
 
-    def run_detailed(self) -> Tuple[SimulationResult, Optional[dict]]:
-        """Simulate this point, returning the result and (for points
-        with a resilience spec) the fault run's stats summary.
-
-        Retained for callers that predate :meth:`run_full`, which also
-        surfaces the obs metrics summary.
-        """
-        full = self.run_full()
-        return full.result, full.resilience
-
     def run_full(self, warm: Optional[WarmContext] = None) -> "RunResult":
         """Simulate this point and return everything it produced.
 
-        Every point is built by :func:`~repro.sim.flatcore
-        .make_simulator`, which reads the engine core off the spec: the
-        flat core unless ``obs`` or a non-empty fault schedule needs the
-        object core (recorded on the returned :class:`RunResult`).  The
-        resilience machinery is imported — and the controller built —
+        Every point is built by :func:`~repro.sim.engine
+        .make_simulator`.  The resilience machinery is imported — and the controller built —
         only when the spec asks for it.  Likewise the metrics collector
         exists only when ``obs`` is set, and its presence is
         bit-invisible to the result.
@@ -420,8 +407,6 @@ class ExperimentSpec:
                 controller.stats.summary() if controller is not None else None
             ),
             metrics=collector.summary() if collector is not None else None,
-            core_used=simulator.core,
-            core_fallback_reason=simulator.core_fallback_reason,
         )
 
 
@@ -478,12 +463,6 @@ class RunResult:
             ``None`` when collection was off.
         cached: whether the result came from a result cache.
         wall_time_s: seconds the simulation took (0.0 for cache hits).
-        core_used: the engine core that ran the point (``"flat"`` or
-            ``"object"``); ``None`` for a cache hit, which ran nothing.
-        core_fallback_reason: why the object core ran instead of the
-            flat one; ``None`` when the flat core ran.  Provenance
-            only: neither field enters the spec hash, the cache key or
-            the result digest.
     """
 
     spec: ExperimentSpec
@@ -492,8 +471,6 @@ class RunResult:
     metrics: Optional[dict] = None
     cached: bool = False
     wall_time_s: float = 0.0
-    core_used: Optional[str] = None
-    core_fallback_reason: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -527,9 +504,6 @@ class PointOutcome:
         metrics: the obs metrics summary; ``None`` for points without
             an obs spec (and for cache entries stored before metrics
             existed).
-        core_used, core_fallback_reason: which engine core ran the
-            point and why not the flat one (see :class:`RunResult`);
-            both ``None`` for cache hits.
         cache_problem: why the point's existing cache entry was
             rejected and the point re-simulated (see
             :meth:`ResultCache.read_entry`); ``None`` normally.
@@ -541,8 +515,6 @@ class PointOutcome:
     cached: bool
     resilience: Optional[dict] = None
     metrics: Optional[dict] = None
-    core_used: Optional[str] = None
-    core_fallback_reason: Optional[str] = None
     cache_problem: Optional[str] = None
 
 
@@ -970,8 +942,6 @@ class SweepExecutor:
             executor={
                 "jobs": self.jobs,
                 "warm": self.warm,
-                "core_used": outcome.core_used,
-                "core_fallback_reason": outcome.core_fallback_reason,
                 "cache_problem": outcome.cache_problem,
             },
         )
@@ -1015,8 +985,6 @@ class SweepExecutor:
         outcome = PointOutcome(
             point, run.result, run.wall_time_s, False,
             resilience=run.resilience, metrics=run.metrics,
-            core_used=run.core_used,
-            core_fallback_reason=run.core_fallback_reason,
             cache_problem=cache_problem,
         )
         metrics.simulated += 1

@@ -11,13 +11,11 @@ This module is the amortization layer the :class:`~repro.analysis
   ``(topology, algorithm)`` key: the parsed topology (with its
   ``out_channels`` caches hot), the routing instance, a lazily built
   pattern cache, and the key's shared routing state — one
-  :class:`~repro.sim.flatcore.CompiledRoutes` (channel index plus
-  routing decisions as id tuples) that every flat-core simulation of
-  the key shares by reference, and one raw
-  :class:`~repro.routing.cache.RouteCache` consulted only by the points
-  that fall back to the object core.  Both fill lazily, so a routing
-  state any earlier point visited never calls ``routing.route`` again
-  and nothing is computed that no point asks for.
+  :class:`~repro.sim.ids.CompiledRoutes` (channel index plus routing
+  decisions as id tuples) that every simulation of the key shares by
+  reference.  It fills lazily, so a routing state any earlier point
+  visited never calls ``routing.route`` again and nothing is computed
+  that no point asks for.
 * :func:`get_warm_context` — a bounded per-process context cache.  The
   executor's serial path uses it directly; each worker process fills
   its own copy the same way, in parallel.
@@ -36,9 +34,8 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from repro.routing.base import RoutingAlgorithm
-from repro.routing.cache import RouteCache
 from repro.routing.registry import canonical_name, make_routing
-from repro.sim.flatcore import CompiledRoutes
+from repro.sim.ids import CompiledRoutes
 from repro.topology.base import Topology
 from repro.traffic.patterns import TrafficPattern
 from repro.traffic.permutations import make_pattern
@@ -71,37 +68,19 @@ class WarmContext:
         key: the canonical ``(topology spec, routing name)`` pair.
         topology: the parsed topology (shared; immutable).
         routing: the routing algorithm instance (shared; immutable).
-        route_source: shared raw route cache for the points that run on
-            the object core — unresolved candidate tuples accumulated
-            across every such run — or ``None`` for uncacheable
-            algorithms.
+        compiled_routes: the key's shared compiled routing program,
+            filled lazily by the simulations that share it.
     """
 
-    __slots__ = ("key", "topology", "routing", "route_source", "_compiled",
-                 "_patterns")
+    __slots__ = ("key", "topology", "routing", "compiled_routes", "_patterns")
 
     def __init__(self, key: WarmKey, topology: Topology,
                  routing: RoutingAlgorithm) -> None:
         self.key = key
         self.topology = topology
         self.routing = routing
-        self.route_source: Optional[RouteCache] = (
-            RouteCache(routing)
-            if getattr(routing, "cacheable", True)
-            else None
-        )
-        self._compiled: Optional[CompiledRoutes] = None
+        self.compiled_routes = CompiledRoutes(routing)
         self._patterns: Dict[str, TrafficPattern] = {}
-
-    @property
-    def compiled_routes(self) -> CompiledRoutes:
-        """The key's shared compiled program, built on first use (a
-        sweep whose points all run on the object core never pays for
-        it)."""
-        compiled = self._compiled
-        if compiled is None:
-            compiled = self._compiled = CompiledRoutes(self.routing)
-        return compiled
 
     def pattern(self, name: str) -> TrafficPattern:
         """The shared pattern instance for ``name`` (patterns are
@@ -114,11 +93,9 @@ class WarmContext:
         return pattern
 
     def __repr__(self) -> str:
-        compiled = len(self._compiled) if self._compiled is not None else 0
-        source = len(self.route_source) if self.route_source else 0
         return (
-            f"WarmContext({self.key!r}, compiled_entries={compiled}, "
-            f"source_entries={source})"
+            f"WarmContext({self.key!r}, "
+            f"compiled_entries={len(self.compiled_routes)})"
         )
 
 

@@ -22,15 +22,12 @@ result plus the optional sidecars (resilience ledger, obs metrics)::
 Sweeps and fault sweeps keep their dedicated drivers
 (:meth:`SweepExecutor.sweep`, :func:`fault_sweep`), both reachable from
 here, and algorithm synthesis runs through :func:`run_synthesis` with a
-:class:`SynthSpec` (see ``docs/synthesis.md``).  The pre-facade entry points (``simulate``, ``sweep_loads``,
-``run_spec``) still work but emit :class:`DeprecationWarning`; see
-``docs/experiments_api.md`` for the migration table.
+:class:`SynthSpec` (see ``docs/synthesis.md``).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from typing import Optional, Sequence, Tuple, Union
 
 from repro.analysis.executor import (
@@ -48,14 +45,12 @@ from repro.analysis.executor import (
     SweepExecutor,
     resolve_spec,
 )
-from repro.analysis.executor import run_spec as _run_spec
 from repro.analysis.sweep import (
     SweepPoint,
     SweepSeries,
     default_loads,
     truncate_at_saturation,
 )
-from repro.analysis.sweep import sweep_loads as _sweep_loads
 from repro.obs.manifest import build_manifest, load_manifest, write_manifest
 from repro.obs.metrics import MetricsCollector
 from repro.obs.report import render_manifest_report
@@ -75,7 +70,6 @@ from repro.routing.registry import (
     make_routing,
 )
 from repro.sim.config import SimulationConfig
-from repro.sim.simulator import simulate as _simulate
 from repro.sim.stats import SimulationResult
 from repro.synth import (
     SynthesisResult,
@@ -143,11 +137,6 @@ __all__ = [
     # Workload sizing.
     "PAPER_SIZES",
     "SizeDistribution",
-    # Deprecated shims (DeprecationWarning; kept one release for
-    # migration).
-    "simulate",
-    "sweep_loads",
-    "run_spec",
 ]
 
 _UNSET = object()
@@ -310,44 +299,4 @@ def run(
         metrics=outcome.metrics,
         cached=outcome.cached,
         wall_time_s=outcome.wall_time_s,
-        core_used=outcome.core_used,
-        core_fallback_reason=outcome.core_fallback_reason,
     )
-
-
-def _deprecated(old: str, use: str) -> None:
-    warnings.warn(
-        f"repro.api.{old} is deprecated; use {use} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def simulate(*args, **kwargs) -> SimulationResult:
-    """Deprecated alias for :func:`repro.sim.simulator.simulate`.
-
-    Use :func:`run` (which returns a :class:`RunResult`; its ``result``
-    field is what this returned).  Forwards unchanged in the meantime.
-    """
-    _deprecated("simulate", "repro.api.run(...)")
-    return _simulate(*args, **kwargs)
-
-
-def sweep_loads(*args, **kwargs) -> SweepSeries:
-    """Deprecated alias for :func:`repro.analysis.sweep.sweep_loads`.
-
-    Use :meth:`SweepExecutor.sweep`, which adds caching, parallelism,
-    certification, and manifests.  Forwards unchanged in the meantime.
-    """
-    _deprecated("sweep_loads", "SweepExecutor().sweep(...)")
-    return _sweep_loads(*args, **kwargs)
-
-
-def run_spec(spec: ExperimentSpec) -> SimulationResult:
-    """Deprecated alias for :meth:`ExperimentSpec.run`.
-
-    Use :func:`run`, which returns the full :class:`RunResult`; this
-    returned only the bare :class:`SimulationResult`.
-    """
-    _deprecated("run_spec", "repro.api.run(spec).result")
-    return _run_spec(spec)

@@ -86,15 +86,14 @@ class GuardedHooksRule(Rule):
 
     id = "guarded-hooks"
     summary = (
-        "every _obs/fault-controller hook access in the engine cores "
-        "(sim/engine.py, sim/flatcore.py) must be under an "
-        "'is not None' guard (cheap-optional-hook contract)"
+        "every _obs/fault-controller hook access in the engine "
+        "(sim/engine.py) must be under an 'is not None' guard "
+        "(cheap-optional-hook contract)"
     )
     packages = ("sim",)
 
-    #: Modules implementing an engine hot loop; both cores carry the
-    #: same cheap-optional-hook contract.
-    filenames = ("engine.py", "flatcore.py")
+    #: The module implementing the engine hot loop.
+    filenames = ("engine.py",)
 
     def check_module(
         self, module: ModuleContext, project: Project
@@ -364,24 +363,23 @@ class WorkerPurityRule(Rule):
 class SingleFactoryRule(Rule):
     """Only ``make_simulator`` constructs a simulator.
 
-    Flags every call of an engine-core class by name
-    (``WormholeSimulator(...)``, ``FlatWormholeSimulator(...)``, however
-    qualified) outside the body of ``make_simulator`` in
-    ``sim/flatcore.py``.  The factory reads the core off the run's
-    inputs and records why it fell back; a direct construction bypasses
-    both.  Code that measures one specific core (the engine bench's
-    object/flat twins) says so with a pragma.
+    Flags every call of the engine class by name
+    (``WormholeSimulator(...)``, however qualified) outside the body of
+    ``make_simulator`` in ``sim/engine.py``.  The factory is where a
+    run's warm context becomes the shared compiled routing table; a
+    direct construction compiles a private one per run.
     """
 
     id = "single-factory"
     summary = (
-        "simulators are constructed only by sim/flatcore.py's "
-        "make_simulator(), which picks the engine core from the inputs"
+        "simulators are constructed only by sim/engine.py's "
+        "make_simulator(), which hands each run its key's shared "
+        "compiled routes"
     )
 
-    #: The engine-core classes and the one function allowed to call them.
-    classes = ("WormholeSimulator", "FlatWormholeSimulator")
-    factory = ("sim/flatcore.py", "make_simulator")
+    #: The engine class and the one function allowed to call it.
+    classes = ("WormholeSimulator",)
+    factory = ("sim/engine.py", "make_simulator")
 
     def check_module(
         self, module: ModuleContext, project: Project
@@ -403,7 +401,7 @@ class SingleFactoryRule(Rule):
                     self.id,
                     f"{name}(...) constructs a simulator outside "
                     "make_simulator(); build it through the factory so "
-                    "the engine core is chosen (and reported) in one place",
+                    "every run of a key shares one compiled route table",
                 )
 
 

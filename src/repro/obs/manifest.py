@@ -98,10 +98,7 @@ def build_manifest(
         executor: how the executor ran the point — ``jobs`` (the
             effective worker count, after a ``jobs=None`` request
             resolves to the CPU count), ``warm`` (whether warm-state
-            reuse was on), ``core_used`` and ``core_fallback_reason``
-            (which engine core ran and, for the object core, why not
-            the flat one; both ``None`` for a cache hit), and
-            ``cache_problem`` (why an existing cache entry was rejected
+            reuse was on) and ``cache_problem`` (why an existing cache entry was rejected
             and the point re-simulated, else ``None``).
     """
     from repro.analysis.results_io import result_to_dict

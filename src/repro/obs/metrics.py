@@ -38,7 +38,6 @@ from repro.resilience.schedule import channel_to_dict
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import WormholeSimulator
     from repro.sim.packet import Packet
-    from repro.sim.resources import ChannelState
 
 __all__ = ["OBS_SCHEMA_VERSION", "MetricsCollector"]
 
@@ -107,7 +106,6 @@ class MetricsCollector:
         self._bound = False
         self._finished = False
         self._channels: List[Any] = []
-        self._states: List["ChannelState"] = []
         self._busy: List[int] = []
         self._occupancy: List[int] = []
         self._channel_samples = 0
@@ -125,11 +123,9 @@ class MetricsCollector:
             raise RuntimeError("MetricsCollector is single-use; already bound")
         self._bound = True
         if self.spec.channels:
-            states = sim.network_channel_states
-            # topology.channels() order: deterministic and shared with
-            # the engine's own state table.
-            self._channels = list(states.keys())
-            self._states = [states[ch] for ch in self._channels]
+            # topology.channels() order: deterministic, and the order
+            # the engine's channel ids index ``sample_channels`` by.
+            self._channels = sim.network_channels
             self._busy = [0] * len(self._channels)
             self._occupancy = [0] * len(self._channels)
         self._last_flit_moves = sim.flit_moves
@@ -162,14 +158,7 @@ class MetricsCollector:
                 self._last_injected = injected
         if spec.channels and cycle % spec.sample_every == 0:
             self._channel_samples += 1
-            busy = self._busy
-            occupancy = self._occupancy
-            for index, state in enumerate(self._states):
-                if state.owner is not None:
-                    busy[index] += 1
-                count = state.count
-                if count:
-                    occupancy[index] += count
+            sim.sample_channels(self._busy, self._occupancy)
 
     def finish(self, sim: "WormholeSimulator") -> None:
         """Capture end-of-run totals (called once after the main loop)."""

@@ -202,12 +202,6 @@ def render_manifest_report(
         f"certified={certification.get('certified', False)}"
     )
     executor = manifest.get("executor") or {}
-    if executor.get("core_used"):
-        reason = executor.get("core_fallback_reason")
-        lines.append(
-            f"core: {executor['core_used']}"
-            + (f" (not flat: {reason})" if reason else "")
-        )
     if executor.get("cache_problem"):
         lines.append(
             f"cache: existing entry rejected ({executor['cache_problem']}); "

@@ -1,7 +1,6 @@
 """Routing algorithms derived from the turn model, plus baselines."""
 
 from repro.routing.base import RoutingAlgorithm
-from repro.routing.cache import RouteCache
 from repro.routing.dimension_order import (
     DimensionOrderRouting,
     ecube_routing,
@@ -67,7 +66,6 @@ from repro.routing.west_first import WestFirstRouting, west_first_nonminimal
 
 __all__ = [
     "RoutingAlgorithm",
-    "RouteCache",
     "DimensionOrderRouting",
     "xy_routing",
     "yx_routing",

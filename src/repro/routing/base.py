@@ -39,7 +39,7 @@ class RoutingAlgorithm(ABC):
             state, no time dependence.  True for every turn-model
             relation (they are Markovian by construction), and it lets
             the simulator memoize routing decisions
-            (:class:`repro.routing.cache.RouteCache`).  Set to False in
+            (:class:`repro.sim.ids.CompiledRoutes`).  Set to False in
             subclasses whose decisions can change between identical
             calls.
         uses_in_channel: whether :meth:`route` actually reads

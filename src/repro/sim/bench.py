@@ -36,8 +36,7 @@ from typing import Callable, Dict, Iterable, List, Optional
 from repro.routing.registry import make_routing
 from repro.sim.config import SimulationConfig
 from repro.sim.digest import result_digest
-from repro.sim.engine import WormholeSimulator
-from repro.sim.flatcore import CompiledRoutes, FlatWormholeSimulator
+from repro.sim.engine import WormholeSimulator, make_simulator
 from repro.topology.hypercube import Hypercube
 from repro.topology.mesh import Mesh2D
 from repro.traffic.permutations import make_pattern
@@ -61,18 +60,12 @@ class BenchScenario:
     Attributes:
         name: stable identifier (keys ``BENCH_engine.json``).
         description: one-line summary for the report.
-        build: ``build(config) -> WormholeSimulator``.  The engine bench
-            measures each core on its own, so builders construct the
-            core's class directly rather than through ``make_simulator``.
-        twin: the same-workload scenario on the other core, if any; the
-            pair shares seed and workload, so ``run_bench`` cross-checks
-            their digests.
+        build: ``build(config) -> WormholeSimulator``.
     """
 
     name: str
     description: str
     build: Callable[[SimulationConfig], WormholeSimulator]
-    twin: Optional[str] = None
 
 
 def _workload(topology, load: float, seed: int) -> Workload:
@@ -87,27 +80,7 @@ def _workload(topology, load: float, seed: int) -> Workload:
 def _simulator(topology, routing_name: str, load: float,
                config: SimulationConfig, seed: int) -> WormholeSimulator:
     routing = make_routing(routing_name, topology)
-    # repro-lint: allow[single-factory] the engine bench times the object core itself, whatever the factory would pick
-    return WormholeSimulator(routing, _workload(topology, load, seed), config)
-
-
-def _flat_simulator(topology, routing_name: str, load: float,
-                    config: SimulationConfig, seed: int) -> WormholeSimulator:
-    # Construction — compiling the topology and the key's full route
-    # table — is deliberately outside the timed region, like the table
-    # a warm sweep's earlier points leave behind.
-    compiled = CompiledRoutes(make_routing(routing_name, topology))
-    if compiled.dense is not None:
-        count = compiled.index.num_nodes
-        for node in range(count):
-            for dest in range(count):
-                if node != dest:
-                    compiled.fill_dense(node * count + dest, node, dest)
-    # repro-lint: allow[single-factory] the engine bench times the flat core itself, whatever the factory would pick
-    return FlatWormholeSimulator(
-        compiled.routing, _workload(topology, load, seed), config,
-        compiled_routes=compiled,
-    )
+    return make_simulator(routing, _workload(topology, load, seed), config)
 
 
 BENCH_SCENARIOS: Dict[str, BenchScenario] = {
@@ -118,56 +91,24 @@ BENCH_SCENARIOS: Dict[str, BenchScenario] = {
             "16x16 mesh, west-first, uniform, load 0.05",
             lambda config: _simulator(Mesh2D(16, 16), "west-first",
                                       _LOW_LOAD, config, seed=101),
-            twin="mesh16-west-first-low-flat",
         ),
         BenchScenario(
             "mesh16-west-first-sat",
             "16x16 mesh, west-first, uniform, load 0.45 (saturation)",
             lambda config: _simulator(Mesh2D(16, 16), "west-first",
                                       _SAT_LOAD, config, seed=102),
-            twin="mesh16-west-first-sat-flat",
         ),
         BenchScenario(
             "cube8-ecube-low",
             "binary 8-cube, e-cube, uniform, load 0.05",
             lambda config: _simulator(Hypercube(8), "e-cube",
                                       _LOW_LOAD, config, seed=103),
-            twin="cube8-ecube-low-flat",
         ),
         BenchScenario(
             "cube8-pcube-sat",
             "binary 8-cube, p-cube, uniform, load 0.45 (saturation)",
             lambda config: _simulator(Hypercube(8), "p-cube",
                                       _SAT_LOAD, config, seed=104),
-            twin="cube8-pcube-sat-flat",
-        ),
-        BenchScenario(
-            "mesh16-west-first-low-flat",
-            "16x16 mesh, west-first, uniform, load 0.05 (flat core)",
-            lambda config: _flat_simulator(Mesh2D(16, 16), "west-first",
-                                           _LOW_LOAD, config, seed=101),
-            twin="mesh16-west-first-low",
-        ),
-        BenchScenario(
-            "mesh16-west-first-sat-flat",
-            "16x16 mesh, west-first, uniform, load 0.45 (flat core)",
-            lambda config: _flat_simulator(Mesh2D(16, 16), "west-first",
-                                           _SAT_LOAD, config, seed=102),
-            twin="mesh16-west-first-sat",
-        ),
-        BenchScenario(
-            "cube8-ecube-low-flat",
-            "binary 8-cube, e-cube, uniform, load 0.05 (flat core)",
-            lambda config: _flat_simulator(Hypercube(8), "e-cube",
-                                           _LOW_LOAD, config, seed=103),
-            twin="cube8-ecube-low",
-        ),
-        BenchScenario(
-            "cube8-pcube-sat-flat",
-            "binary 8-cube, p-cube, uniform, load 0.45 (flat core)",
-            lambda config: _flat_simulator(Hypercube(8), "p-cube",
-                                           _SAT_LOAD, config, seed=104),
-            twin="cube8-pcube-sat",
         ),
     )
 }
@@ -219,7 +160,6 @@ def _run_one(scenario: BenchScenario, config: SimulationConfig,
         cycles = sim.cycle + 1
         record = {
             "description": scenario.description,
-            "core": sim.core,
             "wall_seconds": wall,
             "cycles_simulated": cycles,
             "cycles_executed": sim.cycles_executed,
@@ -260,10 +200,6 @@ def run_bench(names: Optional[Iterable[str]] = None, quick: bool = False,
     Args:
         profile: attach the top-25 cumulative-time functions (one extra
             untimed cProfile run per scenario) to each record.
-
-    When a scenario and its other-core twin both ran, their result
-    digests are cross-checked; a mismatch raises — a flat-core run that
-    is not bit-identical must never produce a silent benchmark number.
     """
     selected: List[BenchScenario] = []
     for name in (names or BENCH_SCENARIOS):
@@ -289,19 +225,6 @@ def run_bench(names: Optional[Iterable[str]] = None, quick: bool = False,
         payload["scenarios"][scenario.name] = _run_one(
             scenario, config, repeat, profile=profile
         )
-    scenarios = payload["scenarios"]
-    for scenario in selected:
-        twin = scenario.twin
-        if twin is None or twin not in scenarios:
-            continue
-        mine = scenarios[scenario.name]["result_digest"]
-        theirs = scenarios[twin]["result_digest"]
-        if mine != theirs:
-            raise RuntimeError(
-                f"core digest mismatch: {scenario.name} produced {mine} "
-                f"but {twin} produced {theirs} — the flat core is not "
-                "bit-identical on this workload"
-            )
     return payload
 
 
@@ -324,7 +247,7 @@ def render_report(payload: dict) -> str:
         f"engine bench ({payload['meta']['mode']}, "
         f"{payload['meta']['total_cycles']} cycles/scenario, "
         f"python {payload['meta']['python']})",
-        f"{'scenario':31s} {'core':>6s} {'cycles/s':>10s} {'fmoves/s':>11s} "
+        f"{'scenario':31s} {'cycles/s':>10s} {'fmoves/s':>11s} "
         f"{'executed':>9s} {'cache hit':>9s} {'delivered':>9s}",
     ]
     for name, r in payload["scenarios"].items():
@@ -332,8 +255,7 @@ def render_report(payload: dict) -> str:
         cache = r.get("route_cache")
         hit = f"{cache['hit_rate']:.1%}" if cache else "-"
         line = (
-            f"{name:31s} {r.get('core', 'object'):>6s} "
-            f"{r['cycles_per_sec']:10.0f} "
+            f"{name:31s} {r['cycles_per_sec']:10.0f} "
             f"{r['flit_moves_per_sec']:11.0f} {executed:>9s} "
             f"{hit:>9s} {r['packets_delivered']:9d}"
         )

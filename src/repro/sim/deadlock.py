@@ -20,7 +20,7 @@ from repro.core.restrictions import figure4_restriction, fully_adaptive
 from repro.routing.base import RoutingAlgorithm
 from repro.routing.turn_table import TurnRestrictionRouting
 from repro.sim.config import SimulationConfig
-from repro.sim.flatcore import make_simulator
+from repro.sim.engine import make_simulator
 from repro.sim.stats import SimulationResult
 from repro.topology.mesh import Mesh, Mesh2D
 from repro.traffic.patterns import UniformTraffic

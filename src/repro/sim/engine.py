@@ -23,6 +23,36 @@ two phases:
 A watchdog flags deadlock when no flit moves for a configurable number of
 cycles while packets are in flight — routing algorithms from the turn
 model never trigger it, and the Figure 1/Figure 4 demonstrations do.
+
+The engine keeps no per-channel objects.  Three structural facts make
+its hot phases — ``_allocate``, ``_move``/``_move1``, ``_released``,
+``_start_packets`` — a matter of list indexing and int arithmetic:
+
+* **Ids replace objects.**  Construction compiles the topology into a
+  :class:`~repro.sim.ids.ChannelIndex`; a packet's ``path`` holds
+  channel ids, ownership is one list (``_owners``), candidate routes
+  are tuples of ids, and per-channel wake lists and ranking keys are
+  parallel lists.
+
+* **Shared buffer counts are redundant.**  Wormhole ownership is
+  exclusive, so a held channel's buffer count always equals the owner's
+  own occupancy entry — the movers never store a shared count at all.
+  Whoever wants one (the obs collector's channel sampling, the
+  invariant tests) derives it from the active packets.
+
+* **Capacity-1 movement is a bit-parallel shift.**  With single-flit
+  buffers on a single lane, a packet's occupancy is a bitmask; the
+  front-first boundary pass moves exactly the maximal runs of flits not
+  blocked at the front, which is a handful of int operations (see
+  :meth:`WormholeSimulator._move1`).
+
+Routing decisions compile lazily into a
+:class:`~repro.sim.ids.CompiledRoutes` that every simulator of one
+``(topology, routing)`` key shares by reference (the sweep runtime
+keeps one per warm context), so a key's table is computed once per
+process however many points run on it.  An independent object-graph
+implementation of the same phases lives under ``tests/`` as the
+differential oracle (``tests/sim/reference_engine.py``).
 """
 
 from __future__ import annotations
@@ -30,25 +60,24 @@ from __future__ import annotations
 import random
 from collections import deque
 from heapq import heapify, heappop, heappush
-from operator import attrgetter
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Deque, List, Optional, Tuple
 
 from repro.routing.base import RoutingAlgorithm
-from repro.routing.cache import RouteCache
 from repro.routing.selection import SelectionContext
 from repro.sim.config import SimulationConfig
+from repro.sim.ids import CompiledRoutes, RouteTable
 from repro.sim.packet import Packet
-from repro.sim.resources import EJECTION, INJECTION, NETWORK, ChannelState
 from repro.sim.stats import SimulationResult, StatsCollector, percentile
 from repro.sim.trace import TraceRecorder
 from repro.topology.channels import Channel, NodeId
 from repro.traffic.workload import Workload
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids a cycle
+    from repro.analysis.prewarm import WarmContext
     from repro.obs.metrics import MetricsCollector
     from repro.resilience.controller import FaultController
 
-__all__ = ["WormholeSimulator", "RoutingError"]
+__all__ = ["WormholeSimulator", "RoutingError", "make_simulator"]
 
 
 class RoutingError(RuntimeError):
@@ -66,9 +95,6 @@ def _arrival_key(packet: Packet) -> Tuple[int, int]:
 
 def _pid_key(packet: Packet) -> int:
     return packet.pid
-
-
-_rank_of = attrgetter("rank")
 
 
 def _merge_waiters(a: List[Packet], b: List[Packet]) -> List[Packet]:
@@ -92,15 +118,12 @@ def _merge_waiters(a: List[Packet], b: List[Packet]) -> List[Packet]:
 
 
 class WormholeSimulator:
-    """Simulates one workload on one topology with one routing algorithm."""
+    """Simulates one workload on one topology with one routing algorithm.
 
-    #: Which engine core this class implements ("object" is the
-    #: reference implementation; see :mod:`repro.sim.flatcore`).
-    core = "object"
-    #: Why :func:`repro.sim.flatcore.make_simulator` built this core
-    #: rather than the flat one; ``None`` on the flat core and on a
-    #: simulator constructed directly.
-    core_fallback_reason: Optional[str] = None
+    Every phase preserves one event order, RNG draw order and set of
+    tie-breaks, so results, traces, and digests are a pure function of
+    the inputs (golden-gated, ``tests/sim/test_determinism.py``).
+    """
 
     def __init__(
         self,
@@ -111,7 +134,7 @@ class WormholeSimulator:
         trace: Optional[TraceRecorder] = None,
         resilience: Optional["FaultController"] = None,
         obs: Optional["MetricsCollector"] = None,
-        route_source: Optional[RouteCache] = None,
+        compiled_routes: Optional[CompiledRoutes] = None,
     ):
         """
         Args:
@@ -137,13 +160,22 @@ class WormholeSimulator:
                 run.  Every hook is read-only and the collector draws
                 no numbers from the simulation's RNG streams, so
                 enabling it is bit-invisible to results and traces.
-            route_source: optional shared *raw*
-                :class:`~repro.routing.cache.RouteCache` for the same
-                algorithm (see :mod:`repro.analysis.prewarm`).  The
-                run's private cache consults it on a miss before
-                recomputing a route — routing decisions are pure, so a
-                warmed run is bit-identical to a cold one.
+            compiled_routes: the key's shared
+                :class:`~repro.sim.ids.CompiledRoutes` (see
+                :class:`repro.analysis.prewarm.WarmContext`); must have
+                been compiled for this very ``routing`` instance.
+                Omitted, the simulator compiles a private one.  Routing
+                decisions are pure, so a warmed run is bit-identical to
+                a cold one.
         """
+        if compiled_routes is None:
+            compiled_routes = CompiledRoutes(routing)
+        elif compiled_routes.routing is not routing:
+            raise ValueError(
+                f"compiled routes belong to another routing instance "
+                f"({compiled_routes.routing.name!r}), not this "
+                f"{routing.name!r}"
+            )
         self.topology = routing.topology
         if workload.pattern.topology is not self.topology:
             if workload.pattern.topology.shape != self.topology.shape:
@@ -154,17 +186,6 @@ class WormholeSimulator:
         self.workload = workload
         self.config = config or SimulationConfig()
         self.trace = trace
-
-        depth = self.config.buffer_depth
-        self._net_states: Dict[Channel, ChannelState] = {
-            ch: ChannelState(NETWORK, depth, channel=ch)
-            for ch in self.topology.channels()
-        }
-        self._inj_states: Dict[NodeId, ChannelState] = {}
-        self._ej_states: Dict[NodeId, ChannelState] = {}
-        for node in self.topology.nodes():
-            self._inj_states[node] = ChannelState(INJECTION, depth, node=node)
-            self._ej_states[node] = ChannelState(EJECTION, depth, node=node)
 
         self._sources = workload.sources()
         self._queues: List[Deque[Tuple[NodeId, int, float]]] = [
@@ -178,13 +199,13 @@ class WormholeSimulator:
         self._messages_created = 0
         self._preload_count = 0
         if preload:
-            index = {src.node: q for src, q in zip(self._sources, self._queues)}
+            queue_of = {src.node: q for src, q in zip(self._sources, self._queues)}
             for src, dest, size, create_time in preload:
                 self.topology.validate_node(src)
                 self.topology.validate_node(dest)
                 if src == dest:
                     raise ValueError(f"preloaded message sends {src} to itself")
-                index[src].append((dest, size, create_time))
+                queue_of[src].append((dest, size, create_time))
                 self._messages_created += 1
                 self._preload_count += 1
         self._next_pid = 0
@@ -193,26 +214,49 @@ class WormholeSimulator:
         self._last_progress = 0
         self._deadlocked = False
         self.cycle = 0
+        index = compiled_routes.index
+        self._index = index
+        self._compiled = compiled_routes
         # Virtual channels: lanes share their physical link's bandwidth
         # (one flit per cycle per physical channel, Section 1).  The
         # stall-skipping optimization is disabled when lanes contend,
         # since a packet blocked by the *other* lane's flit can resume
         # without any allocation event.
-        self._multilane = any(ch.lane != 0 for ch in self.topology.channels())
+        self._multilane = index.multilane
         self._phy_used: set = set()
-        # Hot-path state.  Routing is memoized when the algorithm is a
-        # pure function of (in_channel, node, dest); the cache resolves
-        # channels to their ChannelState up front so allocation is a
-        # dict lookup away from its candidates.
-        self._route_cache: Optional[RouteCache] = (
-            RouteCache(
-                routing,
-                resolve=self._net_states.__getitem__,
-                source=route_source,
-            )
-            if getattr(routing, "cacheable", True)
-            else None
-        )
+        # Parallel resource arrays.  There is no shared count array:
+        # wormhole ownership is exclusive, so a held channel's fill is
+        # the owner's own occupancy entry.
+        total_ids = index.total_ids
+        self._owners: List[Optional[Packet]] = [None] * total_ids
+        self._wake: List[list] = [[] for _ in range(total_ids)]
+        self._dest_ids = index.dest_node_id
+        self._channel_of = index.channel_of
+        self._node_of = index.node_of
+        self._phys_of = index.phys_of
+        self._inj_base = index.inj_base
+        self._ej_base = index.ej_base
+        self._capacity = self.config.buffer_depth
+        # Bitmask occupancy applies exactly when run() picks _move1.
+        self._bitocc = not self._multilane and self._capacity == 1
+        # Injection ids and the inverse (injection node -> source index)
+        # for _released; pid assignment order follows source order.
+        node_id = index.node_id
+        self._inj_ids = [
+            index.inj_base + node_id[source.node] for source in self._sources
+        ]
+        src_of_node = [-1] * index.num_nodes
+        for src_index, source in enumerate(self._sources):
+            src_of_node[node_id[source.node]] = src_index
+        self._src_of_node = src_of_node
+        # One preallocated (ejection_id,) tuple per node: the most
+        # common candidate set, allocation-free.
+        ej_base = index.ej_base
+        self._ej_tuples = [(ej_base + i,) for i in range(index.num_nodes)]
+        # This run's view of the compiled routing table; ``None`` for an
+        # uncacheable algorithm, which routes live with id conversion at
+        # the call site.
+        self._routes: Optional[RouteTable] = self._table_view(compiled_routes)
         # Event-driven generation: one heap entry per source, keyed by
         # its next arrival time, so a cycle only touches sources that
         # actually release a message.  Silent sources (rate 0) never
@@ -269,12 +313,6 @@ class WormholeSimulator:
         # packet — flagged when a message is created (queue became
         # non-empty, including preloads) and when their injection channel
         # is released.
-        self._node_index: Dict[NodeId, int] = {
-            source.node: index for index, source in enumerate(self._sources)
-        }
-        self._inj_list: List[ChannelState] = [
-            self._inj_states[source.node] for source in self._sources
-        ]
         self._inj_candidates: set = {
             index for index, queue in enumerate(self._queues) if queue
         }
@@ -288,14 +326,17 @@ class WormholeSimulator:
         # hoisted out of the per-flit consumption accounting.
         self._in_window = False
         # Pure-ranking output policies (e.g. xy): each network channel's
-        # sort key is precomputed on its state, so a multi-candidate
-        # grant is a min() over the free list instead of a dict build
-        # plus a select() call.
+        # sort key is precomputed, so a multi-candidate grant is a min()
+        # over the free list instead of a dict build plus a select()
+        # call.  Keys are densified to ints: equal keys map to equal
+        # ints and order is preserved, so min() over free candidates
+        # (ties to the earliest) grants identically.
         ranking = getattr(self.config.output_policy, "ranking", None)
+        self._ranks: Optional[List[int]] = None
         if ranking is not None:
-            for ch, state in self._net_states.items():
-                state.rank = ranking(ch)
-        self._rank_grant = ranking is not None
+            keys = [ranking(channel) for channel in index.channels]
+            dense_rank = {key: pos for pos, key in enumerate(sorted(set(keys)))}
+            self._ranks = [dense_rank[key] for key in keys]
         # Runtime fault injection.  ``_active_routing`` is what headers
         # actually route against — rebound to a degraded algorithm when
         # the controller applies a fault, back to ``routing`` when every
@@ -318,18 +359,53 @@ class WormholeSimulator:
     # ------------------------------------------------------------------
     # Resource helpers
 
+    @staticmethod
+    def _table_view(compiled: CompiledRoutes) -> Optional[RouteTable]:
+        if compiled.dense is None and compiled.bykey is None:
+            return None
+        return RouteTable(compiled)
+
     def _free_space(self, channel: Channel) -> int:
-        return self._net_states[channel].free_space
+        ident = self._index.cid[channel]
+        packet = self._owners[ident]
+        if packet is None:
+            return self._capacity
+        pos = packet.path.index(ident)
+        if self._bitocc:
+            return self._capacity - ((packet.occ_bits >> pos) & 1)
+        return self._capacity - packet.occupancy[pos]
 
     @property
-    def network_channel_states(self) -> Dict[Channel, ChannelState]:
-        """The live per-channel resource table, in topology order.
+    def network_channels(self) -> List[Channel]:
+        """The network channels in id order (``topology.channels()``
+        order) — what :meth:`sample_channels` indexes its accumulators
+        by."""
+        return self._index.channels
 
-        Read-only view for observability: the metrics collector samples
-        ``owner`` and ``count`` from these states each cycle.  Mutating
-        them voids the determinism contract.
+    def sample_channels(self, busy: List[int], occupancy: List[int]) -> None:
+        """Add this cycle's network-channel state to two accumulators.
+
+        ``busy[i]`` gains 1 when channel ``i`` has an owner and
+        ``occupancy[i]`` the flits buffered on it.  A channel is owned
+        exactly while it is on an active packet's path, and its fill is
+        that packet's occupancy entry, so one pass over the active
+        packets reads both.  Read-only, for the obs collector.
         """
-        return self._net_states
+        inj_base = self._inj_base
+        if self._bitocc:
+            for packet in self._active:
+                bits = packet.occ_bits
+                for ident in packet.path:
+                    if ident < inj_base:
+                        busy[ident] += 1
+                        occupancy[ident] += bits & 1
+                    bits >>= 1
+        else:
+            for packet in self._active:
+                for ident, fill in zip(packet.path, packet.occupancy):
+                    if ident < inj_base:
+                        busy[ident] += 1
+                        occupancy[ident] += fill
 
     @property
     def total_injected(self) -> int:
@@ -342,17 +418,14 @@ class WormholeSimulator:
         return self._total_delivered
 
     @property
-    def route_cache(self) -> Optional[RouteCache]:
-        """The memoized routing table, or ``None`` for uncacheable
-        algorithms (reported by ``repro bench``)."""
-        return self._route_cache
+    def route_cache(self) -> Optional[RouteTable]:
+        """This run's view of the compiled routing table, or ``None``
+        for uncacheable algorithms (reported by ``repro bench``)."""
+        return self._routes
 
     def occupancy_snapshot(self) -> int:
         """Total flits currently buffered in the network (for tests)."""
-        total = sum(s.count for s in self._net_states.values())
-        total += sum(s.count for s in self._inj_states.values())
-        total += sum(s.count for s in self._ej_states.values())
-        return total
+        return sum(packet.flits_in_network for packet in self._active)
 
     # ------------------------------------------------------------------
     # Phase 0: message generation and injection-channel allocation
@@ -483,13 +556,13 @@ class WormholeSimulator:
                 self._inj_candidates.add(index)
                 stats.record_created(create_time, size)
 
+
     def _start_packets(self) -> None:
         # Event-driven: only flagged sources are visited, in source-index
-        # order so pids are assigned exactly as the reference full scan
-        # assigned them.  A source that cannot start a packet right now
-        # is dropped from the candidate set — the event that changes
-        # that (a new message, or its injection channel being released)
-        # re-flags it.
+        # order so pids are assigned exactly as a full scan would assign
+        # them.  A source that cannot start a packet right now is dropped
+        # from the candidate set — the event that changes that (a new
+        # message, or its injection channel being released) re-flags it.
         pending = self._inj_candidates
         if not pending:
             return
@@ -497,23 +570,28 @@ class WormholeSimulator:
         trace = self.trace
         sources = self._sources
         queues = self._queues
-        inj_list = self._inj_list
+        inj_ids = self._inj_ids
+        owners = self._owners
         active = self._active
+        node_id = self._index.node_id
+        bitocc = self._bitocc
         for index in sorted(pending):
             queue = queues[index]
             if not queue:
                 continue
-            inj = inj_list[index]
-            if inj.owner is not None:
+            inj = inj_ids[index]
+            if owners[inj] is not None:
                 continue
             dest, size, create_time = queue.popleft()
             self._queued_total -= 1
             source = sources[index]
             packet = Packet(self._next_pid, source.node, dest, size, create_time)
+            packet.dest_id = node_id[dest]
             self._next_pid += 1
-            inj.owner = packet
+            owners[inj] = packet
             packet.path.append(inj)
-            packet.occupancy.append(0)
+            if not bitocc:
+                packet.occupancy.append(0)
             active.append(packet)
             self._total_injected += 1
             self._last_progress = cycle
@@ -524,28 +602,72 @@ class WormholeSimulator:
     # ------------------------------------------------------------------
     # Phase 1: routing and channel allocation
 
-    def _candidates_for(self, packet: Packet) -> Tuple[ChannelState, ...]:
-        front = packet.path[-1]
-        node = front.dest_node
-        if node == packet.dest:
-            return (self._ej_states[node],)
-        in_channel = front.channel  # None for the injection channel
-        cache = self._route_cache
-        if cache is not None:
-            states = cache.candidates(in_channel, node, packet.dest)
+    def _candidates(self, packet: Packet, front: int) -> tuple:
+        """Candidate ids for one header (cold: once per router visit)."""
+        dest_idx = packet.dest_id
+        node_idx = self._dest_ids[front]
+        if node_idx == dest_idx:
+            return self._ej_tuples[node_idx]
+        table = self._routes
+        num_nodes = self._index.num_nodes
+        if table is None:
+            in_channel = (
+                self._channel_of[front] if front < self._inj_base else None
+            )
+            node = self._index.nodes[node_idx]
+            cid = self._index.cid
+            candidates = tuple(
+                cid[channel]
+                for channel in self._active_routing.route(
+                    in_channel, node, packet.dest
+                )
+            )
         else:
-            states = tuple(
-                self._net_states[ch]
-                for ch in self._active_routing.route(in_channel, node, packet.dest)
-            )
-        if not states and self._strict_routes:
-            raise RoutingError(
-                f"{self.routing.name} offered no route for {packet!r} at {node} "
-                f"(arrived via {in_channel})"
-            )
+            dense = table.dense
+            if dense is not None:
+                key = node_idx * num_nodes + dest_idx
+                cached = dense[key]
+                if cached is not None:
+                    table.hits += 1
+                    candidates = cached
+                else:
+                    table.misses += 1
+                    candidates = table.compiled.fill_dense(
+                        key, node_idx, dest_idx
+                    )
+            else:
+                if front >= self._inj_base:
+                    key = node_idx * num_nodes + dest_idx
+                else:
+                    key = (
+                        num_nodes * num_nodes + front * num_nodes + dest_idx
+                    )
+                assert table.bykey is not None
+                cached = table.bykey.get(key)
+                if cached is not None:
+                    table.hits += 1
+                    candidates = cached
+                else:
+                    table.misses += 1
+                    candidates = table.compiled.fill_keyed(
+                        key, front, node_idx, dest_idx
+                    )
+        if not candidates and self._strict_routes:
+            self._no_route(packet, front, node_idx)
         # Empty with a fault controller bound: the degraded topology cut
         # the header off; _allocate hands the packet to recovery.
-        return states
+        return candidates
+
+    def _no_route(self, packet: Packet, front: int, node_idx: int) -> None:
+        """Raise the no-route error of a fault-free run (cold path)."""
+        in_channel = (
+            self._channel_of[front] if front < self._inj_base else None
+        )
+        node = self._index.nodes[node_idx]
+        raise RoutingError(
+            f"{self.routing.name} offered no route for {packet!r} at "
+            f"{node} (arrived via {in_channel})"
+        )
 
     def _allocate(self) -> None:
         # The waiter list stays incrementally ordered for stateless
@@ -553,7 +675,7 @@ class WormholeSimulator:
         # share the current arrival cycle, which (for a policy whose
         # priority is strictly increasing in it, e.g. FCFS) sorts them
         # after every existing waiter — so a pid-sort of the newcomers
-        # appended at the tail reproduces the reference full sort by
+        # appended at the tail reproduces a full sort by
         # (*priority, pid) without re-sorting the whole list each cycle.
         waiters = self._waiters
         policy = self.config.input_policy
@@ -599,8 +721,20 @@ class WormholeSimulator:
             )
         trace = self.trace
         output_policy = self.config.output_policy
-        rank_grant = self._rank_grant
-        candidates_for = self._candidates_for
+        ranks = self._ranks
+        owners = self._owners
+        wake_lists = self._wake
+        ej_base = self._ej_base
+        channel_of = self._channel_of
+        node_of = self._node_of
+        bitocc = self._bitocc
+        dest_ids = self._dest_ids
+        ej_tuples = self._ej_tuples
+        num_nodes = self._index.num_nodes
+        strict = self._strict_routes
+        rt = self._routes
+        rt_dense = rt.dense if rt is not None else None
+        route_candidates = self._candidates
         still_waiting: List[Packet] = []
         append_waiting = still_waiting.append
         for packet in order:
@@ -611,31 +745,49 @@ class WormholeSimulator:
                 continue
             candidates = packet.pending_candidates
             if candidates is None:
-                candidates = candidates_for(packet)
-                if not candidates:
-                    # Only reachable with a fault controller bound
-                    # (_candidates_for raises otherwise): the degraded
-                    # topology stranded this header.
-                    self._recover(packet, in_allocation=True)
-                    continue
+                # The two overwhelmingly common cases are inlined: the
+                # header is at its destination (ejection singleton) or
+                # the dense table already holds its routing state.
+                front = packet.path[-1]
+                node_idx = dest_ids[front]
+                if node_idx == packet.dest_id:
+                    candidates = ej_tuples[node_idx]
+                else:
+                    if rt_dense is not None:
+                        candidates = rt_dense[
+                            node_idx * num_nodes + packet.dest_id
+                        ]
+                        if candidates is not None:
+                            rt.hits += 1
+                        else:
+                            candidates = route_candidates(packet, front)
+                    else:
+                        candidates = route_candidates(packet, front)
+                    if not candidates:
+                        if strict:
+                            self._no_route(packet, front, node_idx)
+                        # Only reachable with a fault controller bound:
+                        # the degraded topology stranded this header.
+                        self._recover(packet, in_allocation=True)
+                        continue
                 packet.pending_candidates = candidates
             if len(candidates) == 1:
                 # Single candidate (ejection, or a one-way route): no
                 # free-list build, no selection.
                 chosen = candidates[0]
-                if chosen.owner is not None:
+                if owners[chosen] is not None:
                     if park:
                         token = packet.park_token + 1
                         packet.park_token = token
                         packet.parked = True
-                        chosen.wake.append((packet, token))
+                        wake_lists[chosen].append((packet, token))
                         if obs is not None:
                             obs.park_events += 1
                     else:
                         append_waiting(packet)
                     continue
             else:
-                free = [s for s in candidates if s.owner is None]
+                free = [c for c in candidates if owners[c] is None]
                 if not free:
                     if park:
                         # Nothing can free a candidate except a release
@@ -645,50 +797,56 @@ class WormholeSimulator:
                         token = packet.park_token + 1
                         packet.park_token = token
                         packet.parked = True
-                        for s in candidates:
-                            s.wake.append((packet, token))
+                        for c in candidates:
+                            wake_lists[c].append((packet, token))
                         if obs is not None:
                             obs.park_events += 1
                     else:
                         append_waiting(packet)
                     continue
                 # Multi-candidate routes never include the ejection
-                # channel (_candidates_for returns it alone), so no
-                # EJECTION short-circuit is needed here.
+                # channel (it is always offered alone).
                 if len(free) == 1:
                     chosen = free[0]
-                elif rank_grant:
+                elif ranks is not None:
                     # The output policy is a pure ranking: min over the
-                    # free states by their precomputed key, ties to the
-                    # earliest candidate — exactly the reference min
-                    # over the candidate channels.
-                    chosen = min(free, key=_rank_of)
+                    # free ids by their precomputed key, ties to the
+                    # earliest candidate.
+                    chosen = min(free, key=ranks.__getitem__)
                 else:
-                    by_channel = {s.channel: s for s in free}
+                    by_channel = {channel_of[c]: c for c in free}
                     pick = output_policy.select(list(by_channel), context)
                     chosen = by_channel[pick]
-            chosen.owner = packet
+            owners[chosen] = packet
             packet.path.append(chosen)
-            packet.occupancy.append(0)
+            if not bitocc:
+                packet.occupancy.append(0)
             packet.header_present = False
             packet.pending_candidates = None
             packet.stalled = False
-            if chosen.kind == EJECTION:
+            if chosen >= ej_base:
                 packet.route_complete = True
             else:
                 packet.hops += 1
             self._last_progress = cycle
             if trace is not None:
-                if chosen.kind == EJECTION:
-                    trace.record(cycle, "eject-granted", packet.pid, chosen.node)
+                if chosen >= ej_base:
+                    trace.record(
+                        cycle, "eject-granted", packet.pid, node_of[chosen]
+                    )
                 else:
-                    trace.record(cycle, "granted", packet.pid, chosen.channel)
+                    trace.record(
+                        cycle, "granted", packet.pid, channel_of[chosen]
+                    )
         self._waiters = still_waiting
 
     # ------------------------------------------------------------------
     # Phase 2: flit movement
 
     def _move(self, packet: Packet, stats: StatsCollector) -> bool:
+        # The general mover (deep buffers and/or virtual channels):
+        # occupancy lists over ids, physical-link arbitration over
+        # dense link ids.
         path = packet.path
         occ = packet.occupancy
         cycle = self.cycle
@@ -698,37 +856,33 @@ class WormholeSimulator:
         # consumed").
         if packet.route_complete and occ[-1] > 0:
             occ[-1] -= 1
-            path[-1].count -= 1
             packet.flits_consumed += 1
             if self._in_window:
                 stats.flits_delivered_in_window += 1
             moves = 1
-        # Advance flits across each held channel, front boundary first, so
-        # a slot freed downstream is reusable upstream in the same cycle.
         front_index = len(path) - 1
         multilane = self._multilane
+        capacity = self._capacity
         if multilane:
             phy_used = self._phy_used
-        # Walk front to back carrying the downstream state: iteration i's
-        # upstream is iteration i-1's downstream, saving one list index
-        # per boundary.
+            phys_of = self._phys_of
+            inj_base = self._inj_base
+        # Advance flits across each held channel, front boundary first, so
+        # a slot freed downstream is reusable upstream in the same cycle.
         i = front_index
-        downstream = path[i]
         while i:
-            upstream = path[i - 1]
             below = occ[i - 1]
-            if below and downstream.count < downstream.capacity:
-                if multilane and downstream.kind == NETWORK:
-                    physical = downstream.channel.physical
-                    if physical in phy_used:
-                        i -= 1
-                        downstream = upstream
-                        continue
-                    phy_used.add(physical)
+            if below and occ[i] < capacity:
+                if multilane:
+                    ident = path[i]
+                    if ident < inj_base:
+                        physical = phys_of[ident]
+                        if physical in phy_used:
+                            i -= 1
+                            continue
+                        phy_used.add(physical)
                 occ[i - 1] = below - 1
-                upstream.count -= 1
                 occ[i] += 1
-                downstream.count += 1
                 moves += 1
                 if (
                     i == front_index
@@ -737,27 +891,25 @@ class WormholeSimulator:
                 ):
                     self._header_arrived(packet)
             i -= 1
-            downstream = upstream
         # Inject the next flit from the source queue into the injection
         # buffer (the packet owns its injection channel until fully
         # injected).
-        if packet.remaining_to_inject > 0:
-            rear = path[0]
-            if rear.count < rear.capacity:
-                occ[0] += 1
-                rear.count += 1
-                packet.remaining_to_inject -= 1
-                moves += 1
-                if packet.inject_cycle is None:
-                    packet.inject_cycle = cycle
-                    self._header_arrived(packet)
+        if packet.remaining_to_inject > 0 and occ[0] < capacity:
+            occ[0] += 1
+            packet.remaining_to_inject -= 1
+            moves += 1
+            if packet.inject_cycle is None:
+                packet.inject_cycle = cycle
+                self._header_arrived(packet)
         # Release channels the tail has fully passed.
+        owners = self._owners
+        released = self._released
         while len(path) > 1 and occ[0] == 0:
             rear = path[0]
-            if rear.kind == INJECTION and packet.remaining_to_inject > 0:
+            if rear >= self._inj_base and packet.remaining_to_inject > 0:
                 break
-            rear.owner = None
-            self._released(rear)
+            owners[rear] = None
+            released(rear)
             del path[0]
             del occ[0]
         if moves:
@@ -768,64 +920,65 @@ class WormholeSimulator:
         return False
 
     def _move1(self, packet: Packet, stats: StatsCollector) -> bool:
-        """:meth:`_move` specialized for single-flit buffers, single lane.
+        """:meth:`_move` as a bit-parallel shift, for single-flit buffers
+        on a single lane.
 
-        With ``buffer_depth == 1`` (the paper's routers) every occupancy
-        is 0 or 1 and — because wormhole ownership is exclusive — a held
-        channel's buffer count always equals the owner's occupancy entry,
-        so a boundary moves iff the upstream slot is full and the
-        downstream slot is empty, and every count update is a constant
-        store.  Behaviour is identical to :meth:`_move`.
+        The packet's occupancy is the bitmask ``occ_bits`` (bit *i* =
+        fill of ``path[i]``).  The front-first boundary pass of
+        :meth:`_move` advances exactly the maximal runs of flits that are not blocked
+        at the front: the run containing the front slot (if occupied)
+        cannot move, and every other maximal run has an empty slot
+        directly above it and shifts up by one.  With ``movers`` = the
+        occupied bits below the highest empty slot, that whole pass is
+        ``bits += movers`` — the shifted runs land exactly on the bits
+        vacated plus the hole above each run.
         """
         path = packet.path
-        occ = packet.occupancy
+        bits = packet.occ_bits
+        held = len(path)
+        front = held - 1
         moves = 0
-        if packet.route_complete and occ[-1]:
-            occ[-1] = 0
-            path[-1].count = 0
+        if packet.route_complete and bits >> front:
+            bits ^= 1 << front
             packet.flits_consumed += 1
             if self._in_window:
                 stats.flits_delivered_in_window += 1
             moves = 1
-        i = len(path) - 1
-        front_index = i
-        downstream = path[i]
-        down_occ = occ[i]
-        while i:
-            upstream = path[i - 1]
-            up_occ = occ[i - 1]
-            if up_occ and not down_occ:
-                occ[i - 1] = 0
-                upstream.count = 0
-                occ[i] = 1
-                downstream.count = 1
-                moves += 1
+        if front and bits:
+            # Highest empty slot h-1; bits h..front are the (immobile)
+            # front-blocked run; everything below position h moves up.
+            inv = ~bits & ((1 << (front + 1)) - 1)
+            movers = bits & ((1 << inv.bit_length()) - 1)
+            if movers:
+                bits += movers
+                moves += movers.bit_count()
                 if (
-                    i == front_index
+                    movers >> (front - 1)
                     and not packet.header_present
                     and not packet.route_complete
                 ):
                     self._header_arrived(packet)
-                up_occ = 0
-            i -= 1
-            downstream = upstream
-            down_occ = up_occ
-        if packet.remaining_to_inject > 0 and not occ[0]:
-            occ[0] = 1
-            path[0].count = 1
+        if packet.remaining_to_inject > 0 and not bits & 1:
+            bits |= 1
             packet.remaining_to_inject -= 1
             moves += 1
             if packet.inject_cycle is None:
                 packet.inject_cycle = self.cycle
                 self._header_arrived(packet)
-        while occ[0] == 0 and len(path) > 1:
-            rear = path[0]
-            if rear.kind == INJECTION and packet.remaining_to_inject > 0:
-                break
-            rear.owner = None
-            self._released(rear)
-            del path[0]
-            del occ[0]
+        if not bits & 1 and held > 1:
+            owners = self._owners
+            released = self._released
+            inj_base = self._inj_base
+            while not bits & 1 and held > 1:
+                rear = path[0]
+                if rear >= inj_base and packet.remaining_to_inject > 0:
+                    break
+                owners[rear] = None
+                released(rear)
+                del path[0]
+                held -= 1
+                bits >>= 1
+        packet.occ_bits = bits
         if moves:
             self.flit_moves += moves
             return True
@@ -833,15 +986,16 @@ class WormholeSimulator:
             packet.stalled = True
         return False
 
-    def _released(self, state: ChannelState) -> None:
+    def _released(self, ident: int) -> None:
         # An owner release is the only event that can unblock a parked
         # header or let a backlogged source inject, so this hook is the
         # sole feeder of ``_woken`` and (with message creation)
         # ``_inj_candidates``.
-        if state.kind == INJECTION:
-            self._inj_candidates.add(self._node_index[state.node])
+        inj_base = self._inj_base
+        if inj_base <= ident < self._ej_base:
+            self._inj_candidates.add(self._src_of_node[ident - inj_base])
             return
-        wake = state.wake
+        wake = self._wake[ident]
         if wake:
             woken = self._woken
             obs = self._obs
@@ -863,11 +1017,16 @@ class WormholeSimulator:
     def _finish(self, packet: Packet, stats: StatsCollector) -> None:
         # Once every flit is consumed the held buffers are empty; just
         # release the channels (normally only the ejection channel remains).
-        for state in packet.path:
-            state.owner = None
-            self._released(state)
+        owners = self._owners
+        released = self._released
+        for ident in packet.path:
+            owners[ident] = None
+            released(ident)
         packet.path.clear()
-        packet.occupancy.clear()
+        if self._bitocc:
+            packet.occ_bits = 0
+        else:
+            packet.occupancy.clear()
         self._total_delivered += 1
         if self.trace is not None:
             self.trace.record(self.cycle, "delivered", packet.pid, packet.dest)
@@ -897,7 +1056,7 @@ class WormholeSimulator:
         # 1. Due retransmissions re-enter their source queues as whole
         #    messages, keeping their original creation time.
         for _ready, _seq, src, dest, size, create_time in ctrl.pop_retries(cycle):
-            index = self._node_index[src]
+            index = self._src_of_node[self._index.node_id[src]]
             self._queues[index].append((dest, size, create_time))
             self._queued_total += 1
             self._inj_candidates.add(index)
@@ -911,20 +1070,19 @@ class WormholeSimulator:
         if not events:
             return
         trace = self.trace
-        changed: List[Channel] = []
+        cid = self._index.cid
         victims: List[Packet] = []
         for event in events:
-            changed.append(event.channel)
             if trace is not None:
                 trace.record(cycle, "fault", -1, (event.kind, event.channel))
             if event.kind == "fail":
-                owner = self._net_states[event.channel].owner
+                owner = self._owners[cid[event.channel]]
                 if owner is not None and owner not in victims:
                     victims.append(owner)
         # 3. Point allocation at the degraded routing relation.
-        self._refresh_routing(ctrl, changed)
+        self._refresh_routing(ctrl)
         # 4. Flush every routing decision taken against the old
-        #    topology: cached candidates are re-resolved, and parked
+        #    topology: pending candidates are re-resolved, and parked
         #    headers rejoin the waiter list (their candidate sets may
         #    have changed entirely).
         woken = self._woken
@@ -937,41 +1095,28 @@ class WormholeSimulator:
         for packet in victims:
             self._recover(packet)
 
-    def _refresh_routing(
-        self, ctrl: "FaultController", changed: List[Channel]
-    ) -> None:
-        """Swap in the controller's current routing and fix the cache.
+    def _refresh_routing(self, ctrl: "FaultController") -> None:
+        """Route against the controller's current algorithm from now on.
 
-        A filter-mode degradation (:class:`DegradedRouting` over the
-        same base) only changes decisions at the endpoints of ``changed``
-        channels, so the existing cache is retargeted and just those
-        nodes' entries are dropped.  A factory-rebuilt algorithm may
-        shift decisions anywhere (a reachability oracle recomputes
-        globally), so it gets a fresh cache; the hit/miss counters carry
-        over for ``repro bench`` reporting.
+        The run's table view moves to a private
+        :class:`~repro.sim.ids.CompiledRoutes` of the degraded algorithm,
+        compiled against the run's *own* channel index (a degraded
+        topology's channels are a subset, so ids never shift mid-run) —
+        fresh on every routing change, and the original table again
+        once every channel has healed.  ``route`` is pure, so a fresh
+        lazily filled table answers exactly what the degraded algorithm
+        answers and there is no invalidation to get right; the view's
+        lookup counters restart with it.
         """
         new = ctrl.current_routing
-        prev = self._active_routing
-        if new is None or new is prev:
+        if new is None or new is self._active_routing:
             return
         self._active_routing = new
-        cache = self._route_cache
-        if not getattr(new, "cacheable", True):
-            self._route_cache = None
-            return
-        same_base = (
-            getattr(new, "degraded_base", new)
-            is getattr(prev, "degraded_base", prev)
+        self._routes = self._table_view(
+            self._compiled
+            if new is self.routing
+            else CompiledRoutes(new, self._index)
         )
-        if cache is not None and same_base:
-            cache.retarget(new)
-            cache.invalidate_channels(changed)
-            return
-        fresh = RouteCache(new, resolve=self._net_states.__getitem__)
-        if cache is not None:
-            fresh.hits = cache.hits
-            fresh.misses = cache.misses
-        self._route_cache = fresh
 
     def _recover(self, packet: Packet, in_allocation: bool = False) -> None:
         """Tear a casualty out of the network and apply recovery.
@@ -1007,17 +1152,18 @@ class WormholeSimulator:
                 trace.record(
                     cycle, "dropped", packet.pid, (packet.src, packet.dest)
                 )
-        # Discard buffered flits and release the held chain.  Wormhole
-        # ownership is exclusive, so each held channel's count includes
-        # exactly this packet's occupancy entry.
-        path = packet.path
-        occupancy = packet.occupancy
-        for i, state in enumerate(path):
-            state.count -= occupancy[i]
-            state.owner = None
-            self._released(state)
-        path.clear()
-        occupancy.clear()
+        # Discard buffered flits (they live only in the packet's own
+        # occupancy) and release the held chain.
+        owners = self._owners
+        released = self._released
+        for ident in packet.path:
+            owners[ident] = None
+            released(ident)
+        packet.path.clear()
+        if self._bitocc:
+            packet.occ_bits = 0
+        else:
+            packet.occupancy.clear()
         packet.pending_candidates = None
         packet.parked = False
         packet.park_token += 1  # invalidate stale wake-list entries
@@ -1067,11 +1213,7 @@ class WormholeSimulator:
         multilane = self._multilane
         context = self._context
         trace = self.trace
-        move = (
-            self._move1
-            if not multilane and config.buffer_depth == 1
-            else self._move
-        )
+        move = self._move1 if self._bitocc else self._move
         generate = self._generate
         start_packets = self._start_packets
         allocate = self._allocate
@@ -1201,9 +1343,6 @@ class WormholeSimulator:
             obs.finish(self)
         return self._result(stats)
 
-    def _total_queued(self) -> int:
-        return self._queued_total
-
     def _result(self, stats: StatsCollector) -> SimulationResult:
         latencies = stats.latencies_cycles
         hops = stats.hops
@@ -1244,3 +1383,30 @@ class WormholeSimulator:
             max_latency_cycles=max(latencies) if latencies else 0.0,
             latency_by_size_cycles=by_size,
         )
+
+def make_simulator(
+    routing: RoutingAlgorithm,
+    workload: Workload,
+    config: Optional[SimulationConfig] = None,
+    *,
+    preload: Optional[List[Tuple[NodeId, NodeId, int, float]]] = None,
+    trace: Optional[TraceRecorder] = None,
+    resilience=None,
+    obs=None,
+    warm: Optional["WarmContext"] = None,
+) -> WormholeSimulator:
+    """Build the simulator for one run — the only place one is constructed.
+
+    Args:
+        warm: the warm context of the run's ``(topology, routing)`` key
+            (:mod:`repro.analysis.prewarm`), whose ``routing`` must be
+            this ``routing``; the simulator shares its compiled routing
+            table instead of compiling a private one.
+
+    Other arguments match :class:`WormholeSimulator`.
+    """
+    return WormholeSimulator(
+        routing, workload, config, preload=preload, trace=trace,
+        resilience=resilience, obs=obs,
+        compiled_routes=warm.compiled_routes if warm is not None else None,
+    )

@@ -1,9 +1,13 @@
 """Dense integer encoding of one topology's simulation resources.
 
-The flat engine core (:mod:`repro.sim.flatcore`) replaces per-channel
-Python objects with parallel arrays indexed by a *channel id*.  This
-module owns the id layout, derived purely from the topology's canonical
-iteration order so every process reconstructs the same encoding:
+The engine (:mod:`repro.sim.engine`) keeps no per-channel Python
+objects: its state is parallel arrays indexed by a *channel id*, and
+routing decisions are tuples of ids.  This module owns the id layout
+(:class:`ChannelIndex`), derived purely from the topology's canonical
+iteration order so every process reconstructs the same encoding, and
+the routing decisions compiled against it (:class:`CompiledRoutes`,
+shared per ``(topology, routing)`` key; :class:`RouteTable`, one
+simulator's view of it):
 
 * network channels get ids ``0 .. C-1`` in ``topology.channels()`` order;
 * injection channels get ids ``C + node_index`` and ejection channels
@@ -12,18 +16,18 @@ iteration order so every process reconstructs the same encoding:
   id range alone.
 
 Physical links (for virtual-channel lane arbitration) are numbered in
-first-lane-seen order, mirroring the per-``(src, dst)`` grouping the
-object core keys its used-set on.
+first-lane-seen order, one id per ``(src, dst)`` pair.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from repro.routing.base import RoutingAlgorithm
 from repro.topology.base import Topology
 from repro.topology.channels import Channel, NodeId
 
-__all__ = ["ChannelIndex"]
+__all__ = ["ChannelIndex", "CompiledRoutes", "RouteTable"]
 
 
 class ChannelIndex:
@@ -113,4 +117,124 @@ class ChannelIndex:
         return (
             f"ChannelIndex(C={self.num_channels}, N={self.num_nodes}, "
             f"multilane={self.multilane})"
+        )
+
+
+class CompiledRoutes:
+    """One ``(topology, routing)`` key's compiled program, shared by reference.
+
+    Holds what every simulator of one key needs and none of them owns:
+    the topology's :class:`ChannelIndex` and the routing decisions
+    compiled to id tuples.  For an algorithm that provably ignores the
+    arrival channel the table is one dense list indexed by
+    ``node_index * N + dest_index`` (``None`` marks an uncompiled entry
+    — an empty tuple is a valid "no route" answer); in-channel-sensitive
+    algorithms use an int-keyed dict instead: ``node * N + dest`` for
+    injection arrivals, ``N*N + in_cid * N + dest`` otherwise.  An
+    uncacheable algorithm has neither table (its simulators route live
+    and share only the index).
+
+    Entries are filled lazily, straight from ``routing.route``, by
+    whichever simulator first needs them.  ``route`` is pure for a
+    cacheable algorithm, so an entry is the same whoever computed it
+    and a warmed run is bit-identical to a cold one.
+
+    Args:
+        routing: the algorithm whose decisions are compiled.
+        index: the id layout to compile against; the routing's own
+            topology's by default.  A run under fault injection passes
+            its healthy topology's index for every degraded routing —
+            a degraded topology's channels are a subset, so ids never
+            shift mid-run.
+    """
+
+    __slots__ = ("routing", "index", "dense", "bykey", "filled")
+
+    def __init__(
+        self, routing: RoutingAlgorithm, index: Optional[ChannelIndex] = None
+    ):
+        self.routing = routing
+        self.index = index if index is not None else ChannelIndex(routing.topology)
+        self.dense: Optional[List[Optional[Tuple[int, ...]]]] = None
+        self.bykey: Optional[Dict[int, Tuple[int, ...]]] = None
+        self.filled = 0
+        if getattr(routing, "cacheable", True):
+            if getattr(routing, "uses_in_channel", True):
+                self.bykey = {}
+            else:
+                self.dense = [None] * (self.index.num_nodes ** 2)
+
+    def fill_dense(self, key: int, node_idx: int, dest_idx: int) -> tuple:
+        index = self.index
+        cid = index.cid
+        resolved = tuple(
+            cid[channel]
+            for channel in self.routing.route(
+                None, index.nodes[node_idx], index.nodes[dest_idx]
+            )
+        )
+        assert self.dense is not None
+        self.dense[key] = resolved
+        self.filled += 1
+        return resolved
+
+    def fill_keyed(
+        self, key: int, front: int, node_idx: int, dest_idx: int
+    ) -> tuple:
+        index = self.index
+        in_channel = index.channel_of[front] if front < index.inj_base else None
+        cid = index.cid
+        resolved = tuple(
+            cid[channel]
+            for channel in self.routing.route(
+                in_channel, index.nodes[node_idx], index.nodes[dest_idx]
+            )
+        )
+        assert self.bykey is not None
+        self.bykey[key] = resolved
+        self.filled += 1
+        return resolved
+
+    def __len__(self) -> int:
+        return self.filled
+
+    def __repr__(self) -> str:
+        return f"CompiledRoutes({self.routing.name}, entries={self.filled})"
+
+
+class RouteTable:
+    """One simulator's view of a :class:`CompiledRoutes`, with its own counters.
+
+    ``dense`` / ``bykey`` alias the shared tables; the counters are this
+    simulator's alone, so runs sharing a table never see each other's
+    lookups: ``hits`` are answers the compiled table already held
+    (whoever compiled them), ``misses`` the entries this simulator had
+    to compute, and ``prefilled_entries`` what the shared table held
+    when this simulator was built.
+    """
+
+    __slots__ = ("compiled", "dense", "bykey", "hits", "misses",
+                 "prefilled_entries")
+
+    def __init__(self, compiled: CompiledRoutes):
+        self.compiled = compiled
+        self.dense = compiled.dense
+        self.bykey = compiled.bykey
+        self.hits = 0
+        self.misses = 0
+        self.prefilled_entries = compiled.filled
+
+    def __len__(self) -> int:
+        return self.compiled.filled
+
+    @property
+    def hit_rate(self) -> float:
+        """Fraction of lookups answered without computing a route."""
+        total = self.hits + self.misses
+        return self.hits / total if total else 0.0
+
+    def __repr__(self) -> str:
+        return (
+            f"RouteTable({self.compiled.routing.name}, "
+            f"entries={len(self)}, hits={self.hits}, misses={self.misses})"
         )

@@ -6,21 +6,21 @@ follow in a pipeline (Section 1).  The paper's workload sends one-packet
 messages, so the simulator's unit of bookkeeping is the packet.
 
 Rather than materializing a Python object per flit, a packet records the
-chain of channels it currently occupies (``path``) and how many of its
-flits sit in each channel's buffer (``occupancy``).  Wormhole flow control
-moves flits only forward along this chain, one flit per channel per cycle,
-so counts are a lossless representation; it is also what makes the
-simulator fast enough for 256-node networks in pure Python.
+chain of channels it currently occupies (``path``, as dense channel ids —
+see :mod:`repro.sim.ids`) and how many of its flits sit in each channel's
+buffer.  Wormhole flow control moves flits only forward along this chain,
+one flit per channel per cycle, so counts are a lossless representation;
+it is also what makes the simulator fast enough for 256-node networks in
+pure Python.  With single-flit buffers on a single lane every count is 0
+or 1 and the counts are the bits of one int (``occ_bits``); any other
+configuration keeps them in the ``occupancy`` list.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, TYPE_CHECKING
+from typing import List, Optional
 
 from repro.topology.channels import NodeId
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
-    from repro.sim.resources import ChannelState
 
 __all__ = ["Packet"]
 
@@ -31,12 +31,17 @@ class Packet:
     Attributes:
         pid: unique id, in injection order.
         src, dest: endpoint nodes.
+        dest_id: the destination's dense node index (engine-assigned),
+            so the routing hot path never touches node tuples.
         size: length in flits.
         create_time: simulation time (cycles, fractional) the message was
             generated at its source processor.
         inject_cycle: cycle the header flit entered the injection buffer.
-        path: channel states currently held, source end first.
-        occupancy: flits of this packet buffered in each held channel.
+        path: ids of the channels currently held, source end first.
+        occupancy: flits of this packet buffered in each held channel
+            (deep buffers or virtual channels; empty otherwise).
+        occ_bits: the same as a bitmask — bit *i* is the buffer fill of
+            ``path[i]`` — used by the capacity-1 single-lane mover.
         remaining_to_inject: flits still waiting at the source.
         flits_consumed: flits delivered to the destination processor.
         header_present: the header flit sits in ``path[-1]``'s buffer and
@@ -60,11 +65,13 @@ class Packet:
         "pid",
         "src",
         "dest",
+        "dest_id",
         "size",
         "create_time",
         "inject_cycle",
         "path",
         "occupancy",
+        "occ_bits",
         "remaining_to_inject",
         "flits_consumed",
         "header_present",
@@ -88,11 +95,13 @@ class Packet:
         self.pid = pid
         self.src = src
         self.dest = dest
+        self.dest_id = -1
         self.size = size
         self.create_time = create_time
         self.inject_cycle: Optional[int] = None
-        self.path: List["ChannelState"] = []
+        self.path: List[int] = []
         self.occupancy: List[int] = []
+        self.occ_bits = 0
         self.remaining_to_inject = size
         self.flits_consumed = 0
         self.header_present = False
@@ -112,7 +121,9 @@ class Packet:
     @property
     def flits_in_network(self) -> int:
         """Flits currently buffered in channels the packet holds."""
-        return sum(self.occupancy)
+        if self.occupancy:
+            return sum(self.occupancy)
+        return self.occ_bits.bit_count()
 
     def __repr__(self) -> str:
         return (

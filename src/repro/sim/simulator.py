@@ -3,10 +3,7 @@
 ``simulate(...)`` wires together a topology, a routing algorithm, a traffic
 pattern, and a workload, runs the engine, and returns the
 :class:`~repro.sim.stats.SimulationResult`.  This is the entry point the
-examples and the benchmark harness use.  The engine core is chosen by
-:func:`~repro.sim.flatcore.make_simulator` from the input (the flat
-core unless ``obs`` needs the object core); results are bit-identical
-either way.
+examples and the benchmark harness use.
 """
 
 from __future__ import annotations
@@ -16,7 +13,7 @@ from typing import TYPE_CHECKING, Optional, Union
 from repro.routing.base import RoutingAlgorithm
 from repro.routing.registry import make_routing
 from repro.sim.config import SimulationConfig
-from repro.sim.flatcore import make_simulator
+from repro.sim.engine import make_simulator
 from repro.sim.stats import SimulationResult
 from repro.topology.base import Topology
 from repro.traffic.patterns import TrafficPattern

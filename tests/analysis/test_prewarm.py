@@ -12,12 +12,9 @@ from repro.analysis.prewarm import (
     warm_key,
 )
 from repro.obs.spec import ObsSpec
-from repro.routing.cache import RouteCache
 from repro.routing.registry import make_routing
-from repro.sim.flatcore import CompiledRoutes
+from repro.sim.ids import CompiledRoutes
 from repro.topology import parse_topology
-
-from tests.routing.test_cache_prefilled import build_route_table
 
 
 @pytest.fixture(autouse=True)
@@ -136,21 +133,18 @@ class TestPrewarm:
             warmup_cycles=20, measure_cycles=150, drain_cycles=60),
     )
 
-    def test_prewarm_fills_route_source(self):
-        # An object-core point (obs forces it) fills the context's raw
-        # route source and leaves the compiled table alone; a flat point
-        # does the opposite — nothing is stored twice.
+    def test_observed_and_plain_points_share_one_table(self):
         import dataclasses
 
         context = get_warm_context("mesh:4x4", "west-first")
-        observed = dataclasses.replace(self.SPEC, obs=ObsSpec())
-        assert observed.run_full(warm=context).core_used == "object"
-        filled = len(context.route_source)
-        assert filled > 0
         assert len(context.compiled_routes) == 0
-        assert self.SPEC.run_full(warm=context).core_used == "flat"
-        assert len(context.route_source) == filled
-        assert len(context.compiled_routes) > 0
+        observed = dataclasses.replace(self.SPEC, obs=ObsSpec())
+        observed.run_full(warm=context)
+        filled = len(context.compiled_routes)
+        assert filled > 0
+        # Same traffic, so the plain twin asks nothing new.
+        self.SPEC.run_full(warm=context)
+        assert len(context.compiled_routes) == filled
 
     def test_prewarmed_source_agrees_with_routing(self):
         context = get_warm_context("mesh:4x4", "west-first")
@@ -171,62 +165,3 @@ class TestPrewarm:
     def test_compiled_routes_built_once_per_context(self):
         context = get_warm_context("mesh:4x4", "xy")
         assert context.compiled_routes is context.compiled_routes
-
-
-class TestRouteCacheSource:
-    def test_source_must_be_raw(self):
-        topology = parse_topology("mesh:4x4")
-        routing = make_routing("xy", topology)
-        resolved = RouteCache(routing, resolve=lambda channel: channel)
-        with pytest.raises(ValueError):
-            RouteCache(routing, source=resolved)
-
-    def test_miss_consults_source(self):
-        topology = parse_topology("mesh:4x4")
-        routing = make_routing("xy", topology)
-        source = RouteCache(routing)
-        source.prefill(build_route_table(routing))
-        calls = []
-        original_route = routing.route
-
-        def counting_route(in_channel, node, dest):
-            calls.append((node, dest))
-            return original_route(in_channel, node, dest)
-
-        routing.route = counting_route
-        cached = RouteCache(routing, source=source)
-        nodes = list(topology.nodes())
-        got = cached.candidates(None, nodes[0], nodes[5])
-        assert got == tuple(original_route(None, nodes[0], nodes[5]))
-        assert calls == []  # served from the shared table, not route()
-
-    def test_prefill_keeps_existing_entries(self):
-        topology = parse_topology("mesh:4x4")
-        routing = make_routing("xy", topology)
-        cache = RouteCache(routing)
-        nodes = list(topology.nodes())
-        first = cache.candidates(None, nodes[0], nodes[1])
-        cache.prefill({(nodes[0], nodes[1]): ("bogus",)})
-        assert cache.candidates(None, nodes[0], nodes[1]) == first
-
-    def test_prefill_rejects_resolving_cache(self):
-        topology = parse_topology("mesh:4x4")
-        routing = make_routing("xy", topology)
-        cache = RouteCache(routing, resolve=lambda channel: channel)
-        with pytest.raises(ValueError):
-            cache.prefill({})
-
-    def test_retarget_drops_source(self):
-        topology = parse_topology("mesh:4x4")
-        routing = make_routing("xy", topology)
-        source = RouteCache(routing)
-        source.prefill(build_route_table(routing))
-        cache = RouteCache(routing, source=source)
-        degraded = make_routing("yx", topology)
-        cache.retarget(degraded)
-        nodes = list(topology.nodes())
-        # Post-retarget decisions come from the degraded relation, not
-        # the healthy shared table.
-        assert cache.candidates(None, nodes[0], nodes[5]) == tuple(
-            degraded.route(None, nodes[0], nodes[5])
-        )

@@ -1,12 +1,11 @@
 """Run-path identity gate (CI): what users run is what the goldens pin.
 
-``make_simulator`` is the one place a simulator is constructed, and it
-reads the engine core off the run's inputs.  These tests pin that the
-paths users actually take — ``ExperimentSpec.run_full``, ``repro.api.run``
-and the sweep executor — reproduce the committed golden digests on the
-flat core, fall back to the object core (saying why) exactly when obs or
-a live fault schedule needs it, and give the same answer cold or warm,
-serial or parallel, in any order.
+``make_simulator`` is the one place a simulator is constructed.  These
+tests pin that the paths users actually take — ``ExperimentSpec
+.run_full``, ``repro.api.run`` and the sweep executor — reproduce the
+committed golden digests, with or without a collector or a live fault
+schedule, and give the same answer cold or warm, serial or parallel, in
+any order.
 """
 
 import dataclasses
@@ -29,9 +28,15 @@ from repro.api import run
 from repro.obs.spec import ObsSpec
 from repro.routing.west_first import WestFirstRouting
 from repro.sim.digest import result_digest, run_digest
-from repro.sim.flatcore import make_simulator
+from repro.sim.engine import make_simulator
 
-from tests.sim.golden_scenarios import GOLDEN_SCENARIOS, build_scenario
+from tests.sim.golden_scenarios import (
+    FAULTED_SCENARIOS,
+    GOLDEN_SCENARIOS,
+    summary_digest,
+)
+
+BUILDERS = {**GOLDEN_SCENARIOS, **FAULTED_SCENARIOS}
 
 FIXTURE = Path(__file__).parent.parent / "sim" / "golden_digests.json"
 
@@ -74,22 +79,21 @@ def _golden_spec(name):
 
 
 class TestGoldenScenariosThroughTheFactory:
-    @pytest.mark.parametrize("name", sorted(GOLDEN_SCENARIOS))
-    def test_factory_runs_flat_and_matches(self, name, fixtures):
-        sim, trace = build_scenario(name, simulator_cls=make_simulator)
-        assert (sim.core, sim.core_fallback_reason) == ("flat", None)
+    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    def test_factory_matches(self, name, fixtures):
+        sim, trace, *controller = BUILDERS[name](simulator_cls=make_simulator)
         assert run_digest(sim.run(), trace) == fixtures[name]["run"]
+        if controller:
+            ledger = controller[0].stats.summary()
+            assert summary_digest(ledger) == fixtures[name]["ledger"]
 
-    @pytest.mark.parametrize("name", sorted(GOLDEN_SCENARIOS))
-    def test_obs_twin_falls_back_and_matches(self, name, fixtures):
+    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    def test_obs_twin_matches(self, name, fixtures):
         from repro.obs.metrics import MetricsCollector
 
-        sim, trace = build_scenario(
-            name, simulator_cls=make_simulator,
-            obs=MetricsCollector(ObsSpec()),
-        )
-        assert sim.core == "object"
-        assert "observability" in sim.core_fallback_reason
+        sim, trace = BUILDERS[name](
+            simulator_cls=make_simulator, obs=MetricsCollector(ObsSpec()),
+        )[:2]
         assert run_digest(sim.run(), trace) == fixtures[name]["run"]
 
 
@@ -98,35 +102,37 @@ class TestGoldenScenariosThroughTheRunPath:
     def test_run_full_and_api_run(self, name, fixtures):
         spec = _golden_spec(name)
         for out in (spec.run_full(), run(spec)):
-            assert (out.core_used, out.core_fallback_reason) == ("flat", None)
             assert result_digest(out.result) == fixtures[name]["result"]
 
     @pytest.mark.parametrize("name", sorted(SPEC_SCENARIOS))
     def test_obs_twin(self, name, fixtures):
         out = run(_golden_spec(name), obs=True)
-        assert out.core_used == "object"
-        assert "observability" in out.core_fallback_reason
+        assert out.metrics["counters"]["delivered_packets"] > 0
         assert result_digest(out.result) == fixtures[name]["result"]
 
-    def test_faulted_twin_reports_the_fault_schedule(self):
+    def test_faulted_point_same_on_every_path(self, tmp_path):
+        # A faulted, observed point through run_full, api.run with a
+        # cache and manifests, and the executor at jobs=1 and jobs=2:
+        # one result, one ledger, one obs summary.
         spec = dataclasses.replace(
             _golden_spec("mesh6-west-first-transpose"),
             resilience=ResilienceSpec(fault_count=2, fault_seed=5),
+            obs=ObsSpec(),
         )
-        out = spec.run_full()
-        assert out.core_used == "object"
-        assert "fault schedule" in out.core_fallback_reason
-
-    def test_core_provenance_stays_out_of_hash_cache_key_and_digest(self, tmp_path):
-        spec = _golden_spec("mesh6-xy-uniform-low")
-        fresh = run(spec, cache_dir=str(tmp_path))
-        cached = run(spec, cache_dir=str(tmp_path))
-        assert (fresh.core_used, cached.core_used) == ("flat", None)
-        assert cached.cached
-        assert result_digest(fresh.result) == result_digest(cached.result)
-        assert "core" not in spec.canonical_json()
-        entry = json.loads(next(tmp_path.glob("*.json")).read_text())
-        assert "core_used" not in json.dumps(entry)
+        direct = spec.run_full()
+        assert direct.resilience["faults_applied"] == 2
+        outs = [run(spec, cache_dir=str(tmp_path / "cache"),
+                    manifest_dir=str(tmp_path / "manifests"))]
+        for jobs in (1, 2):
+            with SweepExecutor(jobs=jobs) as executor:
+                outs += executor.run_points(
+                    [PointSpec(spec=spec), PointSpec(spec=_golden_spec(
+                        "mesh6-xy-uniform-low"))]
+                )[:1]
+        for out in outs:
+            assert result_digest(out.result) == result_digest(direct.result)
+            assert out.resilience == direct.resilience
+            assert out.metrics == direct.metrics
 
 
 def _key_points(routing):

@@ -1,6 +1,6 @@
 """Fixture: simulator construction sites beside the factory."""
 
-import repro.sim.flatcore as flatcore
+import repro.sim.engine as engine
 from repro.sim.engine import WormholeSimulator
 
 
@@ -8,9 +8,9 @@ def run_point(routing, workload):
     return WormholeSimulator(routing, workload).run()  # finding
 
 
-def run_flat(routing, workload):
-    return flatcore.FlatWormholeSimulator(routing, workload).run()  # finding
+def run_qualified(routing, workload):
+    return engine.WormholeSimulator(routing, workload).run()  # finding
 
 
 def run_right(routing, workload):
-    return flatcore.make_simulator(routing, workload).run()  # fine
+    return engine.make_simulator(routing, workload).run()  # fine

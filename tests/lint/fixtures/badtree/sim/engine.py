@@ -29,3 +29,7 @@ class WormholeSimulator:
 
     def good_boolop(self):
         return self._obs is not None and self._obs.enabled
+
+
+def make_simulator(obs=None):
+    return WormholeSimulator(obs)  # fine: the factory itself

@@ -37,8 +37,6 @@ def test_known_suppressions_inventory():
         for entry in report.suppressed
     )
     assert inventory == [
-        ("bench.py", "single-factory"),
-        ("bench.py", "single-factory"),
         ("channels.py", "hash-stability"),
         ("directions.py", "hash-stability"),
         ("manifest.py", "no-wallclock"),

@@ -88,14 +88,3 @@ def test_out_writes_envelope(tmp_path):
     assert payload["suppressed"]
     for entry in payload["suppressed"]:
         assert entry["reason"].strip()
-
-
-def test_registry_shim_still_works():
-    proc = subprocess.run(
-        [sys.executable, str(REPO_ROOT / "scripts" / "lint_registry.py")],
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "4 rules" in proc.stdout

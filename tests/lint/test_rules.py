@@ -27,7 +27,6 @@ EXPECTED = {
     "guarded-hooks": [
         ("sim/engine.py", 10),
         ("sim/engine.py", 14),
-        ("sim/flatcore.py", 9),
     ],
     "worker-purity": [
         ("analysis/executor.py", 7),

@@ -67,7 +67,7 @@ class TestChannels:
         channels = collector.summary()["channels"]
         assert channels["sample_every"] == 1
         assert channels["samples"] == collector.cycles_observed
-        assert len(channels["per_channel"]) == len(sim.network_channel_states)
+        assert len(channels["per_channel"]) == len(sim.network_channels)
         busiest = max(
             channels["per_channel"], key=lambda rec: rec["utilization"]
         )

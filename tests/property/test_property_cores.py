@@ -1,27 +1,41 @@
-"""Property-based bit-identity: movers and engine cores must agree.
+"""Property-based bit-identity: the engine against its reference oracle.
 
-Two equivalences the golden digests pin for fixed scenarios, checked
-here across randomized small-mesh configurations, seeds, and loads:
+The golden digests pin fixed scenarios; here the same equivalences are
+checked across randomized small-mesh configurations, seeds, loads,
+buffer depths, fault schedules and collectors:
 
+* the production engine (:mod:`repro.sim.engine`, dense int ids) and
+  the object-graph oracle (``tests/sim/reference_engine.py``) produce
+  bit-identical runs — for the bit-parallel ``_move1`` regime and for
+  the generic list mover (deeper buffers), fault-free and under drawn
+  fail/heal schedules with ``drop`` / ``retransmit`` recovery (result,
+  trace *and* resilience ledger), and with a collector bound (the obs
+  summary dict as well);
 * the generic :meth:`WormholeSimulator._move` and the capacity-1
-  specialized ``_move1`` produce bit-identical runs whenever both are
-  valid (single lane, ``buffer_depth == 1``);
-* the flat integer-indexed core (:mod:`repro.sim.flatcore`) produces
-  bit-identical runs to the object core, for both its bit-parallel
-  ``_move1`` regime and its generic list mover (deeper buffers).
+  ``_move1`` produce bit-identical runs whenever both are valid (single
+  lane, ``buffer_depth == 1``), on either implementation.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs.metrics import MetricsCollector
+from repro.obs.spec import ObsSpec
+from repro.resilience import (
+    DropAndCount,
+    FaultController,
+    FaultSchedule,
+    SourceRetransmit,
+)
 from repro.routing import make_routing
 from repro.sim import SimulationConfig, WormholeSimulator
 from repro.sim.digest import run_digest
-from repro.sim.flatcore import FlatWormholeSimulator
 from repro.sim.trace import TraceRecorder
 from repro.topology import Mesh2D
 from repro.traffic import UniformTraffic, Workload
 from repro.traffic.workload import SizeDistribution
+
+from tests.sim.reference_engine import ReferenceSimulator
 
 ALGORITHMS = ["xy", "west-first", "north-last", "negative-first"]
 
@@ -33,9 +47,46 @@ configs = st.fixed_dictionaries({
     "seed": st.integers(0, 2**20),
 })
 
+#: A drawn fault schedule: how many links fail, when they heal (if they
+#: do), which recovery policy picks up the casualties, and whether the
+#: algorithm is rebuilt on the degraded topology (``west-first-
+#: nonminimal``) or its healthy decisions are filtered.
+faults = st.fixed_dictionaries({
+    "count": st.integers(1, 3),
+    "fault_seed": st.integers(0, 2**10),
+    "heal_after": st.sampled_from([None, 40, 120]),
+    "policy": st.sampled_from(["drop", "retransmit"]),
+    "rebuild": st.booleans(),
+})
 
-def _build(params, simulator_cls, force_generic_move=False, buffer_depth=1):
+
+def _controller(mesh, params, fault):
+    # require_connected=False: on a 3x3 mesh three dead links can cut a
+    # node off, which is exactly the stranded-header path to compare.
+    schedule = FaultSchedule.random(
+        mesh, fault["count"], seed=fault["fault_seed"], window=(40, 200),
+        heal_after=fault["heal_after"], require_connected=False,
+    )
+    policy = (
+        DropAndCount() if fault["policy"] == "drop"
+        else SourceRetransmit(base_delay=4, delay_cap=16, max_attempts=3)
+    )
+    name = params["name"]
+    return FaultController(
+        schedule, policy, recertify=False,
+        routing_factory=(
+            (lambda degraded: make_routing(name, degraded))
+            if fault["rebuild"] else None
+        ),
+    )
+
+
+def _run(params, simulator_cls, *, force_generic_move=False, buffer_depth=1,
+         fault=None, obs=False):
+    """One run; returns ``(run digest, result, ledger, obs summary)``."""
     mesh = Mesh2D(params["rows"], params["cols"])
+    if fault is not None and fault["rebuild"]:
+        params = dict(params, name="west-first-nonminimal")
     routing = make_routing(params["name"], mesh)
     workload = Workload(
         pattern=UniformTraffic(mesh),
@@ -51,62 +102,90 @@ def _build(params, simulator_cls, force_generic_move=False, buffer_depth=1):
         deadlock_threshold=1_000,
     )
     trace = TraceRecorder(max_events=100_000)
-    sim = simulator_cls(routing, workload, config, trace=trace)
+    controller = _controller(mesh, params, fault) if fault is not None else None
+    collector = (
+        MetricsCollector(ObsSpec(sample_every=1, timeline_window=32))
+        if obs else None
+    )
+    sim = simulator_cls(routing, workload, config, trace=trace,
+                        resilience=controller, obs=collector)
     if force_generic_move:
-        # run() picks _move1 for single-lane capacity-1 configs; rebind
-        # the specialized mover to the generic one so this run exercises
-        # _move on a workload where both are valid.  The flat core's
-        # generic mover works on occupancy lists, so its bitmask regime
-        # must be switched off with it.
-        sim._move1 = sim._move
-        if isinstance(sim, FlatWormholeSimulator):
-            sim._bitocc = False
-    return sim, trace
-
-
-def _run_digest(params, simulator_cls, **kwargs):
-    sim, trace = _build(params, simulator_cls, **kwargs)
+        # run() picks _move1 off this flag for single-lane capacity-1
+        # configs; clearing it sends the run through _move (and keeps
+        # occupancy in lists, not bitmasks) where both are valid.
+        sim._bitocc = False
     result = sim.run()
-    return run_digest(result, trace), result
+    return (
+        run_digest(result, trace),
+        result,
+        controller.stats.summary() if controller is not None else None,
+        collector.summary() if collector is not None else None,
+    )
 
 
 class TestMoverEquivalence:
     @given(params=configs)
     @settings(max_examples=25, deadline=None)
     def test_generic_move_matches_move1(self, params):
-        fast, fast_result = _run_digest(params, WormholeSimulator)
-        slow, slow_result = _run_digest(
+        fast, fast_result, _, _ = _run(params, WormholeSimulator)
+        slow, slow_result, _, _ = _run(
             params, WormholeSimulator, force_generic_move=True
         )
         assert fast == slow
         assert fast_result.total_delivered == slow_result.total_delivered
 
+    @given(params=configs)
+    @settings(max_examples=10, deadline=None)
+    def test_reference_generic_move_matches_move1(self, params):
+        fast, _, _, _ = _run(params, ReferenceSimulator)
+        slow, _, _, _ = _run(
+            params, ReferenceSimulator, force_generic_move=True
+        )
+        assert fast == slow
 
-class TestCoreEquivalence:
+
+class TestEngineMatchesReference:
     @given(params=configs)
     @settings(max_examples=25, deadline=None)
-    def test_flat_core_matches_object_core(self, params):
-        obj, obj_result = _run_digest(params, WormholeSimulator)
-        flat, flat_result = _run_digest(params, FlatWormholeSimulator)
-        assert obj == flat
-        assert obj_result.total_delivered == flat_result.total_delivered
+    def test_bit_mover(self, params):
+        ref, ref_result, _, _ = _run(params, ReferenceSimulator)
+        new, new_result, _, _ = _run(params, WormholeSimulator)
+        assert ref == new
+        assert ref_result.total_delivered == new_result.total_delivered
 
     @given(params=configs, depth=st.integers(2, 3))
     @settings(max_examples=15, deadline=None)
-    def test_flat_generic_mover_matches_object(self, params, depth):
-        # buffer_depth > 1 routes both cores through their generic
-        # movers (occupancy lists, not bitmasks).
-        obj, _ = _run_digest(params, WormholeSimulator, buffer_depth=depth)
-        flat, _ = _run_digest(
-            params, FlatWormholeSimulator, buffer_depth=depth
-        )
-        assert obj == flat
+    def test_generic_mover(self, params, depth):
+        # buffer_depth > 1 routes both implementations through their
+        # generic movers (occupancy lists, not bitmasks).
+        ref, _, _, _ = _run(params, ReferenceSimulator, buffer_depth=depth)
+        new, _, _, _ = _run(params, WormholeSimulator, buffer_depth=depth)
+        assert ref == new
 
-    @given(params=configs)
-    @settings(max_examples=10, deadline=None)
-    def test_flat_bit_mover_matches_flat_generic(self, params):
-        fast, _ = _run_digest(params, FlatWormholeSimulator)
-        slow, _ = _run_digest(
-            params, FlatWormholeSimulator, force_generic_move=True
+    @given(params=configs, fault=faults, depth=st.integers(1, 2))
+    @settings(max_examples=30, deadline=None)
+    def test_under_fault_schedules(self, params, fault, depth):
+        ref, _, ref_ledger, _ = _run(
+            params, ReferenceSimulator, fault=fault, buffer_depth=depth
         )
-        assert fast == slow
+        new, _, new_ledger, _ = _run(
+            params, WormholeSimulator, fault=fault, buffer_depth=depth
+        )
+        assert ref == new
+        assert ref_ledger == new_ledger
+
+    @given(params=configs, depth=st.integers(1, 2),
+           fault=st.one_of(st.none(), faults))
+    @settings(max_examples=25, deadline=None)
+    def test_with_a_collector_bound(self, params, depth, fault):
+        ref, _, ref_ledger, ref_summary = _run(
+            params, ReferenceSimulator, obs=True, fault=fault,
+            buffer_depth=depth,
+        )
+        new, _, new_ledger, new_summary = _run(
+            params, WormholeSimulator, obs=True, fault=fault,
+            buffer_depth=depth,
+        )
+        assert ref == new
+        assert ref_ledger == new_ledger
+        assert ref_summary == new_summary

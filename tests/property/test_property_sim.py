@@ -77,9 +77,6 @@ class TestClosedWorkloads:
         if not preload:
             return
         sim, _ = run_closed("west-first", preload)
-        for state in sim._net_states.values():
-            assert state.owner is None and state.count == 0
-        for state in sim._inj_states.values():
-            assert state.owner is None and state.count == 0
-        for state in sim._ej_states.values():
-            assert state.owner is None and state.count == 0
+        # Network, injection and ejection ids alike.
+        assert all(owner is None for owner in sim._owners)
+        assert sim.occupancy_snapshot() == 0

@@ -36,6 +36,10 @@ def run_sim(
 ):
     mesh = Mesh2D(*MESH)
     routing = make_routing(algorithm, mesh)
+    if disable_cache:
+        # An algorithm that says it is impure gets no route table, on
+        # the healthy topology or any degraded one.
+        routing.cacheable = False
     workload = Workload(
         pattern=UniformTraffic(mesh),
         sizes=SizeDistribution.fixed(4),
@@ -50,8 +54,7 @@ def run_sim(
     sim = WormholeSimulator(
         routing, workload, config, trace=trace, resilience=controller
     )
-    if disable_cache:
-        sim._route_cache = None
+    assert (sim.route_cache is None) == disable_cache
     result = sim.run()
     return result, controller, sim
 
@@ -178,10 +181,10 @@ class TestHealing:
         assert controller.current_routing.name
 
 
-class TestRouteCacheConsistency:
+class TestRouteTableConsistency:
     def test_cached_and_uncached_agree_under_faults(self):
-        # The engine invalidates RouteCache entries on every fault; a
-        # cache-off run must deliver the identical result.
+        # The engine swaps in a fresh route table on every fault; a run
+        # that routes live throughout must deliver the identical result.
         schedule = fault_schedule(count=5, seed=4)
         a, ca, _ = run_sim(schedule, DropAndCount())
         b, cb, _ = run_sim(schedule, DropAndCount(), disable_cache=True)

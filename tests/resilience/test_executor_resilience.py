@@ -79,17 +79,17 @@ class TestSpecSerialization:
         assert plain.content_hash() != faulted.content_hash()
 
 
-class TestRunDetailed:
+class TestRunFullLedger:
     def test_plain_spec_has_no_extras(self):
-        result, extras = fast_spec().run_detailed()
-        assert extras is None
-        assert result == fast_spec().run()
+        full = fast_spec().run_full()
+        assert full.resilience is None
+        assert full.result == fast_spec().run()
 
     def test_faulted_spec_returns_summary(self):
         spec = fast_spec(
             resilience=ResilienceSpec(fault_count=3, fault_seed=4)
         )
-        result, extras = spec.run_detailed()
+        extras = spec.run_full().resilience
         assert extras is not None
         assert extras["faults_applied"] == 3
         assert extras["recertifications"] > 0
@@ -99,15 +99,16 @@ class TestRunDetailed:
         # A 0-fault resilience run takes the fault path with an empty
         # schedule and must be bit-identical to the plain path.
         spec = fast_spec(resilience=ResilienceSpec(fault_count=0))
-        result, extras = spec.run_detailed()
-        assert result == fast_spec().run()
-        assert extras["faults_applied"] == 0
+        full = spec.run_full()
+        assert full.result == fast_spec().run()
+        assert full.resilience["faults_applied"] == 0
 
 
 class TestCacheExtras:
     def test_extras_round_trip(self, tmp_path):
         spec = fast_spec(resilience=ResilienceSpec(fault_count=2, fault_seed=3))
-        result, extras = spec.run_detailed()
+        full = spec.run_full()
+        result, extras = full.result, full.resilience
         cache = ResultCache(tmp_path)
         cache.store(spec, result, extras=extras)
         loaded = cache.load_with_extras(spec)

@@ -1,13 +1,9 @@
-"""Tests for SimulationConfig, ChannelState, and Packet bookkeeping."""
+"""Tests for SimulationConfig and Packet bookkeeping."""
 
 import pytest
 
-from repro.core.directions import EAST
 from repro.sim import SimulationConfig
 from repro.sim.packet import Packet
-from repro.sim.resources import EJECTION, INJECTION, NETWORK, ChannelState
-from repro.topology import Mesh2D
-from repro.topology.channels import Channel
 
 
 class TestConfig:
@@ -40,42 +36,6 @@ class TestConfig:
             SimulationConfig(warmup_cycles=-1)
 
 
-class TestChannelState:
-    def test_network_state_needs_channel(self):
-        with pytest.raises(ValueError):
-            ChannelState(NETWORK, 1)
-
-    def test_injection_state_needs_node(self):
-        with pytest.raises(ValueError):
-            ChannelState(INJECTION, 1)
-
-    def test_capacity_validation(self):
-        with pytest.raises(ValueError):
-            ChannelState(INJECTION, 0, node=(0, 0))
-
-    def test_free_space(self):
-        state = ChannelState(INJECTION, 3, node=(0, 0))
-        assert state.free_space == 3
-        state.count = 2
-        assert state.free_space == 1
-
-    def test_destination_node_network(self):
-        mesh = Mesh2D(3, 3)
-        channel = mesh.channel_in_direction((0, 0), EAST)
-        state = ChannelState(NETWORK, 1, channel=channel)
-        assert state.destination_node() == (1, 0)
-
-    def test_destination_node_local(self):
-        state = ChannelState(EJECTION, 1, node=(2, 2))
-        assert state.destination_node() == (2, 2)
-
-    def test_is_free_tracks_owner(self):
-        state = ChannelState(INJECTION, 1, node=(0, 0))
-        assert state.is_free
-        state.owner = Packet(0, (0, 0), (1, 1), 4, 0.0)
-        assert not state.is_free
-
-
 class TestPacket:
     def test_initial_state(self):
         packet = Packet(7, (0, 0), (2, 2), 10, 1.5)
@@ -93,3 +53,10 @@ class TestPacket:
         packet = Packet(0, (0, 0), (1, 1), 5, 0.0)
         packet.occupancy = [1, 2, 1]
         assert packet.flits_in_network == 4
+
+    def test_flits_in_network_counts_occupancy_bits(self):
+        # Single-flit buffers on a single lane keep the same counts as
+        # the bits of one int.
+        packet = Packet(0, (0, 0), (1, 1), 5, 0.0)
+        packet.occ_bits = 0b1011
+        assert packet.flits_in_network == 3

@@ -116,6 +116,5 @@ class TestMultiplePackets:
         preload = [((0, 0), (3, 3), 9, 0.0), ((3, 3), (0, 0), 9, 0.0)]
         sim = closed_sim(mesh44, "west-first", preload)
         sim.run()
-        for state in sim._net_states.values():
-            assert state.owner is None
-            assert state.count == 0
+        assert all(owner is None for owner in sim._owners)
+        assert sim.occupancy_snapshot() == 0

@@ -1,26 +1,20 @@
-"""Unit tests for the flat core's compiled tables and construction API.
+"""Unit tests for the engine's compiled tables and construction API.
 
 The bit-identity of whole runs is pinned by the golden gate
-(``test_flatcore_identity.py``) and the property suite; these tests
-cover the pieces in isolation — the id encoding, the shared compiled
-route table and its per-simulator counters, the ``make_simulator``
-core-selection contract, and the on-demand object-state projection.
+(``test_determinism.py``) and the property suite; these tests cover the
+pieces in isolation — the id encoding, the shared compiled route table
+and its per-simulator counters, the table swap under a fault schedule,
+what ``make_simulator`` takes from a warm context, and the channel
+sampling the obs collector reads.
 """
 
 import pytest
 
 from repro.resilience import FaultController, FaultEvent, FaultSchedule
 from repro.routing import make_routing
-from repro.sim import SimulationConfig, WormholeSimulator
+from repro.sim import SimulationConfig, WormholeSimulator, make_simulator
 from repro.sim.digest import result_digest
-from repro.sim.flatcore import (
-    CompiledRoutes,
-    FlatCoreUnsupported,
-    FlatWormholeSimulator,
-    flat_unsupported_reason,
-    make_simulator,
-)
-from repro.sim.ids import ChannelIndex
+from repro.sim.ids import ChannelIndex, CompiledRoutes
 from repro.sim.simulator import simulate
 from repro.topology import Mesh2D
 from repro.topology.virtual import VirtualChannelTopology
@@ -91,79 +85,27 @@ class TestChannelIndex:
 
 
 class TestMakeSimulator:
-    def test_object_core_by_default(self):
-        # The reference class itself: constructed directly (as tests and
-        # the engine bench's object twins do) it is the object core and
-        # carries no fallback reason — only the factory sets one.
-        mesh = Mesh2D(4, 4)
-        sim = WormholeSimulator(
-            make_routing("xy", mesh), _workload(mesh), _config()
-        )
-        assert (sim.core, sim.core_fallback_reason) == ("object", None)
-
-    def test_flat_core_on_request(self):
-        # Asking the factory for a simulator is asking for the flat core
-        # whenever the input allows it.
-        mesh = Mesh2D(4, 4)
-        sim = make_simulator(
-            make_routing("xy", mesh), _workload(mesh), _config()
-        )
-        assert isinstance(sim, FlatWormholeSimulator)
-        assert (sim.core, sim.core_fallback_reason) == ("flat", None)
-
-    def test_obs_falls_back_to_object_core(self):
+    def test_one_class_whatever_the_run_needs(self):
         from repro.obs.metrics import MetricsCollector
         from repro.obs.spec import ObsSpec
 
-        mesh = Mesh2D(4, 4)
-        sim = make_simulator(
-            make_routing("xy", mesh), _workload(mesh), _config(),
-            obs=MetricsCollector(ObsSpec()),
-        )
-        assert type(sim) is WormholeSimulator
-        assert sim.core == "object"
-        assert "observability" in sim.core_fallback_reason
-
-    def test_fault_schedule_falls_back_to_object_core(self):
         mesh = Mesh2D(4, 4)
         channel = next(iter(mesh.channels()))
         schedule = FaultSchedule(
             (FaultEvent(cycle=10, kind="fail", channel=channel),)
         )
-        sim = make_simulator(
-            make_routing("xy", mesh), _workload(mesh), _config(),
-            resilience=FaultController(schedule),
-        )
-        assert sim.core == "object"
-        assert "fault schedule" in sim.core_fallback_reason
-
-    def test_idle_fault_controller_stays_flat(self):
-        mesh = Mesh2D(4, 4)
-        sim = make_simulator(
-            make_routing("xy", mesh), _workload(mesh), _config(),
-            resilience=FaultController(FaultSchedule(())),
-        )
-        assert sim.core == "flat"
-
-    def test_flat_constructor_raises_on_unsupported(self):
-        from repro.obs.metrics import MetricsCollector
-        from repro.obs.spec import ObsSpec
-
-        mesh = Mesh2D(4, 4)
-        with pytest.raises(FlatCoreUnsupported):
-            FlatWormholeSimulator(
-                make_routing("xy", mesh), _workload(mesh), _config(),
-                obs=MetricsCollector(ObsSpec()),
+        for extras in (
+            {},
+            {"obs": MetricsCollector(ObsSpec())},
+            {"resilience": FaultController(schedule)},
+            {"resilience": FaultController(FaultSchedule(()))},
+        ):
+            sim = make_simulator(
+                make_routing("xy", mesh), _workload(mesh), _config(), **extras
             )
+            assert type(sim) is WormholeSimulator
 
-    def test_unsupported_reason_strings(self):
-        assert flat_unsupported_reason() is None
-        assert flat_unsupported_reason(
-            resilience=FaultController(FaultSchedule(()))
-        ) is None
-        assert "observability" in flat_unsupported_reason(obs=object())
-
-    def test_each_core_takes_only_its_own_shared_state(self):
+    def test_every_run_of_a_key_shares_the_warm_table(self):
         from repro.analysis.prewarm import WarmContext
         from repro.obs.metrics import MetricsCollector
         from repro.obs.spec import ObsSpec
@@ -181,20 +123,61 @@ class TestMakeSimulator:
             sim.run()
             return sim.route_cache
 
-        # Object-core runs fill (and then reuse) the raw route source and
-        # never build the compiled table ...
-        assert run(MetricsCollector(ObsSpec())).misses > 0
-        assert run(MetricsCollector(ObsSpec())).misses == 0
-        assert len(warm.route_source) > 0
-        assert warm._compiled is None
-        # ... flat runs the reverse.
-        source_entries = len(warm.route_source)
+        # The first run fills the shared table; a plain and an observed
+        # rerun find every answer in it.
         assert run(None).misses > 0
+        filled = len(warm.compiled_routes)
         assert run(None).misses == 0
-        assert len(warm.route_source) == source_entries
+        assert run(MetricsCollector(ObsSpec())).misses == 0
+        assert len(warm.compiled_routes) == filled
 
 
-class TestFlatRouteTableStats:
+class TestTableSwapUnderFaults:
+    """A fault moves the run to a private table of the degraded routing,
+    compiled against the run's own ids; a full heal moves it back."""
+
+    @staticmethod
+    def _faulted(heal_after):
+        mesh = Mesh2D(4, 4)
+        routing = make_routing("west-first", mesh)
+        compiled = CompiledRoutes(routing)
+        schedule = FaultSchedule.random(
+            mesh, 2, seed=5, window=(40, 80), heal_after=heal_after
+        )
+        controller = FaultController(schedule, recertify=False)
+        sim = WormholeSimulator(
+            routing, _workload(mesh, load=0.2), _config(),
+            resilience=controller, compiled_routes=compiled,
+        )
+        sim.run()
+        return sim, compiled, controller
+
+    def test_degraded_table_is_private_and_shares_the_index(self):
+        sim, compiled, controller = self._faulted(heal_after=None)
+        assert controller.stats.faults_applied == 2
+        table = sim.route_cache
+        assert table.compiled is not compiled
+        assert table.compiled.routing is controller.current_routing
+        assert table.compiled.index is compiled.index
+        # The shared table never saw a degraded decision: every entry in
+        # it still equals the healthy algorithm's answer.
+        index = compiled.index
+        for key, entry in enumerate(compiled.dense):
+            if entry is not None:
+                node, dest = divmod(key, index.num_nodes)
+                expected = sim.routing.route(
+                    None, index.nodes[node], index.nodes[dest]
+                )
+                assert entry == tuple(index.cid[ch] for ch in expected)
+
+    def test_full_heal_returns_to_the_original_table(self):
+        sim, compiled, controller = self._faulted(heal_after=30)
+        assert controller.stats.heals_applied == 2
+        assert controller.current_routing is sim.routing
+        assert sim.route_cache.compiled is compiled
+
+
+class TestRouteTableStats:
     def test_cold_run_counts_misses(self):
         mesh = Mesh2D(4, 4)
         sim = make_simulator(
@@ -215,7 +198,7 @@ class TestFlatRouteTableStats:
         compiled = CompiledRoutes(routing)
 
         def run():
-            sim = FlatWormholeSimulator(
+            sim = WormholeSimulator(
                 routing, _workload(mesh, load=0.2), _config(),
                 compiled_routes=compiled,
             )
@@ -233,11 +216,11 @@ class TestFlatRouteTableStats:
         mesh = Mesh2D(4, 4)
         routing = make_routing("west-first", mesh)
         compiled = CompiledRoutes(routing)
-        first = FlatWormholeSimulator(
+        first = WormholeSimulator(
             routing, _workload(mesh, load=0.2), _config(),
             compiled_routes=compiled,
         )
-        second = FlatWormholeSimulator(
+        second = WormholeSimulator(
             routing, _workload(mesh, load=0.2, seed=8), _config(),
             compiled_routes=compiled,
         )
@@ -262,7 +245,7 @@ class TestFlatRouteTableStats:
         assert routing.uses_in_channel
         compiled = CompiledRoutes(routing)
         assert compiled.dense is None and compiled.bykey == {}
-        sim = FlatWormholeSimulator(
+        sim = WormholeSimulator(
             routing, _workload(mesh, load=0.2), _config(),
             compiled_routes=compiled,
         )
@@ -275,7 +258,7 @@ class TestFlatRouteTableStats:
         routing.cacheable = False
         compiled = CompiledRoutes(routing)
         assert compiled.dense is None and compiled.bykey is None
-        sim = FlatWormholeSimulator(
+        sim = WormholeSimulator(
             routing, _workload(mesh, load=0.2), _config(),
             compiled_routes=compiled,
         )
@@ -291,14 +274,14 @@ class TestFlatRouteTableStats:
         mesh = Mesh2D(4, 4)
         compiled = CompiledRoutes(make_routing("west-first", mesh))
         with pytest.raises(ValueError, match="another routing instance"):
-            FlatWormholeSimulator(
+            WormholeSimulator(
                 make_routing("west-first", mesh), _workload(mesh), _config(),
                 compiled_routes=compiled,
             )
 
 
-class TestObjectStateProjection:
-    def test_states_are_free_after_a_drained_run(self):
+class TestChannelSampling:
+    def test_nothing_is_held_after_a_drained_run(self):
         mesh = Mesh2D(4, 4)
         sim = make_simulator(
             make_routing("xy", mesh), _workload(mesh, load=0.0),
@@ -309,35 +292,38 @@ class TestObjectStateProjection:
         result = sim.run()
         assert result.total_delivered == 2
         assert sim.occupancy_snapshot() == 0
-        states = sim.network_channel_states
-        assert all(s.count == 0 and s.owner is None for s in states.values())
+        busy = [0] * len(sim.network_channels)
+        occupancy = [0] * len(sim.network_channels)
+        sim.sample_channels(busy, occupancy)
+        assert not any(busy) and not any(occupancy)
 
-    def test_snapshot_matches_projection_mid_run(self):
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_sample_matches_ownership_mid_run(self, depth):
+        # A saturated run cut off by its cycle budget leaves worms in
+        # the network: the sample must mark exactly the owned network
+        # channels busy, and never count more flits than are in flight.
         mesh = Mesh2D(4, 4)
         sim = make_simulator(
-            make_routing("xy", mesh), _workload(mesh, load=0.3, seed=3),
-            _config(),
+            make_routing("xy", mesh), _workload(mesh, load=0.6, seed=3),
+            _config(drain_cycles=0, buffer_depth=depth),
         )
-        # Drive the engine a few cycles by hand, then cross-check the
-        # projected ChannelState counts against the bitmask snapshot.
-        sim.config.__class__  # no-op; keep run() API usage below
-        result = sim.run()
-        assert result.total_delivered > 0
-        projected = sum(
-            s.count for s in sim.network_channel_states.values()
-        )
-        assert projected <= sim.occupancy_snapshot()
+        sim.run()
+        count = len(sim.network_channels)
+        busy, occupancy = [0] * count, [0] * count
+        sim.sample_channels(busy, occupancy)
+        assert any(busy)
+        assert busy == [int(owner is not None) for owner in sim._owners[:count]]
+        assert all(fill <= depth * held for fill, held in zip(occupancy, busy))
+        assert 0 < sum(occupancy) <= sim.occupancy_snapshot()
 
 
 class TestSimulateFacade:
-    def test_simulate_core_flag_is_bit_identical(self):
-        # simulate() has no core argument: the core follows from the
-        # input (flat; object when obs is on) and never shows in results.
+    def test_simulate_matches_a_hand_built_run(self):
         from repro.obs.metrics import MetricsCollector
         from repro.obs.spec import ObsSpec
 
         mesh = Mesh2D(5, 5)
-        flat = simulate(mesh, "west-first", "transpose", 0.2,
+        plain = simulate(mesh, "west-first", "transpose", 0.2,
                         config=_config(), seed=9)
         observed = simulate(mesh, "west-first", "transpose", 0.2,
                             config=_config(), seed=9,
@@ -351,6 +337,6 @@ class TestSimulateFacade:
             _config(),
         ).run()
         assert (
-            result_digest(flat) == result_digest(observed)
+            result_digest(plain) == result_digest(observed)
             == result_digest(reference)
         )

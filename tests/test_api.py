@@ -24,8 +24,7 @@ class TestExports:
             "ExperimentSpec",
             "resolve_spec",
             "SweepExecutor",
-            "simulate",
-            "sweep_loads",
+            "run",
             "make_routing",
             "make_pattern",
             "parse_topology",
@@ -53,17 +52,18 @@ class TestFacadeBehavior:
         )
         resolved = api.resolve_spec(spec)
         assert api.topology_spec(resolved.topology) == "mesh:4x4"
-        result = api.run_spec(spec)
+        result = api.run(spec).result
         assert result.offered_load == pytest.approx(0.05)
 
-    def test_simulate_accepts_alias_names(self):
-        result = api.simulate(
-            api.parse_topology("mesh:4x4"),
-            "negative_first",
-            "transpose",
-            offered_load=0.05,
+    def test_run_accepts_alias_names(self):
+        out = api.run(
+            topology=api.parse_topology("mesh:4x4"),
+            routing="negative_first",
+            pattern="transpose",
+            load=0.05,
             config=api.SimulationConfig(
                 warmup_cycles=100, measure_cycles=400, drain_cycles=100
             ),
         )
-        assert result.total_delivered >= 0
+        assert out.result.total_delivered >= 0
+        assert out.spec.routing == "negative-first"

@@ -1,9 +1,8 @@
-"""The `repro.api.run` facade and the deprecation shims around it.
+"""The `repro.api.run` facade (and the retired shims that preceded it).
 
 The facade contract: one keyword-only entry point covering every run
 path (plain / obs / resilience / cached), returning the same RunResult
-shape everywhere, with the pre-facade entry points still working but
-warning.
+shape everywhere; the pre-facade entry points it replaced are gone.
 """
 
 import dataclasses
@@ -132,43 +131,27 @@ class TestRunFacade:
             api.run("mesh:4x4", "xy", "uniform", 0.1)  # noqa: E501 - intentional misuse
 
 
-class TestDeprecatedShims:
-    def test_simulate_warns_and_forwards(self):
+class TestRetiredShims:
+    @pytest.mark.parametrize("name", ["simulate", "sweep_loads", "run_spec"])
+    def test_pre_facade_entry_points_are_gone(self, name):
+        # They warned for a release; the real functions live on in
+        # repro.sim / repro.analysis.sweep, and api.run replaces them.
+        assert not hasattr(api, name)
+        assert name not in api.__all__
+
+    def test_the_real_functions_stay(self):
+        from repro.analysis.sweep import sweep_loads
+        from repro.sim import simulate
+
         spec = _spec()
         resolved = api.resolve_spec(spec)
-        with pytest.warns(DeprecationWarning, match="simulate is deprecated"):
-            result = api.simulate(
-                resolved.topology,
-                "west-first",
-                "uniform",
-                0.1,
-                sizes=api.SizeDistribution(((4, 1.0),)),
-                config=spec.config.to_config(),
-                seed=3,
-            )
-        assert result == api.run(spec).result
-
-    def test_run_spec_warns_and_forwards(self):
-        spec = _spec()
-        with pytest.warns(DeprecationWarning, match="run_spec is deprecated"):
-            result = api.run_spec(spec)
-        assert result == api.run(spec).result
-
-    def test_sweep_loads_warns_and_forwards(self):
-        spec = _spec()
-        resolved = api.resolve_spec(spec)
-        with pytest.warns(DeprecationWarning, match="sweep_loads is deprecated"):
-            series = api.sweep_loads(
-                resolved.topology,
-                "west-first",
-                "uniform",
-                [0.1],
-                sizes=api.SizeDistribution(((4, 1.0),)),
-                config=spec.config.to_config(),
-                seed=3,
-            )
+        kwargs = dict(sizes=api.SizeDistribution(((4, 1.0),)),
+                      config=spec.config.to_config(), seed=3)
         reference = api.run(spec).result
-        point = series.points[0]
-        assert point.offered_load == reference.offered_load
+        assert simulate(
+            resolved.topology, "west-first", "uniform", 0.1, **kwargs
+        ) == reference
+        point = sweep_loads(
+            resolved.topology, "west-first", "uniform", [0.1], **kwargs
+        ).points[0]
         assert point.avg_latency_usec == reference.avg_latency_usec
-        assert point.throughput_flits_per_usec == reference.throughput_flits_per_usec

@@ -22,6 +22,20 @@ class TestExports:
         for name in package.__all__:
             assert getattr(package, name) is not None, name
 
+    def test_one_engine_class_and_no_route_cache(self):
+        # One simulator class; the second core, its channel-state
+        # objects and the object-keyed route cache are not public names
+        # any more (the oracle under tests/sim keeps its own copies).
+        for name in ("FlatWormholeSimulator", "FlatCoreUnsupported",
+                     "ChannelState", "NETWORK", "INJECTION", "EJECTION"):
+            assert not hasattr(sim, name), name
+        assert not hasattr(routing, "RouteCache")
+        simulators = [
+            name for name in sim.__all__
+            if inspect.isclass(getattr(sim, name)) and name.endswith("Simulator")
+        ]
+        assert simulators == ["WormholeSimulator"]
+
     def test_version(self):
         assert repro.__version__
 
