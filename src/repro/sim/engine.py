@@ -1250,58 +1250,62 @@ class WormholeSimulator:
                 start_packets()
             if self._waiters or new_waiters or woken:
                 allocate()
-            if resilience is not None and self._res_abort:
-                # An AbortRun recovery policy stopped the run.
-                break
-            if multilane:
-                self._phy_used.clear()
-                if len(active) > 1:
-                    # Rotate processing order so no packet systematically
-                    # wins the physical-bandwidth race between lanes.
-                    active.append(active.pop(0))
-            any_moved = False
-            finished: Optional[List[Packet]] = None
-            for packet in active:
-                if packet.stalled:
-                    continue
-                if move(packet, stats):
-                    any_moved = True
-                    # Consumption happens only inside a successful move,
-                    # so the finished check hides behind it.
-                    if packet.flits_consumed >= packet.size:
-                        if finished is None:
-                            finished = [packet]
-                        else:
-                            finished.append(packet)
-            if finished is not None:
-                for packet in finished:
-                    self._finish(packet, stats)
-                    # Identity-based removal preserves the order the
-                    # reference rebuild kept.
-                    active.remove(packet)
-            if any_moved:
-                self._last_progress = cycle
-            elif (
-                active
-                and cycle - self._last_progress >= deadlock_threshold
-            ):
-                self._deadlocked = True
-                if trace is not None:
-                    trace.record(cycle, "deadlock", -1)
-                break
-            if (
-                max_packets is not None
-                and self._messages_created >= max_packets
-                and not active
-                and self._queued_total == 0
-                and (resilience is None or not resilience.retries_pending)
-            ):
-                break
+            # A run stops before its cycle budget in three ways — an
+            # AbortRun recovery policy (before any flit moves), the
+            # deadlock watchdog, or the max-packets drain — and all
+            # three leave through the one exit below, so the stopping
+            # cycle is sampled like every other executed cycle.
+            stopping = resilience is not None and self._res_abort
+            if not stopping:
+                if multilane:
+                    self._phy_used.clear()
+                    if len(active) > 1:
+                        # Rotate processing order so no packet systematically
+                        # wins the physical-bandwidth race between lanes.
+                        active.append(active.pop(0))
+                any_moved = False
+                finished: Optional[List[Packet]] = None
+                for packet in active:
+                    if packet.stalled:
+                        continue
+                    if move(packet, stats):
+                        any_moved = True
+                        # Consumption happens only inside a successful move,
+                        # so the finished check hides behind it.
+                        if packet.flits_consumed >= packet.size:
+                            if finished is None:
+                                finished = [packet]
+                            else:
+                                finished.append(packet)
+                if finished is not None:
+                    for packet in finished:
+                        self._finish(packet, stats)
+                        # Identity-based removal preserves the order the
+                        # reference rebuild kept.
+                        active.remove(packet)
+                if any_moved:
+                    self._last_progress = cycle
+                elif (
+                    active
+                    and cycle - self._last_progress >= deadlock_threshold
+                ):
+                    self._deadlocked = True
+                    if trace is not None:
+                        trace.record(cycle, "deadlock", -1)
+                stopping = self._deadlocked or (
+                    max_packets is not None
+                    and self._messages_created >= max_packets
+                    and not active
+                    and self._queued_total == 0
+                    and (resilience is None or not resilience.retries_pending)
+                )
             # Observability sampling happens after every phase of the
             # cycle has settled; the hook is read-only, so results with
             # and without a collector are bit-identical.
             if obs is not None:
                 obs.on_cycle_end(cycle, self)
+            if stopping:
+                break
             cycle += 1
             if (
                 not active

@@ -125,6 +125,77 @@ class TestTimeline:
         assert collector.summary()["timeline"] is None
 
 
+class TestStoppingCycleIsSampled:
+    """A run that stops before its cycle budget — drained, deadlocked
+    or aborted — still hands its last executed cycle to the collector."""
+
+    @staticmethod
+    def _stopped_run(mode):
+        from repro.resilience import AbortRun, FaultController, FaultSchedule
+        from repro.sim.deadlock import (
+            RoutableUniformTraffic,
+            unrestricted_adaptive_routing,
+        )
+
+        mesh = Mesh2D(4, 4)
+        routing = make_routing("xy", mesh)
+        pattern = make_pattern("uniform", mesh)
+        load, size, preload, controller = 0.0, 4, None, None
+        knobs = dict(warmup_cycles=0, measure_cycles=600, drain_cycles=0)
+        if mode == "drained":
+            preload = [((0, 0), (3, 3), 4, 0.0), ((3, 0), (0, 3), 4, 0.0)]
+            knobs["max_packets"] = 2
+        elif mode == "deadlocked":
+            routing = unrestricted_adaptive_routing(mesh)
+            pattern = RoutableUniformTraffic(routing)
+            load, size = 0.5, 16
+            knobs.update(measure_cycles=20_000, deadlock_threshold=200)
+        else:
+            load = 0.2
+            controller = FaultController(
+                FaultSchedule.random(mesh, 4, seed=1, window=(50, 150)),
+                AbortRun(), recertify=False,
+            )
+        collector = MetricsCollector(ObsSpec(timeline_window=8))
+        sim = WormholeSimulator(
+            routing,
+            Workload(pattern=pattern, sizes=SizeDistribution.fixed(size),
+                     offered_load=load, seed=3),
+            SimulationConfig(**knobs), preload=preload,
+            resilience=controller, obs=collector,
+        )
+        result = sim.run()
+        return collector.summary(), sim, result, controller
+
+    @pytest.mark.parametrize("mode", ["drained", "deadlocked", "aborted"])
+    def test_every_executed_cycle_is_observed(self, mode):
+        summary, sim, result, controller = self._stopped_run(mode)
+        # The run really did stop early, the way the mode says.
+        assert sim.cycle + 1 < sim.config.total_cycles
+        assert result.deadlocked == (mode == "deadlocked")
+        assert (controller is not None and controller.stats.aborted) == (
+            mode == "aborted"
+        )
+        counters = summary["counters"]
+        assert counters["cycles_observed"] == counters["cycles_executed"]
+        buckets = summary["timeline"]["buckets"]
+        assert sum(b["flit_moves"] for b in buckets) == counters["flit_moves"]
+        assert (
+            sum(b["injected_packets"] for b in buckets)
+            == counters["injected_packets"]
+        )
+        assert summary["channels"]["samples"] == counters["cycles_executed"]
+
+    def test_the_drained_example_by_the_numbers(self):
+        # Two 4-flit packets corner to corner on a 4x4 mesh: 12 cycles
+        # executed, 72 flit moves — all of them on the timeline.
+        summary, _, _, _ = self._stopped_run("drained")
+        counters = summary["counters"]
+        assert counters["cycles_executed"] == counters["cycles_observed"] == 12
+        moves = [b["flit_moves"] for b in summary["timeline"]["buckets"]]
+        assert sum(moves) == counters["flit_moves"] == 72
+
+
 class TestLifecycle:
     def test_collector_is_single_use(self):
         collector, _, _ = _run()
