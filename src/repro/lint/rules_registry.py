@@ -1,4 +1,4 @@
-"""Registry-invariant rules absorbed from ``scripts/lint_registry.py``.
+"""Registry-invariant rules (once the stand-alone ``scripts/lint_registry.py``).
 
 The four checks the ad-hoc registry linter enforced since the static
 certification suite landed, re-expressed as framework rules so they

@@ -556,7 +556,6 @@ class WormholeSimulator:
                 self._inj_candidates.add(index)
                 stats.record_created(create_time, size)
 
-
     def _start_packets(self) -> None:
         # Event-driven: only flagged sources are visited, in source-index
         # order so pids are assigned exactly as a full scan would assign

@@ -177,8 +177,7 @@ class ReferenceSimulator(WormholeSimulator):
         return total
 
     # ------------------------------------------------------------------
-    # Phase 0: message generation and injection-channel allocation
-
+    # Phase 0: injection-channel allocation (generation is inherited)
 
     def _start_packets(self) -> None:
         # Event-driven: only flagged sources are visited, in source-index
