@@ -24,8 +24,7 @@ from repro.obs.metrics import MetricsCollector  # noqa: E402
 from repro.sim.digest import result_digest, run_digest, trace_digest  # noqa: E402
 
 from tests.sim.golden_scenarios import (  # noqa: E402
-    FAULTED_SCENARIOS,
-    GOLDEN_SCENARIOS,
+    ALL_SCENARIOS,
     OBS_SUMMARY_SPEC,
     summary_digest,
 )
@@ -35,7 +34,7 @@ FIXTURE = REPO / "tests" / "sim" / "golden_digests.json"
 
 def main() -> int:
     fixtures = {}
-    for name, build in {**GOLDEN_SCENARIOS, **FAULTED_SCENARIOS}.items():
+    for name, build in ALL_SCENARIOS.items():
         sim, trace, *controller = build()
         result = sim.run()
         fixtures[name] = {

@@ -359,10 +359,10 @@ class ExperimentSpec:
         """Simulate this point and return everything it produced.
 
         Every point is built by :func:`~repro.sim.engine
-        .make_simulator`.  The resilience machinery is imported — and the controller built —
-        only when the spec asks for it.  Likewise the metrics collector
-        exists only when ``obs`` is set, and its presence is
-        bit-invisible to the result.
+        .make_simulator`.  The resilience machinery is imported — and
+        the controller built — only when the spec asks for it.  Likewise
+        the metrics collector exists only when ``obs`` is set, and its
+        presence is bit-invisible to the result.
 
         Args:
             warm: optional warm context (see :meth:`resolve`).  Ignored

@@ -30,13 +30,7 @@ from repro.routing.west_first import WestFirstRouting
 from repro.sim.digest import result_digest, run_digest
 from repro.sim.engine import make_simulator
 
-from tests.sim.golden_scenarios import (
-    FAULTED_SCENARIOS,
-    GOLDEN_SCENARIOS,
-    summary_digest,
-)
-
-BUILDERS = {**GOLDEN_SCENARIOS, **FAULTED_SCENARIOS}
+from tests.sim.golden_scenarios import ALL_SCENARIOS, summary_digest
 
 FIXTURE = Path(__file__).parent.parent / "sim" / "golden_digests.json"
 
@@ -79,19 +73,19 @@ def _golden_spec(name):
 
 
 class TestGoldenScenariosThroughTheFactory:
-    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    @pytest.mark.parametrize("name", sorted(ALL_SCENARIOS))
     def test_factory_matches(self, name, fixtures):
-        sim, trace, *controller = BUILDERS[name](simulator_cls=make_simulator)
+        sim, trace, *controller = ALL_SCENARIOS[name](simulator_cls=make_simulator)
         assert run_digest(sim.run(), trace) == fixtures[name]["run"]
         if controller:
             ledger = controller[0].stats.summary()
             assert summary_digest(ledger) == fixtures[name]["ledger"]
 
-    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    @pytest.mark.parametrize("name", sorted(ALL_SCENARIOS))
     def test_obs_twin_matches(self, name, fixtures):
         from repro.obs.metrics import MetricsCollector
 
-        sim, trace = BUILDERS[name](
+        sim, trace = ALL_SCENARIOS[name](
             simulator_cls=make_simulator, obs=MetricsCollector(ObsSpec()),
         )[:2]
         assert run_digest(sim.run(), trace) == fixtures[name]["run"]
@@ -123,12 +117,12 @@ class TestGoldenScenariosThroughTheRunPath:
         assert direct.resilience["faults_applied"] == 2
         outs = [run(spec, cache_dir=str(tmp_path / "cache"),
                     manifest_dir=str(tmp_path / "manifests"))]
+        # A second point beside it, so that jobs=2 really uses the pool.
+        points = [PointSpec(spec=spec),
+                  PointSpec(spec=_golden_spec("mesh6-xy-uniform-low"))]
         for jobs in (1, 2):
             with SweepExecutor(jobs=jobs) as executor:
-                outs += executor.run_points(
-                    [PointSpec(spec=spec), PointSpec(spec=_golden_spec(
-                        "mesh6-xy-uniform-low"))]
-                )[:1]
+                outs.append(executor.run_points(points)[0])
         for out in outs:
             assert result_digest(out.result) == result_digest(direct.result)
             assert out.resilience == direct.resilience

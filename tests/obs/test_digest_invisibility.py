@@ -21,14 +21,11 @@ from repro.obs.spec import ObsSpec
 from repro.sim.digest import run_digest
 
 from tests.sim.golden_scenarios import (
-    FAULTED_SCENARIOS,
-    GOLDEN_SCENARIOS,
+    ALL_SCENARIOS,
     OBS_SUMMARY_SPEC,
     build_scenario,
     summary_digest,
 )
-
-BUILDERS = {**GOLDEN_SCENARIOS, **FAULTED_SCENARIOS}
 
 FIXTURE = Path(__file__).parent.parent / "sim" / "golden_digests.json"
 
@@ -38,10 +35,10 @@ def fixtures():
     return json.loads(FIXTURE.read_text())
 
 
-@pytest.mark.parametrize("name", sorted(BUILDERS))
+@pytest.mark.parametrize("name", sorted(ALL_SCENARIOS))
 def test_obs_enabled_run_matches_golden_digest(name, fixtures):
     collector = MetricsCollector(OBS_SUMMARY_SPEC)
-    sim, trace = BUILDERS[name](obs=collector)[:2]
+    sim, trace = ALL_SCENARIOS[name](obs=collector)[:2]
     result = sim.run()
     assert run_digest(result, trace) == fixtures[name]["run"]
     # And the collector really was live, not a no-op.
@@ -52,14 +49,14 @@ def test_obs_enabled_run_matches_golden_digest(name, fixtures):
     assert summary_digest(summary) == fixtures[name]["obs_summary"]
 
 
-@pytest.mark.parametrize("name", sorted(BUILDERS))
+@pytest.mark.parametrize("name", sorted(ALL_SCENARIOS))
 def test_coarse_sampling_matches_golden_digest(name, fixtures):
     # Thinned channel sampling and a tiny reservoir take different
     # internal paths (modulo skip, reservoir eviction) — still invisible.
     collector = MetricsCollector(
         ObsSpec(sample_every=7, timeline_window=500, latency_reservoir=8)
     )
-    sim, trace = BUILDERS[name](obs=collector)[:2]
+    sim, trace = ALL_SCENARIOS[name](obs=collector)[:2]
     result = sim.run()
     assert run_digest(result, trace) == fixtures[name]["run"]
 

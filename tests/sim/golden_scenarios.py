@@ -50,10 +50,10 @@ from repro.traffic.permutations import make_pattern
 from repro.traffic.workload import SizeDistribution, Workload
 
 __all__ = [
+    "ALL_SCENARIOS",
     "FAULTED_SCENARIOS",
     "GOLDEN_SCENARIOS",
     "OBS_SUMMARY_SPEC",
-    "build_faulted",
     "build_scenario",
     "summary_digest",
 ]
@@ -293,8 +293,7 @@ FAULTED_SCENARIOS = {
     "mesh44-o1turn-vc-faults": _mesh44_o1turn_vc_faults,
 }
 
-
-def build_faulted(name: str, **engine_kwargs):
-    """Build one faulted scenario; returns ``(simulator, trace,
-    controller)`` — read the ledger off ``controller.stats.summary()``."""
-    return FAULTED_SCENARIOS[name](**engine_kwargs)
+#: Every pinned scenario: the faulted builders return their controller
+#: third (read the ledger off ``controller.stats.summary()``), so unpack
+#: a build as ``sim, trace, *controller``.
+ALL_SCENARIOS = {**GOLDEN_SCENARIOS, **FAULTED_SCENARIOS}

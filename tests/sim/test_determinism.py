@@ -24,14 +24,11 @@ import pytest
 from repro.sim.digest import result_digest, run_digest, trace_digest
 
 from tests.sim.golden_scenarios import (
+    ALL_SCENARIOS,
     FAULTED_SCENARIOS,
-    GOLDEN_SCENARIOS,
-    build_faulted,
     build_scenario,
     summary_digest,
 )
-
-ALL_SCENARIOS = sorted({**GOLDEN_SCENARIOS, **FAULTED_SCENARIOS})
 
 FIXTURE = Path(__file__).parent / "golden_digests.json"
 
@@ -47,37 +44,34 @@ def runs():
     name ``(simulator, trace, result)``, with the fault controller in
     the simulator's place for a faulted scenario."""
     outcomes = {}
-    for name in GOLDEN_SCENARIOS:
-        sim, trace = build_scenario(name)
+    for name, build in ALL_SCENARIOS.items():
+        sim, trace, *controller = build()
         result = sim.run()
-        outcomes[name] = (sim, trace, result)
-    for name in FAULTED_SCENARIOS:
-        sim, trace, controller = build_faulted(name)
-        outcomes[name] = (controller, trace, sim.run())
+        outcomes[name] = (controller[0] if controller else sim, trace, result)
     return outcomes
 
 
 class TestGoldenDigests:
     def test_fixture_covers_every_scenario(self, fixtures):
-        assert sorted(fixtures) == ALL_SCENARIOS
+        assert sorted(fixtures) == sorted(ALL_SCENARIOS)
 
-    @pytest.mark.parametrize("name", ALL_SCENARIOS)
+    @pytest.mark.parametrize("name", sorted(ALL_SCENARIOS))
     def test_result_digest(self, name, fixtures, runs):
         _, _, result = runs[name]
         assert result_digest(result) == fixtures[name]["result"]
 
-    @pytest.mark.parametrize("name", ALL_SCENARIOS)
+    @pytest.mark.parametrize("name", sorted(ALL_SCENARIOS))
     def test_trace_digest(self, name, fixtures, runs):
         _, trace, _ = runs[name]
         assert len(trace.events) == fixtures[name]["trace_events"]
         assert trace_digest(trace) == fixtures[name]["trace"]
 
-    @pytest.mark.parametrize("name", ALL_SCENARIOS)
+    @pytest.mark.parametrize("name", sorted(ALL_SCENARIOS))
     def test_joint_run_digest(self, name, fixtures, runs):
         _, trace, result = runs[name]
         assert run_digest(result, trace) == fixtures[name]["run"]
 
-    @pytest.mark.parametrize("name", ALL_SCENARIOS)
+    @pytest.mark.parametrize("name", sorted(ALL_SCENARIOS))
     def test_headline_outcomes(self, name, fixtures, runs):
         # Redundant with the digests, but failures read much better.
         _, _, result = runs[name]

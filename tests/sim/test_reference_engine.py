@@ -15,11 +15,7 @@ from repro.sim.digest import run_digest
 from repro.sim.packet import Packet
 from repro.topology import Mesh2D
 
-from tests.sim.golden_scenarios import (
-    FAULTED_SCENARIOS,
-    GOLDEN_SCENARIOS,
-    summary_digest,
-)
+from tests.sim.golden_scenarios import ALL_SCENARIOS, summary_digest
 from tests.sim.reference_engine import (
     EJECTION,
     INJECTION,
@@ -29,13 +25,12 @@ from tests.sim.reference_engine import (
 )
 
 FIXTURE = Path(__file__).parent / "golden_digests.json"
-BUILDERS = {**GOLDEN_SCENARIOS, **FAULTED_SCENARIOS}
 
 
-@pytest.mark.parametrize("name", sorted(BUILDERS))
+@pytest.mark.parametrize("name", sorted(ALL_SCENARIOS))
 def test_reference_engine_reproduces_the_golden_digests(name):
     fixture = json.loads(FIXTURE.read_text())[name]
-    sim, trace, *controller = BUILDERS[name](simulator_cls=ReferenceSimulator)
+    sim, trace, *controller = ALL_SCENARIOS[name](simulator_cls=ReferenceSimulator)
     assert run_digest(sim.run(), trace) == fixture["run"]
     if controller:
         ledger = controller[0].stats.summary()
