@@ -407,6 +407,9 @@ class ExperimentSpec:
                 controller.stats.summary() if controller is not None else None
             ),
             metrics=collector.summary() if collector is not None else None,
+            recertify_s=(
+                controller.recertify_s if controller is not None else None
+            ),
         )
 
 
@@ -463,6 +466,9 @@ class RunResult:
             ``None`` when collection was off.
         cached: whether the result came from a result cache.
         wall_time_s: seconds the simulation took (0.0 for cache hits).
+        recertify_s: host seconds of ``wall_time_s`` spent proving
+            degraded routing tables (``None`` for plain runs and cache
+            hits); like ``wall_time_s``, never hashed, cached, digested.
     """
 
     spec: ExperimentSpec
@@ -471,6 +477,7 @@ class RunResult:
     metrics: Optional[dict] = None
     cached: bool = False
     wall_time_s: float = 0.0
+    recertify_s: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -507,6 +514,7 @@ class PointOutcome:
         cache_problem: why the point's existing cache entry was
             rejected and the point re-simulated (see
             :meth:`ResultCache.read_entry`); ``None`` normally.
+        recertify_s: see :class:`RunResult`.
     """
 
     point: PointSpec
@@ -516,6 +524,7 @@ class PointOutcome:
     resilience: Optional[dict] = None
     metrics: Optional[dict] = None
     cache_problem: Optional[str] = None
+    recertify_s: Optional[float] = None
 
 
 @dataclass
@@ -933,6 +942,7 @@ class SweepExecutor:
             result=outcome.result,
             wall_time_s=outcome.wall_time_s,
             cached=outcome.cached,
+            recertify_s=outcome.recertify_s,
             resilience=outcome.resilience,
             metrics=outcome.metrics,
             certification=certification,
@@ -985,7 +995,7 @@ class SweepExecutor:
         outcome = PointOutcome(
             point, run.result, run.wall_time_s, False,
             resilience=run.resilience, metrics=run.metrics,
-            cache_problem=cache_problem,
+            cache_problem=cache_problem, recertify_s=run.recertify_s,
         )
         metrics.simulated += 1
         metrics.points_completed += 1

@@ -299,4 +299,5 @@ def run(
         metrics=outcome.metrics,
         cached=outcome.cached,
         wall_time_s=outcome.wall_time_s,
+        recertify_s=outcome.recertify_s,
     )

@@ -73,6 +73,8 @@ class TurnRestriction:
     name: str = ""
 
     def __post_init__(self) -> None:
+        # permits() answers per (frm, to): immutable, so never stale.
+        object.__setattr__(self, "_permits", {})
         for turn in self.prohibited:
             if not turn.is_ninety_degree:
                 raise ValueError(f"prohibited set must hold 90-degree turns: {turn}")
@@ -93,12 +95,20 @@ class TurnRestriction:
         is always permitted.  Continuing straight (``frm == to``) is not a
         turn and is always permitted.
         """
-        if frm is None or frm == to:
+        if frm is None or frm is to:
             return True
-        turn = Turn(frm, to)
-        if turn.kind == TurnKind.ONE_EIGHTY:
-            return turn in self.allowed_reversals
-        return turn not in self.prohibited
+        memo: Dict[Any, bool] = self._permits  # type: ignore[attr-defined]
+        answer = memo.get((frm, to))
+        if answer is None:
+            turn = Turn(frm, to)
+            if turn.kind == TurnKind.ZERO:
+                answer = True
+            elif turn.kind == TurnKind.ONE_EIGHTY:
+                answer = turn in self.allowed_reversals
+            else:
+                answer = turn not in self.prohibited
+            memo[(frm, to)] = answer
+        return answer
 
     def permits_turn(self, turn: Turn) -> bool:
         """Whether the given turn is permitted."""

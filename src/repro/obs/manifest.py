@@ -72,6 +72,7 @@ def build_manifest(
     result: "SimulationResult",
     wall_time_s: float,
     cached: bool,
+    recertify_s: Optional[float] = None,
     resilience: Optional[Dict[str, Any]] = None,
     metrics: Optional[Dict[str, Any]] = None,
     certification: Optional[Dict[str, Any]] = None,
@@ -88,6 +89,8 @@ def build_manifest(
             manifest alone reproduces every reported number).
         wall_time_s: seconds the simulation took (0.0 for cache hits).
         cached: whether the result came from the result cache.
+        recertify_s: host seconds of ``wall_time_s`` a faulted run spent
+            proving its degraded tables; joins ``timings`` when given.
         resilience: the fault run's ledger summary, if any.
         metrics: the obs metrics summary, if collection was enabled.
         certification: the executor's certification verdict, e.g.
@@ -104,6 +107,9 @@ def build_manifest(
     from repro.analysis.results_io import result_to_dict
 
     spec_hash = spec.content_hash()
+    timings: Dict[str, Any] = {"wall_time_s": wall_time_s, "cached": cached}
+    if recertify_s is not None:
+        timings["recertify_s"] = recertify_s
     body: Dict[str, Any] = {
         "manifest_version": MANIFEST_SCHEMA_VERSION,
         # repro-lint: allow[no-wallclock] manifest creation stamp: provenance metadata only, never digested or cached on
@@ -113,7 +119,7 @@ def build_manifest(
         ),
         "point": {"series": series, "index": index},
         "spec": spec.to_dict(),
-        "timings": {"wall_time_s": wall_time_s, "cached": cached},
+        "timings": timings,
         "executor": executor,
         "certification": certification,
         "resilience": resilience,

@@ -201,6 +201,12 @@ def render_manifest_report(
         f"required={certification.get('required', False)} "
         f"certified={certification.get('certified', False)}"
     )
+    if timings.get("recertify_s") is not None:
+        proofs = (manifest.get("resilience") or {}).get("recertifications", 0)
+        lines.append(
+            f"recertify: {proofs} proofs, {timings['recertify_s']:.2f}s "
+            f"of {timings.get('wall_time_s', 0.0):.2f}s"
+        )
     executor = manifest.get("executor") or {}
     if executor.get("cache_problem"):
         lines.append(

@@ -19,14 +19,17 @@ when the clock stops.  ``next_wake`` makes the whole subsystem free when
 idle: with an empty schedule and no pending retries it stays at
 infinity and the engine's hot path never enters the fault code.
 
-Every degraded configuration is re-certified deadlock-free (PR 3's
-prover) before the run proceeds, unless the controller was built with
-``recertify=False`` — the CLI's ``--no-recertify`` escape hatch.
+Every degraded routing is compiled to an int-id table against the run's
+own channel index, and — unless the controller was built with
+``recertify=False``, the CLI's ``--no-recertify`` escape hatch — that
+table's closure is proved deadlock-free before the run proceeds; the
+engine then adopts the very table that was proved.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from time import perf_counter
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -50,6 +53,7 @@ from repro.resilience.schedule import FAIL, FaultEvent, FaultSchedule
 from repro.resilience.stats import ResilienceStats
 from repro.routing.base import RoutingAlgorithm
 from repro.routing.registry import make_routing
+from repro.sim.ids import ChannelIndex, CompiledRoutes
 from repro.topology.base import Topology
 from repro.topology.channels import Channel, NodeId
 from repro.topology.faults import FaultyTopology
@@ -85,9 +89,7 @@ class DegradedRouting(RoutingAlgorithm):
     online.
 
     Attributes:
-        degraded_base: the healthy algorithm being filtered.  Its
-            presence also tells the engine's cache refresh that only
-            entries touching the changed channels went stale.
+        degraded_base: the healthy algorithm being filtered.
         failed: the channels filtered from every decision.
     """
 
@@ -137,6 +139,11 @@ class FaultController:
         failed: the currently failed channels.
         current_routing, current_topology: what the engine should route
             against right now (the healthy pair until the first fault).
+        current_compiled: ``current_routing`` compiled against the run's
+            channel index — the table the last proof closed and the
+            engine adopts; ``None`` while the healthy routing is live.
+        recertify_s: host seconds spent proving degraded tables (timing
+            metadata, never part of the ledger).
         next_event_cycle: cycle of the next unapplied schedule event.
         next_wake: earliest cycle at which the controller has any work
             (schedule event or due retry); ``inf`` when idle, which lets
@@ -160,6 +167,9 @@ class FaultController:
         self.base_topology: Optional[Topology] = None
         self.current_routing: Optional[RoutingAlgorithm] = None
         self.current_topology: Optional[Topology] = None
+        self.current_compiled: Optional[CompiledRoutes] = None
+        self.recertify_s = 0.0
+        self._index: Optional[ChannelIndex] = None
         self.failed: FrozenSet[Channel] = frozenset()
         self.next_event_cycle: float = _INF
         self.next_wake: float = _INF
@@ -170,17 +180,27 @@ class FaultController:
 
     # -- engine lifecycle ----------------------------------------------
 
-    def bind(self, routing: RoutingAlgorithm, topology: Topology) -> None:
+    def bind(
+        self,
+        routing: RoutingAlgorithm,
+        topology: Topology,
+        index: Optional[ChannelIndex] = None,
+    ) -> None:
         """Attach to one run; called once by the engine's constructor.
 
         Validates the schedule against the run's topology and resets all
         per-run state, so one controller instance serves one run.
+        Every degraded table is compiled against ``index``, the run's
+        channel id layout (the healthy topology's own when omitted).
         """
         self.schedule.validate_for(topology)
         self.base_routing = routing
         self.base_topology = topology
         self.current_routing = routing
         self.current_topology = topology
+        self.current_compiled = None
+        self.recertify_s = 0.0
+        self._index = index if index is not None else ChannelIndex(topology)
         self.failed = frozenset()
         self.stats = ResilienceStats()
         self._cursor = 0
@@ -226,6 +246,7 @@ class FaultController:
         base_topology = self.base_topology
         base_routing = self.base_routing
         assert base_topology is not None and base_routing is not None
+        self.current_compiled = None  # freed before the next is built
         if not self.failed:
             self.current_topology = base_topology
             self.current_routing = base_routing
@@ -235,18 +256,22 @@ class FaultController:
             routing = self.routing_factory(degraded)
         else:
             routing = DegradedRouting(base_routing, self.failed, degraded)
+        compiled = CompiledRoutes(routing, self._index)
         self.current_topology = degraded
         self.current_routing = routing
+        self.current_compiled = compiled
         if self.recertify_enabled:
-            self._recertify(degraded, routing)
+            self._recertify(degraded, compiled)
 
-    def _recertify(self, topology: Topology, routing: RoutingAlgorithm) -> None:
+    def _recertify(self, topology: Topology, compiled: CompiledRoutes) -> None:
         # Imported lazily: repro.verify pulls in the whole prover stack,
         # which a no-fault (or --no-recertify) run never needs.
         from repro.verify import recertify
 
+        started = perf_counter()
         label = f"degraded({len(self.failed)} failed)"
-        recertify(topology, routing, topology_label=label)
+        recertify(topology, compiled.routing, label, compiled.closure())
+        self.recertify_s += perf_counter() - started
         self.stats.on_recertified()
 
     # -- recovery ------------------------------------------------------

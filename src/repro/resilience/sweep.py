@@ -48,12 +48,17 @@ class FaultSweepCell:
         result: the run's :class:`SimulationResult`.
         resilience: the run's resilience summary (``None`` only for the
             zero-fault baseline cells, which run the plain engine path).
+        wall_time_s, recertify_s: host seconds the cell took and the
+            share spent proving degraded tables (``None`` for baseline
+            cells and cache hits); both stay out of ``to_dict``.
     """
 
     algorithm: str
     fault_count: int
     result: SimulationResult
     resilience: Optional[dict]
+    wall_time_s: float = 0.0
+    recertify_s: Optional[float] = None
 
     @property
     def delivered_fraction(self) -> float:
@@ -223,6 +228,8 @@ def fault_sweep(
             fault_count=outcome.point.index,
             result=outcome.result,
             resilience=outcome.resilience,
+            wall_time_s=outcome.wall_time_s,
+            recertify_s=outcome.recertify_s,
         )
         for outcome in outcomes
     )
@@ -263,4 +270,12 @@ def render_fault_table(sweep: FaultSweepResult) -> str:
         lines.append(row.rstrip())
     if any(cell.result.deadlocked for cell in sweep.cells):
         lines.append("(* = run flagged deadlocked)")
+    proved = [cell for cell in sweep.cells if cell.recertify_s is not None]
+    if proved:
+        proofs = sum(cell.resilience["recertifications"] for cell in proved)
+        lines.append(
+            f"recertification: {proofs} proofs, "
+            f"{sum(cell.recertify_s for cell in proved):.2f} s of "
+            f"{sum(cell.wall_time_s for cell in sweep.cells):.2f} s"
+        )
     return "\n".join(lines)

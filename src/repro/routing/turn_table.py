@@ -14,8 +14,7 @@ instantiated with their restriction, which is how we validate both sides.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Dict, FrozenSet, Mapping, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.directions import Direction
 from repro.core.restrictions import TurnRestriction
@@ -25,9 +24,6 @@ from repro.topology.channels import Channel, NodeId
 
 __all__ = ["ReachabilityOracle", "TurnRestrictionRouting"]
 
-#: A routing state: the node a packet occupies and its direction of arrival.
-State = Tuple[NodeId, Optional[Direction]]
-
 
 class ReachabilityOracle:
     """Answers: from this routing state, can the destination be reached?
@@ -35,18 +31,52 @@ class ReachabilityOracle:
     A nonminimal router must never take a hop after which the turn
     restriction makes the destination unreachable (e.g. a negative-first
     packet overshooting its destination in a positive direction could
-    never come back).  The oracle computes, per destination, the set of
-    (node, arrival-direction) states from which some permitted-turn path
-    reaches the destination, by reverse breadth-first search.
+    never come back).  A routing state is "holding channel ``c``" (at
+    ``c.dst``, having arrived in ``c.direction``); ``ids`` numbers the
+    channels in ``topology.channels()`` order and the oracle keeps, per
+    destination, one bitmask of the ids from which some permitted-turn
+    path reaches it, found by reverse breadth-first search over ids.
     """
 
     def __init__(self, topology: Topology, restriction: TurnRestriction):
         self.topology = topology
         self.restriction = restriction
-        self._cache: Dict[NodeId, Set[State]] = {}
-        self._in_channels: Dict[NodeId, list[Channel]] = {}
-        for channel in topology.channels():
-            self._in_channels.setdefault(channel.dst, []).append(channel)
+        channels = topology.channels()
+        self.ids: Dict[Channel, int] = {ch: i for i, ch in enumerate(channels)}
+        entering: Dict[NodeId, List[int]] = {}
+        for ident, channel in enumerate(channels):
+            entering.setdefault(channel.dst, []).append(ident)
+        self._entering = entering
+        self._channels = channels
+        # feeders[c]: the channels whose holder may take c as its next hop.
+        self._feeders: List[Tuple[int, ...]] = [
+            tuple(
+                feeder
+                for feeder in entering.get(channel.src, ())
+                if restriction.permits(channels[feeder].direction, channel.direction)
+            )
+            for channel in channels
+        ]
+        self._reach: Dict[NodeId, int] = {}
+
+    def reach_mask(self, dest: NodeId) -> int:
+        """Bitmask of the channel ids whose holder can still reach ``dest``."""
+        mask = self._reach.get(dest)
+        if mask is None:
+            # Reverse BFS from the channels that enter dest: a holder
+            # reaches dest if some permitted next hop does.
+            frontier = list(self._entering.get(dest, ()))
+            mask = 0
+            for ident in frontier:
+                mask |= 1 << ident
+            feeders = self._feeders
+            for ident in frontier:  # grows as the search advances
+                for feeder in feeders[ident]:
+                    if not mask >> feeder & 1:
+                        mask |= 1 << feeder
+                        frontier.append(feeder)
+            self._reach[dest] = mask
+        return mask
 
     def can_reach(
         self, node: NodeId, arrival: Optional[Direction], dest: NodeId
@@ -54,51 +84,18 @@ class ReachabilityOracle:
         """Whether ``dest`` is reachable from ``node`` arriving via ``arrival``."""
         if node == dest:
             return True
-        return (node, arrival) in self._states_reaching(dest)
-
-    def _states_reaching(self, dest: NodeId) -> Set[State]:
-        cached = self._cache.get(dest)
-        if cached is not None:
-            return cached
-        # Reverse BFS: a state (u, d_in) reaches dest if some permitted
-        # next hop (u -> v via direction d) leads to a reaching state
-        # (v, d), or lands on dest directly.
-        reaching: Set[State] = set()
-        frontier: deque[State] = deque()
-        for channel in self._in_channels.get(dest, []):
-            # Any arrival state whose turn into this final hop is permitted
-            # reaches dest in one hop.
-            for arrival in self._arrivals(channel.src):
-                if self.restriction.permits(arrival, channel.direction):
-                    candidate = (channel.src, arrival)
-                    if candidate not in reaching:
-                        reaching.add(candidate)
-                        frontier.append(candidate)
-        while frontier:
-            node, arrival = frontier.popleft()
-            # Predecessor states: arriving at `node` in direction `arrival`
-            # means some channel with that direction enters node; its source
-            # may have arrived in any direction permitting the turn.
-            if arrival is None:
-                continue
-            for channel in self._in_channels.get(node, []):
-                if channel.direction != arrival:
-                    continue
-                for prev_arrival in self._arrivals(channel.src):
-                    if self.restriction.permits(prev_arrival, arrival):
-                        candidate = (channel.src, prev_arrival)
-                        if candidate not in reaching:
-                            reaching.add(candidate)
-                            frontier.append(candidate)
-        cached = reaching
-        self._cache[dest] = cached
-        return cached
-
-    def _arrivals(self, node: NodeId) -> list[Optional[Direction]]:
-        """Possible arrival directions at ``node`` (None = injected here)."""
-        arrivals: list[Optional[Direction]] = [None]
-        arrivals.extend(ch.direction for ch in self._in_channels.get(node, []))
-        return arrivals
+        mask = self.reach_mask(dest)
+        if arrival is None:
+            # Freshly injected: every first hop is permitted.
+            return any(
+                mask >> self.ids[channel] & 1
+                for channel in self.topology.out_channels(node)
+            )
+        return any(
+            mask >> ident & 1
+            for ident in self._entering.get(node, ())
+            if self._channels[ident].direction == arrival
+        )
 
 
 class TurnRestrictionRouting(RoutingAlgorithm):
@@ -136,6 +133,12 @@ class TurnRestrictionRouting(RoutingAlgorithm):
             self.name = f"{self.name}-nonminimal"
         self._oracle = None if minimal else ReachabilityOracle(topology, restriction)
         self._minimal_cache: Dict[Tuple[NodeId, Optional[Direction], NodeId], bool] = {}
+        # Nonminimal mode, per (node, arrival): the mesh outputs the
+        # restriction permits, each with its oracle bit and direction.
+        self._permitted: Dict[
+            Tuple[NodeId, Optional[Direction]],
+            Tuple[Tuple[Channel, int, Direction], ...],
+        ] = {}
 
     def to_dict(self) -> Dict[str, Any]:
         """A JSON-ready dict; inverse of :meth:`from_dict`.
@@ -203,15 +206,21 @@ class TurnRestrictionRouting(RoutingAlgorithm):
                 if self.restriction.permits(arrival, channel.direction)
                 and self._minimal_reaches(channel.dst, channel.direction, dest)
             )
-        assert self._oracle is not None
-        productive = set(self.topology.minimal_directions(node, dest))
-        allowed = [
-            channel
-            for channel in self.topology.out_channels(node)
-            if not channel.wraparound
-            and self.restriction.permits(arrival, channel.direction)
-            and self._oracle.can_reach(channel.dst, channel.direction, dest)
-        ]
-        first = [ch for ch in allowed if ch.direction in productive]
-        rest = [ch for ch in allowed if ch.direction not in productive]
+        oracle = self._oracle
+        assert oracle is not None
+        permitted = self._permitted.get((node, arrival))
+        if permitted is None:
+            permitted = self._permitted[(node, arrival)] = tuple(
+                (channel, 1 << oracle.ids[channel], channel.direction)
+                for channel in self.topology.out_channels(node)
+                if not channel.wraparound
+                and self.restriction.permits(arrival, channel.direction)
+            )
+        reach = oracle.reach_mask(dest)
+        productive = self.topology.minimal_directions(node, dest)
+        first: List[Channel] = []
+        rest: List[Channel] = []
+        for channel, bit, direction in permitted:
+            if reach & bit:
+                (first if direction in productive else rest).append(channel)
         return tuple(first + rest)

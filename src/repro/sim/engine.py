@@ -253,10 +253,9 @@ class WormholeSimulator:
         # common candidate set, allocation-free.
         ej_base = index.ej_base
         self._ej_tuples = [(ej_base + i,) for i in range(index.num_nodes)]
-        # This run's view of the compiled routing table; ``None`` for an
-        # uncacheable algorithm, which routes live with id conversion at
-        # the call site.
-        self._routes: Optional[RouteTable] = self._table_view(compiled_routes)
+        # This run's view of the compiled routing table (an uncacheable
+        # algorithm's holds no table: every lookup asks it live).
+        self._routes = RouteTable(compiled_routes)
         # Event-driven generation: one heap entry per source, keyed by
         # its next arrival time, so a cycle only touches sources that
         # actually release a message.  Silent sources (rate 0) never
@@ -337,18 +336,17 @@ class WormholeSimulator:
             keys = [ranking(channel) for channel in index.channels]
             dense_rank = {key: pos for pos, key in enumerate(sorted(set(keys)))}
             self._ranks = [dense_rank[key] for key in keys]
-        # Runtime fault injection.  ``_active_routing`` is what headers
-        # actually route against — rebound to a degraded algorithm when
-        # the controller applies a fault, back to ``routing`` when every
-        # channel heals.  ``_strict_routes`` preserves the historical
-        # contract (empty candidate sets raise) for fault-free runs.
+        # Runtime fault injection.  Headers route against ``_routes``,
+        # which moves to the controller's degraded table when a fault is
+        # applied and back when every channel heals.  ``_strict_routes``
+        # preserves the historical contract (empty candidate sets raise)
+        # for fault-free runs.
         self._resilience = resilience
         self._strict_routes = resilience is None
-        self._active_routing: RoutingAlgorithm = routing
         self._res_abort = False
         self._stats: Optional[StatsCollector] = None
         if resilience is not None:
-            resilience.bind(routing, self.topology)
+            resilience.bind(routing, self.topology, index)
         # Observability: same cheap-hook contract as the fault
         # controller — a run without a collector pays one ``is not
         # None`` test per hook site and nothing else.
@@ -358,12 +356,6 @@ class WormholeSimulator:
 
     # ------------------------------------------------------------------
     # Resource helpers
-
-    @staticmethod
-    def _table_view(compiled: CompiledRoutes) -> Optional[RouteTable]:
-        if compiled.dense is None and compiled.bykey is None:
-            return None
-        return RouteTable(compiled)
 
     def _free_space(self, channel: Channel) -> int:
         ident = self._index.cid[channel]
@@ -421,7 +413,10 @@ class WormholeSimulator:
     def route_cache(self) -> Optional[RouteTable]:
         """This run's view of the compiled routing table, or ``None``
         for uncacheable algorithms (reported by ``repro bench``)."""
-        return self._routes
+        table = self._routes
+        if table.dense is None and table.bykey is None:
+            return None
+        return table
 
     def occupancy_snapshot(self) -> int:
         """Total flits currently buffered in the network (for tests)."""
@@ -608,49 +603,13 @@ class WormholeSimulator:
         if node_idx == dest_idx:
             return self._ej_tuples[node_idx]
         table = self._routes
-        num_nodes = self._index.num_nodes
-        if table is None:
-            in_channel = (
-                self._channel_of[front] if front < self._inj_base else None
-            )
-            node = self._index.nodes[node_idx]
-            cid = self._index.cid
-            candidates = tuple(
-                cid[channel]
-                for channel in self._active_routing.route(
-                    in_channel, node, packet.dest
-                )
-            )
+        compiled = table.compiled
+        filled = compiled.filled
+        candidates = compiled.lookup(front, dest_idx)
+        if compiled.filled == filled:
+            table.hits += 1
         else:
-            dense = table.dense
-            if dense is not None:
-                key = node_idx * num_nodes + dest_idx
-                cached = dense[key]
-                if cached is not None:
-                    table.hits += 1
-                    candidates = cached
-                else:
-                    table.misses += 1
-                    candidates = table.compiled.fill_dense(
-                        key, node_idx, dest_idx
-                    )
-            else:
-                if front >= self._inj_base:
-                    key = node_idx * num_nodes + dest_idx
-                else:
-                    key = (
-                        num_nodes * num_nodes + front * num_nodes + dest_idx
-                    )
-                assert table.bykey is not None
-                cached = table.bykey.get(key)
-                if cached is not None:
-                    table.hits += 1
-                    candidates = cached
-                else:
-                    table.misses += 1
-                    candidates = table.compiled.fill_keyed(
-                        key, front, node_idx, dest_idx
-                    )
+            table.misses += 1
         if not candidates and self._strict_routes:
             self._no_route(packet, front, node_idx)
         # Empty with a fault controller bound: the degraded topology cut
@@ -732,7 +691,7 @@ class WormholeSimulator:
         num_nodes = self._index.num_nodes
         strict = self._strict_routes
         rt = self._routes
-        rt_dense = rt.dense if rt is not None else None
+        rt_dense = rt.dense
         route_candidates = self._candidates
         still_waiting: List[Packet] = []
         append_waiting = still_waiting.append
@@ -1062,10 +1021,16 @@ class WormholeSimulator:
         if ctrl.next_event_cycle > cycle:
             return
         # 2. Apply the due fail/heal events.  ``advance`` rebuilds the
-        #    degraded topology/routing pair and (unless disabled)
-        #    re-certifies it deadlock-free, raising CertificationError
-        #    on refutation — the run must not proceed unsafely.
+        #    degraded topology/routing pair, compiles its table and
+        #    (unless disabled) proves it deadlock-free, raising
+        #    CertificationError on refutation — the run must not proceed
+        #    unsafely.  Meanwhile the view rests on the healthy table:
+        #    the superseded degraded one is freed before the next is
+        #    built, so two are never alive at once.
+        self._routes = RouteTable(self._compiled)
         events = ctrl.advance(cycle)
+        # 3. Point allocation at the degraded routing relation.
+        self._refresh_routing(ctrl)
         if not events:
             return
         trace = self.trace
@@ -1078,8 +1043,6 @@ class WormholeSimulator:
                 owner = self._owners[cid[event.channel]]
                 if owner is not None and owner not in victims:
                     victims.append(owner)
-        # 3. Point allocation at the degraded routing relation.
-        self._refresh_routing(ctrl)
         # 4. Flush every routing decision taken against the old
         #    topology: pending candidates are re-resolved, and parked
         #    headers rejoin the waiter list (their candidate sets may
@@ -1097,24 +1060,19 @@ class WormholeSimulator:
     def _refresh_routing(self, ctrl: "FaultController") -> None:
         """Route against the controller's current algorithm from now on.
 
-        The run's table view moves to a private
-        :class:`~repro.sim.ids.CompiledRoutes` of the degraded algorithm,
+        The run's table view moves to the controller's
+        :class:`~repro.sim.ids.CompiledRoutes` of the degraded algorithm:
         compiled against the run's *own* channel index (a degraded
-        topology's channels are a subset, so ids never shift mid-run) —
-        fresh on every routing change, and the original table again
-        once every channel has healed.  ``route`` is pure, so a fresh
-        lazily filled table answers exactly what the degraded algorithm
-        answers and there is no invalidation to get right; the view's
-        lookup counters restart with it.
+        topology's channels are a subset, so ids never shift mid-run)
+        and, under recertification, already filled by the proof's
+        closure — the engine adopts the very table that was proved.  The
+        original table returns once every channel has healed.  ``route``
+        is pure, so whatever the proof left unfilled fills lazily, with
+        no invalidation; the view's lookup counters restart with it.
         """
-        new = ctrl.current_routing
-        if new is None or new is self._active_routing:
-            return
-        self._active_routing = new
-        self._routes = self._table_view(
-            self._compiled
-            if new is self.routing
-            else CompiledRoutes(new, self._index)
+        compiled = ctrl.current_compiled
+        self._routes = RouteTable(
+            compiled if compiled is not None else self._compiled
         )
 
     def _recover(self, packet: Packet, in_allocation: bool = False) -> None:

@@ -21,13 +21,22 @@ first-lane-seen order, one id per ``(src, dst)`` pair.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
 
+from repro.core.channel_graph import RouteFn
 from repro.routing.base import RoutingAlgorithm
 from repro.topology.base import Topology
 from repro.topology.channels import Channel, NodeId
 
-__all__ = ["ChannelIndex", "CompiledRoutes", "RouteTable"]
+__all__ = ["ChannelIndex", "CompiledRoutes", "RouteClosure", "RouteTable", "mask_ids"]
+
+
+def mask_ids(mask: int) -> Iterator[int]:
+    """The ids set in a channel bitmask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class ChannelIndex:
@@ -135,12 +144,14 @@ class CompiledRoutes:
     and share only the index).
 
     Entries are filled lazily, straight from ``routing.route``, by
-    whichever simulator first needs them.  ``route`` is pure for a
+    whichever simulator first needs them — or all at once by
+    :meth:`closure`, which the provers read.  ``route`` is pure for a
     cacheable algorithm, so an entry is the same whoever computed it
     and a warmed run is bit-identical to a cold one.
 
     Args:
-        routing: the algorithm whose decisions are compiled.
+        routing: the algorithm whose decisions are compiled (or a bare
+            ``RouteFn`` callable, which needs ``index``).
         index: the id layout to compile against; the routing's own
             topology's by default.  A run under fault injection passes
             its healthy topology's index for every degraded routing —
@@ -148,13 +159,18 @@ class CompiledRoutes:
             shift mid-run.
     """
 
-    __slots__ = ("routing", "index", "dense", "bykey", "filled")
+    __slots__ = ("routing", "route", "index", "dense", "bykey", "filled")
 
     def __init__(
-        self, routing: RoutingAlgorithm, index: Optional[ChannelIndex] = None
+        self,
+        routing: Union[RoutingAlgorithm, RouteFn],
+        index: Optional[ChannelIndex] = None,
     ):
         self.routing = routing
-        self.index = index if index is not None else ChannelIndex(routing.topology)
+        self.route: RouteFn = getattr(routing, "route", routing)
+        if index is None:
+            index = ChannelIndex(routing.topology)  # type: ignore[union-attr]
+        self.index = index
         self.dense: Optional[List[Optional[Tuple[int, ...]]]] = None
         self.bykey: Optional[Dict[int, Tuple[int, ...]]] = None
         self.filled = 0
@@ -164,15 +180,16 @@ class CompiledRoutes:
             else:
                 self.dense = [None] * (self.index.num_nodes ** 2)
 
-    def fill_dense(self, key: int, node_idx: int, dest_idx: int) -> tuple:
+    def _resolve(self, front: int, node_idx: int, dest_idx: int) -> tuple:
         index = self.index
-        cid = index.cid
-        resolved = tuple(
-            cid[channel]
-            for channel in self.routing.route(
-                None, index.nodes[node_idx], index.nodes[dest_idx]
-            )
-        )
+        in_channel = index.channel_of[front] if front < index.inj_base else None
+        return tuple(map(
+            index.cid.__getitem__,
+            self.route(in_channel, index.nodes[node_idx], index.nodes[dest_idx]),
+        ))
+
+    def fill_dense(self, key: int, node_idx: int, dest_idx: int) -> tuple:
+        resolved = self._resolve(self.index.inj_base, node_idx, dest_idx)
         assert self.dense is not None
         self.dense[key] = resolved
         self.filled += 1
@@ -181,25 +198,96 @@ class CompiledRoutes:
     def fill_keyed(
         self, key: int, front: int, node_idx: int, dest_idx: int
     ) -> tuple:
-        index = self.index
-        in_channel = index.channel_of[front] if front < index.inj_base else None
-        cid = index.cid
-        resolved = tuple(
-            cid[channel]
-            for channel in self.routing.route(
-                in_channel, index.nodes[node_idx], index.nodes[dest_idx]
-            )
-        )
+        resolved = self._resolve(front, node_idx, dest_idx)
         assert self.bykey is not None
         self.bykey[key] = resolved
         self.filled += 1
         return resolved
 
+    def lookup(self, front: int, dest_idx: int) -> tuple:
+        """Candidate ids for a header that crossed ``front`` (an
+        injection id at its source) bound for ``dest_idx``: compiled on
+        first use, asked live of an uncacheable algorithm."""
+        num_nodes = self.index.num_nodes
+        node_idx = self.index.dest_node_id[front]
+        if self.dense is not None:
+            key = node_idx * num_nodes + dest_idx
+            cached = self.dense[key]
+            if cached is None:
+                cached = self.fill_dense(key, node_idx, dest_idx)
+            return cached
+        if self.bykey is None:
+            return self._resolve(front, node_idx, dest_idx)
+        if front >= self.index.inj_base:
+            key = node_idx * num_nodes + dest_idx
+        else:
+            key = num_nodes * num_nodes + front * num_nodes + dest_idx
+        cached = self.bykey.get(key)
+        if cached is None:
+            cached = self.fill_keyed(key, front, node_idx, dest_idx)
+        return cached
+
+    def closure(self) -> "RouteClosure":
+        """Every realizable routing state, compiled and related.
+
+        Per destination, the forward closure from every source over the
+        states ``(channel held, destination)`` a packet can actually be
+        in — the exact channel dependency relation of Dally and Seitz.
+        Each visited state's decision lands in the table, so a simulator
+        adopting this object routes those states without asking the
+        algorithm again.
+        """
+        index = self.index
+        head = index.dest_node_id
+        lookup = self.lookup
+        bits = [1 << ident for ident in range(index.num_channels)]
+        succ = [0] * index.num_channels
+        reached_for: List[int] = []
+        for dest in range(index.num_nodes):
+            reached = 0
+            frontier: List[int] = []
+            for injection in range(index.inj_base, index.ej_base):
+                if head[injection] == dest:
+                    continue
+                for out in lookup(injection, dest):
+                    if not reached & bits[out]:
+                        reached |= bits[out]
+                        frontier.append(out)
+            for front in frontier:  # grows as the closure advances
+                if head[front] == dest:
+                    continue
+                for out in lookup(front, dest):
+                    succ[front] |= bits[out]
+                    if not reached & bits[out]:
+                        reached |= bits[out]
+                        frontier.append(out)
+            reached_for.append(reached)
+        return RouteClosure(self, succ, reached_for)
+
     def __len__(self) -> int:
         return self.filled
 
     def __repr__(self) -> str:
-        return f"CompiledRoutes({self.routing.name}, entries={self.filled})"
+        name = getattr(self.routing, "name", self.routing)
+        return f"CompiledRoutes({name}, entries={self.filled})"
+
+
+class RouteClosure(NamedTuple):
+    """What :meth:`CompiledRoutes.closure` found: the relation the provers read.
+
+    Attributes:
+        compiled: the table the closure filled; every decision behind
+            the masks is an entry of it.
+        succ: network channel id -> bitmask of the channel ids some
+            packet holding it may request next (the exact channel
+            dependency graph).
+        reached: destination node index -> bitmask of the channel ids a
+            packet bound there can hold.
+    """
+
+    compiled: CompiledRoutes
+    succ: List[int]
+    reached: List[int]
 
 
 class RouteTable:

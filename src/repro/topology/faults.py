@@ -48,6 +48,9 @@ class FaultyTopology(Topology):
         unknown = self.failed - known
         if unknown:
             raise ValueError(f"channels not in the base topology: {unknown}")
+        self._live: Dict[NodeId, Sequence[Channel]] = {
+            node: self._surviving(node) for node in base.nodes()
+        }
 
     @property
     def n_dims(self) -> int:
@@ -60,10 +63,15 @@ class FaultyTopology(Topology):
     def nodes(self):
         return self.base.nodes()
 
-    def out_channels(self, node: NodeId) -> Sequence[Channel]:
+    def _surviving(self, node: NodeId) -> Sequence[Channel]:
         return tuple(
             ch for ch in self.base.out_channels(node) if ch not in self.failed
         )
+
+    def out_channels(self, node: NodeId) -> Sequence[Channel]:
+        live = self._live.get(node)
+        # A miss is not a node of the base: let the base say so.
+        return live if live is not None else self._surviving(node)
 
     def distance(self, src: NodeId, dst: NodeId) -> int:
         return self.base.distance(src, dst)

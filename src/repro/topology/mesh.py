@@ -42,11 +42,13 @@ class Mesh(Topology):
         return itertools.product(*(range(k) for k in self._shape))
 
     def out_channels(self, node: NodeId) -> Sequence[Channel]:
-        self.validate_node(node)
         return self._out_channels_cached(node)
 
     @lru_cache(maxsize=None)
     def _out_channels_cached(self, node: NodeId) -> tuple[Channel, ...]:
+        # Validated on the miss only: a raise is never cached, so an
+        # invalid node still fails on every call.
+        self.validate_node(node)
         channels = []
         for dim, k in enumerate(self._shape):
             for sign in (-1, 1):

@@ -18,12 +18,13 @@ delivers iff *some* permitted walk from it ends at the destination.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.channel_graph import RouteFn
+from repro.sim.ids import RouteClosure, mask_ids
 from repro.topology.base import Topology
 from repro.topology.channels import Channel, NodeId
+from repro.verify.deadlock import route_closure
 from repro.verify.report import PROVED, REFUTED, Certificate, CheckResult
 
 __all__ = ["check_connectivity"]
@@ -32,85 +33,63 @@ __all__ = ["check_connectivity"]
 _SAMPLE = 20
 
 
-def _closure_for_dest(
-    topology: Topology, route_fn: RouteFn, dest: NodeId
-) -> Tuple[Set[Channel], Dict[Channel, List[Channel]], List[Channel]]:
-    """Forward closure of the routing relation toward one destination.
-
-    Returns:
-        ``(reached, outputs, dead_ends)``: every channel a packet bound
-        for ``dest`` can hold, the outputs offered from each such channel,
-        and the reached channels from which the algorithm offers nothing.
-    """
-    reached: Set[Channel] = set()
-    outputs: Dict[Channel, List[Channel]] = {}
-    dead_ends: List[Channel] = []
-    frontier: deque[Channel] = deque()
-    for source in topology.nodes():
-        if source == dest:
+def _delivering(closure: RouteClosure, dest_idx: int, dead_ends: List[int]) -> int:
+    """Bitmask of the reached channels from which some permitted walk
+    ends at the destination: reverse search from the accepting channels
+    (those whose head is the destination) over the per-destination
+    channel graph.  Reached channels offering no output are appended to
+    ``dead_ends``."""
+    compiled = closure.compiled
+    head = compiled.index.dest_node_id
+    predecessors: Dict[int, List[int]] = {}
+    frontier: List[int] = []
+    for front in mask_ids(closure.reached[dest_idx]):
+        if head[front] == dest_idx:
+            frontier.append(front)
             continue
-        for first in route_fn(None, source, dest):
-            if first not in reached:
-                reached.add(first)
-                frontier.append(first)
-    while frontier:
-        channel = frontier.popleft()
-        if channel.dst == dest:
-            continue
-        outs = list(route_fn(channel, channel.dst, dest))
-        outputs[channel] = outs
+        outs = compiled.lookup(front, dest_idx)
         if not outs:
-            dead_ends.append(channel)
+            dead_ends.append(front)
         for out in outs:
-            if out not in reached:
-                reached.add(out)
-                frontier.append(out)
-    return reached, outputs, dead_ends
-
-
-def _delivering(
-    reached: Set[Channel],
-    outputs: Dict[Channel, List[Channel]],
-    dest: NodeId,
-) -> Set[Channel]:
-    """The reached channels from which some permitted walk ends at ``dest``.
-
-    Reverse breadth-first search from the accepting channels (those whose
-    head is the destination) over the per-destination channel graph.
-    """
-    predecessors: Dict[Channel, List[Channel]] = {}
-    for channel, outs in outputs.items():
-        for out in outs:
-            predecessors.setdefault(out, []).append(channel)
-    delivering: Set[Channel] = {ch for ch in reached if ch.dst == dest}
-    frontier: deque[Channel] = deque(delivering)
-    while frontier:
-        channel = frontier.popleft()
-        for pred in predecessors.get(channel, ()):
-            if pred not in delivering:
-                delivering.add(pred)
+            predecessors.setdefault(out, []).append(front)
+    delivering = 0
+    for front in frontier:
+        delivering |= 1 << front
+    for front in frontier:  # grows as the search advances
+        for pred in predecessors.get(front, ()):
+            if not delivering >> pred & 1:
+                delivering |= 1 << pred
                 frontier.append(pred)
     return delivering
 
 
-def check_connectivity(topology: Topology, route_fn: RouteFn) -> CheckResult:
-    """Prove or refute that the routing relation connects the network."""
+def check_connectivity(
+    topology: Topology, route_fn: RouteFn, closure: Optional[RouteClosure] = None
+) -> CheckResult:
+    """Prove or refute that the routing relation connects the network
+    (reading ``closure`` when the caller already holds the relation)."""
+    if closure is None:
+        closure = route_closure(topology, route_fn)
+    compiled = closure.compiled
+    index = compiled.index
+    nodes = index.nodes
     unroutable: List[Tuple[NodeId, NodeId]] = []
     dead_end_states: List[Tuple[Channel, NodeId]] = []
     pairs = 0
     states = 0
-    for dest in topology.nodes():
-        reached, outputs, dead_ends = _closure_for_dest(topology, route_fn, dest)
-        states += len(reached)
-        dead_end_states.extend((channel, dest) for channel in dead_ends)
-        delivering = _delivering(reached, outputs, dest)
-        for source in topology.nodes():
-            if source == dest:
+    for dest_idx, dest in enumerate(nodes):
+        states += bin(closure.reached[dest_idx]).count("1")
+        dead_ends: List[int] = []
+        delivering = _delivering(closure, dest_idx, dead_ends)
+        dead_end_states.extend(
+            (index.channels[front], dest) for front in dead_ends
+        )
+        for source_idx, source in enumerate(nodes):
+            if source_idx == dest_idx:
                 continue
             pairs += 1
-            if not any(
-                first in delivering for first in route_fn(None, source, dest)
-            ):
+            firsts = compiled.lookup(index.inj_base + source_idx, dest_idx)
+            if not any(delivering >> first & 1 for first in firsts):
                 unroutable.append((source, dest))
 
     if unroutable or dead_end_states:

@@ -12,16 +12,20 @@ a shortest realizable dependency cycle rendered as channels, turns, and
 example destinations, matching the paper's Figure 1 and Figure 4 pictures
 for the two negative-control fixtures.
 
-The certificate is machine checkable:
-:func:`recheck_numbering_certificate` rebuilds the dependency graph and
-replays the monotonicity argument edge by edge against the numbering
-stored in the certificate, sharing no code with the prover's monotone
-construction.
+The prover reads one relation per target: the forward closure of the
+compiled int-id route table (:meth:`repro.sim.ids.CompiledRoutes.closure`),
+the same table the engine routes on.  The certificate is machine
+checkable: :func:`recheck_numbering_certificate` rebuilds the dependency
+graph at the object level, straight from the routing callable
+(:func:`repro.core.channel_graph.routing_cdg`), and replays the
+monotonicity argument edge by edge against the numbering stored in the
+certificate — it shares neither the graph builder nor the monotone
+construction with the prover.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Mapping, Optional, Tuple
+from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.core.channel_graph import CycleWitness, RouteFn, routing_cdg
 from repro.core.digraph import Digraph
@@ -32,6 +36,7 @@ from repro.core.numbering import (
     west_first_numbering,
 )
 from repro.routing.base import RoutingAlgorithm
+from repro.sim.ids import ChannelIndex, CompiledRoutes, RouteClosure, mask_ids
 from repro.topology.base import Topology
 from repro.topology.channels import Channel, NodeId
 from repro.topology.hypercube import Hypercube
@@ -41,7 +46,10 @@ from repro.verify.report import PROVED, REFUTED, Certificate, CheckResult
 __all__ = [
     "channel_key",
     "check_deadlock_freedom",
+    "cycle_witness",
+    "dependency_graph",
     "recheck_numbering_certificate",
+    "route_closure",
     "witness_certificate",
 ]
 
@@ -109,8 +117,47 @@ def witness_certificate(witness: CycleWitness) -> Certificate:
     )
 
 
+def route_closure(topology: Topology, route_fn: RouteFn) -> RouteClosure:
+    """Compile ``route_fn`` on ``topology`` and take its forward closure."""
+    return CompiledRoutes(route_fn, ChannelIndex(topology)).closure()
+
+
+def dependency_graph(topology: Topology, closure: RouteClosure) -> Digraph[Channel]:
+    """The closure's dependency relation over ``topology``'s channels."""
+    channel_of = closure.compiled.index.channel_of
+    graph: Digraph[Channel] = Digraph()
+    for channel in topology.channels():
+        graph.add_vertex(channel)
+    for front, mask in enumerate(closure.succ):
+        for out in mask_ids(mask):
+            graph.add_edge(channel_of[front], channel_of[out])  # type: ignore[arg-type]
+    return graph
+
+
+def cycle_witness(closure: RouteClosure, cycle: Sequence[Channel]) -> CycleWitness:
+    """Annotate a dependency cycle with, per edge, the first destination
+    whose packets can hold its tail and request its head."""
+    compiled = closure.compiled
+    index = compiled.index
+    edge_dests: Dict[Tuple[Channel, Channel], NodeId] = {}
+    for position, channel in enumerate(cycle):
+        nxt = cycle[(position + 1) % len(cycle)]
+        front, out = index.cid[channel], index.cid[nxt]
+        for dest_idx, reached in enumerate(closure.reached):
+            if (
+                reached >> front & 1
+                and index.dest_node_id[front] != dest_idx
+                and out in compiled.lookup(front, dest_idx)
+            ):
+                edge_dests[(channel, nxt)] = index.nodes[dest_idx]
+                break
+    return CycleWitness.from_channels(cycle, edge_dests)
+
+
 def check_deadlock_freedom(
-    topology: Topology, routing: RoutingAlgorithm
+    topology: Topology,
+    routing: RoutingAlgorithm,
+    closure: Optional[RouteClosure] = None,
 ) -> CheckResult:
     """Prove or refute deadlock freedom for one routing relation.
 
@@ -118,15 +165,17 @@ def check_deadlock_freedom(
     one, topological otherwise) under which every edge of the exact
     channel dependency graph is strictly monotone.  Refutation: a
     shortest realizable dependency cycle, rendered as channels and turns.
+
+    ``closure`` is the relation to read when the caller already holds
+    the closure of the table it will route on; it is taken here otherwise.
     """
-    edge_dests: Dict[Tuple[Channel, Channel], NodeId] = {}
-    graph = routing_cdg(topology, routing, edge_dests=edge_dests)
+    if closure is None:
+        closure = route_closure(topology, routing)
+    graph = dependency_graph(topology, closure)
     cycle = graph.find_cycle()
     if cycle is not None:
         shortest = graph.shortest_cycle()
-        witness = CycleWitness.from_channels(
-            shortest if shortest is not None else cycle, edge_dests
-        )
+        witness = cycle_witness(closure, shortest if shortest is not None else cycle)
         return CheckResult(
             check="deadlock-freedom",
             verdict=REFUTED,
@@ -196,11 +245,13 @@ def recheck_numbering_certificate(
 ) -> bool:
     """Independently re-verify a channel-numbering certificate.
 
-    Rebuilds the exact channel dependency graph from the routing relation
+    Rebuilds the exact channel dependency graph from the routing callable
+    at the object level (:func:`~repro.core.channel_graph.routing_cdg`)
     and checks, edge by edge, that the numbering stored in the certificate
     is strictly monotone in the recorded order and covers every channel.
-    This shares only the graph builder with the prover, so a bug in the
-    numbering constructors cannot silently certify an unsafe algorithm.
+    The prover reads the compiled id table's closure instead, so this
+    re-check shares neither graph builder nor numbering constructor with
+    it: a bug in either cannot silently certify an unsafe algorithm.
     """
     if certificate.kind != "channel-numbering":
         return False

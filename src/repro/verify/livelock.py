@@ -17,24 +17,33 @@ reports with the same witness).
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Optional
 
-from repro.core.channel_graph import CycleWitness, RouteFn, routing_cdg
+from repro.core.channel_graph import RouteFn
+from repro.sim.ids import RouteClosure
 from repro.topology.base import Topology
-from repro.topology.channels import Channel, NodeId
-from repro.verify.deadlock import witness_certificate
+from repro.verify.deadlock import (
+    cycle_witness,
+    dependency_graph,
+    route_closure,
+    witness_certificate,
+)
 from repro.verify.report import PROVED, REFUTED, Certificate, CheckResult
 
 __all__ = ["check_livelock_freedom"]
 
 
-def check_livelock_freedom(topology: Topology, route_fn: RouteFn) -> CheckResult:
-    """Prove or refute that every permitted walk has bounded length."""
-    edge_dests: Dict[Tuple[Channel, Channel], NodeId] = {}
-    graph = routing_cdg(topology, route_fn, edge_dests=edge_dests)
+def check_livelock_freedom(
+    topology: Topology, route_fn: RouteFn, closure: Optional[RouteClosure] = None
+) -> CheckResult:
+    """Prove or refute that every permitted walk has bounded length
+    (reading ``closure`` when the caller already holds the relation)."""
+    if closure is None:
+        closure = route_closure(topology, route_fn)
+    graph = dependency_graph(topology, closure)
     cycle = graph.shortest_cycle()
     if cycle is not None:
-        witness = CycleWitness.from_channels(cycle, edge_dests)
+        witness = cycle_witness(closure, cycle)
         return CheckResult(
             check="livelock-freedom",
             verdict=REFUTED,

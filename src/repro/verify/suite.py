@@ -23,6 +23,7 @@ from repro.routing.base import RoutingAlgorithm
 from repro.routing.registry import available_algorithms, make_routing
 from repro.routing.virtual_channels import DatelineTorusRouting, o1turn_routing
 from repro.sim.deadlock import figure4_routing, unrestricted_adaptive_routing
+from repro.sim.ids import RouteClosure
 from repro.topology.base import Topology
 from repro.topology.faults import random_channel_faults
 from repro.topology.mesh import Mesh2D
@@ -30,7 +31,7 @@ from repro.topology.spec import parse_topology
 from repro.topology.torus import Torus
 from repro.topology.virtual import VirtualChannelTopology
 from repro.verify.connectivity import check_connectivity
-from repro.verify.deadlock import check_deadlock_freedom
+from repro.verify.deadlock import check_deadlock_freedom, route_closure
 from repro.verify.livelock import check_livelock_freedom
 from repro.verify.properties import check_adaptiveness, check_turn_minimum
 from repro.verify.report import (
@@ -203,8 +204,9 @@ def default_targets(
     return targets
 
 
-#: A checker: ``(topology, routing) -> CheckResult``.
-Checker = Callable[[Topology, RoutingAlgorithm], CheckResult]
+#: A checker: ``(topology, routing) -> CheckResult``; the three proof
+#: checkers also take the target's route closure as a third argument.
+Checker = Callable[..., CheckResult]
 
 #: The checkers every target runs, in report order.
 _CHECKERS: Sequence[Checker] = (
@@ -230,15 +232,23 @@ PROOF_CHECKERS: Sequence[Checker] = (
 def verify_target(
     target: VerifyTarget, checkers: Optional[Sequence[Checker]] = None
 ) -> TargetReport:
-    """Run the checkers (the full suite by default) against one target."""
+    """Run the checkers (the full suite by default) against one target.
+
+    The target's routing is compiled and closed once; the deadlock,
+    connectivity and livelock proofs all read that one relation.
+    """
+    topology, routing = target.topology, target.routing
+    closure = route_closure(topology, routing)
     checks = tuple(
-        checker(target.topology, target.routing)
+        checker(topology, routing, closure)
+        if checker in PROOF_CHECKERS
+        else checker(topology, routing)
         for checker in (checkers if checkers is not None else _CHECKERS)
     )
     return TargetReport(
         target=target.label,
         topology=target.topology_label,
-        routing=target.routing.name,
+        routing=routing.name,
         expect=target.expect,
         checks=checks,
     )
@@ -328,6 +338,7 @@ def recertify(
     topology: Topology,
     routing: RoutingAlgorithm,
     topology_label: str = "",
+    closure: Optional[RouteClosure] = None,
 ) -> TargetReport:
     """Re-certify a degraded (faulted) configuration mid-run.
 
@@ -338,6 +349,11 @@ def recertify(
     the quantity a resilience run *measures* (unroutable messages become
     drops or retransmissions, not errors), and the remaining checkers
     certify design-time properties a runtime fault cannot change.
+
+    Args:
+        closure: the closure of the int-id route table the run is about
+            to adopt for ``routing``, so the engine routes on exactly
+            what was proved; omitted, a table is compiled for the proof.
 
     Returns:
         The (single-check) target report, when the proof succeeds.
@@ -351,7 +367,7 @@ def recertify(
         topology=label,
         routing=routing.name,
         expect="certified",
-        checks=(check_deadlock_freedom(topology, routing),),
+        checks=(check_deadlock_freedom(topology, routing, closure),),
     )
     if not report.certified:
         raise CertificationError(report)

@@ -119,6 +119,9 @@ class ReferenceSimulator(WormholeSimulator):
                  trace=None, resilience=None, obs=None):
         super().__init__(routing, workload, config, preload=preload,
                          trace=trace, resilience=resilience, obs=obs)
+        # What headers route against, live: rebound to the controller's
+        # degraded algorithm on a fault, back to ``routing`` on full heal.
+        self._active_routing = routing
         depth = self.config.buffer_depth
         self._net_states: Dict[Channel, ChannelState] = {
             ch: ChannelState(NETWORK, depth, channel=ch)

@@ -18,6 +18,22 @@ class TestFaultyTopology:
         assert east not in faulty.channels()
         assert faulty.num_channels == mesh44.num_channels - 1
 
+    def test_out_channels_come_from_one_table_built_once(self, mesh44):
+        failed = [mesh44.channel_in_direction((1, 1), EAST)]
+        faulty = FaultyTopology(mesh44, failed)
+        for node in mesh44.nodes():
+            outs = faulty.out_channels(node)
+            assert outs is faulty.out_channels(node)
+            assert list(outs) == [
+                ch for ch in mesh44.out_channels(node) if ch not in failed
+            ]
+
+    def test_out_channels_of_an_unknown_node_still_raise(self, mesh44):
+        faulty = FaultyTopology(mesh44, [])
+        for _ in range(2):
+            with pytest.raises(ValueError, match="is not in a"):
+                faulty.out_channels((9, 9))
+
     def test_reverse_direction_unaffected(self, mesh44):
         east = mesh44.channel_in_direction((1, 1), EAST)
         faulty = FaultyTopology(mesh44, [east])

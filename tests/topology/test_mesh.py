@@ -45,6 +45,38 @@ class TestNodes:
         with pytest.raises(ValueError):
             mesh44.validate_node((9, 9))
 
+    def test_out_channels_rejects_an_invalid_node_every_time(self):
+        # Validation sits on the memo's miss path; a raise is not a
+        # result, so the second call must fail exactly like the first.
+        mesh = Mesh2D(4, 4)
+        for _ in range(3):
+            for bad in [(9, 9), (-1, 0), (0, 0, 0), (4, 0)]:
+                with pytest.raises(ValueError, match="is not in a"):
+                    mesh.out_channels(bad)
+
+    def test_out_channels_never_caches_an_invalid_node(self):
+        mesh = Mesh2D(4, 4)
+        cache = Mesh2D._out_channels_cached
+        before = cache.cache_info().currsize
+        with pytest.raises(ValueError):
+            mesh.out_channels((9, 9))
+        assert cache.cache_info().currsize == before
+        first = mesh.out_channels((1, 1))
+        assert cache.cache_info().currsize == before + 1
+        hits = cache.cache_info().hits
+        # The hit path returns the memoized tuple without re-validating.
+        assert mesh.out_channels((1, 1)) is first
+        assert cache.cache_info().hits == hits + 1
+        with pytest.raises(ValueError):
+            mesh.out_channels((9, 9))
+        assert cache.cache_info().currsize == before + 1
+
+    def test_distance_still_validates_both_ends(self, mesh44):
+        with pytest.raises(ValueError):
+            mesh44.distance((0, 0), (9, 9))
+        with pytest.raises(ValueError):
+            mesh44.distance((9, 9), (0, 0))
+
 
 class TestChannels:
     def test_channel_count_formula(self):
