@@ -13,7 +13,12 @@ buffer depths, fault schedules and collectors:
   summary dict as well);
 * the generic :meth:`WormholeSimulator._move` and the capacity-1
   ``_move1`` produce bit-identical runs whenever both are valid (single
-  lane, ``buffer_depth == 1``), on either implementation.
+  lane, ``buffer_depth == 1``), on either implementation;
+* the engine-vs-oracle families once more with 48-flit worms in the mix
+  (``LONG_SIZES``): on 3x3-5x5 meshes a 2- or 9-flit packet rarely has
+  flits left at the source once its header is ejecting, so only a long
+  worm *streams* (the engine's cruise state) — and only then does a
+  drawn fault land on one that does.
 """
 
 from hypothesis import given, settings
@@ -38,6 +43,10 @@ from repro.traffic.workload import SizeDistribution
 from tests.sim.reference_engine import ReferenceSimulator
 
 ALGORITHMS = ["xy", "west-first", "north-last", "negative-first"]
+
+SHORT_SIZES = SizeDistribution(((2, 0.5), (9, 0.5)))
+#: With a size several times the longest 5x5 path, so worms stream.
+LONG_SIZES = SizeDistribution(((2, 0.4), (9, 0.3), (48, 0.3)))
 
 configs = st.fixed_dictionaries({
     "rows": st.integers(3, 5),
@@ -82,7 +91,7 @@ def _controller(mesh, params, fault):
 
 
 def _run(params, simulator_cls, *, force_generic_move=False, buffer_depth=1,
-         fault=None, obs=False):
+         fault=None, obs=False, sizes=SHORT_SIZES):
     """One run; returns ``(run digest, result, ledger, obs summary)``."""
     mesh = Mesh2D(params["rows"], params["cols"])
     if fault is not None and fault["rebuild"]:
@@ -90,7 +99,7 @@ def _run(params, simulator_cls, *, force_generic_move=False, buffer_depth=1,
     routing = make_routing(params["name"], mesh)
     workload = Workload(
         pattern=UniformTraffic(mesh),
-        sizes=SizeDistribution(((2, 0.5), (9, 0.5))),
+        sizes=sizes,
         offered_load=params["load"],
         seed=params["seed"],
     )
@@ -189,3 +198,37 @@ class TestEngineMatchesReference:
         assert ref == new
         assert ref_ledger == new_ledger
         assert ref_summary == new_summary
+
+
+class TestEngineMatchesReferenceWithStreamingWorms:
+    """The bit-mover families again with worms long enough to stream for
+    tens of cycles — and to be holding a channel that fails while they do."""
+
+    @staticmethod
+    def check(params, **run_kwargs):
+        ref, ref_result, ref_ledger, ref_summary = _run(
+            params, ReferenceSimulator, sizes=LONG_SIZES, **run_kwargs
+        )
+        new, new_result, new_ledger, new_summary = _run(
+            params, WormholeSimulator, sizes=LONG_SIZES, **run_kwargs
+        )
+        assert ref == new
+        assert ref_result.total_delivered == new_result.total_delivered
+        assert ref_ledger == new_ledger
+        assert ref_summary == new_summary
+
+    @given(params=configs)
+    @settings(max_examples=25, deadline=None)
+    def test_bit_mover(self, params):
+        self.check(params)
+
+    @given(params=configs, fault=faults, depth=st.integers(1, 2))
+    @settings(max_examples=30, deadline=None)
+    def test_under_fault_schedules(self, params, fault, depth):
+        self.check(params, fault=fault, buffer_depth=depth)
+
+    @given(params=configs, depth=st.integers(1, 2),
+           fault=st.one_of(st.none(), faults))
+    @settings(max_examples=25, deadline=None)
+    def test_with_a_collector_bound(self, params, depth, fault):
+        self.check(params, obs=True, fault=fault, buffer_depth=depth)

@@ -1,15 +1,26 @@
 """The object-graph reference engine: the differential oracle.
 
 :class:`ReferenceSimulator` is an independent implementation of the
-engine's phases — injection, allocation, both movers, release, finish,
-fault handling and recovery — over one :class:`ChannelState` object per
-channel, with every routing decision asked live of the active routing
-algorithm (no table, no ids).  It is the engine this repository shipped
-before the hot phases moved onto dense integer ids
-(:mod:`repro.sim.engine`), moved here verbatim: it inherits the
-constructor's workload set-up, message generation, the clock loop and
-result assembly from :class:`~repro.sim.engine.WormholeSimulator` and
-overrides everything that touches a channel.
+engine's clock and phases — the cycle loop, injection, allocation, both
+movers, release, finish, fault handling and recovery — over one
+:class:`ChannelState` object per channel, with every routing decision
+asked live of the active routing algorithm (no table, no ids).  The
+phases are the engine this repository shipped before the hot phases
+moved onto dense integer ids (:mod:`repro.sim.engine`), moved here
+verbatim; the clock (:meth:`ReferenceSimulator.run`) is a plain loop
+written here: every phase is called on every executed cycle and every
+active packet is offered a movement pass on each of them, so none of
+the production loop's phase-dispatch guards, stalled-worm skips or
+cruise accounting is shared — a streaming worm costs the oracle one
+mover call per cycle, which is the point.  Idle stretches are still
+skipped (``cycles_executed`` is part of the obs summary, so the set of
+executed cycles must match the production engine's), but by the
+predicate and clamps written out in :meth:`ReferenceSimulator._idle_jump`.
+
+Still inherited from :class:`~repro.sim.engine.WormholeSimulator`: the
+constructor's workload set-up, message generation (``_generate`` with
+its pre-drawn arrival schedule and arrival heap) and result assembly
+(``_result``).
 
 Nothing under ``src/`` imports it.  The property suites
 (``tests/property/test_property_cores.py``) run it beside the production
@@ -21,6 +32,7 @@ anchor (``tests/sim/test_determinism.py`` holds it to them too).
 
 from __future__ import annotations
 
+from math import ceil
 from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
@@ -32,7 +44,7 @@ from repro.sim.engine import (
     _pid_key,
 )
 from repro.sim.packet import Packet
-from repro.sim.stats import StatsCollector
+from repro.sim.stats import SimulationResult, StatsCollector
 from repro.topology.channels import Channel, NodeId
 
 __all__ = ["ChannelState", "NETWORK", "INJECTION", "EJECTION",
@@ -147,6 +159,120 @@ class ReferenceSimulator(WormholeSimulator):
             for ch, state in self._net_states.items():
                 state.rank = ranking(ch)
         self._rank_grant = ranking is not None
+
+    # ------------------------------------------------------------------
+    # The clock
+
+    def run(self) -> SimulationResult:
+        """The textbook clock: every phase, every executed cycle."""
+        config = self.config
+        warmup = config.warmup_cycles
+        window_end = warmup + config.measure_cycles
+        total = config.total_cycles
+        stats = StatsCollector(warmup, window_end)
+        self._stats = stats
+        ctrl = self._resilience
+        move = self._move1 if self._bitocc else self._move
+        cycle = 0
+        while cycle < total:
+            self.cycle = cycle
+            self._context.cycle = cycle
+            self.cycles_executed += 1
+            self._in_window = warmup <= cycle < window_end
+            queued = sum(len(queue) for queue in self._queues)
+            if cycle == warmup:
+                stats.queue_len_at_window_start = queued
+            if cycle == window_end:
+                stats.queue_len_at_window_end = queued
+            if ctrl is not None and ctrl.next_wake <= cycle:
+                self._resilience_tick(ctrl)
+            self._generate(stats)
+            self._start_packets()
+            self._allocate()
+            # An AbortRun casualty stops the run before any flit moves.
+            stop = ctrl is not None and self._res_abort
+            if not stop:
+                self._movement(move, stats)
+                drained = (
+                    config.max_packets is not None
+                    and self._messages_created >= config.max_packets
+                    and not self._active
+                    and not any(self._queues)
+                    and (ctrl is None or not ctrl.retries_pending)
+                )
+                stop = self._deadlocked or drained
+            if self._obs is not None:
+                self._obs.on_cycle_end(cycle, self)
+            if stop:
+                break
+            cycle = self._idle_jump(cycle + 1, warmup, window_end, total)
+        queued = sum(len(queue) for queue in self._queues)
+        if stats.queue_len_at_window_start is None:
+            stats.queue_len_at_window_start = queued
+        if stats.queue_len_at_window_end is None:
+            stats.queue_len_at_window_end = queued
+        if ctrl is not None:
+            ctrl.finish(self._messages_created, self.cycle)
+        if self._obs is not None:
+            self._obs.finish(self)
+        return self._result(stats)
+
+    def _movement(self, move, stats: StatsCollector) -> None:
+        """One movement phase: a mover call per active packet, then the
+        finishes, then the deadlock watchdog."""
+        active = self._active
+        if self._multilane:
+            self._phy_used.clear()
+            if len(active) > 1:
+                # Rotate processing order so no packet systematically
+                # wins the physical-bandwidth race between lanes.
+                active.append(active.pop(0))
+        cycle = self.cycle
+        any_moved = False
+        finished: List[Packet] = []
+        for packet in active:
+            if move(packet, stats):
+                any_moved = True
+                if packet.flits_consumed >= packet.size:
+                    finished.append(packet)
+        for packet in finished:
+            self._finish(packet, stats)
+            active.remove(packet)
+        if any_moved:
+            self._last_progress = cycle
+        elif active and (
+            cycle - self._last_progress >= self.config.deadlock_threshold
+        ):
+            self._deadlocked = True
+            if self.trace is not None:
+                self.trace.record(cycle, "deadlock", -1)
+
+    def _idle_jump(self, cycle: int, warmup: int, window_end: int,
+                   total: int) -> int:
+        """The next cycle to execute, given that ``cycle`` is next on
+        the clock.
+
+        With no packet in the network and no message queued, nothing
+        happens until the next arrival, so the clock may jump to the
+        earliest of: that arrival (or the last cycle when no source will
+        ever fire again), the fault controller's next event or due
+        retransmission, the next window boundary (its queue sample is
+        taken on that exact cycle) and the final cycle.
+        """
+        if self._active or any(self._queues) or cycle >= total:
+            return cycle
+        stops = [total - 1]
+        if self._arrival_heap:
+            stops.append(ceil(self._arrival_heap[0][0]))
+        if self._resilience is not None:
+            wake = self._resilience.next_wake
+            if wake != float("inf"):
+                stops.append(int(wake))
+        if cycle <= warmup:
+            stops.append(warmup)
+        elif cycle <= window_end:
+            stops.append(window_end)
+        return max(cycle, min(stops))
 
     # ------------------------------------------------------------------
     # Resource helpers

@@ -2,7 +2,9 @@
 
 ``tests/sim/reference_engine.py`` is only worth comparing against while
 it still is the engine that produced the committed golden digests, so
-every scenario is replayed on it here too.
+every scenario is replayed on it here too — with a collector bound as
+well, because the oracle runs its own clock and ``cycles_executed`` (the
+idle skip's footprint) is part of the pinned obs summary.
 """
 
 import json
@@ -11,11 +13,17 @@ from pathlib import Path
 import pytest
 
 from repro.core.directions import EAST
+from repro.obs.metrics import MetricsCollector
 from repro.sim.digest import run_digest
+from repro.sim.engine import WormholeSimulator
 from repro.sim.packet import Packet
 from repro.topology import Mesh2D
 
-from tests.sim.golden_scenarios import ALL_SCENARIOS, summary_digest
+from tests.sim.golden_scenarios import (
+    ALL_SCENARIOS,
+    OBS_SUMMARY_SPEC,
+    summary_digest,
+)
 from tests.sim.reference_engine import (
     EJECTION,
     INJECTION,
@@ -35,6 +43,21 @@ def test_reference_engine_reproduces_the_golden_digests(name):
     if controller:
         ledger = controller[0].stats.summary()
         assert summary_digest(ledger) == fixture["ledger"]
+
+
+@pytest.mark.parametrize("name", sorted(ALL_SCENARIOS))
+def test_reference_clock_reproduces_the_obs_summaries(name):
+    fixture = json.loads(FIXTURE.read_text())[name]
+    collector = MetricsCollector(OBS_SUMMARY_SPEC)
+    sim, trace = ALL_SCENARIOS[name](
+        simulator_cls=ReferenceSimulator, obs=collector
+    )[:2]
+    assert run_digest(sim.run(), trace) == fixture["run"]
+    assert summary_digest(collector.summary()) == fixture["obs_summary"]
+
+
+def test_the_oracle_runs_its_own_clock():
+    assert ReferenceSimulator.run is not WormholeSimulator.run
 
 
 class TestChannelState:
