@@ -410,6 +410,8 @@ class ExperimentSpec:
             recertify_s=(
                 controller.recertify_s if controller is not None else None
             ),
+            cruise_entries=simulator.cruise_entries,
+            cruise_worm_cycles=simulator.cruise_worm_cycles,
         )
 
 
@@ -469,6 +471,11 @@ class RunResult:
         recertify_s: host seconds of ``wall_time_s`` spent proving
             degraded routing tables (``None`` for plain runs and cache
             hits); like ``wall_time_s``, never hashed, cached, digested.
+        cruise_entries, cruise_worm_cycles: what the engine's cruise
+            state did (:attr:`WormholeSimulator.cruise_entries`): worms
+            that streamed in aggregate, and the per-worm mover calls
+            that saved.  Telemetry like the two above — ``None`` for
+            cache hits, never hashed, cached or digested.
     """
 
     spec: ExperimentSpec
@@ -478,6 +485,8 @@ class RunResult:
     cached: bool = False
     wall_time_s: float = 0.0
     recertify_s: Optional[float] = None
+    cruise_entries: Optional[int] = None
+    cruise_worm_cycles: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -514,7 +523,8 @@ class PointOutcome:
         cache_problem: why the point's existing cache entry was
             rejected and the point re-simulated (see
             :meth:`ResultCache.read_entry`); ``None`` normally.
-        recertify_s: see :class:`RunResult`.
+        recertify_s, cruise_entries, cruise_worm_cycles: see
+            :class:`RunResult`.
     """
 
     point: PointSpec
@@ -525,6 +535,8 @@ class PointOutcome:
     metrics: Optional[dict] = None
     cache_problem: Optional[str] = None
     recertify_s: Optional[float] = None
+    cruise_entries: Optional[int] = None
+    cruise_worm_cycles: Optional[int] = None
 
 
 @dataclass
@@ -943,6 +955,8 @@ class SweepExecutor:
             wall_time_s=outcome.wall_time_s,
             cached=outcome.cached,
             recertify_s=outcome.recertify_s,
+            cruise_entries=outcome.cruise_entries,
+            cruise_worm_cycles=outcome.cruise_worm_cycles,
             resilience=outcome.resilience,
             metrics=outcome.metrics,
             certification=certification,
@@ -996,6 +1010,8 @@ class SweepExecutor:
             point, run.result, run.wall_time_s, False,
             resilience=run.resilience, metrics=run.metrics,
             cache_problem=cache_problem, recertify_s=run.recertify_s,
+            cruise_entries=run.cruise_entries,
+            cruise_worm_cycles=run.cruise_worm_cycles,
         )
         metrics.simulated += 1
         metrics.points_completed += 1

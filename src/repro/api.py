@@ -300,4 +300,6 @@ def run(
         cached=outcome.cached,
         wall_time_s=outcome.wall_time_s,
         recertify_s=outcome.recertify_s,
+        cruise_entries=outcome.cruise_entries,
+        cruise_worm_cycles=outcome.cruise_worm_cycles,
     )

@@ -73,6 +73,8 @@ def build_manifest(
     wall_time_s: float,
     cached: bool,
     recertify_s: Optional[float] = None,
+    cruise_entries: Optional[int] = None,
+    cruise_worm_cycles: Optional[int] = None,
     resilience: Optional[Dict[str, Any]] = None,
     metrics: Optional[Dict[str, Any]] = None,
     certification: Optional[Dict[str, Any]] = None,
@@ -91,6 +93,8 @@ def build_manifest(
         cached: whether the result came from the result cache.
         recertify_s: host seconds of ``wall_time_s`` a faulted run spent
             proving its degraded tables; joins ``timings`` when given.
+        cruise_entries, cruise_worm_cycles: the engine's cruise-state
+            counters for a fresh run; join ``timings`` when given.
         resilience: the fault run's ledger summary, if any.
         metrics: the obs metrics summary, if collection was enabled.
         certification: the executor's certification verdict, e.g.
@@ -110,6 +114,9 @@ def build_manifest(
     timings: Dict[str, Any] = {"wall_time_s": wall_time_s, "cached": cached}
     if recertify_s is not None:
         timings["recertify_s"] = recertify_s
+    if cruise_entries is not None:
+        timings["cruise_entries"] = cruise_entries
+        timings["cruise_worm_cycles"] = cruise_worm_cycles
     body: Dict[str, Any] = {
         "manifest_version": MANIFEST_SCHEMA_VERSION,
         # repro-lint: allow[no-wallclock] manifest creation stamp: provenance metadata only, never digested or cached on

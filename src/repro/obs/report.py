@@ -207,6 +207,11 @@ def render_manifest_report(
             f"recertify: {proofs} proofs, {timings['recertify_s']:.2f}s "
             f"of {timings.get('wall_time_s', 0.0):.2f}s"
         )
+    if timings.get("cruise_entries") is not None:
+        lines.append(
+            f"cruise: {timings['cruise_entries']} worms streamed "
+            f"{timings['cruise_worm_cycles']} worm-cycles in aggregate"
+        )
     executor = manifest.get("executor") or {}
     if executor.get("cache_problem"):
         lines.append(

@@ -44,15 +44,20 @@ its hot phases — ``_allocate``, ``_move``/``_move1``, ``_released``,
   buffers on a single lane, a packet's occupancy is a bitmask; the
   front-first boundary pass moves exactly the maximal runs of flits not
   blocked at the front, which is a handful of int operations (see
-  :meth:`WormholeSimulator._move1`).
+  :meth:`WormholeSimulator._move1`).  A streaming worm — ejection
+  granted, flits still at the source, every held buffer full — repeats
+  one such shift verbatim, so it *cruises*: the clock loop advances all
+  cruising worms in aggregate, O(1) per executed cycle, and calls the
+  mover on one again only when its source runs dry.
 
 Routing decisions compile lazily into a
 :class:`~repro.sim.ids.CompiledRoutes` that every simulator of one
 ``(topology, routing)`` key shares by reference (the sweep runtime
 keeps one per warm context), so a key's table is computed once per
 process however many points run on it.  An independent object-graph
-implementation of the same phases lives under ``tests/`` as the
-differential oracle (``tests/sim/reference_engine.py``).
+implementation of the same phases, on a plain clock loop of its own,
+lives under ``tests/`` as the differential oracle
+(``tests/sim/reference_engine.py``).
 """
 
 from __future__ import annotations
@@ -60,7 +65,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from heapq import heapify, heappop, heappush
-from typing import TYPE_CHECKING, Deque, List, Optional, Tuple
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
 
 from repro.routing.base import RoutingAlgorithm
 from repro.routing.selection import SelectionContext
@@ -321,6 +326,18 @@ class WormholeSimulator:
         #: Main-loop iterations actually executed; less than the cycles
         #: simulated when the idle fast-forward skips dead time.
         self.cycles_executed = 0
+        #: Times a worm entered the cruise state, and the worm-cycles
+        #: (one ``_move1`` call each, before) cruising worms streamed
+        #: without one; counted at cruise exit or casualty, never per
+        #: cycle.  Host-side telemetry: in no result, digest or hash.
+        self.cruise_entries = 0
+        self.cruise_worm_cycles = 0
+        # Cruising worms by exit cycle, and what they all move per
+        # executed cycle: ``held + 1`` flit moves and one delivered flit
+        # each (see _move1).
+        self._cruise_exits: Dict[int, List[Packet]] = {}
+        self._cruise_moves = 0
+        self._cruising = 0
         # Whether the current cycle is inside the measurement window —
         # hoisted out of the per-flit consumption accounting.
         self._in_window = False
@@ -890,13 +907,28 @@ class WormholeSimulator:
         occupied bits below the highest empty slot, that whole pass is
         ``bits += movers`` — the shifted runs land exactly on the bits
         vacated plus the hole above each run.
+
+        **Cruise.**  A call that leaves the worm with its ejection
+        channel granted, flits still at the source and every held
+        buffer full has reached a fixed point: each later call would
+        consume one flit, shift the other ``held - 1`` up and inject one
+        — ``held + 1`` moves and one delivered flit, with ``path`` and
+        ``occ_bits`` unchanged, no channel acquired or released, no
+        header event, and at least ``held`` flits short of finished —
+        until the source runs dry.  So with ``r`` flits left to inject
+        at cycle ``c`` the worm stops being moved one call at a time:
+        it registers its exit at ``c + r + 1`` and :meth:`run` adds the
+        aggregate of all cruising worms once per executed cycle.
+        ``remaining_to_inject`` and ``flits_consumed`` stay as of entry
+        until :meth:`_leave_cruise` settles them.
         """
         path = packet.path
         bits = packet.occ_bits
         held = len(path)
         front = held - 1
         moves = 0
-        if packet.route_complete and bits >> front:
+        complete = packet.route_complete
+        if complete and bits >> front:
             bits ^= 1 << front
             packet.flits_consumed += 1
             if self._in_window:
@@ -913,7 +945,7 @@ class WormholeSimulator:
                 if (
                     movers >> (front - 1)
                     and not packet.header_present
-                    and not packet.route_complete
+                    and not complete
                 ):
                     self._header_arrived(packet)
         if packet.remaining_to_inject > 0 and not bits & 1:
@@ -939,10 +971,35 @@ class WormholeSimulator:
         packet.occ_bits = bits
         if moves:
             self.flit_moves += moves
+            if (
+                complete
+                and bits == (1 << held) - 1
+                and packet.remaining_to_inject > 0
+            ):
+                exit_cycle = self.cycle + packet.remaining_to_inject + 1
+                packet.cruise_exit = exit_cycle
+                packet.stalled = True
+                self._cruise_exits.setdefault(exit_cycle, []).append(packet)
+                self._cruise_moves += held + 1
+                self._cruising += 1
+                self.cruise_entries += 1
             return True
-        if not packet.route_complete:
+        if not complete:
             packet.stalled = True
         return False
+
+    def _leave_cruise(self, packet: Packet, cycle: int) -> None:
+        """Settle a cruising worm whose flits were last moved on
+        ``cycle - 1``: it consumed and injected one flit on each cycle
+        since entry (the caller takes it off ``_cruise_exits``)."""
+        streamed = packet.remaining_to_inject - (packet.cruise_exit - cycle)
+        packet.flits_consumed += streamed
+        packet.remaining_to_inject -= streamed
+        packet.cruise_exit = 0
+        packet.stalled = False
+        self._cruise_moves -= len(packet.path) + 1
+        self._cruising -= 1
+        self.cruise_worm_cycles += streamed
 
     def _released(self, ident: int) -> None:
         # An owner release is the only event that can unblock a parked
@@ -1109,6 +1166,16 @@ class WormholeSimulator:
                 trace.record(
                     cycle, "dropped", packet.pid, (packet.src, packet.dest)
                 )
+        exit_cycle = packet.cruise_exit
+        if exit_cycle:
+            # A cruising worm held a failed channel: it leaves the cruise
+            # set, settled up to the last executed cycle, while its path
+            # is still whole.
+            due = self._cruise_exits[exit_cycle]
+            due.remove(packet)
+            if not due:
+                del self._cruise_exits[exit_cycle]
+            self._leave_cruise(packet, cycle)
         # Discard buffered flits (they live only in the packet's own
         # occupancy) and release the held chain.
         owners = self._owners
@@ -1126,16 +1193,15 @@ class WormholeSimulator:
         packet.park_token += 1  # invalidate stale wake-list entries
         packet.header_present = False
         packet.stalled = True
-        try:
-            self._active.remove(packet)
-        except ValueError:
-            pass
+        # A casualty is a worm in flight — the owner of a failed channel
+        # or a waiting header — so it is in ``_active``, and in at most
+        # one wait list (none when parked).
+        assert packet in self._active, f"casualty {packet!r} is not in flight"
+        self._active.remove(packet)
         if not in_allocation:
             for waitlist in (self._waiters, self._new_waiters, self._woken):
-                try:
+                if packet in waitlist:
                     waitlist.remove(packet)
-                except ValueError:
-                    pass
         if decision.action == "drop":
             if self._stats is not None:
                 self._stats.record_packet_dropped()
@@ -1155,8 +1221,15 @@ class WormholeSimulator:
         warmup/measurement window boundaries (their queue samples must
         be taken on the exact reference cycles) and to the final cycle,
         and the deadlock watchdog only measures stalls while packets are
-        in flight — so skipped cycles are exactly the cycles on which
-        the reference engine did nothing, and results are bit-identical.
+        in flight — so skipped cycles are exactly the cycles on which no
+        phase would have had anything to do.  Busy cycles are never
+        skipped: worms in the cruise state (:meth:`_move1`) are advanced
+        in aggregate, once per executed cycle, which also counts as
+        progress for the watchdog.  Bit-identity is not argued here but
+        tested: the oracle under ``tests/sim/reference_engine.py`` runs
+        a plain loop of its own — every phase on every executed cycle,
+        a mover call per active packet — and must agree on results,
+        traces, ledgers and obs summaries (goldens and property suite).
         """
         config = self.config
         warmup = config.warmup_cycles
@@ -1174,14 +1247,15 @@ class WormholeSimulator:
         generate = self._generate
         start_packets = self._start_packets
         allocate = self._allocate
-        # All four containers are mutated in place, never rebound, so
-        # they can feed the per-cycle phase-dispatch checks as locals
-        # (the waiter list IS rebound by _allocate and is read fresh).
+        # These containers are mutated in place, never rebound, so they
+        # can feed the per-cycle phase-dispatch checks as locals (the
+        # waiter list IS rebound by _allocate and is read fresh).
         heap = self._arrival_heap
         inj_candidates = self._inj_candidates
         new_waiters = self._new_waiters
         woken = self._woken
         active = self._active
+        cruise_exits = self._cruise_exits
         obs = self._obs
         cycle = 0
         while cycle < total:
@@ -1221,6 +1295,20 @@ class WormholeSimulator:
                         # wins the physical-bandwidth race between lanes.
                         active.append(active.pop(0))
                 any_moved = False
+                if cruise_exits:
+                    # Worms whose source runs dry this cycle rejoin the
+                    # scan below (their drain releases a channel per
+                    # cycle); the rest stream on in aggregate.
+                    due = cruise_exits.pop(cycle, None)
+                    if due is not None:
+                        for packet in due:
+                            self._leave_cruise(packet, cycle)
+                    cruising = self._cruising
+                    if cruising:
+                        self.flit_moves += self._cruise_moves
+                        if self._in_window:
+                            stats.flits_delivered_in_window += cruising
+                        any_moved = True
                 finished: Optional[List[Packet]] = None
                 for packet in active:
                     if packet.stalled:
@@ -1294,6 +1382,13 @@ class WormholeSimulator:
                     target = min(target, window_end)
                 if target > cycle:
                     cycle = min(target, total - 1)
+        # Worms still cruising when the clock stops are settled up to
+        # the last cycle that moved flits (an abort stops before moving).
+        moved_until = self.cycle + (0 if self._res_abort else 1)
+        for due in cruise_exits.values():
+            for packet in due:
+                self._leave_cruise(packet, moved_until)
+        cruise_exits.clear()
         if stats.queue_len_at_window_start is None:
             stats.queue_len_at_window_start = self._queued_total
         if stats.queue_len_at_window_end is None:

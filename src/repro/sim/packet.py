@@ -44,14 +44,23 @@ class Packet:
             ``path[i]`` — used by the capacity-1 single-lane mover.
         remaining_to_inject: flits still waiting at the source.
         flits_consumed: flits delivered to the destination processor.
+            While the worm cruises (``cruise_exit`` set) both are *as of
+            cruise entry* — the engine settles them in one step when the
+            worm leaves the cruise — and the worm has streamed one flit
+            per cycle since; ``flits_consumed + remaining_to_inject +
+            flits_in_network == size`` holds throughout either way.
         header_present: the header flit sits in ``path[-1]``'s buffer and
             the packet needs (or is waiting for) its next channel.
         waiting_since: cycle the header arrived at the current router —
             the key for local first-come-first-served arbitration.
         route_complete: the ejection channel has been allocated; no
             further routing decisions remain.
-        stalled: no internal movement is possible until the next grant;
-            lets the engine skip the packet's movement pass.
+        stalled: the engine skips the packet's per-cycle movement pass:
+            either no internal movement is possible until the next
+            grant, or the worm is cruising.
+        cruise_exit: the first cycle the worm is moved individually
+            again while it cruises (see ``WormholeSimulator._move1``), 0
+            otherwise.
         parked: the header is blocked and the packet has left the waiter
             list; a candidate channel's release will wake it.
         park_token: generation counter distinguishing the current parking
@@ -78,6 +87,7 @@ class Packet:
         "waiting_since",
         "route_complete",
         "stalled",
+        "cruise_exit",
         "parked",
         "park_token",
         "pending_candidates",
@@ -108,6 +118,7 @@ class Packet:
         self.waiting_since = 0
         self.route_complete = False
         self.stalled = False
+        self.cruise_exit = 0
         self.parked = False
         self.park_token = 0
         self.pending_candidates = None

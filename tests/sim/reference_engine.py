@@ -179,11 +179,10 @@ class ReferenceSimulator(WormholeSimulator):
             self._context.cycle = cycle
             self.cycles_executed += 1
             self._in_window = warmup <= cycle < window_end
-            queued = sum(len(queue) for queue in self._queues)
             if cycle == warmup:
-                stats.queue_len_at_window_start = queued
+                stats.queue_len_at_window_start = self._queued()
             if cycle == window_end:
-                stats.queue_len_at_window_end = queued
+                stats.queue_len_at_window_end = self._queued()
             if ctrl is not None and ctrl.next_wake <= cycle:
                 self._resilience_tick(ctrl)
             self._generate(stats)
@@ -206,16 +205,19 @@ class ReferenceSimulator(WormholeSimulator):
             if stop:
                 break
             cycle = self._idle_jump(cycle + 1, warmup, window_end, total)
-        queued = sum(len(queue) for queue in self._queues)
         if stats.queue_len_at_window_start is None:
-            stats.queue_len_at_window_start = queued
+            stats.queue_len_at_window_start = self._queued()
         if stats.queue_len_at_window_end is None:
-            stats.queue_len_at_window_end = queued
+            stats.queue_len_at_window_end = self._queued()
         if ctrl is not None:
             ctrl.finish(self._messages_created, self.cycle)
         if self._obs is not None:
             self._obs.finish(self)
         return self._result(stats)
+
+    def _queued(self) -> int:
+        """Messages waiting in the source queues, counted directly."""
+        return sum(len(queue) for queue in self._queues)
 
     def _movement(self, move, stats: StatsCollector) -> None:
         """One movement phase: a mover call per active packet, then the
@@ -265,14 +267,13 @@ class ReferenceSimulator(WormholeSimulator):
         if self._arrival_heap:
             stops.append(ceil(self._arrival_heap[0][0]))
         if self._resilience is not None:
-            wake = self._resilience.next_wake
-            if wake != float("inf"):
-                stops.append(int(wake))
+            # ``inf`` while the controller has nothing pending.
+            stops.append(self._resilience.next_wake)
         if cycle <= warmup:
             stops.append(warmup)
         elif cycle <= window_end:
             stops.append(window_end)
-        return max(cycle, min(stops))
+        return max(cycle, int(min(stops)))
 
     # ------------------------------------------------------------------
     # Resource helpers
