@@ -63,6 +63,7 @@ lives under ``tests/`` as the differential oracle
 from __future__ import annotations
 
 import random
+import weakref
 from collections import deque
 from heapq import heapify, heappop, heappush
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
@@ -196,8 +197,14 @@ class WormholeSimulator:
         self._queues: List[Deque[Tuple[NodeId, int, float]]] = [
             deque() for _ in self._sources
         ]
+        # The context must not own the simulator (a bound method would):
+        # a finished simulator is then freed by reference count, inside
+        # the point that built it, not whenever a full garbage collection
+        # next happens to run — which lands on some later point's clock.
+        this = weakref.proxy(self)
         self._context = SelectionContext(
-            free_space=self._free_space, rng=random.Random(self.config.seed)
+            free_space=lambda channel: this._free_space(channel),
+            rng=random.Random(self.config.seed),
         )
         self._active: List[Packet] = []
         self._waiters: List[Packet] = []

@@ -1,10 +1,12 @@
 """Tests for the engine's performance paths and their exact-equivalence
 contracts: the pre-drawn arrival schedule, the idle fast-forward, the
-source stream discipline, window-boundary queue sampling, and the bench
-harness payload.
+source stream discipline, window-boundary queue sampling, the lifetime of
+a finished simulator, and the bench harness payload.
 """
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -132,6 +134,51 @@ class TestWindowQueueSampling:
         result = sim._result(stats)
         assert result.queue_start == 0
         assert result.queue_end == 0
+
+
+class TestSimulatorLifetime:
+    """A finished simulator is freed by reference count: no cycle keeps
+    it for the garbage collector, whose full passes would otherwise free
+    a batch of old simulators on some later point's clock (tens of
+    milliseconds, on whichever point is running)."""
+
+    @pytest.fixture(autouse=True)
+    def _no_collector(self):
+        gc.collect()
+        gc.disable()
+        yield
+        gc.enable()
+
+    def test_a_run_simulator_dies_with_its_last_reference(self):
+        sim = _sim(load=0.2)
+        sim.run()
+        ref = weakref.ref(sim)
+        del sim
+        assert ref() is None
+
+    @pytest.mark.parametrize("extras", ["plain", "obs", "faults", "obs+faults"])
+    def test_a_point_leaves_no_simulator_behind(self, monkeypatch, extras):
+        import repro.analysis.executor as executor_mod
+        from repro.api import ConfigSpec, ExperimentSpec, ObsSpec, ResilienceSpec
+
+        built = []
+
+        def tracking(*args, **kwargs):
+            simulator = engine_mod.make_simulator(*args, **kwargs)
+            built.append(weakref.ref(simulator))
+            return simulator
+
+        monkeypatch.setattr(executor_mod, "make_simulator", tracking)
+        spec = ExperimentSpec(
+            topology="mesh:6x6", routing="west-first", pattern="uniform",
+            load=0.2, seed=7,
+            config=ConfigSpec(warmup_cycles=50, measure_cycles=300, drain_cycles=50),
+            obs=ObsSpec() if "obs" in extras else None,
+            resilience=ResilienceSpec(fault_count=2) if "faults" in extras else None,
+        )
+        run = spec.run_full()
+        assert run.result.total_delivered > 0
+        assert [ref() for ref in built] == [None]
 
 
 class TestBenchSmoke:
