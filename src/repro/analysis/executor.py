@@ -51,7 +51,11 @@ from repro.analysis.prewarm import WarmContext, get_warm_context
 from repro.obs.spec import ObsSpec
 from repro.routing.base import RoutingAlgorithm
 from repro.routing.registry import canonical_name, make_routing
-from repro.routing.selection import make_input_policy, make_output_policy
+from repro.routing.selection import (
+    is_registered_policy,
+    make_input_policy,
+    make_output_policy,
+)
 from repro.sim.config import FLITS_PER_USEC, SimulationConfig
 from repro.sim.engine import make_simulator
 from repro.sim.stats import SimulationResult
@@ -115,26 +119,22 @@ class ConfigSpec:
         """
         if config is None:
             return cls()
-        output_name = config.output_policy.name
-        input_name = config.input_policy.name
-        # Verify the names round-trip to the same policy types, so a
-        # custom instance that borrowed a stock name is not silently
-        # swapped for the stock behavior in a worker process.
-        if type(make_output_policy(output_name)) is not type(config.output_policy):
-            raise ValueError(
-                f"output policy {output_name!r} is not the registered one"
-            )
-        if type(make_input_policy(input_name)) is not type(config.input_policy):
-            raise ValueError(
-                f"input policy {input_name!r} is not the registered one"
-            )
+        # A custom instance that borrowed a stock name must not be
+        # silently swapped for the stock behavior in a worker process.
+        for kind, policy in (
+            ("output", config.output_policy), ("input", config.input_policy)
+        ):
+            if not is_registered_policy(policy):
+                raise ValueError(
+                    f"{kind} policy {policy.name!r} is not the registered one"
+                )
         return cls(
             buffer_depth=config.buffer_depth,
             warmup_cycles=config.warmup_cycles,
             measure_cycles=config.measure_cycles,
             drain_cycles=config.drain_cycles,
-            output_policy=output_name,
-            input_policy=input_name,
+            output_policy=config.output_policy.name,
+            input_policy=config.input_policy.name,
             routing_delay_cycles=config.routing_delay_cycles,
             deadlock_threshold=config.deadlock_threshold,
             flits_per_usec=config.flits_per_usec,
@@ -736,22 +736,15 @@ class ResultCache:
         return sum(1 for _ in self.root.glob("*.json"))
 
 
-def _warm_context_for(spec: ExperimentSpec) -> Optional[WarmContext]:
-    """This process's warm context for a spec, or ``None`` when the
-    point must run cold (resilience points degrade routing mid-run)."""
-    if spec.resilience is not None:
-        return None
-    return get_warm_context(spec.topology, spec.routing)
-
-
-def _run_point_job(
-    spec: ExperimentSpec,
-    warm: Optional[WarmContext] = None,
-) -> RunResult:
-    """Worker entry point: simulate one spec, timing it.
-
-    Module-level so it pickles under every multiprocessing start method.
-    """
+def _run_point_job(spec: ExperimentSpec) -> RunResult:
+    """Simulate one spec through this process's warm context for its
+    ``(topology, routing)`` pair, timing the run.  Resilience points run
+    cold: fault injection degrades routing mid-run."""
+    warm = (
+        get_warm_context(spec.topology, spec.routing)
+        if spec.resilience is None
+        else None
+    )
     started = time.perf_counter()
     full = spec.run_full(warm=warm)
     return dataclasses.replace(
@@ -759,19 +752,14 @@ def _run_point_job(
     )
 
 
-def _run_batch_job(
-    specs: List[ExperimentSpec], use_warm: bool
-) -> List[RunResult]:
-    """Worker entry point: simulate a chunk of same-key specs in order.
+def _run_batch_job(specs: List[ExperimentSpec]) -> List[RunResult]:
+    """Worker entry point: simulate a chunk of same-key specs in order,
+    so the chunk's points fill one warm context's compiled route table
+    as they go.
 
-    With ``use_warm`` set, every spec resolves through this worker
-    process's warm context for the chunk's ``(topology, routing)`` pair,
-    whose compiled route table the chunk's points fill as they go.
+    Module-level so it pickles under every multiprocessing start method.
     """
-    return [
-        _run_point_job(spec, _warm_context_for(spec) if use_warm else None)
-        for spec in specs
-    ]
+    return [_run_point_job(spec) for spec in specs]
 
 
 class SweepExecutor:
@@ -802,16 +790,13 @@ class SweepExecutor:
             witness) if any pair fails.  A refuted algorithm would wedge
             or wander the simulator anyway; the gate converts hours of
             wasted sweep into an immediate, explained failure.
-        warm: reuse warmed state (shared topology/routing objects and
-            accumulated route tables) for points sharing a
-            ``(topology, routing)`` key, and batch parallel work by key
-            to maximize that reuse.  Bit-identical either way — the
-            flag exists so benches and tests can measure/pin the cold
-            path.
 
-    Results are identical for any ``jobs`` value and either ``warm``
-    setting: each point is fully determined by its spec.  The executor
-    only changes where and when points run.
+    Points sharing a ``(topology, routing)`` key reuse one warm context
+    per process (shared topology/routing objects and the key's route
+    table), and parallel work is batched by key to maximize that reuse.
+    Results are identical for any ``jobs`` value and to a cold
+    :meth:`ExperimentSpec.run_full`: each point is fully determined by
+    its spec.  The executor only changes where and when points run.
     """
 
     def __init__(
@@ -821,14 +806,12 @@ class SweepExecutor:
         hooks: Optional[ExecutorHooks] = None,
         require_certification: bool = False,
         manifest_dir: Optional[Union[str, Path]] = None,
-        warm: bool = True,
     ) -> None:
         if jobs is None:
             jobs = os.cpu_count() or 1
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
-        self.warm = warm
         self.cache = ResultCache(cache_dir) if cache_dir is not None else None
         self.hooks = hooks if hooks is not None else ExecutorHooks()
         self.last_metrics: Optional[ExecutorMetrics] = None
@@ -965,7 +948,6 @@ class SweepExecutor:
             git_version=self._git_version,
             executor={
                 "jobs": self.jobs,
-                "warm": self.warm,
                 "cache_problem": outcome.cache_problem,
             },
         )
@@ -1016,6 +998,9 @@ class SweepExecutor:
         metrics.simulated += 1
         metrics.points_completed += 1
         metrics.cycles_simulated += point.spec.config.total_cycles
+        if point.spec.resilience is None:
+            # Every fresh point runs warm except a resilience point.
+            metrics.warm_points += 1
         self._write_manifest(outcome)
         self.hooks.on_point_done(outcome)
         return outcome
@@ -1028,11 +1013,8 @@ class SweepExecutor:
         if outcome is not None:
             return outcome
         self.hooks.on_point_start(point)
-        warm = _warm_context_for(point.spec) if self.warm else None
-        if warm is not None:
-            metrics.warm_points += 1
         return self._complete_fresh(
-            point, _run_point_job(point.spec, warm), metrics, cache_problem
+            point, _run_point_job(point.spec), metrics, cache_problem
         )
 
     def _run_parallel(
@@ -1051,9 +1033,7 @@ class SweepExecutor:
         is split into at most ``jobs`` strided chunks (striding
         interleaves cheap low-load and expensive saturated points), so
         a worker runs same-key points back to back against one warm
-        context — the batched, reuse-maximizing schedule.  With
-        ``warm`` off, every point is its own single-spec batch (the
-        legacy cold schedule).
+        context.
         """
         groups: Dict[Tuple[str, str], List[int]] = {}
         for i in missing:
@@ -1062,18 +1042,13 @@ class SweepExecutor:
         pool = self._ensure_pool()
         futures = {}
         for indices in groups.values():
-            if self.warm:
-                chunk_count = min(self.jobs, len(indices))
-            else:
-                chunk_count = len(indices)
+            chunk_count = min(self.jobs, len(indices))
             chunks = [indices[c::chunk_count] for c in range(chunk_count)]
             for chunk in chunks:
                 for i in chunk:
                     self.hooks.on_point_start(points[i])
                 future = pool.submit(
-                    _run_batch_job,
-                    [points[i].spec for i in chunk],
-                    self.warm,
+                    _run_batch_job, [points[i].spec for i in chunk]
                 )
                 futures[future] = chunk
                 metrics.batches += 1
@@ -1084,8 +1059,6 @@ class SweepExecutor:
                 for future in done:
                     chunk = futures[future]
                     for i, run in zip(chunk, future.result()):
-                        if self.warm and points[i].spec.resilience is None:
-                            metrics.warm_points += 1
                         outcomes[i] = self._complete_fresh(
                             points[i], run, metrics, missing[i]
                         )

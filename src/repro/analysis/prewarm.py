@@ -23,8 +23,8 @@ This module is the amortization layer the :class:`~repro.analysis
 Sharing is bit-safe by construction: topologies, routing algorithms,
 and traffic patterns are immutable after construction, and a cached
 routing decision is a pure function of its key, so a warmed run is
-indistinguishable from a cold one (the executor's identity tests and
-the sweep bench enforce exactly that).  Points with a resilience spec
+indistinguishable from a cold one (the executor's identity tests
+enforce exactly that).  Points with a resilience spec
 never share state — fault injection degrades routing mid-run, so those
 points deliberately take the cold path.
 """

@@ -13,11 +13,12 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Union
 
 from repro.routing.base import RoutingAlgorithm
 from repro.routing.registry import make_routing
+from repro.routing.selection import is_registered_policy
 from repro.sim.config import SimulationConfig
 from repro.sim.simulator import simulate
 from repro.sim.stats import SimulationResult
 from repro.topology.base import Topology
-from repro.topology.spec import parse_topology, topology_spec
+from repro.topology.spec import has_topology_spec, parse_topology, topology_spec
 from repro.traffic.patterns import TrafficPattern
 from repro.traffic.permutations import make_pattern
 from repro.traffic.workload import PAPER_SIZES, SizeDistribution
@@ -127,6 +128,30 @@ def truncate_at_saturation(
     return kept
 
 
+def _nameable(
+    topology: Union[str, Topology],
+    algorithm: Union[str, RoutingAlgorithm],
+    pattern: Union[str, TrafficPattern],
+    config: Optional[SimulationConfig],
+) -> bool:
+    """Whether a sweep's inputs can be carried by name in an
+    :class:`~repro.analysis.executor.ExperimentSpec`: registry names, a
+    topology with a spec string, and registered selection policies.
+    Anything else cannot cross a process boundary or key the cache."""
+    return (
+        isinstance(algorithm, str)
+        and isinstance(pattern, str)
+        and (isinstance(topology, str) or has_topology_spec(topology))
+        and (
+            config is None
+            or (
+                is_registered_policy(config.output_policy)
+                and is_registered_policy(config.input_policy)
+            )
+        )
+    )
+
+
 def sweep_loads(
     topology: Union[str, Topology],
     algorithm: Union[str, RoutingAlgorithm],
@@ -168,34 +193,21 @@ def sweep_loads(
     Returns:
         The measured series.
     """
-    from repro.analysis.executor import ConfigSpec, SweepExecutor
+    if _nameable(topology, algorithm, pattern, config):
+        from repro.analysis.executor import SweepExecutor
 
-    if isinstance(algorithm, str) and isinstance(pattern, str):
-        try:
-            # Raises for custom policies / unspec-able topologies, which
-            # cannot cross a process boundary; fall through to the
-            # direct loop for those.
-            ConfigSpec.from_config(config)
-            spec_string = (
-                topology
-                if isinstance(topology, str)
-                else topology_spec(topology)
-            )
-        except (TypeError, ValueError):
-            pass
-        else:
-            if executor is None:
-                executor = SweepExecutor()
-            return executor.sweep(
-                spec_string,
-                algorithm,
-                pattern,
-                loads,
-                config=config,
-                sizes=sizes,
-                seed=seed,
-                stop_after_saturation=stop_after_saturation,
-            )
+        if executor is None:
+            executor = SweepExecutor()
+        return executor.sweep(
+            topology if isinstance(topology, str) else topology_spec(topology),
+            algorithm,
+            pattern,
+            loads,
+            config=config,
+            sizes=sizes,
+            seed=seed,
+            stop_after_saturation=stop_after_saturation,
+        )
 
     if isinstance(topology, str):
         topology = parse_topology(topology)

@@ -13,7 +13,6 @@ Subcommands::
     turnmodel verify --all              # statically certify every algorithm
     turnmodel synth --topology mesh:4x4 # synthesize routing algorithms
     turnmodel lint                      # determinism & invariant lint over src
-    turnmodel bench --quick             # engine cycles/sec benchmark
     turnmodel report runs/manifest-*.json   # metrics report from manifests
     turnmodel list                      # available algorithms and patterns
 
@@ -437,44 +436,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    import json
-
-    progress = lambda msg: print(msg, file=sys.stderr)  # noqa: E731
-    if args.sweep:
-        from repro.analysis.bench_sweep import (
-            apply_baseline,
-            render_sweep_report,
-            run_sweep_bench,
-        )
-
-        payload = run_sweep_bench(
-            args.scenario, quick=args.quick, jobs=args.jobs,
-            progress=progress,
-        )
-        render, tool = render_sweep_report, "bench-sweep"
-        out = args.out if args.out is not None else "BENCH_sweep.json"
-    else:
-        from repro.sim.bench import apply_baseline, render_report, run_bench
-
-        payload = run_bench(
-            args.scenario, quick=args.quick, repeat=args.repeat,
-            progress=progress, profile=args.profile,
-        )
-        render, tool = render_report, "bench"
-        out = args.out if args.out is not None else "BENCH_engine.json"
-    if args.baseline:
-        with open(args.baseline) as fh:
-            apply_baseline(payload, json.load(fh))
-    print(render(payload))
-    if out != "-":
-        from repro.obs.envelope import save_envelope
-
-        save_envelope(payload, tool, out)
-        print(f"[saved to {out}]")
-    return 0
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.obs.manifest import iter_manifests, load_manifest
     from repro.obs.report import (
@@ -863,49 +824,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", default=None, help="write the report as enveloped JSON"
     )
     p_lint.set_defaults(func=_cmd_lint)
-
-    p_bench = sub.add_parser(
-        "bench",
-        help="speed benchmarks: engine cycles/sec, or sweep points/sec "
-        "with --sweep",
-    )
-    p_bench.add_argument(
-        "--sweep",
-        action="store_true",
-        help="benchmark the sweep executor (points/sec, serial vs "
-        "cold-spawn vs warm pool) instead of the engine",
-    )
-    p_bench.add_argument(
-        "--quick", action="store_true", help="CI-sized runs"
-    )
-    p_bench.add_argument(
-        "--scenario", nargs="+", default=None, help="subset of scenarios"
-    )
-    p_bench.add_argument(
-        "--repeat", type=int, default=1,
-        help="repetitions per scenario (best wall time wins; engine "
-        "bench only)",
-    )
-    p_bench.add_argument(
-        "--jobs", type=int, default=None,
-        help="warm-pool worker processes (sweep bench only; default: "
-        "one per CPU)",
-    )
-    p_bench.add_argument(
-        "--profile", action="store_true",
-        help="attach the top-25 cumulative cProfile functions per "
-        "scenario to the bench artifact (engine bench only)",
-    )
-    p_bench.add_argument(
-        "--baseline", default=None,
-        help="previous bench JSON to compute speedups against",
-    )
-    p_bench.add_argument(
-        "--out", default=None,
-        help="output JSON path ('-' to skip writing; default "
-        "BENCH_engine.json, or BENCH_sweep.json with --sweep)",
-    )
-    p_bench.set_defaults(func=_cmd_bench)
 
     p_report = sub.add_parser(
         "report",

@@ -102,16 +102,14 @@ def _comment_tokens(source: str) -> List[Tuple[int, str]]:
 
     Tokenizing (rather than scanning raw lines) keeps pragma examples
     inside docstrings and string literals from being parsed as pragmas.
+    The linter tokenizes only sources :mod:`ast` has already parsed.
     """
-    comments: List[Tuple[int, str]] = []
-    try:
-        tokens = tokenize.generate_tokens(io.StringIO(source).readline)
-        for token in tokens:
-            if token.type == tokenize.COMMENT:
-                comments.append((token.start[0], token.string))
-    except tokenize.TokenError:  # pragma: no cover - ast parsed it already
-        pass
-    return comments
+    tokens = tokenize.generate_tokens(io.StringIO(source).readline)
+    return [
+        (token.start[0], token.string)
+        for token in tokens
+        if token.type == tokenize.COMMENT
+    ]
 
 
 def parse_pragmas(

@@ -237,6 +237,7 @@ def all_rules() -> Dict[str, Rule]:
     from repro.lint import (  # noqa: PLC0415 - deliberate late binding
         rules_determinism,
         rules_engine,
+        rules_errors,
         rules_registry,
         rules_spec,
     )
@@ -245,6 +246,7 @@ def all_rules() -> Dict[str, Rule]:
     for module_rules in (
         rules_determinism.RULES,
         rules_engine.RULES,
+        rules_errors.RULES,
         rules_spec.RULES,
         rules_registry.RULES,
     ):

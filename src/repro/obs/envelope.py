@@ -1,14 +1,14 @@
 """The shared JSON envelope of every ``--out`` artifact and manifest.
 
 Every JSON document the CLI writes — ``repro sweep/verify/resilience/
-bench/report --out`` and the executor's run manifests — carries the
-same three top-level keys so artifacts compose and downstream tooling
-can dispatch without guessing:
+synth/lint/report --out`` and the executor's run manifests — carries
+the same three top-level keys so artifacts compose and downstream
+tooling can dispatch without guessing:
 
 * ``schema_version``: integer version of the envelope itself;
 * ``tool``: which producer wrote the document (``"sweep"``,
-  ``"verify"``, ``"resilience"``, ``"bench"``, ``"report"``,
-  ``"manifest"``);
+  ``"verify"``, ``"resilience"``, ``"synth"``, ``"synth-candidate"``,
+  ``"lint"``, ``"report"``, ``"manifest"``);
 * ``spec_hash``: content hash of the governing
   :class:`~repro.analysis.executor.ExperimentSpec`, when the document
   describes exactly one spec (absent otherwise).

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import subprocess
 import time
+import warnings
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
 
@@ -173,15 +174,17 @@ def load_manifest(path: Union[str, Path]) -> Dict[str, Any]:
 def iter_manifests(root: Union[str, Path]) -> List[Dict[str, Any]]:
     """Load every manifest under ``root``, ordered by (series, index).
 
-    Non-manifest JSON files are skipped silently, so a directory shared
-    with a result cache still reads cleanly.
+    Only ``manifest-*.json`` files are read, so a directory shared with
+    a result cache still reads cleanly.  A manifest file that cannot be
+    read (truncated, not JSON, another tool's document, a newer layout)
+    is left out with one warning naming it and the reason.
     """
     manifests: List[Dict[str, Any]] = []
     for path in sorted(Path(root).glob("manifest-*.json")):
         try:
             manifests.append(load_manifest(path))
-        except (ValueError, OSError):
-            continue
+        except (ValueError, OSError) as exc:
+            warnings.warn(f"skipped unreadable manifest {path}: {exc}", stacklevel=2)
     manifests.sort(
         key=lambda m: (
             m.get("point", {}).get("series", ""),

@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 from repro.topology.channels import Channel
 
@@ -33,6 +33,7 @@ __all__ = [
     "RandomInputSelection",
     "make_output_policy",
     "make_input_policy",
+    "is_registered_policy",
 ]
 
 
@@ -210,3 +211,17 @@ def make_input_policy(name: str) -> InputSelectionPolicy:
     except KeyError:
         known = ", ".join(sorted(_INPUT_POLICIES))
         raise ValueError(f"unknown input policy {name!r}; known: {known}") from None
+
+
+def is_registered_policy(
+    policy: Union[OutputSelectionPolicy, InputSelectionPolicy],
+) -> bool:
+    """Whether ``policy`` is exactly the stock policy its name registers,
+    so that the name alone rebuilds it (a custom instance that borrows a
+    stock name does not)."""
+    registry = (
+        _OUTPUT_POLICIES
+        if isinstance(policy, OutputSelectionPolicy)
+        else _INPUT_POLICIES
+    )
+    return type(policy) is registry.get(policy.name)

@@ -5,9 +5,9 @@ for the same topology, routing, workload, seed, and configuration, the
 optimized hot path must produce exactly the same
 :class:`~repro.sim.stats.SimulationResult` and the same trace event
 sequence as the reference path.  This module defines the canonical
-serialization both the golden-digest regression tests
-(``tests/sim/test_determinism.py``) and the benchmark harness
-(``repro bench``) hash to enforce that contract.
+serialization the golden-digest regression tests
+(``tests/sim/test_determinism.py``, ``tests/sim/test_engine_bench_digests.py``)
+and the repository benchmark (``bench/``) hash to enforce that contract.
 
 The serialization is plain JSON with sorted keys; floats go through
 ``repr`` (via ``json``), which is exact for Python floats, so any change

@@ -328,7 +328,8 @@ class WormholeSimulator:
             index for index, queue in enumerate(self._queues) if queue
         }
         #: Flits transferred over the whole run (consumptions, channel
-        #: crossings, and injections) — the work metric of ``repro bench``.
+        #: crossings, and injections) — a work metric that the idle
+        #: fast-forward does not inflate.
         self.flit_moves = 0
         #: Main-loop iterations actually executed; less than the cycles
         #: simulated when the idle fast-forward skips dead time.
@@ -436,7 +437,7 @@ class WormholeSimulator:
     @property
     def route_cache(self) -> Optional[RouteTable]:
         """This run's view of the compiled routing table, or ``None``
-        for uncacheable algorithms (reported by ``repro bench``)."""
+        for uncacheable algorithms."""
         table = self._routes
         if table.dense is None and table.bykey is None:
             return None

@@ -315,12 +315,6 @@ class RouteTable:
     def __len__(self) -> int:
         return self.compiled.filled
 
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups answered without computing a route."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
     def __repr__(self) -> str:
         return (
             f"RouteTable({self.compiled.routing.name}, "

@@ -91,22 +91,19 @@ def _digests(outcomes):
 class TestBitIdentity:
     def test_serial_parallel_cold_warm_agree(self):
         points = _grid_points()
-        with SweepExecutor(jobs=1, warm=False) as cold_serial:
-            serial = _digests(cold_serial.run_points(points))
-        clear_warm_contexts()
-        with SweepExecutor(jobs=1, warm=True) as warm_serial:
+        # The cold reference: each point on private state, no warm context.
+        cold = [result_digest(point.spec.run_full().result) for point in points]
+        assert warm_context_count() == 0
+        with SweepExecutor(jobs=1) as warm_serial:
             warm1 = _digests(warm_serial.run_points(points))
         clear_warm_contexts()
-        with SweepExecutor(jobs=2, warm=False) as cold_parallel:
-            cold2 = _digests(cold_parallel.run_points(points))
-        clear_warm_contexts()
-        with SweepExecutor(jobs=2, warm=True) as warm_parallel:
+        with SweepExecutor(jobs=2) as warm_parallel:
             warm2 = _digests(warm_parallel.run_points(points))
-        assert serial == warm1 == cold2 == warm2
+        assert cold == warm1 == warm2
 
     def test_second_run_identical_on_same_executor(self):
         points = _grid_points()
-        with SweepExecutor(jobs=2, warm=True) as executor:
+        with SweepExecutor(jobs=2) as executor:
             first = _digests(executor.run_points(points))
             second = _digests(executor.run_points(points))
         assert first == second
@@ -115,7 +112,7 @@ class TestBitIdentity:
 class TestPoolLifecycle:
     def test_pool_persists_across_runs(self):
         points = _grid_points()[:2]
-        with SweepExecutor(jobs=2, warm=True) as executor:
+        with SweepExecutor(jobs=2) as executor:
             executor.run_points(points)
             pool = executor._pool
             assert pool is not None
@@ -129,7 +126,7 @@ class TestPoolLifecycle:
         executor.close()
 
     def test_serial_executor_never_builds_pool(self):
-        with SweepExecutor(jobs=1, warm=True) as executor:
+        with SweepExecutor(jobs=1) as executor:
             executor.run_points(_grid_points()[:2])
             assert executor._pool is None
 
@@ -141,7 +138,7 @@ class TestPoolLifecycle:
 class TestMetricsCounters:
     def test_warm_counters(self):
         points = _grid_points()
-        with SweepExecutor(jobs=2, warm=True) as executor:
+        with SweepExecutor(jobs=2) as executor:
             executor.run_points(points)
             metrics = executor.last_metrics
         # The resilience point must run cold; every plain point warms.
@@ -154,27 +151,33 @@ class TestMetricsCounters:
         # tables, so the dispatching process never creates a context.
         assert warm_context_count() == 0
 
-    def test_cold_mode_counts_nothing_warm(self):
-        points = _grid_points()[:2]
-        with SweepExecutor(jobs=1, warm=False) as executor:
-            executor.run_points(points)
-            assert executor.last_metrics.warm_points == 0
-            assert executor.last_metrics.batches == 0
-        assert warm_context_count() == 0
-
 
 class TestManifestExecutorBlock:
     def test_manifest_records_effective_jobs_and_warm(self, tmp_path):
         points = _grid_points()[:1]
-        with SweepExecutor(
-            jobs=2, warm=True, manifest_dir=tmp_path
-        ) as executor:
+        with SweepExecutor(jobs=2, manifest_dir=tmp_path) as executor:
             executor.run_points(points)
         manifests = iter_manifests(tmp_path)
         assert len(manifests) == 1
-        assert manifests[0]["executor"] == {
-            "jobs": 2, "warm": True, "cache_problem": None,
-        }
+        assert manifests[0]["executor"] == {"jobs": 2, "cache_problem": None}
+
+    def test_manifest_with_a_warm_flag_still_loads_and_renders(self, tmp_path, capsys):
+        # Manifests written while the executor had a warm/cold switch
+        # carry "warm": true in the executor block; `repro report` must
+        # keep loading and rendering them.
+        from repro.cli import main
+        from repro.obs.manifest import load_manifest, write_manifest
+        from repro.obs.report import render_manifest_report
+
+        with SweepExecutor(jobs=1, manifest_dir=tmp_path / "new") as executor:
+            executor.run_points(_grid_points()[-1:])
+        (manifest,) = iter_manifests(tmp_path / "new")
+        current = render_manifest_report(manifest)
+        manifest["executor"]["warm"] = True
+        path = write_manifest(manifest, tmp_path / "old")
+        assert render_manifest_report(load_manifest(path)) == current
+        assert main(["report", str(path)]) == 0
+        assert current in capsys.readouterr().out
 
     def test_manifest_written_before_the_engine_collapse_still_renders(self, tmp_path):
         # Manifests on disk from earlier versions carry core_used /

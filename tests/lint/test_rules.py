@@ -37,6 +37,12 @@ EXPECTED = {
         ("analysis/runner.py", 8),
         ("analysis/runner.py", 12),
     ],
+    "no-silent-except": [
+        ("analysis/silent.py", 12),
+        ("analysis/silent.py", 20),
+        ("analysis/silent.py", 24),
+        ("analysis/silent.py", 28),
+    ],
     "frozen-spec": [
         ("core/spec.py", 9),
         ("core/spec.py", 15),

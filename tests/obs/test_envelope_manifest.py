@@ -110,7 +110,9 @@ class TestManifest:
         # JSON normalization (e.g. int dict keys become strings).
         assert load_manifest(path) == json.loads(json.dumps(manifest))
 
-    def test_iter_manifests_sorts_and_skips_junk(self, tmp_path):
+    @staticmethod
+    def _write_two(root):
+        paths = []
         for index, seed in enumerate((5, 3)):
             spec = _spec(seed=seed)
             manifest = build_manifest(
@@ -122,11 +124,30 @@ class TestManifest:
                 index=index,
                 git_version=None,
             )
-            write_manifest(manifest, tmp_path)
+            paths.append(write_manifest(manifest, root))
+        return paths
+
+    def test_iter_manifests_sorts_and_skips_junk(self, tmp_path):
+        self._write_two(tmp_path)
         (tmp_path / "manifest-notjson.json").write_text("{broken")
         (tmp_path / "unrelated.json").write_text("{}")
-        manifests = iter_manifests(tmp_path)
+        with pytest.warns(UserWarning, match="manifest-notjson.json"):
+            manifests = iter_manifests(tmp_path)
         assert [m["point"]["index"] for m in manifests] == [0, 1]
+
+    def test_truncated_manifest_is_skipped_with_one_warning(self, tmp_path):
+        first, second = self._write_two(tmp_path)
+        text = second.read_text()
+        second.write_text(text[: len(text) // 2])
+        with pytest.warns(UserWarning) as caught:
+            manifests = iter_manifests(tmp_path)
+        assert len(caught) == 1
+        assert str(caught[0].message).startswith(
+            f"skipped unreadable manifest {second}: "
+        )
+        assert [m["spec_hash"] for m in manifests] == [
+            load_manifest(first)["spec_hash"]
+        ]
 
     def test_executor_writes_manifest_on_fresh_and_cached_runs(self, tmp_path):
         spec = _spec(obs=ObsSpec(timeline_window=64))

@@ -189,7 +189,7 @@ class TestRouteTableStats:
         assert table is not None
         assert table.misses > 0
         assert table.prefilled_entries == 0
-        assert 0.0 < table.hit_rate < 1.0
+        assert table.hits > 0
         assert len(table) == table.misses
 
     def test_prewarmed_run_never_misses(self):
@@ -210,7 +210,7 @@ class TestRouteTableStats:
         table = second.route_cache
         assert table.misses == 0
         assert table.prefilled_entries == first.route_cache.misses
-        assert table.hit_rate == 1.0
+        assert table.hits > 0
 
     def test_counters_do_not_leak_between_sharing_simulators(self):
         mesh = Mesh2D(4, 4)

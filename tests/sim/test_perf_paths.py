@@ -1,7 +1,7 @@
 """Tests for the engine's performance paths and their exact-equivalence
 contracts: the pre-drawn arrival schedule, the idle fast-forward, the
-source stream discipline, window-boundary queue sampling, the lifetime of
-a finished simulator, and the bench harness payload.
+source stream discipline, window-boundary queue sampling, and the lifetime
+of a finished simulator.
 """
 
 import gc
@@ -13,7 +13,6 @@ import pytest
 import repro.sim.engine as engine_mod
 from repro.routing import make_routing
 from repro.sim import SimulationConfig, WormholeSimulator
-from repro.sim.bench import run_bench
 from repro.sim.digest import result_digest
 from repro.sim.stats import StatsCollector
 from repro.topology import Mesh2D
@@ -179,20 +178,3 @@ class TestSimulatorLifetime:
         run = spec.run_full()
         assert run.result.total_delivered > 0
         assert [ref() for ref in built] == [None]
-
-
-class TestBenchSmoke:
-    def test_quick_bench_payload_shape(self):
-        payload = run_bench(names=["mesh16-west-first-low"], quick=True)
-        assert payload["meta"]["mode"] == "quick"
-        record = payload["scenarios"]["mesh16-west-first-low"]
-        for key in (
-            "wall_seconds", "cycles_simulated", "cycles_executed",
-            "cycles_per_sec", "flit_moves", "flit_moves_per_sec",
-            "packets_delivered", "deadlocked", "result_digest",
-            "route_cache",
-        ):
-            assert key in record, key
-        assert record["cycles_simulated"] == 800
-        assert not record["deadlocked"]
-        assert record["route_cache"]["hits"] > 0
