@@ -45,7 +45,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, TextIO, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, TextIO, Tuple, Union
 
 from repro.analysis.prewarm import WarmContext, get_warm_context
 from repro.obs.spec import ObsSpec
@@ -81,6 +81,7 @@ __all__ = [
     "ProgressPrinter",
     "ResultCache",
     "SweepExecutor",
+    "encode_point_record",
 ]
 
 #: Version tag mixed into every content hash.  Bump it when simulator
@@ -624,17 +625,52 @@ class ProgressPrinter(ExecutorHooks):
         )
 
 
-#: One cache entry: (result, resilience summary, obs metrics summary).
-_CacheEntry = Tuple[SimulationResult, Optional[dict], Optional[dict]]
+def encode_point_record(
+    spec: ExperimentSpec,
+    result: SimulationResult,
+    resilience: Optional[dict] = None,
+    metrics: Optional[dict] = None,
+) -> str:
+    """A point's record: the one serialization of its numbers.
+
+    Compact JSON with sorted keys, holding the spec (for auditability
+    and collision detection), the result, and the resilience ledger and
+    obs metrics summary when there are any.  A result-cache entry is
+    exactly these bytes, and a run manifest embeds them unparsed, so a
+    point is encoded once however many files carry it.
+    """
+    from repro.analysis.results_io import result_to_dict
+
+    payload = {
+        "version": SPEC_VERSION,
+        "spec": spec.to_dict(),
+        "result": result_to_dict(result),
+    }
+    if resilience is not None:
+        payload["resilience"] = resilience
+    if metrics is not None:
+        payload["obs"] = metrics
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+class _CacheEntry(NamedTuple):
+    """One decoded cache entry, plus the entry's text as read (the
+    point record a manifest embeds)."""
+
+    result: SimulationResult
+    resilience: Optional[dict]
+    metrics: Optional[dict]
+    record: str
 
 
 class ResultCache:
     """On-disk result store keyed by spec content hash.
 
-    One JSON file per point, named ``<hash>.json``, holding both the
-    spec (for auditability and collision detection) and the result.
-    Writes are atomic (temp file + rename), so a cache directory shared
-    by concurrent runs stays consistent.
+    One JSON file per point, named ``<hash>.json``, holding the point's
+    record (:func:`encode_point_record`).  Writes are atomic (temp file
+    + rename), so a cache directory shared by concurrent runs stays
+    consistent.  Entries written indented by earlier versions read the
+    same.
     """
 
     def __init__(self, root: Union[str, Path]) -> None:
@@ -647,26 +683,14 @@ class ResultCache:
 
     def load(self, spec: ExperimentSpec) -> Optional[SimulationResult]:
         """The cached result, or ``None`` on a miss or a corrupt entry."""
-        loaded = self.load_with_extras(spec)
-        return loaded[0] if loaded is not None else None
-
-    def load_with_extras(
-        self, spec: ExperimentSpec
-    ) -> Optional[Tuple[SimulationResult, Optional[dict]]]:
-        """The cached (result, resilience summary), or ``None`` on a
-        miss or a corrupt entry.  The summary is ``None`` for entries
-        stored without one (fault-free points, and all pre-resilience
-        archives).  :meth:`load_entry` additionally surfaces the obs
-        metrics summary."""
         entry = self.load_entry(spec)
-        if entry is None:
-            return None
-        return entry[0], entry[1]
+        return entry.result if entry is not None else None
 
     def load_entry(self, spec: ExperimentSpec) -> Optional[_CacheEntry]:
-        """The cached (result, resilience summary, obs metrics summary),
-        or ``None`` on a miss or a corrupt entry.  Either summary is
-        ``None`` when the entry was stored without it."""
+        """The cached (result, resilience summary, obs metrics summary,
+        record text), or ``None`` on a miss or a corrupt entry.  Either
+        summary is ``None`` when the entry was stored without it
+        (fault-free points, uninstrumented points, older archives)."""
         return self.read_entry(spec)[0]
 
     def read_entry(
@@ -701,10 +725,11 @@ class ResultCache:
             return None, "malformed result"
         extras = payload.get("resilience")
         metrics = payload.get("obs")
-        return (
+        return _CacheEntry(
             result,
             extras if isinstance(extras, dict) else None,
             metrics if isinstance(metrics, dict) else None,
+            text,
         ), None
 
     def store(
@@ -713,24 +738,15 @@ class ResultCache:
         result: SimulationResult,
         extras: Optional[dict] = None,
         metrics: Optional[dict] = None,
-    ) -> None:
+    ) -> str:
         """Persist one result (plus any resilience summary and obs
-        metrics summary) atomically."""
-        from repro.analysis.results_io import result_to_dict
-
+        metrics summary) atomically; returns the record written."""
+        record = encode_point_record(spec, result, extras, metrics)
         path = self.path_for(spec)
-        payload = {
-            "version": SPEC_VERSION,
-            "spec": spec.to_dict(),
-            "result": result_to_dict(result),
-        }
-        if extras is not None:
-            payload["resilience"] = extras
-        if metrics is not None:
-            payload["obs"] = metrics
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        tmp.write_text(json.dumps(payload, indent=2, sort_keys=True))
+        tmp.write_text(record)
         os.replace(tmp, path)
+        return record
 
     def __len__(self) -> int:
         return sum(1 for _ in self.root.glob("*.json"))
@@ -817,10 +833,6 @@ class SweepExecutor:
         self.last_metrics: Optional[ExecutorMetrics] = None
         self.require_certification = require_certification
         self.manifest_dir = Path(manifest_dir) if manifest_dir else None
-        # git describe is stable for the process lifetime; resolve it
-        # once rather than forking git per manifest.
-        self._git_version: Optional[str] = None
-        self._git_resolved = False
         self._certified: set = set()
         # Persistent worker pool (jobs > 1), created on first parallel
         # run and kept across calls.
@@ -916,15 +928,18 @@ class SweepExecutor:
         self.last_metrics = metrics
         self.hooks.on_run_end(metrics)
 
-    def _write_manifest(self, outcome: PointOutcome) -> None:
-        """Persist one point's structured run manifest (if enabled)."""
+    def _write_manifest(
+        self, outcome: PointOutcome, record: Optional[str] = None
+    ) -> None:
+        """Persist one point's structured run manifest (if enabled).
+
+        ``record`` is the point's cache entry as written or read; the
+        manifest embeds it as is, and encodes one itself without a
+        cache."""
         if self.manifest_dir is None:
             return
-        from repro.obs.manifest import build_manifest, git_describe, write_manifest
+        from repro.obs.manifest import build_manifest, write_manifest
 
-        if not self._git_resolved:
-            self._git_version = git_describe()
-            self._git_resolved = True
         point = outcome.point
         certification = {
             "required": self.require_certification,
@@ -945,11 +960,11 @@ class SweepExecutor:
             certification=certification,
             series=point.series,
             index=point.index,
-            git_version=self._git_version,
             executor={
                 "jobs": self.jobs,
                 "cache_problem": outcome.cache_problem,
             },
+            record=record,
         )
         write_manifest(manifest, self.manifest_dir)
 
@@ -966,13 +981,13 @@ class SweepExecutor:
             if problem is not None:
                 metrics.cache_corrupt += 1
             return None, problem
-        result, extras, obs_metrics = cached
         outcome = PointOutcome(
-            point, result, 0.0, True, resilience=extras, metrics=obs_metrics
+            point, cached.result, 0.0, True,
+            resilience=cached.resilience, metrics=cached.metrics,
         )
         metrics.cache_hits += 1
         metrics.points_completed += 1
-        self._write_manifest(outcome)
+        self._write_manifest(outcome, cached.record)
         self.hooks.on_point_done(outcome)
         return outcome, None
 
@@ -983,8 +998,9 @@ class SweepExecutor:
         metrics: ExecutorMetrics,
         cache_problem: Optional[str] = None,
     ) -> PointOutcome:
+        record = None
         if self.cache is not None:
-            self.cache.store(
+            record = self.cache.store(
                 point.spec, run.result, extras=run.resilience,
                 metrics=run.metrics,
             )
@@ -1001,7 +1017,7 @@ class SweepExecutor:
         if point.spec.resilience is None:
             # Every fresh point runs warm except a resilience point.
             metrics.warm_points += 1
-        self._write_manifest(outcome)
+        self._write_manifest(outcome, record)
         self.hooks.on_point_done(outcome)
         return outcome
 

@@ -3,12 +3,20 @@
 A manifest is the durable record of *how* a result was produced: the
 full experiment spec and its content hash, the code version (``git
 describe``), wall-clock timing and cache provenance, the certification
-verdict the executor enforced, the resilience ledger for faulted runs,
-and the observability metrics summary when collection was enabled.
+verdict the executor enforced — and the point's numbers (result,
+resilience ledger, obs metrics summary).
 :class:`~repro.analysis.executor.SweepExecutor` writes one per point
 when constructed with ``manifest_dir=...``; ``repro report`` renders
 them back into channel heatmaps and timelines without touching the
 simulator.
+
+The numbers are the point's *record*
+(:func:`~repro.analysis.executor.encode_point_record`), the very bytes
+a result-cache entry holds.  A manifest is a small header with those
+bytes spliced in unparsed under ``record``, so writing one never
+encodes the numbers a second time; :func:`load_manifest` lifts them
+back to the flat ``result`` / ``metrics`` / ``resilience`` keys that
+version-1 manifests carried, and both layouts read the same.
 
 Manifests wear the shared artifact envelope
 (:mod:`repro.obs.envelope`) with ``tool == "manifest"`` and are named
@@ -18,7 +26,9 @@ exactly like a result cache.
 
 from __future__ import annotations
 
+import functools
 import json
+import os
 import subprocess
 import time
 import warnings
@@ -42,19 +52,32 @@ __all__ = [
 ]
 
 #: Version of the manifest body layout (inside the shared envelope).
-MANIFEST_SCHEMA_VERSION = 1
+#: 2 splices the point record in under ``record``; 1 kept ``result``,
+#: ``metrics`` and ``resilience`` at the top level and still loads.
+MANIFEST_SCHEMA_VERSION = 2
 
 
 def git_describe(cwd: Optional[Union[str, Path]] = None) -> Optional[str]:
     """The repository's ``git describe --always --dirty``, or ``None``.
 
+    Resolved once per directory per process: the answer is stable for
+    a run's lifetime, so a sweep forks git once, not once per manifest.
     Never raises: a manifest written outside a work tree (or without
     git on PATH) simply records no code version.
     """
     try:
+        directory = os.path.abspath(cwd if cwd is not None else os.getcwd())
+    except OSError:
+        return None
+    return _describe(directory)
+
+
+@functools.lru_cache(maxsize=None)
+def _describe(directory: str) -> Optional[str]:
+    try:
         proc = subprocess.run(
             ["git", "describe", "--always", "--dirty", "--tags"],
-            cwd=cwd,
+            cwd=directory,
             capture_output=True,
             text=True,
             timeout=10,
@@ -83,12 +106,16 @@ def build_manifest(
     index: int = 0,
     git_version: Optional[str] = None,
     executor: Optional[Dict[str, Any]] = None,
+    record: Optional[str] = None,
 ) -> Dict[str, Any]:
     """Assemble the manifest document for one completed point.
 
+    The document is the header plus ``"record"``: the point's record as
+    encoded JSON text, which :func:`write_manifest` splices in unparsed.
+
     Args:
         spec: the experiment spec that was run.
-        result: its simulation result (re-serialized in full, so a
+        result: its simulation result (in the record in full, so a
             manifest alone reproduces every reported number).
         wall_time_s: seconds the simulation took (0.0 for cache hits).
         cached: whether the result came from the result cache.
@@ -105,12 +132,18 @@ def build_manifest(
         git_version: code version; defaults to :func:`git_describe`.
         executor: how the executor ran the point — ``jobs`` (the
             effective worker count, after a ``jobs=None`` request
-            resolves to the CPU count), ``warm`` (whether warm-state
-            reuse was on) and ``cache_problem`` (why an existing cache entry was rejected
-            and the point re-simulated, else ``None``).
+            resolves to the CPU count) and ``cache_problem`` (why an
+            existing cache entry was rejected and the point
+            re-simulated, else ``None``).
+        record: the point's record when the caller already holds it
+            encoded — the executor passes the cache entry it wrote or
+            read — so ``result``, ``resilience`` and ``metrics`` are not
+            encoded again; encoded from them when ``None``.
     """
-    from repro.analysis.results_io import result_to_dict
+    from repro.analysis.executor import encode_point_record
 
+    if record is None:
+        record = encode_point_record(spec, result, resilience, metrics)
     spec_hash = spec.content_hash()
     timings: Dict[str, Any] = {"wall_time_s": wall_time_s, "cached": cached}
     if recertify_s is not None:
@@ -130,9 +163,7 @@ def build_manifest(
         "timings": timings,
         "executor": executor,
         "certification": certification,
-        "resilience": resilience,
-        "metrics": metrics,
-        "result": result_to_dict(result),
+        "record": record,
     }
     return attach_envelope(body, "manifest", spec_hash=spec_hash)
 
@@ -147,27 +178,47 @@ def write_manifest(
 ) -> Path:
     """Persist one manifest under ``root``; returns the file path.
 
-    The file is keyed by the manifest's own ``spec_hash``, so rewriting
-    the same point (e.g. a cache hit on a later sweep) overwrites its
-    previous manifest rather than accumulating duplicates.
+    The header is encoded as compact JSON and the record's text is
+    spliced in after it as is, so the point's numbers are never encoded
+    here.  The file is keyed by the manifest's own ``spec_hash``, so
+    rewriting the same point (e.g. a cache hit on a later sweep)
+    overwrites its previous manifest rather than accumulating
+    duplicates.
     """
     spec_hash = manifest.get("spec_hash")
     if not spec_hash:
         raise ValueError("manifest carries no spec_hash")
+    record = manifest.get("record")
+    if not isinstance(record, str):
+        raise ValueError("manifest carries no encoded record")
+    header = {key: value for key, value in manifest.items() if key != "record"}
+    text = json.dumps(header, separators=(",", ":"))
     target = manifest_path(root, str(spec_hash))
     target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(json.dumps(manifest, indent=2, sort_keys=False))
+    target.write_text(f'{text[:-1]},"record":{record}}}')
     return target
 
 
 def load_manifest(path: Union[str, Path]) -> Dict[str, Any]:
-    """Read one manifest, validating its envelope and body version."""
+    """Read one manifest, validating its envelope and body version.
+
+    A version-2 record is lifted to the top-level ``result``,
+    ``metrics`` and ``resilience`` keys a version-1 manifest keeps
+    there, so every reader sees one layout.
+    """
     from repro.obs.envelope import load_envelope
 
     manifest = load_envelope(path, expect_tool="manifest")
     version = manifest.get("manifest_version")
     if not isinstance(version, int) or version > MANIFEST_SCHEMA_VERSION:
         raise ValueError(f"{path}: unsupported manifest_version {version!r}")
+    if "record" in manifest:
+        record = manifest.pop("record")
+        if not isinstance(record, dict) or not isinstance(record.get("result"), dict):
+            raise ValueError(f"{path}: malformed record")
+        manifest["resilience"] = record.get("resilience")
+        manifest["metrics"] = record.get("obs")
+        manifest["result"] = record["result"]
     return manifest
 
 

@@ -42,15 +42,16 @@ def hottest_channels(
 ) -> List[Dict[str, Any]]:
     """The ``top`` per-channel records by utilization, busiest first.
 
-    Ties break on the channel encoding so the ordering is stable across
-    runs and platforms.
+    Ties break on the channel encoding, read in sorted key order, so the
+    ordering is stable across runs and platforms and does not depend on
+    the key order of the file the summary was loaded from.
     """
     records = list(channels.get("per_channel", ()))
     records.sort(
         key=lambda r: (
             -r["utilization"],
             -r["occupancy_sum"],
-            str(r["channel"]),
+            str(sorted(r["channel"].items())),
         )
     )
     return records[:top]
@@ -257,10 +258,23 @@ def render_manifest_report(
     return "\n".join(lines)
 
 
+def _sorted_keys(value: Any) -> Any:
+    """``value`` with every dict's keys in sorted order."""
+    if isinstance(value, dict):
+        return {key: _sorted_keys(value[key]) for key in sorted(value)}
+    if isinstance(value, list):
+        return [_sorted_keys(item) for item in value]
+    return value
+
+
 def report_payload(
     manifests: List[Dict[str, Any]], top: int = 8
 ) -> Dict[str, Any]:
-    """The ``repro report --out`` body: one summary entry per manifest."""
+    """The ``repro report --out`` body: one summary entry per manifest.
+
+    The point's numbers are emitted in sorted key order, so a manifest
+    reports byte for byte the same whichever layout it was written in.
+    """
     entries: List[Dict[str, Any]] = []
     for manifest in manifests:
         metrics = manifest.get("metrics") or {}
@@ -270,12 +284,12 @@ def report_payload(
                 "spec_hash": manifest.get("spec_hash"),
                 "spec": manifest.get("spec"),
                 "point": manifest.get("point"),
-                "counters": metrics.get("counters"),
-                "latency_cycles": metrics.get("latency_cycles"),
-                "hottest_channels": (
+                "counters": _sorted_keys(metrics.get("counters")),
+                "latency_cycles": _sorted_keys(metrics.get("latency_cycles")),
+                "hottest_channels": _sorted_keys(
                     hottest_channels(channels, top) if channels else None
                 ),
-                "resilience": manifest.get("resilience"),
+                "resilience": _sorted_keys(manifest.get("resilience")),
             }
         )
     return {"manifests": entries}

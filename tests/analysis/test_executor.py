@@ -10,21 +10,27 @@ import sys
 import pytest
 
 from repro.analysis.executor import (
+    SPEC_VERSION,
     ConfigSpec,
     ExecutorHooks,
     ExperimentSpec,
     PointSpec,
     ProgressPrinter,
+    ResilienceSpec,
     ResultCache,
     SweepExecutor,
+    encode_point_record,
     resolve_spec,
 )
+from repro.analysis.results_io import result_to_dict
 from repro.analysis.sweep import (
     SweepPoint,
     sweep_loads,
     truncate_at_saturation,
 )
 from repro.obs.manifest import iter_manifests
+from repro.obs.spec import ObsSpec
+from repro.sim.digest import result_digest
 from repro.routing.base import RoutingAlgorithm
 from repro.routing.selection import OutputSelectionPolicy
 from repro.sim.config import SimulationConfig
@@ -187,32 +193,77 @@ class TestResultCache:
         """A hash collision (or tampered file) must not serve wrong data."""
         cache = ResultCache(tmp_path)
         spec = make_spec()
-        cache.store(spec, spec.run())
-        payload = json.loads(cache.path_for(spec).read_text())
-        payload["spec"]["load"] = 0.999
-        cache.path_for(spec).write_text(json.dumps(payload))
+        other = make_spec(load=0.999)
+        cache.path_for(spec).write_text(encode_point_record(other, spec.run()))
         assert cache.load(spec) is None
 
+    def test_store_writes_the_compact_record(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        spec = make_spec()
+        result = spec.run()
+        record = cache.store(spec, result)
+        assert record == encode_point_record(spec, result)
+        assert cache.path_for(spec).read_text() == record
+        assert "\n" not in record and ", " not in record
+        entry = cache.load_entry(spec)
+        assert entry.result == result and entry.record == record
 
     def test_read_entry_tells_a_miss_from_a_corrupt_entry(self, tmp_path):
         cache = ResultCache(tmp_path)
         spec = make_spec()
         assert cache.read_entry(spec) == (None, None)  # no file: a plain miss
-        cache.store(spec, spec.run())
+        result = spec.run()
+        whole = cache.store(spec, result)
         entry, problem = cache.read_entry(spec)
         assert entry is not None and problem is None
-        whole = cache.path_for(spec).read_text()
-        payload = json.loads(whole)
+        malformed = json.loads(whole)
+        malformed["result"] = {"nope": 1}
         damaged = {
             "not valid JSON": whole[: len(whole) // 2],
-            "holds a different spec": json.dumps(
-                {**payload, "spec": {**payload["spec"], "load": 0.999}}),
-            "malformed result": json.dumps({**payload, "result": {"nope": 1}}),
+            "holds a different spec": encode_point_record(
+                make_spec(load=0.999), result),
+            "malformed result": json.dumps(
+                malformed, sort_keys=True, separators=(",", ":")),
         }
         for expected, text in damaged.items():
             cache.path_for(spec).write_text(text)
             assert cache.read_entry(spec) == (None, expected)
             assert cache.load_entry(spec) is None
+
+    def test_entry_in_the_earlier_indented_layout_still_hits(self, tmp_path):
+        """Entries written before the record went compact — indent=2,
+        sorted keys, with obs and resilience summaries — are hits: same
+        result, same summaries, nothing re-simulated or counted corrupt,
+        and the manifest embeds the entry as it is on disk."""
+        spec = make_spec(
+            obs=ObsSpec(), resilience=ResilienceSpec(fault_count=1, fault_seed=2)
+        )
+        full = spec.run_full()
+        assert full.resilience is not None and full.metrics is not None
+        earlier = json.dumps(
+            {
+                "version": SPEC_VERSION,
+                "spec": spec.to_dict(),
+                "result": result_to_dict(full.result),
+                "resilience": full.resilience,
+                "obs": full.metrics,
+            },
+            indent=2,
+            sort_keys=True,
+        )
+        ResultCache(tmp_path / "cache").path_for(spec).write_text(earlier)
+        executor = SweepExecutor(
+            cache_dir=tmp_path / "cache", manifest_dir=tmp_path / "runs"
+        )
+        (outcome,) = executor.run_points([PointSpec(spec=spec)])
+        metrics = executor.last_metrics
+        assert outcome.cached
+        assert (metrics.cache_corrupt, metrics.cache_hits, metrics.simulated) == (0, 1, 0)
+        assert result_digest(outcome.result) == result_digest(full.result)
+        assert outcome.metrics == json.loads(json.dumps(full.metrics))
+        assert outcome.resilience == json.loads(json.dumps(full.resilience))
+        manifest = tmp_path / "runs" / f"manifest-{spec.content_hash()}.json"
+        assert earlier in manifest.read_text()
 
 
 class CountingHooks(ExecutorHooks):

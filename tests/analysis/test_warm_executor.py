@@ -1,6 +1,7 @@
 """Warm-executor integration tests: bit-identity, pool lifecycle,
 batched scheduling, and cache-dir safety under concurrent writers."""
 
+import json
 import multiprocessing
 import os
 import subprocess
@@ -166,7 +167,7 @@ class TestManifestExecutorBlock:
         # carry "warm": true in the executor block; `repro report` must
         # keep loading and rendering them.
         from repro.cli import main
-        from repro.obs.manifest import load_manifest, write_manifest
+        from repro.obs.manifest import load_manifest
         from repro.obs.report import render_manifest_report
 
         with SweepExecutor(jobs=1, manifest_dir=tmp_path / "new") as executor:
@@ -174,7 +175,7 @@ class TestManifestExecutorBlock:
         (manifest,) = iter_manifests(tmp_path / "new")
         current = render_manifest_report(manifest)
         manifest["executor"]["warm"] = True
-        path = write_manifest(manifest, tmp_path / "old")
+        path = _write_version_1(manifest, tmp_path / "old")
         assert render_manifest_report(load_manifest(path)) == current
         assert main(["report", str(path)]) == 0
         assert current in capsys.readouterr().out
@@ -183,7 +184,7 @@ class TestManifestExecutorBlock:
         # Manifests on disk from earlier versions carry core_used /
         # core_fallback_reason in the executor block; they must keep
         # loading and rendering (the keys are simply not reported).
-        from repro.obs.manifest import load_manifest, write_manifest
+        from repro.obs.manifest import load_manifest
         from repro.obs.report import render_manifest_report
 
         with SweepExecutor(jobs=1, manifest_dir=tmp_path) as executor:
@@ -195,9 +196,20 @@ class TestManifestExecutorBlock:
             core_fallback_reason="an observability collector samples "
                                  "live channel states",
         )
-        path = write_manifest(manifest, tmp_path / "old")
+        path = _write_version_1(manifest, tmp_path / "old")
         assert render_manifest_report(load_manifest(path)) == current
         assert "core:" not in current
+
+
+def _write_version_1(manifest, root):
+    """Write a loaded manifest in the version-1 layout those earlier
+    executors wrote: indented, result / metrics / resilience on top."""
+    from repro.obs.manifest import manifest_path
+
+    path = manifest_path(root, manifest["spec_hash"])
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps({**manifest, "manifest_version": 1}, indent=2))
+    return path
 
 
 def _sweep_into_cache(cache_dir: str) -> None:

@@ -1,10 +1,18 @@
 """The shared --out envelope and the structured run manifests."""
 
 import json
+import subprocess
 
 import pytest
 
-from repro.analysis.executor import ConfigSpec, ExperimentSpec, SweepExecutor, PointSpec
+from repro.analysis.executor import (
+    ConfigSpec,
+    ExperimentSpec,
+    PointSpec,
+    SweepExecutor,
+    encode_point_record,
+)
+from repro.analysis.results_io import result_to_dict
 from repro.obs.envelope import (
     ENVELOPE_SCHEMA_VERSION,
     attach_envelope,
@@ -102,13 +110,25 @@ class TestManifest:
         assert manifest["point"] == {"series": "west-first", "index": 3}
         assert manifest["timings"]["wall_time_s"] == 1.25
         assert manifest["spec"] == spec.to_dict()
-        assert manifest["metrics"]["counters"]["delivered_packets"] > 0
+        assert manifest["record"] == encode_point_record(
+            spec, full.result, metrics=full.metrics
+        )
 
         path = write_manifest(manifest, tmp_path)
         assert path == manifest_path(tmp_path, spec.content_hash())
+        assert manifest["record"] in path.read_text()
         # The manifest is a JSON document: loading it back yields the
-        # JSON normalization (e.g. int dict keys become strings).
-        assert load_manifest(path) == json.loads(json.dumps(manifest))
+        # JSON normalization (e.g. int dict keys become strings), with
+        # the record lifted to the flat result / metrics / resilience.
+        loaded = load_manifest(path)
+        header = {key: value for key, value in manifest.items() if key != "record"}
+        assert loaded == {
+            **json.loads(json.dumps(header)),
+            "resilience": None,
+            "metrics": json.loads(json.dumps(full.metrics)),
+            "result": json.loads(json.dumps(result_to_dict(full.result))),
+        }
+        assert loaded["metrics"]["counters"]["delivered_packets"] > 0
 
     @staticmethod
     def _write_two(root):
@@ -168,3 +188,30 @@ class TestManifest:
         version = git_describe()
         assert version is None or isinstance(version, str)
         assert git_describe(cwd="/nonexistent-dir-xyz") is None
+
+    def test_git_is_asked_once_per_process_outside_a_work_tree(
+        self, tmp_path, monkeypatch
+    ):
+        """Outside a work tree the answer is None, and None is remembered
+        too: two executors writing eight manifests fork git once."""
+        calls = []
+        real_run = subprocess.run
+
+        def counting_run(args, *rest, **kwargs):
+            if args[0] == "git":
+                calls.append(args)
+            return real_run(args, *rest, **kwargs)
+
+        monkeypatch.setattr(subprocess, "run", counting_run)
+        monkeypatch.chdir(tmp_path)
+        points = [
+            PointSpec(spec=_spec(seed=seed), index=index)
+            for index, seed in enumerate((1, 2, 3, 4))
+        ]
+        for _ in range(2):
+            with SweepExecutor(jobs=1, manifest_dir=tmp_path / "runs") as executor:
+                executor.run_points(points)
+        assert len(calls) == 1
+        manifests = iter_manifests(tmp_path / "runs")
+        assert len(manifests) == 4
+        assert all(m["git_describe"] is None for m in manifests)

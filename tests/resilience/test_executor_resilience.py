@@ -111,11 +111,10 @@ class TestCacheExtras:
         result, extras = full.result, full.resilience
         cache = ResultCache(tmp_path)
         cache.store(spec, result, extras=extras)
-        loaded = cache.load_with_extras(spec)
+        loaded = cache.load_entry(spec)
         assert loaded is not None
-        cached_result, cached_extras = loaded
-        assert cached_result == result
-        assert cached_extras == extras
+        assert loaded.result == result
+        assert loaded.resilience == extras
 
     def test_plain_store_loads_none_extras(self, tmp_path):
         spec = fast_spec()
@@ -123,8 +122,7 @@ class TestCacheExtras:
         cache = ResultCache(tmp_path)
         cache.store(spec, result)
         assert cache.load(spec) == result
-        cached_result, cached_extras = cache.load_with_extras(spec)
-        assert cached_extras is None
+        assert cache.load_entry(spec).resilience is None
 
     def test_executor_outcome_carries_resilience(self, tmp_path):
         spec = fast_spec(resilience=ResilienceSpec(fault_count=2, fault_seed=3))
