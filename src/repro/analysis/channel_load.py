@@ -1,8 +1,10 @@
 """Static channel-load analysis.
 
-Propagates each source-destination flow through the routing relation,
-splitting equally over the offered candidates at every hop, and
-accumulates the expected load on every channel.  The most loaded channel
+Propagates each source-destination flow through the compiled routing
+relation the provers read, splitting equally over the offered candidates
+at every hop, per destination in topological order: exact for every
+relation whose per-destination graph is acyclic (every deadlock-free one,
+minimal or not), refused for the others.  The most loaded channel
 bounds the network's saturation throughput: a channel carrying ``L``
 units of flow saturates when each active source injects ``1/L`` flits per
 cycle.  The bound is ideal — wormhole blocking keeps real networks below
@@ -12,15 +14,16 @@ what comparing it with the simulator's measured plateaus shows.
 
 from __future__ import annotations
 
-import heapq
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.routing.base import RoutingAlgorithm
+from repro.sim.ids import mask_ids
 from repro.topology.base import Topology
-from repro.topology.channels import Channel, NodeId
+from repro.topology.channels import Channel
 from repro.traffic.patterns import TrafficPattern
+from repro.verify.deadlock import route_closure
 
 __all__ = ["ChannelLoadReport", "channel_loads", "load_report"]
 
@@ -72,52 +75,51 @@ def channel_loads(
     Each active source emits one unit of flow per destination weight; at
     every router the incoming flow divides equally among the candidates
     the algorithm offers.  Deterministic algorithms reduce to pure path
-    accumulation.
+    accumulation.  Flow that reaches a dead end stays on it.
+
+    Raises:
+        ValueError: if the relation toward a destination the pattern uses
+            has a cycle (named in the message), so the flow is undefined.
     """
-    loads: Dict[Channel, float] = defaultdict(float)
+    closure = route_closure(topology, algorithm)
+    index = closure.compiled.index
+    lookup = closure.compiled.lookup
+    injected: Dict[int, Dict[int, float]] = defaultdict(lambda: defaultdict(float))
     for src in topology.nodes():
         for dest, weight in pattern.destination_distribution(src):
-            if dest == src or weight <= 0:
-                continue
-            _propagate(topology, algorithm, src, dest, weight, loads)
-    return dict(loads)
-
-
-def _propagate(topology, algorithm, src, dest, amount, loads) -> None:
-    """Push ``amount`` of flow from ``src`` to ``dest`` through the relation.
-
-    States are processed in order of decreasing distance-to-destination,
-    so each (channel, node) state's inflow is complete before it splits —
-    valid for the minimal algorithms this analysis targets.
-    """
-    state_flow: Dict[tuple, float] = defaultdict(float)
-    start = (None, src)
-    state_flow[start] = amount
-    counter = 0
-    heap = [(-topology.distance(src, dest), counter, start)]
-    seen = set()
-    while heap:
-        _, _, state = heapq.heappop(heap)
-        if state in seen:
-            continue
-        seen.add(state)
-        in_channel, node = state
-        flow = state_flow[state]
-        if node == dest or flow <= 0:
-            continue
-        candidates = algorithm.route(in_channel, node, dest)
-        if not candidates:
-            continue
-        share = flow / len(candidates)
-        for channel in candidates:
-            loads[channel] += share
-            next_state = (channel, channel.dst)
-            state_flow[next_state] += share
-            counter += 1
-            heapq.heappush(
-                heap,
-                (-topology.distance(channel.dst, dest), counter, next_state),
+            if dest != src and weight > 0:
+                injected[index.node_id[dest]][index.inj_base + index.node_id[src]] += weight
+    loads = [0.0] * index.num_channels
+    for dest_idx, sources in sorted(injected.items()):
+        flow: Dict[int, float] = defaultdict(float)
+        for injection, weight in sources.items():
+            outs = lookup(injection, dest_idx)
+            for out in outs:
+                flow[out] += weight / len(outs)
+        predecessors = closure.destination(dest_idx)[0]
+        waiting = {ident: len(preds) for ident, preds in predecessors.items()}
+        # Kahn's algorithm: a channel splits its flow once all of it is in.
+        order = [ident for ident in mask_ids(closure.reached[dest_idx]) if ident not in waiting]
+        for front in order:  # grows as channels become ready
+            loads[front] += flow[front]
+            outs = () if index.dest_node_id[front] == dest_idx else lookup(front, dest_idx)
+            for out in outs:
+                flow[out] += flow[front] / len(outs)
+                waiting[out] -= 1
+                if not waiting[out]:
+                    order.append(out)
+        stuck = next((ident for ident, count in waiting.items() if count), None)
+        if stuck is not None:
+            # Every unfinished channel has an unfinished predecessor, so
+            # a walk back through them is on a cycle once it is this long.
+            for _ in waiting:
+                stuck = next(pred for pred in predecessors[stuck] if waiting.get(pred))
+            raise ValueError(
+                f"equal-split flow is undefined for {algorithm.name}: its relation "
+                f"toward {index.nodes[dest_idx]} has a cycle through channel "
+                f"{index.channels[stuck]}"
             )
+    return {channel: load for channel, load in zip(index.channels, loads) if load > 0}
 
 
 def load_report(

@@ -6,7 +6,8 @@ as every shortest path it permits crosses a failed channel, while a
 nonminimal algorithm survives any fault pattern that leaves a
 permitted-turn path intact.  :func:`routable_fraction` quantifies this:
 the fraction of ordered pairs an algorithm can still route in a faulty
-network.
+network, read off the compiled relation the provers read (exact for any
+relation, cyclic or not).
 """
 
 from __future__ import annotations
@@ -17,8 +18,10 @@ from typing import List, Sequence
 from repro.core.restrictions import TurnRestriction
 from repro.routing.base import RoutingAlgorithm
 from repro.routing.turn_table import TurnRestrictionRouting
+from repro.sim.ids import ancestors
 from repro.topology.base import Topology
-from repro.topology.faults import FaultyTopology, random_channel_faults
+from repro.topology.faults import random_channel_faults
+from repro.verify.deadlock import route_closure
 
 __all__ = ["routable_fraction", "FaultSweepPoint", "fault_tolerance_sweep"]
 
@@ -26,40 +29,27 @@ __all__ = ["routable_fraction", "FaultSweepPoint", "fault_tolerance_sweep"]
 def routable_fraction(topology: Topology, algorithm: RoutingAlgorithm) -> float:
     """Fraction of ordered pairs the algorithm can route to completion.
 
-    A pair counts as routable when, starting from injection, every state
-    the algorithm can reach still offers a next hop until the destination
-    (no dead ends) — checked by exhaustive walk over the (channel, node)
-    state graph.
+    A pair counts as routable when the source is offered a first hop and
+    no dead end (a channel short of the destination offering no output)
+    is reachable from any of them.  Per destination, one reverse search
+    from the dead ends marks every channel that can reach one.
     """
-    nodes = list(topology.nodes())
-    total = 0
+    closure = route_closure(topology, algorithm)
+    compiled = closure.compiled
+    index = compiled.index
+    nodes = range(index.num_nodes)
     routable = 0
-    for src in nodes:
-        for dst in nodes:
-            if src == dst:
+    for dest_idx in nodes:
+        predecessors, _, dead_ends = closure.destination(dest_idx)
+        doomed = ancestors(predecessors, dead_ends)
+        for source_idx in nodes:
+            if source_idx == dest_idx:
                 continue
-            total += 1
-            if _delivers(topology, algorithm, src, dst):
+            firsts = compiled.lookup(index.inj_base + source_idx, dest_idx)
+            if firsts and not any(doomed >> first & 1 for first in firsts):
                 routable += 1
+    total = index.num_nodes * (index.num_nodes - 1)
     return routable / total if total else 1.0
-
-
-def _delivers(topology, algorithm, src, dst) -> bool:
-    frontier = [(None, src)]
-    seen = set()
-    while frontier:
-        in_ch, node = frontier.pop()
-        if node == dst:
-            continue
-        if (in_ch, node) in seen:
-            continue
-        seen.add((in_ch, node))
-        candidates = algorithm.route(in_ch, node, dst)
-        if not candidates:
-            return False
-        for ch in candidates:
-            frontier.append((ch, ch.dst))
-    return True
 
 
 @dataclass(frozen=True)

@@ -492,8 +492,11 @@ def _cmd_loads(args: argparse.Namespace) -> int:
     topology = parse_topology(args.topology)
     pattern = make_pattern(args.pattern, topology)
     for name in args.algorithm:
-        routing = make_routing(name, topology)
-        report = load_report(topology, routing, pattern)
+        try:
+            report = load_report(topology, make_routing(name, topology), pattern)
+        except ValueError as exc:
+            print(str(exc), file=sys.stderr)
+            return 2
         print(f"{name:18s} {report}")
     return 0
 

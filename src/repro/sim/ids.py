@@ -28,7 +28,8 @@ from repro.routing.base import RoutingAlgorithm
 from repro.topology.base import Topology
 from repro.topology.channels import Channel, NodeId
 
-__all__ = ["ChannelIndex", "CompiledRoutes", "RouteClosure", "RouteTable", "mask_ids"]
+__all__ = ["ChannelIndex", "CompiledRoutes", "RouteClosure", "RouteTable", "ancestors",
+           "mask_ids"]
 
 
 def mask_ids(mask: int) -> Iterator[int]:
@@ -273,7 +274,8 @@ class CompiledRoutes:
 
 
 class RouteClosure(NamedTuple):
-    """What :meth:`CompiledRoutes.closure` found: the relation the provers read.
+    """What :meth:`CompiledRoutes.closure` found: the relation the provers
+    and the static analyses read.
 
     Attributes:
         compiled: the table the closure filled; every decision behind
@@ -288,6 +290,41 @@ class RouteClosure(NamedTuple):
     compiled: CompiledRoutes
     succ: List[int]
     reached: List[int]
+
+    def destination(self, dest_idx: int) -> Tuple[Dict[int, List[int]], List[int], List[int]]:
+        """The relation toward one destination with its edges reversed, as
+        ``(predecessors, accepting, dead_ends)``: channel id -> the reached
+        channels that may request it next (one entry per offered output);
+        the reached channels whose head is the destination; and those
+        short of it that offer no output."""
+        compiled = self.compiled
+        head = compiled.index.dest_node_id
+        predecessors: Dict[int, List[int]] = {}
+        accepting: List[int] = []
+        dead_ends: List[int] = []
+        for front in mask_ids(self.reached[dest_idx]):
+            if head[front] == dest_idx:
+                accepting.append(front)
+                continue
+            outs = compiled.lookup(front, dest_idx)
+            if not outs:
+                dead_ends.append(front)
+            for out in outs:
+                predecessors.setdefault(out, []).append(front)
+        return predecessors, accepting, dead_ends
+
+
+def ancestors(predecessors: Dict[int, List[int]], seeds: List[int]) -> int:
+    """Bitmask of the distinct ``seeds`` and every channel with a permitted
+    walk to one (reverse search over a :meth:`RouteClosure.destination` map)."""
+    frontier = list(seeds)
+    mask = sum(1 << front for front in frontier)
+    for front in frontier:  # grows as the search advances
+        for pred in predecessors.get(front, ()):
+            if not mask >> pred & 1:
+                mask |= 1 << pred
+                frontier.append(pred)
+    return mask
 
 
 class RouteTable:

@@ -18,10 +18,10 @@ delivers iff *some* permitted walk from it ends at the destination.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.channel_graph import RouteFn
-from repro.sim.ids import RouteClosure, mask_ids
+from repro.sim.ids import RouteClosure, ancestors
 from repro.topology.base import Topology
 from repro.topology.channels import Channel, NodeId
 from repro.verify.deadlock import route_closure
@@ -31,36 +31,6 @@ __all__ = ["check_connectivity"]
 
 #: How many counterexamples a refutation certificate keeps.
 _SAMPLE = 20
-
-
-def _delivering(closure: RouteClosure, dest_idx: int, dead_ends: List[int]) -> int:
-    """Bitmask of the reached channels from which some permitted walk
-    ends at the destination: reverse search from the accepting channels
-    (those whose head is the destination) over the per-destination
-    channel graph.  Reached channels offering no output are appended to
-    ``dead_ends``."""
-    compiled = closure.compiled
-    head = compiled.index.dest_node_id
-    predecessors: Dict[int, List[int]] = {}
-    frontier: List[int] = []
-    for front in mask_ids(closure.reached[dest_idx]):
-        if head[front] == dest_idx:
-            frontier.append(front)
-            continue
-        outs = compiled.lookup(front, dest_idx)
-        if not outs:
-            dead_ends.append(front)
-        for out in outs:
-            predecessors.setdefault(out, []).append(front)
-    delivering = 0
-    for front in frontier:
-        delivering |= 1 << front
-    for front in frontier:  # grows as the search advances
-        for pred in predecessors.get(front, ()):
-            if not delivering >> pred & 1:
-                delivering |= 1 << pred
-                frontier.append(pred)
-    return delivering
 
 
 def check_connectivity(
@@ -79,11 +49,9 @@ def check_connectivity(
     states = 0
     for dest_idx, dest in enumerate(nodes):
         states += bin(closure.reached[dest_idx]).count("1")
-        dead_ends: List[int] = []
-        delivering = _delivering(closure, dest_idx, dead_ends)
-        dead_end_states.extend(
-            (index.channels[front], dest) for front in dead_ends
-        )
+        predecessors, accepting, dead_ends = closure.destination(dest_idx)
+        delivering = ancestors(predecessors, accepting)
+        dead_end_states.extend((index.channels[front], dest) for front in dead_ends)
         for source_idx, source in enumerate(nodes):
             if source_idx == dest_idx:
                 continue

@@ -216,6 +216,30 @@ class TestLoadsCommand:
         assert "saturation bound" in out
         assert "xy" in out and "negative-first" in out
 
+    def test_cyclic_relation_is_a_usage_error(self, capsys, monkeypatch):
+        # No registry algorithm has a per-destination cycle, so stand one
+        # in: fully adaptive nonminimal routing on the mesh.
+        import repro.cli
+        from repro.core.restrictions import fully_adaptive
+        from repro.routing import TurnRestrictionRouting
+
+        monkeypatch.setattr(
+            repro.cli,
+            "make_routing",
+            lambda name, topology: TurnRestrictionRouting(
+                topology, fully_adaptive(2), minimal=False
+            ),
+        )
+        code = main([
+            "loads", "--topology", "mesh:4x4", "--pattern", "transpose",
+            "--algorithm", "xy",
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "has a cycle through channel" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
 
 class TestResilienceCommand:
     def test_small_fault_sweep(self, capsys, tmp_path):
