@@ -20,6 +20,7 @@ import random
 from collections import deque
 from typing import Dict, FrozenSet, Iterable, List, Sequence
 
+from repro.core.directions import Direction
 from repro.topology.base import Topology
 from repro.topology.channels import Channel, NodeId
 
@@ -75,6 +76,9 @@ class FaultyTopology(Topology):
 
     def distance(self, src: NodeId, dst: NodeId) -> int:
         return self.base.distance(src, dst)
+
+    def minimal_directions(self, src: NodeId, dst: NodeId) -> tuple[Direction, ...]:
+        return self.base.minimal_directions(src, dst)
 
     def __repr__(self) -> str:
         return f"FaultyTopology({self.base!r}, {len(self.failed)} failed)"

@@ -8,6 +8,7 @@ from repro.routing import TurnRestrictionRouting, make_routing
 from repro.core.restrictions import west_first_restriction
 from repro.topology import FaultyTopology, Mesh2D, random_channel_faults
 from repro.topology.faults import is_strongly_connected
+from repro.topology.spec import parse_topology
 
 
 class TestFaultyTopology:
@@ -52,6 +53,19 @@ class TestFaultyTopology:
         assert faulty.shape == mesh44.shape
         assert list(faulty.nodes()) == list(mesh44.nodes())
         assert faulty.distance((0, 0), (3, 3)) == 6
+
+    @pytest.mark.parametrize("spec", ["hex:5x5", "oct:5x5", "torus:4x2", "mesh:4x4"])
+    def test_minimal_directions_are_the_healthy_topology_s(self, spec):
+        # Hex and oct meshes override the per-axis coordinate compare;
+        # the wrapper must report their answer, with or without faults.
+        base = parse_topology(spec)
+        for failed in ([], base.channels()[:3]):
+            faulty = FaultyTopology(base, failed)
+            for src in base.nodes():
+                for dst in base.nodes():
+                    assert faulty.minimal_directions(src, dst) == (
+                        base.minimal_directions(src, dst)
+                    ), (src, dst)
 
     def test_random_faults_reproducible(self, mesh44):
         a = random_channel_faults(mesh44, 5, seed=2)
