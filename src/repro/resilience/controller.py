@@ -19,11 +19,31 @@ when the clock stops.  ``next_wake`` makes the whole subsystem free when
 idle: with an empty schedule and no pending retries it stays at
 infinity and the engine's hot path never enters the fault code.
 
-Every degraded routing is compiled to an int-id table against the run's
-own channel index, and — unless the controller was built with
-``recertify=False``, the CLI's ``--no-recertify`` escape hatch — that
-table's closure is proved deadlock-free before the run proceeds; the
-engine then adopts the very table that was proved.
+Every degraded routing gets an int-id table on the run's own channel
+index, and — unless the controller was built with ``recertify=False``,
+the CLI's ``--no-recertify`` escape hatch — that table's closure is
+proved deadlock-free before the run proceeds; the engine then adopts the
+very table that was proved.
+
+The table is read off the run's healthy table, not compiled by asking
+the degraded routing (:meth:`CompiledRoutes.restricted
+<repro.sim.ids.CompiledRoutes.restricted>`).  Both degradations this
+module builds are restrictions of the healthy relation — each degraded
+decision is the healthy one with some ids removed, in the same order:
+
+* *filter* (:class:`DegradedRouting`): by definition, the failed ids;
+* *rebuild* (a nonminimal :class:`~repro.routing.turn_table
+  .TurnRestrictionRouting` re-made on the degraded topology): the ids
+  whose holder can no longer reach the destination.  Its outputs are
+  the permitted surviving channels in ``out_channels`` order (which
+  :class:`~repro.topology.faults.FaultyTopology` keeps), productive
+  first (by the healthy ``minimal_directions``), that still reach the
+  destination — and the degraded reach is a subset of the healthy one.
+
+The degraded routing object is still built and stays
+``current_routing``: it is the definition the derived table restricts
+to, and what a proof names.  Any other factory's routing is compiled
+from its ``route`` as before.
 """
 
 from __future__ import annotations
@@ -53,7 +73,8 @@ from repro.resilience.schedule import FAIL, FaultEvent, FaultSchedule
 from repro.resilience.stats import ResilienceStats
 from repro.routing.base import RoutingAlgorithm
 from repro.routing.registry import make_routing
-from repro.sim.ids import ChannelIndex, CompiledRoutes
+from repro.routing.turn_table import TurnRestrictionRouting
+from repro.sim.ids import CompiledRoutes, mask_ids
 from repro.topology.base import Topology
 from repro.topology.channels import Channel, NodeId
 from repro.topology.faults import FaultyTopology
@@ -139,9 +160,11 @@ class FaultController:
         failed: the currently failed channels.
         current_routing, current_topology: what the engine should route
             against right now (the healthy pair until the first fault).
-        current_compiled: ``current_routing`` compiled against the run's
-            channel index — the table the last proof closed and the
-            engine adopts; ``None`` while the healthy routing is live.
+        current_compiled: ``current_routing``'s table on the run's
+            channel index, derived from the healthy table where the
+            degradation allows — the table the last proof closed and
+            the engine adopts; ``None`` while the healthy routing is
+            live.
         recertify_s: host seconds spent proving degraded tables (timing
             metadata, never part of the ledger).
         next_event_cycle: cycle of the next unapplied schedule event.
@@ -169,7 +192,7 @@ class FaultController:
         self.current_topology: Optional[Topology] = None
         self.current_compiled: Optional[CompiledRoutes] = None
         self.recertify_s = 0.0
-        self._index: Optional[ChannelIndex] = None
+        self._healthy: Optional[CompiledRoutes] = None
         self.failed: FrozenSet[Channel] = frozenset()
         self.next_event_cycle: float = _INF
         self.next_wake: float = _INF
@@ -184,14 +207,15 @@ class FaultController:
         self,
         routing: RoutingAlgorithm,
         topology: Topology,
-        index: Optional[ChannelIndex] = None,
+        compiled: Optional[CompiledRoutes] = None,
     ) -> None:
         """Attach to one run; called once by the engine's constructor.
 
         Validates the schedule against the run's topology and resets all
         per-run state, so one controller instance serves one run.
-        Every degraded table is compiled against ``index``, the run's
-        channel id layout (the healthy topology's own when omitted).
+        ``compiled`` is the run's healthy table (a private one for
+        ``routing`` when omitted): every degraded table is derived from
+        it, or compiled on its channel index.
         """
         self.schedule.validate_for(topology)
         self.base_routing = routing
@@ -200,7 +224,7 @@ class FaultController:
         self.current_topology = topology
         self.current_compiled = None
         self.recertify_s = 0.0
-        self._index = index if index is not None else ChannelIndex(topology)
+        self._healthy = compiled if compiled is not None else CompiledRoutes(routing)
         self.failed = frozenset()
         self.stats = ResilienceStats()
         self._cursor = 0
@@ -256,12 +280,56 @@ class FaultController:
             routing = self.routing_factory(degraded)
         else:
             routing = DegradedRouting(base_routing, self.failed, degraded)
-        compiled = CompiledRoutes(routing, self._index)
+        healthy = self._healthy
+        assert healthy is not None
+        dropped = self._dropped_ids(routing, degraded, healthy)
+        if dropped is None:
+            compiled = CompiledRoutes(routing, healthy.index)
+        else:
+            compiled = CompiledRoutes.restricted(healthy, routing, dropped)
         self.current_topology = degraded
         self.current_routing = routing
         self.current_compiled = compiled
         if self.recertify_enabled:
             self._recertify(degraded, compiled)
+
+    @staticmethod
+    def _dropped_ids(
+        routing: RoutingAlgorithm,
+        degraded: FaultyTopology,
+        healthy: CompiledRoutes,
+    ) -> Optional[List[FrozenSet[int]]]:
+        """Per destination index, the ids ``routing``'s decisions drop
+        from ``healthy``'s (see the module notes) — or ``None`` when
+        ``routing`` is not a restriction of ``healthy.routing`` of a
+        kind this controller builds, or ``healthy`` holds no table."""
+        if healthy.dense is None and healthy.bykey is None:
+            return None
+        base = healthy.routing
+        index = healthy.index
+        if type(routing) is DegradedRouting:
+            if routing.degraded_base is not base:
+                return None
+            failed = frozenset(index.cid[channel] for channel in routing.failed)
+            return [failed] * index.num_nodes
+        if not (
+            type(routing) is TurnRestrictionRouting
+            and type(base) is TurnRestrictionRouting
+            and not routing.minimal
+            and not base.minimal
+            and routing.restriction == base.restriction
+            and routing.topology is degraded
+        ):
+            return None
+        oracle = base.oracle
+        assert oracle is not None
+        blocked = 0
+        for channel in degraded.failed:
+            blocked |= 1 << index.cid[channel]
+        return [
+            frozenset(mask_ids(oracle.reach_mask(node) & ~oracle.reach_mask(node, blocked)))
+            for node in index.nodes
+        ]
 
     def _recertify(self, topology: Topology, compiled: CompiledRoutes) -> None:
         # Imported lazily: repro.verify pulls in the whole prover stack,

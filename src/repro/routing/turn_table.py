@@ -59,24 +59,39 @@ class ReachabilityOracle:
         ]
         self._reach: Dict[NodeId, int] = {}
 
-    def reach_mask(self, dest: NodeId) -> int:
-        """Bitmask of the channel ids whose holder can still reach ``dest``."""
+    def reach_mask(self, dest: NodeId, blocked: int = 0) -> int:
+        """Bitmask of the channel ids whose holder can still reach ``dest``.
+
+        ``blocked`` is a bitmask of ids to search without (failed
+        channels): the answer is then the reach of the same restriction
+        on the topology minus those channels.  Only the unblocked masks
+        are cached; a blocked search runs only when a blocked id lies
+        inside the unblocked reach, since otherwise it cannot differ.
+        """
         mask = self._reach.get(dest)
         if mask is None:
-            # Reverse BFS from the channels that enter dest: a holder
-            # reaches dest if some permitted next hop does.
-            frontier = list(self._entering.get(dest, ()))
-            mask = 0
-            for ident in frontier:
-                mask |= 1 << ident
-            feeders = self._feeders
-            for ident in frontier:  # grows as the search advances
-                for feeder in feeders[ident]:
-                    if not mask >> feeder & 1:
-                        mask |= 1 << feeder
-                        frontier.append(feeder)
-            self._reach[dest] = mask
+            mask = self._reach[dest] = self._search(dest, 0)
+        if mask & blocked:
+            return self._search(dest, blocked)
         return mask
+
+    def _search(self, dest: NodeId, blocked: int) -> int:
+        # Reverse BFS from the channels that enter dest: a holder reaches
+        # dest if some permitted next hop does.  Blocked ids start out
+        # seen, so the search neither enters nor expands them.
+        seen = blocked
+        frontier: List[int] = []
+        for ident in self._entering.get(dest, ()):
+            if not seen >> ident & 1:
+                seen |= 1 << ident
+                frontier.append(ident)
+        feeders = self._feeders
+        for ident in frontier:  # grows as the search advances
+            for feeder in feeders[ident]:
+                if not seen >> feeder & 1:
+                    seen |= 1 << feeder
+                    frontier.append(feeder)
+        return seen & ~blocked
 
     def can_reach(
         self, node: NodeId, arrival: Optional[Direction], dest: NodeId
@@ -131,7 +146,8 @@ class TurnRestrictionRouting(RoutingAlgorithm):
         self.name = name or restriction.name or "turn-table"
         if not minimal:
             self.name = f"{self.name}-nonminimal"
-        self._oracle = None if minimal else ReachabilityOracle(topology, restriction)
+        #: Nonminimal mode's reachability oracle (``None`` when minimal).
+        self.oracle = None if minimal else ReachabilityOracle(topology, restriction)
         self._minimal_cache: Dict[Tuple[NodeId, Optional[Direction], NodeId], bool] = {}
         # Nonminimal mode, per (node, arrival): the mesh outputs the
         # restriction permits, each with its oracle bit and direction.
@@ -206,7 +222,7 @@ class TurnRestrictionRouting(RoutingAlgorithm):
                 if self.restriction.permits(arrival, channel.direction)
                 and self._minimal_reaches(channel.dst, channel.direction, dest)
             )
-        oracle = self._oracle
+        oracle = self.oracle
         assert oracle is not None
         permitted = self._permitted.get((node, arrival))
         if permitted is None:

@@ -371,7 +371,7 @@ class WormholeSimulator:
         self._res_abort = False
         self._stats: Optional[StatsCollector] = None
         if resilience is not None:
-            resilience.bind(routing, self.topology, index)
+            resilience.bind(routing, self.topology, compiled_routes)
         # Observability: same cheap-hook contract as the fault
         # controller — a run without a collector pays one ``is not
         # None`` test per hook site and nothing else.

@@ -21,7 +21,17 @@ first-lane-seen order, one id per ``(src, dst)`` pair.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
+from typing import (
+    AbstractSet,
+    Dict,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.core.channel_graph import RouteFn
 from repro.routing.base import RoutingAlgorithm
@@ -148,7 +158,9 @@ class CompiledRoutes:
     whichever simulator first needs them — or all at once by
     :meth:`closure`, which the provers read.  ``route`` is pure for a
     cacheable algorithm, so an entry is the same whoever computed it
-    and a warmed run is bit-identical to a cold one.
+    and a warmed run is bit-identical to a cold one.  A table built by
+    :meth:`restricted` arrives holding every entry, read off the table
+    it restricts.
 
     Args:
         routing: the algorithm whose decisions are compiled (or a bare
@@ -158,9 +170,14 @@ class CompiledRoutes:
             its healthy topology's index for every degraded routing —
             a degraded topology's channels are a subset, so ids never
             shift mid-run.
+
+    Attributes:
+        closed: whether :meth:`closure` has run, so every realizable
+            state is compiled.
     """
 
-    __slots__ = ("routing", "route", "index", "dense", "bykey", "filled")
+    __slots__ = ("routing", "route", "index", "dense", "bykey", "filled",
+                 "closed")
 
     def __init__(
         self,
@@ -175,11 +192,63 @@ class CompiledRoutes:
         self.dense: Optional[List[Optional[Tuple[int, ...]]]] = None
         self.bykey: Optional[Dict[int, Tuple[int, ...]]] = None
         self.filled = 0
+        self.closed = False
         if getattr(routing, "cacheable", True):
             if getattr(routing, "uses_in_channel", True):
                 self.bykey = {}
             else:
                 self.dense = [None] * (self.index.num_nodes ** 2)
+
+    @classmethod
+    def restricted(
+        cls,
+        parent: "CompiledRoutes",
+        routing: RoutingAlgorithm,
+        dropped: Sequence[AbstractSet[int]],
+    ) -> "CompiledRoutes":
+        """The table of ``routing``, read off ``parent`` without asking it.
+
+        For when every decision of ``routing`` is, by construction, the
+        decision of ``parent.routing`` minus some ids, in the same order:
+        the entry for ``(front, dest)`` is ``parent``'s with the ids in
+        ``dropped[dest]`` removed.  A fault run's degraded routings are
+        such restrictions of its healthy one (see
+        :mod:`repro.resilience.controller`).  ``parent``'s closure is
+        taken once, then every entry is derived in bulk; an entry that
+        loses no id is ``parent``'s own tuple, shared.  Every state
+        reachable under ``routing`` is then held, since its entries
+        only narrow ``parent``'s.
+
+        Args:
+            parent: a cacheable table; the result shares its index and
+                table layout.
+            routing: the restriction; the table's routing (what a proof
+                names), not asked for any derived entry.
+            dropped: destination index -> the ids its entries lose.
+        """
+        if not parent.closed:
+            parent.closure()
+        derived = cls(routing, parent.index)
+        derived.filled = parent.filled
+        num_nodes = parent.index.num_nodes
+        if parent.dense is not None:
+            dense = parent.dense[:]
+            for key, entry in enumerate(dense):
+                if entry:
+                    lost = dropped[key % num_nodes]
+                    if not lost.isdisjoint(entry):
+                        dense[key] = tuple(o for o in entry if o not in lost)
+            derived.dense, derived.bykey = dense, None
+        else:
+            assert parent.bykey is not None
+            # Both key forms end in ``* N + dest``.
+            bykey = dict(parent.bykey)
+            for key, entry in bykey.items():
+                lost = dropped[key % num_nodes]
+                if not lost.isdisjoint(entry):
+                    bykey[key] = tuple(o for o in entry if o not in lost)
+            derived.dense, derived.bykey = None, bykey
+        return derived
 
     def _resolve(self, front: int, node_idx: int, dest_idx: int) -> tuple:
         index = self.index
@@ -263,6 +332,7 @@ class CompiledRoutes:
                         reached |= bits[out]
                         frontier.append(out)
             reached_for.append(reached)
+        self.closed = True
         return RouteClosure(self, succ, reached_for)
 
     def __len__(self) -> int:

@@ -1,10 +1,10 @@
 """The engine routes on the very table that was proved.
 
-On every fault event the controller compiles the degraded routing
-against the run's channel index, the recertifier proves *that* table's
-closure, and the engine adopts it — so after ``advance()`` no proved
-state is ever asked of the algorithm again, and a refuted table never
-becomes the engine's.
+On every fault event the controller derives the degraded routing's
+table from the run's healthy one (or, for a routing it cannot derive,
+compiles it against the run's channel index), the recertifier proves
+*that* table's closure, and the engine adopts it — so a refuted table
+never becomes the engine's.
 """
 
 import pytest
@@ -124,22 +124,11 @@ class TestAdoption:
 
 
 class CallLog:
-    """``route`` calls of degraded algorithms, split at each rebuild."""
+    """Degraded algorithms, and every ``route`` call that reaches one."""
 
-    def __init__(self, monkeypatch):
+    def __init__(self):
+        self.routings = []
         self.calls = []
-        self.proved = {}
-        log = self
-        rebuild = FaultController._rebuild
-
-        def recording_rebuild(controller):
-            before = len(log.calls)
-            rebuild(controller)
-            # Everything asked during the rebuild was asked by the proof.
-            during, log.calls = log.calls[before:], log.calls[:before]
-            log.proved[id(controller.current_routing)] = {s for _, s in during}
-
-        monkeypatch.setattr(FaultController, "_rebuild", recording_rebuild)
 
     def wrap(self, routing):
         inner = routing.route
@@ -149,6 +138,7 @@ class CallLog:
             return inner(in_channel, node, dest)
 
         routing.route = route
+        self.routings.append(routing)
         return routing
 
     def factory(self, name):
@@ -156,22 +146,23 @@ class CallLog:
 
 
 class TestNoRouteCallForProvedStates:
-    def test_rebuild_mode(self, monkeypatch):
-        log = CallLog(monkeypatch)
+    """A degraded table is read off the run's healthy table, so from
+    compile through proof to the engine's last lookup nothing asks the
+    degraded algorithm; it is the definition the adopted table names."""
+
+    def test_rebuild_mode(self, adoptions):
+        log = CallLog()
         sim, controller = build("west-first-nonminimal",
                                 factory=log.factory("west-first-nonminimal"))
         result = sim.run()
         assert controller.stats.recertifications == 4
         assert result.total_delivered > 0
-        assert all(log.proved.values())
-        # After advance(), whatever the engine still asks is a state the
-        # proof never visited (a header caught mid-flight by the fault).
-        for routing_id, state in log.calls:
-            assert state not in log.proved[routing_id]
-        assert len(log.calls) < 20
+        assert len(log.routings) == 4
+        assert [table.routing for table, _ in adoptions] == log.routings
+        assert log.calls == []
 
-    def test_filter_mode(self, monkeypatch):
-        log = CallLog(monkeypatch)
+    def test_filter_mode(self, monkeypatch, adoptions):
+        log = CallLog()
         init = DegradedRouting.__init__
 
         def wrapped_init(self, *args):
@@ -182,23 +173,20 @@ class TestNoRouteCallForProvedStates:
         sim, controller = build("west-first")
         sim.run()
         assert controller.stats.recertifications == 4
-        assert all(log.proved.values())
-        # A dense table's proof visits every (node, dest) pair.
+        assert len(log.routings) == 4
+        assert [table.routing for table, _ in adoptions] == log.routings
         assert log.calls == []
 
-    def test_without_recertification_the_table_fills_lazily(self, monkeypatch):
-        log = CallLog(monkeypatch)
+    def test_without_recertification_the_result_is_the_proved_run_s(self):
+        log = CallLog()
         sim, controller = build("west-first-nonminimal", recertify=False,
                                 factory=log.factory("west-first-nonminimal"))
-        lazy = sim.run()
+        unproved = sim.run()
         assert controller.stats.recertifications == 0
         assert controller.recertify_s == 0.0
-        assert not any(log.proved.values())
-        # The engine asked, once per state, as it went.
-        assert len(log.calls) > 50
-        assert len(set(log.calls)) == len(log.calls)
-        assert sim.route_cache.misses > 0
+        assert len(log.routings) == 4
+        assert log.calls == []
 
         proved_sim, _ = build("west-first-nonminimal",
                               factory=rebuild_by_name("west-first-nonminimal"))
-        assert result_digest(proved_sim.run()) == result_digest(lazy)
+        assert result_digest(proved_sim.run()) == result_digest(unproved)

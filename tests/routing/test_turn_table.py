@@ -16,7 +16,7 @@ from repro.routing import (
     TurnRestrictionRouting,
     WestFirstRouting,
 )
-from repro.topology import Mesh, Mesh2D
+from repro.topology import FaultyTopology, Mesh, Mesh2D
 
 
 def reachable_states(algorithm, src, dest):
@@ -185,3 +185,26 @@ class TestReachabilityOracle:
             assert oracle.can_reach(node, arrival, dest) == brute(
                 node, arrival, dest
             ), (node, arrival, dest)
+
+    @pytest.mark.parametrize("fault_seed", range(6))
+    def test_blocked_search_is_the_faulty_topology_s_reach(self, oracle, mesh44,
+                                                           fault_seed):
+        # Searching without some ids gives, on the healthy numbering, the
+        # reach an oracle built on the faulty topology computes.
+        import random
+
+        channels = mesh44.channels()
+        failed = random.Random(fault_seed).sample(channels, 1 + fault_seed)
+        blocked = sum(1 << channels.index(ch) for ch in failed)
+        faulty = ReachabilityOracle(
+            FaultyTopology(mesh44, failed), negative_first_restriction(2)
+        )
+        survivors = faulty.topology.channels()
+        for dest in mesh44.nodes():
+            expected = {ch for i, ch in enumerate(survivors)
+                        if faulty.reach_mask(dest) >> i & 1}
+            mask = oracle.reach_mask(dest, blocked)
+            assert {ch for i, ch in enumerate(channels) if mask >> i & 1} == expected
+            assert mask & ~oracle.reach_mask(dest) == 0
+        # The unblocked masks are the cached ones, untouched.
+        assert oracle.reach_mask((0, 0)) is oracle.reach_mask((0, 0), 0)
