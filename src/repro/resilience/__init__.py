@@ -8,8 +8,9 @@ instead of only at construction time:
 * :class:`FaultSchedule` — deterministic, seed-derived, serializable
   link fail/heal events.
 * :class:`FaultController` — replays the schedule against the live
-  engine, rebuilding (and re-certifying deadlock-free, via
-  :func:`repro.verify.recertify`) the degraded topology/routing pair.
+  engine, deriving (and re-certifying deadlock-free, via
+  :func:`repro.verify.recertify`) the degraded route table from the
+  run's healthy one.
 * :class:`RecoveryPolicy` — what happens to in-flight casualties:
   :class:`DropAndCount`, :class:`SourceRetransmit` (capped exponential
   backoff), or :class:`AbortRun`.
@@ -20,11 +21,7 @@ instead of only at construction time:
   as a measurement, routed through the parallel caching executor.
 """
 
-from repro.resilience.controller import (
-    DegradedRouting,
-    FaultController,
-    build_controller,
-)
+from repro.resilience.controller import FaultController, build_controller
 from repro.resilience.recovery import (
     AbortRun,
     DropAndCount,
@@ -54,7 +51,6 @@ __all__ = [
     "FAIL",
     "HEAL",
     "AbortRun",
-    "DegradedRouting",
     "DropAndCount",
     "FaultController",
     "FaultEvent",

@@ -1085,9 +1085,9 @@ class WormholeSimulator:
             self._inj_candidates.add(index)
         if ctrl.next_event_cycle > cycle:
             return
-        # 2. Apply the due fail/heal events.  ``advance`` rebuilds the
-        #    degraded topology/routing pair, compiles its table and
-        #    (unless disabled) proves it deadlock-free, raising
+        # 2. Apply the due fail/heal events.  ``advance`` derives the
+        #    degraded table from the healthy one and (unless disabled)
+        #    proves it deadlock-free, raising
         #    CertificationError on refutation — the run must not proceed
         #    unsafely.  Meanwhile the view rests on the healthy table:
         #    the superseded degraded one is freed before the next is
@@ -1123,17 +1123,16 @@ class WormholeSimulator:
             self._recover(packet)
 
     def _refresh_routing(self, ctrl: "FaultController") -> None:
-        """Route against the controller's current algorithm from now on.
+        """Route on the controller's current table from now on.
 
-        The run's table view moves to the controller's
-        :class:`~repro.sim.ids.CompiledRoutes` of the degraded algorithm:
-        compiled against the run's *own* channel index (a degraded
-        topology's channels are a subset, so ids never shift mid-run)
-        and, under recertification, already filled by the proof's
-        closure — the engine adopts the very table that was proved.  The
-        original table returns once every channel has healed.  ``route``
-        is pure, so whatever the proof left unfilled fills lazily, with
-        no invalidation; the view's lookup counters restart with it.
+        The run's table view moves to the controller's degraded
+        :class:`~repro.sim.ids.CompiledRoutes`: the healthy table with
+        the ids the faults drop removed, on the run's *own* channel
+        index (a degraded topology's channels are a subset, so ids never
+        shift mid-run) — under recertification the very table whose
+        closure was proved.  The original table returns once every
+        channel has healed.  Nothing is invalidated; the view's lookup
+        counters restart with it.
         """
         compiled = ctrl.current_compiled
         self._routes = RouteTable(

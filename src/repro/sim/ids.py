@@ -160,16 +160,13 @@ class CompiledRoutes:
     cacheable algorithm, so an entry is the same whoever computed it
     and a warmed run is bit-identical to a cold one.  A table built by
     :meth:`restricted` arrives holding every entry, read off the table
-    it restricts.
+    it restricts, and never fills one.
 
     Args:
         routing: the algorithm whose decisions are compiled (or a bare
             ``RouteFn`` callable, which needs ``index``).
         index: the id layout to compile against; the routing's own
-            topology's by default.  A run under fault injection passes
-            its healthy topology's index for every degraded routing —
-            a degraded topology's channels are a subset, so ids never
-            shift mid-run.
+            topology's by default.
 
     Attributes:
         closed: whether :meth:`closure` has run, so every realizable
@@ -203,34 +200,61 @@ class CompiledRoutes:
     def restricted(
         cls,
         parent: "CompiledRoutes",
-        routing: RoutingAlgorithm,
         dropped: Sequence[AbstractSet[int]],
     ) -> "CompiledRoutes":
-        """The table of ``routing``, read off ``parent`` without asking it.
+        """``parent``'s relation with ids removed, per destination.
 
-        For when every decision of ``routing`` is, by construction, the
-        decision of ``parent.routing`` minus some ids, in the same order:
-        the entry for ``(front, dest)`` is ``parent``'s with the ids in
-        ``dropped[dest]`` removed.  A fault run's degraded routings are
-        such restrictions of its healthy one (see
-        :mod:`repro.resilience.controller`).  ``parent``'s closure is
-        taken once, then every entry is derived in bulk; an entry that
-        loses no id is ``parent``'s own tuple, shared.  Every state
-        reachable under ``routing`` is then held, since its entries
-        only narrow ``parent``'s.
+        The entry for ``(front, dest)`` is ``parent``'s with the ids in
+        ``dropped[dest]`` removed, in the same order; a fault run's
+        degraded tables are such restrictions of its healthy one (see
+        :func:`repro.resilience.controller.degrade`).  ``parent``'s
+        closure is taken once, then every entry is derived in bulk; an
+        entry that loses no id is ``parent``'s own tuple, shared.  Every
+        state reachable under the restriction is then held, since its
+        entries only narrow ``parent``'s, so the derived table asks no
+        routing anything: it names ``parent.routing`` (what a proof
+        names), and a lookup outside ``parent``'s closure raises
+        :class:`LookupError` instead of filling a healthy entry.  Over
+        an uncacheable ``parent`` (no table) each entry is restricted
+        live instead.
 
         Args:
-            parent: a cacheable table; the result shares its index and
-                table layout.
-            routing: the restriction; the table's routing (what a proof
-                names), not asked for any derived entry.
+            parent: the table to restrict; the result shares its index
+                and table layout.
             dropped: destination index -> the ids its entries lose.
         """
+        derived = cls(parent.routing, parent.index)
+        index = parent.index
+        num_nodes = index.num_nodes
+        if parent.dense is None and parent.bykey is None:
+            route, cid, node_id = parent.route, index.cid, index.node_id
+
+            def restricted_route(
+                in_channel: Optional[Channel], node: NodeId, dest: NodeId
+            ) -> List[Channel]:
+                lost = dropped[node_id[dest]]
+                return [c for c in route(in_channel, node, dest) if cid[c] not in lost]
+
+            derived.route = restricted_route
+            return derived
         if not parent.closed:
             parent.closure()
-        derived = cls(routing, parent.index)
+
+        # Names the routing, not ``derived``: a reference back to the
+        # table would make it a cycle that outlives the fault event.
+        name = getattr(parent.routing, "name", parent.routing)
+
+        def outside_closure(
+            in_channel: Optional[Channel], node: NodeId, dest: NodeId
+        ) -> List[Channel]:
+            raise LookupError(
+                f"the restricted {name} table holds no entry for a header at "
+                f"{node} bound for {dest} (arrived via {in_channel}): the state "
+                f"is outside the closure of the table it restricts"
+            )
+
+        derived.route = outside_closure
         derived.filled = parent.filled
-        num_nodes = parent.index.num_nodes
         if parent.dense is not None:
             dense = parent.dense[:]
             for key, entry in enumerate(dense):

@@ -3,11 +3,11 @@
 ``tests/verify/test_closure_equivalence.py`` pins the 42 default
 targets; here the same equality — the closure of the compiled int-id
 table against :func:`repro.core.channel_graph.routing_cdg` — is drawn
-across meshes, algorithms and 1-8 failed channels, in both degradation
-modes a fault run uses (``DegradedRouting`` filtering the healthy
-decisions; a factory rebuilding the algorithm on the degraded
+across meshes, algorithms and 1-8 failed channels, for routings on the
+degraded topology of both kinds (the healthy decisions filtered, as in
+``tests/sim/degraded.py``; the algorithm rebuilt on the degraded
 topology), and always compiled against the *healthy* topology's channel
-index, as the fault controller does.
+index, as a fault run's tables are.
 """
 
 import random
@@ -16,13 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.channel_graph import routing_cdg
-from repro.resilience.controller import DegradedRouting
 from repro.routing import make_routing
 from repro.sim.ids import ChannelIndex, CompiledRoutes, mask_ids
 from repro.topology import Mesh2D
 from repro.topology.faults import FaultyTopology
 from repro.verify import check_deadlock_freedom
 from repro.verify.deadlock import dependency_graph
+
+from tests.sim.degraded import FilteredRouting
 
 ALGORITHMS = [
     "xy", "west-first", "north-last", "negative-first",
@@ -48,7 +49,7 @@ def _degraded(params):
     if params["rebuild"]:
         routing = make_routing(params["name"], degraded)
     else:
-        routing = DegradedRouting(make_routing(params["name"], mesh), failed, degraded)
+        routing = FilteredRouting(make_routing(params["name"], mesh), failed, degraded)
     return mesh, degraded, routing, failed
 
 

@@ -42,7 +42,8 @@ from repro.traffic.workload import SizeDistribution
 
 from tests.sim.reference_engine import ReferenceSimulator
 
-ALGORITHMS = ["xy", "west-first", "north-last", "negative-first"]
+ALGORITHMS = ["xy", "west-first", "north-last", "negative-first",
+              "west-first-nonminimal"]
 
 SHORT_SIZES = SizeDistribution(((2, 0.5), (9, 0.5)))
 #: With a size several times the longest 5x5 path, so worms stream.
@@ -57,19 +58,18 @@ configs = st.fixed_dictionaries({
 })
 
 #: A drawn fault schedule: how many links fail, when they heal (if they
-#: do), which recovery policy picks up the casualties, and whether the
-#: algorithm is rebuilt on the degraded topology (``west-first-
-#: nonminimal``) or its healthy decisions are filtered.
+#: do) and which recovery policy picks up the casualties.  How the
+#: routing degrades follows from the drawn algorithm: the nonminimal turn
+#: table drops what lost reach, the others drop the failed channels.
 faults = st.fixed_dictionaries({
     "count": st.integers(1, 3),
     "fault_seed": st.integers(0, 2**10),
     "heal_after": st.sampled_from([None, 40, 120]),
     "policy": st.sampled_from(["drop", "retransmit"]),
-    "rebuild": st.booleans(),
 })
 
 
-def _controller(mesh, params, fault):
+def _controller(mesh, fault):
     # require_connected=False: on a 3x3 mesh three dead links can cut a
     # node off, which is exactly the stranded-header path to compare.
     schedule = FaultSchedule.random(
@@ -80,22 +80,13 @@ def _controller(mesh, params, fault):
         DropAndCount() if fault["policy"] == "drop"
         else SourceRetransmit(base_delay=4, delay_cap=16, max_attempts=3)
     )
-    name = params["name"]
-    return FaultController(
-        schedule, policy, recertify=False,
-        routing_factory=(
-            (lambda degraded: make_routing(name, degraded))
-            if fault["rebuild"] else None
-        ),
-    )
+    return FaultController(schedule, policy, recertify=False)
 
 
 def _run(params, simulator_cls, *, force_generic_move=False, buffer_depth=1,
          fault=None, obs=False, sizes=SHORT_SIZES):
     """One run; returns ``(run digest, result, ledger, obs summary)``."""
     mesh = Mesh2D(params["rows"], params["cols"])
-    if fault is not None and fault["rebuild"]:
-        params = dict(params, name="west-first-nonminimal")
     routing = make_routing(params["name"], mesh)
     workload = Workload(
         pattern=UniformTraffic(mesh),
@@ -111,7 +102,7 @@ def _run(params, simulator_cls, *, force_generic_move=False, buffer_depth=1,
         deadlock_threshold=1_000,
     )
     trace = TraceRecorder(max_events=100_000)
-    controller = _controller(mesh, params, fault) if fault is not None else None
+    controller = _controller(mesh, fault) if fault is not None else None
     collector = (
         MetricsCollector(ObsSpec(sample_every=1, timeline_window=32))
         if obs else None

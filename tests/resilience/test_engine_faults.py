@@ -178,7 +178,7 @@ class TestHealing:
         assert stats.faults_applied == 4
         assert stats.heals_applied == 4
         assert controller.failed == frozenset()
-        assert controller.current_routing.name
+        assert controller.current_compiled is None
 
 
 class TestRouteTableConsistency:

@@ -11,10 +11,11 @@ target, ``route(c, c.dst, d)`` must equal ``route(None, c.dst, d)``.
 
 import pytest
 
-from repro.resilience.controller import DegradedRouting
 from repro.routing import available_algorithms, make_routing
 from repro.topology.faults import random_channel_faults
 from repro.verify import REGISTRY_TOPOLOGIES, default_targets
+
+from tests.sim.degraded import FilteredRouting
 
 TARGETS = default_targets()
 DECLARED_FALSE = [
@@ -69,14 +70,15 @@ def test_declared_false_means_arrival_is_ignored(target):
 
 @pytest.mark.parametrize("name", ["xy", "west-first", "negative-first"])
 def test_filter_degradation_inherits_a_true_flag(name):
-    """``DegradedRouting`` copies the base flag; filtering by a fixed
-    failed set keeps a blind algorithm blind."""
+    """``FilteredRouting`` (the definition a filtered table is held to)
+    copies the base flag; filtering by a fixed failed set keeps a blind
+    algorithm blind."""
     faulty = random_channel_faults(
         next(t.topology for t in TARGETS if t.topology_label == "mesh:5x4"),
         3, seed=2,
     )
     base = make_routing(name, faulty.base)
-    degraded = DegradedRouting(base, faulty.failed, faulty)
+    degraded = FilteredRouting(base, faulty.failed, faulty)
     assert degraded.uses_in_channel is False
     assert_ignores_arrival(faulty, degraded)
 

@@ -11,7 +11,8 @@ engine change that alters behavior for identical seeds fails the digest
 comparison loudly.
 
 ``FAULTED_SCENARIOS`` pins the same for runs whose fault schedule is
-*not* empty — filter-mode degradation, factory rebuild, retransmission
+*not* empty — filtered and (nonminimal turn table) reach-restricted
+degradation, retransmission
 with capped backoff, fail-then-heal, abort, deep buffers and virtual
 channels — plus each run's resilience ledger; every scenario of both
 tables also pins the sha256 of its obs metrics summary
@@ -210,24 +211,16 @@ def build_scenario(name: str, **engine_kwargs):
 
 
 def _faulted(topology, routing_name, load, seed, *, faults, fault_seed,
-             policy, heal_after=None, rebuild=False, routing=None,
-             pattern="uniform", **kw):
+             policy, heal_after=None, routing=None, pattern="uniform", **kw):
     """An open run under ``faults`` seed-drawn link failures striking in
-    the first 600 measured cycles.  ``rebuild`` re-derives the algorithm
-    by name on every degraded topology (what ``build_controller`` does
-    for nonminimal routers); otherwise the healthy decisions are
-    filtered.  Every degraded pair is re-certified."""
+    the first 600 measured cycles.  How the routing degrades follows
+    from the routing (``repro.resilience.controller.degrade``); every
+    degraded table is re-certified."""
     schedule = FaultSchedule.random(
         topology, faults, seed=fault_seed, window=(200, 800),
         heal_after=heal_after,
     )
-    controller = FaultController(
-        schedule, policy,
-        routing_factory=(
-            (lambda degraded: make_routing(routing_name, degraded))
-            if rebuild else None
-        ),
-    )
+    controller = FaultController(schedule, policy)
     sim, trace = _open_sim(
         topology, routing_name, pattern, load, seed, routing=routing,
         drain=800, resilience=controller, **kw
@@ -247,8 +240,7 @@ def _mesh6_west_first_faults_drop(**kw):
 
 def _mesh6_nonminimal_rebuild(**kw):
     return _faulted(Mesh2D(6, 6), "west-first-nonminimal", 0.12, 23,
-                    faults=5, fault_seed=4, policy=DropAndCount(),
-                    rebuild=True, **kw)
+                    faults=5, fault_seed=4, policy=DropAndCount(), **kw)
 
 
 def _mesh6_xy_retransmit_deep(**kw):
@@ -265,7 +257,7 @@ def _mesh6_nonminimal_fail_heal(**kw):
     # Every fault heals 150 cycles after it strikes, so the run ends on
     # the healthy routing it started with.
     return _faulted(Mesh2D(6, 6), "west-first-nonminimal", 0.12, 25,
-                    faults=4, fault_seed=3, heal_after=150, rebuild=True,
+                    faults=4, fault_seed=3, heal_after=150,
                     policy=SourceRetransmit(base_delay=4, delay_cap=32,
                                             max_attempts=6), **kw)
 

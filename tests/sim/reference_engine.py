@@ -47,6 +47,8 @@ from repro.sim.packet import Packet
 from repro.sim.stats import SimulationResult, StatsCollector
 from repro.topology.channels import Channel, NodeId
 
+from tests.sim.degraded import degraded_routing
+
 __all__ = ["ChannelState", "NETWORK", "INJECTION", "EJECTION",
            "ReferenceSimulator"]
 
@@ -131,8 +133,9 @@ class ReferenceSimulator(WormholeSimulator):
                  trace=None, resilience=None, obs=None):
         super().__init__(routing, workload, config, preload=preload,
                          trace=trace, resilience=resilience, obs=obs)
-        # What headers route against, live: rebound to the controller's
-        # degraded algorithm on a fault, back to ``routing`` on full heal.
+        # What headers route against, live: rebound to the definition of
+        # the controller's degraded table on a fault, back to ``routing``
+        # on full heal.
         self._active_routing = routing
         depth = self.config.buffer_depth
         self._net_states: Dict[Channel, ChannelState] = {
@@ -719,10 +722,10 @@ class ReferenceSimulator(WormholeSimulator):
             self._inj_candidates.add(index)
         if ctrl.next_event_cycle > cycle:
             return
-        # 2. Apply the due fail/heal events.  ``advance`` rebuilds the
-        #    degraded topology/routing pair and (unless disabled)
-        #    re-certifies it deadlock-free, raising CertificationError
-        #    on refutation — the run must not proceed unsafely.
+        # 2. Apply the due fail/heal events.  ``advance`` derives the
+        #    degraded table and (unless disabled) re-certifies it
+        #    deadlock-free, raising CertificationError on refutation —
+        #    the run must not proceed unsafely.
         events = ctrl.advance(cycle)
         if not events:
             return
@@ -754,11 +757,13 @@ class ReferenceSimulator(WormholeSimulator):
             self._recover(packet)
 
     def _refresh_routing(self, ctrl, changed: List[Channel]) -> None:
-        """Route against the controller's current algorithm from now on
-        (every decision is asked live, so there is no table to fix)."""
-        new = ctrl.current_routing
-        if new is not None:
-            self._active_routing = new
+        """Route against the definition of the controller's current table
+        from now on, built from ``ctrl.failed`` (every decision is asked
+        live, so there is no table to fix)."""
+        self._active_routing = (
+            degraded_routing(self.routing, ctrl.failed, self.topology)
+            if ctrl.failed else self.routing
+        )
 
     def _recover(self, packet: Packet, in_allocation: bool = False) -> None:
         """Tear a casualty out of the network and apply recovery.

@@ -8,11 +8,15 @@ what ``make_simulator`` takes from a warm context, and the channel
 sampling the obs collector reads.
 """
 
+import gc
+
 import pytest
 
+from repro.core.directions import WEST
 from repro.resilience import FaultController, FaultEvent, FaultSchedule
 from repro.routing import make_routing
 from repro.sim import SimulationConfig, WormholeSimulator, make_simulator
+from repro.sim.deadlock import unrestricted_adaptive_routing
 from repro.sim.digest import result_digest
 from repro.sim.ids import ChannelIndex, CompiledRoutes
 from repro.sim.simulator import simulate
@@ -134,7 +138,7 @@ class TestMakeSimulator:
 
 class TestRestrictedTable:
     """``CompiledRoutes.restricted``: a table read off another, minus
-    per-destination ids, without asking its own routing."""
+    per-destination ids, without asking any routing."""
 
     def test_entries_are_the_parent_s_minus_the_dropped_ids(self):
         mesh = Mesh2D(4, 4)
@@ -142,10 +146,9 @@ class TestRestrictedTable:
         index = parent.index
         lost = frozenset(range(0, index.num_channels, 5))
         dropped = [lost if dest % 2 else frozenset() for dest in range(16)]
-        unasked = make_routing("west-first", mesh)
-        unasked.route = None  # any call would raise
-        derived = CompiledRoutes.restricted(parent, unasked, dropped)
+        derived = CompiledRoutes.restricted(parent, dropped)
         assert parent.closed
+        assert derived.routing is parent.routing
         assert derived.index is index
         assert len(derived) == len(parent) > 0
         for key, entry in enumerate(parent.dense):
@@ -168,11 +171,55 @@ class TestRestrictedTable:
             lambda self: closures.append(self) or original(self),
         )
         for _ in range(3):
-            CompiledRoutes.restricted(
-                parent, make_routing("west-first-nonminimal", mesh),
-                [frozenset()] * 16,
-            )
+            CompiledRoutes.restricted(parent, [frozenset()] * 16)
         assert closures == [parent]
+
+    def test_a_state_outside_the_parent_s_closure_raises(self):
+        mesh = Mesh2D(4, 4)
+        parent = CompiledRoutes(unrestricted_adaptive_routing(mesh))
+        assert parent.bykey is not None
+        derived = CompiledRoutes.restricted(parent, [frozenset()] * 16)
+        index = parent.index
+        dest = index.node_id[(3, 3)]
+        # A channel no packet bound for (3, 3) can hold under a minimal
+        # routing: westward, away from it.
+        outside = index.cid[mesh.channel_in_direction((1, 0), WEST)]
+        assert not parent.closure().reached[dest] >> outside & 1
+        # The parent answers it by asking its routing ...
+        assert parent.lookup(outside, dest)
+        # ... the derived table refuses instead of filling an entry.
+        with pytest.raises(LookupError, match="outside the closure"):
+            derived.lookup(outside, dest)
+
+    @pytest.mark.parametrize("name", ["west-first", "west-first-nonminimal"])
+    def test_a_dropped_table_is_freed_at_once(self, name):
+        # The engine frees a superseded degraded table before deriving
+        # the next, so two are never alive at once — unless the table
+        # sits in a reference cycle and waits for the cycle collector.
+        mesh = Mesh2D(4, 4)
+        parent = CompiledRoutes(make_routing(name, mesh))
+        parent.closure()
+        gc.collect()
+        gc.disable()
+        try:
+            derived = CompiledRoutes.restricted(parent, [frozenset([0])] * 16)
+            derived.closure()
+            del derived
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_a_dense_entry_the_closure_never_filled_raises(self):
+        mesh = Mesh2D(4, 4)
+        parent = CompiledRoutes(make_routing("west-first", mesh))
+        derived = CompiledRoutes.restricted(parent, [frozenset()] * 16)
+        unfilled = [key for key, entry in enumerate(derived.dense) if entry is None]
+        # A header is never routed at its own destination.
+        assert len(unfilled) == 16
+        for key in unfilled:
+            node, dest = divmod(key, 16)
+            with pytest.raises(LookupError, match="outside the closure"):
+                derived.lookup(parent.index.inj_base + node, dest)
 
 
 class TestTableSwapUnderFaults:
@@ -200,7 +247,8 @@ class TestTableSwapUnderFaults:
         assert controller.stats.faults_applied == 2
         table = sim.route_cache
         assert table.compiled is not compiled
-        assert table.compiled.routing is controller.current_routing
+        assert table.compiled is controller.current_compiled
+        assert table.compiled.routing is sim.routing
         assert table.compiled.index is compiled.index
         # The shared table never saw a degraded decision: every entry in
         # it still equals the healthy algorithm's answer.
@@ -216,7 +264,7 @@ class TestTableSwapUnderFaults:
     def test_full_heal_returns_to_the_original_table(self):
         sim, compiled, controller = self._faulted(heal_after=30)
         assert controller.stats.heals_applied == 2
-        assert controller.current_routing is sim.routing
+        assert controller.current_compiled is None
         assert sim.route_cache.compiled is compiled
 
 
