@@ -384,7 +384,7 @@ class ExperimentSpec:
             from repro.resilience.controller import build_controller
 
             controller = build_controller(
-                resolved.topology, self.routing, self.resilience, resolved.config
+                resolved.topology, self.resilience, resolved.config
             )
         workload = Workload(
             pattern=resolved.pattern,
