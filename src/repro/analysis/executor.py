@@ -183,7 +183,7 @@ class ResilienceSpec:
         policy: recovery policy name (``drop``, ``retransmit``,
             ``abort``).
         heal_after: cycles until each fault heals (``None`` = permanent).
-        recertify: re-prove each degraded configuration deadlock-free
+        recertify: certify each degraded configuration deadlock-free
             (the CLI's ``--no-recertify`` clears this).
         require_connected: resample the fault set (bounded) so the fully
             degraded topology stays strongly connected.
@@ -366,13 +366,13 @@ class ExperimentSpec:
         presence is bit-invisible to the result.
 
         Args:
-            warm: optional warm context (see :meth:`resolve`).  Ignored
-                for points with a resilience spec — fault injection
-                degrades routing mid-run, so those points always build
-                cold, private state.
+            warm: optional warm context (see :meth:`resolve`).  A point
+                with a resilience spec shares it too: its controller
+                derives every degraded table from the context's healthy
+                table without writing to it, and certifies each against
+                the healthy proof the first faulted point of the key
+                kept on that table.
         """
-        if self.resilience is not None:
-            warm = None
         resolved = self.resolve(warm)
         collector = None
         if self.obs is not None:
@@ -754,13 +754,9 @@ class ResultCache:
 
 def _run_point_job(spec: ExperimentSpec) -> RunResult:
     """Simulate one spec through this process's warm context for its
-    ``(topology, routing)`` pair, timing the run.  Resilience points run
-    cold: fault injection degrades routing mid-run."""
-    warm = (
-        get_warm_context(spec.topology, spec.routing)
-        if spec.resilience is None
-        else None
-    )
+    ``(topology, routing)`` pair, timing the run (a faulted point too:
+    its degraded tables are read off the context's healthy table)."""
+    warm = get_warm_context(spec.topology, spec.routing)
     started = time.perf_counter()
     full = spec.run_full(warm=warm)
     return dataclasses.replace(
@@ -1014,9 +1010,7 @@ class SweepExecutor:
         metrics.simulated += 1
         metrics.points_completed += 1
         metrics.cycles_simulated += point.spec.config.total_cycles
-        if point.spec.resilience is None:
-            # Every fresh point runs warm except a resilience point.
-            metrics.warm_points += 1
+        metrics.warm_points += 1
         self._write_manifest(outcome, record)
         self.hooks.on_point_done(outcome)
         return outcome

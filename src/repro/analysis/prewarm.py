@@ -24,9 +24,12 @@ Sharing is bit-safe by construction: topologies, routing algorithms,
 and traffic patterns are immutable after construction, and a cached
 routing decision is a pure function of its key, so a warmed run is
 indistinguishable from a cold one (the executor's identity tests
-enforce exactly that).  Points with a resilience spec
-never share state — fault injection degrades routing mid-run, so those
-points deliberately take the cold path.
+enforce exactly that).  Points with a resilience spec share it too: a
+fault never writes to the healthy table, it derives a degraded
+restriction of it (:meth:`~repro.sim.ids.CompiledRoutes.restricted`),
+and the healthy table's deadlock-freedom proof, taken by the key's first
+faulted point, stays on it for every later one
+(:func:`repro.verify.certify_table`).
 """
 
 from __future__ import annotations

@@ -666,7 +666,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_res.add_argument(
         "--no-recertify",
         action="store_true",
-        help="skip re-proving each degraded topology deadlock-free",
+        help="skip certifying each degraded route table deadlock-free",
     )
     p_res.add_argument(
         "--jobs", type=int, default=1, help="parallel worker processes"

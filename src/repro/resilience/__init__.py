@@ -8,9 +8,10 @@ instead of only at construction time:
 * :class:`FaultSchedule` — deterministic, seed-derived, serializable
   link fail/heal events.
 * :class:`FaultController` — replays the schedule against the live
-  engine, deriving (and re-certifying deadlock-free, via
-  :func:`repro.verify.recertify`) the degraded route table from the
-  run's healthy one.
+  engine, deriving the degraded route table from the run's healthy one
+  and certifying it deadlock-free as a restriction of that table, whose
+  proof is taken once (:func:`repro.verify.certify_table`,
+  :func:`repro.verify.recertify`).
 * :class:`RecoveryPolicy` — what happens to in-flight casualties:
   :class:`DropAndCount`, :class:`SourceRetransmit` (capped exponential
   backoff), or :class:`AbortRun`.

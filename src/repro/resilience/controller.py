@@ -22,9 +22,12 @@ infinity and the engine's hot path never enters the fault code.
 A fault degrades the table, not the algorithm: :func:`degrade` reads
 every degraded table off the run's healthy one, and no routing object is
 built per event.  Unless the controller was built with
-``recertify=False`` (the CLI's ``--no-recertify`` escape hatch), that
-table's closure is proved deadlock-free before the run proceeds; the
-engine then adopts the very table that was proved.
+``recertify=False`` (the CLI's ``--no-recertify`` escape hatch), the
+degraded table is certified before the run proceeds: the healthy table
+is proved deadlock-free once (its numbering is kept on it, so every run
+sharing the table reuses it), and each degraded table is checked to be a
+restriction of it, which that numbering certifies.  The engine then
+adopts the very table that was checked.
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ from repro.routing.turn_table import TurnRestrictionRouting
 from repro.sim.ids import CompiledRoutes, mask_ids
 from repro.topology.base import Topology
 from repro.topology.channels import Channel, NodeId
-from repro.topology.faults import FaultyTopology
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.analysis.executor import ResilienceSpec
@@ -121,18 +123,21 @@ class FaultController:
         schedule: the fail/heal events to replay.
         policy: the recovery policy for casualties; drop-and-count when
             omitted.
-        recertify: re-prove every degraded configuration deadlock-free
+        recertify: certify every degraded configuration deadlock-free
             before the run proceeds (raises
-            :class:`~repro.verify.suite.CertificationError` otherwise).
+            :class:`~repro.verify.suite.CertificationError` when the
+            healthy relation it restricts has a dependency cycle).
 
     Attributes:
         stats: the run's :class:`ResilienceStats` ledger.
         failed: the currently failed channels.
         current_compiled: the healthy table restricted to ``failed`` by
-            :func:`degrade` — the table the last proof closed and the
+            :func:`degrade` — the table the last check certified and the
             engine adopts; ``None`` while no channel is failed.
-        recertify_s: host seconds spent proving degraded tables (timing
-            metadata, never part of the ledger).
+        recertify_s: host seconds spent certifying: the healthy table's
+            proof, when this run was the one to take it, plus every
+            degraded table's restriction check (timing metadata, never
+            part of the ledger).
         next_event_cycle: cycle of the next unapplied schedule event.
         next_wake: earliest cycle at which the controller has any work
             (schedule event or due retry); ``inf`` when idle, which lets
@@ -198,7 +203,7 @@ class FaultController:
 
         Returns the applied events (empty when none were due).  When any
         event fired, the degraded table is derived and — unless disabled
-        — re-certified deadlock-free before returning.
+        — certified deadlock-free before it is adopted.
         """
         events = self.schedule.events
         cursor = self._cursor
@@ -222,25 +227,29 @@ class FaultController:
             self.failed = frozenset(failed)
             self.current_compiled = None  # freed before the next is built
             if self.failed:
-                assert self._healthy is not None
-                self.current_compiled = degrade(self._healthy, self.failed)
-                if self.recertify_enabled:
-                    self._recertify(self.current_compiled)
+                self.current_compiled = self._derive()
         self._update_wake()
         return applied
 
-    def _recertify(self, compiled: CompiledRoutes) -> None:
+    def _derive(self) -> CompiledRoutes:
+        healthy = self._healthy
+        assert healthy is not None and self.base_topology is not None
+        if not self.recertify_enabled:
+            return degrade(healthy, self.failed)
         # Imported lazily: repro.verify pulls in the whole prover stack,
         # which a no-fault (or --no-recertify) run never needs.
-        from repro.verify import recertify
+        from repro.verify import certify_table, recertify
 
-        assert self.base_topology is not None
-        degraded = FaultyTopology(self.base_topology, self.failed)
+        # The healthy proof first: it takes the closure degrade reads.
         started = perf_counter()
-        label = f"degraded({len(self.failed)} failed)"
-        recertify(degraded, compiled.routing, label, compiled.closure())
-        self.recertify_s += perf_counter() - started
+        certify_table(self.base_topology, healthy)
+        spent = perf_counter() - started
+        derived = degrade(healthy, self.failed)
+        started = perf_counter()
+        recertify(derived)
+        self.recertify_s += spent + perf_counter() - started
         self.stats.on_recertified()
+        return derived
 
     # -- recovery ------------------------------------------------------
 

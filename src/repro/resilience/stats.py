@@ -27,7 +27,7 @@ class ResilienceStats:
 
     Attributes:
         faults_applied, heals_applied: schedule events replayed.
-        recertifications: degraded configurations re-proved safe.
+        recertifications: degraded configurations certified safe.
         casualties: packets torn out of the network (all causes).
         dropped: messages permanently lost.
         retransmissions: source-retransmit re-enqueues.

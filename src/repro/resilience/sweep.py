@@ -49,7 +49,7 @@ class FaultSweepCell:
         resilience: the run's resilience summary (``None`` only for the
             zero-fault baseline cells, which run the plain engine path).
         wall_time_s, recertify_s: host seconds the cell took and the
-            share spent proving degraded tables (``None`` for baseline
+            share spent certifying degraded tables (``None`` for baseline
             cells and cache hits); both stay out of ``to_dict``.
     """
 
@@ -168,7 +168,7 @@ def fault_sweep(
         fault_seed: base seed the per-count schedule seeds derive from.
         policy: recovery policy name for casualties.
         heal_after: cycles until each fault heals; ``None`` = permanent.
-        recertify: re-prove each degraded configuration deadlock-free.
+        recertify: certify each degraded configuration deadlock-free.
         require_connected: keep the fully degraded topology strongly
             connected (resampling the fault set, bounded).
         executor: the :class:`SweepExecutor` to run through; a fresh

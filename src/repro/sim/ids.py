@@ -171,10 +171,16 @@ class CompiledRoutes:
     Attributes:
         closed: whether :meth:`closure` has run, so every realizable
             state is compiled.
+        parent: the table :meth:`restricted` read this one off
+            (``None`` for a compiled table).
+        numbering: channel id -> rank, strictly increasing along every
+            dependency of this table's closure, once
+            :func:`repro.verify.certify_table` has proved it (``None``
+            before).  It certifies every restriction of the table too.
     """
 
     __slots__ = ("routing", "route", "index", "dense", "bykey", "filled",
-                 "closed")
+                 "closed", "parent", "numbering")
 
     def __init__(
         self,
@@ -190,6 +196,8 @@ class CompiledRoutes:
         self.bykey: Optional[Dict[int, Tuple[int, ...]]] = None
         self.filled = 0
         self.closed = False
+        self.parent: Optional[CompiledRoutes] = None
+        self.numbering: Optional[List[int]] = None
         if getattr(routing, "cacheable", True):
             if getattr(routing, "uses_in_channel", True):
                 self.bykey = {}
@@ -216,7 +224,8 @@ class CompiledRoutes:
         names), and a lookup outside ``parent``'s closure raises
         :class:`LookupError` instead of filling a healthy entry.  Over
         an uncacheable ``parent`` (no table) each entry is restricted
-        live instead.
+        live instead.  The derived table keeps ``parent`` as its
+        :attr:`parent`, so :meth:`is_restriction` can check it.
 
         Args:
             parent: the table to restrict; the result shares its index
@@ -224,6 +233,7 @@ class CompiledRoutes:
             dropped: destination index -> the ids its entries lose.
         """
         derived = cls(parent.routing, parent.index)
+        derived.parent = parent
         index = parent.index
         num_nodes = index.num_nodes
         if parent.dense is None and parent.bykey is None:
@@ -273,6 +283,39 @@ class CompiledRoutes:
                     bykey[key] = tuple(o for o in entry if o not in lost)
             derived.dense, derived.bykey = None, bykey
         return derived
+
+    def is_restriction(self) -> bool:
+        """Whether this table is a restriction of its :attr:`parent`.
+
+        Checked entry by entry: every entry this table holds is its
+        parent's entry for the same state, or a subset of it, on the
+        same index.  A state reachable here is then reachable in the
+        parent, so this table's dependencies are some of the parent's
+        and the parent's :attr:`numbering` certifies them.  A table
+        over an uncacheable parent holds no entries; its ``route``
+        restricts each parent answer live, by construction.
+        """
+        parent = self.parent
+        if parent is None or parent.index is not self.index:
+            return False
+        if parent.dense is not None:
+            if self.dense is None or len(self.dense) != len(parent.dense):
+                return False
+            pairs: Iterator[Tuple[Optional[tuple], Optional[tuple]]] = zip(
+                self.dense, parent.dense
+            )
+        elif parent.bykey is not None:
+            if self.bykey is None:
+                return False
+            parent_entry = parent.bykey.get
+            pairs = ((entry, parent_entry(key)) for key, entry in self.bykey.items())
+        else:
+            return self.dense is None and self.bykey is None
+        return all(
+            entry is None or entry is held
+            or (held is not None and set(entry).issubset(held))
+            for entry, held in pairs
+        )
 
     def _resolve(self, front: int, node_idx: int, dest_idx: int) -> tuple:
         index = self.index

@@ -10,7 +10,8 @@ Figure 1 fixture renders as the paper's four-channel circular wait.
 
 Entry points: :func:`verify_all` (the standard sweep, exposed as
 ``repro verify --all``), :func:`certify` (the executor's pre-launch
-gate), and the individual ``check_*`` functions.
+gate), :func:`certify_table` and :func:`recertify` (the fault
+controller's), and the individual ``check_*`` functions.
 """
 
 from repro.verify.connectivity import check_connectivity
@@ -35,6 +36,7 @@ from repro.verify.suite import (
     CertificationError,
     VerifyTarget,
     certify,
+    certify_table,
     default_targets,
     recertify,
     verify_all,
@@ -55,6 +57,7 @@ __all__ = [
     "REGISTRY_TOPOLOGIES",
     "PROOF_CHECKERS",
     "certify",
+    "certify_table",
     "check_adaptiveness",
     "check_connectivity",
     "check_deadlock_freedom",

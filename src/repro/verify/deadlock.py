@@ -21,11 +21,17 @@ graph at the object level, straight from the routing callable
 monotonicity argument edge by edge against the numbering stored in the
 certificate — it shares neither the graph builder nor the monotone
 construction with the prover.
+
+A fault run needs a cheaper certificate, checked per fault event: the
+id-level numbering :func:`closure_numbering` reads straight off a
+closure's ``succ`` masks, checked by :func:`is_monotone`.  One such
+numbering of the healthy relation certifies every restriction of it
+(:func:`repro.verify.suite.recertify`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.channel_graph import CycleWitness, RouteFn, routing_cdg
 from repro.core.digraph import Digraph
@@ -46,8 +52,10 @@ from repro.verify.report import PROVED, REFUTED, Certificate, CheckResult
 __all__ = [
     "channel_key",
     "check_deadlock_freedom",
+    "closure_numbering",
     "cycle_witness",
     "dependency_graph",
+    "is_monotone",
     "recheck_numbering_certificate",
     "route_closure",
     "witness_certificate",
@@ -132,6 +140,40 @@ def dependency_graph(topology: Topology, closure: RouteClosure) -> Digraph[Chann
         for out in mask_ids(mask):
             graph.add_edge(channel_of[front], channel_of[out])  # type: ignore[arg-type]
     return graph
+
+
+def closure_numbering(closure: RouteClosure) -> Optional[List[int]]:
+    """An id-level numbering of the closure's dependency relation, read
+    straight off its ``succ`` masks: channel id -> rank in a topological
+    order (Kahn's), so every dependency strictly increases.  ``None``
+    when the relation has a cycle, which no numbering can order."""
+    succ = closure.succ
+    indegree = [0] * len(succ)
+    for mask in succ:
+        for out in mask_ids(mask):
+            indegree[out] += 1
+    order = [front for front, count in enumerate(indegree) if not count]
+    for front in order:  # grows as channels lose their last predecessor
+        for out in mask_ids(succ[front]):
+            indegree[out] -= 1
+            if not indegree[out]:
+                order.append(out)
+    if len(order) < len(succ):
+        return None
+    numbering = [0] * len(succ)
+    for rank, front in enumerate(order):
+        numbering[front] = rank
+    return numbering
+
+
+def is_monotone(succ: Sequence[int], numbering: Sequence[int]) -> bool:
+    """Whether ``numbering`` strictly increases along every dependency
+    ``succ`` holds (network channel id -> bitmask of its successors)."""
+    return all(
+        numbering[out] > numbering[front]
+        for front, mask in enumerate(succ)
+        for out in mask_ids(mask)
+    )
 
 
 def cycle_witness(closure: RouteClosure, cycle: Sequence[Channel]) -> CycleWitness:

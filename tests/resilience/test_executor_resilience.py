@@ -1,16 +1,24 @@
 """Tests for the executor's resilience plumbing: specs, cache, outcomes."""
 
 import dataclasses
+import random
 
 import pytest
 
 from repro.analysis.executor import (
+    ConfigSpec,
     ExperimentSpec,
     PointSpec,
     ResilienceSpec,
     ResultCache,
     SweepExecutor,
 )
+from repro.analysis.prewarm import clear_warm_contexts
+from repro.experiments.presets import get_fault_sweep_preset
+from repro.sim.digest import result_digest
+
+from tests.resilience.test_degrade_pins import PINNED, faulted_spec
+from tests.sim.golden_scenarios import summary_digest
 
 BASE = dict(
     topology="mesh:6x6",
@@ -24,8 +32,23 @@ BASE = dict(
 FAST = dict(warmup_cycles=100, measure_cycles=600, drain_cycles=400)
 
 
+def quick_preset_specs():
+    """The cells of ``repro resilience --preset quick``."""
+    preset = get_fault_sweep_preset("quick")
+    config = ConfigSpec.from_config(preset.sim_config())
+    return [
+        ExperimentSpec(
+            topology=preset.topology(), routing=name, pattern=preset.pattern,
+            load=preset.load, config=config,
+            resilience=ResilienceSpec(fault_count=count, fault_seed=1 + count,
+                                      policy=preset.policy) if count else None,
+        )
+        for name in preset.algorithms
+        for count in preset.fault_counts
+    ]
+
+
 def fast_spec(**kwargs):
-    from repro.analysis.executor import ConfigSpec
     from repro.sim.config import SimulationConfig
 
     config = ConfigSpec.from_config(SimulationConfig(**FAST))
@@ -135,3 +158,51 @@ class TestCacheExtras:
         assert cached.cached
         assert cached.resilience == fresh.resilience
         assert cached.result == fresh.result
+
+
+class TestFaultedPointsRunWarm:
+    """A faulted point shares its key's warm context: the healthy table
+    and the healthy proof on it.  Whether it does, which point of the key
+    takes the proof, and which worker runs it must not show."""
+
+    def test_cold_shuffled_serial_parallel_agree(self):
+        specs = quick_preset_specs() + [faulted_spec(*case) for case in sorted(PINNED)]
+        points = [PointSpec(spec=spec, index=i) for i, spec in enumerate(specs)]
+        shuffled = list(points)
+        random.Random(32).shuffle(shuffled)
+
+        def digests(outcomes):
+            return {
+                o.point.index: (
+                    result_digest(o.result),
+                    summary_digest(o.resilience) if o.resilience else None,
+                )
+                for o in outcomes
+            }
+
+        runs = {}
+        clear_warm_contexts()
+        try:
+            # The cold reference: every point on private state.
+            runs["cold"] = {
+                point.index: (
+                    result_digest(full.result),
+                    summary_digest(full.resilience) if full.resilience else None,
+                )
+                for point in points
+                for full in [point.spec.run_full()]
+            }
+            for label, jobs, order in (
+                ("shuffled", 1, shuffled), ("jobs=1", 1, points), ("jobs=2", 2, points),
+            ):
+                clear_warm_contexts()
+                with SweepExecutor(jobs=jobs) as executor:
+                    outcomes = executor.run_points(order)
+                    assert executor.last_metrics.warm_points == len(points)
+                runs[label] = digests(outcomes)
+        finally:
+            clear_warm_contexts()
+        assert all(run == runs["cold"] for run in runs.values()), runs
+        offset = len(specs) - len(PINNED)
+        for i, case in enumerate(sorted(PINNED)):
+            assert runs["cold"][offset + i] == PINNED[case]

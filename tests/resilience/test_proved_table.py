@@ -1,15 +1,26 @@
-"""The engine routes on the very table that was proved.
+"""The engine routes on the very table that was certified.
 
 On every fault event the controller derives the degraded table from the
-run's healthy one, the recertifier proves *that* table's closure, and
-the engine adopts it — so a refuted table never becomes the engine's.
-No routing object is built on the way.
+run's healthy one, checks that *that* table is a restriction of the
+healthy table whose numbering was proved once, and the engine adopts it
+— so an uncertified table never becomes the engine's.  No routing
+object, no derived closure and no dependency graph is built on the way.
+The exact proof of each derived table's own closure stays here, as the
+oracle the restriction argument must agree with.
 """
 
 import pytest
 
 import repro.verify
-from repro.analysis.executor import ConfigSpec, ExperimentSpec, ResilienceSpec
+from repro.analysis.executor import (
+    ConfigSpec,
+    ExperimentSpec,
+    PointSpec,
+    ResilienceSpec,
+    SweepExecutor,
+)
+from repro.analysis.prewarm import clear_warm_contexts
+from repro.core.digraph import Digraph
 from repro.experiments.presets import get_fault_sweep_preset
 from repro.resilience import DropAndCount, FaultController, FaultSchedule
 from repro.routing import make_routing
@@ -18,10 +29,15 @@ from repro.routing.turn_table import ReachabilityOracle
 from repro.sim import SimulationConfig, WormholeSimulator
 from repro.sim.deadlock import unrestricted_adaptive_routing
 from repro.sim.digest import result_digest
+from repro.sim.ids import CompiledRoutes
 from repro.topology import Mesh2D
+from repro.topology.faults import FaultyTopology
 from repro.traffic import UniformTraffic, Workload
 from repro.traffic.workload import SizeDistribution
-from repro.verify import CertificationError
+from repro.verify import PROVED, CertificationError, check_deadlock_freedom
+from repro.verify.deadlock import is_monotone
+
+from tests.resilience.test_executor_resilience import quick_preset_specs
 
 CONFIG = SimulationConfig(warmup_cycles=200, measure_cycles=1200, drain_cycles=800)
 WINDOW = (CONFIG.warmup_cycles, CONFIG.warmup_cycles + 600)
@@ -45,17 +61,39 @@ def build(name, *, routing=None, recertify=True, faults=4, heal_after=None):
 
 
 @pytest.fixture
-def proofs(monkeypatch):
-    """Every closure handed to the recertifier, in order."""
+def checks(monkeypatch):
+    """Every degraded table whose restriction precondition was checked,
+    in order."""
     seen = []
     original = repro.verify.recertify
 
-    def recording(topology, routing, topology_label="", closure=None):
-        seen.append(closure)
-        return original(topology, routing, topology_label, closure)
+    def recording(compiled):
+        seen.append(compiled)
+        return original(compiled)
 
     monkeypatch.setattr(repro.verify, "recertify", recording)
     return seen
+
+
+@pytest.fixture
+def derived(monkeypatch):
+    """``(degraded table, failed channels)`` after every applied event
+    that left a channel failed."""
+    seen = []
+    original = FaultController.advance
+
+    def recording(self, cycle):
+        applied = original(self, cycle)
+        if applied and self.failed:
+            seen.append((self.current_compiled, self.failed))
+        return applied
+
+    monkeypatch.setattr(FaultController, "advance", recording)
+    return seen
+
+
+def quick_faulted_specs():
+    return [spec for spec in quick_preset_specs() if spec.resilience is not None]
 
 
 @pytest.fixture
@@ -77,14 +115,16 @@ def adoptions(monkeypatch):
 class TestAdoption:
     @pytest.mark.parametrize("name", ["xy", "west-first-nonminimal"],
                              ids=["filter", "reach"])
-    def test_adopted_table_is_the_proved_object(self, name, proofs, adoptions):
+    def test_adopted_table_is_the_proved_object(self, name, checks, adoptions):
         sim, controller = build(name)
+        healthy = sim.route_cache.compiled
         sim.run()
-        assert controller.stats.recertifications == len(proofs) == 4
+        assert controller.stats.recertifications == len(checks) == 4
+        assert healthy.numbering is not None
         assert len(adoptions) == 4
-        for closure, (adopted, prefilled) in zip(proofs, adoptions):
-            assert closure is not None
-            assert adopted is closure.compiled
+        for checked, (adopted, prefilled) in zip(checks, adoptions):
+            assert adopted is checked
+            assert adopted.parent is healthy
             assert adopted.index is sim._index
             assert adopted.routing is sim.routing
             # It arrives holding every source state and more.
@@ -103,17 +143,44 @@ class TestAdoption:
         assert sim.route_cache.compiled is healthy
 
     def test_refuted_table_aborts_and_is_never_adopted(self, adoptions):
-        # The healthy relation is cyclic, and so is its restriction.
+        # The healthy relation is cyclic: the first fault raises with the
+        # healthy relation's own witness, and nothing is derived from it.
         sim, controller = build(
             None, routing=unrestricted_adaptive_routing(Mesh2D(6, 6))
         )
         healthy = sim.route_cache.compiled
-        with pytest.raises(CertificationError, match="dependency cycle"):
+        with pytest.raises(CertificationError, match="dependency cycle") as raised:
             sim.run()
+        (check,) = raised.value.report.checks
+        want = check_deadlock_freedom(sim.topology, sim.routing)
+        assert check.to_dict() == want.to_dict()
+        assert healthy.numbering is None
         assert adoptions == []
         assert sim.route_cache.compiled is healthy
+        assert controller.current_compiled is None
         assert controller.stats.recertifications == 0
         assert sim.cycle >= WINDOW[0]
+
+
+class TestTheExactProofAgrees:
+    """The oracle: each derived configuration's own closure, proved from
+    scratch, is deadlock free, and the healthy numbering the run relied
+    on is strictly monotone on every one of its dependencies."""
+
+    @pytest.mark.parametrize("name", ["xy", "west-first", "negative-first",
+                                      "west-first-nonminimal"])
+    def test_every_derived_configuration(self, name, derived):
+        sim, controller = build(name, faults=6)
+        healthy = sim.route_cache.compiled
+        sim.run()
+        assert controller.stats.recertifications == len(derived) == 6
+        for table, failed in derived:
+            closure = table.closure()
+            check = check_deadlock_freedom(
+                FaultyTopology(sim.topology, failed), sim.routing, closure
+            )
+            assert check.verdict == PROVED
+            assert is_monotone(closure.succ, healthy.numbering)
 
 
 class TestNothingIsAskedOrBuilt:
@@ -181,6 +248,51 @@ class TestNothingIsAskedOrBuilt:
         ledger = spec.run_full().resilience
         assert ledger["recertifications"] > 0
         assert built == []
+
+    def test_advance_takes_no_derived_closure_and_builds_no_graph(self, monkeypatch):
+        closures = []
+        graphs = []
+        inside = []
+        closure = CompiledRoutes.closure
+
+        def counted_closure(self):
+            if inside:
+                closures.append(self)
+            return closure(self)
+
+        init = Digraph.__init__
+
+        def counted_graph(self, *args, **kwargs):
+            if inside:
+                graphs.append(self)
+            init(self, *args, **kwargs)
+
+        advance = FaultController.advance
+
+        def watched(self, cycle):
+            inside.append(cycle)
+            try:
+                return advance(self, cycle)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(CompiledRoutes, "closure", counted_closure)
+        monkeypatch.setattr(Digraph, "__init__", counted_graph)
+        monkeypatch.setattr(FaultController, "advance", watched)
+        specs = quick_faulted_specs()
+        clear_warm_contexts()
+        try:
+            with SweepExecutor(jobs=1) as executor:
+                outcomes = executor.run_points([PointSpec(spec=s) for s in specs])
+        finally:
+            clear_warm_contexts()
+        assert all(o.resilience["recertifications"] > 0 for o in outcomes)
+        assert graphs == []
+        assert [table for table in closures if table.parent is not None] == []
+        # The healthy closure is taken once per key, by its first
+        # faulted point, and its proof serves the key's later points.
+        keys = {spec.routing for spec in specs}
+        assert sorted(table.routing.name for table in closures) == sorted(keys)
 
     def test_without_recertification_the_result_is_the_proved_run_s(self):
         sim, controller = build("west-first-nonminimal", recertify=False)

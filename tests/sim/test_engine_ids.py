@@ -174,6 +174,29 @@ class TestRestrictedTable:
             CompiledRoutes.restricted(parent, [frozenset()] * 16)
         assert closures == [parent]
 
+    @pytest.mark.parametrize("name", ["west-first", "west-first-nonminimal"])
+    def test_is_restriction_checks_every_entry(self, name):
+        mesh = Mesh2D(4, 4)
+        parent = CompiledRoutes(make_routing(name, mesh))
+        derived = CompiledRoutes.restricted(parent, [frozenset([0, 7])] * 16)
+        assert derived.parent is parent and derived.is_restriction()
+        assert not parent.is_restriction()  # compiled, not derived
+        table = derived.dense if derived.dense is not None else derived.bykey
+        keys = [key for key in (range(len(table)) if derived.dense is not None
+                                else list(table)) if table[key]]
+        key = keys[len(keys) // 2]
+        entry = table[key]
+        # One id its parent never offered for that state ...
+        extra = next(o for o in range(parent.index.num_channels) if o not in entry)
+        table[key] = entry + (extra,)
+        assert not derived.is_restriction()
+        table[key] = entry
+        assert derived.is_restriction()
+        if derived.bykey is not None:
+            # ... or a state outside the parent's table.
+            derived.bykey[-1] = ()
+            assert not derived.is_restriction()
+
     def test_a_state_outside_the_parent_s_closure_raises(self):
         mesh = Mesh2D(4, 4)
         parent = CompiledRoutes(unrestricted_adaptive_routing(mesh))

@@ -6,13 +6,18 @@ import pytest
 
 from repro.routing import make_routing
 from repro.sim.deadlock import figure4_routing, unrestricted_adaptive_routing
+from repro.sim.ids import CompiledRoutes
 from repro.topology import Hypercube, Mesh2D, Torus
 from repro.verify import (
     PROVED,
     REFUTED,
+    CertificationError,
+    certify_table,
     check_deadlock_freedom,
+    recertify,
     recheck_numbering_certificate,
 )
+from repro.verify.deadlock import closure_numbering, is_monotone, route_closure
 
 
 class TestClosedFormProofs:
@@ -145,3 +150,54 @@ class TestTorusAndVirtualChannels:
         topology = VirtualChannelTopology(Torus(4, 2), lanes=2)
         result = check_deadlock_freedom(topology, DatelineTorusRouting(topology))
         assert result.verdict == PROVED
+
+
+class TestTableCertificate:
+    """The id-level proof a fault run keeps on its healthy table, and the
+    restriction check that lets it certify every degraded table."""
+
+    @pytest.mark.parametrize(
+        "name", ["xy", "west-first", "negative-first", "west-first-nonminimal"]
+    )
+    def test_numbering_is_monotone_on_every_dependency(self, mesh44, name):
+        closure = route_closure(mesh44, make_routing(name, mesh44).route)
+        numbering = closure_numbering(closure)
+        assert numbering is not None
+        assert sorted(numbering) == list(range(mesh44.num_channels))
+        assert is_monotone(closure.succ, numbering)
+        assert not is_monotone(closure.succ, [-rank for rank in numbering])
+
+    @pytest.mark.parametrize("fixture", [unrestricted_adaptive_routing, figure4_routing])
+    def test_a_cyclic_relation_has_no_numbering(self, fixture):
+        mesh = Mesh2D(5, 5)
+        assert closure_numbering(route_closure(mesh, fixture(mesh).route)) is None
+
+    def test_the_proof_is_taken_once_and_kept(self, mesh44, monkeypatch):
+        healthy = CompiledRoutes(make_routing("west-first-nonminimal", mesh44))
+        numbering = certify_table(mesh44, healthy)
+        assert healthy.numbering is numbering
+        monkeypatch.setattr(CompiledRoutes, "closure", None)  # never again
+        assert certify_table(mesh44, healthy) is numbering
+
+    def test_a_refuted_table_raises_with_the_witness(self, mesh44):
+        routing = unrestricted_adaptive_routing(mesh44)
+        healthy = CompiledRoutes(routing)
+        with pytest.raises(CertificationError, match="dependency cycle") as raised:
+            certify_table(mesh44, healthy)
+        (check,) = raised.value.report.checks
+        assert check.to_dict() == check_deadlock_freedom(mesh44, routing).to_dict()
+        assert healthy.numbering is None
+
+    def test_recertify_checks_the_precondition(self, mesh44):
+        healthy = CompiledRoutes(make_routing("west-first", mesh44))
+        derived = CompiledRoutes.restricted(healthy, [frozenset([3])] * 16)
+        with pytest.raises(ValueError, match="certified table"):
+            recertify(derived)  # the parent carries no proof yet
+        certify_table(mesh44, healthy)
+        recertify(derived)
+        with pytest.raises(ValueError, match="certified table"):
+            recertify(healthy)  # not derived from anything
+        key = next(k for k, entry in enumerate(derived.dense) if entry)
+        derived.dense[key] = tuple(range(healthy.index.num_channels))
+        with pytest.raises(ValueError, match="not a restriction"):
+            recertify(derived)
