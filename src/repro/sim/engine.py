@@ -1129,10 +1129,10 @@ class WormholeSimulator:
         :class:`~repro.sim.ids.CompiledRoutes`: the healthy table with
         the ids the faults drop removed, on the run's *own* channel
         index (a degraded topology's channels are a subset, so ids never
-        shift mid-run) — under recertification the very table whose
-        closure was proved.  The original table returns once every
-        channel has healed.  Nothing is invalidated; the view's lookup
-        counters restart with it.
+        shift mid-run) — under recertification the very table that was
+        certified (checked to restrict the proved healthy table).  The
+        original table returns once every channel has healed.  Nothing is
+        invalidated; the view's lookup counters restart with it.
         """
         compiled = ctrl.current_compiled
         self._routes = RouteTable(
