@@ -10,14 +10,10 @@ from repro.analysis.executor import (
     ExecutorHooks,
     ExecutorMetrics,
     ExperimentSpec,
-    PointOutcome,
     PointSpec,
     ProgressPrinter,
-    ResolvedSpec,
     ResultCache,
     SweepExecutor,
-    resolve_spec,
-    run_spec,
 )
 from repro.analysis.fault_tolerance import (
     FaultSweepPoint,
@@ -50,10 +46,6 @@ __all__ = [
     "ConfigSpec",
     "ExperimentSpec",
     "PointSpec",
-    "PointOutcome",
-    "ResolvedSpec",
-    "resolve_spec",
-    "run_spec",
     "SweepExecutor",
     "ResultCache",
     "ExecutorHooks",

@@ -12,6 +12,9 @@ rest of the harness routes through:
   all primitives, it crosses process boundaries and hashes stably.
 * :class:`PointSpec` — one executor job: a spec plus the series label
   and index that route its result back into a sweep.
+* :class:`RunResult` — the one per-point record: what
+  :meth:`ExperimentSpec.run_full`, a cache hit and every executor path
+  return, and what the cache and manifest writers take.
 * :class:`ResultCache` — an on-disk store keyed by the spec's content
   hash, so re-running a figure only simulates the missing points.
 * :class:`SweepExecutor` — fans points out over a *persistent*
@@ -45,11 +48,10 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, NamedTuple, Optional, Sequence, TextIO, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, TextIO, Tuple, Union
 
 from repro.analysis.prewarm import WarmContext, get_warm_context
 from repro.obs.spec import ObsSpec
-from repro.routing.base import RoutingAlgorithm
 from repro.routing.registry import canonical_name, make_routing
 from repro.routing.selection import (
     is_registered_policy,
@@ -61,7 +63,6 @@ from repro.sim.engine import make_simulator
 from repro.sim.stats import SimulationResult
 from repro.topology.base import Topology
 from repro.topology.spec import parse_topology, topology_spec
-from repro.traffic.patterns import TrafficPattern
 from repro.traffic.permutations import make_pattern
 from repro.traffic.workload import PAPER_SIZES, SizeDistribution, Workload
 
@@ -71,11 +72,7 @@ __all__ = [
     "ResilienceSpec",
     "ExperimentSpec",
     "PointSpec",
-    "PointOutcome",
-    "ResolvedSpec",
     "RunResult",
-    "resolve_spec",
-    "run_spec",
     "ExecutorHooks",
     "ExecutorMetrics",
     "ProgressPrinter",
@@ -313,51 +310,8 @@ class ExperimentSpec:
         """
         return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
 
-    def resolve(self, warm: Optional[WarmContext] = None) -> "ResolvedSpec":
-        """Instantiate the live objects this spec names.
-
-        Args:
-            warm: optional warm context for this spec's ``(topology,
-                routing)`` pair; its shared topology, routing, pattern,
-                and route tables are reused instead of rebuilt.  The
-                objects are immutable (and routing decisions pure), so
-                resolution through a warm context is bit-identical to a
-                cold one.
-
-        Raises:
-            ValueError: if ``warm`` belongs to a different pair.
-        """
-        if warm is not None:
-            if warm.key != (self.topology, self.routing):
-                raise ValueError(
-                    f"warm context {warm.key!r} does not match spec "
-                    f"({self.topology!r}, {self.routing!r})"
-                )
-            return ResolvedSpec(
-                spec=self,
-                topology=warm.topology,
-                routing=warm.routing,
-                pattern=warm.pattern(self.pattern),
-                sizes=self.size_distribution(),
-                config=self.config.to_config(),
-                warm=warm,
-            )
-        topology = parse_topology(self.topology)
-        return ResolvedSpec(
-            spec=self,
-            topology=topology,
-            routing=make_routing(self.routing, topology),
-            pattern=make_pattern(self.pattern, topology),
-            sizes=self.size_distribution(),
-            config=self.config.to_config(),
-        )
-
-    def run(self) -> SimulationResult:
-        """Simulate this point and return its result."""
-        return self.run_full().result
-
     def run_full(self, warm: Optional[WarmContext] = None) -> "RunResult":
-        """Simulate this point and return everything it produced.
+        """Simulate this point and return everything it produced, timed.
 
         Every point is built by :func:`~repro.sim.engine
         .make_simulator`.  The resilience machinery is imported — and
@@ -366,14 +320,34 @@ class ExperimentSpec:
         presence is bit-invisible to the result.
 
         Args:
-            warm: optional warm context (see :meth:`resolve`).  A point
-                with a resilience spec shares it too: its controller
-                derives every degraded table from the context's healthy
-                table without writing to it, and certifies each against
-                the healthy proof the first faulted point of the key
-                kept on that table.
+            warm: optional warm context for this spec's ``(topology,
+                routing)`` pair; its shared topology, routing, pattern
+                and route table are reused instead of rebuilt.  They are
+                immutable (and routing decisions pure), so a warm run is
+                bit-identical to a cold one.  A point with a resilience
+                spec shares it too: its controller derives every
+                degraded table from the context's healthy table without
+                writing to it, and certifies each against the healthy
+                proof the first faulted point of the key kept on that
+                table.
+
+        Raises:
+            ValueError: if ``warm`` belongs to a different pair.
         """
-        resolved = self.resolve(warm)
+        started = time.perf_counter()
+        if warm is None:
+            topology = parse_topology(self.topology)
+            routing = make_routing(self.routing, topology)
+            pattern = make_pattern(self.pattern, topology)
+        elif warm.key != (self.topology, self.routing):
+            raise ValueError(
+                f"warm context {warm.key!r} does not match spec "
+                f"({self.topology!r}, {self.routing!r})"
+            )
+        else:
+            topology, routing = warm.topology, warm.routing
+            pattern = warm.pattern(self.pattern)
+        config = self.config.to_config()
         collector = None
         if self.obs is not None:
             from repro.obs.metrics import MetricsCollector
@@ -383,22 +357,20 @@ class ExperimentSpec:
         if self.resilience is not None:
             from repro.resilience.controller import build_controller
 
-            controller = build_controller(
-                resolved.topology, self.resilience, resolved.config
-            )
+            controller = build_controller(topology, self.resilience, config)
         workload = Workload(
-            pattern=resolved.pattern,
-            sizes=resolved.sizes,
+            pattern=pattern,
+            sizes=self.size_distribution(),
             offered_load=self.load,
             seed=self.seed,
         )
         simulator = make_simulator(
-            resolved.routing,
+            routing,
             workload,
-            resolved.config,
+            config,
             resilience=controller,
             obs=collector,
-            warm=resolved.warm,
+            warm=warm,
         )
         result = simulator.run()
         return RunResult(
@@ -413,82 +385,9 @@ class ExperimentSpec:
             ),
             cruise_entries=simulator.cruise_entries,
             cruise_worm_cycles=simulator.cruise_worm_cycles,
+            # Evaluated last, so the summaries above are inside the time.
+            wall_time_s=time.perf_counter() - started,
         )
-
-
-@dataclass(frozen=True)
-class ResolvedSpec:
-    """The live objects an :class:`ExperimentSpec` names.
-
-    ``warm`` is the warm context the spec was resolved through (``None``
-    on a cold resolve); the engine consults its shared routing state
-    before recomputing any routing decision.
-    """
-
-    spec: ExperimentSpec
-    topology: Topology
-    routing: RoutingAlgorithm
-    pattern: TrafficPattern
-    sizes: SizeDistribution
-    config: SimulationConfig
-    warm: Optional[WarmContext] = None
-
-
-def resolve_spec(spec: ExperimentSpec) -> ResolvedSpec:
-    """Instantiate the topology, routing, pattern, sizes, and config.
-
-    The functional spelling of :meth:`ExperimentSpec.resolve`, exported
-    through :mod:`repro.api` for programmatic users who want the live
-    objects without running the simulation.
-    """
-    return spec.resolve()
-
-
-def run_spec(spec: ExperimentSpec) -> SimulationResult:
-    """Simulate one spec in-process and return its result."""
-    return spec.run()
-
-
-@dataclass(frozen=True)
-class RunResult:
-    """Everything one simulated point produced.
-
-    The return type of :meth:`ExperimentSpec.run_full` and of the
-    :func:`repro.api.run` facade: the headline
-    :class:`~repro.sim.stats.SimulationResult` plus the optional
-    sidecars — the resilience ledger for faulted runs and the obs
-    metrics summary for instrumented ones — and, when the point went
-    through an executor, its cache provenance.
-
-    Attributes:
-        spec: the spec that was run.
-        result: the simulation result.
-        resilience: fault-run ledger summary; ``None`` for plain runs.
-        metrics: obs metrics summary
-            (:meth:`repro.obs.metrics.MetricsCollector.summary`);
-            ``None`` when collection was off.
-        cached: whether the result came from a result cache.
-        wall_time_s: seconds the simulation took (0.0 for cache hits).
-        recertify_s: host seconds of ``wall_time_s`` spent proving
-            degraded routing tables (``None`` for plain runs and cache
-            hits); like ``wall_time_s``, never hashed, cached, digested.
-        cruise_entries, cruise_worm_cycles: what the engine's cruise
-            state did (:attr:`WormholeSimulator.cruise_entries`): worms
-            that streamed in aggregate, and the per-worm mover calls
-            that saved.  Telemetry like the two above — ``None`` for
-            cache hits, never hashed, cached or digested.
-    """
-
-    spec: ExperimentSpec
-    result: SimulationResult
-    resilience: Optional[dict] = None
-    metrics: Optional[dict] = None
-    cached: bool = False
-    wall_time_s: float = 0.0
-    recertify_s: Optional[float] = None
-    cruise_entries: Optional[int] = None
-    cruise_worm_cycles: Optional[int] = None
-
 
 @dataclass(frozen=True)
 class PointSpec:
@@ -507,37 +406,58 @@ class PointSpec:
 
 
 @dataclass(frozen=True)
-class PointOutcome:
-    """One completed point.
+class RunResult:
+    """Everything one point produced: the one per-point record.
+
+    What :meth:`ExperimentSpec.run_full`,
+    :meth:`SweepExecutor.run_points` (fresh runs and cache hits alike)
+    and the :func:`repro.api.run` facade return, and what the cache and
+    manifest writers take: the headline
+    :class:`~repro.sim.stats.SimulationResult` plus the optional
+    sidecars — the resilience ledger for faulted runs and the obs
+    metrics summary for instrumented ones — and how the point was run.
 
     Attributes:
-        point: the job that ran.
-        result: the simulation result (from the cache or a fresh run).
-        wall_time_s: seconds the simulation took; 0.0 for cache hits.
-        cached: whether the result came from the cache.
-        resilience: the fault run's stats summary (delivered/dropped
-            fractions, detours, recovery latency); ``None`` for points
-            without a resilience spec.
-        metrics: the obs metrics summary; ``None`` for points without
-            an obs spec (and for cache entries stored before metrics
-            existed).
-        cache_problem: why the point's existing cache entry was
-            rejected and the point re-simulated (see
+        spec: the spec that was run.
+        result: the simulation result.
+        resilience: fault-run ledger summary; ``None`` for plain runs.
+        metrics: obs metrics summary
+            (:meth:`repro.obs.metrics.MetricsCollector.summary`);
+            ``None`` when collection was off.
+        cached: whether the result came from a result cache.
+        wall_time_s: seconds the run took (0.0 for cache hits).
+        recertify_s: host seconds of ``wall_time_s`` spent proving
+            degraded routing tables (``None`` for plain runs and cache
+            hits); like ``wall_time_s``, never hashed, cached, digested.
+        cruise_entries, cruise_worm_cycles: what the engine's cruise
+            state did (:attr:`WormholeSimulator.cruise_entries`): worms
+            that streamed in aggregate, and the per-worm mover calls
+            that saved.  Telemetry like the two above — ``None`` for
+            cache hits, never hashed, cached or digested.
+        series, index: the executor job's :class:`PointSpec` labels
+            (``""`` and 0 outside a sweep); see :attr:`point`.
+        cache_problem: why the point's existing cache entry was rejected
+            and the point re-simulated (see
             :meth:`ResultCache.read_entry`); ``None`` normally.
-        recertify_s, cruise_entries, cruise_worm_cycles: see
-            :class:`RunResult`.
     """
 
-    point: PointSpec
+    spec: ExperimentSpec
     result: SimulationResult
-    wall_time_s: float
-    cached: bool
     resilience: Optional[dict] = None
     metrics: Optional[dict] = None
-    cache_problem: Optional[str] = None
+    cached: bool = False
+    wall_time_s: float = 0.0
     recertify_s: Optional[float] = None
     cruise_entries: Optional[int] = None
     cruise_worm_cycles: Optional[int] = None
+    series: str = ""
+    index: int = 0
+    cache_problem: Optional[str] = None
+
+    @property
+    def point(self) -> PointSpec:
+        """The executor job this record answers."""
+        return PointSpec(spec=self.spec, series=self.series, index=self.index)
 
 
 @dataclass
@@ -577,7 +497,7 @@ class ExecutorHooks:
     def on_point_start(self, point: PointSpec) -> None:
         """Called when a point is dispatched (not for cache hits)."""
 
-    def on_point_done(self, outcome: PointOutcome) -> None:
+    def on_point_done(self, run: RunResult) -> None:
         """Called as each point completes (cache hits included)."""
 
     def on_run_end(self, metrics: ExecutorMetrics) -> None:
@@ -598,10 +518,10 @@ class ProgressPrinter(ExecutorHooks):
         self._total = total_points
         self._done = 0
 
-    def on_point_done(self, outcome: PointOutcome) -> None:
+    def on_point_done(self, run: RunResult) -> None:
         self._done += 1
-        spec = outcome.point.spec
-        source = "cache" if outcome.cached else f"{outcome.wall_time_s:.1f}s"
+        spec = run.spec
+        source = "cache" if run.cached else f"{run.wall_time_s:.1f}s"
         print(
             f"[{self._done}/{self._total}] {spec.routing} {spec.pattern} "
             f"load={spec.load:g} ({source})",
@@ -625,12 +545,7 @@ class ProgressPrinter(ExecutorHooks):
         )
 
 
-def encode_point_record(
-    spec: ExperimentSpec,
-    result: SimulationResult,
-    resilience: Optional[dict] = None,
-    metrics: Optional[dict] = None,
-) -> str:
+def encode_point_record(run: RunResult) -> str:
     """A point's record: the one serialization of its numbers.
 
     Compact JSON with sorted keys, holding the spec (for auditability
@@ -643,13 +558,13 @@ def encode_point_record(
 
     payload = {
         "version": SPEC_VERSION,
-        "spec": spec.to_dict(),
-        "result": result_to_dict(result),
+        "spec": run.spec.to_dict(),
+        "result": result_to_dict(run.result),
     }
-    if resilience is not None:
-        payload["resilience"] = resilience
-    if metrics is not None:
-        payload["obs"] = metrics
+    if run.resilience is not None:
+        payload["resilience"] = run.resilience
+    if run.metrics is not None:
+        payload["obs"] = run.metrics
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
@@ -681,28 +596,20 @@ class ResultCache:
         """Where this spec's result lives (whether or not it exists)."""
         return self.root / f"{spec.content_hash()}.json"
 
-    def load(self, spec: ExperimentSpec) -> Optional[SimulationResult]:
-        """The cached result, or ``None`` on a miss or a corrupt entry."""
-        entry = self.load_entry(spec)
-        return entry.result if entry is not None else None
-
-    def load_entry(self, spec: ExperimentSpec) -> Optional[_CacheEntry]:
-        """The cached (result, resilience summary, obs metrics summary,
-        record text), or ``None`` on a miss or a corrupt entry.  Either
-        summary is ``None`` when the entry was stored without it
-        (fault-free points, uninstrumented points, older archives)."""
-        return self.read_entry(spec)[0]
-
     def read_entry(
         self, spec: ExperimentSpec
     ) -> Tuple[Optional[_CacheEntry], Optional[str]]:
-        """:meth:`load_entry` plus why an existing entry was rejected.
+        """The cached entry, plus why an existing entry was rejected.
 
-        Returns ``(entry, problem)``.  A missing file is a plain miss,
-        ``(None, None)``.  A file that is there but unusable — it does
-        not parse, it holds another spec, or its ``result`` is
-        malformed — is ``(None, <what is wrong>)``, so the caller can
-        count it instead of mistaking it for a miss.
+        Returns ``(entry, problem)``.  A hit is ``(entry, None)``: the
+        cached result, resilience summary, obs metrics summary and
+        record text, either summary ``None`` when the entry was stored
+        without it (fault-free points, uninstrumented points, older
+        archives).  A missing file is a plain miss, ``(None, None)``.  A
+        file that is there but unusable — it does not parse, it holds
+        another spec, or its ``result`` is malformed — is ``(None, <what
+        is wrong>)``, so the caller can count it instead of mistaking it
+        for a miss.
         """
         from repro.analysis.results_io import result_from_dict
 
@@ -732,17 +639,11 @@ class ResultCache:
             text,
         ), None
 
-    def store(
-        self,
-        spec: ExperimentSpec,
-        result: SimulationResult,
-        extras: Optional[dict] = None,
-        metrics: Optional[dict] = None,
-    ) -> str:
-        """Persist one result (plus any resilience summary and obs
-        metrics summary) atomically; returns the record written."""
-        record = encode_point_record(spec, result, extras, metrics)
-        path = self.path_for(spec)
+    def store(self, run: RunResult) -> str:
+        """Persist one point's record atomically; returns the record
+        written."""
+        record = encode_point_record(run)
+        path = self.path_for(run.spec)
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         tmp.write_text(record)
         os.replace(tmp, path)
@@ -754,14 +655,9 @@ class ResultCache:
 
 def _run_point_job(spec: ExperimentSpec) -> RunResult:
     """Simulate one spec through this process's warm context for its
-    ``(topology, routing)`` pair, timing the run (a faulted point too:
-    its degraded tables are read off the context's healthy table)."""
-    warm = get_warm_context(spec.topology, spec.routing)
-    started = time.perf_counter()
-    full = spec.run_full(warm=warm)
-    return dataclasses.replace(
-        full, wall_time_s=time.perf_counter() - started
-    )
+    ``(topology, routing)`` pair (a faulted point too: its degraded
+    tables are read off the context's healthy table)."""
+    return spec.run_full(warm=get_warm_context(spec.topology, spec.routing))
 
 
 def _run_batch_job(specs: List[ExperimentSpec]) -> List[RunResult]:
@@ -889,8 +785,8 @@ class SweepExecutor:
 
     # -- core ---------------------------------------------------------
 
-    def run_points(self, points: Sequence[PointSpec]) -> List[PointOutcome]:
-        """Run every point and return outcomes in input order.
+    def run_points(self, points: Sequence[PointSpec]) -> List[RunResult]:
+        """Run every point and return their records in input order.
 
         With ``require_certification`` set, every unique
         ``(topology, routing)`` pair is statically certified before any
@@ -900,33 +796,31 @@ class SweepExecutor:
         started = time.perf_counter()
         metrics = ExecutorMetrics(points_total=len(points))
         self.hooks.on_run_start(len(points))
-        outcomes: List[Optional[PointOutcome]] = [None] * len(points)
+        runs: List[Optional[RunResult]] = [None] * len(points)
 
         if self.jobs == 1:
             for i, point in enumerate(points):
-                outcomes[i] = self._execute_one(point, metrics)
+                runs[i] = self._execute_one(point, metrics)
         else:
             missing: Dict[int, Optional[str]] = {}
             for i, point in enumerate(points):
-                outcome, cache_problem = self._from_cache(point, metrics)
-                if outcome is not None:
-                    outcomes[i] = outcome
+                run, cache_problem = self._from_cache(point, metrics)
+                if run is not None:
+                    runs[i] = run
                 else:
                     missing[i] = cache_problem
             if missing:
-                self._run_parallel(points, missing, outcomes, metrics)
+                self._run_parallel(points, missing, runs, metrics)
 
         self._finish(metrics, started)
-        return [outcome for outcome in outcomes if outcome is not None]
+        return [run for run in runs if run is not None]
 
     def _finish(self, metrics: ExecutorMetrics, started: float) -> None:
         metrics.wall_time_s = time.perf_counter() - started
         self.last_metrics = metrics
         self.hooks.on_run_end(metrics)
 
-    def _write_manifest(
-        self, outcome: PointOutcome, record: Optional[str] = None
-    ) -> None:
+    def _write_manifest(self, run: RunResult, record: Optional[str]) -> None:
         """Persist one point's structured run manifest (if enabled).
 
         ``record`` is the point's cache entry as written or read; the
@@ -936,92 +830,74 @@ class SweepExecutor:
             return
         from repro.obs.manifest import build_manifest, write_manifest
 
-        point = outcome.point
-        certification = {
-            "required": self.require_certification,
-            "certified": (
-                (point.spec.topology, point.spec.routing) in self._certified
-            ),
-        }
         manifest = build_manifest(
-            spec=point.spec,
-            result=outcome.result,
-            wall_time_s=outcome.wall_time_s,
-            cached=outcome.cached,
-            recertify_s=outcome.recertify_s,
-            cruise_entries=outcome.cruise_entries,
-            cruise_worm_cycles=outcome.cruise_worm_cycles,
-            resilience=outcome.resilience,
-            metrics=outcome.metrics,
-            certification=certification,
-            series=point.series,
-            index=point.index,
-            executor={
-                "jobs": self.jobs,
-                "cache_problem": outcome.cache_problem,
+            run,
+            certification={
+                "required": self.require_certification,
+                "certified": (
+                    (run.spec.topology, run.spec.routing) in self._certified
+                ),
             },
+            executor={"jobs": self.jobs, "cache_problem": run.cache_problem},
             record=record,
         )
         write_manifest(manifest, self.manifest_dir)
 
     def _from_cache(
         self, point: PointSpec, metrics: ExecutorMetrics
-    ) -> Tuple[Optional[PointOutcome], Optional[str]]:
-        """The point's outcome from the cache, or ``(None, problem)``
+    ) -> Tuple[Optional[RunResult], Optional[str]]:
+        """The point's record from the cache, or ``(None, problem)``
         where ``problem`` says why an entry that exists was rejected
         (``None`` for a plain miss)."""
         if self.cache is None:
             return None, None
-        cached, problem = self.cache.read_entry(point.spec)
-        if cached is None:
+        entry, problem = self.cache.read_entry(point.spec)
+        if entry is None:
             if problem is not None:
                 metrics.cache_corrupt += 1
             return None, problem
-        outcome = PointOutcome(
-            point, cached.result, 0.0, True,
-            resilience=cached.resilience, metrics=cached.metrics,
+        run = RunResult(
+            spec=point.spec,
+            result=entry.result,
+            resilience=entry.resilience,
+            metrics=entry.metrics,
+            cached=True,
+            series=point.series,
+            index=point.index,
         )
         metrics.cache_hits += 1
         metrics.points_completed += 1
-        self._write_manifest(outcome, cached.record)
-        self.hooks.on_point_done(outcome)
-        return outcome, None
+        self._write_manifest(run, entry.record)
+        self.hooks.on_point_done(run)
+        return run, None
 
     def _complete_fresh(
         self,
         point: PointSpec,
         run: RunResult,
         metrics: ExecutorMetrics,
-        cache_problem: Optional[str] = None,
-    ) -> PointOutcome:
-        record = None
-        if self.cache is not None:
-            record = self.cache.store(
-                point.spec, run.result, extras=run.resilience,
-                metrics=run.metrics,
-            )
-        outcome = PointOutcome(
-            point, run.result, run.wall_time_s, False,
-            resilience=run.resilience, metrics=run.metrics,
-            cache_problem=cache_problem, recertify_s=run.recertify_s,
-            cruise_entries=run.cruise_entries,
-            cruise_worm_cycles=run.cruise_worm_cycles,
+        cache_problem: Optional[str],
+    ) -> RunResult:
+        run = dataclasses.replace(
+            run, series=point.series, index=point.index,
+            cache_problem=cache_problem,
         )
+        record = self.cache.store(run) if self.cache is not None else None
         metrics.simulated += 1
         metrics.points_completed += 1
         metrics.cycles_simulated += point.spec.config.total_cycles
         metrics.warm_points += 1
-        self._write_manifest(outcome, record)
-        self.hooks.on_point_done(outcome)
-        return outcome
+        self._write_manifest(run, record)
+        self.hooks.on_point_done(run)
+        return run
 
     def _execute_one(
         self, point: PointSpec, metrics: ExecutorMetrics
-    ) -> PointOutcome:
+    ) -> RunResult:
         """Cache-check then simulate one point in-process."""
-        outcome, cache_problem = self._from_cache(point, metrics)
-        if outcome is not None:
-            return outcome
+        run, cache_problem = self._from_cache(point, metrics)
+        if run is not None:
+            return run
         self.hooks.on_point_start(point)
         return self._complete_fresh(
             point, _run_point_job(point.spec), metrics, cache_problem
@@ -1031,7 +907,7 @@ class SweepExecutor:
         self,
         points: Sequence[PointSpec],
         missing: Dict[int, Optional[str]],
-        outcomes: List[Optional[PointOutcome]],
+        runs: List[Optional[RunResult]],
         metrics: ExecutorMetrics,
     ) -> None:
         """Fan the missing points out over the persistent pool.
@@ -1069,7 +945,7 @@ class SweepExecutor:
                 for future in done:
                     chunk = futures[future]
                     for i, run in zip(chunk, future.result()):
-                        outcomes[i] = self._complete_fresh(
+                        runs[i] = self._complete_fresh(
                             points[i], run, metrics, missing[i]
                         )
         except BrokenProcessPool:
@@ -1085,7 +961,7 @@ class SweepExecutor:
     ) -> List[SimulationResult]:
         """Run bare specs and return their results in input order."""
         points = [PointSpec(spec=s, index=i) for i, s in enumerate(specs)]
-        return [outcome.result for outcome in self.run_points(points)]
+        return [run.result for run in self.run_points(points)]
 
     def sweep(
         self,
@@ -1102,12 +978,14 @@ class SweepExecutor:
         """Measure one latency-throughput curve through the executor.
 
         The executor analogue of :func:`repro.analysis.sweep.sweep_loads`
-        with the same truncation semantics: the sweep stops
-        ``stop_after_saturation`` consecutive unsustainable points past
-        saturation.  With ``jobs == 1`` later points are never simulated
-        (lazy, exactly like the serial loop); with ``jobs > 1`` all
-        loads are dispatched up front and the curve is truncated
-        afterwards — per-point values are identical either way.
+        with the same stop rule,
+        :func:`~repro.analysis.sweep.truncate_at_saturation`: the sweep
+        stops ``stop_after_saturation`` consecutive unsustainable points
+        past saturation.  With ``jobs == 1`` the points are run lazily
+        as the rule pulls them, so later points are never simulated;
+        with ``jobs > 1`` all loads are dispatched up front and the rule
+        cuts the sampled curve — per-point values are identical either
+        way.
 
         With ``obs`` set, every point collects metrics (bit-invisible
         to its result); pair with ``manifest_dir`` to persist them.
@@ -1134,11 +1012,11 @@ class SweepExecutor:
             seed=seed,
             obs=obs,
         )
-        # Resolve once for the display names the series carries (the
-        # registry may label an algorithm differently than its key).
-        resolved = dataclasses.replace(base, load=float(loads[0])).resolve()
-        series_name = resolved.routing.name
-        pattern_name = resolved.pattern.name
+        # The display names the series carries (the registry may label
+        # an algorithm differently than its key), off the key's context.
+        warm = get_warm_context(base.topology, base.routing)
+        series_name = warm.routing.name
+        pattern_name = warm.pattern(base.pattern).name
 
         points = [
             PointSpec(
@@ -1150,30 +1028,21 @@ class SweepExecutor:
         ]
 
         if self.jobs == 1:
-            # Lazy serial path: stop dispatching once saturated, so the
-            # points past the cut are never simulated (exactly the old
-            # serial loop's cost profile).
+            # Lazy serial path: the cut stops pulling points, so the
+            # points past it are never simulated.
             self._certify_points(points)
             started = time.perf_counter()
             metrics = ExecutorMetrics(points_total=len(points))
             self.hooks.on_run_start(len(points))
-            sweep_points: List[SweepPoint] = []
-            past_saturation = 0
-            for point in points:
-                outcome = self._execute_one(point, metrics)
-                sweep_point = SweepPoint.from_result(outcome.result)
-                sweep_points.append(sweep_point)
-                if not sweep_point.sustainable:
-                    past_saturation += 1
-                    if past_saturation >= stop_after_saturation:
-                        break
-                else:
-                    past_saturation = 0
-            self._finish(metrics, started)
-        else:
-            outcomes = self.run_points(points)
-            sweep_points = truncate_at_saturation(
-                [SweepPoint.from_result(o.result) for o in outcomes],
-                stop_after_saturation,
+            runs: Iterable[RunResult] = (
+                self._execute_one(point, metrics) for point in points
             )
+        else:
+            runs = self.run_points(points)
+        sweep_points = truncate_at_saturation(
+            (SweepPoint.from_result(run.result) for run in runs),
+            stop_after_saturation,
+        )
+        if self.jobs == 1:
+            self._finish(metrics, started)
         return SweepSeries(series_name, pattern_name, sweep_points)

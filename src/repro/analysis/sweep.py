@@ -9,7 +9,7 @@ load rises.  :func:`sweep_loads` produces one such series per algorithm;
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Union
 
 from repro.routing.base import RoutingAlgorithm
 from repro.routing.registry import make_routing
@@ -106,14 +106,15 @@ def default_loads(
 
 
 def truncate_at_saturation(
-    points: Sequence[SweepPoint], stop_after_saturation: int = 1
+    points: Iterable[SweepPoint], stop_after_saturation: int = 1
 ) -> List[SweepPoint]:
-    """Cut a fully sampled curve where the serial sweep would have stopped.
+    """Cut a curve after ``stop_after_saturation`` consecutive
+    unsustainable points: the one saturation stop rule.
 
-    The serial sweep stops after ``stop_after_saturation`` consecutive
-    unsustainable points; a parallel sweep samples every load up front
-    and applies this rule afterwards, so both paths return identical
-    series.
+    ``points`` may be any iterable, and nothing past the cut is pulled
+    from it: a serial sweep passes a lazy generator, so the points past
+    saturation are never simulated, and a parallel sweep passes every
+    load it sampled up front.  Both return identical series.
     """
     kept: List[SweepPoint] = []
     past_saturation = 0
@@ -215,24 +216,22 @@ def sweep_loads(
         algorithm = make_routing(algorithm, topology)
     if isinstance(pattern, str):
         pattern = make_pattern(pattern, topology)
-    points: List[SweepPoint] = []
-    past_saturation = 0
-    for load in loads:
-        result = simulate(
-            topology,
-            algorithm,
-            pattern,
-            offered_load=load,
-            sizes=sizes,
-            config=config,
-            seed=seed,
+    sampled = (
+        SweepPoint.from_result(
+            simulate(
+                topology,
+                algorithm,
+                pattern,
+                offered_load=load,
+                sizes=sizes,
+                config=config,
+                seed=seed,
+            )
         )
-        point = SweepPoint.from_result(result)
-        points.append(point)
-        if not point.sustainable:
-            past_saturation += 1
-            if past_saturation >= stop_after_saturation:
-                break
-        else:
-            past_saturation = 0
-    return SweepSeries(algorithm.name, pattern.name, points)
+        for load in loads
+    )
+    return SweepSeries(
+        algorithm.name,
+        pattern.name,
+        truncate_at_saturation(sampled, stop_after_saturation),
+    )

@@ -6,8 +6,12 @@ what stays stable as the internals are resharded for scale.
 
 The single entry point is :func:`run`.  Give it a spec, or name the
 point inline with keywords; either way it returns a
-:class:`~repro.analysis.executor.RunResult` carrying the simulation
-result plus the optional sidecars (resilience ledger, obs metrics)::
+:class:`~repro.analysis.executor.RunResult`, the one per-point record:
+the simulation result plus the optional sidecars (resilience ledger,
+obs metrics) and how the point ran (wall time, cache provenance).
+:meth:`ExperimentSpec.run_full` and :meth:`SweepExecutor.run_points`
+return the same record, and the manifest and cache writers take it.
+For example::
 
     from repro.api import ObsSpec, run
 
@@ -35,15 +39,12 @@ from repro.analysis.executor import (
     ExecutorHooks,
     ExecutorMetrics,
     ExperimentSpec,
-    PointOutcome,
     PointSpec,
     ProgressPrinter,
     ResilienceSpec,
-    ResolvedSpec,
     ResultCache,
     RunResult,
     SweepExecutor,
-    resolve_spec,
 )
 from repro.analysis.sweep import (
     SweepPoint,
@@ -92,15 +93,12 @@ __all__ = [
     "ResilienceSpec",
     "ObsSpec",
     "PointSpec",
-    "ResolvedSpec",
-    "resolve_spec",
     # Execution engine.
     "SweepExecutor",
     "ResultCache",
     "ExecutorHooks",
     "ExecutorMetrics",
     "ProgressPrinter",
-    "PointOutcome",
     # Observability.
     "MetricsCollector",
     "build_manifest",
@@ -225,7 +223,10 @@ def run(
 
     Returns:
         The point's :class:`RunResult` (result plus resilience ledger,
-        metrics summary, and cache provenance).
+        metrics summary, wall time and cache provenance).  Without
+        ``cache_dir`` and ``manifest_dir`` it is a cold
+        :meth:`ExperimentSpec.run_full`; otherwise the executor's record,
+        as is.
     """
     if spec is not None:
         if not isinstance(spec, ExperimentSpec):
@@ -291,15 +292,5 @@ def run(
     executor = SweepExecutor(
         jobs=1, cache_dir=cache_dir, manifest_dir=manifest_dir
     )
-    (outcome,) = executor.run_points([PointSpec(spec=spec)])
-    return RunResult(
-        spec=spec,
-        result=outcome.result,
-        resilience=outcome.resilience,
-        metrics=outcome.metrics,
-        cached=outcome.cached,
-        wall_time_s=outcome.wall_time_s,
-        recertify_s=outcome.recertify_s,
-        cruise_entries=outcome.cruise_entries,
-        cruise_worm_cycles=outcome.cruise_worm_cycles,
-    )
+    (out,) = executor.run_points([PointSpec(spec=spec)])
+    return out

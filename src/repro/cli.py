@@ -17,9 +17,9 @@ Subcommands::
     turnmodel list                      # available algorithms and patterns
 
 ``simulate``, ``sweep``, and ``resilience`` accept ``--obs`` to collect
-bit-invisible channel/latency/timeline metrics; with ``--manifest-dir``
-each point also writes a structured run manifest that ``report`` renders
-later.  Every ``--out`` JSON artifact carries the shared envelope
+bit-invisible channel/latency/timeline metrics; ``sweep`` and
+``resilience`` also take ``--manifest-dir``, with which each point writes
+a structured run manifest that ``report`` renders later.  Every ``--out`` JSON artifact carries the shared envelope
 (``schema_version``/``tool``/``spec_hash``; see
 ``docs/observability.md``).
 
@@ -36,7 +36,6 @@ from typing import Optional, Sequence
 
 from repro.routing.registry import available_algorithms, make_routing
 from repro.sim.config import SimulationConfig
-from repro.sim.simulator import simulate
 from repro.topology.spec import parse_topology
 
 __all__ = ["main", "parse_topology"]
@@ -100,37 +99,35 @@ def _obs_spec_for_windows(warmup: int, measure: int, drain: int):
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    topology = parse_topology(args.topology)
-    config = SimulationConfig(
-        warmup_cycles=args.warmup,
-        measure_cycles=args.measure,
-        drain_cycles=args.drain,
-        buffer_depth=args.buffer_depth,
-    )
-    collector = None
-    if args.obs:
-        from repro.obs.metrics import MetricsCollector
+    from repro.api import run
 
-        collector = MetricsCollector(
-            _obs_spec_for_windows(args.warmup, args.measure, args.drain)
-        )
-    result = simulate(
-        topology,
-        args.algorithm,
-        args.pattern,
-        offered_load=args.load,
-        config=config,
+    out = run(
+        topology=args.topology,
+        routing=args.algorithm,
+        pattern=args.pattern,
+        load=args.load,
+        config=SimulationConfig(
+            warmup_cycles=args.warmup,
+            measure_cycles=args.measure,
+            drain_cycles=args.drain,
+            buffer_depth=args.buffer_depth,
+        ),
         seed=args.seed,
-        obs=collector,
+        obs=(
+            _obs_spec_for_windows(args.warmup, args.measure, args.drain)
+            if args.obs
+            else None
+        ),
     )
+    result = out.result
     print(result.summary())
     print(f"  avg hops:        {result.avg_hops:.2f}")
     print(f"  queue delay:     {result.avg_queue_delay_cycles:.1f} cycles")
     print(f"  injected/done:   {result.total_injected}/{result.total_delivered}")
-    if collector is not None:
+    if out.metrics is not None:
         from repro.obs.report import render_channel_heatmap, render_timeline_table
 
-        summary = collector.summary()
+        summary = out.metrics
         if summary["channels"] is not None:
             print()
             print(render_channel_heatmap(summary["channels"]))

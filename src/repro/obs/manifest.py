@@ -38,8 +38,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
 from repro.obs.envelope import attach_envelope
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.analysis.executor import ExperimentSpec
-    from repro.sim.stats import SimulationResult
+    from repro.analysis.executor import RunResult
 
 __all__ = [
     "MANIFEST_SCHEMA_VERSION",
@@ -91,21 +90,11 @@ def _describe(directory: str) -> Optional[str]:
 
 
 def build_manifest(
+    run: "RunResult",
     *,
-    spec: "ExperimentSpec",
-    result: "SimulationResult",
-    wall_time_s: float,
-    cached: bool,
-    recertify_s: Optional[float] = None,
-    cruise_entries: Optional[int] = None,
-    cruise_worm_cycles: Optional[int] = None,
-    resilience: Optional[Dict[str, Any]] = None,
-    metrics: Optional[Dict[str, Any]] = None,
     certification: Optional[Dict[str, Any]] = None,
-    series: str = "",
-    index: int = 0,
-    git_version: Optional[str] = None,
     executor: Optional[Dict[str, Any]] = None,
+    git_version: Optional[str] = None,
     record: Optional[str] = None,
 ) -> Dict[str, Any]:
     """Assemble the manifest document for one completed point.
@@ -114,43 +103,35 @@ def build_manifest(
     encoded JSON text, which :func:`write_manifest` splices in unparsed.
 
     Args:
-        spec: the experiment spec that was run.
-        result: its simulation result (in the record in full, so a
-            manifest alone reproduces every reported number).
-        wall_time_s: seconds the simulation took (0.0 for cache hits).
-        cached: whether the result came from the result cache.
-        recertify_s: host seconds of ``wall_time_s`` a faulted run spent
-            proving its degraded tables; joins ``timings`` when given.
-        cruise_entries, cruise_worm_cycles: the engine's cruise-state
-            counters for a fresh run; join ``timings`` when given.
-        resilience: the fault run's ledger summary, if any.
-        metrics: the obs metrics summary, if collection was enabled.
+        run: the point's :class:`~repro.analysis.executor.RunResult`.
+            Its spec, series and index head the manifest; its wall time,
+            cache provenance and, when set, ``recertify_s`` and the
+            cruise counters fill ``timings``; its result, resilience
+            ledger and obs metrics summary are the record.
         certification: the executor's certification verdict, e.g.
             ``{"required": True, "certified": True}``.
-        series: sweep-series label the point belonged to.
-        index: position within its series.
-        git_version: code version; defaults to :func:`git_describe`.
         executor: how the executor ran the point — ``jobs`` (the
             effective worker count, after a ``jobs=None`` request
             resolves to the CPU count) and ``cache_problem`` (why an
             existing cache entry was rejected and the point
             re-simulated, else ``None``).
+        git_version: code version; defaults to :func:`git_describe`.
         record: the point's record when the caller already holds it
             encoded — the executor passes the cache entry it wrote or
-            read — so ``result``, ``resilience`` and ``metrics`` are not
-            encoded again; encoded from them when ``None``.
+            read — so it is not encoded again; encoded from ``run``
+            when ``None``.
     """
     from repro.analysis.executor import encode_point_record
 
     if record is None:
-        record = encode_point_record(spec, result, resilience, metrics)
-    spec_hash = spec.content_hash()
-    timings: Dict[str, Any] = {"wall_time_s": wall_time_s, "cached": cached}
-    if recertify_s is not None:
-        timings["recertify_s"] = recertify_s
-    if cruise_entries is not None:
-        timings["cruise_entries"] = cruise_entries
-        timings["cruise_worm_cycles"] = cruise_worm_cycles
+        record = encode_point_record(run)
+    spec_hash = run.spec.content_hash()
+    timings: Dict[str, Any] = {"wall_time_s": run.wall_time_s, "cached": run.cached}
+    if run.recertify_s is not None:
+        timings["recertify_s"] = run.recertify_s
+    if run.cruise_entries is not None:
+        timings["cruise_entries"] = run.cruise_entries
+        timings["cruise_worm_cycles"] = run.cruise_worm_cycles
     body: Dict[str, Any] = {
         "manifest_version": MANIFEST_SCHEMA_VERSION,
         # repro-lint: allow[no-wallclock] manifest creation stamp: provenance metadata only, never digested or cached on
@@ -158,8 +139,8 @@ def build_manifest(
         "git_describe": (
             git_version if git_version is not None else git_describe()
         ),
-        "point": {"series": series, "index": index},
-        "spec": spec.to_dict(),
+        "point": {"series": run.series, "index": run.index},
+        "spec": run.spec.to_dict(),
         "timings": timings,
         "executor": executor,
         "certification": certification,

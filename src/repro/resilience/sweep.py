@@ -18,14 +18,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.executor import (
     ConfigSpec,
     ExperimentSpec,
-    PointOutcome,
     PointSpec,
     ResilienceSpec,
+    RunResult,
     SweepExecutor,
 )
 from repro.obs.spec import ObsSpec
@@ -216,22 +216,22 @@ def fault_sweep(
                 )
             )
     if executor is not None:
-        outcomes: List[PointOutcome] = executor.run_points(points)
+        runs: List[RunResult] = executor.run_points(points)
     else:
         # A self-created executor owns its worker pool; close it (via the
         # context manager) rather than leaking workers to the GC.
         with SweepExecutor() as runner:
-            outcomes = runner.run_points(points)
+            runs = runner.run_points(points)
     cells = tuple(
         FaultSweepCell(
-            algorithm=outcome.point.series,
-            fault_count=outcome.point.index,
-            result=outcome.result,
-            resilience=outcome.resilience,
-            wall_time_s=outcome.wall_time_s,
-            recertify_s=outcome.recertify_s,
+            algorithm=run.series,
+            fault_count=run.index,
+            result=run.result,
+            resilience=run.resilience,
+            wall_time_s=run.wall_time_s,
+            recertify_s=run.recertify_s,
         )
-        for outcome in outcomes
+        for run in runs
     )
     first = points[0].spec
     return FaultSweepResult(

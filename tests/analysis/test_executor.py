@@ -18,9 +18,9 @@ from repro.analysis.executor import (
     ProgressPrinter,
     ResilienceSpec,
     ResultCache,
+    RunResult,
     SweepExecutor,
     encode_point_record,
-    resolve_spec,
 )
 from repro.analysis.results_io import result_to_dict
 from repro.analysis.sweep import (
@@ -31,11 +31,9 @@ from repro.analysis.sweep import (
 from repro.obs.manifest import iter_manifests
 from repro.obs.spec import ObsSpec
 from repro.sim.digest import result_digest
-from repro.routing.base import RoutingAlgorithm
 from repro.routing.selection import OutputSelectionPolicy
 from repro.sim.config import SimulationConfig
 from repro.topology import Mesh2D, parse_topology, topology_spec
-from repro.traffic.patterns import TrafficPattern
 
 #: Short windows keep every simulation in these tests cheap.
 QUICK = ConfigSpec(warmup_cycles=200, measure_cycles=800, drain_cycles=300)
@@ -146,14 +144,6 @@ class TestExperimentSpec:
         )
         assert out.stdout.strip() == spec.content_hash()
 
-    def test_resolve(self):
-        resolved = resolve_spec(make_spec())
-        assert isinstance(resolved.topology, Mesh2D)
-        assert isinstance(resolved.routing, RoutingAlgorithm)
-        assert isinstance(resolved.pattern, TrafficPattern)
-        assert resolved.routing.name == "negative-first"
-        assert resolved.config.warmup_cycles == 200
-
     def test_run_matches_simulate(self):
         from repro.sim.simulator import simulate
 
@@ -162,7 +152,7 @@ class TestExperimentSpec:
             Mesh2D(4, 4), "negative-first", "transpose",
             offered_load=0.1, config=quick_config(), seed=3,
         )
-        assert spec.run() == direct
+        assert spec.run_full().result == direct
 
 
 class TestTopologySpecStrings:
@@ -177,43 +167,44 @@ class TestResultCache:
     def test_miss_then_hit(self, tmp_path):
         cache = ResultCache(tmp_path)
         spec = make_spec()
-        assert cache.load(spec) is None
-        result = spec.run()
-        cache.store(spec, result)
-        assert cache.load(spec) == result
+        assert cache.read_entry(spec) == (None, None)
+        run = spec.run_full()
+        cache.store(run)
+        entry, problem = cache.read_entry(spec)
+        assert entry.result == run.result and problem is None
         assert len(cache) == 1
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
         spec = make_spec()
         cache.path_for(spec).write_text("{not json")
-        assert cache.load(spec) is None
+        assert cache.read_entry(spec)[0] is None
 
     def test_spec_mismatch_is_a_miss(self, tmp_path):
         """A hash collision (or tampered file) must not serve wrong data."""
         cache = ResultCache(tmp_path)
         spec = make_spec()
-        other = make_spec(load=0.999)
-        cache.path_for(spec).write_text(encode_point_record(other, spec.run()))
-        assert cache.load(spec) is None
+        other = RunResult(spec=make_spec(load=0.999), result=spec.run_full().result)
+        cache.path_for(spec).write_text(encode_point_record(other))
+        assert cache.read_entry(spec)[0] is None
 
     def test_store_writes_the_compact_record(self, tmp_path):
         cache = ResultCache(tmp_path)
         spec = make_spec()
-        result = spec.run()
-        record = cache.store(spec, result)
-        assert record == encode_point_record(spec, result)
+        run = spec.run_full()
+        record = cache.store(run)
+        assert record == encode_point_record(run)
         assert cache.path_for(spec).read_text() == record
         assert "\n" not in record and ", " not in record
-        entry = cache.load_entry(spec)
-        assert entry.result == result and entry.record == record
+        entry, _ = cache.read_entry(spec)
+        assert entry.result == run.result and entry.record == record
 
     def test_read_entry_tells_a_miss_from_a_corrupt_entry(self, tmp_path):
         cache = ResultCache(tmp_path)
         spec = make_spec()
         assert cache.read_entry(spec) == (None, None)  # no file: a plain miss
-        result = spec.run()
-        whole = cache.store(spec, result)
+        run = spec.run_full()
+        whole = cache.store(run)
         entry, problem = cache.read_entry(spec)
         assert entry is not None and problem is None
         malformed = json.loads(whole)
@@ -221,14 +212,13 @@ class TestResultCache:
         damaged = {
             "not valid JSON": whole[: len(whole) // 2],
             "holds a different spec": encode_point_record(
-                make_spec(load=0.999), result),
+                dataclasses.replace(run, spec=make_spec(load=0.999))),
             "malformed result": json.dumps(
                 malformed, sort_keys=True, separators=(",", ":")),
         }
         for expected, text in damaged.items():
             cache.path_for(spec).write_text(text)
             assert cache.read_entry(spec) == (None, expected)
-            assert cache.load_entry(spec) is None
 
     def test_entry_in_the_earlier_indented_layout_still_hits(self, tmp_path):
         """Entries written before the record went compact — indent=2,
@@ -467,9 +457,41 @@ class TestSweepThroughExecutor:
         assert truncate_at_saturation(points, 2) == points[:3]
         assert truncate_at_saturation(points, 9) == points
 
+    SATURATING_LOADS = [0.05, 0.1, 0.2, 0.4, 0.6, 0.8]
+
+    def test_serial_sweep_simulates_nothing_past_the_cut(self):
+        executor = SweepExecutor(jobs=1)
+        series = executor.sweep(
+            "mesh:4x4", "xy", "transpose", self.SATURATING_LOADS,
+            config=quick_config(), seed=3,
+        )
+        assert len(series.points) < len(self.SATURATING_LOADS)
+        assert executor.last_metrics.simulated == len(series.points)
+
+    def test_instance_sweep_simulates_nothing_past_the_cut(self, monkeypatch):
+        import repro.analysis.sweep as sweep_module
+        from repro.routing.registry import make_routing
+        from repro.traffic.permutations import make_pattern
+
+        calls = []
+        real = sweep_module.simulate
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["offered_load"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sweep_module, "simulate", counting)
+        mesh = Mesh2D(4, 4)
+        series = sweep_loads(
+            mesh, make_routing("xy", mesh), make_pattern("transpose", mesh),
+            self.SATURATING_LOADS, config=quick_config(), seed=3,
+        )
+        assert len(series.points) < len(self.SATURATING_LOADS)
+        assert len(calls) == len(series.points)
+
     def test_saturating_sweep_identical_serial_and_parallel(self):
         """Early-stop (lazy) and run-all-then-truncate agree."""
-        loads = [0.05, 0.1, 0.2, 0.4, 0.6, 0.8]
+        loads = self.SATURATING_LOADS
         serial = SweepExecutor(jobs=1).sweep(
             "mesh:4x4", "xy", "transpose", loads,
             config=quick_config(), seed=3,

@@ -273,7 +273,7 @@ class TestConcurrentCacheWriters:
                     )
                 )
         for point in points:
-            assert cache.load(point.spec) is not None
+            assert cache.read_entry(point.spec) != (None, None)
 
         # A third run over the same grid is pure cache hits.
         with SweepExecutor(jobs=1, cache_dir=cache_dir) as executor:
@@ -292,9 +292,9 @@ class TestConcurrentCacheWriters:
             config=QUICK,
             seed=2,
         )
-        result = spec.run()
+        run = spec.run_full()
         cache = ResultCache(tmp_path)
-        cache.store(spec, result)
+        cache.store(run)
         script = (
             "import sys; sys.path.insert(0, {src!r})\n"
             "from repro.analysis.executor import ("
@@ -304,18 +304,18 @@ class TestConcurrentCacheWriters:
             "spec = ExperimentSpec(topology='mesh:4x4', routing='xy',"
             " pattern='uniform', load=0.05, config=quick, seed=2)\n"
             "cache = ResultCache({root!r})\n"
-            "result = spec.run()\n"
-            "for _ in range(20): cache.store(spec, result)\n"
+            "run = spec.run_full()\n"
+            "for _ in range(20): cache.store(run)\n"
         ).format(src=str(Path(__file__).resolve().parents[2] / "src"),
                  root=str(tmp_path))
         env = dict(os.environ)
         writer = subprocess.Popen([sys.executable, "-c", script], env=env)
         try:
-            digest = result_digest(result)
+            digest = result_digest(run.result)
             for _ in range(200):
-                loaded = cache.load(spec)
-                assert loaded is not None
-                assert result_digest(loaded) == digest
+                loaded, problem = cache.read_entry(spec)
+                assert loaded is not None and problem is None
+                assert result_digest(loaded.result) == digest
         finally:
             writer.wait(timeout=120)
         assert writer.returncode == 0

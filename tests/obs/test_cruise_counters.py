@@ -1,10 +1,10 @@
 """What the cruise state did is visible, and only visible.
 
 ``WormholeSimulator.cruise_entries`` / ``cruise_worm_cycles`` ride on
-``RunResult`` and ``PointOutcome`` into the manifest's ``timings``
-block and one ``cruise:`` line of ``repro report`` — and nowhere a
-digest, a content hash or a cache entry could see them (the same
-contract as ``recertify_s``, ``tests/obs/test_recertify_timing.py``).
+``RunResult`` into the manifest's ``timings`` block and one ``cruise:``
+line of ``repro report`` — and nowhere a digest, a content hash or a
+cache entry could see them (the same contract as ``recertify_s``,
+``tests/obs/test_recertify_timing.py``).
 """
 
 import json
@@ -15,6 +15,7 @@ from repro.analysis.executor import (
     ConfigSpec,
     ExperimentSpec,
     PointSpec,
+    RunResult,
     SweepExecutor,
 )
 from repro.analysis.results_io import result_to_dict
@@ -117,7 +118,7 @@ class TestManifestAndReport:
     def test_cached_manifest_has_no_cruise_keys(self):
         full = spec().run_full()
         manifest = build_manifest(
-            spec=full.spec, result=full.result, wall_time_s=0.0, cached=True,
+            RunResult(spec=full.spec, result=full.result, cached=True),
             git_version="test",
         )
         assert manifest["timings"] == {"wall_time_s": 0.0, "cached": True}

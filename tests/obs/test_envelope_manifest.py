@@ -1,5 +1,6 @@
 """The shared --out envelope and the structured run manifests."""
 
+import dataclasses
 import json
 import subprocess
 
@@ -93,14 +94,8 @@ class TestManifest:
         spec = _spec(obs=ObsSpec())
         full = spec.run_full()
         manifest = build_manifest(
-            spec=spec,
-            result=full.result,
-            wall_time_s=1.25,
-            cached=False,
-            metrics=full.metrics,
+            dataclasses.replace(full, wall_time_s=1.25, series="west-first", index=3),
             certification={"required": False, "certified": False},
-            series="west-first",
-            index=3,
             git_version="testversion",
         )
         assert manifest["tool"] == "manifest"
@@ -110,9 +105,7 @@ class TestManifest:
         assert manifest["point"] == {"series": "west-first", "index": 3}
         assert manifest["timings"]["wall_time_s"] == 1.25
         assert manifest["spec"] == spec.to_dict()
-        assert manifest["record"] == encode_point_record(
-            spec, full.result, metrics=full.metrics
-        )
+        assert manifest["record"] == encode_point_record(full)
 
         path = write_manifest(manifest, tmp_path)
         assert path == manifest_path(tmp_path, spec.content_hash())
@@ -136,12 +129,7 @@ class TestManifest:
         for index, seed in enumerate((5, 3)):
             spec = _spec(seed=seed)
             manifest = build_manifest(
-                spec=spec,
-                result=spec.run(),
-                wall_time_s=0.0,
-                cached=False,
-                series="s",
-                index=index,
+                dataclasses.replace(spec.run_full(), series="s", index=index),
                 git_version=None,
             )
             paths.append(write_manifest(manifest, root))

@@ -16,6 +16,7 @@ from repro.analysis.executor import (
     ExperimentSpec,
     PointSpec,
     ResilienceSpec,
+    RunResult,
     SweepExecutor,
 )
 from repro.analysis.results_io import result_to_dict
@@ -146,7 +147,7 @@ class TestManifestAndReport:
             config=CONFIG, seed=3,
         ).run_full()
         manifest = build_manifest(
-            spec=full.spec, result=full.result, wall_time_s=0.1, cached=False,
+            RunResult(spec=full.spec, result=full.result, wall_time_s=0.1),
             git_version="test",
         )
         assert manifest["timings"] == {"wall_time_s": 0.1, "cached": False}

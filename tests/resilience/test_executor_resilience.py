@@ -1,6 +1,5 @@
 """Tests for the executor's resilience plumbing: specs, cache, outcomes."""
 
-import dataclasses
 import random
 
 import pytest
@@ -106,7 +105,7 @@ class TestRunFullLedger:
     def test_plain_spec_has_no_extras(self):
         full = fast_spec().run_full()
         assert full.resilience is None
-        assert full.result == fast_spec().run()
+        assert full.result == fast_spec().run_full().result
 
     def test_faulted_spec_returns_summary(self):
         spec = fast_spec(
@@ -123,7 +122,7 @@ class TestRunFullLedger:
         # schedule and must be bit-identical to the plain path.
         spec = fast_spec(resilience=ResilienceSpec(fault_count=0))
         full = spec.run_full()
-        assert full.result == fast_spec().run()
+        assert full.result == fast_spec().run_full().result
         assert full.resilience["faults_applied"] == 0
 
 
@@ -131,21 +130,21 @@ class TestCacheExtras:
     def test_extras_round_trip(self, tmp_path):
         spec = fast_spec(resilience=ResilienceSpec(fault_count=2, fault_seed=3))
         full = spec.run_full()
-        result, extras = full.result, full.resilience
         cache = ResultCache(tmp_path)
-        cache.store(spec, result, extras=extras)
-        loaded = cache.load_entry(spec)
-        assert loaded is not None
-        assert loaded.result == result
-        assert loaded.resilience == extras
+        cache.store(full)
+        loaded, problem = cache.read_entry(spec)
+        assert loaded is not None and problem is None
+        assert loaded.result == full.result
+        assert loaded.resilience == full.resilience
 
     def test_plain_store_loads_none_extras(self, tmp_path):
         spec = fast_spec()
-        result = spec.run()
+        full = spec.run_full()
         cache = ResultCache(tmp_path)
-        cache.store(spec, result)
-        assert cache.load(spec) == result
-        assert cache.load_entry(spec).resilience is None
+        cache.store(full)
+        loaded, _ = cache.read_entry(spec)
+        assert loaded.result == full.result
+        assert loaded.resilience is None
 
     def test_executor_outcome_carries_resilience(self, tmp_path):
         spec = fast_spec(resilience=ResilienceSpec(fault_count=2, fault_seed=3))

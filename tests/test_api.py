@@ -22,7 +22,6 @@ class TestExports:
         "name",
         [
             "ExperimentSpec",
-            "resolve_spec",
             "SweepExecutor",
             "run",
             "make_routing",
@@ -50,8 +49,7 @@ class TestFacadeBehavior:
                 warmup_cycles=100, measure_cycles=400, drain_cycles=100
             ),
         )
-        resolved = api.resolve_spec(spec)
-        assert api.topology_spec(resolved.topology) == "mesh:4x4"
+        assert api.topology_spec(api.parse_topology(spec.topology)) == "mesh:4x4"
         result = api.run(spec).result
         assert result.offered_load == pytest.approx(0.05)
 

@@ -5,8 +5,6 @@ path (plain / obs / resilience / cached), returning the same RunResult
 shape everywhere; the pre-facade entry points it replaced are gone.
 """
 
-import dataclasses
-
 import pytest
 
 from repro import api
@@ -47,7 +45,7 @@ class TestRunFacade:
             seed=3,
         )
         assert out.spec == spec
-        assert out.result == spec.run()
+        assert out.result == spec.run_full().result
 
     def test_topology_and_routing_instances_accepted(self):
         mesh = Mesh2D(4, 4)
@@ -96,6 +94,13 @@ class TestRunFacade:
         )
         assert out.spec == _spec()
 
+    def test_uncached_run_reports_its_wall_time(self, tmp_path):
+        # A fresh point is timed whether or not a cache is in play; 0.0
+        # is what a cache hit reports.
+        for out in (api.run(_spec()), api.run(_spec(), cache_dir=str(tmp_path))):
+            assert out.cached is False
+            assert out.wall_time_s > 0
+
     def test_cache_dir_round_trip(self, tmp_path):
         spec = _spec()
         first = api.run(spec, cache_dir=str(tmp_path))
@@ -132,26 +137,37 @@ class TestRunFacade:
 
 
 class TestRetiredShims:
-    @pytest.mark.parametrize("name", ["simulate", "sweep_loads", "run_spec"])
+    @pytest.mark.parametrize(
+        "name",
+        ["simulate", "sweep_loads", "run_spec", "resolve_spec", "ResolvedSpec",
+         "PointOutcome"],
+    )
     def test_pre_facade_entry_points_are_gone(self, name):
-        # They warned for a release; the real functions live on in
-        # repro.sim / repro.analysis.sweep, and api.run replaces them.
+        # api.run replaces the run wrappers (the real simulate and
+        # sweep_loads live on in repro.sim / repro.analysis.sweep), and
+        # RunResult is the one per-point record.
         assert not hasattr(api, name)
         assert name not in api.__all__
+
+    def test_one_run_method_and_one_cache_reader(self):
+        assert not hasattr(api.ExperimentSpec, "run")
+        assert not hasattr(api.ExperimentSpec, "resolve")
+        assert not hasattr(api.ResultCache, "load")
+        assert not hasattr(api.ResultCache, "load_entry")
 
     def test_the_real_functions_stay(self):
         from repro.analysis.sweep import sweep_loads
         from repro.sim import simulate
 
         spec = _spec()
-        resolved = api.resolve_spec(spec)
+        topology = api.parse_topology(spec.topology)
         kwargs = dict(sizes=api.SizeDistribution(((4, 1.0),)),
                       config=spec.config.to_config(), seed=3)
         reference = api.run(spec).result
         assert simulate(
-            resolved.topology, "west-first", "uniform", 0.1, **kwargs
+            topology, "west-first", "uniform", 0.1, **kwargs
         ) == reference
         point = sweep_loads(
-            resolved.topology, "west-first", "uniform", [0.1], **kwargs
+            topology, "west-first", "uniform", [0.1], **kwargs
         ).points[0]
         assert point.avg_latency_usec == reference.avg_latency_usec

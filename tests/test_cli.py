@@ -64,6 +64,30 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "thru=" in out and "lat=" in out
 
+    def test_simulate_prints_the_api_run_numbers(self, capsys):
+        from repro.api import SimulationConfig, run
+        from repro.cli import _obs_spec_for_windows
+        from repro.obs.report import render_channel_heatmap, render_timeline_table
+
+        assert main([
+            "simulate", "--topology", "mesh:4x4", "--obs",
+            "--warmup", "200", "--measure", "800", "--drain", "200",
+        ]) == 0
+        printed = capsys.readouterr().out
+        out = run(
+            topology="mesh:4x4", routing="negative-first", pattern="uniform",
+            load=0.1, seed=1,
+            config=SimulationConfig(
+                warmup_cycles=200, measure_cycles=800, drain_cycles=200),
+            obs=_obs_spec_for_windows(200, 800, 200),
+        )
+        assert printed.splitlines()[0] == out.result.summary()
+        assert f"injected/done:   {out.result.total_injected}/" in printed
+        heatmap = render_channel_heatmap(out.metrics["channels"])
+        timeline = render_timeline_table(out.metrics["timeline"])
+        assert "Channel utilization heatmap" in heatmap
+        assert printed.endswith(f"\n\n{heatmap}\n\n{timeline}\n")
+
     def test_list(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
