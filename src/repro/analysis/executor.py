@@ -43,6 +43,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -51,6 +52,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, TextIO, Tuple, Union
 
 from repro.analysis.prewarm import WarmContext, get_warm_context
+from repro.obs.envelope import replace_file
 from repro.obs.spec import ObsSpec
 from repro.routing.registry import canonical_name, make_routing
 from repro.routing.selection import (
@@ -568,6 +570,10 @@ def encode_point_record(run: RunResult) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+#: A cache entry's file name: the spec's SHA-256 content hash.
+_ENTRY_NAME = re.compile(r"[0-9a-f]{64}\.json")
+
+
 class _CacheEntry(NamedTuple):
     """One decoded cache entry, plus the entry's text as read (the
     point record a manifest embeds)."""
@@ -582,10 +588,13 @@ class ResultCache:
     """On-disk result store keyed by spec content hash.
 
     One JSON file per point, named ``<hash>.json``, holding the point's
-    record (:func:`encode_point_record`).  Writes are atomic (temp file
-    + rename), so a cache directory shared by concurrent runs stays
-    consistent.  Entries written indented by earlier versions read the
-    same.
+    record (:func:`encode_point_record`).  Entries are written through
+    :func:`~repro.obs.envelope.replace_file` (temp file, unlink the old
+    entry, rename onto the free name): an interrupted store leaves the
+    old entry and no temp file, and a concurrent reader sees either a
+    whole entry or a plain miss.  Entries written indented by earlier
+    versions read the same.  The directory may be shared with run
+    manifests; only ``<hash>.json`` names count as entries.
     """
 
     def __init__(self, root: Union[str, Path]) -> None:
@@ -640,17 +649,17 @@ class ResultCache:
         ), None
 
     def store(self, run: RunResult) -> str:
-        """Persist one point's record atomically; returns the record
-        written."""
+        """Persist one point's record, replacing any earlier entry;
+        returns the record written."""
         record = encode_point_record(run)
-        path = self.path_for(run.spec)
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        tmp.write_text(record)
-        os.replace(tmp, path)
+        with replace_file(self.path_for(run.spec)) as handle:
+            handle.write(record)
         return record
 
     def __len__(self) -> int:
-        return sum(1 for _ in self.root.glob("*.json"))
+        return sum(
+            1 for path in self.root.glob("*.json") if _ENTRY_NAME.fullmatch(path.name)
+        )
 
 
 def _run_point_job(spec: ExperimentSpec) -> RunResult:

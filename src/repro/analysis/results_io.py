@@ -14,6 +14,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, List, Tuple, Union
 
 from repro.analysis.sweep import SweepPoint, SweepSeries
+from repro.obs.envelope import replace_file
 from repro.sim.stats import SimulationResult
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -134,7 +135,8 @@ def save_json(obj: object, path: Union[str, Path]) -> None:
         payload = obj
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True))
+    with replace_file(path) as handle:
+        handle.write(json.dumps(payload, indent=2, sort_keys=True))
 
 
 def load_figure(path: Union[str, Path]) -> "FigureResult":

@@ -17,18 +17,25 @@ The envelope is *merged into* the producer's existing payload rather
 than nesting it, so historical payload keys (``kind``, ``series``,
 ``cells``, ...) keep their position and pre-envelope consumers keep
 working.  Schema documented in ``docs/observability.md``.
+
+:func:`replace_file` is the one way ``repro`` writes a file: every
+artifact, manifest, cache entry and trace goes through it, so none is
+ever truncated in place or renamed over.
 """
 
 from __future__ import annotations
 
 import json
+import os
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Iterator, Optional, TextIO, Union
 
 __all__ = [
     "ENVELOPE_SCHEMA_VERSION",
     "attach_envelope",
     "load_envelope",
+    "replace_file",
     "save_envelope",
 ]
 
@@ -64,6 +71,34 @@ def attach_envelope(
     return envelope
 
 
+@contextmanager
+def replace_file(path: Union[str, Path]) -> Iterator[TextIO]:
+    """Write ``path`` anew through a text handle on a temp file beside it.
+
+    The handle writes ``.<name>.<pid>.tmp`` in the target's directory.
+    On a clean exit the old target is unlinked (a missing one is fine)
+    and the temp file is renamed onto the now free path.  On any
+    exception, ``KeyboardInterrupt`` included, the temp file is deleted
+    and the exception re-raised, so the old target is left as it was.
+
+    The old file is never truncated and never renamed over: on ext4
+    (``auto_da_alloc``) either forces writeback of the replaced data,
+    and the next rewrite of the same path then waits on the disk.  A
+    concurrent reader may find the path missing for an instant, but
+    never finds it half written.  Parent directories are not created.
+    """
+    target = Path(path)
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            yield handle
+        target.unlink(missing_ok=True)
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_envelope(
     payload: Dict[str, Any],
     tool: str,
@@ -79,7 +114,8 @@ def save_envelope(
     document = attach_envelope(payload, tool, spec_hash=spec_hash)
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(json.dumps(document, indent=indent, sort_keys=False))
+    with replace_file(target) as handle:
+        handle.write(json.dumps(document, indent=indent, sort_keys=False))
     return document
 
 

@@ -35,7 +35,7 @@ import warnings
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
 
-from repro.obs.envelope import attach_envelope
+from repro.obs.envelope import attach_envelope, replace_file
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.analysis.executor import RunResult
@@ -163,8 +163,9 @@ def write_manifest(
     spliced in after it as is, so the point's numbers are never encoded
     here.  The file is keyed by the manifest's own ``spec_hash``, so
     rewriting the same point (e.g. a cache hit on a later sweep)
-    overwrites its previous manifest rather than accumulating
-    duplicates.
+    replaces its previous manifest rather than accumulating duplicates.
+    The replacement goes through :func:`~repro.obs.envelope.replace_file`:
+    an interrupted write leaves the previous manifest intact.
     """
     spec_hash = manifest.get("spec_hash")
     if not spec_hash:
@@ -176,7 +177,8 @@ def write_manifest(
     text = json.dumps(header, separators=(",", ":"))
     target = manifest_path(root, str(spec_hash))
     target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(f'{text[:-1]},"record":{record}}}')
+    with replace_file(target) as handle:
+        handle.write(f'{text[:-1]},"record":{record}}}')
     return target
 
 

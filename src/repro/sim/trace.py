@@ -16,6 +16,7 @@ import json
 from dataclasses import dataclass
 from typing import IO, List, Union
 
+from repro.obs.envelope import replace_file
 from repro.topology.channels import Channel
 
 __all__ = ["TraceEvent", "TraceRecorder"]
@@ -150,7 +151,7 @@ class TraceRecorder:
         if hasattr(path, "write"):
             self._write_jsonl(path)  # type: ignore[arg-type]
             return
-        with open(path, "w", encoding="utf-8") as handle:
+        with replace_file(path) as handle:
             self._write_jsonl(handle)
 
     def _write_jsonl(self, handle: "IO[str]") -> None:

@@ -43,6 +43,15 @@ EXPECTED = {
         ("analysis/silent.py", 24),
         ("analysis/silent.py", 28),
     ],
+    "one-writer": [
+        ("analysis/writers.py", 8),
+        ("analysis/writers.py", 12),
+        ("analysis/writers.py", 16),
+        ("analysis/writers.py", 21),
+        ("analysis/writers.py", 26),
+        ("analysis/writers.py", 31),
+        ("obs/envelope.py", 19),
+    ],
     "frozen-spec": [
         ("core/spec.py", 9),
         ("core/spec.py", 15),
