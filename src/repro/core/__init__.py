@@ -68,6 +68,7 @@ _LAZY = {
     "s_ecube": "adaptiveness",
     "pcube_adaptiveness_ratio": "adaptiveness",
     "count_shortest_paths": "adaptiveness",
+    "shortest_path_counts": "adaptiveness",
     "average_adaptiveness_ratio": "adaptiveness",
 }
 
@@ -133,6 +134,7 @@ __all__ = [
     "s_north_last",
     "s_pcube",
     "s_west_first",
+    "shortest_path_counts",
     "signed_permutation_symmetries",
     "symmetry_classes",
     "topological_numbering",

@@ -102,11 +102,13 @@ class Digraph(Generic[V]):
     def shortest_cycle(self) -> Optional[List[V]]:
         """A shortest directed cycle, or ``None`` if the graph is acyclic.
 
-        Runs one BFS per vertex, so it costs ``O(V (V + E))`` — fine for
-        the witness-extraction path, which only runs after a cycle is
-        known to exist.  Minimal witnesses matter because they are the
-        readable ones: the Figure 1 deadlock renders as the four-channel
-        square of the paper, not an arbitrary DFS artifact.
+        Runs one BFS per vertex, so it costs ``O(V (V + E))``.  Callers
+        decide acyclicity with :meth:`find_cycle` first and run this only
+        on a graph known to be cyclic, to extract the witness
+        (:func:`repro.verify.deadlock.closure_dependencies` does so once
+        per verified target).  Minimal witnesses matter because they are
+        the readable ones: the Figure 1 deadlock renders as the
+        four-channel square of the paper, not an arbitrary DFS artifact.
 
         Returns:
             The vertices of a minimum-length cycle in order (first vertex

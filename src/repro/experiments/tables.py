@@ -25,6 +25,7 @@ from repro.core.adaptiveness import (
     count_shortest_paths,
     s_fully_adaptive,
     s_pcube,
+    shortest_path_counts,
 )
 from repro.core.model import TurnModel
 from repro.core.turns import abstract_cycles, minimum_prohibited_turns, ninety_degree_turns
@@ -93,10 +94,9 @@ def adaptiveness_table(side: int = 6) -> str:
     pairs = [(s, d) for s in nodes for d in nodes if s != d]
     for name in ("west-first", "north-last", "negative-first", "xy"):
         algorithm = make_routing(name, mesh)
-        ratio = average_adaptiveness_ratio(mesh, algorithm)
-        singles = sum(
-            1 for s, d in pairs if count_shortest_paths(mesh, algorithm, s, d) == 1
-        )
+        counts = {d: shortest_path_counts(mesh, algorithm, d) for d in nodes}
+        ratio = average_adaptiveness_ratio(mesh, algorithm, counts)
+        singles = sum(1 for s, d in pairs if counts[d][s] == 1)
         rows.append(
             [name, f"{ratio:.3f}", singles, f"{singles / len(pairs):.2f}"]
         )

@@ -31,7 +31,7 @@ numbering of the healthy relation certifies every restriction of it
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.channel_graph import CycleWitness, RouteFn, routing_cdg
 from repro.core.digraph import Digraph
@@ -50,8 +50,10 @@ from repro.topology.mesh import Mesh, Mesh2D
 from repro.verify.report import PROVED, REFUTED, Certificate, CheckResult
 
 __all__ = [
+    "Dependencies",
     "channel_key",
     "check_deadlock_freedom",
+    "closure_dependencies",
     "closure_numbering",
     "cycle_witness",
     "dependency_graph",
@@ -196,10 +198,38 @@ def cycle_witness(closure: RouteClosure, cycle: Sequence[Channel]) -> CycleWitne
     return CycleWitness.from_channels(cycle, edge_dests)
 
 
+class Dependencies(NamedTuple):
+    """A closure's dependency graph and the verdict of its one cycle
+    search, shared by the deadlock and livelock checkers.
+
+    Attributes:
+        graph: the exact channel dependency graph (:func:`dependency_graph`).
+        witness: a shortest realizable dependency cycle, or ``None`` when
+            the graph is acyclic.
+    """
+
+    graph: Digraph[Channel]
+    witness: Optional[CycleWitness]
+
+
+def closure_dependencies(topology: Topology, closure: RouteClosure) -> Dependencies:
+    """Build the closure's dependency graph and search it for a cycle
+    once: a DFS decides, and only a cyclic graph pays for the
+    shortest-cycle search that makes its witness readable."""
+    graph = dependency_graph(topology, closure)
+    witness = None
+    if graph.find_cycle() is not None:
+        cycle = graph.shortest_cycle()
+        assert cycle is not None  # find_cycle() found one
+        witness = cycle_witness(closure, cycle)
+    return Dependencies(graph, witness)
+
+
 def check_deadlock_freedom(
     topology: Topology,
     routing: RoutingAlgorithm,
     closure: Optional[RouteClosure] = None,
+    dependencies: Optional[Dependencies] = None,
 ) -> CheckResult:
     """Prove or refute deadlock freedom for one routing relation.
 
@@ -209,15 +239,15 @@ def check_deadlock_freedom(
     shortest realizable dependency cycle, rendered as channels and turns.
 
     ``closure`` is the relation to read when the caller already holds
-    the closure of the table it will route on; it is taken here otherwise.
+    the closure of the table it will route on, and ``dependencies`` its
+    :func:`closure_dependencies`; each is taken here otherwise.
     """
-    if closure is None:
-        closure = route_closure(topology, routing)
-    graph = dependency_graph(topology, closure)
-    cycle = graph.find_cycle()
-    if cycle is not None:
-        shortest = graph.shortest_cycle()
-        witness = cycle_witness(closure, shortest if shortest is not None else cycle)
+    if dependencies is None:
+        if closure is None:
+            closure = route_closure(topology, routing)
+        dependencies = closure_dependencies(topology, closure)
+    graph, witness = dependencies
+    if witness is not None:
         return CheckResult(
             check="deadlock-freedom",
             verdict=REFUTED,

@@ -23,8 +23,8 @@ from repro.core.channel_graph import RouteFn
 from repro.sim.ids import RouteClosure
 from repro.topology.base import Topology
 from repro.verify.deadlock import (
-    cycle_witness,
-    dependency_graph,
+    Dependencies,
+    closure_dependencies,
     route_closure,
     witness_certificate,
 )
@@ -34,16 +34,20 @@ __all__ = ["check_livelock_freedom"]
 
 
 def check_livelock_freedom(
-    topology: Topology, route_fn: RouteFn, closure: Optional[RouteClosure] = None
+    topology: Topology,
+    route_fn: RouteFn,
+    closure: Optional[RouteClosure] = None,
+    dependencies: Optional[Dependencies] = None,
 ) -> CheckResult:
     """Prove or refute that every permitted walk has bounded length
-    (reading ``closure`` when the caller already holds the relation)."""
-    if closure is None:
-        closure = route_closure(topology, route_fn)
-    graph = dependency_graph(topology, closure)
-    cycle = graph.shortest_cycle()
-    if cycle is not None:
-        witness = cycle_witness(closure, cycle)
+    (reading ``closure`` and its ``dependencies`` when the caller
+    already holds them, as the deadlock checker does)."""
+    if dependencies is None:
+        if closure is None:
+            closure = route_closure(topology, route_fn)
+        dependencies = closure_dependencies(topology, closure)
+    graph, witness = dependencies
+    if witness is not None:
         return CheckResult(
             check="livelock-freedom",
             verdict=REFUTED,

@@ -36,6 +36,7 @@ from repro.topology.virtual import VirtualChannelTopology
 from repro.verify.connectivity import check_connectivity
 from repro.verify.deadlock import (
     check_deadlock_freedom,
+    closure_dependencies,
     closure_numbering,
     is_monotone,
     route_closure,
@@ -214,7 +215,9 @@ def default_targets(
 
 
 #: A checker: ``(topology, routing) -> CheckResult``; the three proof
-#: checkers also take the target's route closure as a third argument.
+#: checkers also take the target's route closure as a third argument,
+#: and the deadlock and livelock checkers its dependency analysis as
+#: ``dependencies``.
 Checker = Callable[..., CheckResult]
 
 #: The checkers every target runs, in report order.
@@ -237,6 +240,9 @@ PROOF_CHECKERS: Sequence[Checker] = (
     check_livelock_freedom,
 )
 
+#: The proof checkers that read the dependency graph and its witness.
+_CYCLE_CHECKERS: Sequence[Checker] = (check_deadlock_freedom, check_livelock_freedom)
+
 
 def verify_target(
     target: VerifyTarget, checkers: Optional[Sequence[Checker]] = None
@@ -244,15 +250,23 @@ def verify_target(
     """Run the checkers (the full suite by default) against one target.
 
     The target's routing is compiled and closed once; the deadlock,
-    connectivity and livelock proofs all read that one relation.
+    connectivity and livelock proofs all read that one relation.  Its
+    dependency graph is built and searched for a cycle once too, and the
+    deadlock and livelock checkers share the result, witness included.
     """
     topology, routing = target.topology, target.routing
     closure = route_closure(topology, routing)
+    dependencies = closure_dependencies(topology, closure)
+
+    def run(checker: Checker) -> CheckResult:
+        if checker in _CYCLE_CHECKERS:
+            return checker(topology, routing, dependencies=dependencies)
+        if checker in PROOF_CHECKERS:
+            return checker(topology, routing, closure)
+        return checker(topology, routing)
+
     checks = tuple(
-        checker(topology, routing, closure)
-        if checker in PROOF_CHECKERS
-        else checker(topology, routing)
-        for checker in (checkers if checkers is not None else _CHECKERS)
+        run(checker) for checker in (checkers if checkers is not None else _CHECKERS)
     )
     return TargetReport(
         target=target.label,

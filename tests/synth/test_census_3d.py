@@ -11,6 +11,8 @@ from collections import Counter
 
 import pytest
 
+from repro.core.model import TurnModel
+from repro.routing.synth_names import synth_name
 from repro.synth import SynthSpec, run_synthesis
 
 
@@ -42,3 +44,37 @@ def test_rediscovers_exactly_the_three_paper_algorithms(census):
     found = {o.rediscovers for o in census.outcomes if o.rediscovers}
     assert found == {"negative-first", "abonf", "abopl"}
     assert census.missing_rediscovery is None
+
+
+def test_ranked_order_of_the_nine(census):
+    """Best first.  The six unnamed classes tie at 0.698 and the three
+    paper algorithms at 0.681 up to the last bits of a float mean summed
+    source-major; the order within each tie is those last bits."""
+    assert census.ranked == (
+        "synth3-n0n1.n0n2.n0p1.n1n2.p0n2.p1n2",
+        "synth3-n0n1.n0n2.n1n2.p0n1.p0n2.p1n2",
+        "synth3-n0n1.n0n2.n0p1.n0p2.n1n2.n1p2",
+        "synth3-n0n1.n0n2.n1n2.p0n2.p1n2.p1p0",
+        "synth3-n0n1.n0n2.n0p1.n0p2.n1n2.p1n2",
+        "synth3-n0n1.n0n2.n0p1.n0p2.n1n2.p2p1",
+        "synth3-n0n1.n0n2.p1n2.p1p0.p2n1.p2p0",
+        "synth3-n0n1.n0n2.n0p1.p2n1.p2p0.p2p1",
+        "synth3-n0n1.n0n2.p0n1.p0n2.p1n2.p2n1",
+    )
+
+
+def test_turn_model_decides_the_same_176(census):
+    """The second decider: the turn-induced dependency graph on the turn
+    model's own validation mesh, candidate by candidate."""
+    census_free = {
+        member
+        for outcome in census.outcomes
+        if outcome.deadlock_free
+        for member in outcome.members
+    }
+    model_free = {
+        synth_name(3, prohibited)
+        for prohibited in TurnModel(3).deadlock_free_prohibitions()
+    }
+    assert len(census_free) == 176
+    assert model_free == census_free
