@@ -8,12 +8,12 @@ ignores the diagonal channels.
 """
 
 from benchmarks.conftest import run_once
-from repro.core.channel_graph import is_deadlock_free
 from repro.core.numbering import certifies, negative_first_numbering
 from repro.routing import HexDimensionOrderRouting, HexNegativeFirstRouting
 from repro.sim import SimulationConfig, simulate
 from repro.topology import HexMesh
 from repro.traffic import UniformTraffic
+from repro.verify import PROVED, check_deadlock_freedom
 
 
 def test_bench_hex_certificates(benchmark):
@@ -22,9 +22,9 @@ def test_bench_hex_certificates(benchmark):
         nf = HexNegativeFirstRouting(hexm)
         numbering = negative_first_numbering(hexm)
         return (
-            is_deadlock_free(hexm, nf),
+            check_deadlock_freedom(hexm, nf).verdict == PROVED,
             certifies(hexm, nf, numbering, "increasing"),
-            is_deadlock_free(hexm, HexDimensionOrderRouting(hexm)),
+            check_deadlock_freedom(hexm, HexDimensionOrderRouting(hexm)).verdict == PROVED,
         )
 
     dally_seitz, theorem5, baseline = benchmark(check)
@@ -72,9 +72,9 @@ def test_bench_octagonal_certificates(benchmark):
         nf = OctNegativeFirstRouting(octm)
         numbering = potential_numbering(octm, octm.potential)
         return (
-            is_deadlock_free(octm, nf),
+            check_deadlock_freedom(octm, nf).verdict == PROVED,
             certifies(octm, nf, numbering, "increasing"),
-            is_deadlock_free(octm, OctDimensionOrderRouting(octm)),
+            check_deadlock_freedom(octm, OctDimensionOrderRouting(octm)).verdict == PROVED,
         )
 
     dally_seitz, phi_numbering, baseline = benchmark(check)

@@ -7,10 +7,10 @@ and simulates tornado traffic (the wraparound-exercising adversary).
 """
 
 from benchmarks.conftest import run_once
-from repro.core.channel_graph import is_deadlock_free
 from repro.routing import make_routing
 from repro.sim import SimulationConfig, simulate
 from repro.topology import Torus
+from repro.verify import PROVED, check_deadlock_freedom
 
 
 def test_bench_torus_deadlock_freedom(benchmark):
@@ -20,9 +20,9 @@ def test_bench_torus_deadlock_freedom(benchmark):
             torus = Torus(k, n)
             for name in ("negative-first-torus", "xy+first-hop-wrap",
                          "negative-first+first-hop-wrap"):
-                results[(k, n, name)] = is_deadlock_free(
+                results[(k, n, name)] = check_deadlock_freedom(
                     torus, make_routing(name, torus)
-                )
+                ).verdict == PROVED
         return results
 
     results = benchmark(check)

@@ -12,11 +12,11 @@ virtual-channel substrate:
 """
 
 from benchmarks.conftest import run_once
-from repro.core.channel_graph import is_deadlock_free
 from repro.routing import DatelineTorusRouting, o1turn_routing
 from repro.sim import SimulationConfig, simulate
 from repro.topology import Mesh2D, Torus, VirtualChannelTopology
 from repro.traffic.permutations import make_pattern
+from repro.verify import PROVED, check_deadlock_freedom
 
 
 def test_bench_lane_split_vs_xy_on_transpose(benchmark):
@@ -48,7 +48,7 @@ def test_bench_dateline_minimal_torus(benchmark):
         for k, n in ((4, 2), (5, 2)):
             vc = VirtualChannelTopology(Torus(k, n), 2)
             routing = DatelineTorusRouting(vc)
-            results[(k, n)] = is_deadlock_free(vc, routing)
+            results[(k, n)] = check_deadlock_freedom(vc, routing).verdict == PROVED
         return results
 
     results = benchmark(run)

@@ -16,7 +16,6 @@ then certified deadlock free and simulated against xy on hotspot traffic.
 Run:  python examples/custom_turn_model.py
 """
 
-from repro.core.channel_graph import is_deadlock_free
 from repro.core.directions import EAST, NORTH, SOUTH, WEST
 from repro.core.model import TurnModel
 from repro.core.turns import Turn
@@ -24,6 +23,7 @@ from repro.routing import TurnRestrictionRouting, make_routing
 from repro.sim import SimulationConfig, WormholeSimulator
 from repro.topology import Mesh2D
 from repro.traffic import HotspotTraffic, Workload
+from repro.verify import PROVED, check_deadlock_freedom
 
 
 def main() -> None:
@@ -48,7 +48,7 @@ def main() -> None:
 
     mesh = Mesh2D(8, 8)
     routing = TurnRestrictionRouting(mesh, restriction, minimal=True)
-    assert is_deadlock_free(mesh, routing)
+    assert check_deadlock_freedom(mesh, routing).verdict == PROVED
     print("\nDally-Seitz check on the 8x8 mesh: acyclic (deadlock free)")
 
     # Hotspot traffic: 20% of messages target (6, 6).

@@ -15,7 +15,6 @@ Three demonstrations:
 Run:  python examples/deadlock_demo.py
 """
 
-from repro.core.channel_graph import find_dependency_cycle, is_deadlock_free
 from repro.routing import make_routing
 from repro.sim import SimulationConfig, WormholeSimulator
 from repro.sim.deadlock import (
@@ -27,6 +26,7 @@ from repro.sim.deadlock import (
 )
 from repro.topology import Mesh2D
 from repro.traffic.workload import SizeDistribution, Workload
+from repro.verify import PROVED, check_deadlock_freedom
 
 
 def dynamic_demos() -> None:
@@ -85,10 +85,11 @@ def static_checks() -> None:
         ("negative-first", make_routing("negative-first", mesh)),
         ("xy", make_routing("xy", mesh)),
     ):
-        if is_deadlock_free(mesh, routing):
+        result = check_deadlock_freedom(mesh, routing)
+        if result.verdict == PROVED:
             print(f"{label:24s} channel dependency graph acyclic: SAFE")
         else:
-            cycle = find_dependency_cycle(mesh, routing)
+            cycle = result.certificate.data["channels"]
             print(
                 f"{label:24s} dependency cycle of {len(cycle)} channels: UNSAFE"
             )

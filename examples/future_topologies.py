@@ -15,7 +15,6 @@ ignore the diagonal channels.
 Run:  python examples/future_topologies.py
 """
 
-from repro.core.channel_graph import is_deadlock_free
 from repro.core.numbering import certifies, potential_numbering
 from repro.routing import (
     HexDimensionOrderRouting,
@@ -26,10 +25,11 @@ from repro.routing import (
 from repro.sim import SimulationConfig, simulate
 from repro.topology import HexMesh, OctMesh
 from repro.traffic import UniformTraffic
+from repro.verify import PROVED, check_deadlock_freedom
 
 
 def certify(label, topology, routing, potential):
-    safe = is_deadlock_free(topology, routing)
+    safe = check_deadlock_freedom(topology, routing).verdict == PROVED
     numbered = certifies(
         topology, routing, potential_numbering(topology, potential), "increasing"
     )

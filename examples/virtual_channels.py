@@ -16,18 +16,18 @@ runs both classics on our VC substrate:
 Run:  python examples/virtual_channels.py
 """
 
-from repro.core.channel_graph import is_deadlock_free
 from repro.routing import DatelineTorusRouting, o1turn_routing
 from repro.sim import SimulationConfig, simulate
 from repro.topology import Mesh2D, Torus, VirtualChannelTopology
 from repro.traffic.permutations import make_pattern
+from repro.verify import PROVED, check_deadlock_freedom
 
 
 def lane_split_demo() -> None:
     mesh = Mesh2D(8, 8)
     vc = VirtualChannelTopology(mesh, 2)
     o1 = o1turn_routing(vc)
-    assert is_deadlock_free(vc, o1)
+    assert check_deadlock_freedom(vc, o1).verdict == PROVED
     config = SimulationConfig(
         warmup_cycles=1_000, measure_cycles=6_000, drain_cycles=0
     )
@@ -46,7 +46,7 @@ def dateline_demo() -> None:
     torus = Torus(6, 2)
     vc = VirtualChannelTopology(torus, 2)
     dateline = DatelineTorusRouting(vc)
-    assert is_deadlock_free(vc, dateline)
+    assert check_deadlock_freedom(vc, dateline).verdict == PROVED
     config = SimulationConfig(
         warmup_cycles=800, measure_cycles=4_000, drain_cycles=1_500
     )

@@ -40,9 +40,7 @@ from repro.core.turns import (
 _LAZY = {
     "turn_cdg": "channel_graph",
     "routing_cdg": "channel_graph",
-    "find_dependency_cycle": "channel_graph",
     "CycleWitness": "channel_graph",
-    "is_deadlock_free": "channel_graph",
     "restriction_is_deadlock_free": "channel_graph",
     "RouteFn": "channel_graph",
     "TurnModel": "model",
@@ -56,7 +54,6 @@ _LAZY = {
     "certifies": "numbering",
     "numbering_violations": "numbering",
     "potential_numbering": "numbering",
-    "topological_numbering": "numbering",
     "multinomial": "adaptiveness",
     "s_fully_adaptive": "adaptiveness",
     "s_west_first": "adaptiveness",
@@ -115,8 +112,6 @@ __all__ = [
     "average_adaptiveness_ratio",
     "certifies",
     "count_shortest_paths",
-    "find_dependency_cycle",
-    "is_deadlock_free",
     "mesh_symmetries_2d",
     "multinomial",
     "negative_first_numbering",
@@ -137,7 +132,6 @@ __all__ = [
     "shortest_path_counts",
     "signed_permutation_symmetries",
     "symmetry_classes",
-    "topological_numbering",
     "turn_cdg",
     "west_first_numbering",
 ]

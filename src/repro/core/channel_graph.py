@@ -20,7 +20,10 @@ Two builders are provided:
   routing relation, tracking which (channel, destination) pairs are
   actually realizable from some source.  This is what the torus algorithms
   need, since their deadlock freedom depends on *how* wraparound channels
-  are used, not just on which turns exist.
+  are used, not just on which turns exist.  The prover decides the same
+  relation on the compiled table's channel ids
+  (:mod:`repro.verify.deadlock`); this object-level build is the
+  independent definition its certificates are re-checked against.
 """
 
 from __future__ import annotations
@@ -40,8 +43,6 @@ __all__ = [
     "CycleWitness",
     "turn_cdg",
     "routing_cdg",
-    "find_dependency_cycle",
-    "is_deadlock_free",
     "restriction_is_deadlock_free",
 ]
 
@@ -61,10 +62,9 @@ class CycleWitness:
     Refuting deadlock freedom needs more than "the graph has a cycle": a
     human (or a certificate checker) wants the channel sequence, the turn
     each hop takes, and for each dependency an example destination whose
-    packets realize it.  The witness behaves like the plain channel list
-    :func:`find_dependency_cycle` used to return (``len``, indexing,
-    slicing, and iteration all see the channels), so existing callers
-    keep working, while the verifier renders the full certificate.
+    packets realize it.  The witness behaves like a plain channel list
+    (``len``, indexing, slicing, and iteration all see the channels),
+    while the verifier renders the full certificate.
 
     Attributes:
         channels: the channels of the cycle, in order; the cycle closes
@@ -134,8 +134,7 @@ class CycleWitness:
         Args:
             channels: the cycle's channels in order (first not repeated).
             edge_dests: optional map from dependency edge to an example
-                destination realizing it, as collected by
-                :func:`routing_cdg`.
+                destination realizing it.
         """
         chans = tuple(channels)
         turns: List[Optional[Turn]] = []
@@ -218,31 +217,6 @@ def routing_cdg(
     return graph
 
 
-def find_dependency_cycle(
-    topology: Topology, route_fn: RouteFn
-) -> Optional[CycleWitness]:
-    """A realizable dependency cycle of the routing relation, or ``None``.
-
-    The witness is a *shortest* cycle of the exact channel dependency
-    graph, annotated with the turns taken and an example destination per
-    dependency — on the Figure 1 fixture it renders as the paper's
-    four-channel circular wait.  It still behaves as the plain channel
-    list earlier revisions returned (iteration, ``len``, indexing).
-    """
-    edge_dests: Dict[_Edge, NodeId] = {}
-    graph = routing_cdg(topology, route_fn, edge_dests=edge_dests)
-    if graph.is_acyclic():
-        return None
-    cycle = graph.shortest_cycle()
-    assert cycle is not None  # is_acyclic() said otherwise
-    return CycleWitness.from_channels(cycle, edge_dests)
-
-
-def is_deadlock_free(topology: Topology, route_fn: RouteFn) -> bool:
-    """Dally-Seitz test: whether the routing relation cannot deadlock."""
-    return find_dependency_cycle(topology, route_fn) is None
-
-
 def restriction_is_deadlock_free(
     topology: Topology, restriction: TurnRestriction
 ) -> bool:
@@ -250,7 +224,7 @@ def restriction_is_deadlock_free(
 
     Checks acyclicity of the turn-induced dependency graph.  On topologies
     with wraparound channels this is usually false even for safe
-    restrictions (rings cycle without turning); use :func:`is_deadlock_free`
-    with the concrete algorithm there.
+    restrictions (rings cycle without turning); certify the concrete
+    algorithm there (:func:`repro.verify.check_deadlock_freedom`).
     """
     return turn_cdg(topology, restriction).is_acyclic()

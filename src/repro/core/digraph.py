@@ -1,9 +1,13 @@
-"""Minimal directed-graph utilities used by the deadlock analysis.
+"""A minimal object-level digraph for the turn model's dependency graphs.
 
-The channel dependency graph of a 16x16 mesh has about a thousand vertices
-and a few thousand edges, so a simple adjacency-set digraph with an
-iterative cycle search is all the core needs.  (Tests cross-check these
-routines against networkx.)
+It holds the paper's Step 3/4 abstraction, the dependency graph a turn
+restriction induces (:func:`repro.core.channel_graph.turn_cdg`), and the
+exact dependency graph the certificate re-check rebuilds from a routing
+callable (:func:`repro.core.channel_graph.routing_cdg`).  The prover
+itself decides on the closure's channel ids
+(:mod:`repro.verify.deadlock`), so all this class needs is an
+adjacency-set graph with an iterative cycle search.  (Tests cross-check
+it against networkx.)
 """
 
 from __future__ import annotations
@@ -98,105 +102,3 @@ class Digraph(Generic[V]):
     def is_acyclic(self) -> bool:
         """Whether the graph contains no directed cycle."""
         return self.find_cycle() is None
-
-    def shortest_cycle(self) -> Optional[List[V]]:
-        """A shortest directed cycle, or ``None`` if the graph is acyclic.
-
-        Runs one BFS per vertex, so it costs ``O(V (V + E))``.  Callers
-        decide acyclicity with :meth:`find_cycle` first and run this only
-        on a graph known to be cyclic, to extract the witness
-        (:func:`repro.verify.deadlock.closure_dependencies` does so once
-        per verified target).  Minimal witnesses matter because they are
-        the readable ones: the Figure 1 deadlock renders as the
-        four-channel square of the paper, not an arbitrary DFS artifact.
-
-        Returns:
-            The vertices of a minimum-length cycle in order (first vertex
-            not repeated at the end), or ``None``.
-        """
-        best: Optional[List[V]] = None
-        for root in self._succ:
-            if best is not None and len(best) <= 1:
-                break
-            # BFS from each successor of root back to root.
-            parent: Dict[V, V] = {}
-            depth = {root: 0}
-            queue: List[V] = [root]
-            found: Optional[V] = None
-            while queue and found is None:
-                next_queue: List[V] = []
-                for vertex in queue:
-                    if best is not None and depth[vertex] + 1 >= len(best):
-                        continue
-                    for child in self._succ[vertex]:
-                        if child == root:
-                            found = vertex
-                            break
-                        if child not in depth:
-                            depth[child] = depth[vertex] + 1
-                            parent[child] = vertex
-                            next_queue.append(child)
-                    if found is not None:
-                        break
-                queue = next_queue
-            if found is None:
-                continue
-            cycle = [found]
-            while cycle[-1] != root:
-                cycle.append(parent.get(cycle[-1], root))
-            cycle.reverse()
-            if best is None or len(cycle) < len(best):
-                best = cycle
-        return best
-
-    def longest_path(self) -> List[V]:
-        """A longest (most vertices) directed path of an acyclic graph.
-
-        Used by the livelock certifier: in an acyclic channel dependency
-        graph, every permitted walk follows a path of the graph, so the
-        longest path bounds the longest walk any packet can take.
-
-        Raises:
-            ValueError: if the graph has a cycle (no finite bound exists).
-        """
-        order = self.topological_order()
-        length: Dict[V, int] = {v: 0 for v in self._succ}
-        parent: Dict[V, Optional[V]] = {v: None for v in self._succ}
-        for u in order:
-            for v in self._succ[u]:
-                if length[u] + 1 > length[v]:
-                    length[v] = length[u] + 1
-                    parent[v] = u
-        if not length:
-            return []
-        tail = max(length, key=lambda v: length[v])
-        path = [tail]
-        while True:
-            prev = parent[path[-1]]
-            if prev is None:
-                break
-            path.append(prev)
-        path.reverse()
-        return path
-
-    def topological_order(self) -> List[V]:
-        """A topological order of the vertices.
-
-        Raises:
-            ValueError: if the graph has a cycle.
-        """
-        in_degree = {v: 0 for v in self._succ}
-        for _, v in self.edges():
-            in_degree[v] += 1
-        ready = [v for v, deg in in_degree.items() if deg == 0]
-        order: List[V] = []
-        while ready:
-            v = ready.pop()
-            order.append(v)
-            for w in self._succ[v]:
-                in_degree[w] -= 1
-                if in_degree[w] == 0:
-                    ready.append(w)
-        if len(order) != len(self._succ):
-            raise ValueError("graph has a cycle; no topological order exists")
-        return order

@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence
 
-from repro.core.channel_graph import restriction_is_deadlock_free, turn_cdg
+from repro.core.channel_graph import restriction_is_deadlock_free
 from repro.core.directions import Direction, all_directions
 from repro.core.restrictions import TurnRestriction
 from repro.core.turns import (
@@ -275,7 +275,3 @@ class TurnModel:
         if add_reversals:
             result = self.maximal_reversal_extension(result).with_name(name)
         return result
-
-    def dependency_graph(self, restriction: TurnRestriction):
-        """The turn-induced channel dependency graph on the validation mesh."""
-        return turn_cdg(self._mesh, restriction)

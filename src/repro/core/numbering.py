@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Mapping, Tuple
 
 from repro.core.channel_graph import RouteFn, routing_cdg
-from repro.core.digraph import Digraph
 from repro.topology.base import Topology
 from repro.topology.channels import Channel, NodeId
 from repro.topology.mesh import Mesh2D
@@ -27,7 +26,6 @@ __all__ = [
     "north_last_numbering",
     "negative_first_numbering",
     "potential_numbering",
-    "topological_numbering",
     "certifies",
     "numbering_violations",
 ]
@@ -158,30 +156,6 @@ def potential_numbering(topology: Topology, potential) -> Dict[Channel, int]:
         else:
             numbers[channel] = base + before
     return numbers
-
-
-def topological_numbering(graph: Digraph) -> Dict[Channel, int]:
-    """Number the channels of an acyclic dependency graph topologically.
-
-    Dally and Seitz's theorem runs both ways: an acyclic channel
-    dependency graph always *admits* a numbering under which every
-    routing step strictly increases — any topological order is one.
-    This is the generic certificate constructor the verifier falls back
-    on when no closed-form Theorem 2-5 numbering applies (torus, hex,
-    oct, and virtual-channel algorithms).
-
-    Args:
-        graph: an acyclic channel dependency graph whose vertices are
-            channels.
-
-    Returns:
-        A channel numbering under which every edge strictly increases.
-
-    Raises:
-        ValueError: if the graph has a cycle (no such numbering exists).
-    """
-    order = graph.topological_order()
-    return {channel: position for position, channel in enumerate(order)}
 
 
 def certifies(

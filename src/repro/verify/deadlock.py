@@ -5,26 +5,32 @@ realizable routing step is strictly monotone — the executable form of the
 paper's Theorem 2/3/5 proofs.  Named 2D algorithms get the paper's own
 closed-form numbering schemes from :mod:`repro.core.numbering`; everything
 else falls back to a topological numbering of the exact channel dependency
-graph, which exists precisely when the graph is acyclic.
+relation, which exists precisely when the relation is acyclic.
 
 Refutations come with a :class:`~repro.core.channel_graph.CycleWitness`:
 a shortest realizable dependency cycle rendered as channels, turns, and
 example destinations, matching the paper's Figure 1 and Figure 4 pictures
 for the two negative-control fixtures.
 
-The prover reads one relation per target: the forward closure of the
-compiled int-id route table (:meth:`repro.sim.ids.CompiledRoutes.closure`),
-the same table the engine routes on.  The certificate is machine
-checkable: :func:`recheck_numbering_certificate` rebuilds the dependency
-graph at the object level, straight from the routing callable
+The prover decides on channel ids.  It reads one relation per target:
+the forward closure of the compiled int-id route table
+(:meth:`repro.sim.ids.CompiledRoutes.closure`), the same table the
+engine routes on, whose ``succ`` masks are the exact dependency
+relation.  One Kahn pass over them (:func:`closure_numbering`) decides
+and numbers an acyclic relation; only a cyclic one is searched
+breadth-first for a shortest cycle, rendered as channels at the end
+(:func:`cycle_witness`).  A closed-form numbering is checked on the same
+masks (:func:`is_monotone`).
+
+The certificate is machine checkable:
+:func:`recheck_numbering_certificate` rebuilds the dependency graph at
+the object level, straight from the routing callable
 (:func:`repro.core.channel_graph.routing_cdg`), and replays the
 monotonicity argument edge by edge against the numbering stored in the
-certificate — it shares neither the graph builder nor the monotone
-construction with the prover.
+certificate — it shares neither the relation nor the decider with the
+prover.
 
-A fault run needs a cheaper certificate, checked per fault event: the
-id-level numbering :func:`closure_numbering` reads straight off a
-closure's ``succ`` masks, checked by :func:`is_monotone`.  One such
+A fault run keeps the id-level numbering itself as its proof: one
 numbering of the healthy relation certifies every restriction of it
 (:func:`repro.verify.suite.recertify`).
 """
@@ -33,12 +39,11 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from repro.core.channel_graph import CycleWitness, RouteFn, routing_cdg
-from repro.core.digraph import Digraph
+from repro.core.channel_graph import CycleWitness, RouteFn
 from repro.core.numbering import (
     negative_first_numbering,
     north_last_numbering,
-    topological_numbering,
+    numbering_violations,
     west_first_numbering,
 )
 from repro.routing.base import RoutingAlgorithm
@@ -56,18 +61,16 @@ __all__ = [
     "closure_dependencies",
     "closure_numbering",
     "cycle_witness",
-    "dependency_graph",
     "is_monotone",
     "recheck_numbering_certificate",
     "route_closure",
     "witness_certificate",
 ]
 
-#: Closed-form numbering schemes, keyed by the algorithm names they
-#: certify.  Each entry maps to ``(scheme label, order, constructor,
-#: topology guard)``; the constructor may still fail to certify (e.g. a
-#: torus variant reusing a mesh name), in which case the prover falls
-#: back to the topological numbering.
+#: A closed-form numbering scheme: ``(scheme label, order, constructor)``.
+#: The constructor's numbering may still fail to certify (e.g. a torus
+#: variant reusing a mesh name), in which case the prover falls back to
+#: the topological numbering.
 _Scheme = Tuple[str, str, Callable[[Topology], Dict[Channel, int]]]
 
 
@@ -132,18 +135,6 @@ def route_closure(topology: Topology, route_fn: RouteFn) -> RouteClosure:
     return CompiledRoutes(route_fn, ChannelIndex(topology)).closure()
 
 
-def dependency_graph(topology: Topology, closure: RouteClosure) -> Digraph[Channel]:
-    """The closure's dependency relation over ``topology``'s channels."""
-    channel_of = closure.compiled.index.channel_of
-    graph: Digraph[Channel] = Digraph()
-    for channel in topology.channels():
-        graph.add_vertex(channel)
-    for front, mask in enumerate(closure.succ):
-        for out in mask_ids(mask):
-            graph.add_edge(channel_of[front], channel_of[out])  # type: ignore[arg-type]
-    return graph
-
-
 def closure_numbering(closure: RouteClosure) -> Optional[List[int]]:
     """An id-level numbering of the closure's dependency relation, read
     straight off its ``succ`` masks: channel id -> rank in a topological
@@ -178,51 +169,96 @@ def is_monotone(succ: Sequence[int], numbering: Sequence[int]) -> bool:
     )
 
 
-def cycle_witness(closure: RouteClosure, cycle: Sequence[Channel]) -> CycleWitness:
-    """Annotate a dependency cycle with, per edge, the first destination
-    whose packets can hold its tail and request its head."""
+def _shortest_cycle(succ: Sequence[int]) -> List[int]:
+    """A shortest dependency cycle of a cyclic relation, as channel ids in
+    order (first not repeated at the end); empty when it is acyclic.
+
+    One breadth-first search per root, roots and successors in ascending
+    id, keeping the first cycle no later root shortens, so the witness
+    is deterministic.  It costs ``O(V (V + E))``: callers decide with
+    :func:`closure_numbering` first and run this only on a relation
+    known to be cyclic.  Minimal witnesses are the readable ones: the
+    Figure 1 deadlock renders as the paper's four-channel square, not an
+    arbitrary search artifact.
+    """
+    best: List[int] = []
+    for root in range(len(succ)):
+        if len(best) == 1:
+            break
+        parent = {root: root}
+        level = [root]
+        depth = 0  # hops from root to the channels in ``level``
+        found: Optional[int] = None
+        while level and found is None and (not best or depth + 1 < len(best)):
+            next_level: List[int] = []
+            for front in level:
+                for out in mask_ids(succ[front]):
+                    if out == root:
+                        found = front
+                        break
+                    if out not in parent:
+                        parent[out] = front
+                        next_level.append(out)
+                if found is not None:
+                    break
+            level = next_level
+            depth += 1
+        if found is None:
+            continue
+        cycle = [found]
+        while cycle[-1] != root:
+            cycle.append(parent[cycle[-1]])
+        cycle.reverse()
+        if not best or len(cycle) < len(best):
+            best = cycle
+    return best
+
+
+def cycle_witness(closure: RouteClosure, cycle: Sequence[int]) -> CycleWitness:
+    """Render a dependency cycle of channel ids as channels and turns,
+    annotating each edge with the first destination whose packets can
+    hold its tail and request its head."""
     compiled = closure.compiled
     index = compiled.index
+    channels = index.channels
     edge_dests: Dict[Tuple[Channel, Channel], NodeId] = {}
-    for position, channel in enumerate(cycle):
-        nxt = cycle[(position + 1) % len(cycle)]
-        front, out = index.cid[channel], index.cid[nxt]
+    for position, front in enumerate(cycle):
+        out = cycle[(position + 1) % len(cycle)]
         for dest_idx, reached in enumerate(closure.reached):
             if (
                 reached >> front & 1
                 and index.dest_node_id[front] != dest_idx
                 and out in compiled.lookup(front, dest_idx)
             ):
-                edge_dests[(channel, nxt)] = index.nodes[dest_idx]
+                edge_dests[(channels[front], channels[out])] = index.nodes[dest_idx]
                 break
-    return CycleWitness.from_channels(cycle, edge_dests)
+    return CycleWitness.from_channels((channels[ident] for ident in cycle), edge_dests)
 
 
 class Dependencies(NamedTuple):
-    """A closure's dependency graph and the verdict of its one cycle
-    search, shared by the deadlock and livelock checkers.
+    """The verdict of a closure's one decision, shared by the deadlock
+    and livelock checkers.
 
     Attributes:
-        graph: the exact channel dependency graph (:func:`dependency_graph`).
-        witness: a shortest realizable dependency cycle, or ``None`` when
-            the graph is acyclic.
+        numbering: channel id -> rank in a topological order of the
+            relation (:func:`closure_numbering`), or ``None`` when it
+            has a cycle.
+        witness: a shortest realizable dependency cycle, or ``None``
+            when the relation is acyclic.
     """
 
-    graph: Digraph[Channel]
+    numbering: Optional[List[int]]
     witness: Optional[CycleWitness]
 
 
-def closure_dependencies(topology: Topology, closure: RouteClosure) -> Dependencies:
-    """Build the closure's dependency graph and search it for a cycle
-    once: a DFS decides, and only a cyclic graph pays for the
-    shortest-cycle search that makes its witness readable."""
-    graph = dependency_graph(topology, closure)
-    witness = None
-    if graph.find_cycle() is not None:
-        cycle = graph.shortest_cycle()
-        assert cycle is not None  # find_cycle() found one
-        witness = cycle_witness(closure, cycle)
-    return Dependencies(graph, witness)
+def closure_dependencies(closure: RouteClosure) -> Dependencies:
+    """Decide the closure's relation once, on its ``succ`` masks: one
+    Kahn pass numbers an acyclic relation, and only a cyclic one pays
+    for the shortest-cycle search that makes its witness readable."""
+    numbering = closure_numbering(closure)
+    if numbering is not None:
+        return Dependencies(numbering, None)
+    return Dependencies(None, cycle_witness(closure, _shortest_cycle(closure.succ)))
 
 
 def check_deadlock_freedom(
@@ -235,18 +271,18 @@ def check_deadlock_freedom(
 
     Proof: an explicit channel numbering (closed form when the paper has
     one, topological otherwise) under which every edge of the exact
-    channel dependency graph is strictly monotone.  Refutation: a
+    channel dependency relation is strictly monotone.  Refutation: a
     shortest realizable dependency cycle, rendered as channels and turns.
 
     ``closure`` is the relation to read when the caller already holds
     the closure of the table it will route on, and ``dependencies`` its
     :func:`closure_dependencies`; each is taken here otherwise.
     """
+    if closure is None:
+        closure = route_closure(topology, routing)
     if dependencies is None:
-        if closure is None:
-            closure = route_closure(topology, routing)
-        dependencies = closure_dependencies(topology, closure)
-    graph, witness = dependencies
+        dependencies = closure_dependencies(closure)
+    numbering, witness = dependencies
     if witness is not None:
         return CheckResult(
             check="deadlock-freedom",
@@ -257,32 +293,42 @@ def check_deadlock_freedom(
             ),
             certificate=witness_certificate(witness),
         )
+    assert numbering is not None  # an acyclic relation is numbered
 
+    succ = closure.succ
+    index = closure.compiled.index
+    channels = topology.channels()
+    # Rank the topology's channels in the decided order: a closure over a
+    # healthy index also numbers the channels a fault removed.
+    ranked = sorted((index.cid[channel] for channel in channels), key=numbering.__getitem__)
+    numbers = {index.channels[ident]: rank for rank, ident in enumerate(ranked)}
     scheme_name = "topological"
     order = "increasing"
-    numbering: Optional[Dict[Channel, int]] = None
     scheme = _closed_form_scheme(topology, routing)
     if scheme is not None:
         candidate_name, candidate_order, build = scheme
         candidate = build(topology)
-        if not _violations(graph, candidate, candidate_order):
-            scheme_name, order, numbering = candidate_name, candidate_order, candidate
-    if numbering is None:
-        numbering = topological_numbering(graph)
+        sign = -1 if candidate_order == "decreasing" else 1
+        signed = [0] * len(succ)
+        for channel, number in candidate.items():
+            signed[index.cid[channel]] = sign * number
+        if is_monotone(succ, signed):
+            scheme_name, order, numbers = candidate_name, candidate_order, candidate
+    edges = sum(mask.bit_count() for mask in succ)
 
     certificate = Certificate(
         kind="channel-numbering",
         summary=(
-            f"{scheme_name} numbering of {graph.num_vertices} channels; every "
-            f"one of {graph.num_edges} realizable dependencies strictly "
+            f"{scheme_name} numbering of {len(channels)} channels; every "
+            f"one of {edges} realizable dependencies strictly "
             f"{'decreases' if order == 'decreasing' else 'increases'}"
         ),
         data={
             "scheme": scheme_name,
             "order": order,
-            "edges": graph.num_edges,
+            "edges": edges,
             "numbering": {
-                channel_key(channel): number for channel, number in numbering.items()
+                channel_key(channel): number for channel, number in numbers.items()
             },
         },
     )
@@ -291,25 +337,10 @@ def check_deadlock_freedom(
         verdict=PROVED,
         detail=(
             f"acyclic dependency graph; {scheme_name} numbering is strictly "
-            f"{order} across all {graph.num_edges} dependencies"
+            f"{order} across all {edges} dependencies"
         ),
         certificate=certificate,
     )
-
-
-def _violations(
-    graph: Digraph[Channel], numbering: Mapping[Channel, int], order: str
-) -> int:
-    """Count dependency edges that break the numbering's monotonicity."""
-    count = 0
-    for in_channel, out_channel in graph.edges():
-        before = numbering[in_channel]
-        after = numbering[out_channel]
-        if order == "decreasing":
-            count += 0 if after < before else 1
-        else:
-            count += 0 if after > before else 1
-    return count
 
 
 def recheck_numbering_certificate(
@@ -318,11 +349,11 @@ def recheck_numbering_certificate(
     """Independently re-verify a channel-numbering certificate.
 
     Rebuilds the exact channel dependency graph from the routing callable
-    at the object level (:func:`~repro.core.channel_graph.routing_cdg`)
-    and checks, edge by edge, that the numbering stored in the certificate
-    is strictly monotone in the recorded order and covers every channel.
-    The prover reads the compiled id table's closure instead, so this
-    re-check shares neither graph builder nor numbering constructor with
+    at the object level and checks, edge by edge, that the numbering
+    stored in the certificate is strictly monotone in the recorded order
+    (:func:`~repro.core.numbering.numbering_violations`) and covers every
+    channel.  The prover decides on the compiled id table's closure
+    instead, so this re-check shares neither relation nor decider with
     it: a bug in either cannot silently certify an unsafe algorithm.
     """
     if certificate.kind != "channel-numbering":
@@ -331,15 +362,10 @@ def recheck_numbering_certificate(
     if order not in ("increasing", "decreasing"):
         return False
     stored: Mapping[str, int] = certificate.data.get("numbering", {})
-    graph = routing_cdg(topology, route_fn)
-    for channel in graph.vertices():
-        if channel_key(channel) not in stored:
+    numbering: Dict[Channel, int] = {}
+    for channel in topology.channels():
+        key = channel_key(channel)
+        if key not in stored:
             return False
-    for in_channel, out_channel in graph.edges():
-        before = stored[channel_key(in_channel)]
-        after = stored[channel_key(out_channel)]
-        if order == "decreasing" and not after < before:
-            return False
-        if order == "increasing" and not after > before:
-            return False
-    return True
+        numbering[channel] = stored[key]
+    return not numbering_violations(topology, route_fn, numbering, order)

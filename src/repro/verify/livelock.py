@@ -9,6 +9,9 @@ explicitly and emits it as the certificate — a concrete "no packet takes
 more than B hops" statement, which for minimal algorithms collapses to
 the network diameter and for the paper's nonminimal algorithms stays
 finite because every misroute consumes monotone-numbered channels.
+The bound is computed on the closure's channel ids, in the topological
+order the deadlock decider's one Kahn pass found
+(:func:`~repro.verify.deadlock.closure_dependencies`).
 
 A cyclic dependency graph is refuted: the cycle is a permitted walk of
 unbounded length (and a deadlock risk besides, which the deadlock checker
@@ -17,10 +20,10 @@ reports with the same witness).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional, Sequence
 
 from repro.core.channel_graph import RouteFn
-from repro.sim.ids import RouteClosure
+from repro.sim.ids import RouteClosure, mask_ids
 from repro.topology.base import Topology
 from repro.verify.deadlock import (
     Dependencies,
@@ -33,6 +36,26 @@ from repro.verify.report import PROVED, REFUTED, Certificate, CheckResult
 __all__ = ["check_livelock_freedom"]
 
 
+def _longest_path(succ: Sequence[int], numbering: Sequence[int]) -> List[int]:
+    """A longest (most channels) path of an acyclic relation, as channel
+    ids: one relaxation pass over the channels in ``numbering``'s
+    topological order."""
+    if not succ:
+        return []
+    length = [0] * len(succ)
+    parent = [-1] * len(succ)
+    for front in sorted(range(len(succ)), key=numbering.__getitem__):
+        for out in mask_ids(succ[front]):
+            if length[front] + 1 > length[out]:
+                length[out] = length[front] + 1
+                parent[out] = front
+    path = [length.index(max(length))]
+    while parent[path[-1]] >= 0:
+        path.append(parent[path[-1]])
+    path.reverse()
+    return path
+
+
 def check_livelock_freedom(
     topology: Topology,
     route_fn: RouteFn,
@@ -42,11 +65,11 @@ def check_livelock_freedom(
     """Prove or refute that every permitted walk has bounded length
     (reading ``closure`` and its ``dependencies`` when the caller
     already holds them, as the deadlock checker does)."""
+    if closure is None:
+        closure = route_closure(topology, route_fn)
     if dependencies is None:
-        if closure is None:
-            closure = route_closure(topology, route_fn)
-        dependencies = closure_dependencies(topology, closure)
-    graph, witness = dependencies
+        dependencies = closure_dependencies(closure)
+    numbering, witness = dependencies
     if witness is not None:
         return CheckResult(
             check="livelock-freedom",
@@ -57,20 +80,23 @@ def check_livelock_freedom(
             ),
             certificate=witness_certificate(witness),
         )
+    assert numbering is not None  # an acyclic relation is numbered
 
-    path = graph.longest_path()
+    succ = closure.succ
+    channels = closure.compiled.index.channels
+    path = [channels[ident] for ident in _longest_path(succ, numbering)]
     bound = len(path)
+    count = topology.num_channels
     certificate = Certificate(
         kind="longest-path",
         summary=(
             f"every permitted walk ends within {bound} hops (longest path "
-            f"of the acyclic dependency graph over {graph.num_vertices} "
-            "channels)"
+            f"of the acyclic dependency graph over {count} channels)"
         ),
         data={
             "bound_hops": bound,
-            "channels": graph.num_vertices,
-            "dependencies": graph.num_edges,
+            "channels": count,
+            "dependencies": sum(mask.bit_count() for mask in succ),
             "longest_path": [str(channel) for channel in path],
         },
     )

@@ -240,7 +240,7 @@ PROOF_CHECKERS: Sequence[Checker] = (
     check_livelock_freedom,
 )
 
-#: The proof checkers that read the dependency graph and its witness.
+#: The proof checkers that read the closure's decision: numbering or witness.
 _CYCLE_CHECKERS: Sequence[Checker] = (check_deadlock_freedom, check_livelock_freedom)
 
 
@@ -250,17 +250,18 @@ def verify_target(
     """Run the checkers (the full suite by default) against one target.
 
     The target's routing is compiled and closed once; the deadlock,
-    connectivity and livelock proofs all read that one relation.  Its
-    dependency graph is built and searched for a cycle once too, and the
-    deadlock and livelock checkers share the result, witness included.
+    connectivity and livelock proofs all read that one relation.  It is
+    decided once too (:func:`~repro.verify.deadlock.closure_dependencies`),
+    and the deadlock and livelock checkers share the numbering or the
+    witness.
     """
     topology, routing = target.topology, target.routing
     closure = route_closure(topology, routing)
-    dependencies = closure_dependencies(topology, closure)
+    dependencies = closure_dependencies(closure)
 
     def run(checker: Checker) -> CheckResult:
         if checker in _CYCLE_CHECKERS:
-            return checker(topology, routing, dependencies=dependencies)
+            return checker(topology, routing, closure, dependencies)
         if checker in PROOF_CHECKERS:
             return checker(topology, routing, closure)
         return checker(topology, routing)

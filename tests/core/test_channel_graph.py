@@ -3,8 +3,6 @@
 import pytest
 
 from repro.core.channel_graph import (
-    find_dependency_cycle,
-    is_deadlock_free,
     restriction_is_deadlock_free,
     routing_cdg,
     turn_cdg,
@@ -19,6 +17,7 @@ from repro.core.restrictions import (
 )
 from repro.routing import make_routing
 from repro.topology import Mesh, Mesh2D, Torus
+from tests.core.cdg_oracle import find_dependency_cycle, is_deadlock_free
 
 
 class TestTurnCDG:

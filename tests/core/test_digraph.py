@@ -1,4 +1,5 @@
-"""Tests for the digraph utilities, cross-checked against networkx."""
+"""Tests for the digraph and the object-level oracle built on it,
+cross-checked against networkx."""
 
 import random
 
@@ -6,6 +7,7 @@ import networkx as nx
 import pytest
 
 from repro.core.digraph import Digraph
+from tests.core.cdg_oracle import longest_path, shortest_cycle, topological_order
 
 
 def _from_edges(edges):
@@ -91,7 +93,7 @@ class TestCycleDetection:
 class TestTopologicalOrder:
     def test_order_respects_edges(self):
         g = _from_edges([("a", "b"), ("b", "c"), ("a", "c"), ("d", "a")])
-        order = g.topological_order()
+        order = topological_order(g)
         position = {v: i for i, v in enumerate(order)}
         for u, v in g.edges():
             assert position[u] < position[v]
@@ -99,9 +101,42 @@ class TestTopologicalOrder:
     def test_cyclic_graph_raises(self):
         g = _from_edges([("a", "b"), ("b", "a")])
         with pytest.raises(ValueError):
-            g.topological_order()
+            topological_order(g)
 
     def test_includes_isolated_vertices(self):
         g = _from_edges([("a", "b")])
         g.add_vertex("z")
-        assert set(g.topological_order()) == {"a", "b", "z"}
+        assert set(topological_order(g)) == {"a", "b", "z"}
+
+
+class TestOracle:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_shortest_cycle_matches_networkx(self, seed):
+        rng = random.Random(seed)
+        n = 30
+        edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randrange(10, 60))]
+        ours = shortest_cycle(_from_edges(edges))
+        theirs = nx.DiGraph(edges)
+        lengths = [
+            nx.shortest_path_length(theirs, v, u) + 1
+            for u, v in theirs.edges()
+            if nx.has_path(theirs, v, u)
+        ]
+        if not lengths:
+            assert ours is None
+            return
+        assert len(ours) == min(lengths)
+        for u, v in zip(ours, ours[1:] + ours[:1]):
+            assert theirs.has_edge(u, v)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_longest_path_matches_networkx(self, seed):
+        rng = random.Random(seed)
+        n = 30
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randrange(10, 80))]
+        edges = [(min(u, v), max(u, v)) for u, v in pairs if u != v]
+        path = longest_path(_from_edges(edges))
+        theirs = nx.DiGraph(edges)
+        assert len(path) == nx.dag_longest_path_length(theirs) + 1
+        for u, v in zip(path, path[1:]):
+            assert theirs.has_edge(u, v)

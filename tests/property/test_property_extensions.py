@@ -3,7 +3,6 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.channel_graph import is_deadlock_free
 from repro.routing import (
     DatelineTorusRouting,
     HexNegativeFirstRouting,
@@ -20,6 +19,7 @@ from repro.topology import (
     Torus,
     VirtualChannelTopology,
 )
+from tests.core.cdg_oracle import is_deadlock_free
 
 HEX = HexMesh(5, 5)
 HEX_NF = HexNegativeFirstRouting(HEX)

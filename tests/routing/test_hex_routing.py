@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.core.channel_graph import is_deadlock_free
 from repro.core.numbering import certifies, negative_first_numbering
 from repro.routing import HexDimensionOrderRouting, HexNegativeFirstRouting
 from repro.topology import HexMesh, Mesh2D
+from tests.core.cdg_oracle import is_deadlock_free
 
 
 @pytest.fixture(scope="module")

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.core.channel_graph import is_deadlock_free
 from repro.core.numbering import certifies, potential_numbering
 from repro.routing import OctDimensionOrderRouting, OctNegativeFirstRouting
 from repro.topology import OctMesh
+from tests.core.cdg_oracle import is_deadlock_free
 
 
 @pytest.fixture(scope="module")

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.core.channel_graph import is_deadlock_free
 from repro.routing import available_algorithms, make_routing
 from repro.topology import Hypercube, Mesh2D, Torus
+from tests.core.cdg_oracle import is_deadlock_free
 
 
 class TestMakeRouting:

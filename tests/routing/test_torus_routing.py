@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.channel_graph import is_deadlock_free
 from repro.routing import (
     DimensionOrderRouting,
     FirstHopWraparoundRouting,
@@ -10,6 +9,7 @@ from repro.routing import (
     NegativeFirstTorusRouting,
 )
 from repro.topology import Torus
+from tests.core.cdg_oracle import is_deadlock_free
 
 
 def walk(algorithm, src, dest, pick=0, limit=64):

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.channel_graph import is_deadlock_free
 from repro.routing import (
     DatelineTorusRouting,
     DimensionOrderRouting,
@@ -11,6 +10,7 @@ from repro.routing import (
     yx_routing,
 )
 from repro.topology import Mesh2D, Torus, VirtualChannelTopology
+from tests.core.cdg_oracle import is_deadlock_free
 
 
 class TestVirtualChannelTopology:

@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.core.channel_graph import is_deadlock_free
 from repro.core.directions import EAST, WEST
 from repro.routing import TurnRestrictionRouting, make_routing
 from repro.core.restrictions import west_first_restriction
 from repro.topology import FaultyTopology, Mesh2D, random_channel_faults
 from repro.topology.faults import is_strongly_connected
 from repro.topology.spec import parse_topology
+from tests.core.cdg_oracle import is_deadlock_free
 
 
 class TestFaultyTopology:

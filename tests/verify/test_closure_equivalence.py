@@ -10,7 +10,7 @@ fixtures to byte-identical witnesses.
 
 import pytest
 
-from repro.core.channel_graph import find_dependency_cycle, routing_cdg
+from repro.core.channel_graph import routing_cdg
 from repro.routing import make_routing
 from repro.sim.ids import ChannelIndex, CompiledRoutes, mask_ids
 from repro.topology import Mesh2D
@@ -21,23 +21,24 @@ from repro.verify import (
     default_targets,
     recheck_numbering_certificate,
 )
-from repro.verify.deadlock import dependency_graph, route_closure
+from repro.verify.deadlock import route_closure
+from tests.core.cdg_oracle import find_dependency_cycle
 
 TARGETS = default_targets()
-
-
-def edge_set(graph):
-    return set(graph.edges())
 
 
 def assert_same_graph(topology, routing, closure):
     """``closure``'s relation over ``topology`` equals ``routing_cdg``'s."""
     expected = routing_cdg(topology, routing)
-    got = dependency_graph(topology, closure)
-    assert got.vertices() == expected.vertices()
-    assert edge_set(got) == edge_set(expected)
-    # The bitmasks themselves name no channel outside the topology.
     index = closure.compiled.index
+    assert index.channels == expected.vertices()
+    got = {
+        (index.channels[front], index.channels[out])
+        for front, mask in enumerate(closure.succ)
+        for out in mask_ids(mask)
+    }
+    assert got == set(expected.edges())
+    # The bitmasks themselves name no channel outside the topology.
     live = {index.cid[channel] for channel in topology.channels()}
     for front, mask in enumerate(closure.succ):
         if mask:

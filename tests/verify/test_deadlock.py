@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.routing import make_routing
@@ -14,6 +16,7 @@ from repro.verify import (
     CertificationError,
     certify_table,
     check_deadlock_freedom,
+    default_targets,
     recertify,
     recheck_numbering_certificate,
 )
@@ -54,6 +57,73 @@ class TestClosedFormProofs:
         numbering = result.certificate.data["numbering"]
         assert len(numbering) > 0
         assert all(isinstance(number, int) for number in numbering.values())
+
+
+#: The numbering scheme each proved default target is certified by.  A
+#: closed form that stops certifying its algorithm shows up here as a
+#: changed row, not as a silent fallback to ``topological``.
+WF, NL, NF, TOPO = (
+    "theorem-2-west-first",
+    "theorem-3-north-last",
+    "theorem-5-negative-first",
+    "topological",
+)
+SCHEMES = {
+    "mesh:5x4/abonf": TOPO,
+    "mesh:5x4/abonf-nonminimal": TOPO,
+    "mesh:5x4/abopl": TOPO,
+    "mesh:5x4/abopl-nonminimal": TOPO,
+    "mesh:5x4/dimension-order": TOPO,
+    "mesh:5x4/negative-first": NF,
+    "mesh:5x4/negative-first-nonminimal": NF,
+    "mesh:5x4/north-last": NL,
+    "mesh:5x4/north-last-nonminimal": NL,
+    "mesh:5x4/west-first": WF,
+    "mesh:5x4/west-first-nonminimal": WF,
+    "mesh:5x4/xy": TOPO,
+    "mesh:5x4/yx": TOPO,
+    "mesh:3x3x3/abonf": TOPO,
+    "mesh:3x3x3/abonf-nonminimal": TOPO,
+    "mesh:3x3x3/abopl": TOPO,
+    "mesh:3x3x3/abopl-nonminimal": TOPO,
+    "mesh:3x3x3/dimension-order": TOPO,
+    "mesh:3x3x3/negative-first": NF,
+    "mesh:3x3x3/negative-first-nonminimal": NF,
+    "cube:4/abonf": TOPO,
+    "cube:4/abonf-nonminimal": TOPO,
+    "cube:4/abopl": TOPO,
+    "cube:4/abopl-nonminimal": TOPO,
+    "cube:4/dimension-order": TOPO,
+    "cube:4/e-cube": TOPO,
+    "cube:4/negative-first": NF,
+    "cube:4/negative-first-nonminimal": NF,
+    "cube:4/p-cube": NF,
+    "cube:4/p-cube-nonminimal": NF,
+    "torus:4x2/negative-first+first-hop-wrap": TOPO,
+    "torus:4x2/negative-first-torus": TOPO,
+    "torus:4x2/xy+first-hop-wrap": TOPO,
+    "hex:5x5/hex-ab-order": TOPO,
+    "hex:5x5/hex-negative-first": TOPO,
+    "oct:5x5/oct-ab-order": TOPO,
+    "oct:5x5/oct-negative-first": TOPO,
+    "mesh:5x5+faults2@seed5/west-first-nonminimal": TOPO,
+    "mesh:4x4+2vc/o1turn": TOPO,
+    "torus:4x2+2vc/dateline-dor": TOPO,
+}
+
+PROVED_TARGETS = [t for t in default_targets() if t.expect == "certified"]
+
+
+class TestSchemePin:
+    def test_the_table_names_every_proved_default_target(self):
+        assert sorted(SCHEMES) == sorted(t.label for t in PROVED_TARGETS)
+        assert Counter(SCHEMES.values()) == {WF: 2, NL: 2, NF: 8, TOPO: 28}
+
+    @pytest.mark.parametrize("target", PROVED_TARGETS, ids=lambda t: t.label)
+    def test_scheme(self, target):
+        result = check_deadlock_freedom(target.topology, target.routing)
+        assert result.verdict == PROVED
+        assert result.certificate.data["scheme"] == SCHEMES[target.label]
 
 
 class TestFigureRefutations:
@@ -111,6 +181,19 @@ class TestRecheck:
         # Flatten the numbering: every edge now violates monotonicity.
         numbering = {key: 0 for key in numbering}
         data["numbering"] = numbering
+        tampered = Certificate(
+            kind=result.certificate.kind,
+            summary=result.certificate.summary,
+            data=data,
+        )
+        assert not recheck_numbering_certificate(mesh54, routing, tampered)
+
+    def test_unknown_order_fails_recheck(self, mesh54):
+        from repro.verify.report import Certificate
+
+        routing = make_routing("west-first", mesh54)
+        result = check_deadlock_freedom(mesh54, routing)
+        data = dict(result.certificate.data, order="sideways")
         tampered = Certificate(
             kind=result.certificate.kind,
             summary=result.certificate.summary,

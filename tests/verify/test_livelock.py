@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from repro.core.channel_graph import routing_cdg
 from repro.routing import make_routing
 from repro.sim.deadlock import unrestricted_adaptive_routing
 from repro.topology import Torus
 from repro.verify import PROVED, REFUTED, check_livelock_freedom
+from tests.core.cdg_oracle import longest_path
 
 
 class TestBounds:
@@ -36,10 +38,17 @@ class TestBounds:
         assert result.certificate.data["bound_hops"] > 0
 
     def test_longest_path_is_a_real_channel_sequence(self, mesh44):
-        result = check_livelock_freedom(mesh44, make_routing("west-first", mesh44))
+        routing = make_routing("west-first", mesh44)
+        result = check_livelock_freedom(mesh44, routing)
         path = result.certificate.data["longest_path"]
         # The bound counts channels: one hop per channel in the chain.
         assert len(path) == result.certificate.data["bound_hops"]
+        # Each step is a dependency of the object-level graph, and no
+        # path of that graph is longer.
+        graph = routing_cdg(mesh44, routing)
+        edges = {(str(a), str(b)) for a, b in graph.edges()}
+        assert all(step in edges for step in zip(path, path[1:]))
+        assert len(path) == len(longest_path(graph))
 
 
 class TestRefutation:

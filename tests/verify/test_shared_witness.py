@@ -1,14 +1,13 @@
 """One cycle search per closure, shared by the deadlock and livelock checks.
 
-:func:`repro.verify.verify_target` builds a target's dependency graph
-once and searches it once: a DFS decides, and only a cyclic graph runs
-the shortest-cycle search behind its witness.  Both refutations then
-carry that one witness.
+:func:`repro.verify.verify_target` decides a target's relation once, on
+the closure's channel ids: a Kahn pass decides, and only a cyclic
+relation runs the shortest-cycle search behind its witness.  Both
+refutations then carry that one witness.
 """
 
 import pytest
 
-from repro.core.digraph import Digraph
 from repro.routing.synth_names import parse_synth_name
 from repro.synth.certify import candidate_target
 from repro.topology.spec import parse_topology
@@ -17,6 +16,7 @@ from repro.verify import (
     REFUTED,
     check_deadlock_freedom,
     check_livelock_freedom,
+    deadlock,
     default_targets,
     verify_target,
 )
@@ -30,15 +30,15 @@ CERTIFIED_3D = "synth3-n0n1.n0n2.n0p1.n1n2.p0n2.p1n2"
 
 @pytest.fixture
 def shortest_cycle_calls(monkeypatch):
-    """How many times :meth:`Digraph.shortest_cycle` has run."""
+    """How many times the id-level shortest-cycle search has run."""
     calls = []
-    original = Digraph.shortest_cycle
+    original = deadlock._shortest_cycle
 
-    def counted(self):
-        calls.append(self)
-        return original(self)
+    def counted(succ):
+        calls.append(succ)
+        return original(succ)
 
-    monkeypatch.setattr(Digraph, "shortest_cycle", counted)
+    monkeypatch.setattr(deadlock, "_shortest_cycle", counted)
     return calls
 
 
