@@ -84,9 +84,12 @@ def _preset_obs_spec(total_cycles: int) -> ObsSpec:
     """An :class:`ObsSpec` scaled to one preset's window lengths.
 
     The timeline is bucketed to roughly 50 windows regardless of scale,
-    and channel sampling thins out on long runs (paper-scale windows)
-    where per-cycle sampling would dominate collection cost without
-    changing the heatmap's shape.
+    and channel sampling thins out to every fourth cycle on long runs
+    (paper-scale windows), which leaves the heatmap's shape unchanged.
+    Thinning no longer saves collection time — channel accounting costs
+    per grant, fill change and release, not per sampled cycle — but the
+    value is kept because it is part of every preset's spec hash, so
+    changing it would orphan every cached and manifested preset point.
     """
     return ObsSpec(
         sample_every=1 if total_cycles <= 10_000 else 4,

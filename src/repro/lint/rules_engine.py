@@ -38,7 +38,7 @@ __all__ = [
 
 #: Attributes of the simulator that hold optional hook objects, and the
 #: local/parameter spellings the engine conventionally binds them to.
-_HOOK_ATTRS = ("_obs", "_resilience")
+_HOOK_ATTRS = ("_obs", "_channel_obs", "_resilience")
 _HOOK_PARAMS = ("obs", "resilience")
 
 
@@ -73,12 +73,13 @@ class GuardedHooksRule(Rule):
     """Hook access in the engine cores must sit under an is-not-None guard.
 
     Tracks the simulator's optional hook slots (``self._obs``,
-    ``self._resilience``), locals assigned from them, and parameters
-    spelled ``obs``/``resilience``.  Every attribute access *through*
-    one of these (``obs.bind(...)``, ``self._obs.on_cycle_end(...)``)
-    must be dominated by an ``X is not None`` test — an ``if``/``while``
-    body, an earlier ``and`` conjunct, an ``X is None or ...`` escape,
-    a conditional expression, or a preceding ``assert X is not None``.
+    ``self._channel_obs``, ``self._resilience``), locals assigned from
+    them, and parameters spelled ``obs``/``resilience``.  Every
+    attribute access *through* one of these (``obs.bind(...)``,
+    ``self._obs.on_cycle_end(...)``) must be dominated by an ``X is not
+    None`` test — an ``if``/``while`` body, an earlier ``and`` conjunct,
+    an ``X is None or ...`` escape, a conditional expression, or a
+    preceding ``assert X is not None``.
     A parameter with a non-optional annotation (``ctrl`` in
     ``_resilience_tick``) is intentionally not tracked: its contract is
     the caller's guard.

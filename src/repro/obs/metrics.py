@@ -5,20 +5,38 @@ resilience :class:`~repro.resilience.controller.FaultController`: the
 engine holds an ``Optional`` reference and every hook site is a single
 ``is not None`` test, so a run without observability pays a handful of
 comparisons per cycle and nothing else.  When enabled, every hook is
-**read-only** with respect to simulation state — the collector inspects
-counters and channel occupancy, never mutates them, and draws random
-numbers only from its private reservoir stream — which is what makes
-instrumentation bit-invisible to the golden digests
+**read-only** with respect to simulation state — the collector is told
+of counters and channel events, never mutates engine state, and draws
+random numbers only from its private reservoir stream — which is what
+makes instrumentation bit-invisible to the golden digests
 (``tests/obs/test_digest_invisibility.py``).
 
 What is collected (all knobs on :class:`~repro.obs.spec.ObsSpec`):
 
 * counters and gauges: flits moved, packet injections and deliveries,
   park/wake events of the waiter-parking optimization;
-* per-channel utilization (cycles a channel had an owner) and buffer
-  occupancy accumulators, sampled every ``sample_every`` executed cycle;
+* per-channel utilization (sampled cycles a channel had an owner) and
+  buffer occupancy (flits buffered on it, summed over the same
+  samples), sampling each executed cycle whose number is a multiple of
+  ``sample_every``;
 * a reservoir-sampled packet latency distribution;
 * a throughput/latency timeline bucketed by ``timeline_window`` cycles.
+
+The channel accumulators are exact but event-driven: ``on_cycle_end``
+only counts the sample, and the engine reports each network channel's
+grant (with the fill it is granted with, as far as samples can tell),
+each net fill change a move makes and each release.  A channel held
+from sample count ``a`` to ``r`` was busy on ``r - a`` samples, and a
+fill ``f`` standing from count ``s`` to ``t`` adds ``f * (t - s)`` to
+its occupancy.  Both sums telescope — a grant subtracts the current
+count from ``busy``, a release adds it back; a fill change from ``f`` to
+``g`` adds ``(f - g) * count`` to ``occupancy``, a release ``f * count``
+— so the collector keeps just one more value per channel, the fill it
+last heard of.  A stalled or cruising worm, whose fills stand still,
+costs nothing per cycle; channels still held when the run stops are
+settled as released.  Mid-run the accumulators hold partial sums, so
+:meth:`MetricsCollector.summary` refuses to read them before the run's
+:meth:`~MetricsCollector.finish`.
 
 Cycles skipped by the engine's idle fast-forward are never sampled —
 they are, by construction, cycles on which nothing happened — so
@@ -106,8 +124,11 @@ class MetricsCollector:
         self._bound = False
         self._finished = False
         self._channels: List[Any] = []
+        # Per network channel id: the telescoped busy and occupancy sums
+        # and the fill last reported (see the module docstring).
         self._busy: List[int] = []
         self._occupancy: List[int] = []
+        self._fill: List[int] = []
         self._channel_samples = 0
         self._buckets: Dict[int, _TimelineBucket] = {}
         self._last_flit_moves = 0
@@ -123,11 +144,13 @@ class MetricsCollector:
             raise RuntimeError("MetricsCollector is single-use; already bound")
         self._bound = True
         if self.spec.channels:
-            # topology.channels() order: deterministic, and the order
-            # the engine's channel ids index ``sample_channels`` by.
+            # topology.channels() order: deterministic, and network
+            # channel i is the engine's channel id i.
             self._channels = sim.network_channels
-            self._busy = [0] * len(self._channels)
-            self._occupancy = [0] * len(self._channels)
+            count = len(self._channels)
+            self._busy = [0] * count
+            self._occupancy = [0] * count
+            self._fill = [0] * count
         self._last_flit_moves = sim.flit_moves
         self._last_injected = sim.total_injected
 
@@ -158,7 +181,31 @@ class MetricsCollector:
                 self._last_injected = injected
         if spec.channels and cycle % spec.sample_every == 0:
             self._channel_samples += 1
-            sim.sample_channels(self._busy, self._occupancy)
+
+    def channel_acquired(self, ident: int, filled: bool) -> None:
+        """Network channel ``ident`` was granted; ``filled``: the engine
+        vouches that a flit will be on it from the next sample on, until
+        a fill change or the release says otherwise."""
+        samples = self._channel_samples
+        self._busy[ident] -= samples
+        if filled:
+            self._occupancy[ident] -= samples
+            self._fill[ident] = 1
+
+    def fill_changed(self, ident: int, fill: int) -> None:
+        """A move left ``fill`` flits on held network channel ``ident``."""
+        self._occupancy[ident] += (self._fill[ident] - fill) * self._channel_samples
+        self._fill[ident] = fill
+
+    def channel_released(self, ident: int) -> None:
+        """Network channel ``ident`` lost its owner (or the run stopped
+        with it held)."""
+        samples = self._channel_samples
+        self._busy[ident] += samples
+        fill = self._fill[ident]
+        if fill:
+            self._occupancy[ident] += fill * samples
+            self._fill[ident] = 0
 
     def finish(self, sim: "WormholeSimulator") -> None:
         """Capture end-of-run totals (called once after the main loop)."""
@@ -173,6 +220,13 @@ class MetricsCollector:
 
     # ------------------------------------------------------------------
     # Reporting
+
+    def _check_readable(self) -> None:
+        if self._bound and not self._finished:
+            raise RuntimeError(
+                "MetricsCollector read before its run finished: the run "
+                "totals and the channel accumulators are still partial"
+            )
 
     def _bucket(self, cycle: int) -> _TimelineBucket:
         start = (cycle // self.spec.timeline_window) * self.spec.timeline_window
@@ -224,7 +278,13 @@ class MetricsCollector:
         per-channel accumulators (or ``None`` when disabled) and
         ``timeline`` the bucketed throughput/latency series (or
         ``None``).  Documented in ``docs/observability.md``.
+
+        Raises:
+            RuntimeError: the collector is bound to a run that has not
+                finished (its totals and channel sums are partial).  A
+                collector never bound summarises its empty state.
         """
+        self._check_readable()
         counters = dict(self._totals)
         counters["cycles_observed"] = self.cycles_observed
         counters["park_events"] = self.park_events
@@ -251,6 +311,7 @@ class MetricsCollector:
 
     def channel_records(self) -> List[Tuple[Any, int, int]]:
         """Raw ``(channel, busy_samples, occupancy_sum)`` triples."""
+        self._check_readable()
         return [
             (channel, self._busy[index], self._occupancy[index])
             for index, channel in enumerate(self._channels)

@@ -30,8 +30,10 @@ class ObsSpec:
 
     Attributes:
         sample_every: channel-state sampling interval in cycles (1 =
-            sample every executed cycle).  Larger intervals trade
-            heatmap fidelity for collection overhead.
+            sample every executed cycle; otherwise the executed cycles
+            whose number is a multiple of it).  Larger intervals thin
+            the heatmap; they save no collection time, which is paid
+            per channel event.
         timeline_window: width, in cycles, of each throughput/latency
             timeline bucket.
         latency_reservoir: capacity of the packet-latency reservoir

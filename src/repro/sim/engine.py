@@ -37,8 +37,9 @@ its hot phases — ``_allocate``, ``_move``/``_move1``, ``_released``,
 * **Shared buffer counts are redundant.**  Wormhole ownership is
   exclusive, so a held channel's buffer count always equals the owner's
   own occupancy entry — the movers never store a shared count at all.
-  Whoever wants one (the obs collector's channel sampling, the
-  invariant tests) derives it from the active packets.
+  The obs collector is told when a fill changes instead (see
+  :meth:`WormholeSimulator.run`), and the invariant tests derive counts
+  from the active packets.
 
 * **Capacity-1 movement is a bit-parallel shift.**  With single-flit
   buffers on a single lane, a packet's occupancy is a bitmask; the
@@ -101,6 +102,35 @@ def _arrival_key(packet: Packet) -> Tuple[int, int]:
 
 def _pid_key(packet: Packet) -> int:
     return packet.pid
+
+
+def _reporting_fills(move, inj_base: int, channel_obs):
+    """The list mover ``_move`` wrapped to report every network channel
+    whose fill a call changed to ``channel_obs``.
+
+    Only the net change of a call is reported, on the channels still
+    held after it: the rear channels the call released were settled by
+    their release event, so the entries from before the call are
+    realigned past them.  A call that moved no flit changed no fill.
+    Built per run, never stored on the simulator.
+    """
+    fill_changed = channel_obs.fill_changed
+
+    def move_reporting(packet: Packet, stats: StatsCollector) -> bool:
+        before = packet.occupancy[:]
+        if not move(packet, stats):
+            return False
+        occ = packet.occupancy
+        released = len(before) - len(occ)
+        path = packet.path
+        for pos, fill in enumerate(occ):
+            if fill != before[released + pos]:
+                ident = path[pos]
+                if ident < inj_base:
+                    fill_changed(ident, fill)
+        return True
+
+    return move_reporting
 
 
 def _merge_waiters(a: List[Packet], b: List[Packet]) -> List[Packet]:
@@ -378,6 +408,9 @@ class WormholeSimulator:
         self._obs = obs
         if obs is not None:
             obs.bind(self)
+        # The collector's per-channel accounting, told of every network
+        # grant, fill change and release (None: no channel heatmap).
+        self._channel_obs = obs if obs is not None and obs.spec.channels else None
 
     # ------------------------------------------------------------------
     # Resource helpers
@@ -395,34 +428,9 @@ class WormholeSimulator:
     @property
     def network_channels(self) -> List[Channel]:
         """The network channels in id order (``topology.channels()``
-        order) — what :meth:`sample_channels` indexes its accumulators
-        by."""
+        order): network channel ``i`` has id ``i``, which is how the obs
+        collector's channel events name it."""
         return self._index.channels
-
-    def sample_channels(self, busy: List[int], occupancy: List[int]) -> None:
-        """Add this cycle's network-channel state to two accumulators.
-
-        ``busy[i]`` gains 1 when channel ``i`` has an owner and
-        ``occupancy[i]`` the flits buffered on it.  A channel is owned
-        exactly while it is on an active packet's path, and its fill is
-        that packet's occupancy entry, so one pass over the active
-        packets reads both.  Read-only, for the obs collector.
-        """
-        inj_base = self._inj_base
-        if self._bitocc:
-            for packet in self._active:
-                bits = packet.occ_bits
-                for ident in packet.path:
-                    if ident < inj_base:
-                        busy[ident] += 1
-                        occupancy[ident] += bits & 1
-                    bits >>= 1
-        else:
-            for packet in self._active:
-                for ident, fill in zip(packet.path, packet.occupancy):
-                    if ident < inj_base:
-                        busy[ident] += 1
-                        occupancy[ident] += fill
 
     @property
     def total_injected(self) -> int:
@@ -706,6 +714,7 @@ class WormholeSimulator:
         output_policy = self.config.output_policy
         ranks = self._ranks
         owners = self._owners
+        channel_obs = self._channel_obs
         wake_lists = self._wake
         ej_base = self._ej_base
         channel_of = self._channel_of
@@ -811,6 +820,11 @@ class WormholeSimulator:
                 packet.route_complete = True
             else:
                 packet.hops += 1
+                if channel_obs is not None:
+                    # A capacity-1 worm is compact: its header enters the
+                    # channel in this cycle's movement phase and the
+                    # channel stays full until released (see run()).
+                    channel_obs.channel_acquired(chosen, bitocc)
             self._last_progress = cycle
             if trace is not None:
                 if chosen >= ej_base:
@@ -1013,11 +1027,14 @@ class WormholeSimulator:
         # An owner release is the only event that can unblock a parked
         # header or let a backlogged source inject, so this hook is the
         # sole feeder of ``_woken`` and (with message creation)
-        # ``_inj_candidates``.
+        # ``_inj_candidates`` — and the obs collector's release event.
         inj_base = self._inj_base
-        if inj_base <= ident < self._ej_base:
-            self._inj_candidates.add(self._src_of_node[ident - inj_base])
-            return
+        if ident >= inj_base:
+            if ident < self._ej_base:
+                self._inj_candidates.add(self._src_of_node[ident - inj_base])
+                return
+        elif self._channel_obs is not None:
+            self._channel_obs.channel_released(ident)
         wake = self._wake[ident]
         if wake:
             woken = self._woken
@@ -1250,7 +1267,20 @@ class WormholeSimulator:
         multilane = self._multilane
         context = self._context
         trace = self.trace
-        move = self._move1 if self._bitocc else self._move
+        bitocc = self._bitocc
+        move = self._move1 if bitocc else self._move
+        # Channel accounting is event-driven: the collector hears of each
+        # network grant (_allocate) and release (_released), and of each
+        # fill a move changes — so stalled and cruising worms, whose
+        # fills stand still, cost it nothing.  With single-flit buffers
+        # a worm is compact: after each _move1 call every position it
+        # holds has a flit, save a channel granted this cycle and not
+        # yet entered, and the header enters such a channel in the same
+        # cycle's movement phase.  So a _move1 grant is reported as
+        # filled, and only the list mover needs its fills reported.
+        channel_obs = self._channel_obs
+        if channel_obs is not None and not bitocc:
+            move = _reporting_fills(move, self._inj_base, channel_obs)
         generate = self._generate
         start_packets = self._start_packets
         allocate = self._allocate
@@ -1351,9 +1381,19 @@ class WormholeSimulator:
                     and self._queued_total == 0
                     and (resilience is None or not resilience.retries_pending)
                 )
-            # Observability sampling happens after every phase of the
-            # cycle has settled; the hook is read-only, so results with
-            # and without a collector are bit-identical.
+            elif channel_obs is not None and bitocc:
+                # An abort skips the movement phase that would carry each
+                # header into the channel granted this cycle: those
+                # channels are sampled empty.
+                inj_base = self._inj_base
+                for packet in active:
+                    front = len(packet.path) - 1
+                    ident = packet.path[front]
+                    if ident < inj_base and not packet.occ_bits >> front & 1:
+                        channel_obs.fill_changed(ident, 0)
+            # The collector counts the cycle's sample after every phase
+            # has settled; its hooks are read-only, so results with and
+            # without a collector are bit-identical.
             if obs is not None:
                 obs.on_cycle_end(cycle, self)
             if stopping:
@@ -1402,6 +1442,14 @@ class WormholeSimulator:
             stats.queue_len_at_window_end = self._queued_total
         if resilience is not None:
             resilience.finish(self._messages_created, self.cycle)
+        if channel_obs is not None:
+            # Channels still held when the clock stops close their
+            # accounting intervals here, as if released.
+            inj_base = self._inj_base
+            for packet in active:
+                for ident in packet.path:
+                    if ident < inj_base:
+                        channel_obs.channel_released(ident)
         if obs is not None:
             obs.finish(self)
         return self._result(stats)

@@ -8,7 +8,8 @@ scenario, this fails loudly — the obs subsystem reads engine state, it
 never participates in it.  The faulted scenarios run the same gate with
 a live fault schedule, and what the collector reports is pinned too:
 the sha256 of its summary (park/wake counters, per-channel busy and
-occupancy, timeline) must match the committed ``obs_summary``.
+occupancy, timeline) must match the committed ``obs_summary``; a
+thinned summary must equal the reference oracle's.
 """
 
 import json
@@ -26,6 +27,7 @@ from tests.sim.golden_scenarios import (
     build_scenario,
     summary_digest,
 )
+from tests.sim.reference_engine import ReferenceSimulator
 
 FIXTURE = Path(__file__).parent.parent / "sim" / "golden_digests.json"
 
@@ -52,13 +54,17 @@ def test_obs_enabled_run_matches_golden_digest(name, fixtures):
 @pytest.mark.parametrize("name", sorted(ALL_SCENARIOS))
 def test_coarse_sampling_matches_golden_digest(name, fixtures):
     # Thinned channel sampling and a tiny reservoir take different
-    # internal paths (modulo skip, reservoir eviction) — still invisible.
-    collector = MetricsCollector(
-        ObsSpec(sample_every=7, timeline_window=500, latency_reservoir=8)
-    )
+    # internal paths (modulo skip, reservoir eviction) — still invisible,
+    # and what they report is the oracle's: a channel event between two
+    # samples must land on the right one.
+    spec = ObsSpec(sample_every=7, timeline_window=500, latency_reservoir=8)
+    collector = MetricsCollector(spec)
     sim, trace = ALL_SCENARIOS[name](obs=collector)[:2]
     result = sim.run()
     assert run_digest(result, trace) == fixtures[name]["run"]
+    oracle = MetricsCollector(spec)
+    ALL_SCENARIOS[name](simulator_cls=ReferenceSimulator, obs=oracle)[0].run()
+    assert collector.summary() == oracle.summary()
 
 
 def test_obs_disabled_scenarios_still_match(fixtures):

@@ -219,6 +219,48 @@ class TestLifecycle:
     def test_default_spec_is_the_obsspec_default(self):
         assert MetricsCollector().spec == ObsSpec()
 
+    def test_a_bound_run_read_before_it_finishes_raises(self):
+        # Mid-run the totals are missing and the channel sums are partial
+        # (a held channel has not been settled yet): no summary then.
+        errors = []
+
+        class EarlyReader(MetricsCollector):
+            def on_cycle_end(self, cycle, sim):
+                super().on_cycle_end(cycle, sim)
+                if cycle == 300:
+                    for read in (self.summary, self.channel_records):
+                        with pytest.raises(RuntimeError, match="before its run"):
+                            read()
+                        errors.append(read.__name__)
+
+        collector = EarlyReader()
+        mesh = Mesh2D(4, 4)
+        sim = WormholeSimulator(
+            make_routing("xy", mesh),
+            Workload(pattern=make_pattern("uniform", mesh),
+                     sizes=SizeDistribution(((4, 1.0),)),
+                     offered_load=0.3, seed=1),
+            SimulationConfig(warmup_cycles=100, measure_cycles=400,
+                             drain_cycles=100),
+            obs=collector,
+        )
+        with pytest.raises(RuntimeError, match="before its run"):
+            collector.summary()
+        sim.run()
+        assert errors == ["summary", "channel_records"]
+        assert collector.summary()["counters"]["cycles_observed"] > 0
+
+    def test_a_collector_never_bound_summarises_its_empty_state(self):
+        summary = MetricsCollector().summary()
+        assert summary["counters"] == {
+            "cycles_observed": 0, "park_events": 0, "wake_events": 0,
+            "observed_deliveries": 0, "observed_delivered_flits": 0,
+        }
+        assert summary["channels"] == {
+            "samples": 0, "sample_every": 1, "per_channel": [],
+        }
+        assert MetricsCollector().channel_records() == []
+
 
 class TestObsSpecValidation:
     def test_round_trip(self):

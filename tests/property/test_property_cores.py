@@ -9,8 +9,8 @@ buffer depths, fault schedules and collectors:
   bit-identical runs — for the bit-parallel ``_move1`` regime and for
   the generic list mover (deeper buffers), fault-free and under drawn
   fail/heal schedules with ``drop`` / ``retransmit`` recovery (result,
-  trace *and* resilience ledger), and with a collector bound (the obs
-  summary dict as well);
+  trace *and* resilience ledger), and with a collector bound, sampling
+  every cycle or thinned (the obs summary dict as well);
 * the generic :meth:`WormholeSimulator._move` and the capacity-1
   ``_move1`` produce bit-identical runs whenever both are valid (single
   lane, ``buffer_depth == 1``), on either implementation;
@@ -69,6 +69,11 @@ faults = st.fixed_dictionaries({
 })
 
 
+#: A bound collector's ``sample_every``: every cycle, and thinned so a
+#: grant, fill change or release lands between two samples.
+sample_every = st.sampled_from([1, 2, 3, 7])
+
+
 def _controller(mesh, fault):
     # require_connected=False: on a 3x3 mesh three dead links can cut a
     # node off, which is exactly the stranded-header path to compare.
@@ -84,8 +89,11 @@ def _controller(mesh, fault):
 
 
 def _run(params, simulator_cls, *, force_generic_move=False, buffer_depth=1,
-         fault=None, obs=False, sizes=SHORT_SIZES):
-    """One run; returns ``(run digest, result, ledger, obs summary)``."""
+         fault=None, obs=None, sizes=SHORT_SIZES):
+    """One run; returns ``(run digest, result, ledger, obs summary)``.
+
+    ``obs`` is the ``sample_every`` of a bound collector (``None``: no
+    collector)."""
     mesh = Mesh2D(params["rows"], params["cols"])
     routing = make_routing(params["name"], mesh)
     workload = Workload(
@@ -104,8 +112,8 @@ def _run(params, simulator_cls, *, force_generic_move=False, buffer_depth=1,
     trace = TraceRecorder(max_events=100_000)
     controller = _controller(mesh, fault) if fault is not None else None
     collector = (
-        MetricsCollector(ObsSpec(sample_every=1, timeline_window=32))
-        if obs else None
+        MetricsCollector(ObsSpec(sample_every=obs, timeline_window=32))
+        if obs is not None else None
     )
     sim = simulator_cls(routing, workload, config, trace=trace,
                         resilience=controller, obs=collector)
@@ -175,15 +183,15 @@ class TestEngineMatchesReference:
         assert ref_ledger == new_ledger
 
     @given(params=configs, depth=st.integers(1, 2),
-           fault=st.one_of(st.none(), faults))
+           fault=st.one_of(st.none(), faults), every=sample_every)
     @settings(max_examples=25, deadline=None)
-    def test_with_a_collector_bound(self, params, depth, fault):
+    def test_with_a_collector_bound(self, params, depth, fault, every):
         ref, _, ref_ledger, ref_summary = _run(
-            params, ReferenceSimulator, obs=True, fault=fault,
+            params, ReferenceSimulator, obs=every, fault=fault,
             buffer_depth=depth,
         )
         new, _, new_ledger, new_summary = _run(
-            params, WormholeSimulator, obs=True, fault=fault,
+            params, WormholeSimulator, obs=every, fault=fault,
             buffer_depth=depth,
         )
         assert ref == new
@@ -219,7 +227,7 @@ class TestEngineMatchesReferenceWithStreamingWorms:
         self.check(params, fault=fault, buffer_depth=depth)
 
     @given(params=configs, depth=st.integers(1, 2),
-           fault=st.one_of(st.none(), faults))
+           fault=st.one_of(st.none(), faults), every=sample_every)
     @settings(max_examples=25, deadline=None)
-    def test_with_a_collector_bound(self, params, depth, fault):
-        self.check(params, obs=True, fault=fault, buffer_depth=depth)
+    def test_with_a_collector_bound(self, params, depth, fault, every):
+        self.check(params, obs=every, fault=fault, buffer_depth=depth)

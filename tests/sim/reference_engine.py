@@ -16,6 +16,10 @@ mover call per cycle, which is the point.  Idle stretches are still
 skipped (``cycles_executed`` is part of the obs summary, so the set of
 executed cycles must match the production engine's), but by the
 predicate and clamps written out in :meth:`ReferenceSimulator._idle_jump`.
+A bound collector's channel heatmap is independent too: the oracle
+walks every network channel on every sampled cycle and adds its owner
+and fill to the collector's accumulators, where the production engine
+reports grant, fill-change and release events.
 
 Still inherited from :class:`~repro.sim.engine.WormholeSimulator`: the
 constructor's workload set-up, message generation (``_generate`` with
@@ -205,6 +209,9 @@ class ReferenceSimulator(WormholeSimulator):
                 stop = self._deadlocked or drained
             if self._obs is not None:
                 self._obs.on_cycle_end(cycle, self)
+                spec = self._obs.spec
+                if spec.channels and cycle % spec.sample_every == 0:
+                    self._sample_channels(self._obs)
             if stop:
                 break
             cycle = self._idle_jump(cycle + 1, warmup, window_end, total)
@@ -294,7 +301,13 @@ class ReferenceSimulator(WormholeSimulator):
         """The oracle memoizes nothing."""
         return None
 
-    def sample_channels(self, busy: List[int], occupancy: List[int]) -> None:
+    def _sample_channels(self, obs) -> None:
+        """Add this cycle's network-channel state straight into the
+        collector's accumulators: a walk over every channel on every
+        sampled cycle, where the production engine reports grant, fill
+        and release events instead."""
+        busy = obs._busy
+        occupancy = obs._occupancy
         for index, state in enumerate(self._net_states.values()):
             if state.owner is not None:
                 busy[index] += 1

@@ -5,7 +5,7 @@ The bit-identity of whole runs is pinned by the golden gate
 pieces in isolation — the id encoding, the shared compiled route table
 and its per-simulator counters, the table swap under a fault schedule,
 what ``make_simulator`` takes from a warm context, and the channel
-sampling the obs collector reads.
+events the obs collector accumulates.
 """
 
 import gc
@@ -13,6 +13,8 @@ import gc
 import pytest
 
 from repro.core.directions import WEST
+from repro.obs.metrics import MetricsCollector
+from repro.obs.spec import ObsSpec
 from repro.resilience import FaultController, FaultEvent, FaultSchedule
 from repro.routing import make_routing
 from repro.sim import SimulationConfig, WormholeSimulator, make_simulator
@@ -25,6 +27,8 @@ from repro.topology.virtual import VirtualChannelTopology
 from repro.traffic import UniformTraffic, Workload
 from repro.traffic.permutations import make_pattern
 from repro.traffic.workload import PAPER_SIZES, SizeDistribution
+
+from tests.sim.reference_engine import ReferenceSimulator
 
 
 def _workload(mesh, load=0.1, seed=7):
@@ -90,9 +94,6 @@ class TestChannelIndex:
 
 class TestMakeSimulator:
     def test_one_class_whatever_the_run_needs(self):
-        from repro.obs.metrics import MetricsCollector
-        from repro.obs.spec import ObsSpec
-
         mesh = Mesh2D(4, 4)
         channel = next(iter(mesh.channels()))
         schedule = FaultSchedule(
@@ -111,8 +112,6 @@ class TestMakeSimulator:
 
     def test_every_run_of_a_key_shares_the_warm_table(self):
         from repro.analysis.prewarm import WarmContext
-        from repro.obs.metrics import MetricsCollector
-        from repro.obs.spec import ObsSpec
 
         mesh = Mesh2D(4, 4)
         warm = WarmContext(
@@ -395,47 +394,86 @@ class TestRouteTableStats:
 
 
 class TestChannelSampling:
-    def test_nothing_is_held_after_a_drained_run(self):
-        mesh = Mesh2D(4, 4)
-        sim = make_simulator(
-            make_routing("xy", mesh), _workload(mesh, load=0.0),
-            _config(max_packets=0, warmup_cycles=0, drain_cycles=0,
-                    measure_cycles=400),
-            preload=[((0, 0), (3, 3), 5, 0.0), ((2, 0), (0, 2), 3, 0.0)],
-        )
-        result = sim.run()
-        assert result.total_delivered == 2
-        assert sim.occupancy_snapshot() == 0
-        busy = [0] * len(sim.network_channels)
-        occupancy = [0] * len(sim.network_channels)
-        sim.sample_channels(busy, occupancy)
-        assert not any(busy) and not any(occupancy)
+    """The collector's event-driven channel accumulators against the
+    oracle's per-cycle walk, on runs that end with and without worms in
+    flight."""
 
-    @pytest.mark.parametrize("depth", [1, 2])
-    def test_sample_matches_ownership_mid_run(self, depth):
-        # A saturated run cut off by its cycle budget leaves worms in
-        # the network: the sample must mark exactly the owned network
-        # channels busy, and never count more flits than are in flight.
+    @staticmethod
+    def _run(simulator_cls, load, preload=None, **config):
         mesh = Mesh2D(4, 4)
-        sim = make_simulator(
-            make_routing("xy", mesh), _workload(mesh, load=0.6, seed=3),
-            _config(drain_cycles=0, buffer_depth=depth),
+        collector = MetricsCollector(ObsSpec(sample_every=1))
+        sim = simulator_cls(
+            make_routing("xy", mesh), _workload(mesh, load=load, seed=3),
+            _config(**config), preload=preload, obs=collector,
         )
         sim.run()
+        return sim, collector
+
+    def test_nothing_is_held_after_a_drained_run(self):
+        kwargs = dict(
+            load=0.0, max_packets=0, warmup_cycles=0, drain_cycles=0,
+            measure_cycles=400,
+            preload=[((0, 0), (3, 3), 5, 0.0), ((2, 0), (0, 2), 3, 0.0)],
+        )
+        sim, collector = self._run(WormholeSimulator, **kwargs)
+        _, oracle = self._run(ReferenceSimulator, **kwargs)
+        assert sim.total_delivered == 2
+        assert sim.occupancy_snapshot() == 0
+        # Every grant was matched by a release, every fill drained.
+        assert not any(collector._fill)
+        records = collector.channel_records()
+        assert records == oracle.channel_records()
+        # The two worms cross 6 + 4 channels, each busy for some cycles.
+        assert sum(1 for _, busy, _ in records if busy) == 10
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_run_cut_off_with_worms_in_flight(self, depth):
+        # A saturated run cut off by its cycle budget leaves worms in
+        # the network: their channels are settled when the clock stops,
+        # to exactly the busy and occupancy sums the oracle's walk took.
+        kwargs = dict(load=0.6, drain_cycles=0, buffer_depth=depth)
+        sim, collector = self._run(WormholeSimulator, **kwargs)
+        _, oracle = self._run(ReferenceSimulator, **kwargs)
         count = len(sim.network_channels)
-        busy, occupancy = [0] * count, [0] * count
-        sim.sample_channels(busy, occupancy)
-        assert any(busy)
-        assert busy == [int(owner is not None) for owner in sim._owners[:count]]
-        assert all(fill <= depth * held for fill, held in zip(occupancy, busy))
-        assert 0 < sum(occupancy) <= sim.occupancy_snapshot()
+        assert any(owner is not None for owner in sim._owners[:count])
+        records = collector.channel_records()
+        assert records == oracle.channel_records()
+        assert all(
+            occupancy <= depth * busy for _, busy, occupancy in records
+        )
+        assert sum(occupancy for _, _, occupancy in records) > 0
+
+    @pytest.mark.parametrize("name", ["xy", "west-first", "negative-first"])
+    def test_capacity_one_worms_are_compact(self, name):
+        # What lets _allocate report a capacity-1 grant as filled: at the
+        # end of every cycle each network channel a worm holds has a flit
+        # (the header enters a granted channel in the same cycle).
+        holes = []
+
+        class CompactnessCheck(MetricsCollector):
+            def on_cycle_end(self, cycle, sim):
+                super().on_cycle_end(cycle, sim)
+                for packet in sim._active:
+                    for pos, ident in enumerate(packet.path):
+                        if ident < sim._inj_base and not packet.occ_bits >> pos & 1:
+                            holes.append((cycle, packet.pid, ident))
+
+        mesh = Mesh2D(5, 5)
+        workload = Workload(
+            pattern=UniformTraffic(mesh),
+            sizes=SizeDistribution(((2, 0.4), (9, 0.3), (48, 0.3))),
+            offered_load=0.5,
+            seed=11,
+        )
+        sim = WormholeSimulator(make_routing(name, mesh), workload, _config(),
+                                obs=CompactnessCheck())
+        sim.run()
+        assert sim.cruise_entries > 0 and sim.flit_moves > 0
+        assert holes == []
 
 
 class TestSimulateFacade:
     def test_simulate_matches_a_hand_built_run(self):
-        from repro.obs.metrics import MetricsCollector
-        from repro.obs.spec import ObsSpec
-
         mesh = Mesh2D(5, 5)
         plain = simulate(mesh, "west-first", "transpose", 0.2,
                         config=_config(), seed=9)
