@@ -15,16 +15,10 @@ ignore the diagonal channels.
 Run:  python examples/future_topologies.py
 """
 
+from repro.api import SimulationConfig, run
 from repro.core.numbering import certifies, potential_numbering
-from repro.routing import (
-    HexDimensionOrderRouting,
-    HexNegativeFirstRouting,
-    OctDimensionOrderRouting,
-    OctNegativeFirstRouting,
-)
-from repro.sim import SimulationConfig, simulate
+from repro.routing import HexNegativeFirstRouting, OctNegativeFirstRouting
 from repro.topology import HexMesh, OctMesh
-from repro.traffic import UniformTraffic
 from repro.verify import PROVED, check_deadlock_freedom
 
 
@@ -38,6 +32,11 @@ def certify(label, topology, routing, potential):
     assert safe and numbered
 
 
+def uniform_point(topology, routing, config):
+    return run(topology=topology, routing=routing, pattern="uniform",
+               load=0.12, config=config).result
+
+
 def main() -> None:
     config = SimulationConfig(
         warmup_cycles=800, measure_cycles=4_000, drain_cycles=1_500
@@ -47,9 +46,8 @@ def main() -> None:
     hexm = HexMesh(6, 6)
     hex_nf = HexNegativeFirstRouting(hexm)
     certify("hex-negative-first", hexm, hex_nf, sum)
-    nf = simulate(hexm, hex_nf, UniformTraffic(hexm), 0.12, config=config)
-    ab = simulate(hexm, HexDimensionOrderRouting(hexm), UniformTraffic(hexm),
-                  0.12, config=config)
+    nf = uniform_point("hex:6x6", "hex-negative-first", config)
+    ab = uniform_point("hex:6x6", "hex-ab-order", config)
     print(f"  uniform traffic: NF hops {nf.avg_hops:.2f} vs axis-order "
           f"{ab.avg_hops:.2f} (diagonals shorten paths)")
 
@@ -58,9 +56,8 @@ def main() -> None:
     octm = OctMesh(6, 6)
     oct_nf = OctNegativeFirstRouting(octm)
     certify("oct-negative-first", octm, oct_nf, octm.potential)
-    nf = simulate(octm, oct_nf, UniformTraffic(octm), 0.12, config=config)
-    ab = simulate(octm, OctDimensionOrderRouting(octm), UniformTraffic(octm),
-                  0.12, config=config)
+    nf = uniform_point("oct:6x6", "oct-negative-first", config)
+    ab = uniform_point("oct:6x6", "oct-ab-order", config)
     print(f"  uniform traffic: NF hops {nf.avg_hops:.2f} vs axis-order "
           f"{ab.avg_hops:.2f}")
     print()

@@ -1,20 +1,18 @@
 #!/usr/bin/env python
 """Quickstart: simulate turn-model routing on a small mesh.
 
-Builds an 8x8 wormhole-routed mesh, runs the nonadaptive xy algorithm and
-the partially adaptive negative-first algorithm on matrix-transpose
-traffic, and prints the latency/throughput comparison — a miniature of the
-paper's Figure 14 experiment.
+Runs the nonadaptive xy algorithm and the partially adaptive turn-model
+algorithms on matrix-transpose traffic in an 8x8 wormhole-routed mesh,
+one ``repro.api.run`` call per point, and prints the latency/throughput
+comparison — a miniature of the paper's Figure 14 experiment.
 
 Run:  python examples/quickstart.py
 """
 
-from repro.sim import SimulationConfig, simulate
-from repro.topology import Mesh2D
+from repro.api import SimulationConfig, run
 
 
 def main() -> None:
-    mesh = Mesh2D(8, 8)
     config = SimulationConfig(
         warmup_cycles=1_000, measure_cycles=6_000, drain_cycles=2_000
     )
@@ -22,9 +20,10 @@ def main() -> None:
     print("8x8 mesh, matrix-transpose traffic, offered load 0.25 flits/node/cycle")
     print(f"{'algorithm':16s} {'throughput':>12s} {'latency':>10s} {'status':>12s}")
     for name in ("xy", "west-first", "north-last", "negative-first"):
-        result = simulate(
-            mesh, name, "transpose", offered_load=0.25, config=config
-        )
+        result = run(
+            topology="mesh:8x8", routing=name, pattern="transpose",
+            load=0.25, config=config,
+        ).result
         status = "sustainable" if result.is_sustainable() else "saturated"
         print(
             f"{name:16s} {result.throughput_flits_per_usec:9.1f} fl/us "

@@ -16,11 +16,20 @@ runs both classics on our VC substrate:
 Run:  python examples/virtual_channels.py
 """
 
+from repro.api import SimulationConfig, run
 from repro.routing import DatelineTorusRouting, o1turn_routing
-from repro.sim import SimulationConfig, simulate
+from repro.sim import make_simulator
 from repro.topology import Mesh2D, Torus, VirtualChannelTopology
+from repro.traffic import Workload
 from repro.traffic.permutations import make_pattern
 from repro.verify import PROVED, check_deadlock_freedom
+
+
+def lanes_point(vc, routing, pattern, load, config):
+    """One point on a virtual-channel topology.  It has no spec string,
+    so the simulator is built from the routing instance directly."""
+    workload = Workload(pattern=make_pattern(pattern, vc), offered_load=load)
+    return make_simulator(routing, workload, config).run()
 
 
 def lane_split_demo() -> None:
@@ -32,9 +41,11 @@ def lane_split_demo() -> None:
         warmup_cycles=1_000, measure_cycles=6_000, drain_cycles=0
     )
     print("Matrix transpose at load 0.8 (deep saturation), 8x8 mesh:")
-    xy = simulate(mesh, "xy", "transpose", 0.8, config=config)
-    o1r = simulate(vc, o1, make_pattern("transpose", vc), 0.8, config=config)
-    nf = simulate(mesh, "negative-first", "transpose", 0.8, config=config)
+    xy = run(topology="mesh:8x8", routing="xy", pattern="transpose",
+             load=0.8, config=config).result
+    o1r = lanes_point(vc, o1, "transpose", 0.8, config)
+    nf = run(topology="mesh:8x8", routing="negative-first", pattern="transpose",
+             load=0.8, config=config).result
     for label, result in (("xy (1 lane)", xy), ("o1turn (2 lanes)", o1r),
                           ("negative-first (1 lane)", nf)):
         print(f"  {label:24s} {result.throughput_flits_per_usec:7.1f} flits/us")
@@ -52,8 +63,9 @@ def dateline_demo() -> None:
     )
     print()
     print("Tornado traffic on a 6-ary 2-cube at load 0.15:")
-    dl = simulate(vc, dateline, make_pattern("tornado", vc), 0.15, config=config)
-    nf = simulate(torus, "negative-first-torus", "tornado", 0.15, config=config)
+    dl = lanes_point(vc, dateline, "tornado", 0.15, config)
+    nf = run(topology="torus:6x2", routing="negative-first-torus",
+             pattern="tornado", load=0.15, config=config).result
     print(f"  dateline DOR (minimal, 2 lanes):      {dl.summary()}")
     print(f"    mean hops {dl.avg_hops:.2f} (the tornado distance)")
     print(f"  negative-first torus (nonminimal):    {nf.summary()}")

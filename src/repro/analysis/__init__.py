@@ -1,4 +1,4 @@
-"""Measurement harness: load sweeps, saturation search, text reports."""
+"""Measurement harness: load sweeps, static analyses, text reports."""
 
 from repro.analysis.channel_load import (
     ChannelLoadReport,
@@ -33,12 +33,10 @@ from repro.analysis.results_io import (
     sweep_run_to_dict,
 )
 from repro.analysis.report import format_table, render_comparison, render_series_table
-from repro.analysis.sustainable import find_sustainable_load
 from repro.analysis.sweep import (
     SweepPoint,
     SweepSeries,
     default_loads,
-    sweep_loads,
     truncate_at_saturation,
 )
 
@@ -60,9 +58,7 @@ __all__ = [
     "routable_fraction",
     "SweepPoint",
     "SweepSeries",
-    "sweep_loads",
     "default_loads",
-    "find_sustainable_load",
     "render_series_table",
     "render_comparison",
     "format_table",

@@ -1,10 +1,8 @@
 """Parallel sweep execution with on-disk result caching.
 
-Every paper figure and benchmark is a grid of independent
-``(routing, pattern, load)`` simulation points — an embarrassingly
-parallel workload that the serial :func:`repro.analysis.sweep.sweep_loads`
-loop leaves on the table.  This module supplies the execution engine the
-rest of the harness routes through:
+Every paper figure is a grid of independent ``(routing, pattern, load)``
+simulation points — an embarrassingly parallel workload.  This module
+supplies the execution engine every sweep in the harness routes through:
 
 * :class:`ExperimentSpec` — a frozen, picklable, content-hashable
   description of one simulation point (topology spec string, routing
@@ -965,13 +963,6 @@ class SweepExecutor:
 
     # -- conveniences -------------------------------------------------
 
-    def run_specs(
-        self, specs: Sequence[ExperimentSpec]
-    ) -> List[SimulationResult]:
-        """Run bare specs and return their results in input order."""
-        points = [PointSpec(spec=s, index=i) for i, s in enumerate(specs)]
-        return [run.result for run in self.run_points(points)]
-
     def sweep(
         self,
         topology: Union[str, Topology],
@@ -986,8 +977,7 @@ class SweepExecutor:
     ):
         """Measure one latency-throughput curve through the executor.
 
-        The executor analogue of :func:`repro.analysis.sweep.sweep_loads`
-        with the same stop rule,
+        The stop rule is
         :func:`~repro.analysis.sweep.truncate_at_saturation`: the sweep
         stops ``stop_after_saturation`` consecutive unsustainable points
         past saturation.  With ``jobs == 1`` the points are run lazily

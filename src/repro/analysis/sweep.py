@@ -2,34 +2,21 @@
 
 Each of the paper's performance figures (13-16) plots average latency
 against achieved throughput for several routing algorithms as the offered
-load rises.  :func:`sweep_loads` produces one such series per algorithm;
-:class:`SweepPoint` holds one (load, throughput, latency) sample.
+load rises.  :meth:`repro.analysis.executor.SweepExecutor.sweep` measures
+one such series per algorithm; :class:`SweepPoint` holds one
+(load, throughput, latency) sample and :class:`SweepSeries` the curve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Union
+from typing import Iterable, List, Optional
 
-from repro.routing.base import RoutingAlgorithm
-from repro.routing.registry import make_routing
-from repro.routing.selection import is_registered_policy
-from repro.sim.config import SimulationConfig
-from repro.sim.simulator import simulate
 from repro.sim.stats import SimulationResult
-from repro.topology.base import Topology
-from repro.topology.spec import has_topology_spec, parse_topology, topology_spec
-from repro.traffic.patterns import TrafficPattern
-from repro.traffic.permutations import make_pattern
-from repro.traffic.workload import PAPER_SIZES, SizeDistribution
-
-if TYPE_CHECKING:
-    from repro.analysis.executor import SweepExecutor
 
 __all__ = [
     "SweepPoint",
     "SweepSeries",
-    "sweep_loads",
     "default_loads",
     "truncate_at_saturation",
 ]
@@ -127,111 +114,3 @@ def truncate_at_saturation(
         else:
             past_saturation = 0
     return kept
-
-
-def _nameable(
-    topology: Union[str, Topology],
-    algorithm: Union[str, RoutingAlgorithm],
-    pattern: Union[str, TrafficPattern],
-    config: Optional[SimulationConfig],
-) -> bool:
-    """Whether a sweep's inputs can be carried by name in an
-    :class:`~repro.analysis.executor.ExperimentSpec`: registry names, a
-    topology with a spec string, and registered selection policies.
-    Anything else cannot cross a process boundary or key the cache."""
-    return (
-        isinstance(algorithm, str)
-        and isinstance(pattern, str)
-        and (isinstance(topology, str) or has_topology_spec(topology))
-        and (
-            config is None
-            or (
-                is_registered_policy(config.output_policy)
-                and is_registered_policy(config.input_policy)
-            )
-        )
-    )
-
-
-def sweep_loads(
-    topology: Union[str, Topology],
-    algorithm: Union[str, RoutingAlgorithm],
-    pattern: Union[str, TrafficPattern],
-    loads: Sequence[float],
-    config: Optional[SimulationConfig] = None,
-    sizes: SizeDistribution = PAPER_SIZES,
-    seed: int = 1,
-    stop_after_saturation: int = 1,
-    executor: Optional["SweepExecutor"] = None,
-) -> SweepSeries:
-    """Measure one latency-throughput curve.
-
-    When ``algorithm`` and ``pattern`` are registry names (and the
-    topology has a spec string), the sweep routes through a
-    :class:`~repro.analysis.executor.SweepExecutor` — by default an
-    in-process serial one, so tests stay deterministic; pass an executor
-    with ``jobs > 1`` and/or a cache directory to fan points out over
-    worker processes and reuse earlier results.  Instances fall back to
-    the direct in-process loop (they cannot be pickled to workers or
-    content-hashed for the cache).
-
-    Args:
-        topology: the network (instance or spec string like
-            ``"mesh:16x16"``).
-        algorithm: routing algorithm (instance or registry name).
-        pattern: traffic pattern (instance or name).
-        loads: offered loads to sample, ascending.
-        config: simulator configuration shared by every point.
-        sizes: packet size distribution.
-        seed: workload seed (same for every point, so curves differ only
-            in load).
-        stop_after_saturation: how many consecutive unsustainable points
-            to sample past saturation before stopping the sweep (they
-            chart the latency blow-up; more adds detail but costs time).
-        executor: the execution engine to route through; ``None`` uses a
-            serial, uncached one.
-
-    Returns:
-        The measured series.
-    """
-    if _nameable(topology, algorithm, pattern, config):
-        from repro.analysis.executor import SweepExecutor
-
-        if executor is None:
-            executor = SweepExecutor()
-        return executor.sweep(
-            topology if isinstance(topology, str) else topology_spec(topology),
-            algorithm,
-            pattern,
-            loads,
-            config=config,
-            sizes=sizes,
-            seed=seed,
-            stop_after_saturation=stop_after_saturation,
-        )
-
-    if isinstance(topology, str):
-        topology = parse_topology(topology)
-    if isinstance(algorithm, str):
-        algorithm = make_routing(algorithm, topology)
-    if isinstance(pattern, str):
-        pattern = make_pattern(pattern, topology)
-    sampled = (
-        SweepPoint.from_result(
-            simulate(
-                topology,
-                algorithm,
-                pattern,
-                offered_load=load,
-                sizes=sizes,
-                config=config,
-                seed=seed,
-            )
-        )
-        for load in loads
-    )
-    return SweepSeries(
-        algorithm.name,
-        pattern.name,
-        truncate_at_saturation(sampled, stop_after_saturation),
-    )

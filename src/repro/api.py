@@ -63,7 +63,6 @@ from repro.resilience import (
     fault_sweep,
     render_fault_table,
 )
-from repro.routing.base import RoutingAlgorithm
 from repro.routing.registry import (
     UnknownNameError,
     available_algorithms,
@@ -172,7 +171,7 @@ def run(
     spec: Optional[ExperimentSpec] = None,
     *,
     topology: Union[str, Topology, None] = None,
-    routing: Union[str, RoutingAlgorithm, None] = None,
+    routing: Optional[str] = None,
     pattern: Optional[str] = None,
     load: Optional[float] = None,
     sizes: Union[SizeDistribution, Sequence[Tuple[int, float]], None] = None,
@@ -208,7 +207,9 @@ def run(
             ``config``/``seed``.  ``resilience`` and ``obs`` may still
             be given to override the spec's own settings.
         topology: topology instance or spec string (``"mesh:16x16"``).
-        routing: routing algorithm instance or registry name.
+        routing: routing algorithm registry name.  An instance raises
+            :class:`TypeError`: a spec carries the name only, so the
+            instance's own settings would be silently replaced.
         pattern: traffic pattern registry name.
         load: offered load in flits per node per cycle.
         sizes: packet-size distribution (defaults to the paper's mix).
@@ -269,12 +270,16 @@ def run(
             raise TypeError(
                 f"run() needs a spec or the point fields {missing}"
             )
+        if not isinstance(routing, str):
+            raise TypeError(
+                f"run() takes routing as a registry name, not a "
+                f"{type(routing).__name__}: a spec would rebuild the "
+                "algorithm from its name and drop the instance's settings; "
+                "run a routing instance with repro.sim.make_simulator"
+            )
         if isinstance(topology, Topology):
             topology = topology_spec(topology)
-        if isinstance(routing, RoutingAlgorithm):
-            routing = routing.name
-        assert topology is not None and routing is not None
-        assert pattern is not None and load is not None
+        assert topology is not None and pattern is not None and load is not None
         spec = ExperimentSpec(
             topology=topology,
             routing=routing,

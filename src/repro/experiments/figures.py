@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from repro.analysis.executor import SweepExecutor
 from repro.analysis.report import render_comparison, render_series_table
-from repro.analysis.sweep import SweepSeries, sweep_loads
+from repro.analysis.sweep import SweepSeries
 from repro.experiments.presets import Preset, get_preset
 from repro.topology.base import Topology
 
@@ -144,15 +144,13 @@ def _run_figure(
     preset: Preset,
     baseline: str,
     seed: int,
-    executor: Optional[SweepExecutor] = None,
+    executor: SweepExecutor,
 ) -> FigureResult:
     config = preset.sim_config()
-    if executor is None:
-        executor = SweepExecutor()
     series = [
-        sweep_loads(
+        executor.sweep(
             topology, algorithm, pattern, loads, config=config, seed=seed,
-            stop_after_saturation=3, executor=executor,
+            stop_after_saturation=3,
         )
         for algorithm in algorithms
     ]

@@ -7,8 +7,8 @@ point, so every experiment driver accepts a preset:
 * ``paper`` — the paper's topologies with long warmup/measurement windows;
   used to produce the numbers recorded in EXPERIMENTS.md.
 * ``mid`` — the paper's topologies with shorter windows.
-* ``quick`` — 8x8 mesh / 6-cube with short windows; the default for the
-  pytest benchmarks and CI.  The qualitative shapes (who wins, and by
+* ``quick`` — 8x8 mesh / 6-cube with short windows; the default, and
+  what the test suite and CI run.  The qualitative shapes (who wins, and by
   roughly what factor) match the paper at every preset.
 """
 

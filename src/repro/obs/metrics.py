@@ -103,8 +103,9 @@ class MetricsCollector:
     """Gathers run metrics through the engine's observability hooks.
 
     Construct one per run, pass it to
-    :class:`~repro.sim.engine.WormholeSimulator` (or ``simulate(...,
-    obs=...)``), and read :meth:`summary` afterwards.  A collector is
+    :class:`~repro.sim.engine.WormholeSimulator` (or
+    ``make_simulator(..., obs=...)``), and read :meth:`summary`
+    afterwards.  A collector is
     single-use: it binds to exactly one simulator.
     """
 

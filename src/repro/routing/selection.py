@@ -8,7 +8,7 @@ arbitrates; the paper uses local first-come-first-served, which is fair and
 prevents indefinite postponement.
 
 Policies receive a :class:`SelectionContext` so smarter policies (studied
-as future work in the paper and in our ablation benchmarks) can inspect
+as future work in the paper and in our ablation tests) can inspect
 downstream buffer occupancy or draw randomness without the routing layer
 depending on the simulator.
 """

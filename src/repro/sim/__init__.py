@@ -4,7 +4,6 @@ from repro.sim.config import FLITS_PER_USEC, SimulationConfig
 from repro.sim.engine import RoutingError, WormholeSimulator, make_simulator
 from repro.sim.ids import CompiledRoutes
 from repro.sim.packet import Packet
-from repro.sim.simulator import simulate
 from repro.sim.stats import SimulationResult, StatsCollector, percentile
 from repro.sim.trace import TraceEvent, TraceRecorder
 
@@ -16,7 +15,6 @@ __all__ = [
     "CompiledRoutes",
     "make_simulator",
     "Packet",
-    "simulate",
     "SimulationResult",
     "StatsCollector",
     "percentile",

@@ -7,9 +7,12 @@ failures in the simulator so the deadlock detector can be seen to fire,
 and shows that a proper turn-model algorithm survives the identical
 workload.
 
-These are *dynamic* demonstrations; the static counterpart is the
-Dally-Seitz channel-dependency check in :mod:`repro.core.channel_graph`,
-which rejects the same routing relations a priori.
+These are *dynamic* demonstrations; the static counterpart is
+:func:`repro.verify.check_deadlock_freedom`, which decides the
+Dally-Seitz channel-dependency condition on the compiled routing
+relation and rejects the same routing relations a priori
+(:func:`repro.core.channel_graph.routing_cdg` is only the object-level
+definition its certificates are re-checked against).
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from repro.topology.mesh import Mesh, Mesh2D
 from repro.topology.octagonal import OctMesh
 from repro.topology.torus import Torus
 
-__all__ = ["parse_topology", "topology_spec", "has_topology_spec"]
+__all__ = ["parse_topology", "topology_spec"]
 
 
 def parse_topology(spec: str) -> Topology:
@@ -69,8 +69,3 @@ def topology_spec(topology: Topology) -> str:
     raise TypeError(
         f"no spec string for topology type {type(topology).__name__}"
     )
-
-
-def has_topology_spec(topology: Topology) -> bool:
-    """Whether :func:`topology_spec` can name ``topology``."""
-    return isinstance(topology, (Hypercube, Torus, HexMesh, OctMesh, Mesh))

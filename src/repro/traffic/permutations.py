@@ -9,8 +9,8 @@ Section 6 evaluates two nonuniform patterns:
 * **reverse flip** — ``(x0,...,x7)`` to ``(~x7, ~x6, ..., ~x0)``.
 
 The extras (bit complement, bit reverse, perfect shuffle, tornado) are
-standard in the interconnection-network literature and feed the extended
-benchmarks.
+standard in the interconnection-network literature and feed the extension
+experiments.
 """
 
 from __future__ import annotations

@@ -167,7 +167,7 @@ class TestBoundVsSimulation:
     def test_simulated_saturation_below_static_bound(self):
         # The ideal bound is an upper bound on what the simulator can
         # sustain (wormhole blocking costs something).
-        from repro.sim import SimulationConfig, simulate
+        from repro.api import SimulationConfig, run
 
         mesh = Mesh2D(6, 6)
         report = load_report(
@@ -176,7 +176,8 @@ class TestBoundVsSimulation:
         config = SimulationConfig(
             warmup_cycles=500, measure_cycles=3000, drain_cycles=0
         )
-        deep = simulate(mesh, "xy", "uniform", 0.95, config=config)
+        deep = run(topology=mesh, routing="xy", pattern="uniform",
+                   load=0.95, config=config).result
         # Delivered fraction of capacity never exceeds the bound (scaled
         # by the active-source fraction, here 1).
         assert deep.throughput_fraction <= report.saturation_bound * 1.05
@@ -194,8 +195,8 @@ def _static_and_busy(spec, algorithm, pattern_name):
     :data:`AGREEMENT_LOAD`.
     """
     from repro.obs import MetricsCollector, ObsSpec
-    from repro.sim import SimulationConfig, simulate
-    from repro.traffic.workload import SizeDistribution
+    from repro.sim import SimulationConfig, make_simulator
+    from repro.traffic.workload import SizeDistribution, Workload
 
     topology = parse_topology(spec)
     routing = make_routing(algorithm, topology)
@@ -203,10 +204,11 @@ def _static_and_busy(spec, algorithm, pattern_name):
     static = channel_loads(topology, routing, pattern)
     obs = MetricsCollector(ObsSpec())
     config = SimulationConfig(warmup_cycles=0, measure_cycles=50_000, drain_cycles=0)
-    simulate(
-        topology, routing, pattern, AGREEMENT_LOAD,
-        sizes=SizeDistribution.fixed(8), config=config, obs=obs,
+    workload = Workload(
+        pattern=pattern, sizes=SizeDistribution.fixed(8),
+        offered_load=AGREEMENT_LOAD,
     )
+    make_simulator(routing, workload, config, obs=obs).run()
     cycles = obs.summary()["counters"]["cycles_total"]
     return [
         (static.get(channel, 0.0), busy / cycles)

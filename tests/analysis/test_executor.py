@@ -23,17 +23,17 @@ from repro.analysis.executor import (
     encode_point_record,
 )
 from repro.analysis.results_io import result_to_dict
-from repro.analysis.sweep import (
-    SweepPoint,
-    sweep_loads,
-    truncate_at_saturation,
-)
+from repro.analysis.sweep import SweepPoint, truncate_at_saturation
 from repro.obs.manifest import iter_manifests
 from repro.obs.spec import ObsSpec
-from repro.sim.digest import result_digest
+from repro.routing.registry import make_routing
 from repro.routing.selection import OutputSelectionPolicy
+from repro.sim import make_simulator
 from repro.sim.config import SimulationConfig
+from repro.sim.digest import result_digest
 from repro.topology import Mesh2D, parse_topology, topology_spec
+from repro.traffic import Workload
+from repro.traffic.permutations import make_pattern
 
 #: Short windows keep every simulation in these tests cheap.
 QUICK = ConfigSpec(warmup_cycles=200, measure_cycles=800, drain_cycles=300)
@@ -54,6 +54,23 @@ def make_spec(**overrides) -> ExperimentSpec:
     )
     settings.update(overrides)
     return ExperimentSpec(**settings)
+
+
+def results_of(executor, specs):
+    """Run bare specs and return their results in input order."""
+    points = [PointSpec(spec=s, index=i) for i, s in enumerate(specs)]
+    return [run.result for run in executor.run_points(points)]
+
+
+def hand_built(load, routing="negative-first", pattern="transpose", seed=3):
+    """A 4x4-mesh point built from instances through the engine factory."""
+    mesh = Mesh2D(4, 4)
+    workload = Workload(
+        pattern=make_pattern(pattern, mesh), offered_load=load, seed=seed
+    )
+    return make_simulator(
+        make_routing(routing, mesh), workload, quick_config()
+    ).run()
 
 
 class TestConfigSpec:
@@ -144,15 +161,8 @@ class TestExperimentSpec:
         )
         assert out.stdout.strip() == spec.content_hash()
 
-    def test_run_matches_simulate(self):
-        from repro.sim.simulator import simulate
-
-        spec = make_spec()
-        direct = simulate(
-            Mesh2D(4, 4), "negative-first", "transpose",
-            offered_load=0.1, config=quick_config(), seed=3,
-        )
-        assert spec.run_full().result == direct
+    def test_run_matches_a_hand_built_simulator(self):
+        assert make_spec().run_full().result == hand_built(0.1)
 
 
 class TestTopologySpecStrings:
@@ -284,41 +294,41 @@ class TestSweepExecutor:
         with pytest.raises(ValueError):
             SweepExecutor(jobs=0)
 
-    def test_run_specs_preserves_order(self):
+    def test_run_points_preserves_order(self):
         specs = [make_spec(load=load) for load in LOADS]
-        results = SweepExecutor().run_specs(specs)
+        results = results_of(SweepExecutor(), specs)
         assert [r.offered_load for r in results] == LOADS
 
     def test_parallel_matches_serial(self):
         specs = [make_spec(load=load) for load in LOADS]
-        serial = SweepExecutor(jobs=1).run_specs(specs)
-        parallel = SweepExecutor(jobs=2).run_specs(specs)
+        serial = results_of(SweepExecutor(jobs=1), specs)
+        parallel = results_of(SweepExecutor(jobs=2), specs)
         assert serial == parallel
 
     def test_cache_miss_then_hit(self, tmp_path):
         specs = [make_spec(load=load) for load in LOADS]
         cold = SweepExecutor(cache_dir=tmp_path)
-        cold_results = cold.run_specs(specs)
+        cold_results = results_of(cold, specs)
         assert cold.last_metrics.simulated == len(LOADS)
         assert cold.last_metrics.cache_hits == 0
 
         warm = SweepExecutor(cache_dir=tmp_path)
-        warm_results = warm.run_specs(specs)
+        warm_results = results_of(warm, specs)
         assert warm.last_metrics.simulated == 0
         assert warm.last_metrics.cache_hits == len(LOADS)
         assert warm_results == cold_results
 
     def test_parallel_and_serial_share_cache_entries(self, tmp_path):
         specs = [make_spec(load=load) for load in LOADS]
-        SweepExecutor(jobs=2, cache_dir=tmp_path).run_specs(specs)
+        results_of(SweepExecutor(jobs=2, cache_dir=tmp_path), specs)
         warm = SweepExecutor(jobs=1, cache_dir=tmp_path)
-        warm.run_specs(specs)
+        results_of(warm, specs)
         assert warm.last_metrics.cache_hits == len(LOADS)
 
     def test_hooks_fire(self):
         hooks = CountingHooks()
         executor = SweepExecutor(hooks=hooks)
-        executor.run_specs([make_spec(load=load) for load in LOADS])
+        results_of(executor, [make_spec(load=load) for load in LOADS])
         assert hooks.run_starts == 1
         assert hooks.started == len(LOADS)
         assert hooks.done == len(LOADS)
@@ -328,9 +338,9 @@ class TestSweepExecutor:
 
     def test_cache_hits_skip_point_start(self, tmp_path):
         specs = [make_spec(load=load) for load in LOADS]
-        SweepExecutor(cache_dir=tmp_path).run_specs(specs)
+        results_of(SweepExecutor(cache_dir=tmp_path), specs)
         hooks = CountingHooks()
-        SweepExecutor(cache_dir=tmp_path, hooks=hooks).run_specs(specs)
+        results_of(SweepExecutor(cache_dir=tmp_path, hooks=hooks), specs)
         assert hooks.started == 0
         assert hooks.done == len(LOADS)
 
@@ -353,7 +363,7 @@ class TestCorruptCacheEntry:
     def test_truncated_mid_sweep_is_resimulated_and_counted(self, tmp_path, jobs):
         cache_dir, manifests = tmp_path / "cache", tmp_path / "manifests"
         specs = [make_spec(load=load) for load in LOADS]
-        reference = SweepExecutor(cache_dir=cache_dir).run_specs(specs)
+        reference = results_of(SweepExecutor(cache_dir=cache_dir), specs)
         victim = ResultCache(cache_dir).path_for(specs[2])
         # jobs=1 checks the cache point by point, so the entry is cut
         # after the first point completes; jobs=2 checks every entry up
@@ -383,7 +393,7 @@ class TestCorruptCacheEntry:
         # The entry was rewritten whole and serves the next run.
         assert json.loads(victim.read_text()) == json.loads(hooks.whole)
         again = SweepExecutor(cache_dir=cache_dir)
-        again.run_specs(specs)
+        results_of(again, specs)
         assert (again.last_metrics.cache_corrupt, again.last_metrics.cache_hits) == (0, 4)
         assert "1 corrupt cache entries re-simulated" in stream.getvalue()
         blocks = {m["point"]["index"]: m["executor"] for m in iter_manifests(manifests)}
@@ -393,44 +403,38 @@ class TestCorruptCacheEntry:
     def test_clean_run_reports_no_corrupt_entries(self, tmp_path):
         stream = io.StringIO()
         executor = SweepExecutor(cache_dir=tmp_path, hooks=ProgressPrinter(stream))
-        executor.run_specs([make_spec()])
+        results_of(executor, [make_spec()])
         assert executor.last_metrics.cache_corrupt == 0
         assert "corrupt" not in stream.getvalue()
 
 
 class TestSweepThroughExecutor:
-    def test_sweep_matches_sweep_loads(self):
-        """The executor path and the legacy instance path agree bit-for-bit."""
-        from repro.routing.registry import make_routing
-        from repro.traffic.permutations import make_pattern
-
-        mesh = Mesh2D(4, 4)
-        legacy = sweep_loads(
-            mesh, make_routing("negative-first", mesh),
-            make_pattern("transpose", mesh), LOADS,
-            config=quick_config(), seed=3,
-        )
+    def test_sweep_matches_hand_built_runs(self):
+        """Each sweep point is the point an instance-built simulator gives."""
         via_executor = SweepExecutor(jobs=2).sweep(
             "mesh:4x4", "negative-first", "transpose", LOADS,
             config=quick_config(), seed=3,
         )
-        assert legacy.algorithm == via_executor.algorithm
-        assert legacy.pattern == via_executor.pattern
-        assert legacy.points == via_executor.points
+        by_hand = truncate_at_saturation(
+            SweepPoint.from_result(hand_built(load)) for load in LOADS
+        )
+        assert (via_executor.algorithm, via_executor.pattern) == (
+            "negative-first", "transpose"
+        )
+        assert via_executor.points == by_hand
 
-    def test_sweep_loads_accepts_executor_and_spec_string(self):
-        serial = sweep_loads(
+    def test_sweep_accepts_topology_instance_and_spec_string(self):
+        serial = SweepExecutor().sweep(
             Mesh2D(4, 4), "xy", "uniform", LOADS, config=quick_config(), seed=2
         )
-        parallel = sweep_loads(
+        parallel = SweepExecutor(jobs=2).sweep(
             "mesh:4x4", "xy", "uniform", LOADS, config=quick_config(), seed=2,
-            executor=SweepExecutor(jobs=2),
         )
         assert serial.points == parallel.points
 
-    def test_custom_policy_falls_back_to_direct_loop(self):
+    def test_custom_policy_is_refused(self):
         class WeirdSelection(OutputSelectionPolicy):
-            """Unregistered policy: unpicklable by name."""
+            """Unregistered policy: a spec cannot carry it by name."""
 
             name = "weird"
 
@@ -441,10 +445,10 @@ class TestSweepThroughExecutor:
             warmup_cycles=200, measure_cycles=800, drain_cycles=300,
             output_policy=WeirdSelection(),
         )
-        series = sweep_loads(
-            Mesh2D(4, 4), "xy", "uniform", [0.05], config=config, seed=2
-        )
-        assert len(series.points) == 1
+        with pytest.raises(ValueError, match="not the registered one"):
+            SweepExecutor().sweep(
+                Mesh2D(4, 4), "xy", "uniform", [0.05], config=config, seed=2
+            )
 
     def test_truncation_rule_matches_serial_stop(self):
         points = [
@@ -467,27 +471,6 @@ class TestSweepThroughExecutor:
         )
         assert len(series.points) < len(self.SATURATING_LOADS)
         assert executor.last_metrics.simulated == len(series.points)
-
-    def test_instance_sweep_simulates_nothing_past_the_cut(self, monkeypatch):
-        import repro.analysis.sweep as sweep_module
-        from repro.routing.registry import make_routing
-        from repro.traffic.permutations import make_pattern
-
-        calls = []
-        real = sweep_module.simulate
-
-        def counting(*args, **kwargs):
-            calls.append(kwargs["offered_load"])
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(sweep_module, "simulate", counting)
-        mesh = Mesh2D(4, 4)
-        series = sweep_loads(
-            mesh, make_routing("xy", mesh), make_pattern("transpose", mesh),
-            self.SATURATING_LOADS, config=quick_config(), seed=3,
-        )
-        assert len(series.points) < len(self.SATURATING_LOADS)
-        assert len(calls) == len(series.points)
 
     def test_saturating_sweep_identical_serial_and_parallel(self):
         """Early-stop (lazy) and run-all-then-truncate agree."""
@@ -514,7 +497,7 @@ class TestAcceptance:
     def test_parallel_identical_to_serial_then_all_cache_hits(self, tmp_path):
         config = self.CONFIG.to_config()
         serial = [
-            sweep_loads(
+            SweepExecutor().sweep(
                 Mesh2D(16, 16), algorithm, "transpose", self.LOADS,
                 config=config, seed=1, stop_after_saturation=len(self.LOADS),
             )

@@ -15,9 +15,8 @@ from repro.analysis.results_io import (
     series_to_dict,
 )
 from repro.analysis.sweep import SweepPoint, SweepSeries
+from repro.api import SimulationConfig, run
 from repro.experiments.figures import FigureResult
-from repro.sim import SimulationConfig, simulate
-from repro.topology import Mesh2D
 
 
 @pytest.fixture(scope="module")
@@ -25,7 +24,8 @@ def sim_result():
     config = SimulationConfig(
         warmup_cycles=200, measure_cycles=800, drain_cycles=300
     )
-    return simulate(Mesh2D(4, 4), "xy", "uniform", 0.05, config=config)
+    return run(topology="mesh:4x4", routing="xy", pattern="uniform",
+               load=0.05, config=config).result
 
 
 def make_series():

@@ -1,8 +1,9 @@
 """Shape tests for the performance figures at reduced scale.
 
-The full reproductions live in benchmarks/ (quick preset) and
-EXPERIMENTS.md (paper preset); these tests assert the qualitative
-orderings the paper reports, on networks small enough for CI:
+The full reproductions run through ``repro figure`` (``--preset quick``
+or ``--preset paper``; EXPERIMENTS.md records them); these tests assert
+the qualitative orderings the paper reports, on networks small enough
+for CI:
 
 * transpose (mesh): the adaptive algorithms beat xy at saturation, and
   negative-first — fully adaptive on every transpose pair — beats all.
@@ -12,8 +13,7 @@ orderings the paper reports, on networks small enough for CI:
 
 import pytest
 
-from repro.sim import SimulationConfig
-from repro.sim.simulator import simulate
+from repro.api import SimulationConfig, run
 from repro.topology import Hypercube, Mesh2D
 
 
@@ -24,9 +24,10 @@ CONFIG = SimulationConfig(
 
 def plateau(topology, name, pattern, load=0.8, seed=1):
     """Delivered throughput deep in saturation (the curve's right edge)."""
-    result = simulate(
-        topology, name, pattern, offered_load=load, config=CONFIG, seed=seed
-    )
+    result = run(
+        topology=topology, routing=name, pattern=pattern, load=load,
+        config=CONFIG, seed=seed,
+    ).result
     return result.throughput_flits_per_usec
 
 

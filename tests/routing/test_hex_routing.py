@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import SimulationConfig, run
 from repro.core.numbering import certifies, negative_first_numbering
 from repro.routing import HexDimensionOrderRouting, HexNegativeFirstRouting
 from repro.topology import HexMesh, Mesh2D
@@ -21,6 +22,11 @@ def hex_nf(hexm):
 @pytest.fixture(scope="module")
 def hex_ab(hexm):
     return HexDimensionOrderRouting(hexm)
+
+
+def uniform_point(topology, routing, config):
+    return run(topology=topology, routing=routing, pattern="uniform",
+               load=0.08, config=config).result
 
 
 def walk(topology, algorithm, src, dst, pick=0):
@@ -96,24 +102,18 @@ class TestHexDimensionOrder:
 
 
 class TestHexSimulation:
-    def test_uniform_traffic_simulates(self, hexm, hex_nf):
-        from repro.sim import SimulationConfig, simulate
-        from repro.traffic import UniformTraffic
-
+    def test_uniform_traffic_simulates(self, hexm):
         config = SimulationConfig(
             warmup_cycles=300, measure_cycles=1500, drain_cycles=500
         )
-        result = simulate(hexm, hex_nf, UniformTraffic(hexm), 0.08, config=config)
+        result = uniform_point(hexm, "hex-negative-first", config)
         assert not result.deadlocked
         assert result.total_delivered > 20
 
-    def test_nf_shorter_paths_than_ab(self, hexm, hex_nf, hex_ab):
-        from repro.sim import SimulationConfig, simulate
-        from repro.traffic import UniformTraffic
-
+    def test_nf_shorter_paths_than_ab(self, hexm):
         config = SimulationConfig(
             warmup_cycles=300, measure_cycles=2000, drain_cycles=700
         )
-        nf = simulate(hexm, hex_nf, UniformTraffic(hexm), 0.08, config=config)
-        ab = simulate(hexm, hex_ab, UniformTraffic(hexm), 0.08, config=config)
+        nf = uniform_point(hexm, "hex-negative-first", config)
+        ab = uniform_point(hexm, "hex-ab-order", config)
         assert nf.avg_hops < ab.avg_hops

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import SimulationConfig, run
 from repro.core.numbering import certifies, potential_numbering
 from repro.routing import OctDimensionOrderRouting, OctNegativeFirstRouting
 from repro.topology import OctMesh
@@ -101,13 +102,11 @@ class TestOctDimensionOrder:
         assert walk(octm, oct_nf, (0, 0), (4, 4)) == 4
         assert walk(octm, ab, (0, 0), (4, 4)) == 8
 
-    def test_simulates(self, octm, oct_nf):
-        from repro.sim import SimulationConfig, simulate
-        from repro.traffic import UniformTraffic
-
+    def test_simulates(self, octm):
         config = SimulationConfig(
             warmup_cycles=300, measure_cycles=1500, drain_cycles=500
         )
-        result = simulate(octm, oct_nf, UniformTraffic(octm), 0.08, config=config)
+        result = run(topology=octm, routing="oct-negative-first",
+                     pattern="uniform", load=0.08, config=config).result
         assert not result.deadlocked
         assert result.total_delivered > 20

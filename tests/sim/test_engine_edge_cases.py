@@ -43,6 +43,12 @@ class TestRoutingErrorSurface:
         with pytest.raises(ValueError):
             build(routing, preload=[((9, 9), (1, 1), 4, 0.0)])
 
+    def test_pattern_on_another_topology_rejected(self, mesh44, cube4):
+        workload = Workload(pattern=UniformTraffic(cube4), offered_load=0.05)
+        with pytest.raises(ValueError):
+            WormholeSimulator(make_routing("xy", mesh44), workload,
+                              SimulationConfig())
+
 
 class TestMaxPackets:
     def test_generation_capped(self, mesh44):

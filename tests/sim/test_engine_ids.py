@@ -12,6 +12,7 @@ import gc
 
 import pytest
 
+from repro import api
 from repro.core.directions import WEST
 from repro.obs.metrics import MetricsCollector
 from repro.obs.spec import ObsSpec
@@ -21,7 +22,6 @@ from repro.sim import SimulationConfig, WormholeSimulator, make_simulator
 from repro.sim.deadlock import unrestricted_adaptive_routing
 from repro.sim.digest import result_digest
 from repro.sim.ids import ChannelIndex, CompiledRoutes
-from repro.sim.simulator import simulate
 from repro.topology import Mesh2D
 from repro.topology.virtual import VirtualChannelTopology
 from repro.traffic import UniformTraffic, Workload
@@ -472,14 +472,13 @@ class TestChannelSampling:
         assert holes == []
 
 
-class TestSimulateFacade:
-    def test_simulate_matches_a_hand_built_run(self):
+class TestRunFacade:
+    def test_run_matches_a_hand_built_run(self):
+        point = dict(topology="mesh:5x5", routing="west-first",
+                     pattern="transpose", load=0.2, config=_config(), seed=9)
+        plain = api.run(**point).result
+        observed = api.run(**point, obs=True).result
         mesh = Mesh2D(5, 5)
-        plain = simulate(mesh, "west-first", "transpose", 0.2,
-                        config=_config(), seed=9)
-        observed = simulate(mesh, "west-first", "transpose", 0.2,
-                            config=_config(), seed=9,
-                            obs=MetricsCollector(ObsSpec()))
         reference = WormholeSimulator(
             make_routing("west-first", mesh),
             Workload(

@@ -2,14 +2,19 @@
 
 The facade contract: one keyword-only entry point covering every run
 path (plain / obs / resilience / cached), returning the same RunResult
-shape everywhere; the pre-facade entry points it replaced are gone.
+shape everywhere; the pre-facade entry points it replaced are gone, and
+so are the second run paths beside it.
 """
 
 import pytest
 
+import repro.analysis
+import repro.sim
 from repro import api
 from repro.analysis.executor import ExperimentSpec
+from repro.core.restrictions import fully_adaptive
 from repro.obs.spec import ObsSpec
+from repro.routing import TurnRestrictionRouting
 from repro.sim.digest import result_digest
 from repro.topology.mesh import Mesh2D
 
@@ -47,12 +52,11 @@ class TestRunFacade:
         assert out.spec == spec
         assert out.result == spec.run_full().result
 
-    def test_topology_and_routing_instances_accepted(self):
-        mesh = Mesh2D(4, 4)
+    def test_topology_instance_accepted(self):
         by_name = api.run(_spec())
         by_instance = api.run(
-            topology=mesh,
-            routing=api.make_routing("west-first", mesh),
+            topology=Mesh2D(4, 4),
+            routing="west-first",
             pattern="uniform",
             load=0.1,
             sizes=((4, 1.0),),
@@ -61,6 +65,26 @@ class TestRunFacade:
         )
         assert by_instance.spec == by_name.spec
         assert by_instance.result == by_name.result
+
+    @pytest.mark.parametrize(
+        "routing",
+        [
+            # A stock algorithm built for another mesh size.
+            api.make_routing("xy", Mesh2D(4, 4)),
+            # A custom relation that borrows a registry name.
+            TurnRestrictionRouting(
+                Mesh2D(4, 4), fully_adaptive(2), minimal=True,
+                name="west-first",
+            ),
+        ],
+        ids=["xy-4x4", "custom-west-first"],
+    )
+    def test_routing_instance_is_refused(self, routing):
+        # A spec carries the routing by name only, so running an
+        # instance would silently swap in the registry's algorithm.
+        with pytest.raises(TypeError, match="make_simulator"):
+            api.run(topology="mesh:4x4", routing=routing, pattern="uniform",
+                    load=0.1)
 
     def test_obs_true_collects_and_stays_bit_invisible(self):
         plain = api.run(_spec())
@@ -136,6 +160,40 @@ class TestRunFacade:
             api.run("mesh:4x4", "xy", "uniform", 0.1)  # noqa: E501 - intentional misuse
 
 
+class TestRunPoints:
+    """What a named point may vary, checked through the one run path."""
+
+    QUICK = api.ConfigSpec(warmup_cycles=200, measure_cycles=1000, drain_cycles=300)
+
+    def _run(self, **fields):
+        point = dict(topology="mesh:4x4", routing="xy", pattern="uniform",
+                     load=0.05, config=self.QUICK)
+        point.update(fields)
+        return api.run(**point).result
+
+    @pytest.mark.parametrize("field, name", [("routing", "warp-speed"),
+                                             ("pattern", "chaos")])
+    def test_unknown_name_rejected(self, field, name):
+        with pytest.raises(ValueError):
+            self._run(**{field: name})
+
+    def test_seed_changes_traffic(self):
+        a = self._run(load=0.1, seed=1)
+        b = self._run(load=0.1, seed=2)
+        assert result_digest(a) != result_digest(b)
+
+    def test_cube_pattern_dispatch(self):
+        result = self._run(topology="cube:4", routing="p-cube",
+                           pattern="reverse-flip")
+        assert result.total_delivered > 0
+        assert not result.deadlocked
+
+    def test_custom_sizes(self):
+        result = self._run(sizes=((7, 1.0),))
+        assert result.total_delivered > 0
+        assert set(result.latency_by_size_cycles) <= {7}
+
+
 class TestRetiredShims:
     @pytest.mark.parametrize(
         "name",
@@ -143,9 +201,8 @@ class TestRetiredShims:
          "PointOutcome"],
     )
     def test_pre_facade_entry_points_are_gone(self, name):
-        # api.run replaces the run wrappers (the real simulate and
-        # sweep_loads live on in repro.sim / repro.analysis.sweep), and
-        # RunResult is the one per-point record.
+        # api.run replaces the run wrappers, and RunResult is the one
+        # per-point record.
         assert not hasattr(api, name)
         assert name not in api.__all__
 
@@ -155,19 +212,17 @@ class TestRetiredShims:
         assert not hasattr(api.ResultCache, "load")
         assert not hasattr(api.ResultCache, "load_entry")
 
-    def test_the_real_functions_stay(self):
-        from repro.analysis.sweep import sweep_loads
-        from repro.sim import simulate
+    def test_one_run_path(self):
+        assert not hasattr(repro.sim, "simulate")
+        assert not hasattr(repro.analysis, "sweep_loads")
+        assert not hasattr(repro.analysis, "find_sustainable_load")
+        assert not hasattr(api.SweepExecutor, "run_specs")
 
         spec = _spec()
-        topology = api.parse_topology(spec.topology)
-        kwargs = dict(sizes=api.SizeDistribution(((4, 1.0),)),
-                      config=spec.config.to_config(), seed=3)
         reference = api.run(spec).result
-        assert simulate(
-            topology, "west-first", "uniform", 0.1, **kwargs
-        ) == reference
-        point = sweep_loads(
-            topology, "west-first", "uniform", [0.1], **kwargs
+        point = api.SweepExecutor().sweep(
+            spec.topology, "west-first", "uniform", [0.1],
+            sizes=api.SizeDistribution(((4, 1.0),)),
+            config=spec.config.to_config(), seed=3,
         ).points[0]
-        assert point.avg_latency_usec == reference.avg_latency_usec
+        assert point == api.SweepPoint.from_result(reference)

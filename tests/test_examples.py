@@ -40,15 +40,22 @@ class TestExamplesExist:
             compile(path.read_text(), str(path), "exec")
 
 
-class TestQuickstartRuns:
-    def test_quickstart_end_to_end(self):
+class TestExamplesRun:
+    @pytest.mark.parametrize(
+        "name, expected",
+        [
+            ("quickstart", ["negative-first", "fl/us"]),
+            ("future_topologies", ["hex-negative-first", "oct-negative-first"]),
+            ("virtual_channels", ["o1turn (2 lanes)", "dateline DOR"]),
+        ],
+    )
+    def test_end_to_end(self, name, expected):
         completed = subprocess.run(
-            [sys.executable, str(EXAMPLES / "quickstart.py")],
+            [sys.executable, str(EXAMPLES / f"{name}.py")],
             capture_output=True,
             text=True,
             timeout=300,
         )
         assert completed.returncode == 0, completed.stderr
-        out = completed.stdout
-        assert "negative-first" in out
-        assert "fl/us" in out
+        for text in expected:
+            assert text in completed.stdout
