@@ -19,6 +19,7 @@ from repro.core.restrictions import (
     TurnRestriction,
     abonf_restriction,
     abopl_restriction,
+    dimension_order_restriction,
     fully_adaptive,
     negative_first_restriction,
     north_last_restriction,
@@ -99,6 +100,7 @@ __all__ = [
     "turn_from_payload",
     "fully_adaptive",
     "xy_restriction",
+    "dimension_order_restriction",
     "west_first_restriction",
     "north_last_restriction",
     "negative_first_restriction",

@@ -7,8 +7,9 @@ is never a turn and is always permitted, and a packet's first hop out of its
 source (no previous direction) is unrestricted.
 
 The named restrictions of Sections 3-5 are provided as constructors:
-west-first, north-last, and negative-first for 2D meshes, and their
-n-dimensional analogs ABONF, ABOPL, and negative-first.
+west-first, north-last, and negative-first for 2D meshes, their
+n-dimensional analogs ABONF, ABOPL, and negative-first, and the
+dimension-order family (xy, yx, e-cube) the paper compares them with.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence
 
-from repro.core.directions import Direction, EAST, NORTH, SOUTH, WEST
+from repro.core.directions import Direction, EAST, NORTH, SOUTH, WEST, all_directions
 from repro.core.turns import Turn, TurnKind, abstract_cycles, ninety_degree_turns
 
 __all__ = [
@@ -25,6 +26,7 @@ __all__ = [
     "TurnRestriction",
     "fully_adaptive",
     "xy_restriction",
+    "dimension_order_restriction",
     "west_first_restriction",
     "north_last_restriction",
     "negative_first_restriction",
@@ -122,6 +124,28 @@ class TurnRestriction:
             if turn not in self.prohibited
         )
 
+    def is_transitive(self) -> bool:
+        """Whether permitting ``a->b`` and ``b->c`` always permits ``a->c``.
+
+        Checked over every three directions ``a``, ``b``, ``c`` in three
+        distinct dimensions (vacuously true in 2D).  Under a transitive
+        restriction a minimal packet never needs its arrival direction:
+        the permitted all-productive path that brought it here chains
+        from its arrival to each remaining productive direction, so the
+        turn straight into that direction is permitted too, and every
+        reachable state routes exactly like an injection at its node.
+        """
+        directions = list(all_directions(self.n_dims))
+        permits = self.permits
+        return all(
+            permits(a, c)
+            for a in directions
+            for b in directions
+            if b.dim != a.dim and permits(a, b)
+            for c in directions
+            if c.dim not in (a.dim, b.dim) and permits(b, c)
+        )
+
     def breaks_every_abstract_cycle(self) -> bool:
         """Whether at least one turn in every abstract cycle is prohibited.
 
@@ -215,10 +239,29 @@ def xy_restriction() -> TurnRestriction:
     xy routing travels along x before y, which prohibits the four turns
     out of the y dimension back into the x dimension (paper, Figure 3).
     """
+    return dimension_order_restriction(2).with_name("xy")
+
+
+def dimension_order_restriction(
+    n_dims: int, order: Optional[Sequence[int]] = None
+) -> TurnRestriction:
+    """Dimension-order routing's turn set: no turn into an earlier dimension.
+
+    Routing resolves the dimensions one at a time in ``order`` (ascending
+    by default: xy on a 2D mesh, e-cube on a hypercube), so every turn
+    into a dimension earlier in the order is prohibited (Figure 3
+    generalized); yx routing is the order ``(1, 0)``.
+    """
+    if order is None:
+        order = tuple(range(n_dims))
+    if sorted(order) != list(range(n_dims)):
+        raise ValueError(f"dimension order must permute 0..{n_dims - 1}: {order}")
+    rank = {dim: position for position, dim in enumerate(order)}
     prohibited = frozenset(
-        Turn(frm, to) for frm in (NORTH, SOUTH) for to in (EAST, WEST)
+        turn for turn in ninety_degree_turns(n_dims)
+        if rank[turn.to.dim] < rank[turn.frm.dim]
     )
-    return TurnRestriction(2, prohibited, name="xy")
+    return TurnRestriction(n_dims, prohibited, name="dimension-order")
 
 
 def west_first_restriction() -> TurnRestriction:

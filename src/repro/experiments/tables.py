@@ -150,20 +150,24 @@ def pcube_example_table() -> Tuple[List[PCubeTableRow], str]:
         dimension ``-1`` and zero choices.
     """
     cube = Hypercube(10)
-    routing = PCubeRouting(cube)
+    routing = make_routing("p-cube", cube)
+    nonminimal = PCubeRouting(cube)
     src = _node_from_paper_string(PCUBE_EXAMPLE["source"])
     dest = _node_from_paper_string(PCUBE_EXAMPLE["destination"])
 
     rows: List[PCubeTableRow] = []
     node = src
     for dim in PCUBE_EXAMPLE["dimensions_taken"]:
-        minimal, extra = routing.choices(node, dest)
+        # The minimal choices are the p-cube turn set's; Figure 12's
+        # nonminimal rule offers those first, then its extra ones.
+        minimal = len(routing.route(None, node, dest))
+        offered = nonminimal.route_dims(node, dest)
         rows.append(
-            PCubeTableRow(_node_to_paper_string(node), minimal, extra, dim)
+            PCubeTableRow(
+                _node_to_paper_string(node), minimal, len(offered) - minimal, dim
+            )
         )
-        if dim not in routing.route_dims(node, dest) and dim not in [
-            i for i, (c, d) in enumerate(zip(node, dest)) if c == 1 and d == 1
-        ]:
+        if dim not in offered:
             raise AssertionError(
                 f"paper path takes dimension {dim} at {node}, but p-cube "
                 "routing does not offer it"

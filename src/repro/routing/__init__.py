@@ -1,12 +1,11 @@
-"""Routing algorithms derived from the turn model, plus baselines."""
+"""Routing algorithms derived from the turn model, plus baselines.
+
+The paper's turn-model algorithms are turn sets run by
+:class:`TurnRestrictionRouting` (see :data:`TURN_SETS`); the classes here
+are the routers that are not a turn set on orthogonal directions.
+"""
 
 from repro.routing.base import RoutingAlgorithm
-from repro.routing.dimension_order import (
-    DimensionOrderRouting,
-    ecube_routing,
-    xy_routing,
-    yx_routing,
-)
 from repro.routing.hex_routing import (
     HexDimensionOrderRouting,
     HexNegativeFirstRouting,
@@ -15,19 +14,9 @@ from repro.routing.oct_routing import (
     OctDimensionOrderRouting,
     OctNegativeFirstRouting,
 )
-from repro.routing.ndim import (
-    AllButOneNegativeFirstRouting,
-    AllButOnePositiveLastRouting,
-    abonf_nonminimal,
-    abopl_nonminimal,
-)
-from repro.routing.negative_first import (
-    NegativeFirstRouting,
-    negative_first_nonminimal,
-)
-from repro.routing.north_last import NorthLastRouting, north_last_nonminimal
 from repro.routing.pcube import PCubeRouting
 from repro.routing.registry import (
+    TURN_SETS,
     UnknownNameError,
     available_algorithms,
     canonical_name,
@@ -60,30 +49,14 @@ from repro.routing.virtual_channels import (
     DatelineTorusRouting,
     LaneSplitRouting,
     o1turn_routing,
-    yx_routing_order,
 )
-from repro.routing.west_first import WestFirstRouting, west_first_nonminimal
 
 __all__ = [
     "RoutingAlgorithm",
-    "DimensionOrderRouting",
-    "xy_routing",
-    "yx_routing",
     "HexNegativeFirstRouting",
     "HexDimensionOrderRouting",
     "OctNegativeFirstRouting",
     "OctDimensionOrderRouting",
-    "ecube_routing",
-    "WestFirstRouting",
-    "west_first_nonminimal",
-    "NorthLastRouting",
-    "north_last_nonminimal",
-    "NegativeFirstRouting",
-    "negative_first_nonminimal",
-    "AllButOneNegativeFirstRouting",
-    "AllButOnePositiveLastRouting",
-    "abonf_nonminimal",
-    "abopl_nonminimal",
     "PCubeRouting",
     "FirstHopWraparoundRouting",
     "NegativeFirstTorusRouting",
@@ -91,7 +64,6 @@ __all__ = [
     "DatelineTorusRouting",
     "LaneSplitRouting",
     "o1turn_routing",
-    "yx_routing_order",
     "ReachabilityOracle",
     "SelectionContext",
     "OutputSelectionPolicy",
@@ -104,6 +76,7 @@ __all__ = [
     "make_output_policy",
     "make_input_policy",
     "make_routing",
+    "TURN_SETS",
     "available_algorithms",
     "canonical_name",
     "UnknownNameError",

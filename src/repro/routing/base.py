@@ -14,17 +14,13 @@ the same object.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from repro.core.directions import Direction
 from repro.topology.base import Topology
 from repro.topology.channels import Channel, NodeId
 
 __all__ = ["RoutingAlgorithm"]
-
-#: One precomputed out-channel: (dimension, is_negative, channel), in
-#: the topology's canonical candidate order.
-CoordinateLane = Tuple[int, bool, Channel]
 
 
 class RoutingAlgorithm(ABC):
@@ -48,7 +44,9 @@ class RoutingAlgorithm(ABC):
             cache collapse all arrival channels of a router into one
             key.  Defaults to True (the conservative assumption); only
             set False when the implementation provably ignores the
-            argument.
+            argument on every reachable state.
+            :class:`~repro.routing.turn_table.TurnRestrictionRouting`
+            derives it per instance from its restriction.
     """
 
     name: str = "unnamed"
@@ -96,44 +94,6 @@ class RoutingAlgorithm(ABC):
             for channel in self.topology.out_channels(node)
             if not channel.wraparound and channel.direction in wanted
         ]
-
-    def coordinate_lanes(
-        self,
-    ) -> Optional[Dict[NodeId, Tuple[CoordinateLane, ...]]]:
-        """Per-node out-channel table for coordinate-compare routing.
-
-        When the topology is a plain mesh — no wraparound productivity,
-        and the stock :meth:`Topology.minimal_directions` per-dimension
-        coordinate compare — the productive set of a channel reduces to
-        ``dest[dim] < node[dim]`` (negative direction) or
-        ``dest[dim] > node[dim]`` (positive direction).  Algorithms that
-        only need productivity plus a static phase predicate can then
-        precompute one table per node at construction time and skip the
-        direction-object machinery on every :meth:`route` call.
-
-        Entries preserve :meth:`Topology.out_channels` order with
-        wraparound channels dropped, exactly mirroring
-        :meth:`productive_channels`, so a fast path built on this table
-        yields bit-identical candidate orderings.
-
-        Returns ``None`` when the topology does not obey the coordinate
-        rule (callers must keep their generic path as the fallback).
-        """
-        from repro.topology.mesh import Mesh
-
-        topology = self.topology
-        if not isinstance(topology, Mesh):
-            return None
-        if type(topology).minimal_directions is not Topology.minimal_directions:
-            return None
-        return {
-            node: tuple(
-                (channel.direction.dim, channel.direction.is_negative, channel)
-                for channel in topology.out_channels(node)
-                if not channel.wraparound
-            )
-            for node in topology.nodes()
-        }
 
     def in_direction(self, in_channel: Optional[Channel]) -> Optional[Direction]:
         """The virtual direction of travel on arrival, if any."""

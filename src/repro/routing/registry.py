@@ -3,7 +3,9 @@
 The analysis harness and the experiment drivers refer to algorithms by the
 names the paper uses in its figures (``xy``, ``e-cube``, ``abonf``,
 ``abopl``, ``negative-first``, ``p-cube``, ...); this registry turns a name
-plus a topology into the right algorithm instance.
+plus a topology into the right algorithm instance.  The paper's
+turn-model algorithms are rows of :data:`TURN_SETS` — a turn set plus
+minimal or nonminimal mode — not classes of their own.
 """
 
 from __future__ import annotations
@@ -11,8 +13,16 @@ from __future__ import annotations
 import difflib
 from typing import Callable, Dict
 
+from repro.core.restrictions import (
+    TurnRestriction,
+    abonf_restriction,
+    abopl_restriction,
+    dimension_order_restriction,
+    negative_first_restriction,
+    north_last_restriction,
+    west_first_restriction,
+)
 from repro.routing.base import RoutingAlgorithm
-from repro.routing.dimension_order import DimensionOrderRouting, yx_routing
 from repro.routing.hex_routing import (
     HexDimensionOrderRouting,
     HexNegativeFirstRouting,
@@ -21,24 +31,14 @@ from repro.routing.oct_routing import (
     OctDimensionOrderRouting,
     OctNegativeFirstRouting,
 )
-from repro.routing.ndim import (
-    AllButOneNegativeFirstRouting,
-    AllButOnePositiveLastRouting,
-    abonf_nonminimal,
-    abopl_nonminimal,
-)
-from repro.routing.negative_first import (
-    NegativeFirstRouting,
-    negative_first_nonminimal,
-)
-from repro.routing.north_last import NorthLastRouting, north_last_nonminimal
 from repro.routing.pcube import PCubeRouting
 from repro.routing.torus_routing import (
     FirstHopWraparoundRouting,
     NegativeFirstTorusRouting,
 )
-from repro.routing.west_first import WestFirstRouting, west_first_nonminimal
+from repro.routing.turn_table import TurnRestrictionRouting
 from repro.topology.base import Topology
+from repro.topology.faults import FaultyTopology
 from repro.topology.hexagonal import HexMesh
 from repro.topology.hypercube import Hypercube
 from repro.topology.mesh import Mesh
@@ -46,6 +46,7 @@ from repro.topology.octagonal import OctMesh
 from repro.topology.torus import Torus
 
 __all__ = [
+    "TURN_SETS",
     "make_routing",
     "available_algorithms",
     "canonical_name",
@@ -94,41 +95,77 @@ def canonical_name(name: str) -> str:
     """
     return name.strip().lower().replace("_", "-")
 
-_FACTORIES: Dict[str, Factory] = {
-    # Nonadaptive baselines.
-    "xy": lambda t: DimensionOrderRouting(t, name="xy"),
-    "e-cube": lambda t: DimensionOrderRouting(t, name="e-cube"),
-    "dimension-order": DimensionOrderRouting,
+
+#: The paper's turn-model algorithms (Sections 3-5) as their turn sets:
+#: name -> the restriction at a topology's dimensionality.  Each name
+#: resolves to a :class:`TurnRestrictionRouting` over its set, so the
+#: relation simulated and certified is the turn set itself.
+TURN_SETS: Dict[str, Callable[[int], TurnRestriction]] = {
+    # Nonadaptive baselines: one dimension at a time.
+    "xy": dimension_order_restriction,
+    "yx": lambda n: dimension_order_restriction(n, (1, 0)),
+    "e-cube": dimension_order_restriction,
+    "dimension-order": dimension_order_restriction,
     # 2D mesh partially adaptive algorithms (Section 3).
-    "west-first": WestFirstRouting,
-    "north-last": NorthLastRouting,
-    "west-first-nonminimal": west_first_nonminimal,
-    "north-last-nonminimal": north_last_nonminimal,
+    "west-first": lambda n: west_first_restriction(),
+    "north-last": lambda n: north_last_restriction(),
     # n-dimensional algorithms (Section 4.1); for 2D meshes abonf is
     # west-first and abopl is north-last, matching the Section 6 labels.
-    "negative-first": NegativeFirstRouting,
-    "negative-first-nonminimal": negative_first_nonminimal,
-    "abonf": AllButOneNegativeFirstRouting,
-    "abopl": AllButOnePositiveLastRouting,
-    "abonf-nonminimal": abonf_nonminimal,
-    "abopl-nonminimal": abopl_nonminimal,
-    # Hypercube algorithms (Section 5).
-    "p-cube": lambda t: PCubeRouting(t, minimal=True),
-    "p-cube-nonminimal": lambda t: PCubeRouting(t, minimal=False),
-    # yx (the xy mirror, used by lane-split virtual-channel routing).
-    "yx": yx_routing,
+    "negative-first": negative_first_restriction,
+    "abonf": abonf_restriction,
+    "abopl": abopl_restriction,
+    # Hypercubes (Section 5): p-cube is negative-first on binary
+    # coordinates.
+    "p-cube": negative_first_restriction,
+}
+
+
+def _turn_set(name: str, minimal: bool = True) -> Factory:
+    """The factory of ``name``'s turn set, in minimal or nonminimal mode."""
+
+    def build(topology: Topology) -> TurnRestrictionRouting:
+        label = name
+        if name == "dimension-order":
+            label = "e-cube" if isinstance(topology, Hypercube) else "xy"
+        restriction = TURN_SETS[name](topology.n_dims)
+        return TurnRestrictionRouting(topology, restriction, minimal=minimal, name=label)
+
+    return build
+
+
+_FACTORIES: Dict[str, Factory] = {
+    # The turn sets, minimal and (where the paper runs them so)
+    # nonminimal.
+    "xy": _turn_set("xy"),
+    "yx": _turn_set("yx"),
+    "e-cube": _turn_set("e-cube"),
+    "dimension-order": _turn_set("dimension-order"),
+    "west-first": _turn_set("west-first"),
+    "west-first-nonminimal": _turn_set("west-first", minimal=False),
+    "north-last": _turn_set("north-last"),
+    "north-last-nonminimal": _turn_set("north-last", minimal=False),
+    "negative-first": _turn_set("negative-first"),
+    "negative-first-nonminimal": _turn_set("negative-first", minimal=False),
+    "abonf": _turn_set("abonf"),
+    "abonf-nonminimal": _turn_set("abonf", minimal=False),
+    "abopl": _turn_set("abopl"),
+    "abopl-nonminimal": _turn_set("abopl", minimal=False),
+    "p-cube": _turn_set("p-cube"),
+    # Figure 12's nonminimal p-cube, which is not nonminimal negative-first.
+    "p-cube-nonminimal": PCubeRouting,
     # Section 7 future-work topologies.
     "hex-negative-first": HexNegativeFirstRouting,
     "hex-ab-order": HexDimensionOrderRouting,
     "oct-negative-first": OctNegativeFirstRouting,
     "oct-ab-order": OctDimensionOrderRouting,
-    # k-ary n-cube extensions (Section 4.2).
+    # k-ary n-cube extensions (Section 4.2); the bases route the mesh
+    # channels by mesh minimal directions.
     "negative-first-torus": NegativeFirstTorusRouting,
     "xy+first-hop-wrap": lambda t: FirstHopWraparoundRouting(
-        t, DimensionOrderRouting(t)
+        t, _turn_set("dimension-order")(t)
     ),
     "negative-first+first-hop-wrap": lambda t: FirstHopWraparoundRouting(
-        t, NegativeFirstRouting(t)
+        t, _turn_set("negative-first")(t)
     ),
 }
 
@@ -174,11 +211,14 @@ def make_routing(name: str, topology: Topology) -> RoutingAlgorithm:
     Raises:
         UnknownNameError: for unknown names (a KeyError *and* a
             ValueError), listing the valid ones.
+        ValueError: for a registered name that does not apply to the
+            topology (judged by its healthy ``base`` when it is a
+            :class:`~repro.topology.faults.FaultyTopology`), listing
+            the applicable ones.
     """
     canonical = canonical_name(name)
-    try:
-        factory = _FACTORIES[canonical]
-    except KeyError:
+    factory = _FACTORIES.get(canonical)
+    if factory is None:
         # Deferred import: synth_names imports turn_table, which imports
         # repro.routing.base alongside this module.
         from repro.routing.synth_names import (
@@ -191,7 +231,13 @@ def make_routing(name: str, topology: Topology) -> RoutingAlgorithm:
             # turn code, dimension mismatch, unsupported topology) is a
             # precise ValueError of its own, not an unknown name.
             return routing_from_synth_name(canonical, topology)
-        raise UnknownNameError(
-            "routing algorithm", name, list(_FACTORIES)
-        ) from None
+        raise UnknownNameError("routing algorithm", name, list(_FACTORIES))
+    # A faulty network runs what its healthy base runs.
+    judged = topology.base if isinstance(topology, FaultyTopology) else topology
+    applicable = available_algorithms(judged)
+    if canonical not in applicable:
+        raise ValueError(
+            f"routing algorithm {name!r} does not apply to {topology!r}; "
+            f"applicable: {', '.join(applicable) or 'none'}"
+        )
     return factory(topology)

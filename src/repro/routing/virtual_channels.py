@@ -24,14 +24,16 @@ implies:
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 from repro.routing.base import RoutingAlgorithm
+from repro.routing.registry import make_routing
 from repro.topology.channels import Channel, NodeId
 from repro.topology.torus import Torus
 from repro.topology.virtual import VirtualChannelTopology
 
-__all__ = ["DatelineTorusRouting", "LaneSplitRouting", "yx_routing_order", "o1turn_routing"]
+__all__ = ["DatelineTorusRouting", "LaneSplitRouting", "o1turn_routing"]
 
 
 class DatelineTorusRouting(RoutingAlgorithm):
@@ -107,11 +109,6 @@ class DatelineTorusRouting(RoutingAlgorithm):
         if sign > 0:
             return 0 if cur > want else 1
         return 0 if cur < want else 1
-
-
-def yx_routing_order(n_dims: int) -> tuple:
-    """Dimension order for yx routing: highest dimension first."""
-    return tuple(reversed(range(n_dims)))
 
 
 class LaneSplitRouting(RoutingAlgorithm):
@@ -194,12 +191,10 @@ def o1turn_routing(topology: VirtualChannelTopology) -> LaneSplitRouting:
     permutations while remaining deadlock free — the classic
     virtual-channel alternative the turn model is positioned against.
     """
-    from repro.routing.dimension_order import DimensionOrderRouting, yx_routing
-
     if topology.base.n_dims != 2:
         raise ValueError("o1turn routing is defined for 2D meshes")
     return LaneSplitRouting(
         topology,
-        [lambda base: DimensionOrderRouting(base, name="xy"), yx_routing],
+        [partial(make_routing, "xy"), partial(make_routing, "yx")],
         name="o1turn",
     )

@@ -16,15 +16,9 @@ from __future__ import annotations
 from typing import Dict, FrozenSet
 
 from repro.core.adaptiveness import average_adaptiveness_ratio
-from repro.core.restrictions import (
-    TurnRestriction,
-    abonf_restriction,
-    abopl_restriction,
-    negative_first_restriction,
-    north_last_restriction,
-    west_first_restriction,
-)
+from repro.core.restrictions import TurnRestriction
 from repro.core.turns import Turn
+from repro.routing.registry import TURN_SETS
 from repro.routing.synth_names import synth_name
 from repro.routing.turn_table import TurnRestrictionRouting
 from repro.topology.base import Topology
@@ -70,6 +64,7 @@ def adaptiveness_score(
 def named_restrictions(n_dims: int) -> Dict[str, TurnRestriction]:
     """The paper's named prohibition sets at this dimensionality.
 
+    Read from the registry's :data:`~repro.routing.registry.TURN_SETS`.
     The rediscovery check compares each certified symmetry class
     against these: for 2D, west-first, north-last, and negative-first
     (Section 3); for higher dimensions, negative-first and the
@@ -77,13 +72,7 @@ def named_restrictions(n_dims: int) -> Dict[str, TurnRestriction]:
     west-first and north-last at ``n == 2`` and are omitted there.
     """
     if n_dims == 2:
-        return {
-            "west-first": west_first_restriction(),
-            "north-last": north_last_restriction(),
-            "negative-first": negative_first_restriction(2),
-        }
-    return {
-        "negative-first": negative_first_restriction(n_dims),
-        "abonf": abonf_restriction(n_dims),
-        "abopl": abopl_restriction(n_dims),
-    }
+        names = ("west-first", "north-last", "negative-first")
+    else:
+        names = ("negative-first", "abonf", "abopl")
+    return {name: TURN_SETS[name](n_dims) for name in names}

@@ -2,8 +2,9 @@
 
 The prover constructs an explicit channel numbering under which every
 realizable routing step is strictly monotone — the executable form of the
-paper's Theorem 2/3/5 proofs.  Named 2D algorithms get the paper's own
-closed-form numbering schemes from :mod:`repro.core.numbering`; everything
+paper's Theorem 2/3/5 proofs.  A router on exactly west-first's,
+north-last's or negative-first's turn set gets the paper's own
+closed-form numbering scheme from :mod:`repro.core.numbering`; everything
 else falls back to a topological numbering of the exact channel dependency
 relation, which exists precisely when the relation is acyclic.
 
@@ -37,7 +38,9 @@ numbering of the healthy relation certifies every restriction of it
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from repro.core.channel_graph import CycleWitness, RouteFn
 from repro.core.numbering import (
@@ -46,6 +49,13 @@ from repro.core.numbering import (
     numbering_violations,
     west_first_numbering,
 )
+from repro.core.restrictions import (
+    TurnRestriction,
+    negative_first_restriction,
+    north_last_restriction,
+    west_first_restriction,
+)
+from repro.core.turns import Turn
 from repro.routing.base import RoutingAlgorithm
 from repro.sim.ids import ChannelIndex, CompiledRoutes, RouteClosure, mask_ids
 from repro.topology.base import Topology
@@ -74,28 +84,38 @@ __all__ = [
 _Scheme = Tuple[str, str, Callable[[Topology], Dict[Channel, int]]]
 
 
+def _turn_set(restriction: TurnRestriction) -> Tuple[FrozenSet[Turn], FrozenSet[Turn]]:
+    return restriction.prohibited, restriction.allowed_reversals
+
+
 def _closed_form_scheme(
     topology: Topology, routing: RoutingAlgorithm
 ) -> Optional[_Scheme]:
-    """The paper's numbering scheme for this algorithm, if one applies."""
-    name = routing.name
-    if isinstance(topology, Mesh2D) and type(topology) is Mesh2D:
-        if name.startswith("west-first"):
+    """The paper's numbering scheme for this algorithm's turn set, if any.
+
+    Matched on the whole turn set — prohibited turns and permitted
+    reversals — so any router on exactly west-first's, north-last's or
+    negative-first's turns gets that theorem's numbering.
+    """
+    restriction = getattr(routing, "restriction", None)
+    if not isinstance(restriction, TurnRestriction):
+        return None
+    turns = _turn_set(restriction)
+    if type(topology) is Mesh2D:
+        if turns == _turn_set(west_first_restriction()):
             return (
                 "theorem-2-west-first",
                 "decreasing",
                 lambda t: west_first_numbering(t),  # type: ignore[arg-type]
             )
-        if name.startswith("north-last"):
+        if turns == _turn_set(north_last_restriction()):
             return (
                 "theorem-3-north-last",
                 "increasing",
                 lambda t: north_last_numbering(t),  # type: ignore[arg-type]
             )
     plain_mesh = type(topology) in (Mesh, Mesh2D, Hypercube)
-    if plain_mesh and (
-        name.startswith("negative-first") or name.startswith("p-cube")
-    ):
+    if plain_mesh and turns == _turn_set(negative_first_restriction(topology.n_dims)):
         return ("theorem-5-negative-first", "increasing", negative_first_numbering)
     return None
 

@@ -23,7 +23,7 @@ virtual-channel algorithms.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from repro.core.adaptiveness import (
     s_abonf,
@@ -35,15 +35,8 @@ from repro.core.adaptiveness import (
     s_west_first,
     shortest_path_counts,
 )
-from repro.core.restrictions import (
-    TurnRestriction,
-    abonf_restriction,
-    abopl_restriction,
-    negative_first_restriction,
-    north_last_restriction,
-    west_first_restriction,
-)
-from repro.core.turns import Turn, minimum_prohibited_turns, ninety_degree_turns
+from repro.core.restrictions import TurnRestriction
+from repro.core.turns import minimum_prohibited_turns
 from repro.routing.base import RoutingAlgorithm
 from repro.topology.base import Topology
 from repro.topology.channels import NodeId
@@ -64,8 +57,7 @@ def _base_name(routing: RoutingAlgorithm) -> str:
 
     A nonminimal variant permits exactly the minimal paths its minimal
     counterpart does (the enumeration counts distance-decreasing hops
-    only), so it shares the closed form; likewise its restriction is the
-    same turn set.
+    only), so it shares the closed form.
     """
     name = routing.name
     if name.endswith("-nonminimal"):
@@ -89,43 +81,6 @@ _CLOSED_FORMS: Dict[str, ClosedForm] = {
     "abopl": s_abopl,
     "unrestricted-adaptive": s_fully_adaptive,
 }
-
-#: Restriction constructors by base algorithm name, for the turn audit.
-_RESTRICTIONS: Dict[str, Callable[[int], TurnRestriction]] = {
-    "west-first": lambda n: west_first_restriction(),
-    "north-last": lambda n: north_last_restriction(),
-    "negative-first": negative_first_restriction,
-    "p-cube": negative_first_restriction,
-    "abonf": abonf_restriction,
-    "abopl": abopl_restriction,
-    "xy": lambda n: _dimension_order_restriction(n),
-    "yx": lambda n: _dimension_order_restriction(n, reverse=True),
-    "e-cube": lambda n: _dimension_order_restriction(n),
-    "dimension-order": lambda n: _dimension_order_restriction(n),
-}
-
-
-def _dimension_order_restriction(
-    n_dims: int, reverse: bool = False
-) -> TurnRestriction:
-    """The turn set of dimension-order routing (Figure 3 generalized).
-
-    Routing dimensions in increasing order prohibits every turn from a
-    higher dimension back into a lower one; ``reverse`` flips the order
-    (yx routing).
-    """
-
-    def banned(turn: Turn) -> bool:
-        if reverse:
-            return turn.to.dim > turn.frm.dim
-        return turn.to.dim < turn.frm.dim
-
-    prohibited = frozenset(
-        turn for turn in ninety_degree_turns(n_dims) if banned(turn)
-    )
-    name = "yx" if reverse else "dimension-order"
-    return TurnRestriction(n_dims, prohibited, name=name)
-
 
 def _plain_topology(topology: Topology) -> bool:
     """Whether the closed forms apply: an intact mesh or hypercube."""
@@ -202,23 +157,12 @@ def check_adaptiveness(
     )
 
 
-def _restriction_for(routing: RoutingAlgorithm, n_dims: int) -> Optional[TurnRestriction]:
-    """The prohibited-turn set an algorithm routes under, if known."""
-    restriction = getattr(routing, "restriction", None)
-    if isinstance(restriction, TurnRestriction):
-        return restriction
-    build = _RESTRICTIONS.get(_base_name(routing))
-    if build is None:
-        return None
-    return build(n_dims)
-
-
 def check_turn_minimum(
     topology: Topology, routing: RoutingAlgorithm
 ) -> CheckResult:
     """Audit the prohibited-turn count against Theorem 1's minimum."""
-    restriction = _restriction_for(routing, topology.n_dims)
-    if restriction is None:
+    restriction = getattr(routing, "restriction", None)
+    if not isinstance(restriction, TurnRestriction):
         return CheckResult(
             check="turn-minimum",
             verdict=SKIPPED,

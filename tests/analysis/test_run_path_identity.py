@@ -26,7 +26,7 @@ from repro.analysis.executor import (
 from repro.analysis.prewarm import clear_warm_contexts
 from repro.api import run
 from repro.obs.spec import ObsSpec
-from repro.routing.west_first import WestFirstRouting
+from repro.routing.turn_table import TurnRestrictionRouting
 from repro.sim.digest import result_digest, run_digest
 from repro.sim.engine import make_simulator
 
@@ -174,7 +174,7 @@ class TestOneKeyAnyOrderAnySchedule:
             # Pool workers see the patched class only when forked.
             if multiprocessing.get_start_method() != "fork":
                 pytest.skip("needs fork to carry the patched class to workers")
-            monkeypatch.setattr(WestFirstRouting, "cacheable", False)
+            monkeypatch.setattr(TurnRestrictionRouting, "cacheable", False)
             routing = "west-first"
         points = _key_points(routing)
         shuffled = list(points)

@@ -3,11 +3,7 @@
 import pytest
 
 from repro.core.directions import EAST, NORTH, SOUTH, WEST
-from repro.routing import (
-    NegativeFirstRouting,
-    NorthLastRouting,
-    WestFirstRouting,
-)
+from repro.routing import make_routing
 from repro.topology import Mesh, Mesh2D
 
 
@@ -28,7 +24,7 @@ def walk(algorithm, src, dest, pick=0):
 class TestWestFirst:
     @pytest.fixture
     def wf(self, mesh88):
-        return WestFirstRouting(mesh88)
+        return make_routing("west-first", mesh88)
 
     def test_westward_destination_forces_west(self, wf):
         assert wf.route(None, (5, 5), (2, 7)) == (
@@ -61,13 +57,13 @@ class TestWestFirst:
 
     def test_rejects_3d(self):
         with pytest.raises(ValueError):
-            WestFirstRouting(Mesh((3, 3, 3)))
+            make_routing("west-first", Mesh((3, 3, 3)))
 
 
 class TestNorthLast:
     @pytest.fixture
     def nl(self, mesh88):
-        return NorthLastRouting(mesh88)
+        return make_routing("north-last", mesh88)
 
     def test_north_hops_all_come_last(self, nl):
         hops = walk(nl, (2, 1), (6, 6), pick=0)
@@ -101,7 +97,7 @@ class TestNorthLast:
 class TestNegativeFirst:
     @pytest.fixture
     def nf(self, mesh88):
-        return NegativeFirstRouting(mesh88)
+        return make_routing("negative-first", mesh88)
 
     def test_negative_hops_precede_positive(self, nf):
         hops = walk(nf, (5, 2), (2, 6), pick=0)
@@ -123,7 +119,7 @@ class TestNegativeFirst:
         assert {ch.direction for ch in candidates} == {SOUTH}
 
     def test_works_on_3d_mesh(self, mesh3d):
-        nf = NegativeFirstRouting(mesh3d)
+        nf = make_routing("negative-first", mesh3d)
         candidates = nf.route(None, (2, 2, 0), (0, 0, 2))
         assert {ch.direction for ch in candidates} == {
             d for d in (ch.direction for ch in candidates)

@@ -2,19 +2,14 @@
 
 import pytest
 
-from repro.routing import (
-    AllButOneNegativeFirstRouting,
-    AllButOnePositiveLastRouting,
-    NorthLastRouting,
-    WestFirstRouting,
-)
+from repro.routing import make_routing
 from repro.topology import Hypercube, Mesh, Mesh2D
 
 
 class TestABONF:
     @pytest.fixture
     def abonf(self, mesh3d):
-        return AllButOneNegativeFirstRouting(mesh3d)
+        return make_routing("abonf", mesh3d)
 
     def test_first_phase_negative_low_dims(self, abonf):
         # Needs -0, -1, and +2: phase one serves -0 and -1 only.
@@ -32,8 +27,8 @@ class TestABONF:
         }
 
     def test_2d_matches_west_first(self, mesh54):
-        abonf = AllButOneNegativeFirstRouting(mesh54)
-        wf = WestFirstRouting(mesh54)
+        abonf = make_routing("abonf", mesh54)
+        wf = make_routing("west-first", mesh54)
         for src in mesh54.nodes():
             for dst in mesh54.nodes():
                 if src != dst:
@@ -43,7 +38,7 @@ class TestABONF:
 
     def test_works_on_hypercube(self):
         cube = Hypercube(4)
-        abonf = AllButOneNegativeFirstRouting(cube)
+        abonf = make_routing("abonf", cube)
         candidates = abonf.route(None, (1, 1, 0, 0), (0, 0, 1, 1))
         dims = {(c.direction.dim, c.direction.sign) for c in candidates}
         assert dims == {(0, -1), (1, -1)}
@@ -52,7 +47,7 @@ class TestABONF:
 class TestABOPL:
     @pytest.fixture
     def abopl(self, mesh3d):
-        return AllButOnePositiveLastRouting(mesh3d)
+        return make_routing("abopl", mesh3d)
 
     def test_first_phase_includes_positive_dim0(self, abopl):
         # Needs +0, -1, +2: +0 and -1 are first phase.
@@ -70,8 +65,8 @@ class TestABOPL:
         }
 
     def test_2d_matches_north_last(self, mesh54):
-        abopl = AllButOnePositiveLastRouting(mesh54)
-        nl = NorthLastRouting(mesh54)
+        abopl = make_routing("abopl", mesh54)
+        nl = make_routing("north-last", mesh54)
         for src in mesh54.nodes():
             for dst in mesh54.nodes():
                 if src != dst:
@@ -81,11 +76,9 @@ class TestABOPL:
 
 
 class TestDelivery:
-    @pytest.mark.parametrize(
-        "cls", [AllButOneNegativeFirstRouting, AllButOnePositiveLastRouting]
-    )
-    def test_all_pairs_deliver_minimally(self, mesh3d, cls):
-        algorithm = cls(mesh3d)
+    @pytest.mark.parametrize("name", ["abonf", "abopl"])
+    def test_all_pairs_deliver_minimally(self, mesh3d, name):
+        algorithm = make_routing(name, mesh3d)
         for src in mesh3d.nodes():
             for dst in mesh3d.nodes():
                 if src == dst:

@@ -3,10 +3,9 @@
 import pytest
 
 from repro.routing import (
-    DimensionOrderRouting,
     FirstHopWraparoundRouting,
-    NegativeFirstRouting,
     NegativeFirstTorusRouting,
+    make_routing,
 )
 from repro.topology import Torus
 from tests.core.cdg_oracle import is_deadlock_free
@@ -27,7 +26,7 @@ def walk(algorithm, src, dest, pick=0, limit=64):
 class TestFirstHopWraparound:
     @pytest.fixture
     def routing(self, torus42):
-        return FirstHopWraparoundRouting(torus42, DimensionOrderRouting(torus42))
+        return make_routing("xy+first-hop-wrap", torus42)
 
     def test_wrap_offered_only_at_injection(self, routing, torus42):
         first = routing.route(None, (3, 0), (0, 0))
@@ -53,16 +52,15 @@ class TestFirstHopWraparound:
         candidates = routing.route(None, (3, 0), (0, 0))
         wrap = next(ch for ch in candidates if ch.wraparound)
         assert wrap.dst == (0, 0)
-        mesh_hops = walk(DimensionOrderRouting(torus42), (3, 0), (0, 0))
+        mesh_hops = walk(routing.base, (3, 0), (0, 0))
         assert len(mesh_hops) == 3
 
     def test_deadlock_free(self, torus42, routing):
         assert is_deadlock_free(torus42, routing)
 
     def test_with_negative_first_base(self, torus42):
-        routing = FirstHopWraparoundRouting(
-            torus42, NegativeFirstRouting(torus42)
-        )
+        routing = make_routing("negative-first+first-hop-wrap", torus42)
+        assert isinstance(routing, FirstHopWraparoundRouting)
         assert is_deadlock_free(torus42, routing)
         for src in list(torus42.nodes())[::3]:
             for dst in list(torus42.nodes())[::3]:

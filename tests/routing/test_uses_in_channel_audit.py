@@ -1,17 +1,20 @@
-"""Audit of every ``uses_in_channel = False`` declaration.
+"""Audit of every ``uses_in_channel = False``, declared or detected.
 
-The lint rule only checks that each routing class *declares* the flag.
+The lint rule only checks that each routing class *declares* the flag;
+:class:`~repro.routing.turn_table.TurnRestrictionRouting` derives it per
+instance (``False`` for a minimal router over a transitive restriction).
 The dense route table collapses all arrival channels of a router into
 one ``(node, dest)`` entry on the strength of it, and since the prover
 reads that same table, a wrong ``False`` would be proved and simulated
-consistently wrong.  So the declaration is checked here against the
-algorithm itself: for every reachable state ``(c, d)`` on every default
-target, ``route(c, c.dst, d)`` must equal ``route(None, c.dst, d)``.
+consistently wrong.  So the flag each instance carries is checked here
+against the algorithm itself: for every reachable state ``(c, d)`` on
+every default target, ``route(c, c.dst, d)`` must equal
+``route(None, c.dst, d)``.
 """
 
 import pytest
 
-from repro.routing import available_algorithms, make_routing
+from repro.routing import TurnRestrictionRouting, available_algorithms, make_routing
 from repro.topology.faults import random_channel_faults
 from repro.verify import REGISTRY_TOPOLOGIES, default_targets
 
@@ -61,6 +64,9 @@ def test_every_registered_algorithm_is_in_the_sweep():
         for name in available_algorithms(topology):
             assert (spec, make_routing(name, topology).name) in swept
     assert len(DECLARED_FALSE) >= 10
+    # Both kinds are audited: detected turn sets and declaring classes.
+    detected = [t for t in DECLARED_FALSE if isinstance(t.routing, TurnRestrictionRouting)]
+    assert detected and len(detected) < len(DECLARED_FALSE)
 
 
 @pytest.mark.parametrize("target", DECLARED_FALSE, ids=lambda t: t.label)

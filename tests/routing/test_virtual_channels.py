@@ -1,13 +1,15 @@
 """Tests for virtual-channel topologies and VC routing algorithms."""
 
+from functools import partial
+
 import pytest
 
+from repro.core.restrictions import dimension_order_restriction
 from repro.routing import (
     DatelineTorusRouting,
-    DimensionOrderRouting,
     LaneSplitRouting,
+    make_routing,
     o1turn_routing,
-    yx_routing,
 )
 from repro.topology import Mesh2D, Torus, VirtualChannelTopology
 from tests.core.cdg_oracle import is_deadlock_free
@@ -107,7 +109,7 @@ class TestLaneSplit:
     def test_lane_count_must_match(self, mesh44):
         vc = VirtualChannelTopology(mesh44, 2)
         with pytest.raises(ValueError):
-            LaneSplitRouting(vc, [lambda b: DimensionOrderRouting(b)])
+            LaneSplitRouting(vc, [partial(make_routing, "xy")])
 
     def test_packets_never_change_lanes(self, o1turn):
         mesh = o1turn.topology.base
@@ -128,12 +130,12 @@ class TestLaneSplit:
         vc = o1turn.topology
         forced_xy = LaneSplitRouting(
             vc,
-            [lambda b: DimensionOrderRouting(b, name="xy"), yx_routing],
+            [partial(make_routing, "xy"), partial(make_routing, "yx")],
             chooser=lambda s, d: 0,
         )
         forced_yx = LaneSplitRouting(
             vc,
-            [lambda b: DimensionOrderRouting(b, name="xy"), yx_routing],
+            [partial(make_routing, "xy"), partial(make_routing, "yx")],
             chooser=lambda s, d: 1,
         )
         (first_xy,) = forced_xy.route(None, (0, 0), (2, 2))
@@ -148,7 +150,7 @@ class TestLaneSplit:
         vc = VirtualChannelTopology(Mesh2D(4, 4), 2)
         routing = LaneSplitRouting(
             vc,
-            [lambda b: DimensionOrderRouting(b, name="xy"), yx_routing],
+            [partial(make_routing, "xy"), partial(make_routing, "yx")],
             chooser=lambda s, d: 7,
         )
         with pytest.raises(ValueError):
@@ -157,21 +159,19 @@ class TestLaneSplit:
 
 class TestYXRouting:
     def test_y_first(self, mesh44):
-        yx = yx_routing(mesh44)
+        yx = make_routing("yx", mesh44)
         (channel,) = yx.route(None, (0, 0), (2, 3))
         assert channel.direction.dim == 1
 
     def test_mirrors_xy(self, mesh44):
-        from repro.routing import xy_routing
-
-        xy = xy_routing(mesh44)
-        yx = yx_routing(mesh44)
+        xy = make_routing("xy", mesh44)
+        yx = make_routing("yx", mesh44)
         # On a pure-x destination both agree.
         assert xy.route(None, (0, 0), (3, 0)) == yx.route(None, (0, 0), (3, 0))
 
     def test_deadlock_free(self, mesh44):
-        assert is_deadlock_free(mesh44, yx_routing(mesh44))
+        assert is_deadlock_free(mesh44, make_routing("yx", mesh44))
 
     def test_invalid_order_rejected(self, mesh44):
         with pytest.raises(ValueError):
-            DimensionOrderRouting(mesh44, dimension_order=(0, 0))
+            dimension_order_restriction(2, (0, 0))

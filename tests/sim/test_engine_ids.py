@@ -198,7 +198,12 @@ class TestRestrictedTable:
 
     def test_a_state_outside_the_parent_s_closure_raises(self):
         mesh = Mesh2D(4, 4)
-        parent = CompiledRoutes(unrestricted_adaptive_routing(mesh))
+        routing = unrestricted_adaptive_routing(mesh)
+        # Its restriction is transitive, so it would compile dense; a
+        # keyed table (declaring the arrival used is always safe) holds
+        # per-channel states, some outside the closure.
+        routing.uses_in_channel = True
+        parent = CompiledRoutes(routing)
         assert parent.bykey is not None
         derived = CompiledRoutes.restricted(parent, [frozenset()] * 16)
         index = parent.index

@@ -1,13 +1,14 @@
 """Engine tests for virtual channels: lane buffering and shared bandwidth."""
 
+from functools import partial
+
 import pytest
 
 from repro.routing import (
     DatelineTorusRouting,
-    DimensionOrderRouting,
     LaneSplitRouting,
+    make_routing,
     o1turn_routing,
-    yx_routing,
 )
 from repro.sim import SimulationConfig, WormholeSimulator
 from repro.topology import Mesh2D, Torus, VirtualChannelTopology
@@ -47,7 +48,7 @@ class TestLaneBuffers:
         # Force one packet onto each lane, same physical route (0,0)->(3,0).
         lane0 = LaneSplitRouting(
             vc,
-            [lambda b: DimensionOrderRouting(b, name="xy"), yx_routing],
+            [partial(make_routing, "xy"), partial(make_routing, "yx")],
             chooser=lambda s, d: 0,
             name="forced",
         )
@@ -56,10 +57,7 @@ class TestLaneBuffers:
         # lane by destination parity with a custom chooser.
         both = LaneSplitRouting(
             vc,
-            [
-                lambda b: DimensionOrderRouting(b, name="xy"),
-                lambda b: DimensionOrderRouting(b, name="xy2"),
-            ],
+            [partial(make_routing, "xy"), partial(make_routing, "xy")],
             chooser=lambda s, d: 0 if s == (0, 0) else 1,
             name="shared-phy",
         )
@@ -86,10 +84,7 @@ class TestLaneBuffers:
         vc = VirtualChannelTopology(Mesh2D(4, 4), 2)
         routing = LaneSplitRouting(
             vc,
-            [
-                lambda b: DimensionOrderRouting(b, name="xy"),
-                lambda b: DimensionOrderRouting(b, name="xy2"),
-            ],
+            [partial(make_routing, "xy"), partial(make_routing, "xy")],
             chooser=lambda s, d: 0 if d[1] == 0 else 1,
             name="hol-test",
         )
