@@ -6,9 +6,9 @@ Walks the six steps of Section 2 interactively:
 1-3. Enumerate the directions, turns, and abstract cycles of a 2D mesh.
 4.   Pick one turn to prohibit from each cycle — here the "south-last"
      combination (one of the twelve valid choices that is *not* among the
-     paper's three canonical classes' representatives) — and let the
-     model verify it breaks every cycle, complex ones included.
-6.   Ask the model for the maximal set of safe 180-degree turns.
+     paper's three canonical classes' representatives) — and check on the
+     target mesh that it breaks every cycle, complex ones included.
+6.   Add the maximal set of safe 180-degree turns.
 
 The resulting restriction drives the generic turn-table router, which is
 then certified deadlock free and simulated against xy on hotspot traffic.
@@ -16,9 +16,18 @@ then certified deadlock free and simulated against xy on hotspot traffic.
 Run:  python examples/custom_turn_model.py
 """
 
-from repro.core.directions import EAST, NORTH, SOUTH, WEST
-from repro.core.model import TurnModel
-from repro.core.turns import Turn
+from repro.core import (
+    EAST,
+    SOUTH,
+    WEST,
+    Turn,
+    TurnRestriction,
+    abstract_cycles,
+    all_directions,
+    maximal_reversal_extension,
+    ninety_degree_turns,
+    restriction_is_deadlock_free,
+)
 from repro.routing import TurnRestrictionRouting, make_routing
 from repro.sim import SimulationConfig, WormholeSimulator
 from repro.topology import Mesh2D
@@ -27,26 +36,27 @@ from repro.verify import PROVED, check_deadlock_freedom
 
 
 def main() -> None:
-    model = TurnModel(2)
-    print("Step 1 - directions:", ", ".join(map(str, model.directions())))
-    print(f"Step 2 - {len(model.turns())} ninety-degree turns")
-    print(f"Step 3 - {len(model.cycles())} abstract cycles:")
-    for cycle in model.cycles():
+    print("Step 1 - directions:", ", ".join(map(str, all_directions(2))))
+    print(f"Step 2 - {len(ninety_degree_turns(2))} ninety-degree turns")
+    print(f"Step 3 - {len(abstract_cycles(2))} abstract cycles:")
+    for cycle in abstract_cycles(2):
         print("   ", " -> ".join(str(t) for t in cycle))
 
     # Step 4: prohibit south->west (clockwise cycle) and south->east
     # (counterclockwise cycle): "south-first" — to travel south a packet
     # must start south.  This is the 180-degree rotation of north-last.
+    mesh = Mesh2D(8, 8)
     prohibited = [Turn(SOUTH, WEST), Turn(SOUTH, EAST)]
-    restriction = model.restriction(prohibited, name="south-first")
+    restriction = TurnRestriction(2, frozenset(prohibited), name="south-first")
+    assert restriction_is_deadlock_free(mesh, restriction)
     print(f"\nStep 4 - prohibiting: {', '.join(map(str, prohibited))}")
     print("         validated: breaks every cycle, deadlock free")
+    restriction = maximal_reversal_extension(mesh, restriction)
     print(
         "Step 6 - safe reversals added:",
         ", ".join(sorted(map(str, restriction.allowed_reversals))) or "none",
     )
 
-    mesh = Mesh2D(8, 8)
     routing = TurnRestrictionRouting(mesh, restriction, minimal=True)
     assert check_deadlock_freedom(mesh, routing).verdict == PROVED
     print("\nDally-Seitz check on the 8x8 mesh: acyclic (deadlock free)")

@@ -18,8 +18,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict
 
+from repro.core.digraph import mask_ids
 from repro.routing.base import RoutingAlgorithm
-from repro.sim.ids import mask_ids
 from repro.topology.base import Topology
 from repro.topology.channels import Channel
 from repro.traffic.patterns import TrafficPattern

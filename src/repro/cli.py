@@ -24,8 +24,7 @@ a structured run manifest that ``report`` renders later.  Every ``--out`` JSON a
 ``docs/observability.md``).
 
 This module is the argument-parsing shell only; programmatic users
-should import from :mod:`repro.api` (``parse_topology`` is re-exported
-here for backward compatibility).
+should import from :mod:`repro.api`.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from repro.routing.registry import available_algorithms, make_routing
 from repro.sim.config import SimulationConfig
 from repro.topology.spec import parse_topology
 
-__all__ = ["main", "parse_topology"]
+__all__ = ["main"]
 
 
 def _cmd_tables(args: argparse.Namespace) -> int:

@@ -8,13 +8,14 @@ dependency test, the channel numbering certificates of Theorems 2/3/5, and
 the degree-of-adaptiveness formulas of Sections 3.4, 4.1, and 5.
 
 The submodules that operate on concrete topologies (``channel_graph``,
-``model``, ``numbering``, ``adaptiveness``) are re-exported lazily so that
+``numbering``, ``adaptiveness``) are re-exported lazily so that
 ``repro.topology`` can import the direction algebra without a circular
 import.
 """
 
 from repro.core.digraph import Digraph
 from repro.core.directions import EAST, NORTH, SOUTH, WEST, Direction, all_directions
+from repro.core.model import apply_symmetry, signed_permutation_symmetries
 from repro.core.restrictions import (
     TurnRestriction,
     abonf_restriction,
@@ -39,16 +40,11 @@ from repro.core.turns import (
 #: Lazily re-exported names and the submodules providing them (these
 #: submodules import repro.topology, which imports this package).
 _LAZY = {
-    "turn_cdg": "channel_graph",
     "routing_cdg": "channel_graph",
     "CycleWitness": "channel_graph",
     "restriction_is_deadlock_free": "channel_graph",
+    "maximal_reversal_extension": "channel_graph",
     "RouteFn": "channel_graph",
-    "TurnModel": "model",
-    "mesh_symmetries_2d": "model",
-    "signed_permutation_symmetries": "model",
-    "apply_symmetry": "model",
-    "symmetry_classes": "model",
     "west_first_numbering": "numbering",
     "north_last_numbering": "numbering",
     "negative_first_numbering": "numbering",
@@ -109,12 +105,11 @@ __all__ = [
     "Digraph",
     "CycleWitness",
     "RouteFn",
-    "TurnModel",
     "apply_symmetry",
     "average_adaptiveness_ratio",
     "certifies",
     "count_shortest_paths",
-    "mesh_symmetries_2d",
+    "maximal_reversal_extension",
     "multinomial",
     "negative_first_numbering",
     "north_last_numbering",
@@ -133,8 +128,6 @@ __all__ = [
     "s_west_first",
     "shortest_path_counts",
     "signed_permutation_symmetries",
-    "symmetry_classes",
-    "turn_cdg",
     "west_first_numbering",
 ]
 

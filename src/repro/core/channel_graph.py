@@ -7,14 +7,17 @@ route a packet that holds ``a`` and next requests ``b`` — is acyclic.  The
 turn model's Step 4 chooses prohibited turns precisely so this graph has no
 cycles.
 
-Two builders are provided:
+Two relations are decided here:
 
-* :func:`turn_cdg` builds the dependency graph induced by a
-  :class:`~repro.core.restrictions.TurnRestriction` alone: every permitted
-  turn (and straight continuation) between physically adjacent channels is
-  an edge.  This over-approximates any routing algorithm obeying the
-  restriction, so acyclicity here certifies *every* such algorithm,
-  minimal or nonminimal.
+* :func:`restriction_is_deadlock_free` is Step 4's test: the dependency
+  graph induced by a :class:`~repro.core.restrictions.TurnRestriction`
+  alone, where every permitted turn (and straight continuation) between
+  physically adjacent channels is an edge.  This over-approximates any
+  routing algorithm obeying the restriction, so acyclicity here certifies
+  *every* such algorithm, minimal or nonminimal.  It is built as id
+  bitmasks and decided by the prover's Kahn pass
+  (:func:`~repro.core.digraph.topological_numbering`);
+  :func:`maximal_reversal_extension` (Step 6) reuses it.
 
 * :func:`routing_cdg` builds the exact dependency graph of a concrete
   routing relation, tracking which (channel, destination) pairs are
@@ -32,7 +35,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union, overload
 
-from repro.core.digraph import Digraph
+from repro.core.digraph import Digraph, topological_numbering
+from repro.core.directions import all_directions
 from repro.core.restrictions import TurnRestriction
 from repro.core.turns import Turn
 from repro.topology.base import Topology
@@ -41,9 +45,9 @@ from repro.topology.channels import Channel, NodeId
 __all__ = [
     "RouteFn",
     "CycleWitness",
-    "turn_cdg",
     "routing_cdg",
     "restriction_is_deadlock_free",
+    "maximal_reversal_extension",
 ]
 
 #: A routing relation: given the channel a packet arrived on (``None`` when
@@ -151,24 +155,6 @@ class CycleWitness:
         return cls(chans, tuple(turns), tuple(dests))
 
 
-def turn_cdg(topology: Topology, restriction: TurnRestriction) -> Digraph[Channel]:
-    """Dependency graph induced by a turn restriction alone.
-
-    An edge joins channel ``a`` to channel ``b`` whenever ``b`` leaves the
-    node ``a`` enters and the restriction permits the transition from
-    ``a``'s direction to ``b``'s direction (straight continuations and
-    permitted reversals included).
-    """
-    graph: Digraph[Channel] = Digraph()
-    for channel in topology.channels():
-        graph.add_vertex(channel)
-    for in_channel in topology.channels():
-        for out_channel in topology.out_channels(in_channel.dst):
-            if restriction.permits(in_channel.direction, out_channel.direction):
-                graph.add_edge(in_channel, out_channel)
-    return graph
-
-
 def routing_cdg(
     topology: Topology,
     route_fn: RouteFn,
@@ -222,9 +208,47 @@ def restriction_is_deadlock_free(
 ) -> bool:
     """Whether *every* routing algorithm obeying ``restriction`` is safe.
 
-    Checks acyclicity of the turn-induced dependency graph.  On topologies
+    Step 4's test: the turn-induced dependency graph has an edge from
+    channel ``a`` to channel ``b`` whenever ``b`` leaves the node ``a``
+    enters and the restriction permits the transition from ``a``'s
+    direction to ``b``'s (straight continuations and permitted reversals
+    included).  It over-approximates any algorithm obeying the
+    restriction, minimal or nonminimal, so its acyclicity certifies them
+    all.  The graph is built as successor bitmasks over
+    ``topology.channels()`` and decided by the prover's Kahn pass
+    (:func:`~repro.core.digraph.topological_numbering`).  On topologies
     with wraparound channels this is usually false even for safe
     restrictions (rings cycle without turning); certify the concrete
     algorithm there (:func:`repro.verify.check_deadlock_freedom`).
     """
-    return turn_cdg(topology, restriction).is_acyclic()
+    channels = topology.channels()
+    cid = {channel: ident for ident, channel in enumerate(channels)}
+    permits = restriction.permits
+    succ = [
+        sum(
+            1 << cid[out_channel]
+            for out_channel in topology.out_channels(in_channel.dst)
+            if permits(in_channel.direction, out_channel.direction)
+        )
+        for in_channel in channels
+    ]
+    return topological_numbering(succ) is not None
+
+
+def maximal_reversal_extension(
+    topology: Topology, restriction: TurnRestriction
+) -> TurnRestriction:
+    """Step 6 on ``topology``: admit each 180-degree reversal, in sorted
+    direction order, whose addition keeps the turn-induced dependency
+    graph acyclic (:func:`restriction_is_deadlock_free`).
+
+    The result is maximal: no further reversal can be added.  An
+    already-cyclic restriction admits nothing, so the loop leaves it
+    unchanged rather than masking the deadlock.
+    """
+    current = restriction
+    for direction in sorted(all_directions(restriction.n_dims)):
+        candidate = current.with_reversals([Turn(direction, direction.opposite)])
+        if restriction_is_deadlock_free(topology, candidate):
+            current = candidate
+    return current

@@ -1,22 +1,57 @@
-"""A minimal object-level digraph for the turn model's dependency graphs.
+"""Dependency relations in two forms, and the one acyclicity decider.
 
-It holds the paper's Step 3/4 abstraction, the dependency graph a turn
-restriction induces (:func:`repro.core.channel_graph.turn_cdg`), and the
-exact dependency graph the certificate re-check rebuilds from a routing
-callable (:func:`repro.core.channel_graph.routing_cdg`).  The prover
-itself decides on the closure's channel ids
-(:mod:`repro.verify.deadlock`), so all this class needs is an
-adjacency-set graph with an iterative cycle search.  (Tests cross-check
-it against networkx.)
+A relation over channel ids is a list of successor bitmasks
+(``succ[front]`` has bit ``out`` set when ``front -> out``).  Both the
+prover's relation, the closure of a compiled route table
+(:mod:`repro.verify.deadlock`), and Step 4's turn-induced relation
+(:func:`repro.core.channel_graph.restriction_is_deadlock_free`) are in
+that form, and :func:`topological_numbering` decides both with one Kahn
+pass.
+
+:class:`Digraph` is the object-level form: the exact dependency graph
+the certificate re-check rebuilds from a routing callable
+(:func:`repro.core.channel_graph.routing_cdg`), independent of the id
+tables the prover reads.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Generic, Hashable, Iterator, List, Optional, Set, Tuple, TypeVar
+from typing import Dict, Generic, Hashable, Iterator, List, Optional, Sequence, Set, Tuple, TypeVar
 
-__all__ = ["Digraph"]
+__all__ = ["Digraph", "mask_ids", "topological_numbering"]
 
 V = TypeVar("V", bound=Hashable)
+
+
+def mask_ids(mask: int) -> Iterator[int]:
+    """The ids set in a channel bitmask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def topological_numbering(succ: Sequence[int]) -> Optional[List[int]]:
+    """A numbering of the relation ``succ`` (id -> bitmask of its
+    successors): id -> rank in a topological order (Kahn's), so every
+    dependency strictly increases.  ``None`` when the relation has a
+    cycle, which no numbering can order."""
+    indegree = [0] * len(succ)
+    for mask in succ:
+        for out in mask_ids(mask):
+            indegree[out] += 1
+    order = [front for front, count in enumerate(indegree) if not count]
+    for front in order:  # grows as ids lose their last predecessor
+        for out in mask_ids(succ[front]):
+            indegree[out] -= 1
+            if not indegree[out]:
+                order.append(out)
+    if len(order) < len(succ):
+        return None
+    numbering = [0] * len(succ)
+    for rank, front in enumerate(order):
+        numbering[front] = rank
+    return numbering
 
 
 class Digraph(Generic[V]):
@@ -41,64 +76,7 @@ class Digraph(Generic[V]):
     def successors(self, v: V) -> Set[V]:
         return set(self._succ.get(v, ()))
 
-    @property
-    def num_vertices(self) -> int:
-        return len(self._succ)
-
-    @property
-    def num_edges(self) -> int:
-        return sum(len(s) for s in self._succ.values())
-
-    def has_edge(self, u: V, v: V) -> bool:
-        return v in self._succ.get(u, ())
-
     def edges(self) -> Iterator[Tuple[V, V]]:
         for u, succ in self._succ.items():
             for v in succ:
                 yield u, v
-
-    def find_cycle(self) -> Optional[List[V]]:
-        """Find a directed cycle, or return ``None`` if the graph is acyclic.
-
-        Returns:
-            The vertices of one cycle in order (first vertex not repeated
-            at the end), or ``None``.  Uses an iterative three-color DFS,
-            so it is safe on graphs far deeper than the Python recursion
-            limit.
-        """
-        WHITE, GRAY, BLACK = 0, 1, 2
-        color = {v: WHITE for v in self._succ}
-        parent: Dict[V, V] = {}
-        for root in self._succ:
-            if color[root] != WHITE:
-                continue
-            stack: List[Tuple[V, Iterator[V]]] = [
-                (root, iter(self._succ[root]))
-            ]
-            color[root] = GRAY
-            while stack:
-                vertex, children = stack[-1]
-                advanced = False
-                for child in children:
-                    if color[child] == WHITE:
-                        color[child] = GRAY
-                        parent[child] = vertex
-                        stack.append((child, iter(self._succ[child])))
-                        advanced = True
-                        break
-                    if color[child] == GRAY:
-                        cycle = [vertex]
-                        node = vertex
-                        while node != child:
-                            node = parent[node]
-                            cycle.append(node)
-                        cycle.reverse()
-                        return cycle
-                if not advanced:
-                    color[vertex] = BLACK
-                    stack.pop()
-        return None
-
-    def is_acyclic(self) -> bool:
-        """Whether the graph contains no directed cycle."""
-        return self.find_cycle() is None

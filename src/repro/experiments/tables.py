@@ -17,7 +17,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.analysis.report import format_table
 from repro.core.adaptiveness import (
@@ -27,10 +27,13 @@ from repro.core.adaptiveness import (
     s_pcube,
     shortest_path_counts,
 )
-from repro.core.model import TurnModel
+from repro.core.channel_graph import restriction_is_deadlock_free
+from repro.core.restrictions import TurnRestriction
 from repro.core.turns import abstract_cycles, minimum_prohibited_turns, ninety_degree_turns
 from repro.routing.pcube import PCubeRouting
 from repro.routing.registry import make_routing
+from repro.synth.enumeration import enumerate_candidates
+from repro.synth.symmetry import classify_candidates
 from repro.topology.hypercube import Hypercube
 from repro.topology.mesh import Mesh2D
 from repro.traffic.permutations import make_pattern
@@ -63,15 +66,18 @@ def enumeration_table() -> Tuple[int, int, int, str]:
     Returns:
         (candidates, deadlock_free, unique_classes, rendered table).
     """
-    model = TurnModel(2)
-    candidates = list(model.candidate_prohibitions())
-    free = model.deadlock_free_prohibitions()
-    unique = model.unique_prohibitions()
+    mesh = Mesh2D(3, 3)
+    candidates, _ = enumerate_candidates(2)
+    verdicts = [
+        restriction_is_deadlock_free(mesh, TurnRestriction(2, turns)) for turns in candidates
+    ]
+    free = [turns for turns, ok in zip(candidates, verdicts) if ok]
+    unique = classify_candidates(free, 2)
     headers = ["prohibited pair", "deadlock free"]
     rows = []
-    for turns in candidates:
+    for turns, ok in zip(candidates, verdicts):
         label = " + ".join(sorted(str(t) for t in turns))
-        rows.append([label, "yes" if model.is_valid_prohibition(turns) else "NO"])
+        rows.append([label, "yes" if ok else "NO"])
     table = format_table(headers, rows)
     summary = (
         f"{len(candidates)} ways to prohibit one turn per cycle; "

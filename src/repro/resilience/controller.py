@@ -36,6 +36,7 @@ from heapq import heappop, heappush
 from time import perf_counter
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Tuple
 
+from repro.core.digraph import mask_ids
 from repro.resilience.recovery import (
     DROP,
     RETRY,
@@ -48,7 +49,7 @@ from repro.resilience.schedule import FAIL, FaultEvent, FaultSchedule
 from repro.resilience.stats import ResilienceStats
 from repro.routing.base import RoutingAlgorithm
 from repro.routing.turn_table import TurnRestrictionRouting
-from repro.sim.ids import CompiledRoutes, mask_ids
+from repro.sim.ids import CompiledRoutes
 from repro.topology.base import Topology
 from repro.topology.channels import Channel, NodeId
 

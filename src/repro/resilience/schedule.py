@@ -6,7 +6,7 @@ one cycle) that the :class:`~repro.resilience.controller.FaultController`
 replays against the engine.  Schedules are pure data — seed-derived,
 serializable to JSON, and validated at construction — so the same
 schedule string always produces the same degraded topologies, which is
-what makes fault runs reproducible and cacheable.
+what makes fault runs reproducible and safe to cache.
 """
 
 from __future__ import annotations

@@ -30,14 +30,6 @@ class RoutingAlgorithm(ABC):
         topology: the network the algorithm routes on.
         name: short identifier used in reports and figure legends.
         minimal: whether the algorithm only offers shortest-path hops.
-        cacheable: whether :meth:`route` is a pure function of
-            ``(in_channel, node, dest)`` — no randomness, no mutable
-            state, no time dependence.  True for every turn-model
-            relation (they are Markovian by construction), and it lets
-            the simulator memoize routing decisions
-            (:class:`repro.sim.ids.CompiledRoutes`).  Set to False in
-            subclasses whose decisions can change between identical
-            calls.
         uses_in_channel: whether :meth:`route` actually reads
             ``in_channel``.  Most minimal turn-model algorithms decide
             from ``(node, dest)`` alone; declaring that lets the route
@@ -51,7 +43,6 @@ class RoutingAlgorithm(ABC):
 
     name: str = "unnamed"
     minimal: bool = True
-    cacheable: bool = True
     uses_in_channel: bool = True
 
     def __init__(self, topology: Topology):
@@ -62,6 +53,10 @@ class RoutingAlgorithm(ABC):
         self, in_channel: Optional[Channel], node: NodeId, dest: NodeId
     ) -> Sequence[Channel]:
         """Output channels the packet may take from ``node`` toward ``dest``.
+
+        A pure function of its arguments (no randomness, mutable state or
+        time dependence), so the simulator compiles each answer once
+        (:class:`repro.sim.ids.CompiledRoutes`).
 
         Args:
             in_channel: the channel the packet's header arrived on, or

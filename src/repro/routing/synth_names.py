@@ -28,7 +28,8 @@ west-first candidate; ``synth2-es.nw`` is negative-first;
 ``synth3-p0n1.p0n2.p1n0.p1n2.p2n0.p2n1-nonminimal`` is the nonminimal
 3D negative-first analog.
 
-The nonminimal variant runs Step 6 of the model on construction: the
+The nonminimal variant runs Step 6 of the model on construction
+(:func:`repro.core.channel_graph.maximal_reversal_extension`): the
 maximal set of safe 180-degree reversals, validated against the target
 topology's turn-induced dependency graph in deterministic order.
 (Minimal routing never takes a reversal — every hop must reduce
@@ -40,10 +41,10 @@ from __future__ import annotations
 import re
 from typing import Dict, FrozenSet, Tuple
 
-from repro.core.channel_graph import restriction_is_deadlock_free
+from repro.core.channel_graph import maximal_reversal_extension
 from repro.core.directions import Direction
 from repro.core.restrictions import TurnRestriction
-from repro.core.turns import Turn, all_directions
+from repro.core.turns import Turn
 from repro.routing.turn_table import TurnRestrictionRouting
 from repro.topology.base import Topology
 from repro.topology.hypercube import Hypercube
@@ -161,24 +162,6 @@ def parse_synth_name(name: str) -> Tuple[int, FrozenSet[Turn], bool]:
     return n_dims, prohibited, match.group("nonminimal") is None
 
 
-def _maximal_reversal_extension(
-    topology: Topology, restriction: TurnRestriction
-) -> TurnRestriction:
-    """Step 6 against the *target* topology, in deterministic order.
-
-    Greedily admit each 180-degree reversal (sorted order) whose
-    addition keeps the turn-induced dependency graph acyclic.  An
-    already-cyclic restriction admits nothing — the loop leaves it
-    unchanged rather than masking the deadlock.
-    """
-    current = restriction
-    for direction in sorted(all_directions(restriction.n_dims)):
-        candidate = current.with_reversals([Turn(direction, direction.opposite)])
-        if restriction_is_deadlock_free(topology, candidate):
-            current = candidate
-    return current
-
-
 def routing_from_synth_name(
     name: str, topology: Topology
 ) -> TurnRestrictionRouting:
@@ -209,7 +192,7 @@ def routing_from_synth_name(
     base_name = synth_name(n_dims, prohibited, minimal=True)
     restriction = TurnRestriction(n_dims, prohibited, name=base_name)
     if not minimal:
-        restriction = _maximal_reversal_extension(topology, restriction)
+        restriction = maximal_reversal_extension(topology, restriction)
     return TurnRestrictionRouting(
         topology, restriction, minimal=minimal, name=base_name
     )

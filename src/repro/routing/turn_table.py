@@ -142,25 +142,6 @@ class ReachabilityOracle:
                     frontier.append(feeder)
         return seen & ~blocked
 
-    def can_reach(
-        self, node: NodeId, arrival: Optional[Direction], dest: NodeId
-    ) -> bool:
-        """Whether ``dest`` is reachable from ``node`` arriving via ``arrival``."""
-        if node == dest:
-            return True
-        mask = self.reach_mask(dest)
-        if arrival is None:
-            # Freshly injected: every first hop is permitted.
-            return any(
-                mask >> self.ids[channel] & 1
-                for channel in self.topology.out_channels(node)
-            )
-        return any(
-            mask >> ident & 1
-            for ident in self._entering.get(node, ())
-            if self._channels[ident].direction == arrival
-        )
-
 
 class TurnRestrictionRouting(RoutingAlgorithm):
     """Routing that offers every channel with a permitted turn.

@@ -295,8 +295,7 @@ class WormholeSimulator:
         # common candidate set, allocation-free.
         ej_base = index.ej_base
         self._ej_tuples = [(ej_base + i,) for i in range(index.num_nodes)]
-        # This run's view of the compiled routing table (an uncacheable
-        # algorithm's holds no table: every lookup asks it live).
+        # This run's view of the compiled routing table.
         self._routes = RouteTable(compiled_routes)
         # Event-driven generation: one heap entry per source, keyed by
         # its next arrival time, so a cycle only touches sources that
@@ -443,13 +442,9 @@ class WormholeSimulator:
         return self._total_delivered
 
     @property
-    def route_cache(self) -> Optional[RouteTable]:
-        """This run's view of the compiled routing table, or ``None``
-        for uncacheable algorithms."""
-        table = self._routes
-        if table.dense is None and table.bykey is None:
-            return None
-        return table
+    def route_cache(self) -> RouteTable:
+        """This run's view of the compiled routing table."""
+        return self._routes
 
     def occupancy_snapshot(self) -> int:
         """Total flits currently buffered in the network (for tests)."""

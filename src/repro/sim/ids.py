@@ -34,20 +34,12 @@ from typing import (
 )
 
 from repro.core.channel_graph import RouteFn
+from repro.core.digraph import mask_ids
 from repro.routing.base import RoutingAlgorithm
 from repro.topology.base import Topology
 from repro.topology.channels import Channel, NodeId
 
-__all__ = ["ChannelIndex", "CompiledRoutes", "RouteClosure", "RouteTable", "ancestors",
-           "mask_ids"]
-
-
-def mask_ids(mask: int) -> Iterator[int]:
-    """The ids set in a channel bitmask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+__all__ = ["ChannelIndex", "CompiledRoutes", "RouteClosure", "RouteTable", "ancestors"]
 
 
 class ChannelIndex:
@@ -150,15 +142,13 @@ class CompiledRoutes:
     ``node_index * N + dest_index`` (``None`` marks an uncompiled entry
     — an empty tuple is a valid "no route" answer); in-channel-sensitive
     algorithms use an int-keyed dict instead: ``node * N + dest`` for
-    injection arrivals, ``N*N + in_cid * N + dest`` otherwise.  An
-    uncacheable algorithm has neither table (its simulators route live
-    and share only the index).
+    injection arrivals, ``N*N + in_cid * N + dest`` otherwise.
 
     Entries are filled lazily, straight from ``routing.route``, by
     whichever simulator first needs them — or all at once by
-    :meth:`closure`, which the provers read.  ``route`` is pure for a
-    cacheable algorithm, so an entry is the same whoever computed it
-    and a warmed run is bit-identical to a cold one.  A table built by
+    :meth:`closure`, which the provers read.  ``route`` is a pure
+    function of its arguments, so an entry is the same whoever computed
+    it and a warmed run is bit-identical to a cold one.  A table built by
     :meth:`restricted` arrives holding every entry, read off the table
     it restricts, and never fills one.
 
@@ -198,11 +188,10 @@ class CompiledRoutes:
         self.closed = False
         self.parent: Optional[CompiledRoutes] = None
         self.numbering: Optional[List[int]] = None
-        if getattr(routing, "cacheable", True):
-            if getattr(routing, "uses_in_channel", True):
-                self.bykey = {}
-            else:
-                self.dense = [None] * (self.index.num_nodes ** 2)
+        if getattr(routing, "uses_in_channel", True):
+            self.bykey = {}
+        else:
+            self.dense = [None] * (self.index.num_nodes ** 2)
 
     @classmethod
     def restricted(
@@ -222,9 +211,8 @@ class CompiledRoutes:
         entries only narrow ``parent``'s, so the derived table asks no
         routing anything: it names ``parent.routing`` (what a proof
         names), and a lookup outside ``parent``'s closure raises
-        :class:`LookupError` instead of filling a healthy entry.  Over
-        an uncacheable ``parent`` (no table) each entry is restricted
-        live instead.  The derived table keeps ``parent`` as its
+        :class:`LookupError` instead of filling a healthy entry.  The
+        derived table keeps ``parent`` as its
         :attr:`parent`, so :meth:`is_restriction` can check it.
 
         Args:
@@ -236,17 +224,6 @@ class CompiledRoutes:
         derived.parent = parent
         index = parent.index
         num_nodes = index.num_nodes
-        if parent.dense is None and parent.bykey is None:
-            route, cid, node_id = parent.route, index.cid, index.node_id
-
-            def restricted_route(
-                in_channel: Optional[Channel], node: NodeId, dest: NodeId
-            ) -> List[Channel]:
-                lost = dropped[node_id[dest]]
-                return [c for c in route(in_channel, node, dest) if cid[c] not in lost]
-
-            derived.route = restricted_route
-            return derived
         if not parent.closed:
             parent.closure()
 
@@ -291,9 +268,7 @@ class CompiledRoutes:
         parent's entry for the same state, or a subset of it, on the
         same index.  A state reachable here is then reachable in the
         parent, so this table's dependencies are some of the parent's
-        and the parent's :attr:`numbering` certifies them.  A table
-        over an uncacheable parent holds no entries; its ``route``
-        restricts each parent answer live, by construction.
+        and the parent's :attr:`numbering` certifies them.
         """
         parent = self.parent
         if parent is None or parent.index is not self.index:
@@ -304,13 +279,11 @@ class CompiledRoutes:
             pairs: Iterator[Tuple[Optional[tuple], Optional[tuple]]] = zip(
                 self.dense, parent.dense
             )
-        elif parent.bykey is not None:
-            if self.bykey is None:
+        else:
+            if self.bykey is None or parent.bykey is None:
                 return False
             parent_entry = parent.bykey.get
             pairs = ((entry, parent_entry(key)) for key, entry in self.bykey.items())
-        else:
-            return self.dense is None and self.bykey is None
         return all(
             entry is None or entry is held
             or (held is not None and set(entry).issubset(held))
@@ -343,8 +316,8 @@ class CompiledRoutes:
 
     def lookup(self, front: int, dest_idx: int) -> tuple:
         """Candidate ids for a header that crossed ``front`` (an
-        injection id at its source) bound for ``dest_idx``: compiled on
-        first use, asked live of an uncacheable algorithm."""
+        injection id at its source) bound for ``dest_idx``, compiled on
+        first use."""
         num_nodes = self.index.num_nodes
         node_idx = self.index.dest_node_id[front]
         if self.dense is not None:
@@ -353,8 +326,7 @@ class CompiledRoutes:
             if cached is None:
                 cached = self.fill_dense(key, node_idx, dest_idx)
             return cached
-        if self.bykey is None:
-            return self._resolve(front, node_idx, dest_idx)
+        assert self.bykey is not None  # one of the two tables is always held
         if front >= self.index.inj_base:
             key = node_idx * num_nodes + dest_idx
         else:

@@ -31,7 +31,6 @@ from repro.synth.enumeration import (
     candidate_space_size,
     enumerate_candidates,
     synthesis_dims,
-    turn_model_for,
 )
 from repro.synth.report import render_synthesis
 from repro.synth.score import (
@@ -70,5 +69,4 @@ __all__ = [
     "run_synthesis",
     "scoring_topology",
     "synthesis_dims",
-    "turn_model_for",
 ]

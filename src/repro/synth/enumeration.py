@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 from typing import FrozenSet, List, Optional, Tuple
 
-from repro.core.model import TurnModel
 from repro.core.turns import Turn, abstract_cycles
 from repro.topology.base import Topology
 from repro.topology.hypercube import Hypercube
@@ -25,7 +24,6 @@ __all__ = [
     "candidate_space_size",
     "enumerate_candidates",
     "synthesis_dims",
-    "turn_model_for",
 ]
 
 
@@ -47,11 +45,6 @@ def synthesis_dims(topology: Topology) -> int:
     if topology.n_dims < 2:
         raise ValueError("synthesis needs at least two dimensions")
     return topology.n_dims
-
-
-def turn_model_for(topology: Topology) -> TurnModel:
-    """The :class:`TurnModel` instance backing a synthesis run."""
-    return TurnModel(synthesis_dims(topology))
 
 
 def candidate_space_size(n_dims: int) -> int:

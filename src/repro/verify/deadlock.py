@@ -43,6 +43,7 @@ from typing import (
 )
 
 from repro.core.channel_graph import CycleWitness, RouteFn
+from repro.core.digraph import mask_ids, topological_numbering
 from repro.core.numbering import (
     negative_first_numbering,
     north_last_numbering,
@@ -57,7 +58,7 @@ from repro.core.restrictions import (
 )
 from repro.core.turns import Turn
 from repro.routing.base import RoutingAlgorithm
-from repro.sim.ids import ChannelIndex, CompiledRoutes, RouteClosure, mask_ids
+from repro.sim.ids import ChannelIndex, CompiledRoutes, RouteClosure
 from repro.topology.base import Topology
 from repro.topology.channels import Channel, NodeId
 from repro.topology.hypercube import Hypercube
@@ -157,26 +158,12 @@ def route_closure(topology: Topology, route_fn: RouteFn) -> RouteClosure:
 
 def closure_numbering(closure: RouteClosure) -> Optional[List[int]]:
     """An id-level numbering of the closure's dependency relation, read
-    straight off its ``succ`` masks: channel id -> rank in a topological
-    order (Kahn's), so every dependency strictly increases.  ``None``
-    when the relation has a cycle, which no numbering can order."""
-    succ = closure.succ
-    indegree = [0] * len(succ)
-    for mask in succ:
-        for out in mask_ids(mask):
-            indegree[out] += 1
-    order = [front for front, count in enumerate(indegree) if not count]
-    for front in order:  # grows as channels lose their last predecessor
-        for out in mask_ids(succ[front]):
-            indegree[out] -= 1
-            if not indegree[out]:
-                order.append(out)
-    if len(order) < len(succ):
-        return None
-    numbering = [0] * len(succ)
-    for rank, front in enumerate(order):
-        numbering[front] = rank
-    return numbering
+    straight off its ``succ`` masks by the one Kahn pass
+    (:func:`~repro.core.digraph.topological_numbering`): channel id ->
+    rank in a topological order, so every dependency strictly increases.
+    ``None`` when the relation has a cycle, which no numbering can
+    order."""
+    return topological_numbering(closure.succ)
 
 
 def is_monotone(succ: Sequence[int], numbering: Sequence[int]) -> bool:

@@ -23,7 +23,8 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from repro.core.channel_graph import RouteFn
-from repro.sim.ids import RouteClosure, mask_ids
+from repro.core.digraph import mask_ids
+from repro.sim.ids import RouteClosure
 from repro.topology.base import Topology
 from repro.verify.deadlock import (
     Dependencies,

@@ -10,7 +10,6 @@ any order.
 
 import dataclasses
 import json
-import multiprocessing
 import random
 from pathlib import Path
 
@@ -26,7 +25,6 @@ from repro.analysis.executor import (
 from repro.analysis.prewarm import clear_warm_contexts
 from repro.api import run
 from repro.obs.spec import ObsSpec
-from repro.routing.turn_table import TurnRestrictionRouting
 from repro.sim.digest import result_digest, run_digest
 from repro.sim.engine import make_simulator
 
@@ -164,18 +162,8 @@ class TestOneKeyAnyOrderAnySchedule:
     """One key's points share one lazily filled table; the order they
     fill it in, and whether they share it at all, must not show."""
 
-    @pytest.mark.parametrize(
-        "routing",
-        ["west-first", "negative-first-nonminimal", "uncacheable"],
-    )
-    def test_shuffled_cold_warm_serial_parallel(self, routing, monkeypatch):
-        if routing == "uncacheable":
-            # No registered algorithm is impure; make one say it is.
-            # Pool workers see the patched class only when forked.
-            if multiprocessing.get_start_method() != "fork":
-                pytest.skip("needs fork to carry the patched class to workers")
-            monkeypatch.setattr(TurnRestrictionRouting, "cacheable", False)
-            routing = "west-first"
+    @pytest.mark.parametrize("routing", ["west-first", "negative-first-nonminimal"])
+    def test_shuffled_cold_warm_serial_parallel(self, routing):
         points = _key_points(routing)
         shuffled = list(points)
         random.Random(12).shuffle(shuffled)

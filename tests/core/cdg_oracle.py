@@ -1,23 +1,92 @@
-"""The object-level deadlock decider, kept as a test oracle.
+"""The object-level deadlock deciders, kept as test oracles.
 
-The prover in :mod:`repro.verify.deadlock` decides on the compiled
-table's channel ids.  These functions decide the same question a second
-way, on the :class:`~repro.core.digraph.Digraph` that
+The prover in :mod:`repro.verify.deadlock` and Step 4's
+:func:`~repro.core.channel_graph.restriction_is_deadlock_free` decide on
+channel-id bitmasks with one Kahn pass.  These functions decide the same
+questions a second way, on a :class:`~repro.core.digraph.Digraph` of
+channel objects: the turn-induced graph of a restriction
+(:func:`turn_cdg`) and the exact graph
 :func:`~repro.core.channel_graph.routing_cdg` builds straight from the
-routing callable: a shortest cycle by one breadth-first search per
+routing callable, searched by a three-colour depth-first search
+(:func:`find_cycle`), a shortest cycle by one breadth-first search per
 vertex, a topological order by Kahn's algorithm, and a longest path over
-that order.  Tests hold the prover's verdicts, witness lengths and hop
+that order.  Tests hold the deciders' verdicts, witness lengths and hop
 bounds to these.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core.channel_graph import CycleWitness, RouteFn, routing_cdg
 from repro.core.digraph import Digraph, V
+from repro.core.restrictions import TurnRestriction
 from repro.topology.base import Topology
 from repro.topology.channels import Channel, NodeId
+
+
+def turn_cdg(topology: Topology, restriction: TurnRestriction) -> Digraph[Channel]:
+    """Dependency graph induced by a turn restriction alone.
+
+    An edge joins channel ``a`` to channel ``b`` whenever ``b`` leaves the
+    node ``a`` enters and the restriction permits the transition from
+    ``a``'s direction to ``b``'s direction (straight continuations and
+    permitted reversals included).
+    """
+    graph: Digraph[Channel] = Digraph()
+    for channel in topology.channels():
+        graph.add_vertex(channel)
+    for in_channel in topology.channels():
+        for out_channel in topology.out_channels(in_channel.dst):
+            if restriction.permits(in_channel.direction, out_channel.direction):
+                graph.add_edge(in_channel, out_channel)
+    return graph
+
+
+def find_cycle(graph: Digraph[V]) -> Optional[List[V]]:
+    """A directed cycle (first vertex not repeated at the end), or
+    ``None`` if the graph is acyclic.  An iterative three-colour DFS, so
+    it is safe on graphs far deeper than the recursion limit."""
+    WHITE, GRAY, BLACK = 0, 1, 2
+    color = {v: WHITE for v in graph.vertices()}
+    parent: Dict[V, V] = {}
+    for root in graph.vertices():
+        if color[root] != WHITE:
+            continue
+        stack: List[Tuple[V, Iterator[V]]] = [(root, iter(graph.successors(root)))]
+        color[root] = GRAY
+        while stack:
+            vertex, children = stack[-1]
+            advanced = False
+            for child in children:
+                if color[child] == WHITE:
+                    color[child] = GRAY
+                    parent[child] = vertex
+                    stack.append((child, iter(graph.successors(child))))
+                    advanced = True
+                    break
+                if color[child] == GRAY:
+                    cycle = [vertex]
+                    node = vertex
+                    while node != child:
+                        node = parent[node]
+                        cycle.append(node)
+                    cycle.reverse()
+                    return cycle
+            if not advanced:
+                color[vertex] = BLACK
+                stack.pop()
+    return None
+
+
+def is_acyclic(graph: Digraph[V]) -> bool:
+    """Whether the graph contains no directed cycle."""
+    return find_cycle(graph) is None
+
+
+def turn_cdg_is_acyclic(topology: Topology, restriction: TurnRestriction) -> bool:
+    """Step 4's verdict decided on the object-level turn-induced graph."""
+    return is_acyclic(turn_cdg(topology, restriction))
 
 
 def shortest_cycle(graph: Digraph[V]) -> Optional[List[V]]:
@@ -77,7 +146,7 @@ def topological_order(graph: Digraph[V]) -> List[V]:
             in_degree[w] -= 1
             if in_degree[w] == 0:
                 ready.append(w)
-    if len(order) != graph.num_vertices:
+    if len(order) != len(in_degree):
         raise ValueError("graph has a cycle; no topological order exists")
     return order
 
@@ -114,10 +183,10 @@ def find_dependency_cycle(
     annotated with an example destination per dependency, or ``None``."""
     edge_dests: Dict[Tuple[Channel, Channel], NodeId] = {}
     graph = routing_cdg(topology, route_fn, edge_dests=edge_dests)
-    if graph.is_acyclic():
+    if is_acyclic(graph):
         return None
     cycle = shortest_cycle(graph)
-    assert cycle is not None  # is_acyclic() said otherwise
+    assert cycle is not None  # is_acyclic said otherwise
     return CycleWitness.from_channels(cycle, edge_dests)
 
 

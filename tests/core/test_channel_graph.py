@@ -3,11 +3,13 @@
 import pytest
 
 from repro.core.channel_graph import (
+    maximal_reversal_extension,
     restriction_is_deadlock_free,
     routing_cdg,
-    turn_cdg,
 )
+from repro.core.directions import EAST, NORTH, SOUTH, WEST
 from repro.core.restrictions import (
+    TurnRestriction,
     figure4_restriction,
     fully_adaptive,
     negative_first_restriction,
@@ -15,9 +17,16 @@ from repro.core.restrictions import (
     west_first_restriction,
     xy_restriction,
 )
+from repro.core.turns import Turn
 from repro.routing import make_routing
-from repro.topology import Mesh, Mesh2D, Torus
-from tests.core.cdg_oracle import find_dependency_cycle, is_deadlock_free
+from repro.synth import enumerate_candidates
+from repro.topology import Hypercube, Mesh, Mesh2D, Torus
+from tests.core.cdg_oracle import (
+    find_dependency_cycle,
+    is_deadlock_free,
+    turn_cdg,
+    turn_cdg_is_acyclic,
+)
 
 
 class TestTurnCDG:
@@ -51,9 +60,36 @@ class TestTurnCDG:
     def test_torus_still_cyclic_without_restriction(self, torus42):
         assert not restriction_is_deadlock_free(torus42, fully_adaptive(2))
 
+    @pytest.mark.parametrize(
+        "topology, restriction",
+        [
+            *(
+                (Mesh2D(4, 4), restriction)
+                for restriction in (
+                    xy_restriction(),
+                    west_first_restriction(),
+                    north_last_restriction(),
+                    fully_adaptive(2),
+                    figure4_restriction(),
+                    negative_first_restriction(2).with_reversals([Turn(EAST, WEST)]),
+                )
+            ),
+            (Mesh2D(5, 3), negative_first_restriction(2)),
+            (Mesh((3, 3, 3)), negative_first_restriction(3)),
+            (Mesh((3, 3, 3)), fully_adaptive(3)),
+            (Hypercube(4), negative_first_restriction(4)),
+            (Torus(4, 2), negative_first_restriction(2)),
+            (Torus(4, 2), fully_adaptive(2)),
+        ],
+    )
+    def test_decider_matches_object_oracle(self, topology, restriction):
+        assert restriction_is_deadlock_free(topology, restriction) == (
+            turn_cdg_is_acyclic(topology, restriction)
+        )
+
     def test_vertex_count_matches_channels(self, mesh44):
         graph = turn_cdg(mesh44, xy_restriction())
-        assert graph.num_vertices == mesh44.num_channels
+        assert len(graph.vertices()) == mesh44.num_channels
 
     def test_xy_dependencies_never_leave_y(self, mesh44):
         graph = turn_cdg(mesh44, xy_restriction())
@@ -118,8 +154,59 @@ class TestRoutingCDG:
         exact = routing_cdg(mesh44, algorithm)
         loose = turn_cdg(mesh44, west_first_restriction())
         for a, b in exact.edges():
-            assert loose.has_edge(a, b)
+            assert b in loose.successors(a)
 
     def test_xy_routing_cdg_edge_count_positive(self, mesh44):
         graph = routing_cdg(mesh44, make_routing("xy", mesh44))
-        assert graph.num_edges > 0
+        assert next(graph.edges(), None) is not None
+
+
+class TestStep6Reversals:
+    """Step 6: admit as many 180-degree turns as deadlock freedom allows."""
+
+    def test_extension_is_maximal_for_negative_first(self):
+        extended = maximal_reversal_extension(Mesh2D(3, 3), negative_first_restriction(2))
+        # Negative-first admits both negative-to-positive reversals.
+        assert extended.allowed_reversals == {Turn(WEST, EAST), Turn(SOUTH, NORTH)}
+
+    def test_extension_never_adds_unsafe_pair(self):
+        mesh = Mesh2D(3, 3)
+        candidates, _ = enumerate_candidates(2)
+        for prohibited in candidates:
+            restriction = TurnRestriction(2, prohibited)
+            if not restriction_is_deadlock_free(mesh, restriction):
+                continue
+            extended = maximal_reversal_extension(mesh, restriction)
+            assert restriction_is_deadlock_free(mesh, extended)
+            # Adding a reversal and its inverse together always cycles, so
+            # at most one of each opposite pair may be present.
+            reversals = extended.allowed_reversals
+            for turn in reversals:
+                assert Turn(turn.to, turn.frm) not in reversals
+
+    def test_cyclic_restriction_admits_nothing(self):
+        extended = maximal_reversal_extension(Mesh2D(3, 3), figure4_restriction())
+        assert extended.allowed_reversals == figure4_restriction().allowed_reversals
+
+    def test_keeps_the_name(self):
+        extended = maximal_reversal_extension(Mesh2D(4, 4), west_first_restriction())
+        assert extended.name == west_first_restriction().name
+        assert Turn(WEST, EAST) in extended.allowed_reversals
+
+    def test_same_reversals_on_every_mesh_size(self):
+        """Every deadlock-free 2D candidate gets one reversal set, whether
+        Step 6 runs on the 3x3 validation mesh or a larger target."""
+        meshes = [Mesh2D(3, 3), Mesh2D(4, 4), Mesh2D(8, 8)]
+        candidates, _ = enumerate_candidates(2)
+        free = 0
+        for prohibited in candidates:
+            restriction = TurnRestriction(2, prohibited)
+            if not restriction_is_deadlock_free(meshes[0], restriction):
+                continue
+            free += 1
+            reversal_sets = {
+                maximal_reversal_extension(mesh, restriction).allowed_reversals
+                for mesh in meshes
+            }
+            assert len(reversal_sets) == 1, sorted(map(str, prohibited))
+        assert free == 12

@@ -16,8 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.channel_graph import routing_cdg
+from repro.core.digraph import mask_ids
 from repro.routing import make_routing
-from repro.sim.ids import ChannelIndex, CompiledRoutes, mask_ids
+from repro.sim.ids import ChannelIndex, CompiledRoutes
 from repro.topology import Mesh2D
 from repro.topology.faults import FaultyTopology
 from repro.verify import check_deadlock_freedom
@@ -88,7 +89,7 @@ def test_verdict_on_the_shared_index_matches_a_private_one(params):
     assert adopted.verdict == private.verdict
     assert adopted.certificate.kind == private.certificate.kind
     if adopted.certificate.kind == "channel-numbering":
-        assert adopted.certificate.data["edges"] == routing_cdg(
+        assert adopted.certificate.data["edges"] == len(list(routing_cdg(
             degraded, routing
-        ).num_edges
+        ).edges()))
         assert adopted.certificate.data == private.certificate.data

@@ -22,9 +22,10 @@ deadlock free, and the healthy numbering strictly monotone on its edges.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.digraph import mask_ids
 from repro.resilience import FaultController, FaultSchedule
 from repro.routing import available_algorithms, make_routing
-from repro.sim.ids import CompiledRoutes, mask_ids
+from repro.sim.ids import CompiledRoutes
 from repro.topology import parse_topology
 from repro.topology.faults import FaultyTopology
 from repro.verify import PROVED, check_deadlock_freedom

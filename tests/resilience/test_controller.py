@@ -4,6 +4,7 @@ from dataclasses import dataclass, field
 
 import pytest
 
+from repro.core.digraph import mask_ids
 from repro.core.directions import EAST, NORTH
 from repro.resilience import (
     FAIL,
@@ -17,7 +18,7 @@ from repro.resilience import (
 from repro.resilience.controller import degrade
 from repro.routing import make_routing
 from repro.sim.config import SimulationConfig
-from repro.sim.ids import CompiledRoutes, mask_ids
+from repro.sim.ids import CompiledRoutes
 from repro.verify.suite import CertificationError
 
 INF = float("inf")

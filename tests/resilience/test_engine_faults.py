@@ -32,14 +32,9 @@ def run_sim(
     trace=None,
     controller_kwargs=None,
     config=CONFIG,
-    disable_cache=False,
 ):
     mesh = Mesh2D(*MESH)
     routing = make_routing(algorithm, mesh)
-    if disable_cache:
-        # An algorithm that says it is impure gets no route table, on
-        # the healthy topology or any degraded one.
-        routing.cacheable = False
     workload = Workload(
         pattern=UniformTraffic(mesh),
         sizes=SizeDistribution.fixed(4),
@@ -54,7 +49,6 @@ def run_sim(
     sim = WormholeSimulator(
         routing, workload, config, trace=trace, resilience=controller
     )
-    assert (sim.route_cache is None) == disable_cache
     result = sim.run()
     return result, controller, sim
 
@@ -179,14 +173,3 @@ class TestHealing:
         assert stats.heals_applied == 4
         assert controller.failed == frozenset()
         assert controller.current_compiled is None
-
-
-class TestRouteTableConsistency:
-    def test_cached_and_uncached_agree_under_faults(self):
-        # The engine swaps in a fresh route table on every fault; a run
-        # that routes live throughout must deliver the identical result.
-        schedule = fault_schedule(count=5, seed=4)
-        a, ca, _ = run_sim(schedule, DropAndCount())
-        b, cb, _ = run_sim(schedule, DropAndCount(), disable_cache=True)
-        assert a == b
-        assert ca.stats.summary() == cb.stats.summary()

@@ -47,7 +47,6 @@ class FilteredRouting(RoutingAlgorithm):
         self.failed = failed
         self.name = base.name
         self.minimal = base.minimal
-        self.cacheable = base.cacheable
         self.uses_in_channel = base.uses_in_channel
 
     def route(

@@ -370,24 +370,6 @@ class TestRouteTableStats:
         sim.run()
         assert len(compiled.bykey) == sim.route_cache.misses > 0
 
-    def test_uncacheable_routing_shares_only_the_index(self):
-        mesh = Mesh2D(4, 4)
-        routing = make_routing("west-first", mesh)
-        routing.cacheable = False
-        compiled = CompiledRoutes(routing)
-        assert compiled.dense is None and compiled.bykey is None
-        sim = WormholeSimulator(
-            routing, _workload(mesh, load=0.2), _config(),
-            compiled_routes=compiled,
-        )
-        assert sim.route_cache is None
-        cached = make_simulator(
-            make_routing("west-first", mesh), _workload(mesh, load=0.2),
-            _config(),
-        )
-        assert result_digest(sim.run()) == result_digest(cached.run())
-        assert len(compiled) == 0
-
     def test_compiled_routes_of_another_routing_are_rejected(self):
         mesh = Mesh2D(4, 4)
         compiled = CompiledRoutes(make_routing("west-first", mesh))

@@ -11,9 +11,12 @@ from collections import Counter
 
 import pytest
 
-from repro.core.model import TurnModel
+from repro.core.channel_graph import restriction_is_deadlock_free
+from repro.core.restrictions import TurnRestriction
 from repro.routing.synth_names import synth_name
-from repro.synth import SynthSpec, run_synthesis
+from repro.synth import SynthSpec, enumerate_candidates, run_synthesis
+from repro.topology import Mesh
+from tests.core.cdg_oracle import turn_cdg_is_acyclic
 
 
 @pytest.fixture(scope="module")
@@ -64,17 +67,22 @@ def test_ranked_order_of_the_nine(census):
 
 
 def test_turn_model_decides_the_same_176(census):
-    """The second decider: the turn-induced dependency graph on the turn
-    model's own validation mesh, candidate by candidate."""
+    """Step 4's id-level decider and the object-level oracle, candidate by
+    candidate on the turn-induced dependency graph of a 3x3x3 mesh, agree
+    with each other and with the certifier's census."""
+    mesh = Mesh((3, 3, 3))
+    step4_free = set()
+    for prohibited in enumerate_candidates(3)[0]:
+        restriction = TurnRestriction(3, prohibited)
+        verdict = restriction_is_deadlock_free(mesh, restriction)
+        assert turn_cdg_is_acyclic(mesh, restriction) == verdict, synth_name(3, prohibited)
+        if verdict:
+            step4_free.add(synth_name(3, prohibited))
     census_free = {
         member
         for outcome in census.outcomes
         if outcome.deadlock_free
         for member in outcome.members
     }
-    model_free = {
-        synth_name(3, prohibited)
-        for prohibited in TurnModel(3).deadlock_free_prohibitions()
-    }
     assert len(census_free) == 176
-    assert model_free == census_free
+    assert step4_free == census_free

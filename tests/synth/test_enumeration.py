@@ -2,12 +2,11 @@
 
 import pytest
 
-from repro.core.model import TurnModel
+from repro.core.turns import abstract_cycles
 from repro.synth import (
     candidate_space_size,
     enumerate_candidates,
     synthesis_dims,
-    turn_model_for,
 )
 from repro.topology import Hypercube, Mesh, Mesh2D, Torus
 
@@ -19,12 +18,14 @@ class TestSpaceSize:
 
 
 class TestEnumerate:
-    def test_2d_space_matches_turn_model(self):
+    def test_2d_space_is_one_turn_from_each_cycle(self):
         candidates, truncated = enumerate_candidates(2)
         assert not truncated
         assert len(candidates) == 16
         assert len(set(candidates)) == 16
-        assert set(candidates) == set(TurnModel(2).candidate_prohibitions())
+        cycles = abstract_cycles(2)
+        for candidate in candidates:
+            assert all(len(candidate & set(cycle)) == 1 for cycle in cycles)
 
     def test_one_turn_per_cycle(self):
         candidates, _ = enumerate_candidates(2)
@@ -51,10 +52,10 @@ class TestDimsGate:
         assert synthesis_dims(Mesh((3, 3, 3))) == 3
         assert synthesis_dims(Hypercube(4)) == 4
 
+    def test_one_dimension_rejected(self):
+        with pytest.raises(ValueError, match="at least two dimensions"):
+            synthesis_dims(Mesh((4,)))
+
     def test_torus_rejected(self):
         with pytest.raises(ValueError, match="meshes and hypercubes"):
             synthesis_dims(Torus(4, 4))
-
-    def test_turn_model_matches_dims(self):
-        model = turn_model_for(Mesh2D(4, 4))
-        assert len(list(model.candidate_prohibitions())) == 16

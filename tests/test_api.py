@@ -34,11 +34,6 @@ class TestExports:
 
 
 class TestFacadeBehavior:
-    def test_parse_topology_matches_cli_reexport(self):
-        from repro.cli import parse_topology as cli_parse
-
-        assert api.parse_topology is cli_parse
-
     def test_spec_end_to_end(self):
         spec = api.ExperimentSpec(
             topology="mesh:4x4",

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cli import build_parser, main, parse_topology
+from repro.api import parse_topology
+from repro.cli import build_parser, main
 from repro.topology import Hypercube, Mesh, Mesh2D, Torus
 
 

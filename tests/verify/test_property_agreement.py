@@ -1,28 +1,32 @@
-"""Property test: the certifier agrees with the six-step procedure.
+"""Agreement test: the certifier and Step 4 decide the same candidates.
 
 Step 4 of the turn model enumerates every way of prohibiting one
 90-degree turn from each abstract cycle and keeps those whose remaining
-turns induce an acyclic dependency graph.  The static certifier must
-reach the same verdict from the other direction — by building the exact
-routing CDG of the induced turn-table router and checking it for cycles
-— on every candidate, including the four Figure-4-style traps that
-nominally break both cycles yet still deadlock.
+turns induce an acyclic dependency graph.  Three deciders must reach the
+same verdict on every candidate, including the four Figure-4-style traps
+that nominally break both cycles yet still deadlock: the static
+certifier, from the exact routing relation of the induced turn-table
+router; Step 4's own id-level decider
+(:func:`~repro.core.channel_graph.restriction_is_deadlock_free`); and
+the object-level turn-induced graph of the test oracle.
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import TurnModel
+from repro.core.channel_graph import restriction_is_deadlock_free
 from repro.core.restrictions import TurnRestriction
+from repro.core.turns import ninety_degree_turns
 from repro.routing.turn_table import TurnRestrictionRouting
+from repro.synth import enumerate_candidates
 from repro.topology import Mesh2D
 from repro.verify import REFUTED, check_deadlock_freedom
+from tests.core.cdg_oracle import turn_cdg_is_acyclic
 
-_MODEL = TurnModel(2)
-_CANDIDATES = list(_MODEL.candidate_prohibitions())
-_VALID = set(_MODEL.deadlock_free_prohibitions())
+_CANDIDATES = enumerate_candidates(2)[0]
 
 
 def _routing(mesh: Mesh2D, prohibited) -> TurnRestrictionRouting:
@@ -32,16 +36,19 @@ def _routing(mesh: Mesh2D, prohibited) -> TurnRestrictionRouting:
     return TurnRestrictionRouting(mesh, restriction, minimal=False)
 
 
-@given(choice=st.sampled_from(_CANDIDATES))
-@settings(max_examples=16, deadline=None)
+@pytest.mark.parametrize(
+    "choice", _CANDIDATES, ids=lambda c: "+".join(sorted(map(str, c)))
+)
 def test_certifier_agrees_with_step4(choice):
     mesh = Mesh2D(4, 4)
+    restriction = TurnRestriction(2, choice)
+    step4 = restriction_is_deadlock_free(mesh, restriction)
+    assert turn_cdg_is_acyclic(mesh, restriction) == step4
     result = check_deadlock_freedom(mesh, _routing(mesh, choice))
-    expected_free = choice in _VALID
-    assert (result.verdict != REFUTED) == expected_free, (
-        f"certifier and TurnModel disagree on {sorted(map(str, choice))}: "
+    assert (result.verdict != REFUTED) == step4, (
+        f"certifier and Step 4 disagree on {sorted(map(str, choice))}: "
         f"verdict={result.verdict}, step4 says "
-        f"{'deadlock-free' if expected_free else 'deadlocking'}"
+        f"{'deadlock-free' if step4 else 'deadlocking'}"
     )
 
 
@@ -62,7 +69,7 @@ def test_census_totals_match():
 
 @given(
     prohibited=st.sets(
-        st.sampled_from(sorted(_MODEL.turns())), min_size=0, max_size=4
+        st.sampled_from(sorted(ninety_degree_turns(2))), min_size=0, max_size=4
     )
 )
 @settings(max_examples=20, deadline=None)
@@ -83,5 +90,5 @@ def test_certifier_agrees_on_arbitrary_prohibitions(prohibited):
     ):
         return
     result = check_deadlock_freedom(mesh, routing)
-    expected_free = _MODEL.is_valid_prohibition(prohibited)
+    expected_free = restriction_is_deadlock_free(mesh, TurnRestriction(2, frozenset(prohibited)))
     assert (result.verdict != REFUTED) == expected_free

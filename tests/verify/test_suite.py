@@ -175,10 +175,9 @@ class TestExecutorGate:
 
 def test_registry_sweep_covers_every_algorithm():
     """Every registry name is exercised by at least one default target."""
+    from repro.api import parse_topology
     from repro.routing import available_algorithms
     from repro.verify.suite import REGISTRY_TOPOLOGIES
-
-    from repro.cli import parse_topology
 
     expected = set()
     for label in REGISTRY_TOPOLOGIES:
