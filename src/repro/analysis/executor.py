@@ -92,7 +92,9 @@ class ConfigSpec:
 
     Selection policies are carried by registry name rather than by
     instance so the spec can be pickled to workers and content-hashed.
-    Field defaults mirror :class:`SimulationConfig`'s.
+    Field defaults mirror :class:`SimulationConfig`'s, and so do the
+    checks: a spec that could not build its config is refused here, in
+    the process that wrote it, not inside a worker's run.
     """
 
     buffer_depth: int = 1
@@ -106,6 +108,11 @@ class ConfigSpec:
     flits_per_usec: float = FLITS_PER_USEC
     seed: int = 1
     max_packets: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        # Raises ValueError for an out-of-range knob or an unregistered
+        # policy name.
+        self.to_config()
 
     @classmethod
     def from_config(cls, config: Optional[SimulationConfig]) -> "ConfigSpec":

@@ -19,9 +19,11 @@ Subcommands::
 ``simulate``, ``sweep``, and ``resilience`` accept ``--obs`` to collect
 bit-invisible channel/latency/timeline metrics; ``sweep`` and
 ``resilience`` also take ``--manifest-dir``, with which each point writes
-a structured run manifest that ``report`` renders later.  Every ``--out`` JSON artifact carries the shared envelope
+a structured run manifest that ``report`` renders later.  Every ``--out``
+JSON artifact carries the shared envelope
 (``schema_version``/``tool``/``spec_hash``; see
-``docs/observability.md``).
+``docs/observability.md``) except ``figure``'s, which is the bare figure
+payload :func:`repro.analysis.results_io.save_json` writes.
 
 This module is the argument-parsing shell only; programmatic users
 should import from :mod:`repro.api`.

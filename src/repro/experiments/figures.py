@@ -118,22 +118,6 @@ class FigureResult:
         return "\n\n".join(parts)
 
 
-def _make_executor(
-    executor: Optional[SweepExecutor],
-    jobs: int,
-    cache_dir: Optional[Union[str, Path]],
-) -> SweepExecutor:
-    """The executor a figure driver sweeps through.
-
-    An explicit ``executor`` wins; otherwise one is built from ``jobs``
-    and ``cache_dir`` (the serial, uncached default keeps tests
-    deterministic and dependency-free).
-    """
-    if executor is not None:
-        return executor
-    return SweepExecutor(jobs=jobs, cache_dir=cache_dir)
-
-
 def _run_figure(
     figure: str,
     title: str,
@@ -144,16 +128,32 @@ def _run_figure(
     preset: Preset,
     baseline: str,
     seed: int,
-    executor: SweepExecutor,
+    executor: Optional[SweepExecutor],
+    jobs: int,
+    cache_dir: Optional[Union[str, Path]],
 ) -> FigureResult:
+    """Sweep every algorithm of one figure.
+
+    An explicit ``executor`` wins and is left open; otherwise one is
+    built from ``jobs`` and ``cache_dir`` (the serial, uncached default
+    keeps tests deterministic and dependency-free) and closed here, its
+    worker pool with it.
+    """
+    own = executor is None
+    if executor is None:
+        executor = SweepExecutor(jobs=jobs, cache_dir=cache_dir)
     config = preset.sim_config()
-    series = [
-        executor.sweep(
-            topology, algorithm, pattern, loads, config=config, seed=seed,
-            stop_after_saturation=3,
-        )
-        for algorithm in algorithms
-    ]
+    try:
+        series = [
+            executor.sweep(
+                topology, algorithm, pattern, loads, config=config, seed=seed,
+                stop_after_saturation=3,
+            )
+            for algorithm in algorithms
+        ]
+    finally:
+        if own:
+            executor.close()
     return FigureResult(figure=figure, title=title, baseline=baseline, series=series)
 
 
@@ -182,7 +182,9 @@ def figure13(
         p,
         baseline="xy",
         seed=seed,
-        executor=_make_executor(executor, jobs, cache_dir),
+        executor=executor,
+        jobs=jobs,
+        cache_dir=cache_dir,
     )
 
 
@@ -209,7 +211,9 @@ def figure14(
         p,
         baseline="xy",
         seed=seed,
-        executor=_make_executor(executor, jobs, cache_dir),
+        executor=executor,
+        jobs=jobs,
+        cache_dir=cache_dir,
     )
 
 
@@ -236,7 +240,9 @@ def figure15(
         p,
         baseline="e-cube",
         seed=seed,
-        executor=_make_executor(executor, jobs, cache_dir),
+        executor=executor,
+        jobs=jobs,
+        cache_dir=cache_dir,
     )
 
 
@@ -263,5 +269,7 @@ def figure16(
         p,
         baseline="e-cube",
         seed=seed,
-        executor=_make_executor(executor, jobs, cache_dir),
+        executor=executor,
+        jobs=jobs,
+        cache_dir=cache_dir,
     )

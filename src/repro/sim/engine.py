@@ -51,14 +51,23 @@ its hot phases — ``_allocate``, ``_move``/``_move1``, ``_released``,
   cruising worms in aggregate, O(1) per executed cycle, and calls the
   mover on one again only when its source runs dry.
 
+Message generation is event-driven too: an arrival heap holds each
+source's next arrival time, and a cycle polls
+(:meth:`~repro.traffic.workload.NodeSource.poll`) only the sources whose
+arrival has come, in source order — the very draws and creation order
+of polling every source on every cycle.
+
 Routing decisions compile lazily into a
 :class:`~repro.sim.ids.CompiledRoutes` that every simulator of one
 ``(topology, routing)`` key shares by reference (the sweep runtime
 keeps one per warm context), so a key's table is computed once per
-process however many points run on it.  An independent object-graph
-implementation of the same phases, on a plain clock loop of its own,
-lives under ``tests/`` as the differential oracle
-(``tests/sim/reference_engine.py``).
+process however many points run on it.  Allocation reads the table's
+dense list itself and asks :meth:`~repro.sim.ids.CompiledRoutes.lookup`
+only for what the list does not hold; a fault moves the run onto the
+controller's degraded table, and a full heal back.  An independent
+object-graph implementation of the same phases, on a plain clock loop
+and arrival scan of its own, lives under ``tests/`` as the differential
+oracle (``tests/sim/reference_engine.py``).
 """
 
 from __future__ import annotations
@@ -72,7 +81,7 @@ from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
 from repro.routing.base import RoutingAlgorithm
 from repro.routing.selection import SelectionContext
 from repro.sim.config import SimulationConfig
-from repro.sim.ids import CompiledRoutes, RouteTable
+from repro.sim.ids import CompiledRoutes
 from repro.sim.packet import Packet
 from repro.sim.stats import SimulationResult, StatsCollector, percentile
 from repro.sim.trace import TraceRecorder
@@ -89,11 +98,6 @@ __all__ = ["WormholeSimulator", "RoutingError", "make_simulator"]
 
 class RoutingError(RuntimeError):
     """The routing algorithm offered no candidates for a reachable state."""
-
-
-#: Expected-message ceiling for the pre-drawn arrival schedule; above
-#: it the engine polls sources live instead of materializing the trace.
-PRE_DRAW_MESSAGE_LIMIT = 4_000_000
 
 
 def _arrival_key(packet: Packet) -> Tuple[int, int]:
@@ -295,8 +299,9 @@ class WormholeSimulator:
         # common candidate set, allocation-free.
         ej_base = index.ej_base
         self._ej_tuples = [(ej_base + i,) for i in range(index.num_nodes)]
-        # This run's view of the compiled routing table.
-        self._routes = RouteTable(compiled_routes)
+        # The compiled table headers route on: the key's shared one, or
+        # the fault controller's degraded restriction of it.
+        self._routes = compiled_routes
         # Event-driven generation: one heap entry per source, keyed by
         # its next arrival time, so a cycle only touches sources that
         # actually release a message.  Silent sources (rate 0) never
@@ -307,33 +312,6 @@ class WormholeSimulator:
             if source.next_arrival != float("inf")
         ]
         heapify(self._arrival_heap)
-        # Pre-drawn arrival schedule.  Each source owns a private RNG
-        # stream (Workload.sources seeds one Random per node), so
-        # realizing every arrival up to the horizon now draws exactly
-        # the values the per-cycle polls would have drawn, in the same
-        # per-source order — the clock loop then consumes plain lists
-        # with no RNG work.  Discarded arrivals (a pattern declining to
-        # emit a destination) are kept as placeholder events so the
-        # arrival heap sees identical event times.  Skipped when the
-        # expected message volume would make the trace large; the
-        # engine then polls sources live, as before.
-        self._pre_pairs: Optional[List[List[Tuple[float, Optional[tuple]]]]] = None
-        self._pre_pos: List[int] = []
-        expected_messages = (
-            workload.messages_per_node_per_cycle
-            * len(self._sources)
-            * self.config.total_cycles
-        )
-        if expected_messages <= PRE_DRAW_MESSAGE_LIMIT:
-            last = self.config.total_cycles - 1
-            pairs_per: List[List[Tuple[float, Optional[tuple]]]] = []
-            for source in self._sources:
-                pairs: List[Tuple[float, Optional[tuple]]] = []
-                while source.next_arrival <= last:
-                    pairs.append((source.next_arrival, source.pull()))
-                pairs_per.append(pairs)
-            self._pre_pairs = pairs_per
-            self._pre_pos = [0] * len(self._sources)
         # Source-queue total, maintained incrementally (counts preloads).
         self._queued_total = sum(len(q) for q in self._queues)
         # Waiters whose headers arrived since the last allocation pass;
@@ -442,8 +420,8 @@ class WormholeSimulator:
         return self._total_delivered
 
     @property
-    def route_cache(self) -> RouteTable:
-        """This run's view of the compiled routing table."""
+    def route_cache(self) -> CompiledRoutes:
+        """The compiled routing table the run currently routes on."""
         return self._routes
 
     def occupancy_snapshot(self) -> int:
@@ -456,15 +434,13 @@ class WormholeSimulator:
     def _generate(self, stats: StatsCollector) -> None:
         # Event-driven: only sources whose next arrival time has passed
         # are popped from the heap and polled.  Ready sources are
-        # processed in source-index order — the order the reference
-        # polling loop visited them — so message creation order, the
-        # max_packets cut-off, and every per-source RNG stream are
-        # bit-identical to polling all sources each cycle (a source
-        # whose arrival is still in the future draws nothing either way).
+        # processed in source-index order — the order a loop polling
+        # every source each cycle visits them — so message creation
+        # order, the max_packets cut-off, and every per-source RNG stream
+        # are bit-identical to that loop (a source whose arrival is still
+        # in the future draws nothing either way).
         heap = self._arrival_heap
         cycle = self.cycle
-        if not heap or heap[0][0] > cycle:
-            return
         ready: List[Tuple[float, int]] = []
         while heap and heap[0][0] <= cycle:
             ready.append(heappop(heap))
@@ -473,111 +449,26 @@ class WormholeSimulator:
         cap = self.config.max_packets
         sources = self._sources
         queues = self._queues
-        pre = self._pre_pairs
-        if cap is None and pre is not None:
-            # Uncapped fast path over the pre-drawn schedule: every
-            # arrival is enqueued, so the per-message cap check and
-            # counter updates hoist out, record_created's window test is
-            # inlined, and no RNG work happens on the clock.
-            pos_list = self._pre_pos
-            ws = stats.window_start
-            we = stats.window_end
-            add_candidate = self._inj_candidates.add
-            created = 0
-            offered = 0
-            measured = 0
-            for _, index in ready:
-                pairs = pre[index]
-                pos = pos_list[index]
-                n = len(pairs)
-                queue = queues[index]
-                before = created
-                while pos < n:
-                    arrival, entry = pairs[pos]
-                    if arrival > cycle:
-                        break
-                    pos += 1
-                    if entry is not None:
-                        queue.append(entry)
-                        created += 1
-                        if ws <= arrival < we:
-                            offered += entry[1]
-                            measured += 1
-                pos_list[index] = pos
-                heappush(
-                    heap,
-                    (
-                        pairs[pos][0] if pos < n else sources[index].next_arrival,
-                        index,
-                    ),
-                )
-                if created != before:
-                    add_candidate(index)
-            self._messages_created += created
-            self._queued_total += created
-            stats.offered_flits_in_window += offered
-            stats.measured_created += measured
-            return
-        if cap is None:
-            # Uncapped, live polling (schedule precompute was skipped).
-            ws = stats.window_start
-            we = stats.window_end
-            add_candidate = self._inj_candidates.add
-            created = 0
-            offered = 0
-            measured = 0
-            for _, index in ready:
-                source = sources[index]
-                arrivals = source.poll(cycle)
-                heappush(heap, (source.next_arrival, index))
-                if arrivals:
-                    queue = queues[index]
-                    add_candidate(index)
-                    for entry in arrivals:
-                        queue.append(entry)
-                        if ws <= entry[2] < we:
-                            offered += entry[1]
-                            measured += 1
-                    created += len(arrivals)
-            self._messages_created += created
-            self._queued_total += created
-            stats.offered_flits_in_window += offered
-            stats.measured_created += measured
-            return
+        add_candidate = self._inj_candidates.add
+        record_created = stats.record_created
         for pos, (_, index) in enumerate(ready):
-            if pre is not None:
-                pairs = pre[index]
-                p = self._pre_pos[index]
-                n = len(pairs)
-                arrivals = []
-                while p < n and pairs[p][0] <= cycle:
-                    entry = pairs[p][1]
-                    if entry is not None:
-                        arrivals.append(entry)
-                    p += 1
-                self._pre_pos[index] = p
-                next_key = (
-                    pairs[p][0] if p < n else sources[index].next_arrival
-                )
-            else:
-                source = sources[index]
-                arrivals = source.poll(cycle)
-                next_key = source.next_arrival
-            heappush(heap, (next_key, index))
+            source = sources[index]
+            arrivals = source.poll(cycle)
+            heappush(heap, (source.next_arrival, index))
             queue = queues[index]
-            for dest, size, create_time in arrivals:
+            for entry in arrivals:
                 if cap is not None and self._messages_created >= cap:
-                    # The reference loop returns here too, leaving the
+                    # The polling loop returns here too, leaving the
                     # remaining sources untouched this cycle; keep their
                     # heap entries so they are revisited next cycle.
-                    for entry in ready[pos + 1 :]:
-                        heappush(heap, entry)
+                    for rest in ready[pos + 1 :]:
+                        heappush(heap, rest)
                     return
                 self._messages_created += 1
-                queue.append((dest, size, create_time))
                 self._queued_total += 1
-                self._inj_candidates.add(index)
-                stats.record_created(create_time, size)
+                queue.append(entry)
+                add_candidate(index)
+                record_created(entry[2], entry[1])
 
     def _start_packets(self) -> None:
         # Event-driven: only flagged sources are visited, in source-index
@@ -623,26 +514,6 @@ class WormholeSimulator:
 
     # ------------------------------------------------------------------
     # Phase 1: routing and channel allocation
-
-    def _candidates(self, packet: Packet, front: int) -> tuple:
-        """Candidate ids for one header (cold: once per router visit)."""
-        dest_idx = packet.dest_id
-        node_idx = self._dest_ids[front]
-        if node_idx == dest_idx:
-            return self._ej_tuples[node_idx]
-        table = self._routes
-        compiled = table.compiled
-        filled = compiled.filled
-        candidates = compiled.lookup(front, dest_idx)
-        if compiled.filled == filled:
-            table.hits += 1
-        else:
-            table.misses += 1
-        if not candidates and self._strict_routes:
-            self._no_route(packet, front, node_idx)
-        # Empty with a fault controller bound: the degraded topology cut
-        # the header off; _allocate hands the packet to recovery.
-        return candidates
 
     def _no_route(self, packet: Packet, front: int, node_idx: int) -> None:
         """Raise the no-route error of a fault-free run (cold path)."""
@@ -719,9 +590,9 @@ class WormholeSimulator:
         ej_tuples = self._ej_tuples
         num_nodes = self._index.num_nodes
         strict = self._strict_routes
-        rt = self._routes
-        rt_dense = rt.dense
-        route_candidates = self._candidates
+        routes = self._routes
+        dense = routes.dense
+        lookup = routes.lookup
         still_waiting: List[Packet] = []
         append_waiting = still_waiting.append
         for packet in order:
@@ -740,16 +611,10 @@ class WormholeSimulator:
                 if node_idx == packet.dest_id:
                     candidates = ej_tuples[node_idx]
                 else:
-                    if rt_dense is not None:
-                        candidates = rt_dense[
-                            node_idx * num_nodes + packet.dest_id
-                        ]
-                        if candidates is not None:
-                            rt.hits += 1
-                        else:
-                            candidates = route_candidates(packet, front)
-                    else:
-                        candidates = route_candidates(packet, front)
+                    if dense is not None:
+                        candidates = dense[node_idx * num_nodes + packet.dest_id]
+                    if candidates is None:
+                        candidates = lookup(front, packet.dest_id)
                     if not candidates:
                         if strict:
                             self._no_route(packet, front, node_idx)
@@ -1101,10 +966,10 @@ class WormholeSimulator:
         #    degraded table from the healthy one and (unless disabled)
         #    proves it deadlock-free, raising
         #    CertificationError on refutation — the run must not proceed
-        #    unsafely.  Meanwhile the view rests on the healthy table:
+        #    unsafely.  Meanwhile the run rests on the healthy table:
         #    the superseded degraded one is freed before the next is
         #    built, so two are never alive at once.
-        self._routes = RouteTable(self._compiled)
+        self._routes = self._compiled
         events = ctrl.advance(cycle)
         # 3. Point allocation at the degraded routing relation.
         self._refresh_routing(ctrl)
@@ -1137,19 +1002,17 @@ class WormholeSimulator:
     def _refresh_routing(self, ctrl: "FaultController") -> None:
         """Route on the controller's current table from now on.
 
-        The run's table view moves to the controller's degraded
+        The run moves to the controller's degraded
         :class:`~repro.sim.ids.CompiledRoutes`: the healthy table with
         the ids the faults drop removed, on the run's *own* channel
         index (a degraded topology's channels are a subset, so ids never
         shift mid-run) — under recertification the very table that was
         certified (checked to restrict the proved healthy table).  The
         original table returns once every channel has healed.  Nothing is
-        invalidated; the view's lookup counters restart with it.
+        invalidated.
         """
         compiled = ctrl.current_compiled
-        self._routes = RouteTable(
-            compiled if compiled is not None else self._compiled
-        )
+        self._routes = compiled if compiled is not None else self._compiled
 
     def _recover(self, packet: Packet, in_allocation: bool = False) -> None:
         """Tear a casualty out of the network and apply recovery.

@@ -6,8 +6,8 @@ routing decisions are tuples of ids.  This module owns the id layout
 (:class:`ChannelIndex`), derived purely from the topology's canonical
 iteration order so every process reconstructs the same encoding, and
 the routing decisions compiled against it (:class:`CompiledRoutes`,
-shared per ``(topology, routing)`` key; :class:`RouteTable`, one
-simulator's view of it):
+shared per ``(topology, routing)`` key, which a simulator routes on
+directly):
 
 * network channels get ids ``0 .. C-1`` in ``topology.channels()`` order;
 * injection channels get ids ``C + node_index`` and ejection channels
@@ -39,7 +39,7 @@ from repro.routing.base import RoutingAlgorithm
 from repro.topology.base import Topology
 from repro.topology.channels import Channel, NodeId
 
-__all__ = ["ChannelIndex", "CompiledRoutes", "RouteClosure", "RouteTable", "ancestors"]
+__all__ = ["ChannelIndex", "CompiledRoutes", "RouteClosure", "ancestors"]
 
 
 class ChannelIndex:
@@ -290,51 +290,39 @@ class CompiledRoutes:
             for entry, held in pairs
         )
 
-    def _resolve(self, front: int, node_idx: int, dest_idx: int) -> tuple:
-        index = self.index
-        in_channel = index.channel_of[front] if front < index.inj_base else None
-        return tuple(map(
-            index.cid.__getitem__,
-            self.route(in_channel, index.nodes[node_idx], index.nodes[dest_idx]),
-        ))
-
-    def fill_dense(self, key: int, node_idx: int, dest_idx: int) -> tuple:
-        resolved = self._resolve(self.index.inj_base, node_idx, dest_idx)
-        assert self.dense is not None
-        self.dense[key] = resolved
-        self.filled += 1
-        return resolved
-
-    def fill_keyed(
-        self, key: int, front: int, node_idx: int, dest_idx: int
-    ) -> tuple:
-        resolved = self._resolve(front, node_idx, dest_idx)
-        assert self.bykey is not None
-        self.bykey[key] = resolved
-        self.filled += 1
-        return resolved
-
     def lookup(self, front: int, dest_idx: int) -> tuple:
         """Candidate ids for a header that crossed ``front`` (an
         injection id at its source) bound for ``dest_idx``, compiled on
         first use."""
-        num_nodes = self.index.num_nodes
-        node_idx = self.index.dest_node_id[front]
-        if self.dense is not None:
+        index = self.index
+        num_nodes = index.num_nodes
+        node_idx = index.dest_node_id[front]
+        dense = self.dense
+        if dense is not None:
             key = node_idx * num_nodes + dest_idx
-            cached = self.dense[key]
-            if cached is None:
-                cached = self.fill_dense(key, node_idx, dest_idx)
-            return cached
-        assert self.bykey is not None  # one of the two tables is always held
-        if front >= self.index.inj_base:
-            key = node_idx * num_nodes + dest_idx
+            cached = dense[key]
         else:
-            key = num_nodes * num_nodes + front * num_nodes + dest_idx
-        cached = self.bykey.get(key)
-        if cached is None:
-            cached = self.fill_keyed(key, front, node_idx, dest_idx)
-        return cached
+            bykey = self.bykey
+            assert bykey is not None  # one of the two tables is always held
+            if front >= index.inj_base:
+                key = node_idx * num_nodes + dest_idx
+            else:
+                key = num_nodes * num_nodes + front * num_nodes + dest_idx
+            cached = bykey.get(key)
+        if cached is not None:
+            return cached
+        # A dense table's routing ignores the arrival channel.
+        in_channel = None if dense is not None else index.channel_of[front]
+        resolved = tuple(map(
+            index.cid.__getitem__,
+            self.route(in_channel, index.nodes[node_idx], index.nodes[dest_idx]),
+        ))
+        if dense is not None:
+            dense[key] = resolved
+        else:
+            bykey[key] = resolved
+        self.filled += 1
+        return resolved
 
     def closure(self) -> "RouteClosure":
         """Every realizable routing state, compiled and related.
@@ -435,34 +423,3 @@ def ancestors(predecessors: Dict[int, List[int]], seeds: List[int]) -> int:
                 frontier.append(pred)
     return mask
 
-
-class RouteTable:
-    """One simulator's view of a :class:`CompiledRoutes`, with its own counters.
-
-    ``dense`` / ``bykey`` alias the shared tables; the counters are this
-    simulator's alone, so runs sharing a table never see each other's
-    lookups: ``hits`` are answers the compiled table already held
-    (whoever compiled them), ``misses`` the entries this simulator had
-    to compute, and ``prefilled_entries`` what the shared table held
-    when this simulator was built.
-    """
-
-    __slots__ = ("compiled", "dense", "bykey", "hits", "misses",
-                 "prefilled_entries")
-
-    def __init__(self, compiled: CompiledRoutes):
-        self.compiled = compiled
-        self.dense = compiled.dense
-        self.bykey = compiled.bykey
-        self.hits = 0
-        self.misses = 0
-        self.prefilled_entries = compiled.filled
-
-    def __len__(self) -> int:
-        return self.compiled.filled
-
-    def __repr__(self) -> str:
-        return (
-            f"RouteTable({self.compiled.routing.name}, "
-            f"entries={len(self)}, hits={self.hits}, misses={self.misses})"
-        )

@@ -3,8 +3,9 @@
 The paper's processors generate messages at time intervals chosen from a
 negative exponential distribution; each message is one packet of 10 or 200
 flits with equal probability.  :class:`Workload` bundles the arrival
-process, size distribution, and traffic pattern, and exposes a per-node
-generator the simulator polls each cycle.
+process, size distribution, and traffic pattern, and exposes one seeded
+:class:`NodeSource` per node, which the simulator polls on the cycles its
+next message arrives.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Tuple
 
 from repro.topology.channels import NodeId
 from repro.traffic.patterns import TrafficPattern
@@ -104,50 +105,33 @@ class NodeSource:
         self._rate = messages_per_cycle
         self._rng = rng
         self._next_arrival = (
-            float("inf") if messages_per_cycle <= 0 else self._draw_gap()
+            float("inf") if messages_per_cycle <= 0
+            else rng.expovariate(messages_per_cycle)
         )
-
-    def _draw_gap(self) -> float:
-        return self._rng.expovariate(self._rate)
 
     @property
     def next_arrival(self) -> float:
         """Arrival time of the next message (``inf`` for a silent source).
 
-        The event-driven generation path keys its arrival heap on this,
-        so the simulator only touches a source on cycles where it
-        actually releases a message.
+        The simulator keys its arrival heap on this and polls the source
+        only once the clock has reached it: :meth:`poll` before then
+        returns nothing and draws nothing.
         """
         return self._next_arrival
 
-    def pull(self) -> Optional[Tuple[NodeId, int, float]]:
-        """Realize the pending arrival and advance to the next one.
-
-        Draws, in order, the destination, the size (only when the
-        destination draw produced one), and the next interarrival gap —
-        the exact per-source RNG draw order of one :meth:`poll` loop
-        iteration, so polling and event-driven callers consume identical
-        seeded streams.  Returns ``None`` for a discarded arrival (the
-        pattern declined to emit a destination).
-        """
-        arrival = self._next_arrival
-        dest = self._pattern.destination(self.node, self._rng)
-        entry = None
-        if dest is not None:
-            entry = (dest, self._sizes.sample(self._rng), arrival)
-        self._next_arrival = arrival + self._draw_gap()
-        return entry
-
     def poll(self, cycle: int) -> list[Tuple[NodeId, int, float]]:
-        """Messages arriving by ``cycle``: (destination, size, arrival time)."""
+        """Messages arriving by ``cycle``: (destination, size, arrival time).
+
+        Each arrival draws, in order, its destination, its size (only
+        when the pattern emitted a destination; an arrival it declines is
+        discarded) and the gap to the next arrival, all from this
+        source's own stream — the simulator's only arrival stream, so
+        this draw order is part of every seeded result.
+        """
         arrivals: list[Tuple[NodeId, int, float]] = []
         arrival = self._next_arrival
         if arrival > cycle:
             return arrivals
-        # The pull() loop, inlined with the lookups hoisted.  The per-
-        # iteration draw order (destination, size when one was emitted,
-        # gap) is unchanged, so the seeded stream matches pull()-based
-        # polling exactly.
         rng = self._rng
         node = self.node
         destination = self._pattern.destination

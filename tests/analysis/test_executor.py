@@ -115,6 +115,19 @@ class TestConfigSpec:
     def test_total_cycles(self):
         assert QUICK.total_cycles == 1300
 
+    @pytest.mark.parametrize("bad,match", [
+        ({"buffer_depth": 0}, "buffer depth"),
+        ({"output_policy": "nope"}, "unknown output policy"),
+        ({"input_policy": "nope"}, "unknown input policy"),
+    ])
+    def test_invalid_spec_is_refused_on_construction(self, bad, match):
+        with pytest.raises(ValueError, match=match):
+            ConfigSpec(**bad)
+        payload = make_spec().to_dict()
+        payload["config"].update(bad)
+        with pytest.raises(ValueError, match=match):
+            ExperimentSpec.from_dict(payload)
+
 
 class TestExperimentSpec:
     def test_canonicalizes_names(self):

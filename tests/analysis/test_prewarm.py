@@ -91,16 +91,16 @@ class TestBuildRouteTable:
         topology = parse_topology(spec)
         routing = make_routing(name, topology)
         compiled = CompiledRoutes(routing)
-        nodes = compiled.index.nodes
+        index = compiled.index
+        nodes = index.nodes
         count = len(nodes)
         for node_idx, node in enumerate(nodes):
             for dest_idx, dest in enumerate(nodes):
                 if node_idx == dest_idx:
                     continue
-                key = node_idx * count + dest_idx
-                filled = compiled.fill_dense(key, node_idx, dest_idx)
+                filled = compiled.lookup(index.inj_base + node_idx, dest_idx)
                 assert filled == _ids(compiled, routing.route(None, node, dest))
-                assert compiled.dense[key] is filled
+                assert compiled.dense[node_idx * count + dest_idx] is filled
         assert len(compiled) == count * (count - 1)
 
     def test_rejects_in_channel_dependent_routing(self):
@@ -118,7 +118,7 @@ class TestBuildRouteTable:
         node_idx = index.dest_node_id[front]
         dest_idx = (node_idx + 5) % count
         key = count * count + front * count + dest_idx
-        filled = compiled.fill_keyed(key, front, node_idx, dest_idx)
+        filled = compiled.lookup(front, dest_idx)
         assert filled == _ids(compiled, routing.route(
             channel, index.nodes[node_idx], index.nodes[dest_idx]))
         assert compiled.bykey == {key: filled}

@@ -74,3 +74,45 @@ class TestFigureResult:
         assert "vs xy" in text
         assert "adaptive advantage" in text
         assert "2.00x" in text
+
+
+class TestFigureExecutor:
+    """A figure driver closes the executor it builds and leaves a
+    caller's open (sweeps stubbed: no simulation)."""
+
+    @pytest.fixture
+    def closed(self, monkeypatch):
+        from repro.analysis.executor import SweepExecutor
+
+        seen = []
+        monkeypatch.setattr(
+            SweepExecutor, "sweep",
+            lambda self, topology, algorithm, *args, **kwargs:
+                series(algorithm, 100.0, 150.0),
+        )
+        close = SweepExecutor.close
+
+        def recording(self):
+            seen.append(self)
+            close(self)
+
+        monkeypatch.setattr(SweepExecutor, "close", recording)
+        return seen
+
+    def test_driver_closes_the_executor_it_builds(self, closed):
+        from repro.experiments import figure14
+
+        result = figure14(preset="quick", jobs=2)
+        assert [s.algorithm for s in result.series] == [
+            "xy", "west-first", "north-last", "negative-first"]
+        (executor,) = closed
+        assert executor.jobs == 2
+
+    def test_callers_executor_stays_open(self, closed):
+        from repro.analysis.executor import SweepExecutor
+        from repro.experiments import figure16
+
+        executor = SweepExecutor(jobs=1)
+        result = figure16(preset="quick", executor=executor)
+        assert len(result.series) == 4
+        assert closed == []

@@ -98,15 +98,15 @@ def quick_faulted_specs():
 
 @pytest.fixture
 def adoptions(monkeypatch):
-    """The compiled table behind the engine's view after every refresh,
-    with how many entries it held at that moment."""
+    """The compiled table the engine routes on after every refresh, with
+    how many entries it held at that moment."""
     seen = []
     original = WormholeSimulator._refresh_routing
 
     def recording(self, ctrl):
         original(self, ctrl)
-        view = self.route_cache
-        seen.append((view.compiled, view.prefilled_entries))
+        table = self.route_cache
+        seen.append((table, table.filled))
 
     monkeypatch.setattr(WormholeSimulator, "_refresh_routing", recording)
     return seen
@@ -117,7 +117,7 @@ class TestAdoption:
                              ids=["filter", "reach"])
     def test_adopted_table_is_the_proved_object(self, name, checks, adoptions):
         sim, controller = build(name)
-        healthy = sim.route_cache.compiled
+        healthy = sim.route_cache
         sim.run()
         assert controller.stats.recertifications == len(checks) == 4
         assert healthy.numbering is not None
@@ -135,12 +135,12 @@ class TestAdoption:
 
     def test_full_heal_returns_to_the_original_table(self, adoptions):
         sim, controller = build("west-first-nonminimal", faults=2, heal_after=150)
-        healthy = sim.route_cache.compiled
+        healthy = sim.route_cache
         sim.run()
         assert controller.stats.heals_applied == 2
         assert controller.current_compiled is None
         assert adoptions[-1][0] is healthy
-        assert sim.route_cache.compiled is healthy
+        assert sim.route_cache is healthy
 
     def test_refuted_table_aborts_and_is_never_adopted(self, adoptions):
         # The healthy relation is cyclic: the first fault raises with the
@@ -148,7 +148,7 @@ class TestAdoption:
         sim, controller = build(
             None, routing=unrestricted_adaptive_routing(Mesh2D(6, 6))
         )
-        healthy = sim.route_cache.compiled
+        healthy = sim.route_cache
         with pytest.raises(CertificationError, match="dependency cycle") as raised:
             sim.run()
         (check,) = raised.value.report.checks
@@ -156,7 +156,7 @@ class TestAdoption:
         assert check.to_dict() == want.to_dict()
         assert healthy.numbering is None
         assert adoptions == []
-        assert sim.route_cache.compiled is healthy
+        assert sim.route_cache is healthy
         assert controller.current_compiled is None
         assert controller.stats.recertifications == 0
         assert sim.cycle >= WINDOW[0]
@@ -171,7 +171,7 @@ class TestTheExactProofAgrees:
                                       "west-first-nonminimal"])
     def test_every_derived_configuration(self, name, derived):
         sim, controller = build(name, faults=6)
-        healthy = sim.route_cache.compiled
+        healthy = sim.route_cache
         sim.run()
         assert controller.stats.recertifications == len(derived) == 6
         for table, failed in derived:
@@ -193,7 +193,7 @@ class TestNothingIsAskedOrBuilt:
     def test_no_route_call_after_the_first_fault(self, name, monkeypatch):
         sim, controller = build(name)
         calls = []
-        healthy = sim.route_cache.compiled
+        healthy = sim.route_cache
         inner = healthy.route
         monkeypatch.setattr(healthy, "route",
                             lambda *state: calls.append(state) or inner(*state))

@@ -21,10 +21,13 @@ walks every network channel on every sampled cycle and adds its owner
 and fill to the collector's accumulators, where the production engine
 reports grant, fill-change and release events.
 
-Still inherited from :class:`~repro.sim.engine.WormholeSimulator`: the
-constructor's workload set-up, message generation (``_generate`` with
-its pre-drawn arrival schedule and arrival heap) and result assembly
-(``_result``).
+Message generation is the oracle's own as well: its ``_generate`` polls
+every source, in source order, on every executed cycle, where the
+production engine keeps an arrival heap and polls only the sources it
+pops; ``_idle_jump`` reads the next arrival straight off the
+sources; and ``_result`` assembles the result here.  Still inherited
+from :class:`~repro.sim.engine.WormholeSimulator`: the constructor's
+workload set-up (the seeded sources, source queues and preloads).
 
 Nothing under ``src/`` imports it.  The property suites
 (``tests/property/test_property_cores.py``) run it beside the production
@@ -48,7 +51,7 @@ from repro.sim.engine import (
     _pid_key,
 )
 from repro.sim.packet import Packet
-from repro.sim.stats import SimulationResult, StatsCollector
+from repro.sim.stats import SimulationResult, StatsCollector, percentile
 from repro.topology.channels import Channel, NodeId
 
 from tests.sim.degraded import degraded_routing
@@ -225,6 +228,39 @@ class ReferenceSimulator(WormholeSimulator):
             self._obs.finish(self)
         return self._result(stats)
 
+    def _result(self, stats: StatsCollector) -> SimulationResult:
+        """The run's result, read off the statistics collector."""
+
+        def mean(values) -> float:
+            return sum(values) / len(values) if values else 0.0
+
+        latencies = stats.latencies_cycles
+        return SimulationResult(
+            offered_load=self.workload.offered_load,
+            cycle_time_usec=self.config.cycle_time_usec,
+            num_nodes=self.topology.num_nodes,
+            avg_latency_cycles=mean(latencies),
+            latency_samples=len(latencies),
+            measured_created=stats.measured_created,
+            delivered_flits=stats.flits_delivered_in_window,
+            offered_flits=stats.offered_flits_in_window,
+            measure_cycles=self.config.measure_cycles,
+            avg_hops=mean(stats.hops),
+            avg_queue_delay_cycles=mean(stats.queue_delays_cycles),
+            queue_start=stats.queue_len_at_window_start,
+            queue_end=stats.queue_len_at_window_end,
+            deadlocked=self._deadlocked,
+            total_injected=self._total_injected,
+            total_delivered=self._total_delivered,
+            p50_latency_cycles=percentile(latencies, 0.50),
+            p95_latency_cycles=percentile(latencies, 0.95),
+            max_latency_cycles=max(latencies, default=0.0),
+            latency_by_size_cycles={
+                size: mean(values)
+                for size, values in sorted(stats.latencies_by_size.items())
+            },
+        )
+
     def _queued(self) -> int:
         """Messages waiting in the source queues, counted directly."""
         return sum(len(queue) for queue in self._queues)
@@ -274,8 +310,9 @@ class ReferenceSimulator(WormholeSimulator):
         if self._active or any(self._queues) or cycle >= total:
             return cycle
         stops = [total - 1]
-        if self._arrival_heap:
-            stops.append(ceil(self._arrival_heap[0][0]))
+        next_arrival = min(source.next_arrival for source in self._sources)
+        if next_arrival != float("inf"):
+            stops.append(ceil(next_arrival))
         if self._resilience is not None:
             # ``inf`` while the controller has nothing pending.
             stops.append(self._resilience.next_wake)
@@ -323,7 +360,22 @@ class ReferenceSimulator(WormholeSimulator):
         return total
 
     # ------------------------------------------------------------------
-    # Phase 0: injection-channel allocation (generation is inherited)
+    # Phase 0: message generation and injection-channel allocation
+
+    def _generate(self, stats: StatsCollector) -> None:
+        """Poll every source, in source order; stop creating messages at
+        the ``max_packets`` cut-off, leaving the remaining sources
+        untouched this cycle."""
+        cap = self.config.max_packets
+        for index, source in enumerate(self._sources):
+            for dest, size, create_time in source.poll(self.cycle):
+                if cap is not None and self._messages_created >= cap:
+                    return
+                self._messages_created += 1
+                self._queues[index].append((dest, size, create_time))
+                self._queued_total += 1
+                self._inj_candidates.add(index)
+                stats.record_created(create_time, size)
 
     def _start_packets(self) -> None:
         # Event-driven: only flagged sources are visited, in source-index

@@ -124,15 +124,15 @@ class TestMakeSimulator:
                 obs=obs, warm=warm,
             )
             sim.run()
-            return sim.route_cache
+            assert sim.route_cache is warm.compiled_routes
+            return warm.compiled_routes.filled
 
         # The first run fills the shared table; a plain and an observed
-        # rerun find every answer in it.
-        assert run(None).misses > 0
-        filled = len(warm.compiled_routes)
-        assert run(None).misses == 0
-        assert run(MetricsCollector(ObsSpec())).misses == 0
-        assert len(warm.compiled_routes) == filled
+        # rerun find every answer in it and fill nothing.
+        filled = run(None)
+        assert filled > 0
+        assert run(None) == filled
+        assert run(MetricsCollector(ObsSpec())) == filled
 
 
 class TestRestrictedTable:
@@ -273,10 +273,10 @@ class TestTableSwapUnderFaults:
         sim, compiled, controller = self._faulted(heal_after=None)
         assert controller.stats.faults_applied == 2
         table = sim.route_cache
-        assert table.compiled is not compiled
-        assert table.compiled is controller.current_compiled
-        assert table.compiled.routing is sim.routing
-        assert table.compiled.index is compiled.index
+        assert table is not compiled
+        assert table is controller.current_compiled
+        assert table.routing is sim.routing
+        assert table.index is compiled.index
         # The shared table never saw a degraded decision: every entry in
         # it still equals the healthy algorithm's answer.
         index = compiled.index
@@ -292,24 +292,10 @@ class TestTableSwapUnderFaults:
         sim, compiled, controller = self._faulted(heal_after=30)
         assert controller.stats.heals_applied == 2
         assert controller.current_compiled is None
-        assert sim.route_cache.compiled is compiled
+        assert sim.route_cache is compiled
 
 
-class TestRouteTableStats:
-    def test_cold_run_counts_misses(self):
-        mesh = Mesh2D(4, 4)
-        sim = make_simulator(
-            make_routing("west-first", mesh), _workload(mesh, load=0.2),
-            _config(),
-        )
-        sim.run()
-        table = sim.route_cache
-        assert table is not None
-        assert table.misses > 0
-        assert table.prefilled_entries == 0
-        assert table.hits > 0
-        assert len(table) == table.misses
-
+class TestSharedCompiledRoutes:
     def test_prewarmed_run_never_misses(self):
         mesh = Mesh2D(4, 4)
         routing = make_routing("west-first", mesh)
@@ -320,42 +306,15 @@ class TestRouteTableStats:
                 routing, _workload(mesh, load=0.2), _config(),
                 compiled_routes=compiled,
             )
-            return sim, result_digest(sim.run())
+            digest = result_digest(sim.run())
+            assert sim.route_cache is compiled
+            return digest
 
-        first, cold_digest = run()
-        second, warm_digest = run()
-        assert warm_digest == cold_digest
-        table = second.route_cache
-        assert table.misses == 0
-        assert table.prefilled_entries == first.route_cache.misses
-        assert table.hits > 0
-
-    def test_counters_do_not_leak_between_sharing_simulators(self):
-        mesh = Mesh2D(4, 4)
-        routing = make_routing("west-first", mesh)
-        compiled = CompiledRoutes(routing)
-        first = WormholeSimulator(
-            routing, _workload(mesh, load=0.2), _config(),
-            compiled_routes=compiled,
-        )
-        second = WormholeSimulator(
-            routing, _workload(mesh, load=0.2, seed=8), _config(),
-            compiled_routes=compiled,
-        )
-        assert first.route_cache is not second.route_cache
-        assert first.route_cache.dense is second.route_cache.dense
-        first.run()
-        mine = (first.route_cache.hits, first.route_cache.misses)
-        assert mine[0] > 0 and mine[1] > 0
-        # The second simulator has looked nothing up yet ...
-        assert (second.route_cache.hits, second.route_cache.misses) == (0, 0)
-        second.run()
-        # ... and its own lookups leave the first one's counts alone.
-        assert (first.route_cache.hits, first.route_cache.misses) == mine
-        assert second.route_cache.hits > 0
-        assert len(compiled) == (
-            first.route_cache.misses + second.route_cache.misses
-        )
+        cold_digest = run()
+        filled = compiled.filled
+        assert filled > 0
+        assert run() == cold_digest
+        assert compiled.filled == filled
 
     def test_in_channel_routing_compiles_a_keyed_table(self):
         mesh = Mesh2D(4, 4)
@@ -368,7 +327,8 @@ class TestRouteTableStats:
             compiled_routes=compiled,
         )
         sim.run()
-        assert len(compiled.bykey) == sim.route_cache.misses > 0
+        assert sim.route_cache is compiled
+        assert len(compiled.bykey) == compiled.filled > 0
 
     def test_compiled_routes_of_another_routing_are_rejected(self):
         mesh = Mesh2D(4, 4)

@@ -1,7 +1,6 @@
 """Tests for the engine's performance paths and their exact-equivalence
-contracts: the pre-drawn arrival schedule, the idle fast-forward, the
-source stream discipline, window-boundary queue sampling, and the lifetime
-of a finished simulator.
+contracts: the idle fast-forward, the source stream discipline,
+window-boundary queue sampling, and the lifetime of a finished simulator.
 """
 
 import gc
@@ -19,8 +18,11 @@ from repro.topology import Mesh2D
 from repro.traffic import UniformTraffic, Workload
 from repro.traffic.workload import NodeSource, SizeDistribution
 
+from tests.sim.reference_engine import ReferenceSimulator
 
-def _sim(load=0.05, seed=7, warmup=50, measure=300, drain=50, **cfg):
+
+def _sim(load=0.05, seed=7, warmup=50, measure=300, drain=50,
+         simulator=WormholeSimulator, **cfg):
     mesh = Mesh2D(6, 6)
     routing = make_routing("west-first", mesh)
     workload = Workload(
@@ -33,56 +35,23 @@ def _sim(load=0.05, seed=7, warmup=50, measure=300, drain=50, **cfg):
         warmup_cycles=warmup, measure_cycles=measure, drain_cycles=drain,
         **cfg,
     )
-    return WormholeSimulator(routing, workload, config)
-
-
-class TestPreDrawnSchedule:
-    def test_pre_drawn_matches_live_polling_bit_for_bit(self, monkeypatch):
-        pre = _sim().run()
-        # Forcing the gate shut makes the second simulator poll its
-        # sources on the clock, the reference discipline.
-        monkeypatch.setattr(engine_mod, "PRE_DRAW_MESSAGE_LIMIT", -1)
-        live_sim = _sim()
-        assert live_sim._pre_pairs is None
-        live = live_sim.run()
-        assert result_digest(pre) == result_digest(live)
-
-    def test_pre_drawn_matches_live_polling_with_max_packets(self, monkeypatch):
-        pre = _sim(load=0.3, max_packets=40).run()
-        monkeypatch.setattr(engine_mod, "PRE_DRAW_MESSAGE_LIMIT", -1)
-        live = _sim(load=0.3, max_packets=40).run()
-        assert result_digest(pre) == result_digest(live)
-        assert pre.total_delivered == 40
-
-    def test_huge_expected_volume_skips_the_trace(self, monkeypatch):
-        monkeypatch.setattr(engine_mod, "PRE_DRAW_MESSAGE_LIMIT", -1)
-        sim = _sim()
-        assert sim._pre_pairs is None
-        assert sim.run().total_delivered > 0
+    return simulator(routing, workload, config)
 
 
 class TestSourceStreams:
-    def test_poll_equals_pull_loop_on_identical_seeds(self):
-        mesh = Mesh2D(4, 4)
-        pattern = UniformTraffic(mesh)
-        sizes = SizeDistribution(((4, 0.5), (24, 0.5)))
-
-        def source():
-            return NodeSource(
-                (1, 2), pattern, sizes, 0.05, random.Random("stream/9")
-            )
-
-        polled, pulled = source(), source()
-        by_poll = []
-        for cycle in range(400):
-            by_poll.extend(polled.poll(cycle))
-        by_pull = []
-        while pulled.next_arrival <= 399:
-            entry = pulled.pull()
-            if entry is not None:
-                by_pull.append(entry)
-        assert by_poll == by_pull
-        assert polled.next_arrival == pulled.next_arrival
+    def test_heap_generation_matches_the_oracle_scan(self):
+        # The engine polls only the sources its arrival heap pops; the
+        # oracle polls every source on every executed cycle.  A cut-off
+        # that falls inside one cycle's arrivals shows whether both
+        # hand the last messages to the same sources.
+        for cap in (None, *range(1, 120, 3)):
+            engine = _sim(load=0.3, max_packets=cap).run()
+            oracle = _sim(
+                load=0.3, max_packets=cap, simulator=ReferenceSimulator
+            ).run()
+            assert result_digest(engine) == result_digest(oracle), cap
+            if cap is not None:
+                assert engine.total_delivered == cap
 
     def test_silent_source_never_arrives(self):
         mesh = Mesh2D(4, 4)
@@ -103,10 +72,7 @@ class TestIdleFastForward:
         assert result.total_delivered > 0
 
     def test_fast_forward_does_not_change_results(self, monkeypatch):
-        # The live-polling path shares the same fast-forward, so compare
-        # against a run whose idle jumps are suppressed by keeping a
-        # never-delivered straggler... simplest honest check: digests of
-        # two identical sparse runs agree and window samples are taken.
+        # Two identical sparse runs agree, idle jumps and all.
         a, b = _sim(load=0.001), _sim(load=0.001)
         ra, rb = a.run(), b.run()
         assert result_digest(ra) == result_digest(rb)
