@@ -16,7 +16,7 @@ Run:  python examples/future_topologies.py
 """
 
 from repro.api import SimulationConfig, run
-from repro.core.numbering import certifies, potential_numbering
+from repro.core.numbering import numbering_violations, potential_numbering
 from repro.routing import HexNegativeFirstRouting, OctNegativeFirstRouting
 from repro.topology import HexMesh, OctMesh
 from repro.verify import PROVED, check_deadlock_freedom
@@ -24,7 +24,7 @@ from repro.verify import PROVED, check_deadlock_freedom
 
 def certify(label, topology, routing, potential):
     safe = check_deadlock_freedom(topology, routing).verdict == PROVED
-    numbered = certifies(
+    numbered = not numbering_violations(
         topology, routing, potential_numbering(topology, potential), "increasing"
     )
     print(f"  {label:22s} Dally-Seitz acyclic: {safe}   "

@@ -47,7 +47,18 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, TextIO, Tuple, Union
+from typing import (
+    Dict,
+    Generator,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    TextIO,
+    Tuple,
+    Union,
+)
 
 from repro.analysis.prewarm import WarmContext, get_warm_context
 from repro.obs.envelope import replace_file
@@ -806,28 +817,33 @@ class SweepExecutor:
         ``(topology, routing)`` pair is statically certified before any
         point runs.
         """
+        return list(self._runs(points))
+
+    def _runs(self, points: Sequence[PointSpec]) -> Generator[RunResult, None, None]:
+        """Every point's record, in input order.
+
+        With ``jobs == 1`` each point runs in-process as it is pulled, so
+        a caller that stops pulling (a sweep's saturation cut) never
+        simulates the rest; with ``jobs > 1`` every point runs on the
+        first pull.  The run ends, and ``on_run_end`` fires, when the
+        iterator is exhausted or closed.
+        """
         self._certify_points(points)
         started = time.perf_counter()
         metrics = ExecutorMetrics(points_total=len(points))
         self.hooks.on_run_start(len(points))
-        runs: List[Optional[RunResult]] = [None] * len(points)
-
         if self.jobs == 1:
-            for i, point in enumerate(points):
-                runs[i] = self._execute_one(point, metrics)
+            runs: Iterable[RunResult] = (
+                self._execute_one(point, metrics) for point in points
+            )
         else:
-            missing: Dict[int, Optional[str]] = {}
-            for i, point in enumerate(points):
-                run, cache_problem = self._from_cache(point, metrics)
-                if run is not None:
-                    runs[i] = run
-                else:
-                    missing[i] = cache_problem
-            if missing:
-                self._run_parallel(points, missing, runs, metrics)
-
+            runs = self._run_parallel(points, metrics)
+        try:
+            yield from runs
+        except GeneratorExit:  # the caller stopped pulling: the run ends
+            self._finish(metrics, started)
+            raise
         self._finish(metrics, started)
-        return [run for run in runs if run is not None]
 
     def _finish(self, metrics: ExecutorMetrics, started: float) -> None:
         metrics.wall_time_s = time.perf_counter() - started
@@ -918,28 +934,30 @@ class SweepExecutor:
         )
 
     def _run_parallel(
-        self,
-        points: Sequence[PointSpec],
-        missing: Dict[int, Optional[str]],
-        runs: List[Optional[RunResult]],
-        metrics: ExecutorMetrics,
-    ) -> None:
-        """Fan the missing points out over the persistent pool.
+        self, points: Sequence[PointSpec], metrics: ExecutorMetrics
+    ) -> List[RunResult]:
+        """Every point's record in input order: cached ones read, and the
+        missing ones fanned out over the persistent pool.
 
-        ``missing`` maps each point index to why its cache entry was
-        rejected (``None`` for a plain miss).
-
-        Points are grouped by ``(topology, routing)`` key and each group
-        is split into at most ``jobs`` strided chunks (striding
-        interleaves cheap low-load and expensive saturated points), so
-        a worker runs same-key points back to back against one warm
-        context.
+        Missing points are grouped by ``(topology, routing)`` key and
+        each group is split into at most ``jobs`` strided chunks
+        (striding interleaves cheap low-load and expensive saturated
+        points), so a worker runs same-key points back to back against
+        one warm context.
         """
+        runs: List[Optional[RunResult]] = [None] * len(points)
+        # Point index -> why its cache entry was rejected (None: a miss).
+        missing: Dict[int, Optional[str]] = {}
+        for i, point in enumerate(points):
+            run, cache_problem = self._from_cache(point, metrics)
+            if run is not None:
+                runs[i] = run
+            else:
+                missing[i] = cache_problem
         groups: Dict[Tuple[str, str], List[int]] = {}
         for i in missing:
             spec = points[i].spec
             groups.setdefault((spec.topology, spec.routing), []).append(i)
-        pool = self._ensure_pool()
         futures = {}
         for indices in groups.values():
             chunk_count = min(self.jobs, len(indices))
@@ -947,7 +965,7 @@ class SweepExecutor:
             for chunk in chunks:
                 for i in chunk:
                     self.hooks.on_point_start(points[i])
-                future = pool.submit(
+                future = self._ensure_pool().submit(
                     _run_batch_job, [points[i].spec for i in chunk]
                 )
                 futures[future] = chunk
@@ -967,6 +985,7 @@ class SweepExecutor:
             # run_points call starts a fresh one.
             self.close()
             raise
+        return [run for run in runs if run is not None]
 
     # -- conveniences -------------------------------------------------
 
@@ -1033,22 +1052,10 @@ class SweepExecutor:
             for i, load in enumerate(loads)
         ]
 
-        if self.jobs == 1:
-            # Lazy serial path: the cut stops pulling points, so the
-            # points past it are never simulated.
-            self._certify_points(points)
-            started = time.perf_counter()
-            metrics = ExecutorMetrics(points_total=len(points))
-            self.hooks.on_run_start(len(points))
-            runs: Iterable[RunResult] = (
-                self._execute_one(point, metrics) for point in points
-            )
-        else:
-            runs = self.run_points(points)
+        runs = self._runs(points)
         sweep_points = truncate_at_saturation(
             (SweepPoint.from_result(run.result) for run in runs),
             stop_after_saturation,
         )
-        if self.jobs == 1:
-            self._finish(metrics, started)
+        runs.close()
         return SweepSeries(series_name, pattern_name, sweep_points)

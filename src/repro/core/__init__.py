@@ -48,7 +48,6 @@ _LAZY = {
     "west_first_numbering": "numbering",
     "north_last_numbering": "numbering",
     "negative_first_numbering": "numbering",
-    "certifies": "numbering",
     "numbering_violations": "numbering",
     "potential_numbering": "numbering",
     "multinomial": "adaptiveness",
@@ -61,8 +60,6 @@ _LAZY = {
     "s_pcube": "adaptiveness",
     "s_ecube": "adaptiveness",
     "pcube_adaptiveness_ratio": "adaptiveness",
-    "count_shortest_paths": "adaptiveness",
-    "shortest_path_counts": "adaptiveness",
     "average_adaptiveness_ratio": "adaptiveness",
 }
 
@@ -107,8 +104,6 @@ __all__ = [
     "RouteFn",
     "apply_symmetry",
     "average_adaptiveness_ratio",
-    "certifies",
-    "count_shortest_paths",
     "maximal_reversal_extension",
     "multinomial",
     "negative_first_numbering",
@@ -126,7 +121,6 @@ __all__ = [
     "s_north_last",
     "s_pcube",
     "s_west_first",
-    "shortest_path_counts",
     "signed_permutation_symmetries",
     "west_first_numbering",
 ]

@@ -3,21 +3,20 @@
 ``S_algorithm`` is the number of shortest paths an algorithm allows from a
 source to a destination.  The paper gives closed forms for the fully
 adaptive algorithm and each partially adaptive one; this module implements
-those closed forms alongside :func:`shortest_path_counts` (every source to
-one destination) and :func:`count_shortest_paths` (one pair), which count
-the paths by exhaustive enumeration through an actual routing relation, so
-the two can be checked against each other.
+those closed forms and the all-pairs average of ``S_p / S_f``.  The counts
+themselves are taken on the compiled table a relation routes on
+(:func:`repro.sim.ids.shortest_path_counts`), the same one the provers
+read, so they hold for a degraded table as for a healthy one;
+:func:`repro.verify.check_adaptiveness` checks them against the closed
+forms.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb, factorial
-from typing import Callable, Dict, Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
-from repro.core.channel_graph import RouteFn
-from repro.topology.base import Topology
-from repro.topology.channels import Channel, NodeId
+from repro.topology.channels import NodeId
 
 __all__ = [
     "multinomial",
@@ -30,8 +29,6 @@ __all__ = [
     "s_pcube",
     "s_ecube",
     "pcube_adaptiveness_ratio",
-    "count_shortest_paths",
-    "shortest_path_counts",
     "average_adaptiveness_ratio",
 ]
 
@@ -145,86 +142,18 @@ def pcube_adaptiveness_ratio(src: NodeId, dst: NodeId) -> float:
     return 1.0 / comb(h, h_1)
 
 
-def _path_counter(
-    topology: Topology, route_fn: RouteFn, dst: NodeId
-) -> Callable[[Optional[Channel], NodeId], int]:
-    """The shortest-path count toward ``dst`` from a routing state
-    ``(incoming channel, node)``, memoized over states and over each
-    node's distance to ``dst``, so every source asking about ``dst``
-    shares one walk.
-
-    Only hops that reduce the distance to the destination are followed
-    (nonminimal detours a relation may offer are excluded, matching the
-    paper's ``S`` metric).  The relation must be Markovian in
-    (incoming channel, node): all the algorithms in this package are.
-    """
-
-    @lru_cache(maxsize=None)
-    def distance(node: NodeId) -> int:
-        return topology.distance(node, dst)
-
-    @lru_cache(maxsize=None)
-    def paths_from(channel: Optional[Channel], node: NodeId) -> int:
-        if node == dst:
-            return 1
-        nearer = distance(node) - 1
-        total = 0
-        for out in route_fn(channel, node, dst):
-            if distance(out.dst) == nearer:
-                total += paths_from(out, out.dst)
-        return total
-
-    return paths_from
-
-
-def count_shortest_paths(
-    topology: Topology,
-    route_fn: RouteFn,
-    src: NodeId,
-    dst: NodeId,
-) -> int:
-    """Count the shortest paths a routing relation permits from ``src``
-    to ``dst``, by enumeration.
-
-    A lazy single-pair walk: it visits only the states reachable from
-    ``src``, which is what one pair of a large network (the 10-cube
-    example) wants.  Use :func:`shortest_path_counts` for every source.
-    """
-    return _path_counter(topology, route_fn, dst)(None, src)
-
-
-def shortest_path_counts(
-    topology: Topology, route_fn: RouteFn, dst: NodeId
-) -> Dict[NodeId, int]:
-    """``S`` from every source to ``dst`` (1 at ``dst`` itself), by
-    enumeration through the routing relation.
-
-    One memo over ``(incoming channel, node)`` states serves every
-    source: the count from a state toward a fixed destination does not
-    depend on which source reached it.
-    """
-    paths_from = _path_counter(topology, route_fn, dst)
-    return {src: paths_from(None, src) for src in topology.nodes()}
-
-
-def average_adaptiveness_ratio(
-    topology: Topology,
-    route_fn: RouteFn,
-    counts: Optional[Mapping[NodeId, Mapping[NodeId, int]]] = None,
-) -> float:
+def average_adaptiveness_ratio(counts: Mapping[NodeId, Mapping[NodeId, int]]) -> float:
     """Mean of ``S_p / S_f`` over all ordered source-destination pairs.
 
     Section 3.4 reports this exceeds 1/2 for the three 2D algorithms, and
     Section 4.1 that it exceeds ``1 / 2**(n-1)`` in n dimensions.
 
-    ``counts`` is destination -> :func:`shortest_path_counts` when the
-    caller already holds the tables; they are counted here otherwise.
-    The sum runs source-major, so the float result does not depend on
-    how the counts were produced.
+    ``counts`` is destination -> source -> ``S_p``, keyed by every node
+    in both places (as :func:`repro.sim.ids.shortest_path_counts` counts
+    them).  The sum runs source-major, in the destinations' key order, so
+    the float result does not depend on how the counts were produced.
     """
-    nodes = list(topology.nodes())
-    if counts is None:
-        counts = {dst: shortest_path_counts(topology, route_fn, dst) for dst in nodes}
+    nodes = list(counts)
     total = 0.0
     pairs = 0
     for src in nodes:

@@ -3,9 +3,9 @@
 The deadlock-freedom proofs of Theorems 2, 3, and 5 follow Dally and
 Seitz: number the channels so that the algorithm routes every packet along
 channels with strictly decreasing (or increasing) numbers.  This module
-constructs such numberings and provides :func:`certifies`, which checks the
-monotonicity property exhaustively against a routing relation — turning the
-paper's proofs into executable certificates.
+constructs such numberings and provides :func:`numbering_violations`, which
+checks the monotonicity property exhaustively against a routing relation —
+turning the paper's proofs into executable certificates.
 
 Numbers are built from two-digit ``(a, b)`` pairs compared lexicographically
 and flattened to integers, mirroring the base-r two-digit numbers of the
@@ -26,7 +26,6 @@ __all__ = [
     "north_last_numbering",
     "negative_first_numbering",
     "potential_numbering",
-    "certifies",
     "numbering_violations",
 ]
 
@@ -158,30 +157,6 @@ def potential_numbering(topology: Topology, potential) -> Dict[Channel, int]:
     return numbers
 
 
-def certifies(
-    topology: Topology,
-    route_fn: RouteFn,
-    numbering: Numbering,
-    order: str = "decreasing",
-) -> bool:
-    """Whether a numbering certifies a routing relation deadlock free.
-
-    Checks that every *realizable* routing step — every edge of the exact
-    channel dependency graph — moves to a strictly lower (or higher)
-    numbered channel.
-
-    Args:
-        topology: the network.
-        route_fn: the routing relation to certify.
-        numbering: channel numbers.
-        order: ``"decreasing"`` or ``"increasing"``.
-
-    Returns:
-        True if every dependency is strictly monotone in the given order.
-    """
-    return not numbering_violations(topology, route_fn, numbering, order)
-
-
 def numbering_violations(
     topology: Topology,
     route_fn: RouteFn,
@@ -190,10 +165,9 @@ def numbering_violations(
 ) -> List[Tuple[Channel, Channel]]:
     """The realizable routing steps that break a numbering's monotonicity.
 
-    The constructive counterpart of :func:`certifies`: instead of a bare
-    boolean, returns every edge of the exact channel dependency graph that
-    fails to move strictly in the given order — empty exactly when the
-    numbering certifies the relation.  The verifier uses this both to
+    Every edge of the exact channel dependency graph that fails to move
+    strictly in the given order — empty exactly when the numbering
+    certifies the relation.  The verifier uses this both to
     validate closed-form numberings before embedding them in certificates
     and to report *which* dependencies a broken numbering misses.
 

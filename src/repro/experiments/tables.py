@@ -22,16 +22,15 @@ from typing import List, Tuple
 from repro.analysis.report import format_table
 from repro.core.adaptiveness import (
     average_adaptiveness_ratio,
-    count_shortest_paths,
     s_fully_adaptive,
     s_pcube,
-    shortest_path_counts,
 )
 from repro.core.channel_graph import restriction_is_deadlock_free
 from repro.core.restrictions import TurnRestriction
 from repro.core.turns import abstract_cycles, minimum_prohibited_turns, ninety_degree_turns
 from repro.routing.pcube import PCubeRouting
 from repro.routing.registry import make_routing
+from repro.sim.ids import CompiledRoutes, shortest_path_counts
 from repro.synth.enumeration import enumerate_candidates
 from repro.synth.symmetry import classify_candidates
 from repro.topology.hypercube import Hypercube
@@ -99,9 +98,12 @@ def adaptiveness_table(side: int = 6) -> str:
     nodes = list(mesh.nodes())
     pairs = [(s, d) for s in nodes for d in nodes if s != d]
     for name in ("west-first", "north-last", "negative-first", "xy"):
-        algorithm = make_routing(name, mesh)
-        counts = {d: shortest_path_counts(mesh, algorithm, d) for d in nodes}
-        ratio = average_adaptiveness_ratio(mesh, algorithm, counts)
+        compiled = CompiledRoutes(make_routing(name, mesh))
+        counts = {
+            dst: dict(zip(nodes, shortest_path_counts(compiled, d)))
+            for d, dst in enumerate(nodes)
+        }
+        ratio = average_adaptiveness_ratio(counts)
         singles = sum(1 for s, d in pairs if counts[d][s] == 1)
         rows.append(
             [name, f"{ratio:.3f}", singles, f"{singles / len(pairs):.2f}"]
@@ -197,7 +199,9 @@ def pcube_example_table() -> Tuple[List[PCubeTableRow], str]:
         )
     table_rows.append([_node_to_paper_string(dest), "", "", "destination"])
     rendered = format_table(headers, table_rows)
-    shortest = count_shortest_paths(cube, routing, src, dest)
+    compiled = CompiledRoutes(routing)
+    node_id = compiled.index.node_id
+    shortest = shortest_path_counts(compiled, node_id[dest])[node_id[src]]
     closed = s_pcube(src, dest)
     rendered += (
         f"\nshortest paths: enumerated={shortest} closed-form h1!h0!={closed} "

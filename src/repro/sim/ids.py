@@ -17,6 +17,11 @@ directly):
 
 Physical links (for virtual-channel lane arbitration) are numbered in
 first-lane-seen order, one id per ``(src, dst)`` pair.
+
+The relation a table holds is read on ids too: its closure
+(:class:`RouteClosure`, what the provers read) and its shortest-path
+counts (:func:`shortest_path_counts`, the paper's degree of
+adaptiveness ``S``).
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from repro.routing.base import RoutingAlgorithm
 from repro.topology.base import Topology
 from repro.topology.channels import Channel, NodeId
 
-__all__ = ["ChannelIndex", "CompiledRoutes", "RouteClosure", "ancestors"]
+__all__ = ["ChannelIndex", "CompiledRoutes", "RouteClosure", "ancestors", "shortest_path_counts"]
 
 
 class ChannelIndex:
@@ -423,3 +428,51 @@ def ancestors(predecessors: Dict[int, List[int]], seeds: List[int]) -> int:
                 frontier.append(pred)
     return mask
 
+
+def shortest_path_counts(compiled: CompiledRoutes, dest_idx: int) -> List[int]:
+    """Source node index -> the shortest paths ``compiled`` permits from it
+    to ``dest_idx`` (1 at ``dest_idx`` itself): the paper's ``S``.
+
+    Only hops that bring a header one hop nearer, by the ``distance`` of
+    the table's routing algorithm's topology, are followed (nonminimal detours a relation
+    may offer are excluded, matching the paper's metric).  A forward pass
+    from every injection id collects the states a header can hold on such
+    a path, by distance; the counts are then summed nearest first.  A
+    dense table routes every arrival at a node alike, so its states are
+    nodes, each held at its injection id.  Entries a table that is not
+    closed lacks are compiled as they are read.
+    """
+    index = compiled.index
+    head = index.dest_node_id
+    inj_base = index.inj_base
+    lookup = compiled.lookup
+    distance = compiled.routing.topology.distance  # type: ignore[union-attr]
+    dest = index.nodes[dest_idx]
+    dist = [distance(node, dest) for node in index.nodes]
+    collapse = compiled.dense is not None
+    levels: List[List[int]] = [[] for _ in range(max(dist) + 1)]
+    nearer: Dict[int, List[int]] = {}
+    frontier = list(range(inj_base, index.ej_base))
+    seen = set(frontier)
+    for front in frontier:  # grows as the pass advances
+        here = head[front]
+        levels[dist[here]].append(front)
+        if here == dest_idx:
+            continue
+        step = dist[here] - 1
+        outs = nearer[front] = [
+            inj_base + head[out] if collapse else out
+            for out in lookup(front, dest_idx)
+            if dist[head[out]] == step
+        ]
+        for out in outs:
+            if out not in seen:
+                seen.add(out)
+                frontier.append(out)
+    count = [0] * index.total_ids
+    for front in levels[0]:
+        count[front] = 1
+    for level in levels[1:]:
+        for front in level:
+            count[front] = sum(count[out] for out in nearer[front])
+    return count[inj_base:index.ej_base]

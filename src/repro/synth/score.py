@@ -5,7 +5,7 @@ degree of adaptiveness ``S``: how many shortest paths it permits per
 source-destination pair, normalized by the fully adaptive count
 (Sections 3.4 and 4.1).  Candidates are scored by
 :func:`repro.core.adaptiveness.average_adaptiveness_ratio` — exhaustive
-path counting through the compiled minimal router — on a radix-capped
+path counting on the minimal router's compiled table — on a radix-capped
 copy of the target topology: the ratio is a per-pair average whose
 ordering is stable across mesh sizes, while exhaustive counting on a
 large target mesh would dominate the whole synthesis run.
@@ -21,6 +21,7 @@ from repro.core.turns import Turn
 from repro.routing.registry import TURN_SETS
 from repro.routing.synth_names import synth_name
 from repro.routing.turn_table import TurnRestrictionRouting
+from repro.sim.ids import CompiledRoutes, shortest_path_counts
 from repro.topology.base import Topology
 from repro.topology.hypercube import Hypercube
 from repro.topology.mesh import Mesh, Mesh2D
@@ -51,14 +52,18 @@ def adaptiveness_score(
 ) -> float:
     """Mean ``S_candidate / S_fully-adaptive`` over all ordered pairs.
 
-    Counts through the compiled *minimal* router — the ``S`` metric is
-    about shortest paths, and the minimal router offers exactly the
+    Counts on the *minimal* router's compiled table — the ``S`` metric
+    is about shortest paths, and the minimal router offers exactly the
     permitted distance-decreasing hops.
     """
     name = synth_name(topology.n_dims, prohibited)
     restriction = TurnRestriction(topology.n_dims, prohibited, name=name)
-    routing = TurnRestrictionRouting(topology, restriction, minimal=True)
-    return average_adaptiveness_ratio(topology, routing.route)
+    compiled = CompiledRoutes(TurnRestrictionRouting(topology, restriction, minimal=True))
+    nodes = compiled.index.nodes
+    return average_adaptiveness_ratio({
+        dst: dict(zip(nodes, shortest_path_counts(compiled, d)))
+        for d, dst in enumerate(nodes)
+    })
 
 
 def named_restrictions(n_dims: int) -> Dict[str, TurnRestriction]:

@@ -4,9 +4,10 @@ Two checks beyond the safety trio:
 
 * :func:`check_adaptiveness` compares the degree-of-adaptiveness closed
   forms of Sections 3.4, 4.1, and 5 (``S_west-first``, ``S_negative-first``,
-  ``S_p-cube``, ...) against exhaustive shortest-path enumeration through
-  the actual routing relation (one count per destination, read by every
-  source), over every ordered pair of nodes.  A mismatch means either
+  ``S_p-cube``, ...) against exhaustive shortest-path enumeration on the
+  target's compiled route closure — the relation the provers prove and the
+  engine routes on (one count per destination, read by every source) —
+  over every ordered pair of nodes.  A mismatch means either
   the implementation or the formula has drifted — both have caught bugs
   in networks-on-chip codebases.
 
@@ -23,7 +24,7 @@ virtual-channel algorithms.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Optional
 
 from repro.core.adaptiveness import (
     s_abonf,
@@ -33,15 +34,16 @@ from repro.core.adaptiveness import (
     s_negative_first,
     s_north_last,
     s_west_first,
-    shortest_path_counts,
 )
 from repro.core.restrictions import TurnRestriction
 from repro.core.turns import minimum_prohibited_turns
 from repro.routing.base import RoutingAlgorithm
+from repro.sim.ids import RouteClosure, shortest_path_counts
 from repro.topology.base import Topology
 from repro.topology.channels import NodeId
 from repro.topology.hypercube import Hypercube
 from repro.topology.mesh import Mesh, Mesh2D
+from repro.verify.deadlock import route_closure
 from repro.verify.report import PROVED, REFUTED, SKIPPED, Certificate, CheckResult
 
 __all__ = ["check_adaptiveness", "check_turn_minimum"]
@@ -88,9 +90,12 @@ def _plain_topology(topology: Topology) -> bool:
 
 
 def check_adaptiveness(
-    topology: Topology, routing: RoutingAlgorithm
+    topology: Topology,
+    routing: RoutingAlgorithm,
+    closure: Optional[RouteClosure] = None,
 ) -> CheckResult:
-    """Cross-check a closed-form ``S`` against exhaustive enumeration."""
+    """Cross-check a closed-form ``S`` against exhaustive enumeration
+    (reading ``closure`` when the caller already holds the relation)."""
     closed_form = _CLOSED_FORMS.get(_base_name(routing))
     if closed_form is None or not _plain_topology(topology):
         return CheckResult(
@@ -99,17 +104,20 @@ def check_adaptiveness(
             detail="no closed-form S for this algorithm/topology",
         )
 
-    nodes = list(topology.nodes())
-    counts = {dst: shortest_path_counts(topology, routing, dst) for dst in nodes}
+    if closure is None:
+        closure = route_closure(topology, routing)
+    compiled = closure.compiled
+    nodes = compiled.index.nodes
+    counts = [shortest_path_counts(compiled, d) for d in range(len(nodes))]
     mismatches: List[Dict[str, object]] = []
     pairs = 0
-    for src in nodes:
-        for dst in nodes:
-            if src == dst:
+    for s, src in enumerate(nodes):
+        for d, dst in enumerate(nodes):
+            if s == d:
                 continue
             pairs += 1
             expected = closed_form(src, dst)
-            counted = counts[dst][src]
+            counted = counts[d][s]
             if counted != expected:
                 mismatches.append(
                     {

@@ -215,9 +215,9 @@ def default_targets(
 
 
 #: A checker: ``(topology, routing) -> CheckResult``; the three proof
-#: checkers also take the target's route closure as a third argument,
-#: and the deadlock and livelock checkers its dependency analysis as
-#: ``dependencies``.
+#: checkers and the adaptiveness check also take the target's route
+#: closure as a third argument, and the deadlock and livelock checkers
+#: its dependency analysis as ``dependencies``.
 Checker = Callable[..., CheckResult]
 
 #: The checkers every target runs, in report order.
@@ -243,6 +243,9 @@ PROOF_CHECKERS: Sequence[Checker] = (
 #: The proof checkers that read the closure's decision: numbering or witness.
 _CYCLE_CHECKERS: Sequence[Checker] = (check_deadlock_freedom, check_livelock_freedom)
 
+#: The checkers that read the target's route closure.
+_CLOSURE_CHECKERS: Sequence[Checker] = (*PROOF_CHECKERS, check_adaptiveness)
+
 
 def verify_target(
     target: VerifyTarget, checkers: Optional[Sequence[Checker]] = None
@@ -250,10 +253,10 @@ def verify_target(
     """Run the checkers (the full suite by default) against one target.
 
     The target's routing is compiled and closed once; the deadlock,
-    connectivity and livelock proofs all read that one relation.  It is
-    decided once too (:func:`~repro.verify.deadlock.closure_dependencies`),
-    and the deadlock and livelock checkers share the numbering or the
-    witness.
+    connectivity and livelock proofs and the adaptiveness count all read
+    that one relation.  It is decided once too
+    (:func:`~repro.verify.deadlock.closure_dependencies`), and the
+    deadlock and livelock checkers share the numbering or the witness.
     """
     topology, routing = target.topology, target.routing
     closure = route_closure(topology, routing)
@@ -262,7 +265,7 @@ def verify_target(
     def run(checker: Checker) -> CheckResult:
         if checker in _CYCLE_CHECKERS:
             return checker(topology, routing, closure, dependencies)
-        if checker in PROOF_CHECKERS:
+        if checker in _CLOSURE_CHECKERS:
             return checker(topology, routing, closure)
         return checker(topology, routing)
 

@@ -485,6 +485,19 @@ class TestSweepThroughExecutor:
         assert len(series.points) < len(self.SATURATING_LOADS)
         assert executor.last_metrics.simulated == len(series.points)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_the_run_ends_once_after_the_cut(self, jobs):
+        hooks = CountingHooks()
+        executor = SweepExecutor(jobs=jobs, hooks=hooks)
+        series = executor.sweep(
+            "mesh:4x4", "xy", "transpose", self.SATURATING_LOADS,
+            config=quick_config(), seed=3,
+        )
+        assert hooks.run_starts == 1
+        assert hooks.run_ends == [executor.last_metrics]
+        simulated = len(series.points) if jobs == 1 else len(self.SATURATING_LOADS)
+        assert hooks.done == executor.last_metrics.simulated == simulated
+
     def test_saturating_sweep_identical_serial_and_parallel(self):
         """Early-stop (lazy) and run-all-then-truncate agree."""
         loads = self.SATURATING_LOADS

@@ -6,7 +6,6 @@ import pytest
 
 from repro.core.adaptiveness import (
     average_adaptiveness_ratio,
-    count_shortest_paths,
     multinomial,
     pcube_adaptiveness_ratio,
     s_abonf,
@@ -19,7 +18,10 @@ from repro.core.adaptiveness import (
     s_west_first,
 )
 from repro.routing import make_routing
+from repro.sim.ids import CompiledRoutes, shortest_path_counts
 from repro.topology import Hypercube, Mesh, Mesh2D
+
+from tests.core.test_path_counts import id_counts
 
 
 class TestMultinomial:
@@ -86,14 +88,12 @@ class TestClosedFormsMatchEnumeration2D:
         ],
     )
     def test_every_pair(self, mesh, name, closed):
-        algorithm = make_routing(name, mesh)
+        counts = id_counts(make_routing(name, mesh))
         for src in mesh.nodes():
             for dst in mesh.nodes():
                 if src == dst:
                     continue
-                assert count_shortest_paths(mesh, algorithm, src, dst) == closed(
-                    src, dst
-                ), (name, src, dst)
+                assert counts[dst][src] == closed(src, dst), (name, src, dst)
 
 
 class TestClosedFormsMatchEnumerationNDim:
@@ -110,14 +110,12 @@ class TestClosedFormsMatchEnumerationNDim:
         ],
     )
     def test_every_pair_3d(self, mesh, name, closed):
-        algorithm = make_routing(name, mesh)
+        counts = id_counts(make_routing(name, mesh))
         for src in mesh.nodes():
             for dst in mesh.nodes():
                 if src == dst:
                     continue
-                assert count_shortest_paths(mesh, algorithm, src, dst) == closed(
-                    src, dst
-                ), (name, src, dst)
+                assert counts[dst][src] == closed(src, dst), (name, src, dst)
 
 
 class TestPCube:
@@ -130,14 +128,12 @@ class TestPCube:
 
     def test_matches_enumeration(self):
         cube = Hypercube(5)
-        routing = make_routing("p-cube", cube)
+        counts = id_counts(make_routing("p-cube", cube))
         for src in cube.nodes():
             for dst in cube.nodes():
                 if src == dst:
                     continue
-                assert count_shortest_paths(cube, routing, src, dst) == s_pcube(
-                    src, dst
-                )
+                assert counts[dst][src] == s_pcube(src, dst)
 
     def test_ratio_formula(self):
         # S_p-cube / S_f = 1 / C(h, h1).
@@ -154,6 +150,9 @@ class TestPCube:
         dst = tuple(reversed([0, 0, 1, 0, 1, 1, 1, 0, 0, 1]))
         assert s_pcube(src, dst) == 36
         assert s_fully_adaptive(src, dst) == math.factorial(6)
+        compiled = CompiledRoutes(make_routing("p-cube", Hypercube(10)))
+        node_id = compiled.index.node_id
+        assert shortest_path_counts(compiled, node_id[dst])[node_id[src]] == 36
 
 
 class TestAverages:
@@ -162,13 +161,13 @@ class TestAverages:
     @pytest.mark.parametrize("name", ["west-first", "north-last", "negative-first"])
     def test_partially_adaptive_average_exceeds_half(self, name):
         mesh = Mesh2D(5, 5)
-        ratio = average_adaptiveness_ratio(mesh, make_routing(name, mesh))
+        ratio = average_adaptiveness_ratio(id_counts(make_routing(name, mesh)))
         assert ratio > 0.5
 
     def test_xy_average_below_adaptive(self):
         mesh = Mesh2D(4, 4)
-        xy = average_adaptiveness_ratio(mesh, make_routing("xy", mesh))
-        wf = average_adaptiveness_ratio(mesh, make_routing("west-first", mesh))
+        xy = average_adaptiveness_ratio(id_counts(make_routing("xy", mesh)))
+        wf = average_adaptiveness_ratio(id_counts(make_routing("west-first", mesh)))
         assert xy < wf
 
     def test_sp_equals_one_for_at_least_half_the_pairs(self):
@@ -177,16 +176,14 @@ class TestAverages:
         nodes = list(mesh.nodes())
         pairs = [(s, d) for s in nodes for d in nodes if s != d]
         for name in ("west-first", "north-last", "negative-first"):
-            algorithm = make_routing(name, mesh)
-            singles = sum(
-                1
-                for s, d in pairs
-                if count_shortest_paths(mesh, algorithm, s, d) == 1
-            )
+            counts = id_counts(make_routing(name, mesh))
+            singles = sum(1 for s, d in pairs if counts[d][s] == 1)
             assert singles >= len(pairs) / 2, name
 
     def test_3d_average_exceeds_quarter(self):
         # Section 4.1: S_p/S_f > 1 / 2**(n-1).
         mesh = Mesh((3, 3, 3))
-        ratio = average_adaptiveness_ratio(mesh, make_routing("negative-first", mesh))
+        ratio = average_adaptiveness_ratio(
+            id_counts(make_routing("negative-first", mesh))
+        )
         assert ratio > 1 / 4

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.adaptiveness import (
-    count_shortest_paths,
     multinomial,
     s_fully_adaptive,
     s_negative_first,
@@ -16,11 +15,13 @@ from repro.core.model import apply_symmetry, signed_permutation_symmetries
 from repro.core.restrictions import TurnRestriction, negative_first_restriction
 from repro.core.turns import abstract_cycles, ninety_degree_turns
 from repro.routing import make_routing
+from repro.sim.ids import CompiledRoutes, shortest_path_counts
 from repro.synth import enumerate_candidates
 from repro.topology import Mesh, Mesh2D
 
 coords_2d = st.tuples(st.integers(0, 4), st.integers(0, 4))
 MESH55 = Mesh2D(5, 5)
+WEST_FIRST55 = CompiledRoutes(make_routing("west-first", MESH55))
 MESH33 = Mesh2D(3, 3)
 SAFE_SETS_2D = [
     prohibited
@@ -42,10 +43,9 @@ class TestClosedFormProperties:
     def test_enumeration_matches_closed_form(self, src, dst):
         if src == dst:
             return
-        algorithm = make_routing("west-first", MESH55)
-        assert count_shortest_paths(MESH55, algorithm, src, dst) == s_west_first(
-            src, dst
-        )
+        node_id = WEST_FIRST55.index.node_id
+        counts = shortest_path_counts(WEST_FIRST55, node_id[dst])
+        assert counts[node_id[src]] == s_west_first(src, dst)
 
     @given(
         counts=st.lists(st.integers(0, 6), min_size=1, max_size=4)

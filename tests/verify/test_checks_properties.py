@@ -13,6 +13,7 @@ from repro.verify import (
     check_adaptiveness,
     check_turn_minimum,
 )
+from repro.verify.deadlock import route_closure
 
 
 class TestAdaptiveness:
@@ -36,6 +37,16 @@ class TestAdaptiveness:
             torus, make_routing("negative-first-torus", torus)
         )
         assert result.verdict == SKIPPED
+
+    @pytest.mark.parametrize("algorithm", ["west-first", "west-first-nonminimal"])
+    def test_reads_a_closed_closure_without_filling_it(self, mesh44, algorithm):
+        routing = make_routing(algorithm, mesh44)
+        closure = route_closure(mesh44, routing)
+        filled = closure.compiled.filled
+        result = check_adaptiveness(mesh44, routing, closure)
+        assert result.verdict == PROVED, result.detail
+        assert closure.compiled.filled == filled
+        assert result == check_adaptiveness(mesh44, make_routing(algorithm, mesh44))
 
     def test_wrong_closed_form_is_refuted(self, mesh44):
         # A west-first algorithm masquerading as north-last must be caught

@@ -6,6 +6,7 @@ import pytest
 
 from repro.routing import make_routing
 from repro.sim.deadlock import unrestricted_adaptive_routing
+from repro.sim.ids import CompiledRoutes
 from repro.topology import Mesh2D
 from repro.verify import (
     CertificationError,
@@ -90,6 +91,27 @@ class TestCertify:
         report = verify_target(target)
         assert not report.certified
         assert report.as_expected
+
+
+    def test_every_check_reads_the_one_closure(self, mesh44, monkeypatch):
+        closures = []
+        original = CompiledRoutes.closure
+
+        def counted(compiled):
+            closures.append(compiled)
+            return original(compiled)
+
+        monkeypatch.setattr(CompiledRoutes, "closure", counted)
+        target = VerifyTarget(
+            label="mesh:4x4/west-first",
+            topology_label="mesh:4x4",
+            topology=mesh44,
+            routing=make_routing("west-first", mesh44),
+        )
+        report = verify_target(target)
+        assert report.certified
+        assert [check.verdict for check in report.checks] == ["proved"] * 5
+        assert len(closures) == 1
 
 
 class TestVerifyBatch:
