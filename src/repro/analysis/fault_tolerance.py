@@ -5,9 +5,15 @@ The paper argues nonminimal routing "provides better fault tolerance"
 as every shortest path it permits crosses a failed channel, while a
 nonminimal algorithm survives any fault pattern that leaves a
 permitted-turn path intact.  :func:`routable_fraction` quantifies this:
-the fraction of ordered pairs an algorithm can still route in a faulty
-network, read off the compiled relation the provers read (exact for any
-relation, cyclic or not).
+the fraction of ordered pairs a compiled table can still route, read off
+its closure (exact for any relation, cyclic or not).
+
+A faulted relation is the healthy table restricted by the one reach rule
+(:meth:`~repro.sim.ids.CompiledRoutes.reach_restricted`): the failed ids
+go, then every id whose holder can no longer reach the destination.
+:func:`fault_tolerance_sweep` compiles each mode's healthy table once
+and reads every fault count off it; no router is re-made on the faulted
+network.
 """
 
 from __future__ import annotations
@@ -15,27 +21,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
+from repro.core.digraph import ancestors
 from repro.core.restrictions import TurnRestriction
-from repro.routing.base import RoutingAlgorithm
 from repro.routing.turn_table import TurnRestrictionRouting
-from repro.sim.ids import ancestors
+from repro.sim.ids import CompiledRoutes
 from repro.topology.base import Topology
 from repro.topology.faults import random_channel_faults
-from repro.verify.deadlock import route_closure
 
 __all__ = ["routable_fraction", "FaultSweepPoint", "fault_tolerance_sweep"]
 
 
-def routable_fraction(topology: Topology, algorithm: RoutingAlgorithm) -> float:
-    """Fraction of ordered pairs the algorithm can route to completion.
+def routable_fraction(compiled: CompiledRoutes) -> float:
+    """Fraction of ordered pairs the table can route to completion.
 
     A pair counts as routable when the source is offered a first hop and
     no dead end (a channel short of the destination offering no output)
     is reachable from any of them.  Per destination, one reverse search
     from the dead ends marks every channel that can reach one.
     """
-    closure = route_closure(topology, algorithm)
-    compiled = closure.compiled
+    closure = compiled.closure()
     index = compiled.index
     nodes = range(index.num_nodes)
     routable = 0
@@ -70,7 +74,8 @@ def fault_tolerance_sweep(
     """Compare minimal vs nonminimal connectivity as channels fail.
 
     For each fault count, fail that many channels at random (the same
-    fault set for both modes) and measure each mode's routable fraction.
+    fault set for both modes) and measure the routable fraction of each
+    mode's healthy table restricted by the reach rule.
 
     Args:
         topology: the healthy network.
@@ -81,16 +86,22 @@ def fault_tolerance_sweep(
     Returns:
         One point per fault count.
     """
+    minimal = CompiledRoutes(TurnRestrictionRouting(topology, restriction, minimal=True))
+    nonminimal = CompiledRoutes(TurnRestrictionRouting(topology, restriction, minimal=False))
+    cid = minimal.index.cid
     points = []
     for count in fault_counts:
-        faulty = random_channel_faults(topology, count, seed=seed + count)
-        minimal = TurnRestrictionRouting(faulty, restriction, minimal=True)
-        nonminimal = TurnRestrictionRouting(faulty, restriction, minimal=False)
+        faults = random_channel_faults(topology, count, seed=seed + count)
+        failed = [cid[channel] for channel in faults.failed]
         points.append(
             FaultSweepPoint(
                 failed_channels=count,
-                minimal_fraction=routable_fraction(faulty, minimal),
-                nonminimal_fraction=routable_fraction(faulty, nonminimal),
+                minimal_fraction=routable_fraction(
+                    CompiledRoutes.reach_restricted(minimal, failed)
+                ),
+                nonminimal_fraction=routable_fraction(
+                    CompiledRoutes.reach_restricted(nonminimal, failed)
+                ),
             )
         )
     return points

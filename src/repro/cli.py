@@ -1,20 +1,20 @@
-"""Command-line interface: ``turnmodel`` (also installed as ``repro``).
+"""Command-line interface: ``repro``.
 
 Subcommands::
 
-    turnmodel tables                    # the paper's tables and counts
-    turnmodel figure 14 --preset quick  # reproduce a performance figure
-    turnmodel simulate --topology mesh:8x8 --algorithm negative-first \\
+    repro tables                        # the paper's tables and counts
+    repro figure 14 --preset quick      # reproduce a performance figure
+    repro simulate --topology mesh:8x8 --algorithm negative-first \\
               --pattern transpose --load 0.2
-    turnmodel sweep --topology mesh:16x16 --algorithm xy negative-first \\
+    repro sweep --topology mesh:16x16 --algorithm xy negative-first \\
               --pattern transpose --jobs 4 --cache-dir .sweep-cache
-    turnmodel resilience --preset quick # fault-injection delivered-fraction sweep
-    turnmodel deadlock --figure 1       # watch an unsafe algorithm deadlock
-    turnmodel verify --all              # statically certify every algorithm
-    turnmodel synth --topology mesh:4x4 # synthesize routing algorithms
-    turnmodel lint                      # determinism & invariant lint over src
-    turnmodel report runs/manifest-*.json   # metrics report from manifests
-    turnmodel list                      # available algorithms and patterns
+    repro resilience --preset quick     # fault-injection delivered-fraction sweep
+    repro deadlock --figure 1           # watch an unsafe algorithm deadlock
+    repro verify --all                  # statically certify every algorithm
+    repro synth --topology mesh:4x4     # synthesize routing algorithms
+    repro lint                          # determinism & invariant lint over src
+    repro report runs/manifest-*.json       # metrics report from manifests
+    repro list                          # available algorithms and patterns
 
 ``simulate``, ``sweep``, and ``resilience`` accept ``--obs`` to collect
 bit-invisible channel/latency/timeline metrics; ``sweep`` and
@@ -512,7 +512,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="turnmodel",
+        prog="repro",
         description="Turn-model adaptive routing: algorithms, proofs, simulator",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -872,7 +872,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Entry point for the ``turnmodel`` console script."""
+    """Entry point for the ``repro`` console script."""
     parser = build_parser()
     args = parser.parse_args(argv)
     return args.func(args)

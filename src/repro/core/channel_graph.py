@@ -15,7 +15,7 @@ Two relations are decided here:
   physically adjacent channels is an edge.  This over-approximates any
   routing algorithm obeying the restriction, so acyclicity here certifies
   *every* such algorithm, minimal or nonminimal.  It is built as id
-  bitmasks and decided by the prover's Kahn pass
+  bitmasks (:func:`turn_successors`) and decided by the prover's Kahn pass
   (:func:`~repro.core.digraph.topological_numbering`);
   :func:`maximal_reversal_extension` (Step 6) reuses it.
 
@@ -47,6 +47,7 @@ __all__ = [
     "CycleWitness",
     "routing_cdg",
     "restriction_is_deadlock_free",
+    "turn_successors",
     "maximal_reversal_extension",
 ]
 
@@ -211,20 +212,26 @@ def restriction_is_deadlock_free(
     Step 4's test: the turn-induced dependency graph has an edge from
     channel ``a`` to channel ``b`` whenever ``b`` leaves the node ``a``
     enters and the restriction permits the transition from ``a``'s
-    direction to ``b``'s (straight continuations and permitted reversals
-    included).  It over-approximates any algorithm obeying the
-    restriction, minimal or nonminimal, so its acyclicity certifies them
-    all.  The graph is built as successor bitmasks over
-    ``topology.channels()`` and decided by the prover's Kahn pass
-    (:func:`~repro.core.digraph.topological_numbering`).  On topologies
+    direction to ``b``'s (:func:`turn_successors`).  It over-approximates
+    any algorithm obeying the restriction, minimal or nonminimal, so its
+    acyclicity certifies them all.  It is decided by the prover's Kahn
+    pass (:func:`~repro.core.digraph.topological_numbering`).  On topologies
     with wraparound channels this is usually false even for safe
     restrictions (rings cycle without turning); certify the concrete
     algorithm there (:func:`repro.verify.check_deadlock_freedom`).
     """
+    return topological_numbering(turn_successors(topology, restriction)) is not None
+
+
+def turn_successors(topology: Topology, restriction: TurnRestriction) -> List[int]:
+    """Step 4's turn-induced relation as successor bitmasks over
+    ``topology.channels()`` ids: ``a -> b`` when ``b`` leaves the node
+    ``a`` enters and the restriction permits the turn (straight
+    continuations and permitted reversals included)."""
     channels = topology.channels()
     cid = {channel: ident for ident, channel in enumerate(channels)}
     permits = restriction.permits
-    succ = [
+    return [
         sum(
             1 << cid[out_channel]
             for out_channel in topology.out_channels(in_channel.dst)
@@ -232,7 +239,6 @@ def restriction_is_deadlock_free(
         )
         for in_channel in channels
     ]
-    return topological_numbering(succ) is not None
 
 
 def maximal_reversal_extension(

@@ -20,8 +20,9 @@ idle: with an empty schedule and no pending retries it stays at
 infinity and the engine's hot path never enters the fault code.
 
 A fault degrades the table, not the algorithm: :func:`degrade` reads
-every degraded table off the run's healthy one, and no routing object is
-built per event.  Unless the controller was built with
+every degraded table off the run's healthy one, by the reach rule for a
+nonminimal turn table and by dropping the failed ids otherwise, and no
+routing object is built per event.  Unless the controller was built with
 ``recertify=False`` (the CLI's ``--no-recertify`` escape hatch), the
 degraded table is certified before the run proceeds: the healthy table
 is proved deadlock-free once (its numbering is kept on it, so every run
@@ -36,7 +37,6 @@ from heapq import heappop, heappush
 from time import perf_counter
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Tuple
 
-from repro.core.digraph import mask_ids
 from repro.resilience.recovery import (
     DROP,
     RETRY,
@@ -78,43 +78,29 @@ def degrade(healthy: CompiledRoutes, failed: FrozenSet[Channel]) -> CompiledRout
     Every degraded decision is the healthy one with some ids removed, in
     the same order (:meth:`CompiledRoutes.restricted
     <repro.sim.ids.CompiledRoutes.restricted>`); which ids, per
-    destination, follows from the healthy routing alone:
+    destination, follows from the healthy table alone:
 
     * a nonminimal :class:`~repro.routing.turn_table.TurnRestrictionRouting`
-      drops the ids whose holder can no longer reach the destination —
-      its own reachability search with the failed ids blocked.  That is
-      the router re-made on the degraded topology: it offers the
-      permitted outputs that still reach the destination, in
-      ``out_channels`` order (which
-      :class:`~repro.topology.faults.FaultyTopology` keeps), productive
-      first (by the healthy ``minimal_directions``), so it routes around
-      the faults;
+      takes the reach rule (:meth:`CompiledRoutes.reach_restricted
+      <repro.sim.ids.CompiledRoutes.reach_restricted>`): the failed ids
+      go, then every id whose holder can no longer reach the
+      destination, so it routes around the faults;
     * every other routing drops the failed ids.  A minimal algorithm
-      cannot detour, and several (negative-first is the clear case)
-      enforce their turn discipline through candidate *availability*:
-      re-made on a degraded topology they emit a positive hop with
-      negative hops still owed, and the later positive-to-negative turn
-      closes a cycle the recertifier refuses.  The other nonminimal
-      routers (torus, hex, oct, p-cube) are filtered too: re-made by
-      name on a degraded topology, the hex, oct and p-cube ones cannot
-      be built (they need their own topology type) and a torus one can
-      turn cyclic the same way.  A filtered relation is a subgraph of
+      cannot detour, and the other nonminimal routers (torus, hex, oct,
+      p-cube) are not turn tables.  A filtered relation is a subgraph of
       the certified healthy one.
+
+    The static analyses take the reach rule for every routing
+    (:mod:`repro.analysis.fault_tolerance`).  On a minimal turn table it
+    would also drop the hops into dead ends, which changes what a faulted
+    run of one does, so a run still filters there.
     """
     index = healthy.index
     routing = healthy.routing
-    ids = [index.cid[channel] for channel in failed]
+    ids = frozenset(index.cid[channel] for channel in failed)
     if isinstance(routing, TurnRestrictionRouting) and not routing.minimal:
-        oracle = routing.oracle
-        assert oracle is not None
-        blocked = sum(1 << ident for ident in ids)
-        dropped = [
-            frozenset(mask_ids(oracle.reach_mask(node) & ~oracle.reach_mask(node, blocked)))
-            for node in index.nodes
-        ]
-    else:
-        dropped = [frozenset(ids)] * index.num_nodes
-    return CompiledRoutes.restricted(healthy, dropped)
+        return CompiledRoutes.reach_restricted(healthy, ids)
+    return CompiledRoutes.restricted(healthy, [ids] * index.num_nodes)
 
 
 class FaultController:

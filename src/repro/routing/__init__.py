@@ -44,7 +44,7 @@ from repro.routing.torus_routing import (
     FirstHopWraparoundRouting,
     NegativeFirstTorusRouting,
 )
-from repro.routing.turn_table import ReachabilityOracle, TurnRestrictionRouting
+from repro.routing.turn_table import TurnRestrictionRouting
 from repro.routing.virtual_channels import (
     DatelineTorusRouting,
     LaneSplitRouting,
@@ -64,7 +64,6 @@ __all__ = [
     "DatelineTorusRouting",
     "LaneSplitRouting",
     "o1turn_routing",
-    "ReachabilityOracle",
     "SelectionContext",
     "OutputSelectionPolicy",
     "XYSelection",

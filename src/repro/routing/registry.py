@@ -38,7 +38,6 @@ from repro.routing.torus_routing import (
 )
 from repro.routing.turn_table import TurnRestrictionRouting
 from repro.topology.base import Topology
-from repro.topology.faults import FaultyTopology
 from repro.topology.hexagonal import HexMesh
 from repro.topology.hypercube import Hypercube
 from repro.topology.mesh import Mesh
@@ -212,9 +211,9 @@ def make_routing(name: str, topology: Topology) -> RoutingAlgorithm:
         UnknownNameError: for unknown names (a KeyError *and* a
             ValueError), listing the valid ones.
         ValueError: for a registered name that does not apply to the
-            topology (judged by its healthy ``base`` when it is a
-            :class:`~repro.topology.faults.FaultyTopology`), listing
-            the applicable ones.
+            topology, listing the applicable ones.  No name applies to a
+            :class:`~repro.topology.faults.FaultyTopology`: a fault
+            restricts the healthy table instead.
     """
     canonical = canonical_name(name)
     factory = _FACTORIES.get(canonical)
@@ -232,9 +231,7 @@ def make_routing(name: str, topology: Topology) -> RoutingAlgorithm:
             # precise ValueError of its own, not an unknown name.
             return routing_from_synth_name(canonical, topology)
         raise UnknownNameError("routing algorithm", name, list(_FACTORIES))
-    # A faulty network runs what its healthy base runs.
-    judged = topology.base if isinstance(topology, FaultyTopology) else topology
-    applicable = available_algorithms(judged)
+    applicable = available_algorithms(topology)
     if canonical not in applicable:
         raise ValueError(
             f"routing algorithm {name!r} does not apply to {topology!r}; "

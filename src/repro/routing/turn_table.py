@@ -14,7 +14,18 @@ minimal)``, so the relation that is simulated and certified is the turn
 set itself.  Minimal mode compiles as fast as a hand-written phase rule
 would: on a mesh, torus or hypercube the decision depends only on the
 arrival direction and the (capped) offsets to the destination, and
-under a transitive restriction not even on the arrival.
+under a transitive restriction not even on the arrival.  It runs only
+there; a topology without those coordinate lanes (a faulted network,
+hex, oct) has no minimal turn-table router.
+
+Nonminimal mode reads reach on channel ids: the turn-induced relation
+(:func:`~repro.core.channel_graph.turn_successors`, Step 4's) is
+reversed once, and each destination's reach is one reverse search over
+it (:func:`~repro.core.digraph.ancestors`).
+
+The package never re-makes this router after a fault: a faulted run,
+and every static analysis of faults, restricts the healthy compiled
+table instead (:meth:`repro.sim.ids.CompiledRoutes.reach_restricted`).
 """
 
 from __future__ import annotations
@@ -22,6 +33,8 @@ from __future__ import annotations
 from operator import itemgetter, mul, sub
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.core.channel_graph import turn_successors
+from repro.core.digraph import ancestors, mask_ids
 from repro.core.directions import Direction, all_directions
 from repro.core.restrictions import TurnRestriction
 from repro.routing.base import RoutingAlgorithm
@@ -31,7 +44,7 @@ from repro.topology.hypercube import Hypercube
 from repro.topology.mesh import Mesh
 from repro.topology.torus import Torus
 
-__all__ = ["ReachabilityOracle", "TurnRestrictionRouting"]
+__all__ = ["TurnRestrictionRouting"]
 
 #: A minimal-mode memo key: the arrival direction's slot (``-1`` at
 #: injection) and the capped per-dimension offsets to the destination.
@@ -74,73 +87,6 @@ def _coordinate_lanes(topology: Topology) -> Optional[Dict[NodeId, _Lane]]:
         singles = [(slot,) for slot in slots]
         lanes[node] = (sum(map(mul, node, weights)), (*slots, *singles, ()))
     return lanes
-class ReachabilityOracle:
-    """Answers: from this routing state, can the destination be reached?
-
-    A nonminimal router must never take a hop after which the turn
-    restriction makes the destination unreachable (e.g. a negative-first
-    packet overshooting its destination in a positive direction could
-    never come back).  A routing state is "holding channel ``c``" (at
-    ``c.dst``, having arrived in ``c.direction``); ``ids`` numbers the
-    channels in ``topology.channels()`` order and the oracle keeps, per
-    destination, one bitmask of the ids from which some permitted-turn
-    path reaches it, found by reverse breadth-first search over ids.
-    """
-
-    def __init__(self, topology: Topology, restriction: TurnRestriction):
-        self.topology = topology
-        self.restriction = restriction
-        channels = topology.channels()
-        self.ids: Dict[Channel, int] = {ch: i for i, ch in enumerate(channels)}
-        entering: Dict[NodeId, List[int]] = {}
-        for ident, channel in enumerate(channels):
-            entering.setdefault(channel.dst, []).append(ident)
-        self._entering = entering
-        self._channels = channels
-        # feeders[c]: the channels whose holder may take c as its next hop.
-        self._feeders: List[Tuple[int, ...]] = [
-            tuple(
-                feeder
-                for feeder in entering.get(channel.src, ())
-                if restriction.permits(channels[feeder].direction, channel.direction)
-            )
-            for channel in channels
-        ]
-        self._reach: Dict[NodeId, int] = {}
-
-    def reach_mask(self, dest: NodeId, blocked: int = 0) -> int:
-        """Bitmask of the channel ids whose holder can still reach ``dest``.
-
-        ``blocked`` is a bitmask of ids to search without (failed
-        channels): the answer is then the reach of the same restriction
-        on the topology minus those channels.  Only the unblocked masks
-        are cached; a blocked search runs only when a blocked id lies
-        inside the unblocked reach, since otherwise it cannot differ.
-        """
-        mask = self._reach.get(dest)
-        if mask is None:
-            mask = self._reach[dest] = self._search(dest, 0)
-        if mask & blocked:
-            return self._search(dest, blocked)
-        return mask
-
-    def _search(self, dest: NodeId, blocked: int) -> int:
-        # Reverse BFS from the channels that enter dest: a holder reaches
-        # dest if some permitted next hop does.  Blocked ids start out
-        # seen, so the search neither enters nor expands them.
-        seen = blocked
-        frontier: List[int] = []
-        for ident in self._entering.get(dest, ()):
-            if not seen >> ident & 1:
-                seen |= 1 << ident
-                frontier.append(ident)
-        feeders = self._feeders
-        for ident in frontier:  # grows as the search advances
-            for feeder in feeders[ident]:
-                if not seen >> feeder & 1:
-                    seen |= 1 << feeder
-                    frontier.append(feeder)
-        return seen & ~blocked
 
 
 class TurnRestrictionRouting(RoutingAlgorithm):
@@ -176,14 +122,18 @@ class TurnRestrictionRouting(RoutingAlgorithm):
         self.name = name or restriction.name or "turn-table"
         if not minimal:
             self.name = f"{self.name}-nonminimal"
-        #: Nonminimal mode's reachability oracle (``None`` when minimal).
-        self.oracle = None if minimal else ReachabilityOracle(topology, restriction)
-        # Minimal mode on a topology with every productive mesh channel:
-        # per-node positions and channel slots (:data:`_Lane`); each
-        # decision is computed once per (arrival slot, capped offsets)
-        # into ``_entries`` and read by position difference from
-        # ``_decisions``.
+        # Minimal mode needs a topology with every productive mesh
+        # channel: per-node positions and channel slots (:data:`_Lane`);
+        # each decision is computed once per (arrival slot, capped
+        # offsets) into ``_entries`` and read by position difference
+        # from ``_decisions``.
         self._lanes = _coordinate_lanes(topology) if minimal else None
+        if minimal and self._lanes is None:
+            raise ValueError(
+                f"minimal turn-table routing needs a mesh, torus or hypercube "
+                f"with every productive channel, not {topology!r}; a faulted "
+                f"network restricts the healthy table instead"
+            )
         self._transitive = minimal and restriction.is_transitive()
         if self._transitive:
             # Every reachable state routes like an injection at its node.
@@ -207,10 +157,19 @@ class TurnRestrictionRouting(RoutingAlgorithm):
         # equal entries.
         self._decisions: List[Dict[int, _Getter]] = [{} for _ in range(len(directions) + 1)]
         self._getters: Dict[Tuple[int, ...], _Getter] = {}
-        # Elsewhere (a faulty topology), reach keyed on absolute states.
-        self._minimal_cache: Dict[Tuple[NodeId, Optional[Direction], NodeId], bool] = {}
+        # Nonminimal mode: the turn-induced relation reversed, on
+        # ``topology.channels()`` ids, and per destination the bitmask
+        # of the ids whose holder can reach it.
+        self._cid: Dict[Channel, int] = {}
+        self._predecessors: Dict[int, List[int]] = {}
+        self._reach: Dict[NodeId, int] = {}
+        if not minimal:
+            self._cid = {channel: ident for ident, channel in enumerate(topology.channels())}
+            for front, mask in enumerate(turn_successors(topology, restriction)):
+                for out in mask_ids(mask):
+                    self._predecessors.setdefault(out, []).append(front)
         # Nonminimal mode, per (node, arrival): the mesh outputs the
-        # restriction permits, each with its oracle bit and direction.
+        # restriction permits, each with its id's bit and direction.
         self._permitted: Dict[
             Tuple[NodeId, Optional[Direction]],
             Tuple[Tuple[Channel, int, Direction], ...],
@@ -250,17 +209,17 @@ class TurnRestrictionRouting(RoutingAlgorithm):
         """Slots of the productive hops permitted from slot ``arrival``
         after which a permitted all-productive path covers ``offsets``.
 
-        The offset form of :meth:`_minimal_reaches`: a state reaches its
-        destination iff its entry is non-empty or nothing is left.  Under
-        a transitive restriction it is closed: a chain of permitted turns
-        through the needed directions permits every turn from an earlier
-        to a later one, so a hop in direction ``o`` keeps a path iff
-        ``o`` may turn into every other needed direction and each pair of
-        those may turn one into the other (then they are a tournament,
-        which has a Hamiltonian path).  Otherwise it recurses on offsets
-        capped at ``n + 1``: a shortest permitted walk takes at most ``n``
-        runs in each of its directions, so larger offsets decide nothing,
-        and one hop off a capped offset still leaves ``n``.
+        The offset form of a look-ahead over productive permitted hops: a state
+        reaches its destination iff its entry is non-empty or nothing is left.
+        Under a transitive restriction it is closed: a chain of permitted turns
+        through the needed directions permits every turn from an earlier to a
+        later one, so a hop in direction ``o`` keeps a path iff ``o`` may turn
+        into every other needed direction and each pair of those may turn one
+        into the other (then they are a tournament, which has a Hamiltonian
+        path).  Otherwise it recurses on offsets capped at ``n + 1``: a shortest
+        permitted walk takes at most ``n`` runs in each of its directions, so
+        larger offsets decide nothing, and one hop off a capped offset still
+        leaves ``n``.
         """
         cap = self._cap
         offsets = tuple(max(-cap, min(cap, offset)) for offset in offsets)
@@ -311,31 +270,6 @@ class TurnRestrictionRouting(RoutingAlgorithm):
             self._getters[entry] = getter
         return getter
 
-    def _minimal_reaches(
-        self, node: NodeId, arrival: Optional[Direction], dest: NodeId
-    ) -> bool:
-        """Whether a permitted all-productive path exists from this state.
-
-        Minimal routing must never take a hop into a state from which the
-        remaining shortest-path hops require a prohibited turn (e.g. a
-        north-last packet turning north while eastward hops remain could
-        never turn back east).  The recursion is over strictly decreasing
-        distance, so it terminates within the network diameter.
-        """
-        if node == dest:
-            return True
-        key = (node, arrival, dest)
-        cached = self._minimal_cache.get(key)
-        if cached is not None:
-            return cached
-        result = any(
-            self._minimal_reaches(channel.dst, channel.direction, dest)
-            for channel in self.productive_channels(node, dest)
-            if self.restriction.permits(arrival, channel.direction)
-        )
-        self._minimal_cache[key] = result
-        return result
-
     def route(
         self, in_channel: Optional[Channel], node: NodeId, dest: NodeId
     ) -> Sequence[Channel]:
@@ -356,24 +290,20 @@ class TurnRestrictionRouting(RoutingAlgorithm):
                 )
             return getter(slots)
         arrival = self.in_direction(in_channel)
-        if self.minimal:
-            return tuple(
-                channel
-                for channel in self.productive_channels(node, dest)
-                if self.restriction.permits(arrival, channel.direction)
-                and self._minimal_reaches(channel.dst, channel.direction, dest)
-            )
-        oracle = self.oracle
-        assert oracle is not None
         permitted = self._permitted.get((node, arrival))
         if permitted is None:
             permitted = self._permitted[(node, arrival)] = tuple(
-                (channel, 1 << oracle.ids[channel], channel.direction)
+                (channel, 1 << self._cid[channel], channel.direction)
                 for channel in self.topology.out_channels(node)
                 if not channel.wraparound
                 and self.restriction.permits(arrival, channel.direction)
             )
-        reach = oracle.reach_mask(dest)
+        reach = self._reach.get(dest)
+        if reach is None:
+            # A holder reaches dest if some permitted next hop does.
+            reach = self._reach[dest] = ancestors(
+                self._predecessors, map(self._cid.__getitem__, self.topology.in_channels(dest))
+            )
         productive = self.topology.minimal_directions(node, dest)
         first: List[Channel] = []
         rest: List[Channel] = []

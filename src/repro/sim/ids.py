@@ -19,9 +19,11 @@ Physical links (for virtual-channel lane arbitration) are numbered in
 first-lane-seen order, one id per ``(src, dst)`` pair.
 
 The relation a table holds is read on ids too: its closure
-(:class:`RouteClosure`, what the provers read) and its shortest-path
+(:class:`RouteClosure`, what the provers read), its shortest-path
 counts (:func:`shortest_path_counts`, the paper's degree of
-adaptiveness ``S``).
+adaptiveness ``S``) and its restriction after a fault
+(:meth:`CompiledRoutes.reach_restricted`, the one rule every fault
+relation follows).
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from __future__ import annotations
 from typing import (
     AbstractSet,
     Dict,
+    Iterable,
     Iterator,
     List,
     NamedTuple,
@@ -39,12 +42,12 @@ from typing import (
 )
 
 from repro.core.channel_graph import RouteFn
-from repro.core.digraph import mask_ids
+from repro.core.digraph import ancestors, mask_ids
 from repro.routing.base import RoutingAlgorithm
 from repro.topology.base import Topology
 from repro.topology.channels import Channel, NodeId
 
-__all__ = ["ChannelIndex", "CompiledRoutes", "RouteClosure", "ancestors", "shortest_path_counts"]
+__all__ = ["ChannelIndex", "CompiledRoutes", "RouteClosure", "shortest_path_counts"]
 
 
 class ChannelIndex:
@@ -164,18 +167,21 @@ class CompiledRoutes:
             topology's by default.
 
     Attributes:
-        closed: whether :meth:`closure` has run, so every realizable
-            state is compiled.
+        closed: the ``(succ, reached)`` masks :meth:`closure` found, so
+            every realizable state is compiled (``None`` before).
         parent: the table :meth:`restricted` read this one off
             (``None`` for a compiled table).
         numbering: channel id -> rank, strictly increasing along every
             dependency of this table's closure, once
             :func:`repro.verify.certify_table` has proved it (``None``
             before).  It certifies every restriction of the table too.
+        reverse: per destination index, ``(predecessors, accepting,
+            reached)`` of the closure (:meth:`RouteClosure.destination`),
+            kept by the first :meth:`reach_restricted` of this table.
     """
 
     __slots__ = ("routing", "route", "index", "dense", "bykey", "filled",
-                 "closed", "parent", "numbering")
+                 "closed", "parent", "numbering", "reverse")
 
     def __init__(
         self,
@@ -190,9 +196,10 @@ class CompiledRoutes:
         self.dense: Optional[List[Optional[Tuple[int, ...]]]] = None
         self.bykey: Optional[Dict[int, Tuple[int, ...]]] = None
         self.filled = 0
-        self.closed = False
+        self.closed: Optional[Tuple[List[int], List[int]]] = None
         self.parent: Optional[CompiledRoutes] = None
         self.numbering: Optional[List[int]] = None
+        self.reverse: Optional[List[Tuple[Dict[int, List[int]], List[int], int]]] = None
         if getattr(routing, "uses_in_channel", True):
             self.bykey = {}
         else:
@@ -229,7 +236,7 @@ class CompiledRoutes:
         derived.parent = parent
         index = parent.index
         num_nodes = index.num_nodes
-        if not parent.closed:
+        if parent.closed is None:
             parent.closure()
 
         # Names the routing, not ``derived``: a reference back to the
@@ -265,6 +272,36 @@ class CompiledRoutes:
                     bykey[key] = tuple(o for o in entry if o not in lost)
             derived.dense, derived.bykey = None, bykey
         return derived
+
+    @classmethod
+    def reach_restricted(
+        cls, parent: "CompiledRoutes", failed: Iterable[int]
+    ) -> "CompiledRoutes":
+        """:meth:`restricted` by the reach rule: drop the ``failed`` ids,
+        then every id whose holder can no longer reach the destination.
+
+        Per destination, one reverse search
+        (:func:`~repro.core.digraph.ancestors`) from the ids entering it,
+        over ``parent``'s closure reversed (:attr:`reverse`, built once),
+        with the failed ids seeded as seen.  Reach is the least fixpoint:
+        a live cycle that cannot reach the destination is dropped too.
+        """
+        reverse = parent.reverse
+        if reverse is None:
+            if parent.closed is not None:
+                closure = RouteClosure(parent, *parent.closed)
+            else:
+                closure = parent.closure()
+            reverse = parent.reverse = [
+                (*closure.destination(dest_idx)[:2], reached)
+                for dest_idx, reached in enumerate(closure.reached)
+            ]
+        blocked = sum(1 << ident for ident in set(failed))
+        dropped = [
+            frozenset(mask_ids(reached & ~ancestors(predecessors, accepting, blocked)))
+            for predecessors, accepting, reached in reverse
+        ]
+        return cls.restricted(parent, dropped)
 
     def is_restriction(self) -> bool:
         """Whether this table is a restriction of its :attr:`parent`.
@@ -364,7 +401,7 @@ class CompiledRoutes:
                         reached |= bits[out]
                         frontier.append(out)
             reached_for.append(reached)
-        self.closed = True
+        self.closed = (succ, reached_for)
         return RouteClosure(self, succ, reached_for)
 
     def __len__(self) -> int:
@@ -414,19 +451,6 @@ class RouteClosure(NamedTuple):
             for out in outs:
                 predecessors.setdefault(out, []).append(front)
         return predecessors, accepting, dead_ends
-
-
-def ancestors(predecessors: Dict[int, List[int]], seeds: List[int]) -> int:
-    """Bitmask of the distinct ``seeds`` and every channel with a permitted
-    walk to one (reverse search over a :meth:`RouteClosure.destination` map)."""
-    frontier = list(seeds)
-    mask = sum(1 << front for front in frontier)
-    for front in frontier:  # grows as the search advances
-        for pred in predecessors.get(front, ()):
-            if not mask >> pred & 1:
-                mask |= 1 << pred
-                frontier.append(pred)
-    return mask
 
 
 def shortest_path_counts(compiled: CompiledRoutes, dest_idx: int) -> List[int]:

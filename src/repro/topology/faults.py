@@ -3,10 +3,12 @@
 The paper motivates nonminimal routing with fault tolerance: adaptiveness
 "provides alternative paths for packets that encounter ... faulty
 hardware" (Section 1).  :class:`FaultyTopology` wraps any topology and
-removes a set of failed channels; the nonminimal turn-table router's
-reachability oracle then automatically steers packets around the faults,
-while minimal algorithms lose connectivity — the contrast the
-fault-tolerance benchmark measures.
+removes a set of failed channels.  The package builds no routing on it: a
+fault restricts the healthy route table
+(:meth:`repro.sim.ids.CompiledRoutes.reach_restricted`), under which a
+nonminimal turn table steers packets around the faults while minimal
+algorithms lose connectivity — the contrast the fault-tolerance
+analysis measures.  The checkers still read it as the faulted network.
 
 ``distance`` and ``minimal_directions`` still report the healthy
 topology's values: a packet's *minimal* hop count is a property of the

@@ -21,7 +21,8 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.core.channel_graph import RouteFn
-from repro.sim.ids import RouteClosure, ancestors
+from repro.core.digraph import ancestors
+from repro.sim.ids import RouteClosure
 from repro.topology.base import Topology
 from repro.topology.channels import Channel, NodeId
 from repro.verify.deadlock import route_closure

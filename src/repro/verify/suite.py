@@ -26,7 +26,7 @@ from repro.routing.base import RoutingAlgorithm
 from repro.routing.registry import available_algorithms, make_routing
 from repro.routing.virtual_channels import DatelineTorusRouting, o1turn_routing
 from repro.sim.deadlock import figure4_routing, unrestricted_adaptive_routing
-from repro.sim.ids import CompiledRoutes
+from repro.sim.ids import CompiledRoutes, RouteClosure
 from repro.topology.base import Topology
 from repro.topology.faults import random_channel_faults
 from repro.topology.mesh import Mesh2D
@@ -95,6 +95,8 @@ class VerifyTarget:
         routing: the algorithm instance.
         expect: ``"certified"`` or ``"refuted"`` — what the sweep
             expects; fixtures expect refutation.
+        table: the table to certify when it is not the routing compiled
+            on ``topology`` (the faulted target's reach-rule table).
     """
 
     label: str
@@ -102,6 +104,14 @@ class VerifyTarget:
     topology: Topology
     routing: RoutingAlgorithm
     expect: str = "certified"
+    table: Optional[CompiledRoutes] = None
+
+    def closure(self) -> RouteClosure:
+        """The closure of the relation this target certifies: its
+        :attr:`table`'s, or its routing's compiled on its topology."""
+        if self.table is not None:
+            return self.table.closure()
+        return route_closure(self.topology, self.routing)
 
 
 def _registry_targets(
@@ -126,17 +136,22 @@ def _registry_targets(
 
 
 def _faulted_target() -> VerifyTarget:
-    """A faulted mesh served by the nonminimal west-first router."""
+    """A faulted mesh served by the nonminimal west-first router: its
+    healthy table by the reach rule, on the faulted topology (which the
+    checkers read, so no closed form applies)."""
     m, n = _FAULT_MESH
-    faulty = random_channel_faults(
-        Mesh2D(m, n), _FAULT_COUNT, seed=_FAULT_SEED
-    )
+    mesh = Mesh2D(m, n)
+    faulty = random_channel_faults(mesh, _FAULT_COUNT, seed=_FAULT_SEED)
+    routing = make_routing("west-first-nonminimal", mesh)
+    healthy = CompiledRoutes(routing)
+    failed = [healthy.index.cid[channel] for channel in faulty.failed]
     label = f"mesh:{m}x{n}+faults{_FAULT_COUNT}@seed{_FAULT_SEED}"
     return VerifyTarget(
         label=f"{label}/west-first-nonminimal",
         topology_label=label,
         topology=faulty,
-        routing=make_routing("west-first-nonminimal", faulty),
+        routing=routing,
+        table=CompiledRoutes.reach_restricted(healthy, failed),
     )
 
 
@@ -252,14 +267,14 @@ def verify_target(
 ) -> TargetReport:
     """Run the checkers (the full suite by default) against one target.
 
-    The target's routing is compiled and closed once; the deadlock,
-    connectivity and livelock proofs and the adaptiveness count all read
-    that one relation.  It is decided once too
+    The target's table is closed once (:meth:`VerifyTarget.closure`);
+    the deadlock, connectivity and livelock proofs and the adaptiveness
+    count all read that one relation.  It is decided once too
     (:func:`~repro.verify.deadlock.closure_dependencies`), and the
     deadlock and livelock checkers share the numbering or the witness.
     """
     topology, routing = target.topology, target.routing
-    closure = route_closure(topology, routing)
+    closure = target.closure()
     dependencies = closure_dependencies(closure)
 
     def run(checker: Checker) -> CheckResult:

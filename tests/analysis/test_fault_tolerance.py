@@ -11,22 +11,26 @@ from repro.core.restrictions import (
     negative_first_restriction,
     west_first_restriction,
 )
-from repro.routing import TurnRestrictionRouting, make_routing
-from repro.topology import FaultyTopology, Mesh2D
+from repro.routing import make_routing
+from repro.sim.ids import CompiledRoutes
+from repro.topology import Mesh2D
+from tests.sim.degraded import faulted_routing
 
 
 class TestRoutableFraction:
     def test_healthy_network_fully_routable(self, mesh44):
         for name in ("xy", "west-first", "negative-first"):
-            assert routable_fraction(mesh44, make_routing(name, mesh44)) == 1.0
+            assert routable_fraction(CompiledRoutes(make_routing(name, mesh44))) == 1.0
 
     def test_fraction_drops_with_fault(self, mesh44):
         east = mesh44.channel_in_direction((0, 0), EAST)
-        faulty = FaultyTopology(mesh44, [east])
-        minimal = TurnRestrictionRouting(
-            faulty, west_first_restriction(), minimal=True
-        )
-        assert routable_fraction(faulty, minimal) < 1.0
+        healthy = CompiledRoutes(make_routing("west-first", mesh44))
+        rule = CompiledRoutes.reach_restricted(healthy, [healthy.index.cid[east]])
+        fraction = routable_fraction(rule)
+        assert fraction < 1.0
+        # The look-ahead router re-made on the faulty mesh agrees.
+        oracle = faulted_routing(healthy.routing, frozenset([east]), mesh44)
+        assert routable_fraction(CompiledRoutes(oracle, healthy.index)) == fraction
 
 
 class TestFaultSweep:

@@ -1,6 +1,6 @@
 """Pinned numbers of the two static analyses.
 
-EXPERIMENTS.md quotes the channel loads of ``turnmodel loads`` and the
+EXPERIMENTS.md quotes the channel loads of ``repro loads`` and the
 fault-tolerance table; both are pinned here exactly, together with a
 per-algorithm load table over five topologies, so a change to how the
 analyses read the routing relation cannot move a published number.

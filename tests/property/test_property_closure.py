@@ -4,10 +4,10 @@
 targets; here the same equality — the closure of the compiled int-id
 table against :func:`repro.core.channel_graph.routing_cdg` — is drawn
 across meshes, algorithms and 1-8 failed channels, for routings on the
-degraded topology of both kinds (the healthy decisions filtered, as in
-``tests/sim/degraded.py``; the algorithm rebuilt on the degraded
-topology), and always compiled against the *healthy* topology's channel
-index, as a fault run's tables are.
+degraded topology of both kinds from ``tests/sim/degraded.py`` (the
+healthy decisions filtered; the turn set re-made on the degraded
+topology, by look-ahead when minimal), and always compiled against the
+*healthy* topology's channel index, as a fault's tables are.
 """
 
 import random
@@ -23,7 +23,7 @@ from repro.topology import Mesh2D
 from repro.topology.faults import FaultyTopology
 from repro.verify import check_deadlock_freedom
 
-from tests.sim.degraded import FilteredRouting
+from tests.sim.degraded import FilteredRouting, faulted_routing
 
 ALGORITHMS = [
     "xy", "west-first", "north-last", "negative-first",
@@ -47,7 +47,7 @@ def _degraded(params):
     )
     degraded = FaultyTopology(mesh, failed)
     if params["rebuild"]:
-        routing = make_routing(params["name"], degraded)
+        routing = faulted_routing(make_routing(params["name"], mesh), failed, mesh)
     else:
         routing = FilteredRouting(make_routing(params["name"], mesh), failed, degraded)
     return mesh, degraded, routing, failed

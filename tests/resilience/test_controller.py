@@ -4,7 +4,6 @@ from dataclasses import dataclass, field
 
 import pytest
 
-from repro.core.digraph import mask_ids
 from repro.core.directions import EAST, NORTH
 from repro.resilience import (
     FAIL,
@@ -20,6 +19,7 @@ from repro.routing import make_routing
 from repro.sim.config import SimulationConfig
 from repro.sim.ids import CompiledRoutes
 from repro.verify.suite import CertificationError
+from tests.sim.degraded import faulted_routing
 
 INF = float("inf")
 
@@ -122,42 +122,41 @@ class TestDegrade:
 
     @staticmethod
     def entries(mesh, name, failed):
-        """``(dest, healthy entry, derived entry, failed ids)`` for every
-        injection state."""
+        """``(source, dest, healthy entry, derived entry, failed ids)``
+        for every injection state."""
         healthy = CompiledRoutes(make_routing(name, mesh))
         derived = degrade(healthy, frozenset(failed))
         index = healthy.index
         dead = {index.cid[channel] for channel in failed}
         for dest, dest_idx in index.node_id.items():
             for injection in range(index.inj_base, index.ej_base):
-                if index.dest_node_id[injection] != dest_idx:
-                    yield (dest, healthy.lookup(injection, dest_idx),
+                source_idx = index.dest_node_id[injection]
+                if source_idx != dest_idx:
+                    yield (index.nodes[source_idx], dest,
+                           healthy.lookup(injection, dest_idx),
                            derived.lookup(injection, dest_idx), dead)
 
     @pytest.mark.parametrize("name", ["xy", "west-first", "negative-first"])
     def test_minimal_routings_drop_the_failed_ids(self, mesh44, name):
         failed = [mesh44.channel_in_direction((1, 1), EAST)]
-        for _, healthy, derived, dead in self.entries(mesh44, name, failed):
+        for _, _, healthy, derived, dead in self.entries(mesh44, name, failed):
             assert derived == tuple(o for o in healthy if o not in dead)
 
     def test_nonminimal_turn_tables_drop_what_lost_reach(self, mesh44):
         # Both channels into the corner (3, 3) fail: every hop toward it
-        # loses reach, live or dead.
+        # loses reach, live or dead.  What is left is what the turn
+        # table re-made on the faulty mesh offers, in the same order.
         failed = [
             mesh44.channel_in_direction((2, 3), EAST),
             mesh44.channel_in_direction((3, 2), NORTH),
         ]
-        oracle = make_routing("west-first-nonminimal", mesh44).oracle
+        name = "west-first-nonminimal"
+        rebuilt = faulted_routing(make_routing(name, mesh44), frozenset(failed), mesh44)
+        cid = {channel: ident for ident, channel in enumerate(mesh44.channels())}
         cut_off = 0
-        for dest, healthy, derived, dead in self.entries(
-            mesh44, "west-first-nonminimal", failed
-        ):
-            blocked = sum(1 << ident for ident in dead)
-            lost = set(mask_ids(
-                oracle.reach_mask(dest) & ~oracle.reach_mask(dest, blocked)
-            ))
-            assert dead.intersection(healthy) <= lost
-            assert derived == tuple(o for o in healthy if o not in lost)
+        for source, dest, healthy, derived, dead in self.entries(mesh44, name, failed):
+            assert derived == tuple(cid[ch] for ch in rebuilt.route(None, source, dest))
+            assert not dead.intersection(derived)
             if dest == (3, 3):
                 assert derived == ()
                 cut_off += len(set(healthy) - dead)

@@ -25,7 +25,6 @@ from repro.experiments.presets import get_fault_sweep_preset
 from repro.resilience import DropAndCount, FaultController, FaultSchedule
 from repro.routing import make_routing
 from repro.routing.base import RoutingAlgorithm
-from repro.routing.turn_table import ReachabilityOracle
 from repro.sim import SimulationConfig, WormholeSimulator
 from repro.sim.deadlock import unrestricted_adaptive_routing
 from repro.sim.digest import result_digest
@@ -186,7 +185,7 @@ class TestTheExactProofAgrees:
 class TestNothingIsAskedOrBuilt:
     """A degraded table is read off the run's healthy table, whose
     closure the first fault takes: from then on no ``route`` call is
-    made, and no routing or reachability oracle is built."""
+    made, and no routing or faulted topology is built."""
 
     @pytest.mark.parametrize("name", ["west-first", "west-first-nonminimal"],
                              ids=["filter", "reach"])
@@ -220,7 +219,7 @@ class TestNothingIsAskedOrBuilt:
         preset = get_fault_sweep_preset("quick")
         built = []
         inside = []
-        for cls in (RoutingAlgorithm, ReachabilityOracle):
+        for cls in (RoutingAlgorithm, FaultyTopology):
             init = cls.__init__
 
             def counted(self, *args, _init=init, **kwargs):

@@ -91,13 +91,14 @@ class TestApplicability:
         with pytest.raises(ValueError, match="does not apply"):
             make_routing(name, parse_topology(spec))
 
-    def test_a_faulty_topology_is_judged_by_its_base(self):
+    def test_no_name_applies_to_a_faulty_topology(self):
+        # A fault restricts the healthy table
+        # (CompiledRoutes.reach_restricted); no routing is re-made on it.
         faulty = random_channel_faults(parse_topology("mesh:5x5"), 2, seed=5)
-        assert make_routing("west-first-nonminimal", faulty).name == (
-            "west-first-nonminimal"
-        )
-        with pytest.raises(ValueError, match="does not apply"):
-            make_routing("p-cube", faulty)
+        assert available_algorithms(faulty) == []
+        for name in ("west-first-nonminimal", "xy", "p-cube"):
+            with pytest.raises(ValueError, match="does not apply"):
+                make_routing(name, faulty)
 
     def test_synth_names_are_unaffected(self, mesh44):
         assert make_routing("synth2-nw.sw", mesh44).name == "synth2-nw.sw"

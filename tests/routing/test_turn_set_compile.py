@@ -11,9 +11,9 @@ Three things are pinned here:
   like an injection at its node, and a non-transitive one must have a
   reachable state where the two differ (so the test is exact).
 * **The offset memo.**  On a mesh, minimal decisions are memoized by
-  ``(arrival, offsets)``; they must equal the absolute-state recursion
-  that still serves faulty topologies, on a mesh whose offsets exceed
-  the memo's cap.
+  ``(arrival, offsets)``; they must equal the absolute-state look-ahead
+  (the oracle the faulted tables are held to, ``tests/sim/degraded.py``),
+  on a mesh whose offsets exceed the memo's cap.
 
 The checks take candidate turn sets, so the synthesis CI job runs
 :func:`check_detection` and :func:`check_offset_memo` over all 4096 3D
@@ -35,6 +35,7 @@ from repro.synth.enumeration import enumerate_candidates
 from repro.topology import parse_topology, random_channel_faults
 from repro.topology.channels import NodeId
 from tests.routing.test_uses_in_channel_audit import reachable_states
+from tests.sim.degraded import LookAheadRouting
 
 # -- the oracle ---------------------------------------------------------------
 
@@ -204,9 +205,13 @@ def test_detection_2d(index):
 @pytest.mark.parametrize("index", range(len(CANDIDATES_2D)))
 def test_detection_holds_on_a_faulty_mesh(index):
     # Off the offset path too: the chain argument needs only a permitted
-    # all-productive path, which a realizable state has on any mesh.
+    # all-productive path, which a realizable state has on any mesh.  So
+    # the reach rule's restriction of a transitive set's dense table is
+    # exact: the look-ahead on the faulty mesh ignores the arrival too.
     faulty = random_channel_faults(parse_topology("mesh:5x5"), 2, seed=5)
-    assert check_detection(faulty, CANDIDATES_2D[index])
+    restriction = TurnRestriction(2, frozenset(CANDIDATES_2D[index]))
+    assert restriction.is_transitive()
+    assert arrival_dependent_states(faulty, LookAheadRouting(faulty, restriction)) == 0
 
 
 def test_detection_3d_transitive():
@@ -224,13 +229,9 @@ def test_detection_3d_sampled():
 # -- the offset memo ----------------------------------------------------------
 
 
-def absolute_twin(routing: TurnRestrictionRouting) -> TurnRestrictionRouting:
-    """The same router deciding by the absolute-state recursion."""
-    twin = TurnRestrictionRouting(
-        routing.topology, routing.restriction, minimal=True, name=routing.name
-    )
-    twin._lanes = None
-    return twin
+def absolute_twin(routing: TurnRestrictionRouting) -> LookAheadRouting:
+    """The same turn set deciding by the absolute-state look-ahead."""
+    return LookAheadRouting(routing.topology, routing.restriction, name=routing.name)
 
 
 def check_offset_memo(topology, prohibited) -> None:

@@ -1,4 +1,4 @@
-"""Tests for the generic turn-table router and the reachability oracle."""
+"""Tests for the generic turn-table router and the turn relation's reach."""
 
 import pytest
 
@@ -9,8 +9,28 @@ from repro.core.restrictions import (
     west_first_restriction,
     xy_restriction,
 )
-from repro.routing import ReachabilityOracle, TurnRestrictionRouting
+from repro.core.channel_graph import turn_successors
+from repro.core.digraph import ancestors, mask_ids
+from repro.routing import TurnRestrictionRouting
 from repro.topology import FaultyTopology, Mesh, Mesh2D
+
+
+class TurnReach:
+    """A turn relation's reach, read the way the nonminimal router reads
+    it: :func:`turn_successors` reversed, then one :func:`ancestors`
+    search per destination from the channels entering it."""
+
+    def __init__(self, topology, restriction):
+        self.topology = topology
+        self.ids = {ch: i for i, ch in enumerate(topology.channels())}
+        self.predecessors = {}
+        for front, mask in enumerate(turn_successors(topology, restriction)):
+            for out in mask_ids(mask):
+                self.predecessors.setdefault(out, []).append(front)
+
+    def mask(self, dest, blocked=0):
+        entering = [i for ch, i in self.ids.items() if ch.dst == dest]
+        return ancestors(self.predecessors, entering, blocked)
 
 
 class TestMinimalSubsets:
@@ -43,6 +63,15 @@ class TestMinimalReachabilityFilter:
         with pytest.raises(ValueError):
             TurnRestrictionRouting(mesh3d, xy_restriction())
 
+    def test_minimal_needs_coordinate_lanes(self, mesh44):
+        # A faulted network restricts the healthy table; the look-ahead
+        # router on it is the test oracle (tests/sim/degraded.py).
+        faulty = FaultyTopology(mesh44, mesh44.channels()[:1])
+        with pytest.raises(ValueError, match="restricts the healthy table"):
+            TurnRestrictionRouting(faulty, west_first_restriction())
+        # Nonminimal mode reads reach on ids and runs anywhere.
+        TurnRestrictionRouting(faulty, west_first_restriction(), minimal=False)
+
 
 class TestNonminimal:
     def test_offers_productive_first(self, mesh44):
@@ -66,13 +95,18 @@ class TestNonminimal:
         table = TurnRestrictionRouting(
             mesh44, negative_first_restriction(2), minimal=False
         )
-        oracle = ReachabilityOracle(mesh44, negative_first_restriction(2))
+        reach = TurnReach(mesh44, negative_first_restriction(2))
         for src in mesh44.nodes():
             for dst in mesh44.nodes():
                 if src == dst:
                     continue
-                for ch in table.route(None, src, dst):
-                    assert oracle.reach_mask(dst) >> oracle.ids[ch] & 1
+                # Injection permits every turn: the router offers
+                # exactly the outputs that reach the destination.
+                offered = set(table.route(None, src, dst))
+                assert offered == {
+                    ch for ch in mesh44.out_channels(src)
+                    if reach.mask(dst) >> reach.ids[ch] & 1
+                }
 
     def test_nonminimal_name_suffix(self, mesh44):
         table = TurnRestrictionRouting(
@@ -84,7 +118,7 @@ class TestNonminimal:
 def _reaches(oracle, node, arrival, dest):
     """Whether ``dest`` is reachable from ``node`` arriving via
     ``arrival`` (``None``: freshly injected, any first hop), read off the
-    oracle's reach mask: some channel such a packet may hold reaches it."""
+    reach mask: some channel such a packet may hold reaches it."""
     if node == dest:
         return True
     topology = oracle.topology
@@ -92,17 +126,17 @@ def _reaches(oracle, node, arrival, dest):
         held = topology.out_channels(node)
     else:
         held = [ch for ch in topology.in_channels(node) if ch.direction == arrival]
-    mask = oracle.reach_mask(dest)
+    mask = oracle.mask(dest)
     return any(mask >> oracle.ids[ch] & 1 for ch in held)
 
 
-class TestReachabilityOracle:
+class TestTurnReach:
     @pytest.fixture
     def oracle(self, mesh44):
-        return ReachabilityOracle(mesh44, negative_first_restriction(2))
+        return TurnReach(mesh44, negative_first_restriction(2))
 
     def test_destination_reachable_from_itself(self, oracle, mesh44):
-        mask = oracle.reach_mask((2, 2))
+        mask = oracle.mask((2, 2))
         assert all(mask >> oracle.ids[ch] & 1 for ch in mesh44.in_channels((2, 2)))
 
     def test_fresh_injection_reaches_everything(self, oracle, mesh44):
@@ -163,21 +197,17 @@ class TestReachabilityOracle:
     def test_blocked_search_is_the_faulty_topology_s_reach(self, oracle, mesh44,
                                                            fault_seed):
         # Searching without some ids gives, on the healthy numbering, the
-        # reach an oracle built on the faulty topology computes.
+        # reach of the same turn relation on the faulty topology: what
+        # the reach rule on a healthy table relies on.
         import random
 
         channels = mesh44.channels()
         failed = random.Random(fault_seed).sample(channels, 1 + fault_seed)
-        blocked = sum(1 << channels.index(ch) for ch in failed)
-        faulty = ReachabilityOracle(
-            FaultyTopology(mesh44, failed), negative_first_restriction(2)
-        )
-        survivors = faulty.topology.channels()
+        blocked = sum(1 << oracle.ids[ch] for ch in failed)
+        faulty = TurnReach(FaultyTopology(mesh44, failed), negative_first_restriction(2))
         for dest in mesh44.nodes():
-            expected = {ch for i, ch in enumerate(survivors)
-                        if faulty.reach_mask(dest) >> i & 1}
-            mask = oracle.reach_mask(dest, blocked)
-            assert {ch for i, ch in enumerate(channels) if mask >> i & 1} == expected
-            assert mask & ~oracle.reach_mask(dest) == 0
-        # The unblocked masks are the cached ones, untouched.
-        assert oracle.reach_mask((0, 0)) is oracle.reach_mask((0, 0), 0)
+            expected = {ch for ch, i in faulty.ids.items() if faulty.mask(dest) >> i & 1}
+            mask = oracle.mask(dest, blocked)
+            assert {ch for ch in channels if mask >> oracle.ids[ch] & 1} == expected
+            assert mask & ~oracle.mask(dest) == 0
+            assert not mask & blocked

@@ -1,4 +1,4 @@
-"""Tests for the turnmodel command-line interface."""
+"""Tests for the ``repro`` command-line interface."""
 
 import pytest
 

@@ -5,6 +5,7 @@ import pytest
 from repro.core.directions import EAST, WEST
 from repro.routing import TurnRestrictionRouting, make_routing
 from repro.core.restrictions import west_first_restriction
+from repro.sim.ids import CompiledRoutes
 from repro.topology import FaultyTopology, Mesh2D, random_channel_faults
 from repro.topology.faults import is_strongly_connected
 from repro.topology.spec import parse_topology
@@ -147,12 +148,13 @@ class TestRoutingUnderFaults:
     def test_minimal_routing_loses_pairs(self, mesh44):
         # Fail the only east channel on a shortest path corridor; minimal
         # west-first from (0, 0) to (1, 0) has no alternative.
+        # The healthy table restricted by the reach rule says so.
         east = mesh44.channel_in_direction((0, 0), EAST)
-        faulty = FaultyTopology(mesh44, [east])
-        minimal = TurnRestrictionRouting(
-            faulty, west_first_restriction(), minimal=True
-        )
-        assert minimal.route(None, (0, 0), (1, 0)) == ()
+        healthy = CompiledRoutes(make_routing("west-first", mesh44))
+        index = healthy.index
+        minimal = CompiledRoutes.reach_restricted(healthy, [index.cid[east]])
+        source, dest = index.node_id[(0, 0)], index.node_id[(1, 0)]
+        assert minimal.lookup(index.inj_base + source, dest) == ()
 
     def test_nonminimal_routes_around_fault(self, mesh44):
         east = mesh44.channel_in_direction((0, 0), EAST)

@@ -22,8 +22,9 @@ from repro.verify import (
     default_targets,
     recheck_numbering_certificate,
 )
-from repro.verify.deadlock import route_closure
+from repro.topology.faults import FaultyTopology
 from tests.core.cdg_oracle import find_dependency_cycle
+from tests.sim.degraded import target_routing
 
 TARGETS = default_targets()
 
@@ -32,7 +33,11 @@ def assert_same_graph(topology, routing, closure):
     """``closure``'s relation over ``topology`` equals ``routing_cdg``'s."""
     expected = routing_cdg(topology, routing)
     index = closure.compiled.index
-    assert index.channels == expected.vertices()
+    # A faulted topology's relation is read on its healthy base's ids.
+    healthy = topology.base if isinstance(topology, FaultyTopology) else topology
+    assert index.channels == healthy.channels()
+    live = set(topology.channels())
+    assert [channel for channel in index.channels if channel in live] == expected.vertices()
     got = {
         (index.channels[front], index.channels[out])
         for front, mask in enumerate(closure.succ)
@@ -40,7 +45,7 @@ def assert_same_graph(topology, routing, closure):
     }
     assert got == set(expected.edges())
     # The bitmasks themselves name no channel outside the topology.
-    live = {index.cid[channel] for channel in topology.channels()}
+    live = {index.cid[channel] for channel in live}
     for front, mask in enumerate(closure.succ):
         if mask:
             assert front in live and set(mask_ids(mask)) <= live
@@ -56,15 +61,14 @@ def test_sweep_has_every_kind_of_target():
 
 @pytest.mark.parametrize("target", TARGETS, ids=lambda t: t.label)
 def test_closure_equals_routing_cdg(target):
-    closure = route_closure(target.topology, target.routing)
-    assert_same_graph(target.topology, target.routing, closure)
+    assert_same_graph(target.topology, target_routing(target), target.closure())
 
 
 @pytest.mark.parametrize("target", TARGETS, ids=lambda t: t.label)
 def test_reached_states_match_the_object_closure(target):
     """Per destination, the reached mask is the object-level reached set."""
-    topology, routing = target.topology, target.routing
-    closure = route_closure(topology, routing)
+    topology, routing = target.topology, target_routing(target)
+    closure = target.closure()
     index = closure.compiled.index
     for dest_idx, dest in enumerate(index.nodes):
         reached, frontier = set(), []
@@ -89,13 +93,12 @@ def test_reached_states_match_the_object_closure(target):
 def test_certificate_survives_the_object_level_recheck(target):
     """The numbering built on the id closure is re-verified against the
     graph ``routing_cdg`` builds from the routing callable alone."""
-    result = check_deadlock_freedom(target.topology, target.routing)
+    routing = target_routing(target)
+    result = check_deadlock_freedom(target.topology, target.routing, target.closure())
     assert result.verdict == PROVED
-    assert recheck_numbering_certificate(
-        target.topology, target.routing, result.certificate
-    )
+    assert recheck_numbering_certificate(target.topology, routing, result.certificate)
     assert result.certificate.data["edges"] == len(list(routing_cdg(
-        target.topology, target.routing
+        target.topology, routing
     ).edges()))
 
 

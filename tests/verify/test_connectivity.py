@@ -5,9 +5,21 @@ from __future__ import annotations
 import pytest
 
 from repro.routing import available_algorithms, make_routing
+from repro.sim.ids import CompiledRoutes
 from repro.topology import Mesh2D
 from repro.topology.faults import random_channel_faults
 from repro.verify import PROVED, REFUTED, check_connectivity
+
+
+def faulted(name):
+    """``name``'s healthy 5x5 table restricted by the reach rule on the
+    seed-5 two-fault set, with the faulted mesh and its closure."""
+    mesh = Mesh2D(5, 5)
+    faulty = random_channel_faults(mesh, 2, seed=5)
+    healthy = CompiledRoutes(make_routing(name, mesh))
+    failed = [healthy.index.cid[channel] for channel in faulty.failed]
+    table = CompiledRoutes.reach_restricted(healthy, failed)
+    return faulty, healthy.routing, table.closure()
 
 
 class TestProofs:
@@ -24,9 +36,7 @@ class TestProofs:
         assert result.certificate.data["dead_ends"] == 0
 
     def test_nonminimal_routes_around_certifiable_faults(self):
-        mesh = random_channel_faults(Mesh2D(5, 5), 2, seed=5)
-        routing = make_routing("west-first-nonminimal", mesh)
-        result = check_connectivity(mesh, routing)
+        result = check_connectivity(*faulted("west-first-nonminimal"))
         assert result.verdict == PROVED
 
 
@@ -34,9 +44,7 @@ class TestRefutations:
     def test_minimal_west_first_on_faulted_mesh_is_refuted(self):
         # Faults on seed 5 cut minimal west-first paths (the nonminimal
         # variant certifies on the same mesh; see above).
-        mesh = random_channel_faults(Mesh2D(5, 5), 2, seed=5)
-        routing = make_routing("west-first", mesh)
-        result = check_connectivity(mesh, routing)
+        result = check_connectivity(*faulted("west-first"))
         assert result.verdict == REFUTED
         cert = result.certificate
         assert cert.kind == "connectivity-counterexample"

@@ -121,7 +121,7 @@ class TestSchemePin:
 
     @pytest.mark.parametrize("target", PROVED_TARGETS, ids=lambda t: t.label)
     def test_scheme(self, target):
-        result = check_deadlock_freedom(target.topology, target.routing)
+        result = check_deadlock_freedom(target.topology, target.routing, target.closure())
         assert result.verdict == PROVED
         assert result.certificate.data["scheme"] == SCHEMES[target.label]
 

@@ -29,8 +29,9 @@ from repro.verify import (
     default_targets,
     recheck_numbering_certificate,
 )
-from repro.verify.deadlock import closure_dependencies, route_closure
+from repro.verify.deadlock import closure_dependencies
 from tests.core.cdg_oracle import longest_path, shortest_cycle
+from tests.sim.degraded import target_routing
 
 
 def _synth_targets(spec, representatives):
@@ -58,9 +59,9 @@ def test_the_target_set_is_the_one_described():
 @pytest.mark.parametrize("target", TARGETS, ids=lambda t: t.label)
 def test_id_decider_agrees_with_the_oracle(target):
     topology, routing = target.topology, target.routing
-    closure = route_closure(topology, routing)
+    closure = target.closure()
     dependencies = closure_dependencies(closure)
-    graph = routing_cdg(topology, routing)
+    graph = routing_cdg(topology, target_routing(target))
     oracle_cycle = shortest_cycle(graph)
 
     deadlock = check_deadlock_freedom(topology, routing, closure, dependencies)
@@ -68,7 +69,9 @@ def test_id_decider_agrees_with_the_oracle(target):
     if oracle_cycle is None:
         assert dependencies.witness is None
         assert deadlock.verdict == livelock.verdict == PROVED
-        assert recheck_numbering_certificate(topology, routing, deadlock.certificate)
+        assert recheck_numbering_certificate(
+            topology, target_routing(target), deadlock.certificate
+        )
         assert deadlock.certificate.data["edges"] == len(list(graph.edges()))
         assert livelock.certificate.data["bound_hops"] == len(longest_path(graph))
         return
