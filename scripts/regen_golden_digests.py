@@ -26,6 +26,7 @@ from repro.sim.digest import result_digest, run_digest, trace_digest  # noqa: E4
 from tests.sim.golden_scenarios import (  # noqa: E402
     ALL_SCENARIOS,
     OBS_SUMMARY_SPEC,
+    obs_summary_digest,
     summary_digest,
 )
 
@@ -52,7 +53,7 @@ def main() -> int:
         # The same run again with a collector bound, for its summary.
         collector = MetricsCollector(OBS_SUMMARY_SPEC)
         build(obs=collector)[0].run()
-        fixtures[name]["obs_summary"] = summary_digest(collector.summary())
+        fixtures[name]["obs_summary"] = obs_summary_digest(collector.summary())
         print(f"{name:32s} run={fixtures[name]['run'][:16]}... "
               f"delivered={result.total_delivered} "
               f"deadlocked={result.deadlocked}")

@@ -230,6 +230,15 @@ class ResilienceSpec:
             raise ValueError(f"fault_count must be >= 0: {self.fault_count}")
 
 
+def _fields_of(spec: object, names: Tuple[str, ...]) -> dict:
+    return {name: getattr(spec, name) for name in names}
+
+
+_CONFIG_FIELDS = tuple(f.name for f in dataclasses.fields(ConfigSpec))
+_RESILIENCE_FIELDS = tuple(f.name for f in dataclasses.fields(ResilienceSpec))
+_OBS_FIELDS = tuple(f.name for f in dataclasses.fields(ObsSpec))
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One simulation point as pure data.
@@ -287,18 +296,27 @@ class ExperimentSpec:
         ``None`` resilience and obs fields are dropped from the
         payload, keeping the serialization — and therefore every
         content hash and cache key minted before these fields existed —
-        byte-identical for plain specs.
+        byte-identical for plain specs.  Built field by field, in
+        declaration order (the layout ``dataclasses.asdict`` gives,
+        without its recursive deep copy): every nested spec field is a
+        primitive.
         """
-        payload = dataclasses.asdict(self)
-        payload["sizes"] = [list(pair) for pair in self.sizes]
-        if self.resilience is None:
-            del payload["resilience"]
-        else:
-            window = payload["resilience"]["window"]
-            if window is not None:
-                payload["resilience"]["window"] = list(window)
-        if self.obs is None:
-            del payload["obs"]
+        payload = {
+            "topology": self.topology,
+            "routing": self.routing,
+            "pattern": self.pattern,
+            "load": self.load,
+            "sizes": [list(pair) for pair in self.sizes],
+            "config": _fields_of(self.config, _CONFIG_FIELDS),
+            "seed": self.seed,
+        }
+        if self.resilience is not None:
+            resilience = _fields_of(self.resilience, _RESILIENCE_FIELDS)
+            if self.resilience.window is not None:
+                resilience["window"] = list(self.resilience.window)
+            payload["resilience"] = resilience
+        if self.obs is not None:
+            payload["obs"] = _fields_of(self.obs, _OBS_FIELDS)
         return payload
 
     @classmethod
@@ -485,9 +503,9 @@ class ExecutorMetrics:
     ``warm_points`` counts simulations resolved through a warm context,
     ``batches`` the parallel jobs dispatched (each carries a chunk of
     same-key points), and ``cache_corrupt`` the cache entries that
-    existed but could not be used (unparsable, another spec's, or a
-    malformed result) — each such point was re-simulated and its entry
-    rewritten.
+    existed but could not be used (unparsable, another spec's, a
+    malformed result, or an obs summary in an older layout) — each
+    such point was re-simulated and its entry rewritten.
     """
 
     points_total: int = 0
@@ -617,12 +635,19 @@ class ResultCache:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
 
-    def path_for(self, spec: ExperimentSpec) -> Path:
-        """Where this spec's result lives (whether or not it exists)."""
-        return self.root / f"{spec.content_hash()}.json"
+    def path_for(
+        self, spec: ExperimentSpec, spec_hash: Optional[str] = None
+    ) -> Path:
+        """Where this spec's result lives (whether or not it exists).
+
+        ``spec_hash`` is the spec's content hash when the caller already
+        holds it (the executor hashes each point once, for its cache
+        entry and its manifest alike); computed when ``None``.
+        """
+        return self.root / f"{spec_hash or spec.content_hash()}.json"
 
     def read_entry(
-        self, spec: ExperimentSpec
+        self, spec: ExperimentSpec, spec_hash: Optional[str] = None
     ) -> Tuple[Optional[_CacheEntry], Optional[str]]:
         """The cached entry, plus why an existing entry was rejected.
 
@@ -632,13 +657,17 @@ class ResultCache:
         without it (fault-free points, uninstrumented points, older
         archives).  A missing file is a plain miss, ``(None, None)``.  A
         file that is there but unusable — it does not parse, it holds
-        another spec, or its ``result`` is malformed — is ``(None, <what
-        is wrong>)``, so the caller can count it instead of mistaking it
-        for a miss.
+        another spec, its ``result`` is malformed, or its obs summary is
+        in an older layout than :data:`~repro.obs.metrics
+        .OBS_SCHEMA_VERSION` — is ``(None, <what is wrong>)``, so the
+        caller can count it instead of mistaking it for a miss, and the
+        point is re-simulated and its entry rewritten.  ``spec_hash`` as
+        for :meth:`path_for`.
         """
         from repro.analysis.results_io import result_from_dict
+        from repro.obs.metrics import OBS_SCHEMA_VERSION
 
-        path = self.path_for(spec)
+        path = self.path_for(spec, spec_hash)
         try:
             text = path.read_text()
         except FileNotFoundError:
@@ -657,6 +686,10 @@ class ResultCache:
             return None, "malformed result"
         extras = payload.get("resilience")
         metrics = payload.get("obs")
+        if isinstance(metrics, dict):
+            version = metrics.get("obs_schema_version")
+            if version != OBS_SCHEMA_VERSION:
+                return None, f"obs summary has obs_schema_version {version!r}"
         return _CacheEntry(
             result,
             extras if isinstance(extras, dict) else None,
@@ -664,11 +697,12 @@ class ResultCache:
             text,
         ), None
 
-    def store(self, run: RunResult) -> str:
+    def store(self, run: RunResult, spec_hash: Optional[str] = None) -> str:
         """Persist one point's record, replacing any earlier entry;
-        returns the record written."""
+        returns the record written.  ``spec_hash`` as for
+        :meth:`path_for`."""
         record = encode_point_record(run)
-        with replace_file(self.path_for(run.spec)) as handle:
+        with replace_file(self.path_for(run.spec, spec_hash)) as handle:
             handle.write(record)
         return record
 
@@ -850,12 +884,15 @@ class SweepExecutor:
         self.last_metrics = metrics
         self.hooks.on_run_end(metrics)
 
-    def _write_manifest(self, run: RunResult, record: Optional[str]) -> None:
+    def _write_manifest(
+        self, run: RunResult, record: Optional[str], spec_hash: Optional[str]
+    ) -> None:
         """Persist one point's structured run manifest (if enabled).
 
-        ``record`` is the point's cache entry as written or read; the
-        manifest embeds it as is, and encodes one itself without a
-        cache."""
+        ``record`` and ``spec_hash`` are the point's cache entry as
+        written or read and the content hash it is filed under; the
+        manifest embeds the one and is keyed by the other, and without a
+        cache computes both itself."""
         if self.manifest_dir is None:
             return
         from repro.obs.manifest import build_manifest, write_manifest
@@ -870,6 +907,7 @@ class SweepExecutor:
             },
             executor={"jobs": self.jobs, "cache_problem": run.cache_problem},
             record=record,
+            spec_hash=spec_hash,
         )
         write_manifest(manifest, self.manifest_dir)
 
@@ -881,7 +919,8 @@ class SweepExecutor:
         (``None`` for a plain miss)."""
         if self.cache is None:
             return None, None
-        entry, problem = self.cache.read_entry(point.spec)
+        spec_hash = point.spec.content_hash()
+        entry, problem = self.cache.read_entry(point.spec, spec_hash)
         if entry is None:
             if problem is not None:
                 metrics.cache_corrupt += 1
@@ -897,7 +936,7 @@ class SweepExecutor:
         )
         metrics.cache_hits += 1
         metrics.points_completed += 1
-        self._write_manifest(run, entry.record)
+        self._write_manifest(run, entry.record, spec_hash)
         self.hooks.on_point_done(run)
         return run, None
 
@@ -912,12 +951,16 @@ class SweepExecutor:
             run, series=point.series, index=point.index,
             cache_problem=cache_problem,
         )
-        record = self.cache.store(run) if self.cache is not None else None
+        spec_hash: Optional[str] = None
+        record: Optional[str] = None
+        if self.cache is not None:
+            spec_hash = point.spec.content_hash()
+            record = self.cache.store(run, spec_hash)
         metrics.simulated += 1
         metrics.points_completed += 1
         metrics.cycles_simulated += point.spec.config.total_cycles
         metrics.warm_points += 1
-        self._write_manifest(run, record)
+        self._write_manifest(run, record, spec_hash)
         self.hooks.on_point_done(run)
         return run
 

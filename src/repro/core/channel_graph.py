@@ -215,10 +215,14 @@ def restriction_is_deadlock_free(
     direction to ``b``'s (:func:`turn_successors`).  It over-approximates
     any algorithm obeying the restriction, minimal or nonminimal, so its
     acyclicity certifies them all.  It is decided by the prover's Kahn
-    pass (:func:`~repro.core.digraph.topological_numbering`).  On topologies
-    with wraparound channels this is usually false even for safe
-    restrictions (rings cycle without turning); certify the concrete
-    algorithm there (:func:`repro.verify.check_deadlock_freedom`).
+    pass (:func:`~repro.core.digraph.topological_numbering`).  It decides
+    tori as directly as meshes: :class:`~repro.topology.torus.Torus`
+    labels each wraparound channel by how its coordinate moves
+    (``k-1 -> 0`` is ``-``, ``0 -> k-1`` is ``+``; Section 4.2's virtual
+    directions), so coordinates are monotone along every direction and a
+    ring closes only through a reversal the restriction must permit.
+    Step 4 accepts 12 of the 16 2D candidates on torus:3x2 and
+    torus:4x2, as on mesh:4x4.
     """
     return topological_numbering(turn_successors(topology, restriction)) is not None
 

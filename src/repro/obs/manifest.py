@@ -16,7 +16,10 @@ a result-cache entry holds.  A manifest is a small header with those
 bytes spliced in unparsed under ``record``, so writing one never
 encodes the numbers a second time; :func:`load_manifest` lifts them
 back to the flat ``result`` / ``metrics`` / ``resilience`` keys that
-version-1 manifests carried, and both layouts read the same.
+version-1 manifests carried, and both layouts read the same.  Likewise
+an obs summary of ``obs_schema_version`` 1, whose channel accumulators
+were one ``per_channel`` record per channel, is read into the column
+layout :class:`~repro.obs.metrics.MetricsCollector` writes today.
 
 Manifests wear the shared artifact envelope
 (:mod:`repro.obs.envelope`) with ``tool == "manifest"`` and are named
@@ -96,6 +99,7 @@ def build_manifest(
     executor: Optional[Dict[str, Any]] = None,
     git_version: Optional[str] = None,
     record: Optional[str] = None,
+    spec_hash: Optional[str] = None,
 ) -> Dict[str, Any]:
     """Assemble the manifest document for one completed point.
 
@@ -120,12 +124,15 @@ def build_manifest(
             encoded — the executor passes the cache entry it wrote or
             read — so it is not encoded again; encoded from ``run``
             when ``None``.
+        spec_hash: the spec's content hash when the caller already
+            holds it; computed when ``None``.
     """
     from repro.analysis.executor import encode_point_record
 
     if record is None:
         record = encode_point_record(run)
-    spec_hash = run.spec.content_hash()
+    if spec_hash is None:
+        spec_hash = run.spec.content_hash()
     timings: Dict[str, Any] = {"wall_time_s": run.wall_time_s, "cached": run.cached}
     if run.recertify_s is not None:
         timings["recertify_s"] = run.recertify_s
@@ -187,7 +194,8 @@ def load_manifest(path: Union[str, Path]) -> Dict[str, Any]:
 
     A version-2 record is lifted to the top-level ``result``,
     ``metrics`` and ``resilience`` keys a version-1 manifest keeps
-    there, so every reader sees one layout.
+    there, and a schema-1 obs summary is converted to the current
+    columns (:func:`_channel_columns`), so every reader sees one layout.
     """
     from repro.obs.envelope import load_envelope
 
@@ -202,7 +210,32 @@ def load_manifest(path: Union[str, Path]) -> Dict[str, Any]:
         manifest["resilience"] = record.get("resilience")
         manifest["metrics"] = record.get("obs")
         manifest["result"] = record["result"]
+    metrics = manifest.get("metrics")
+    if isinstance(metrics, dict) and metrics.get("obs_schema_version") == 1:
+        try:
+            _channel_columns(metrics)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: malformed schema-1 channel records") from exc
     return manifest
+
+
+def _channel_columns(metrics: Dict[str, Any]) -> None:
+    """Convert a schema-1 obs summary in place to the current layout:
+    its ``per_channel`` records become the ``channel`` /
+    ``busy_samples`` / ``occupancy_sum`` columns, and the derived
+    ``utilization`` / ``mean_occupancy`` floats are dropped."""
+    from repro.obs.metrics import OBS_SCHEMA_VERSION
+    from repro.resilience.schedule import channel_from_dict, channel_label
+
+    channels = metrics.get("channels")
+    if isinstance(channels, dict):
+        records = channels.pop("per_channel", [])
+        channels["channel"] = [
+            channel_label(channel_from_dict(record["channel"])) for record in records
+        ]
+        channels["busy_samples"] = [record["busy_samples"] for record in records]
+        channels["occupancy_sum"] = [record["occupancy_sum"] for record in records]
+    metrics["obs_schema_version"] = OBS_SCHEMA_VERSION
 
 
 def iter_manifests(root: Union[str, Path]) -> List[Dict[str, Any]]:

@@ -51,7 +51,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.obs.sampling import ReservoirSampler
 from repro.obs.spec import ObsSpec
-from repro.resilience.schedule import channel_to_dict
+from repro.resilience.schedule import channel_label
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import WormholeSimulator
@@ -61,7 +61,10 @@ __all__ = ["OBS_SCHEMA_VERSION", "MetricsCollector"]
 
 #: Version of the metrics-summary dict layout produced by
 #: :meth:`MetricsCollector.summary` (bumped on breaking key changes).
-OBS_SCHEMA_VERSION = 1
+#: 2 stores the channel accumulators as columns; 1 kept one
+#: ``per_channel`` record per channel, which
+#: :func:`~repro.obs.manifest.load_manifest` still reads.
+OBS_SCHEMA_VERSION = 2
 
 
 class _TimelineBucket:
@@ -240,24 +243,12 @@ class MetricsCollector:
     def _channel_summary(self) -> Optional[Dict[str, Any]]:
         if not self.spec.channels:
             return None
-        samples = self._channel_samples
-        per_channel: List[Dict[str, Any]] = []
-        for index, channel in enumerate(self._channels):
-            busy = self._busy[index]
-            occupancy = self._occupancy[index]
-            per_channel.append(
-                {
-                    "channel": channel_to_dict(channel),
-                    "busy_samples": busy,
-                    "occupancy_sum": occupancy,
-                    "utilization": busy / samples if samples else 0.0,
-                    "mean_occupancy": occupancy / samples if samples else 0.0,
-                }
-            )
         return {
-            "samples": samples,
+            "samples": self._channel_samples,
             "sample_every": self.spec.sample_every,
-            "per_channel": per_channel,
+            "channel": [channel_label(channel) for channel in self._channels],
+            "busy_samples": list(self._busy),
+            "occupancy_sum": list(self._occupancy),
         }
 
     def _timeline_summary(self) -> Optional[Dict[str, Any]]:
@@ -273,12 +264,19 @@ class MetricsCollector:
     def summary(self) -> Dict[str, Any]:
         """The full JSON-ready metrics summary for this run.
 
-        Layout (``obs_schema_version`` 1): ``spec`` echoes the knobs,
+        Layout (``obs_schema_version`` 2): ``spec`` echoes the knobs,
         ``counters`` holds run totals plus park/wake event counts,
         ``latency_cycles`` the reservoir distribution, ``channels`` the
         per-channel accumulators (or ``None`` when disabled) and
         ``timeline`` the bucketed throughput/latency series (or
-        ``None``).  Documented in ``docs/observability.md``.
+        ``None``).  ``channels`` holds ``samples`` and ``sample_every``
+        and three columns in engine channel-id order: ``channel``
+        (:func:`~repro.resilience.schedule.channel_label` strings),
+        ``busy_samples`` and ``occupancy_sum``.  A channel's
+        utilization and mean occupancy are those sums over ``samples``
+        (0.0 when ``samples`` is 0); the report derives them, so they
+        are not stored.  Documented in ``docs/observability.md``, with
+        how schema-1 files are read.
 
         Raises:
             RuntimeError: the collector is bound to a run that has not

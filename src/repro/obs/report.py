@@ -2,7 +2,8 @@
 
 Everything here consumes the plain-dict metric summaries produced by
 :class:`~repro.obs.metrics.MetricsCollector` (usually via a manifest
-from :mod:`repro.obs.manifest`) — never the simulator — so ``repro
+from :mod:`repro.obs.manifest`, which reads schema-1 summaries into the
+current column layout) — never the simulator — so ``repro
 report`` can reconstruct where congestion concentrated from a manifest
 file alone, long after the run.  Output is plain text by default; an
 optional matplotlib path (:func:`plot_manifest`) renders the same data
@@ -15,7 +16,10 @@ the hottest-channels table, which is topology-agnostic.
 
 from __future__ import annotations
 
+import itertools
 from typing import Any, Dict, List, Optional, Tuple
+
+from repro.resilience.schedule import channel_from_label, channel_to_dict
 
 __all__ = [
     "hottest_channels",
@@ -37,24 +41,58 @@ def _format_channel(record: Dict[str, Any]) -> str:
     return f"{src}{arrow}{dst}{suffix}"
 
 
+def _per_sample(value: int, samples: int) -> float:
+    """A channel sum over the sample count: utilization from
+    ``busy_samples``, mean occupancy from ``occupancy_sum``."""
+    return value / samples if samples else 0.0
+
+
+def _tie_key(label: str) -> str:
+    # The channel's dict encoding in sorted key order: the tie-break the
+    # report has always used, so its ordering is unchanged.
+    return str(sorted(channel_to_dict(channel_from_label(label)).items()))
+
+
 def hottest_channels(
     channels: Dict[str, Any], top: int = 8
 ) -> List[Dict[str, Any]]:
-    """The ``top`` per-channel records by utilization, busiest first.
+    """The ``top`` channels by utilization, busiest first, as records:
+    ``channel`` (:func:`~repro.resilience.schedule.channel_to_dict`),
+    ``busy_samples``, ``occupancy_sum``, ``utilization`` and
+    ``mean_occupancy``.
 
-    Ties break on the channel encoding, read in sorted key order, so the
-    ordering is stable across runs and platforms and does not depend on
-    the key order of the file the summary was loaded from.
+    Ties on utilization break on the larger ``occupancy_sum``, then on
+    the channel encoding read in sorted key order, so the ordering is
+    stable across runs and platforms.  Records are built for the
+    returned channels only.
     """
-    records = list(channels.get("per_channel", ()))
-    records.sort(
-        key=lambda r: (
-            -r["utilization"],
-            -r["occupancy_sum"],
-            str(sorted(r["channel"].items())),
-        )
-    )
-    return records[:top]
+    labels = channels.get("channel", ())
+    busy = channels.get("busy_samples", ())
+    occupancy = channels.get("occupancy_sum", ())
+    samples = channels.get("samples", 0)
+    utilization = [_per_sample(value, samples) for value in busy]
+
+    def rank(index: int) -> Tuple[float, int]:
+        return (-utilization[index], -occupancy[index])
+
+    order = sorted(range(len(labels)), key=rank)
+    count = len(order[:top])
+    head = order[:count]
+    if head:
+        # Channels tied with the last one kept compete for its place.
+        last = rank(head[-1])
+        head.extend(itertools.takewhile(lambda i: rank(i) == last, order[count:]))
+    head.sort(key=lambda i: (rank(i), _tie_key(labels[i])))
+    return [
+        {
+            "channel": channel_to_dict(channel_from_label(labels[index])),
+            "busy_samples": busy[index],
+            "occupancy_sum": occupancy[index],
+            "utilization": utilization[index],
+            "mean_occupancy": _per_sample(occupancy[index], samples),
+        }
+        for index in head[:count]
+    ]
 
 
 def node_utilization_grid(
@@ -67,24 +105,24 @@ def node_utilization_grid(
     congested as its busiest output.  Returns ``None`` when any node
     coordinate is not 2-D (hypercubes, higher-dimensional meshes).
     """
-    records = channels.get("per_channel", ())
-    if not records:
+    labels = channels.get("channel")
+    if not labels:
         return None
-    best: Dict[Tuple[int, int], float] = {}
+    best: Dict[Tuple[int, ...], float] = {}
     max_x = 0
     max_y = 0
-    for record in records:
-        src = record["channel"]["src"]
-        dst = record["channel"]["dst"]
+    samples = channels.get("samples", 0)
+    for label, busy in zip(labels, channels["busy_samples"]):
+        utilization = _per_sample(busy, samples)
+        channel = channel_from_label(label)
+        src, dst = channel.src, channel.dst
         if len(src) != 2 or len(dst) != 2:
             return None
-        for x, y in (tuple(src), tuple(dst)):
-            max_x = max(max_x, int(x))
-            max_y = max(max_y, int(y))
-        node = (int(src[0]), int(src[1]))
-        utilization = float(record["utilization"])
-        if utilization > best.get(node, -1.0):
-            best[node] = utilization
+        for x, y in (src, dst):
+            max_x = max(max_x, x)
+            max_y = max(max_y, y)
+        if utilization > best.get(src, -1.0):
+            best[src] = utilization
     return [
         [best.get((x, y), 0.0) for x in range(max_x + 1)]
         for y in range(max_y + 1)
@@ -100,7 +138,7 @@ def render_channel_heatmap(
     busiest outgoing channel had an owner; rows are printed north (high
     ``y``) to south so the table reads like the paper's mesh figures.
     """
-    if not channels or not channels.get("per_channel"):
+    if not channels or not channels.get("channel"):
         return "channel metrics: not collected"
     lines: List[str] = []
     samples = channels.get("samples", 0)

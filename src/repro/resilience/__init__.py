@@ -38,6 +38,8 @@ from repro.resilience.schedule import (
     FaultEvent,
     FaultSchedule,
     channel_from_dict,
+    channel_from_label,
+    channel_label,
     channel_to_dict,
 )
 from repro.resilience.stats import ResilienceStats
@@ -65,6 +67,8 @@ __all__ = [
     "available_recovery_policies",
     "build_controller",
     "channel_from_dict",
+    "channel_from_label",
+    "channel_label",
     "channel_to_dict",
     "fault_sweep",
     "make_recovery_policy",

@@ -27,6 +27,8 @@ __all__ = [
     "FaultEvent",
     "FaultSchedule",
     "channel_from_dict",
+    "channel_from_label",
+    "channel_label",
     "channel_to_dict",
 ]
 
@@ -59,6 +61,53 @@ def channel_from_dict(payload: dict) -> Channel:
         direction=Direction(int(payload["dim"]), int(payload["sign"])),
         wraparound=bool(payload.get("wraparound", False)),
         lane=int(payload.get("lane", 0)),
+    )
+
+
+def channel_label(channel: Channel) -> str:
+    """A compact string naming one channel; inverse of
+    :func:`channel_from_label`.
+
+    ``src>dst`` (``~`` in place of ``>`` for a wraparound channel), the
+    coordinates comma-separated, then the direction as its sign and
+    dimension, then ``#lane`` when the lane is not 0: ``3,4>3,5+1``,
+    ``3,0~0,0-0``, ``0,1>1,1+0#1``.
+    """
+    direction = channel.direction
+    label = (
+        ",".join(map(str, channel.src))
+        + ("~" if channel.wraparound else ">")
+        + ",".join(map(str, channel.dst))
+        + ("+" if direction.sign > 0 else "-")
+        + str(direction.dim)
+    )
+    return f"{label}#{channel.lane}" if channel.lane else label
+
+
+def _coordinates(text: str) -> Tuple[int, ...]:
+    return tuple(int(value) for value in text.split(",")) if text else ()
+
+
+def channel_from_label(label: str) -> Channel:
+    """Rebuild a channel named by :func:`channel_label`.
+
+    Raises:
+        ValueError: ``label`` is not a channel label.
+    """
+    body, _, lane = label.partition("#")
+    wraparound = "~" in body
+    src, arrow, rest = body.partition("~" if wraparound else ">")
+    # The dimension is digits only, so the last sign in ``rest`` is the
+    # direction's; a negative coordinate's sign comes before it.
+    cut = max(rest.rfind("+"), rest.rfind("-"))
+    if not arrow or cut < 0:
+        raise ValueError(f"not a channel label: {label!r}")
+    return Channel(
+        src=_coordinates(src),
+        dst=_coordinates(rest[:cut]),
+        direction=Direction(int(rest[cut + 1:]), 1 if rest[cut] == "+" else -1),
+        wraparound=wraparound,
+        lane=int(lane) if lane else 0,
     )
 
 

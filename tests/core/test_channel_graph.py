@@ -87,6 +87,26 @@ class TestTurnCDG:
             turn_cdg_is_acyclic(topology, restriction)
         )
 
+    @pytest.mark.parametrize(
+        "topology", [Torus(3, 2), Torus(4, 2), Mesh2D(4, 4)],
+        ids=["torus:3x2", "torus:4x2", "mesh:4x4"],
+    )
+    def test_step4_accepts_the_same_2d_candidates_on_tori(self, topology):
+        # Torus labels a wraparound by how its coordinate moves, so rings
+        # close only through reversals: Step 4 decides tori as it does
+        # meshes, candidate for candidate.
+        candidates, _ = enumerate_candidates(2)
+        verdicts = [
+            restriction_is_deadlock_free(topology, TurnRestriction(2, prohibited))
+            for prohibited in candidates
+        ]
+        mesh = Mesh2D(4, 4)
+        assert verdicts == [
+            restriction_is_deadlock_free(mesh, TurnRestriction(2, prohibited))
+            for prohibited in candidates
+        ]
+        assert len(candidates) == 16 and sum(verdicts) == 12
+
     def test_vertex_count_matches_channels(self, mesh44):
         graph = turn_cdg(mesh44, xy_restriction())
         assert len(graph.vertices()) == mesh44.num_channels

@@ -8,7 +8,8 @@ scenario, this fails loudly — the obs subsystem reads engine state, it
 never participates in it.  The faulted scenarios run the same gate with
 a live fault schedule, and what the collector reports is pinned too:
 the sha256 of its summary (park/wake counters, per-channel busy and
-occupancy, timeline) must match the committed ``obs_summary``; a
+occupancy, timeline), taken in the schema-1 layout the pins were
+generated in, must match the committed ``obs_summary``; a
 thinned summary must equal the reference oracle's.
 """
 
@@ -25,7 +26,7 @@ from tests.sim.golden_scenarios import (
     ALL_SCENARIOS,
     OBS_SUMMARY_SPEC,
     build_scenario,
-    summary_digest,
+    obs_summary_digest,
 )
 from tests.sim.reference_engine import ReferenceSimulator
 
@@ -48,7 +49,7 @@ def test_obs_enabled_run_matches_golden_digest(name, fixtures):
     summary = collector.summary()
     assert summary["counters"]["delivered_packets"] == result.total_delivered
     assert summary["counters"]["cycles_observed"] > 0
-    assert summary_digest(summary) == fixtures[name]["obs_summary"]
+    assert obs_summary_digest(summary) == fixtures[name]["obs_summary"]
 
 
 @pytest.mark.parametrize("name", sorted(ALL_SCENARIOS))

@@ -5,6 +5,12 @@ cache stores — in unparsed under ``record``; version 1 manifests kept
 ``result`` / ``metrics`` / ``resilience`` at the top level.  Both load,
 render and report the same, a cached rerun's manifest embeds the cache
 entry byte for byte, and a point's numbers are encoded once.
+
+The obs summary inside has layouts of its own: ``obs_schema_version`` 2
+stores the channel accumulators as columns, 1 stored one
+``per_channel`` record per channel.  A schema-1 manifest of either
+manifest version reports exactly as its schema-2 twin; a schema-1 cache
+entry is rejected, re-simulated and rewritten.
 """
 
 import json
@@ -26,6 +32,7 @@ from repro.cli import main
 from repro.obs.manifest import iter_manifests, load_manifest, manifest_path
 from repro.obs.report import render_manifest_report
 from repro.obs.spec import ObsSpec
+from tests.sim.golden_scenarios import schema_1_obs_summary
 
 CONFIG = ConfigSpec(warmup_cycles=100, measure_cycles=500, drain_cycles=200)
 
@@ -41,12 +48,13 @@ def spec(**overrides):
     return ExperimentSpec(**fields)
 
 
-def write_version_1(root, manifest, outcome, *, warm=False):
+def write_version_1(root, manifest, outcome, *, warm=False, obs_schema=2):
     """What the executor wrote for ``outcome`` before the record was
     spliced in: the same header under ``manifest_version`` 1, the
     numbers at the top level in the key order the run produced them,
     indented; with ``warm``, the executor block of the warm/cold
-    switch's days."""
+    switch's days; with ``obs_schema`` 1, the obs summary in the
+    per-record channel layout."""
     body = {
         key: value for key, value in manifest.items()
         if key not in ("resilience", "metrics", "result")
@@ -59,11 +67,33 @@ def write_version_1(root, manifest, outcome, *, warm=False):
             "cache_problem": block["cache_problem"],
         }
     body["resilience"] = outcome.resilience
-    body["metrics"] = outcome.metrics
+    body["metrics"] = (
+        schema_1_obs_summary(outcome.metrics) if obs_schema == 1 else outcome.metrics
+    )
     body["result"] = result_to_dict(outcome.result)
     path = manifest_path(root, manifest["spec_hash"])
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(body, indent=2, sort_keys=False))
+    return path
+
+
+def schema_1_record(record):
+    """A point record (JSON text) as it was encoded while obs summaries
+    were in schema 1: compact, sorted keys."""
+    payload = json.loads(record)
+    payload["obs"] = schema_1_obs_summary(payload["obs"])
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def write_schema_1_version_2(root, current):
+    """The version-2 manifest at ``current`` with its record's obs
+    summary in schema 1: what the executor wrote before the channel
+    columns."""
+    text = current.read_text()
+    header, marker, record = text.partition(',"record":')
+    path = root / current.name
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(f"{header}{marker}{schema_1_record(record[:-1])}}}")
     return path
 
 
@@ -114,6 +144,46 @@ class TestBothLayoutsReadTheSame:
         (entry,) = json.loads(outs[0])["manifests"]
         assert entry["resilience"]["recertifications"] == 2
 
+    @pytest.mark.parametrize("layout", ["version-1", "version-2"])
+    def test_a_schema_1_obs_summary_reports_byte_identically(
+        self, fresh, tmp_path, layout, capsys
+    ):
+        outcome, current = fresh
+        if layout == "version-1":
+            earlier = write_version_1(
+                tmp_path / "old", load_manifest(current), outcome, obs_schema=1
+            )
+        else:
+            earlier = write_schema_1_version_2(tmp_path / "old", current)
+        assert "per_channel" in earlier.read_text()
+        manifest = load_manifest(earlier)
+        assert manifest["metrics"] == json.loads(json.dumps(outcome.metrics))
+        assert render_manifest_report(manifest) == render_manifest_report(
+            load_manifest(current)
+        )
+        outs = []
+        for path in (current, earlier):
+            out = tmp_path / f"report-{len(outs)}.json"
+            assert main(["report", str(path), "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        capsys.readouterr()
+        assert outs[0] == outs[1]
+        (entry,) = json.loads(outs[0])["manifests"]
+        assert len(entry["hottest_channels"]) == 8
+
+    def test_malformed_schema_1_channels_are_skipped_with_a_warning(
+        self, fresh, tmp_path
+    ):
+        outcome, current = fresh
+        earlier = write_version_1(
+            tmp_path, load_manifest(current), outcome, obs_schema=1
+        )
+        document = json.loads(earlier.read_text())
+        del document["metrics"]["channels"]["per_channel"][0]["busy_samples"]
+        earlier.write_text(json.dumps(document))
+        with pytest.warns(UserWarning, match="malformed schema-1 channel records"):
+            assert iter_manifests(tmp_path) == []
+
     def test_iter_manifests_reads_a_directory_mixing_both(self, tmp_path):
         points = [PointSpec(spec=spec(seed=seed), series="s", index=index)
                   for index, seed in enumerate((3, 4))]
@@ -135,6 +205,46 @@ class TestBothLayoutsReadTheSame:
         (tmp_path / current.name).write_text(json.dumps(document))
         with pytest.warns(UserWarning, match="malformed record"):
             assert iter_manifests(tmp_path) == []
+
+
+class TestObsCacheLayout:
+    def test_a_schema_1_entry_is_re_simulated_and_rewritten(self, tmp_path):
+        point = PointSpec(spec=spec(), series="s")
+        dirs = dict(cache_dir=tmp_path / "cache", manifest_dir=tmp_path / "runs")
+        cache = ResultCache(tmp_path / "cache")
+        entry = cache.path_for(point.spec)
+        with SweepExecutor(jobs=1, **dirs) as executor:
+            (first,) = executor.run_points([point])
+        current = entry.read_text()
+        entry.write_text(schema_1_record(current))
+        assert cache.read_entry(point.spec) == (
+            None, "obs summary has obs_schema_version 1"
+        )
+        with SweepExecutor(jobs=1, **dirs) as executor:
+            (again,) = executor.run_points([point])
+            assert executor.last_metrics.cache_corrupt == 1
+        assert not again.cached
+        assert again.cache_problem == "obs summary has obs_schema_version 1"
+        assert again.result == first.result and again.metrics == first.metrics
+        assert entry.read_text() == current
+        manifest = load_manifest(manifest_path(tmp_path / "runs",
+                                               point.spec.content_hash()))
+        assert manifest["executor"]["cache_problem"] == again.cache_problem
+        with SweepExecutor(jobs=1, **dirs) as executor:
+            (third,) = executor.run_points([point])
+        assert third.cached and third.cache_problem is None
+
+    def test_a_mesh_16x16_obs_record_is_under_32_kib(self):
+        point = ExperimentSpec(
+            topology="mesh:16x16", routing="west-first", pattern="uniform",
+            load=0.05, sizes=((4, 0.5), (24, 0.5)), seed=7, obs=ObsSpec(),
+            config=ConfigSpec(warmup_cycles=200, measure_cycles=800,
+                              drain_cycles=200),
+        )
+        outcome = run(point)
+        assert len(outcome.metrics["channels"]["channel"]) == 960
+        record = executor_module.encode_point_record(outcome)
+        assert len(record.encode("utf-8")) < 32 * 1024
 
 
 class TestOneRecordPerPoint:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.obs.metrics import OBS_SCHEMA_VERSION, MetricsCollector
 from repro.obs.spec import ObsSpec
+from repro.resilience.schedule import channel_from_label
 from repro.routing.registry import make_routing
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import WormholeSimulator
@@ -65,18 +66,20 @@ class TestChannels:
     def test_per_channel_accumulators_cover_the_topology(self):
         collector, sim, _ = _run()
         channels = collector.summary()["channels"]
+        assert set(channels) == {
+            "samples", "sample_every", "channel", "busy_samples",
+            "occupancy_sum",
+        }
         assert channels["sample_every"] == 1
         assert channels["samples"] == collector.cycles_observed
-        assert len(channels["per_channel"]) == len(sim.network_channels)
-        busiest = max(
-            channels["per_channel"], key=lambda rec: rec["utilization"]
+        # Three columns in engine channel-id order.
+        assert [channel_from_label(label) for label in channels["channel"]] == list(
+            sim.network_channels
         )
-        assert 0.0 < busiest["utilization"] <= 1.0
-        for record in channels["per_channel"]:
-            assert record["busy_samples"] <= channels["samples"]
-            assert set(record["channel"]) == {
-                "src", "dst", "dim", "sign", "wraparound", "lane",
-            }
+        assert len(channels["busy_samples"]) == len(sim.network_channels)
+        assert len(channels["occupancy_sum"]) == len(sim.network_channels)
+        assert 0 < max(channels["busy_samples"]) <= channels["samples"]
+        assert all(busy >= 0 for busy in channels["busy_samples"])
 
     def test_sample_every_thins_the_denominator(self):
         dense, _, _ = _run(ObsSpec(sample_every=1))
@@ -86,12 +89,8 @@ class TestChannels:
         assert sparse_channels["samples"] < dense_channels["samples"]
         # Thinning changes the sample set, not the signal: the busiest
         # channel's utilization estimate stays in the same ballpark.
-        dense_max = max(
-            r["utilization"] for r in dense_channels["per_channel"]
-        )
-        sparse_max = max(
-            r["utilization"] for r in sparse_channels["per_channel"]
-        )
+        dense_max = max(dense_channels["busy_samples"]) / dense_channels["samples"]
+        sparse_max = max(sparse_channels["busy_samples"]) / sparse_channels["samples"]
         assert sparse_max == pytest.approx(dense_max, abs=0.15)
 
     def test_channels_disabled(self):
@@ -257,7 +256,8 @@ class TestLifecycle:
             "observed_deliveries": 0, "observed_delivered_flits": 0,
         }
         assert summary["channels"] == {
-            "samples": 0, "sample_every": 1, "per_channel": [],
+            "samples": 0, "sample_every": 1, "channel": [],
+            "busy_samples": [], "occupancy_sum": [],
         }
         assert MetricsCollector().channel_records() == []
 

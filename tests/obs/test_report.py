@@ -3,6 +3,7 @@ a 16x16 west-first fault-sweep point reported from its manifest alone.
 """
 
 import json
+import random
 
 import pytest
 
@@ -16,8 +17,10 @@ from repro.obs.report import (
     render_timeline_table,
 )
 from repro.obs.spec import ObsSpec
-from repro.resilience import fault_sweep
+from repro.resilience import channel_label, fault_sweep
 from repro.sim.config import SimulationConfig
+from repro.topology.spec import parse_topology
+from tests.sim.golden_scenarios import schema_1_obs_summary
 
 
 @pytest.fixture(scope="module")
@@ -97,15 +100,9 @@ class TestRenderHelpers:
     def test_grid_is_none_for_non_2d_topologies(self):
         channels = {
             "samples": 10,
-            "per_channel": [
-                {
-                    "channel": {"src": [0, 0, 0], "dst": [1, 0, 0]},
-                    "busy_samples": 5,
-                    "occupancy_sum": 5,
-                    "utilization": 0.5,
-                    "mean_occupancy": 0.5,
-                }
-            ],
+            "channel": ["0,0,0>1,0,0+0"],
+            "busy_samples": [5],
+            "occupancy_sum": [5],
         }
         assert node_utilization_grid(channels) is None
         rendered = render_channel_heatmap(channels)
@@ -113,23 +110,39 @@ class TestRenderHelpers:
         assert "util= 50.0%" in rendered
 
     def test_hottest_channels_orders_by_utilization(self):
-        def record(util, occ, x):
-            return {
-                "channel": {"src": [x, 0], "dst": [x + 1, 0]},
-                "busy_samples": 0,
-                "occupancy_sum": occ,
-                "utilization": util,
-                "mean_occupancy": 0.0,
-            }
-
         channels = {
             "samples": 10,
-            "per_channel": [record(0.2, 1, 0), record(0.9, 1, 1),
-                            record(0.2, 5, 2)],
+            "channel": ["0,0>1,0+0", "1,0>2,0+0", "2,0>3,0+0"],
+            "busy_samples": [2, 9, 2],
+            "occupancy_sum": [1, 1, 5],
         }
         top = hottest_channels(channels, top=2)
         assert top[0]["utilization"] == 0.9
         assert top[1]["occupancy_sum"] == 5
+        assert top[1] == {
+            "channel": {"src": [2, 0], "dst": [3, 0], "dim": 0, "sign": 1,
+                        "wraparound": False, "lane": 0},
+            "busy_samples": 2,
+            "occupancy_sum": 5,
+            "utilization": 0.2,
+            "mean_occupancy": 0.5,
+        }
+
+    @pytest.mark.parametrize("samples", [0, 6])
+    @pytest.mark.parametrize("top", [1, 3, 8, 40])
+    def test_hottest_channels_matches_a_full_sort_of_the_records(self, samples, top):
+        # Few distinct sums on a torus (wraparound labels) force ties on
+        # utilization and occupancy, which the channel encoding breaks.
+        rng = random.Random(samples * 100 + top)
+        labels = [channel_label(c) for c in parse_topology("torus:3x3").channels()]
+        busy = [rng.randrange(3) if samples else 0 for _ in labels]
+        occupancy = [rng.randrange(3) for _ in labels]
+        channels = {"samples": samples, "sample_every": 1, "channel": labels,
+                    "busy_samples": busy, "occupancy_sum": occupancy}
+        records = schema_1_obs_summary({"channels": channels})["channels"]["per_channel"]
+        records.sort(key=lambda r: (-r["utilization"], -r["occupancy_sum"],
+                                    str(sorted(r["channel"].items()))))
+        assert hottest_channels(channels, top) == records[:top]
 
     def test_empty_metrics_render_placeholders(self):
         assert "not collected" in render_channel_heatmap(None)

@@ -2,17 +2,22 @@
 
 import pytest
 
-from repro.core.directions import EAST
+from repro.core.directions import EAST, Direction
 from repro.resilience import (
     FAIL,
     HEAL,
     FaultEvent,
     FaultSchedule,
     channel_from_dict,
+    channel_from_label,
+    channel_label,
     channel_to_dict,
 )
 from repro.topology import Mesh2D
+from repro.topology.channels import Channel
+from repro.topology.virtual import VirtualChannelTopology
 from repro.topology.faults import FaultyTopology, is_strongly_connected
+from repro.topology.spec import parse_topology
 
 
 def east_channel(mesh, node=(1, 1)):
@@ -29,6 +34,42 @@ class TestChannelCodec:
 
         payload = channel_to_dict(east_channel(mesh44))
         assert json.loads(json.dumps(payload)) == payload
+
+
+class TestChannelLabel:
+    @pytest.mark.parametrize(
+        "topology",
+        [
+            parse_topology("mesh:4x4"),
+            parse_topology("torus:4x3"),
+            parse_topology("cube:4"),
+            VirtualChannelTopology(Mesh2D(3, 3), 2),
+        ],
+        ids=["mesh:4x4", "torus:4x3", "cube:4", "mesh:3x3-2-lanes"],
+    )
+    def test_round_trip(self, topology):
+        labels = [channel_label(channel) for channel in topology.channels()]
+        assert len(set(labels)) == len(labels)
+        for label, channel in zip(labels, topology.channels()):
+            assert channel_from_label(label) == channel
+
+    def test_every_field_is_in_the_label(self):
+        torus = parse_topology("torus:4x3")
+        assert any(channel.wraparound for channel in torus.channels())
+        lanes = VirtualChannelTopology(Mesh2D(3, 3), 2)
+        assert {channel.lane for channel in lanes.channels()} == {0, 1}
+        channel = Channel((3, 0), (0, 0), Direction(0, -1), wraparound=True, lane=2)
+        assert channel_label(channel) == "3,0~0,0-0#2"
+        assert channel_from_label("3,0~0,0-0#2") == channel
+
+    def test_negative_coordinates_and_wide_dimensions(self):
+        channel = Channel((-1, 2), (-1, -3), Direction(11, -1))
+        assert channel_from_label(channel_label(channel)) == channel
+
+    @pytest.mark.parametrize("label", ["", "1,0", "1,0>2,0", "1,0>2,0+", "x>y+0"])
+    def test_malformed_labels_are_refused(self, label):
+        with pytest.raises(ValueError):
+            channel_from_label(label)
 
 
 class TestFaultEvent:

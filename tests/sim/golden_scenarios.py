@@ -36,6 +36,8 @@ from repro.resilience import (
     FaultController,
     FaultSchedule,
     SourceRetransmit,
+    channel_from_label,
+    channel_to_dict,
 )
 from repro.routing.registry import make_routing
 from repro.routing.virtual_channels import DatelineTorusRouting, o1turn_routing
@@ -56,6 +58,8 @@ __all__ = [
     "GOLDEN_SCENARIOS",
     "OBS_SUMMARY_SPEC",
     "build_scenario",
+    "obs_summary_digest",
+    "schema_1_obs_summary",
     "summary_digest",
 ]
 
@@ -71,6 +75,43 @@ def summary_digest(summary: dict) -> str:
     ledger) in canonical form."""
     text = json.dumps(summary, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def schema_1_obs_summary(summary: dict) -> dict:
+    """An obs summary in the ``obs_schema_version`` 1 layout: the
+    channel columns as one ``per_channel`` record per channel, with the
+    ``utilization`` and ``mean_occupancy`` floats that layout stored,
+    in the key order its collector wrote them."""
+    old = dict(summary, obs_schema_version=1)
+    channels = summary["channels"]
+    if channels is not None:
+        samples = channels["samples"]
+        old["channels"] = {
+            "samples": samples,
+            "sample_every": channels["sample_every"],
+            "per_channel": [
+                {
+                    "channel": channel_to_dict(channel_from_label(label)),
+                    "busy_samples": busy,
+                    "occupancy_sum": occupancy,
+                    "utilization": busy / samples if samples else 0.0,
+                    "mean_occupancy": occupancy / samples if samples else 0.0,
+                }
+                for label, busy, occupancy in zip(
+                    channels["channel"], channels["busy_samples"],
+                    channels["occupancy_sum"],
+                )
+            ],
+        }
+    return old
+
+
+def obs_summary_digest(summary: dict) -> str:
+    """The pinned ``obs_summary`` digest of a collector's summary: taken
+    over its schema-1 form (:func:`schema_1_obs_summary`), the layout
+    the pins were generated in, so every count and every derived float
+    is held to what that layout stored."""
+    return summary_digest(schema_1_obs_summary(summary))
 
 
 def _open_sim(topology, routing_name, pattern_name, load, seed, *,
