@@ -502,7 +502,7 @@ class ExecutorMetrics:
 
     ``warm_points`` counts simulations resolved through a warm context,
     ``batches`` the parallel jobs dispatched (each carries a chunk of
-    same-key points), and ``cache_corrupt`` the cache entries that
+    same-key points), and ``cache_rejected`` the cache entries that
     existed but could not be used (unparsable, another spec's, a
     malformed result, or an obs summary in an older layout) — each
     such point was re-simulated and its entry rewritten.
@@ -516,7 +516,7 @@ class ExecutorMetrics:
     wall_time_s: float = 0.0
     warm_points: int = 0
     batches: int = 0
-    cache_corrupt: int = 0
+    cache_rejected: int = 0
 
 
 class ExecutorHooks:
@@ -566,15 +566,15 @@ class ProgressPrinter(ExecutorHooks):
         )
 
     def on_run_end(self, metrics: ExecutorMetrics) -> None:
-        corrupt = (
-            f", {metrics.cache_corrupt} corrupt cache entries re-simulated"
-            if metrics.cache_corrupt
+        rejected = (
+            f", {metrics.cache_rejected} rejected cache entries re-simulated"
+            if metrics.cache_rejected
             else ""
         )
         print(
             f"done: {metrics.points_completed} points "
             f"({metrics.cache_hits} cached, {metrics.simulated} simulated, "
-            f"{metrics.cycles_simulated} cycles{corrupt}) "
+            f"{metrics.cycles_simulated} cycles{rejected}) "
             f"in {metrics.wall_time_s:.1f}s",
             file=self.stream,
             flush=True,
@@ -923,7 +923,7 @@ class SweepExecutor:
         entry, problem = self.cache.read_entry(point.spec, spec_hash)
         if entry is None:
             if problem is not None:
-                metrics.cache_corrupt += 1
+                metrics.cache_rejected += 1
             return None, problem
         run = RunResult(
             spec=point.spec,

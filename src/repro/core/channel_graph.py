@@ -231,17 +231,27 @@ def turn_successors(topology: Topology, restriction: TurnRestriction) -> List[in
     """Step 4's turn-induced relation as successor bitmasks over
     ``topology.channels()`` ids: ``a -> b`` when ``b`` leaves the node
     ``a`` enters and the restriction permits the turn (straight
-    continuations and permitted reversals included)."""
+    continuations and permitted reversals included).
+
+    Built per direction: a channel's mask is the union of its head
+    node's out-channels in the directions its own may turn into."""
     channels = topology.channels()
-    cid = {channel: ident for ident, channel in enumerate(channels)}
-    permits = restriction.permits
+    directions = sorted({channel.direction for channel in channels})
+    position = {direction: index for index, direction in enumerate(directions)}
+    # Per direction, the bitmask of the directions it may turn into.
+    turns = [
+        sum(1 << index for index, to in enumerate(directions) if restriction.permits(frm, to))
+        for frm in directions
+    ]
+    ways = [position[channel.direction] for channel in channels]
+    # Per node, per direction: the bitmask of its out-channels that way.
+    leaving: Dict[NodeId, Dict[int, int]] = {}
+    for ident, (channel, way) in enumerate(zip(channels, ways)):
+        out = leaving.setdefault(channel.src, {})
+        out[way] = out.get(way, 0) | 1 << ident
     return [
-        sum(
-            1 << cid[out_channel]
-            for out_channel in topology.out_channels(in_channel.dst)
-            if permits(in_channel.direction, out_channel.direction)
-        )
-        for in_channel in channels
+        sum(mask for to, mask in leaving.get(channel.dst, {}).items() if turns[way] >> to & 1)
+        for channel, way in zip(channels, ways)
     ]
 
 

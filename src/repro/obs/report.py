@@ -16,7 +16,6 @@ the hottest-channels table, which is topology-agnostic.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.resilience.schedule import channel_from_label, channel_to_dict
@@ -47,12 +46,6 @@ def _per_sample(value: int, samples: int) -> float:
     return value / samples if samples else 0.0
 
 
-def _tie_key(label: str) -> str:
-    # The channel's dict encoding in sorted key order: the tie-break the
-    # report has always used, so its ordering is unchanged.
-    return str(sorted(channel_to_dict(channel_from_label(label)).items()))
-
-
 def hottest_channels(
     channels: Dict[str, Any], top: int = 8
 ) -> List[Dict[str, Any]]:
@@ -62,7 +55,7 @@ def hottest_channels(
     ``mean_occupancy``.
 
     Ties on utilization break on the larger ``occupancy_sum``, then on
-    the channel encoding read in sorted key order, so the ordering is
+    column order, which is engine channel-id order, so the ordering is
     stable across runs and platforms.  Records are built for the
     returned channels only.
     """
@@ -75,14 +68,6 @@ def hottest_channels(
     def rank(index: int) -> Tuple[float, int]:
         return (-utilization[index], -occupancy[index])
 
-    order = sorted(range(len(labels)), key=rank)
-    count = len(order[:top])
-    head = order[:count]
-    if head:
-        # Channels tied with the last one kept compete for its place.
-        last = rank(head[-1])
-        head.extend(itertools.takewhile(lambda i: rank(i) == last, order[count:]))
-    head.sort(key=lambda i: (rank(i), _tie_key(labels[i])))
     return [
         {
             "channel": channel_to_dict(channel_from_label(labels[index])),
@@ -91,7 +76,7 @@ def hottest_channels(
             "utilization": utilization[index],
             "mean_occupancy": _per_sample(occupancy[index], samples),
         }
-        for index in head[:count]
+        for index in sorted(range(len(labels)), key=rank)[:top]
     ]
 
 

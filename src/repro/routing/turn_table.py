@@ -2,26 +2,24 @@
 
 The turn model's promise is that *any* routing algorithm using only the
 permitted turns is deadlock free.  :class:`TurnRestrictionRouting` is the
-most literal such algorithm: it offers every output channel whose turn from
-the incoming direction is permitted, optionally filtered to shortest-path
-hops (minimal mode) or to hops from which the destination remains reachable
-(nonminimal mode).
+most literal such algorithm: a turn set plus a mode.  It offers every
+permitted output from which the destination stays reachable, only
+shortest-path hops in minimal mode, and productive hops first in
+nonminimal mode ("more adaptive and fault tolerant").
 
 The named algorithms of Sections 3-5 (xy, yx, e-cube, west-first,
 north-last, negative-first, p-cube, ABONF, ABOPL) are exactly this router
 over their turn sets: the registry builds them from ``(restriction,
 minimal)``, so the relation that is simulated and certified is the turn
-set itself.  Minimal mode compiles as fast as a hand-written phase rule
-would: on a mesh, torus or hypercube the decision depends only on the
-arrival direction and the (capped) offsets to the destination, and
-under a transitive restriction not even on the arrival.  It runs only
-there; a topology without those coordinate lanes (a faulted network,
-hex, oct) has no minimal turn-table router.
+set itself.
 
-Nonminimal mode reads reach on channel ids: the turn-induced relation
-(:func:`~repro.core.channel_graph.turn_successors`, Step 4's) is
-reversed once, and each destination's reach is one reverse search over
-it (:func:`~repro.core.digraph.ancestors`).
+Both modes compile once, on ``topology.channels()`` ids, by one rule:
+reach over Step 4's relation
+(:func:`~repro.core.channel_graph.turn_successors`).  A channel's reach
+is the set of destinations some permitted walk from it enters; minimal
+mode admits only walks of productive channels.  Nothing here depends on
+the network being whole, so the same compile routes a
+:class:`~repro.topology.faults.FaultyTopology`.
 
 The package never re-makes this router after a fault: a faulted run,
 and every static analysis of faults, restricts the healthy compiled
@@ -30,67 +28,47 @@ table instead (:meth:`repro.sim.ids.CompiledRoutes.reach_restricted`).
 
 from __future__ import annotations
 
-from operator import itemgetter, mul, sub
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.channel_graph import turn_successors
-from repro.core.digraph import ancestors, mask_ids
-from repro.core.directions import Direction, all_directions
+from repro.core.digraph import mask_ids
 from repro.core.restrictions import TurnRestriction
 from repro.routing.base import RoutingAlgorithm
 from repro.topology.base import Topology
 from repro.topology.channels import Channel, NodeId
-from repro.topology.hypercube import Hypercube
-from repro.topology.mesh import Mesh
-from repro.topology.torus import Torus
 
 __all__ = ["TurnRestrictionRouting"]
 
-#: A minimal-mode memo key: the arrival direction's slot (``-1`` at
-#: injection) and the capped per-dimension offsets to the destination.
-_OffsetKey = Tuple[int, Tuple[int, ...]]
+#: An output channel and, per node index, whether the destination there
+#: is reached through it (one byte each, 0 or 1).
+_Offer = Tuple[Channel, bytes]
 
-#: Per node, its position (offsets to a destination are the difference
-#: of two positions) and the values a decision's getter reads: the mesh
-#: out-channel of each slot ``2 * dim + (sign > 0)``, each of those as a
-#: 1-tuple, then the empty tuple.
-_Lane = Tuple[int, Tuple[Any, ...]]
+#: The outputs a header may take from one state: those reaching a
+#: destination by a productive hop, then those reaching it by a
+#: non-productive one, each part in ascending id order.  A channel is
+#: in both parts at most, for disjoint destinations.
+_Offers = Tuple[_Offer, ...]
 
-#: Reads a decision's channels off a node's :data:`_Lane` values.
-_Getter = Callable[[Tuple[Any, ...]], Tuple[Channel, ...]]
+_BINARY = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _coordinate_lanes(topology: Topology) -> Optional[Dict[NodeId, _Lane]]:
-    """Each node's position and channel slots, if offsets decide routing.
-
-    ``None`` unless every productive mesh channel exists — a mesh, torus
-    or hypercube with the stock coordinate-compare
-    :meth:`~repro.topology.base.Topology.minimal_directions` — since only
-    then does a minimal decision depend on offsets alone.  A
-    :class:`~repro.topology.faults.FaultyTopology` is never one.
-    """
-    if not isinstance(topology, (Mesh, Torus, Hypercube)):
-        return None
-    if type(topology).minimal_directions is not Topology.minimal_directions:
-        return None
-    # Radix ``base`` exceeds twice any offset, so a position difference
-    # names the offsets uniquely.
-    base = 2 * max(topology.shape)
-    weights = [base**dim for dim in range(topology.n_dims)]
-    lanes: Dict[NodeId, _Lane] = {}
-    for node in topology.nodes():
-        slots: List[Optional[Channel]] = [None] * (2 * topology.n_dims)
-        for channel in topology.out_channels(node):
-            if not channel.wraparound:
-                direction = channel.direction
-                slots[2 * direction.dim + (direction.sign > 0)] = channel
-        singles = [(slot,) for slot in slots]
-        lanes[node] = (sum(map(mul, node, weights)), (*slots, *singles, ()))
-    return lanes
+def _members(mask: int, count: int) -> bytes:
+    """The ``count`` low bits of ``mask`` as bytes, lowest first."""
+    return format(mask, f"0{count}b")[::-1].encode().translate(_BINARY)
 
 
 class TurnRestrictionRouting(RoutingAlgorithm):
-    """Routing that offers every channel with a permitted turn.
+    """Routing that offers every permitted channel the destination is in
+    reach of.
+
+    The first :meth:`route` compiles the whole relation: per channel id,
+    the bitmask over node indices of the destinations in its reach.
+    Reach is the least fixpoint of Step 4's relation reversed, seeded by
+    the channels entering each destination; in minimal mode only
+    productive channels (a non-wraparound hop toward the destination's
+    coordinate) hold any.  An entry is then the permitted non-wraparound
+    outputs in the destination's reach: every out-channel at injection,
+    the turn-permitted ones after an arrival.
 
     Args:
         topology: the network to route on.
@@ -122,58 +100,14 @@ class TurnRestrictionRouting(RoutingAlgorithm):
         self.name = name or restriction.name or "turn-table"
         if not minimal:
             self.name = f"{self.name}-nonminimal"
-        # Minimal mode needs a topology with every productive mesh
-        # channel: per-node positions and channel slots (:data:`_Lane`);
-        # each decision is computed once per (arrival slot, capped
-        # offsets) into ``_entries`` and read by position difference
-        # from ``_decisions``.
-        self._lanes = _coordinate_lanes(topology) if minimal else None
-        if minimal and self._lanes is None:
-            raise ValueError(
-                f"minimal turn-table routing needs a mesh, torus or hypercube "
-                f"with every productive channel, not {topology!r}; a faulted "
-                f"network restricts the healthy table instead"
-            )
-        self._transitive = minimal and restriction.is_transitive()
-        if self._transitive:
+        if minimal and restriction.is_transitive():
             # Every reachable state routes like an injection at its node.
             self.uses_in_channel = False
-        self._cap = 1 if self._transitive else topology.n_dims + 1
-        # Per arrival slot, the bitmask of slots it may turn into; the
-        # last row, read at slot -1, is injection's: every slot.
-        directions = list(all_directions(topology.n_dims))
-        turns = self._turns = [
-            sum(1 << slot for slot, to in enumerate(directions) if restriction.permits(frm, to))
-            for frm in directions
-        ] + [(1 << len(directions)) - 1]
-        # Per slot, the slots it may turn into or be turned into from.
-        self._comparable = [
-            turns[a] | sum(1 << b for b in range(len(directions)) if turns[b] >> a & 1)
-            for a in range(len(directions))
-        ]
-        self._entries: Dict[_OffsetKey, Tuple[int, ...]] = {}
-        # Per arrival slot (``-1`` last), position difference -> the
-        # getter of the entry's channels from a node's slots, shared by
-        # equal entries.
-        self._decisions: List[Dict[int, _Getter]] = [{} for _ in range(len(directions) + 1)]
-        self._getters: Dict[Tuple[int, ...], _Getter] = {}
-        # Nonminimal mode: the turn-induced relation reversed, on
-        # ``topology.channels()`` ids, and per destination the bitmask
-        # of the ids whose holder can reach it.
-        self._cid: Dict[Channel, int] = {}
-        self._predecessors: Dict[int, List[int]] = {}
-        self._reach: Dict[NodeId, int] = {}
-        if not minimal:
-            self._cid = {channel: ident for ident, channel in enumerate(topology.channels())}
-            for front, mask in enumerate(turn_successors(topology, restriction)):
-                for out in mask_ids(mask):
-                    self._predecessors.setdefault(out, []).append(front)
-        # Nonminimal mode, per (node, arrival): the mesh outputs the
-        # restriction permits, each with its id's bit and direction.
-        self._permitted: Dict[
-            Tuple[NodeId, Optional[Direction]],
-            Tuple[Tuple[Channel, int, Direction], ...],
-        ] = {}
+        # Filled by the first route: node -> its index, and the offers
+        # at injection per node and after arrival per channel.
+        self._index: Optional[Dict[NodeId, int]] = None
+        self._injections: Dict[NodeId, _Offers] = {}
+        self._arrivals: Dict[Channel, _Offers] = {}
 
     def to_dict(self) -> Dict[str, Any]:
         """A JSON-ready dict; inverse of :meth:`from_dict`.
@@ -205,109 +139,101 @@ class TurnRestrictionRouting(RoutingAlgorithm):
             name=str(payload.get("name", "")),
         )
 
-    def _entry(self, arrival: int, offsets: Tuple[int, ...]) -> Tuple[int, ...]:
-        """Slots of the productive hops permitted from slot ``arrival``
-        after which a permitted all-productive path covers ``offsets``.
-
-        The offset form of a look-ahead over productive permitted hops: a state
-        reaches its destination iff its entry is non-empty or nothing is left.
-        Under a transitive restriction it is closed: a chain of permitted turns
-        through the needed directions permits every turn from an earlier to a
-        later one, so a hop in direction ``o`` keeps a path iff ``o`` may turn
-        into every other needed direction and each pair of those may turn one
-        into the other (then they are a tournament, which has a Hamiltonian
-        path).  Otherwise it recurses on offsets capped at ``n + 1``: a shortest
-        permitted walk takes at most ``n`` runs in each of its directions, so
-        larger offsets decide nothing, and one hop off a capped offset still
-        leaves ``n``.
-        """
-        cap = self._cap
-        offsets = tuple(max(-cap, min(cap, offset)) for offset in offsets)
-        key = (arrival, offsets)
-        entry = self._entries.get(key)
-        if entry is not None:
-            return entry
-        turns = self._turns
-        allowed = turns[arrival]
-        needed = [2 * dim + (offset > 0) for dim, offset in enumerate(offsets) if offset]
-        if self._transitive:
-            mask = sum(1 << slot for slot in needed)
-            comparable = self._comparable
-            if not any(mask & ~comparable[slot] for slot in needed):
-                entry = tuple(
-                    slot for slot in needed
-                    if allowed >> slot & 1 and not mask & ~turns[slot]
+    def _compile(self) -> Dict[NodeId, int]:
+        """Compute every channel's reach and the offers read off it."""
+        topology = self.topology
+        channels = topology.channels()
+        index = {node: at for at, node in enumerate(topology.nodes())}
+        count = len(index)
+        # Per dimension and coordinate, the destinations below and above it.
+        below: List[List[int]] = []
+        above: List[List[int]] = []
+        for dim, radix in enumerate(topology.shape):
+            at_coordinate = [0] * radix
+            for node, at in index.items():
+                at_coordinate[node[dim]] |= 1 << at
+            below.append([sum(at_coordinate[:x]) for x in range(radix)])
+            above.append([sum(at_coordinate[x + 1:]) for x in range(radix)])
+        productive: List[int] = []
+        for channel in channels:
+            dim = channel.direction.dim
+            if dim >= len(below):
+                raise ValueError(
+                    f"{topology!r} has channels along axis {dim}, off its "
+                    f"{len(below)} coordinate axes: a turn table needs one "
+                    f"coordinate per direction's dimension"
                 )
-            else:
-                entry = ()
-        else:
-            chosen = []
-            for slot in needed:
-                if allowed >> slot & 1:
-                    dim = slot // 2
-                    step = offsets[dim] - 1 if slot & 1 else offsets[dim] + 1
-                    after = offsets[:dim] + (step,) + offsets[dim + 1:]
-                    if not any(after) or self._entry(slot, after):
-                        chosen.append(slot)
-            entry = tuple(chosen)
-        self._entries[key] = entry
-        return entry
+            toward = above if channel.direction.sign > 0 else below
+            productive.append(0 if channel.wraparound else toward[dim][channel.src[dim]])
+        admitted = productive if self.minimal else [(1 << count) - 1] * len(channels)
+        succ = turn_successors(topology, self.restriction)
+        successors = [list(mask_ids(mask)) for mask in succ]
+        predecessors: List[List[int]] = [[] for _ in channels]
+        for front, outs in enumerate(successors):
+            for out in outs:
+                predecessors[out].append(front)
+        # The least fixpoint: a channel reaches its head's node and what
+        # its permitted successors reach, as far as it admits.  In Kahn's
+        # order, sinks first, an id is settled once: its successors are
+        # final by then.  Ids on or behind a cycle never become ready;
+        # a worklist settles them among themselves.
+        reach = [1 << index[channel.dst] & allowed for channel, allowed in zip(channels, admitted)]
+        pending = [len(outs) for outs in successors]
+        ready = [ident for ident, left in enumerate(pending) if not left]
+        for out in ready:  # grows as ids lose their last pending successor
+            mask = reach[out]
+            for front in predecessors[out]:
+                reach[front] |= mask & admitted[front]
+                pending[front] -= 1
+                if not pending[front]:
+                    ready.append(front)
+        work = [ident for ident, left in enumerate(pending) if left]
+        while work:
+            out = work.pop()
+            mask = reach[out]
+            for front in predecessors[out]:
+                grown = reach[front] | mask & admitted[front]
+                if grown != reach[front]:
+                    reach[front] = grown
+                    work.append(front)
+        # Per id, the offer of its channel toward the destinations it
+        # reaches by a productive hop, and by a non-productive one.
+        near: List[Optional[_Offer]] = [None] * len(channels)
+        far: List[Optional[_Offer]] = [None] * len(channels)
+        leaving: Dict[NodeId, List[int]] = {node: [] for node in index}
+        for ident, channel in enumerate(channels):
+            if not channel.wraparound:
+                leaving[channel.src].append(ident)
+                direct = reach[ident] & productive[ident]
+                if direct:
+                    near[ident] = (channel, _members(direct, count))
+                if reach[ident] ^ direct:
+                    far[ident] = (channel, _members(reach[ident] ^ direct, count))
 
-    def _getter(self, entry: Tuple[int, ...]) -> _Getter:
-        """The function taking a node's slots to ``entry``'s channels.
+        def offers(ids: Sequence[int]) -> _Offers:
+            return tuple(offer for part in (near, far) for offer in map(part.__getitem__, ids)
+                         if offer)
 
-        An :func:`~operator.itemgetter` returns a tuple only for two or
-        more indices, so one slot reads its 1-tuple and none the empty
-        tuple (see :data:`_Lane`).
-        """
-        getter = self._getters.get(entry)
-        if getter is None:
-            width = 2 * self.topology.n_dims
-            if len(entry) > 1:
-                getter = itemgetter(*entry)
-            else:
-                getter = itemgetter(width + entry[0] if entry else 2 * width)
-            self._getters[entry] = getter
-        return getter
+        self._injections = {node: offers(ids) for node, ids in leaving.items()}
+        self._arrivals = {
+            channel: offers(outs) for channel, outs in zip(channels, successors)
+        }
+        self._index = index
+        return index
 
     def route(
         self, in_channel: Optional[Channel], node: NodeId, dest: NodeId
     ) -> Sequence[Channel]:
-        lanes = self._lanes
-        if lanes is not None:
-            if in_channel is None:
-                arrival = -1
-            else:
-                direction = in_channel.direction
-                arrival = 2 * direction.dim + (direction.sign > 0)
-            position, slots = lanes[node]
-            decisions = self._decisions[arrival]
-            key = lanes[dest][0] - position
-            getter = decisions.get(key)
-            if getter is None:
-                getter = decisions[key] = self._getter(
-                    self._entry(arrival, tuple(map(sub, dest, node)))
-                )
-            return getter(slots)
-        arrival = self.in_direction(in_channel)
-        permitted = self._permitted.get((node, arrival))
-        if permitted is None:
-            permitted = self._permitted[(node, arrival)] = tuple(
-                (channel, 1 << self._cid[channel], channel.direction)
-                for channel in self.topology.out_channels(node)
-                if not channel.wraparound
-                and self.restriction.permits(arrival, channel.direction)
-            )
-        reach = self._reach.get(dest)
-        if reach is None:
-            # A holder reaches dest if some permitted next hop does.
-            reach = self._reach[dest] = ancestors(
-                self._predecessors, map(self._cid.__getitem__, self.topology.in_channels(dest))
-            )
-        productive = self.topology.minimal_directions(node, dest)
-        first: List[Channel] = []
-        rest: List[Channel] = []
-        for channel, bit, direction in permitted:
-            if reach & bit:
-                (first if direction in productive else rest).append(channel)
-        return tuple(first + rest)
+        index = self._index
+        if index is None:
+            index = self._compile()
+        at = index[dest]
+        entry = []
+        # A loop, not a comprehension, which would build a frame per call:
+        # this runs once per routing state.
+        for channel, holds in (
+            self._injections[node] if in_channel is None else self._arrivals[in_channel]
+        ):
+            if holds[at]:
+                entry.append(channel)
+        return tuple(entry)

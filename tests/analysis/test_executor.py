@@ -246,7 +246,7 @@ class TestResultCache:
     def test_entry_in_the_earlier_indented_layout_still_hits(self, tmp_path):
         """Entries written before the record went compact — indent=2,
         sorted keys, with obs and resilience summaries — are hits: same
-        result, same summaries, nothing re-simulated or counted corrupt,
+        result, same summaries, nothing re-simulated or counted rejected,
         and the manifest embeds the entry as it is on disk."""
         spec = make_spec(
             obs=ObsSpec(), resilience=ResilienceSpec(fault_count=1, fault_seed=2)
@@ -271,7 +271,7 @@ class TestResultCache:
         (outcome,) = executor.run_points([PointSpec(spec=spec)])
         metrics = executor.last_metrics
         assert outcome.cached
-        assert (metrics.cache_corrupt, metrics.cache_hits, metrics.simulated) == (0, 1, 0)
+        assert (metrics.cache_rejected, metrics.cache_hits, metrics.simulated) == (0, 1, 0)
         assert result_digest(outcome.result) == result_digest(full.result)
         assert outcome.metrics == json.loads(json.dumps(full.metrics))
         assert outcome.resilience == json.loads(json.dumps(full.resilience))
@@ -402,23 +402,23 @@ class TestCorruptCacheEntry:
         assert [o.result for o in outcomes] == reference
         assert [o.cached for o in outcomes] == [True, True, False, True]
         assert outcomes[2].cache_problem == "not valid JSON"
-        assert (metrics.cache_corrupt, metrics.cache_hits, metrics.simulated) == (1, 3, 1)
+        assert (metrics.cache_rejected, metrics.cache_hits, metrics.simulated) == (1, 3, 1)
         # The entry was rewritten whole and serves the next run.
         assert json.loads(victim.read_text()) == json.loads(hooks.whole)
         again = SweepExecutor(cache_dir=cache_dir)
         results_of(again, specs)
-        assert (again.last_metrics.cache_corrupt, again.last_metrics.cache_hits) == (0, 4)
-        assert "1 corrupt cache entries re-simulated" in stream.getvalue()
+        assert (again.last_metrics.cache_rejected, again.last_metrics.cache_hits) == (0, 4)
+        assert "1 rejected cache entries re-simulated" in stream.getvalue()
         blocks = {m["point"]["index"]: m["executor"] for m in iter_manifests(manifests)}
         assert blocks[2]["cache_problem"] == "not valid JSON"
         assert blocks[0]["cache_problem"] is None
 
-    def test_clean_run_reports_no_corrupt_entries(self, tmp_path):
+    def test_clean_run_reports_no_rejected_entries(self, tmp_path):
         stream = io.StringIO()
         executor = SweepExecutor(cache_dir=tmp_path, hooks=ProgressPrinter(stream))
         results_of(executor, [make_spec()])
-        assert executor.last_metrics.cache_corrupt == 0
-        assert "corrupt" not in stream.getvalue()
+        assert executor.last_metrics.cache_rejected == 0
+        assert "rejected" not in stream.getvalue()
 
 
 class TestSweepThroughExecutor:

@@ -148,7 +148,7 @@ class TestMetricsCounters:
         # Each of the three keys is split into min(jobs, points) chunks.
         assert metrics.batches == 6
         assert metrics.points_completed == len(points)
-        assert metrics.cache_corrupt == 0
+        assert metrics.cache_rejected == 0
         # Nothing is prebuilt in the parent: the workers fill their own
         # tables, so the dispatching process never creates a context.
         assert warm_context_count() == 0

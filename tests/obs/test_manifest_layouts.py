@@ -222,7 +222,7 @@ class TestObsCacheLayout:
         )
         with SweepExecutor(jobs=1, **dirs) as executor:
             (again,) = executor.run_points([point])
-            assert executor.last_metrics.cache_corrupt == 1
+            assert executor.last_metrics.cache_rejected == 1
         assert not again.cached
         assert again.cache_problem == "obs summary has obs_schema_version 1"
         assert again.result == first.result and again.metrics == first.metrics

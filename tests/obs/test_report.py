@@ -132,7 +132,7 @@ class TestRenderHelpers:
     @pytest.mark.parametrize("top", [1, 3, 8, 40])
     def test_hottest_channels_matches_a_full_sort_of_the_records(self, samples, top):
         # Few distinct sums on a torus (wraparound labels) force ties on
-        # utilization and occupancy, which the channel encoding breaks.
+        # utilization and occupancy, which column order breaks.
         rng = random.Random(samples * 100 + top)
         labels = [channel_label(c) for c in parse_topology("torus:3x3").channels()]
         busy = [rng.randrange(3) if samples else 0 for _ in labels]
@@ -140,9 +140,20 @@ class TestRenderHelpers:
         channels = {"samples": samples, "sample_every": 1, "channel": labels,
                     "busy_samples": busy, "occupancy_sum": occupancy}
         records = schema_1_obs_summary({"channels": channels})["channels"]["per_channel"]
-        records.sort(key=lambda r: (-r["utilization"], -r["occupancy_sum"],
-                                    str(sorted(r["channel"].items()))))
+        records.sort(key=lambda r: (-r["utilization"], -r["occupancy_sum"]))
         assert hottest_channels(channels, top) == records[:top]
+
+    def test_hottest_channels_ties_keep_column_order(self):
+        # Channel-id order puts (2, 0) before (10, 0); their text
+        # encodings sort the other way.
+        channels = {
+            "samples": 4,
+            "channel": ["2,0>3,0+0", "10,0>11,0+0", "0,0>1,0+0"],
+            "busy_samples": [1, 1, 1],
+            "occupancy_sum": [2, 2, 2],
+        }
+        top = hottest_channels(channels, top=2)
+        assert [record["channel"]["src"] for record in top] == [[2, 0], [10, 0]]
 
     def test_empty_metrics_render_placeholders(self):
         assert "not collected" in render_channel_heatmap(None)

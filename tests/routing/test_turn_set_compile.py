@@ -10,13 +10,13 @@ Three things are pinned here:
   from its table key; it must then route every reachable state exactly
   like an injection at its node, and a non-transitive one must have a
   reachable state where the two differ (so the test is exact).
-* **The offset memo.**  On a mesh, minimal decisions are memoized by
-  ``(arrival, offsets)``; they must equal the absolute-state look-ahead
-  (the oracle the faulted tables are held to, ``tests/sim/degraded.py``),
-  on a mesh whose offsets exceed the memo's cap.
+* **The reach compile.**  Minimal decisions are read off one
+  all-destination reach compile on channel ids; they must equal the
+  absolute-state look-ahead (the oracle the faulted tables are held to,
+  ``tests/sim/degraded.py``) on every injection and reachable state.
 
 The checks take candidate turn sets, so the synthesis CI job runs
-:func:`check_detection` and :func:`check_offset_memo` over all 4096 3D
+:func:`check_detection` and :func:`check_reach_compile` over all 4096 3D
 candidates.
 """
 
@@ -204,7 +204,7 @@ def test_detection_2d(index):
 
 @pytest.mark.parametrize("index", range(len(CANDIDATES_2D)))
 def test_detection_holds_on_a_faulty_mesh(index):
-    # Off the offset path too: the chain argument needs only a permitted
+    # On a faulted mesh too: the chain argument needs only a permitted
     # all-productive path, which a realizable state has on any mesh.  So
     # the reach rule's restriction of a transitive set's dense table is
     # exact: the look-ahead on the faulty mesh ignores the arrival too.
@@ -226,7 +226,7 @@ def test_detection_3d_sampled():
     assert not all(outcomes), "the sample holds non-transitive candidates"
 
 
-# -- the offset memo ----------------------------------------------------------
+# -- the reach compile --------------------------------------------------------
 
 
 def absolute_twin(routing: TurnRestrictionRouting) -> LookAheadRouting:
@@ -234,8 +234,8 @@ def absolute_twin(routing: TurnRestrictionRouting) -> LookAheadRouting:
     return LookAheadRouting(routing.topology, routing.restriction, name=routing.name)
 
 
-def check_offset_memo(topology, prohibited) -> None:
-    """Assert the offset memo decides every injection state and every
+def check_reach_compile(topology, prohibited) -> None:
+    """Assert the reach compile decides every injection state and every
     reachable state exactly as the absolute-state recursion does."""
     restriction = TurnRestriction(topology.n_dims, frozenset(prohibited))
     routing = TurnRestrictionRouting(topology, restriction, minimal=True)
@@ -256,7 +256,5 @@ def check_offset_memo(topology, prohibited) -> None:
     + [("mesh:6x3x2", CANDIDATES_3D[i]) for i in (0, 777, 2049, 4095)]
     + [("mesh:6x3x2", TRANSITIVE_3D[i]) for i in (0, 31)],
 )
-def test_offset_memo_equals_the_absolute_recursion(spec, prohibited):
-    topology = parse_topology(spec)
-    assert max(topology.shape) - 1 > topology.n_dims + 1, "offsets exceed the cap"
-    check_offset_memo(topology, prohibited)
+def test_reach_compile_equals_the_absolute_recursion(spec, prohibited):
+    check_reach_compile(parse_topology(spec), prohibited)

@@ -12,13 +12,15 @@ from repro.core.restrictions import (
 from repro.core.channel_graph import turn_successors
 from repro.core.digraph import ancestors, mask_ids
 from repro.routing import TurnRestrictionRouting
-from repro.topology import FaultyTopology, Mesh, Mesh2D
+from repro.topology import FaultyTopology, Mesh, parse_topology, random_channel_faults
+from tests.routing.test_turn_set_compile import check_reach_compile
 
 
 class TurnReach:
-    """A turn relation's reach, read the way the nonminimal router reads
-    it: :func:`turn_successors` reversed, then one :func:`ancestors`
-    search per destination from the channels entering it."""
+    """A turn relation's reach, one destination at a time:
+    :func:`turn_successors` reversed, then one :func:`ancestors` search
+    from the channels entering the destination.  The nonminimal router
+    computes every destination's reach at once and must agree."""
 
     def __init__(self, topology, restriction):
         self.topology = topology
@@ -63,14 +65,23 @@ class TestMinimalReachabilityFilter:
         with pytest.raises(ValueError):
             TurnRestrictionRouting(mesh3d, xy_restriction())
 
-    def test_minimal_needs_coordinate_lanes(self, mesh44):
-        # A faulted network restricts the healthy table; the look-ahead
-        # router on it is the test oracle (tests/sim/degraded.py).
-        faulty = FaultyTopology(mesh44, mesh44.channels()[:1])
-        with pytest.raises(ValueError, match="restricts the healthy table"):
-            TurnRestrictionRouting(faulty, west_first_restriction())
-        # Nonminimal mode reads reach on ids and runs anywhere.
-        TurnRestrictionRouting(faulty, west_first_restriction(), minimal=False)
+    def test_axes_off_the_coordinates_rejected(self):
+        # A hex mesh's third axis has no coordinate to be productive in.
+        table = TurnRestrictionRouting(
+            parse_topology("hex:4x4"), negative_first_restriction(2), minimal=False
+        )
+        with pytest.raises(ValueError, match="off its 2 coordinate axes"):
+            table.route(None, (0, 0), (3, 3))
+
+    @pytest.mark.parametrize("faults,seed", [(2, 0), (6, 1), (12, 2)])
+    @pytest.mark.parametrize("build", [west_first_restriction, north_last_restriction,
+                                       lambda: negative_first_restriction(2)])
+    def test_minimal_on_a_faulty_mesh_is_the_look_ahead(self, build, faults, seed):
+        # The one compile needs no coordinate lanes: on a faulted mesh a
+        # minimal table routes every state of the look-ahead's closure
+        # as the look-ahead does (tests/sim/degraded.py).
+        faulty = random_channel_faults(Mesh((6, 6)), faults, seed=seed)
+        check_reach_compile(faulty, build().prohibited)
 
 
 class TestNonminimal:
