@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, List
 
 from repro.core.digraph import mask_ids
 from repro.routing.base import RoutingAlgorithm
@@ -96,7 +96,11 @@ def channel_loads(
             outs = lookup(injection, dest_idx)
             for out in outs:
                 flow[out] += weight / len(outs)
-        predecessors = closure.destination(dest_idx)[0]
+        predecessors: Dict[int, List[int]] = {}
+        for front in mask_ids(closure.reached[dest_idx]):
+            if index.dest_node_id[front] != dest_idx:
+                for out in lookup(front, dest_idx):
+                    predecessors.setdefault(out, []).append(front)
         waiting = {ident: len(preds) for ident, preds in predecessors.items()}
         # Kahn's algorithm: a channel splits its flow once all of it is in.
         order = [ident for ident in mask_ids(closure.reached[dest_idx]) if ident not in waiting]

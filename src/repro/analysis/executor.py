@@ -419,6 +419,7 @@ class ExperimentSpec:
             recertify_s=(
                 controller.recertify_s if controller is not None else None
             ),
+            degrade_s=controller.degrade_s if controller is not None else None,
             cruise_entries=simulator.cruise_entries,
             cruise_worm_cycles=simulator.cruise_worm_cycles,
             # Evaluated last, so the summaries above are inside the time.
@@ -465,6 +466,8 @@ class RunResult:
         recertify_s: host seconds of ``wall_time_s`` spent proving
             degraded routing tables (``None`` for plain runs and cache
             hits); like ``wall_time_s``, never hashed, cached, digested.
+        degrade_s: host seconds of ``wall_time_s`` spent deriving
+            degraded routing tables; carried like ``recertify_s``.
         cruise_entries, cruise_worm_cycles: what the engine's cruise
             state did (:attr:`WormholeSimulator.cruise_entries`): worms
             that streamed in aggregate, and the per-worm mover calls
@@ -484,6 +487,7 @@ class RunResult:
     cached: bool = False
     wall_time_s: float = 0.0
     recertify_s: Optional[float] = None
+    degrade_s: Optional[float] = None
     cruise_entries: Optional[int] = None
     cruise_worm_cycles: Optional[int] = None
     series: str = ""

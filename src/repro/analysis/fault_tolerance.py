@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from repro.core.digraph import ancestors
 from repro.core.restrictions import TurnRestriction
 from repro.routing.turn_table import TurnRestrictionRouting
 from repro.sim.ids import CompiledRoutes
@@ -36,21 +35,21 @@ def routable_fraction(compiled: CompiledRoutes) -> float:
 
     A pair counts as routable when the source is offered a first hop and
     no dead end (a channel short of the destination offering no output)
-    is reachable from any of them.  Per destination, one reverse search
-    from the dead ends marks every channel that can reach one.
+    is reachable from any of them.  One fixpoint over the table's
+    :class:`~repro.sim.ids.ReachRelation`, seeded by the dead ends,
+    marks per channel the destinations for which it can reach one.
     """
-    closure = compiled.closure()
+    relation = compiled.reach_relation()
+    doomed = relation.fixpoint(relation.dead_ends())
     index = compiled.index
     nodes = range(index.num_nodes)
     routable = 0
     for dest_idx in nodes:
-        predecessors, _, dead_ends = closure.destination(dest_idx)
-        doomed = ancestors(predecessors, dead_ends)
         for source_idx in nodes:
             if source_idx == dest_idx:
                 continue
             firsts = compiled.lookup(index.inj_base + source_idx, dest_idx)
-            if firsts and not any(doomed >> first & 1 for first in firsts):
+            if firsts and not any(doomed[first] >> dest_idx & 1 for first in firsts):
                 routable += 1
     total = index.num_nodes * (index.num_nodes - 1)
     return routable / total if total else 1.0

@@ -6,8 +6,8 @@ prover's relation, the closure of a compiled route table
 (:mod:`repro.verify.deadlock`), and Step 4's turn-induced relation
 (:func:`repro.core.channel_graph.restriction_is_deadlock_free`) are in
 that form, and :func:`topological_numbering` decides both with one Kahn
-pass.  :func:`ancestors` is the one reverse search over such a relation
-reversed.
+pass.  Reach over a closure is read per destination bit-parallel
+instead (:class:`repro.sim.ids.ReachRelation`).
 
 :class:`Digraph` is the object-level form: the exact dependency graph
 the certificate re-check rebuilds from a routing callable
@@ -17,10 +17,9 @@ tables the prover reads.
 
 from __future__ import annotations
 
-from typing import (Dict, Generic, Hashable, Iterable, Iterator, List, Mapping, Optional,
-                    Sequence, Set, Tuple, TypeVar)
+from typing import Dict, Generic, Hashable, Iterator, List, Optional, Sequence, Set, Tuple, TypeVar
 
-__all__ = ["Digraph", "ancestors", "mask_ids", "topological_numbering"]
+__all__ = ["Digraph", "mask_ids", "topological_numbering"]
 
 V = TypeVar("V", bound=Hashable)
 
@@ -54,27 +53,6 @@ def topological_numbering(succ: Sequence[int]) -> Optional[List[int]]:
     for rank, front in enumerate(order):
         numbering[front] = rank
     return numbering
-
-
-def ancestors(
-    predecessors: Mapping[int, Sequence[int]], seeds: Iterable[int], blocked: int = 0
-) -> int:
-    """Bitmask of the distinct ``seeds`` and every id with a walk to one
-    (reverse search over ``predecessors``: id -> the ids that may precede
-    it).  The ids set in ``blocked`` start out seen, so the search
-    neither enters nor expands them, and they are not in the answer."""
-    mask = blocked
-    frontier: List[int] = []
-    for seed in seeds:
-        if not mask >> seed & 1:
-            mask |= 1 << seed
-            frontier.append(seed)
-    for front in frontier:  # grows as the search advances
-        for pred in predecessors.get(front, ()):
-            if not mask >> pred & 1:
-                mask |= 1 << pred
-                frontier.append(pred)
-    return mask & ~blocked
 
 
 class Digraph(Generic[V]):

@@ -109,8 +109,8 @@ def build_manifest(
     Args:
         run: the point's :class:`~repro.analysis.executor.RunResult`.
             Its spec, series and index head the manifest; its wall time,
-            cache provenance and, when set, ``recertify_s`` and the
-            cruise counters fill ``timings``; its result, resilience
+            cache provenance and, when set, ``recertify_s``,
+            ``degrade_s`` and the cruise counters fill ``timings``; its result, resilience
             ledger and obs metrics summary are the record.
         certification: the executor's certification verdict, e.g.
             ``{"required": True, "certified": True}``.
@@ -136,6 +136,8 @@ def build_manifest(
     timings: Dict[str, Any] = {"wall_time_s": run.wall_time_s, "cached": run.cached}
     if run.recertify_s is not None:
         timings["recertify_s"] = run.recertify_s
+    if run.degrade_s is not None:
+        timings["degrade_s"] = run.degrade_s
     if run.cruise_entries is not None:
         timings["cruise_entries"] = run.cruise_entries
         timings["cruise_worm_cycles"] = run.cruise_worm_cycles

@@ -227,9 +227,13 @@ def render_manifest_report(
     )
     if timings.get("recertify_s") is not None:
         proofs = (manifest.get("resilience") or {}).get("recertifications", 0)
+        degraded = (
+            f"+ degrade {timings['degrade_s']:.2f}s "
+            if timings.get("degrade_s") is not None else ""
+        )
         lines.append(
             f"recertify: {proofs} proofs, {timings['recertify_s']:.2f}s "
-            f"of {timings.get('wall_time_s', 0.0):.2f}s"
+            f"{degraded}of {timings.get('wall_time_s', 0.0):.2f}s"
         )
     if timings.get("cruise_entries") is not None:
         lines.append(

@@ -125,6 +125,9 @@ class FaultController:
             proof, when this run was the one to take it, plus every
             degraded table's restriction check (timing metadata, never
             part of the ledger).
+        degrade_s: host seconds spent deriving degraded tables
+            (:func:`degrade`, every fault event); timing metadata like
+            ``recertify_s``.
         next_event_cycle: cycle of the next unapplied schedule event.
         next_wake: earliest cycle at which the controller has any work
             (schedule event or due retry); ``inf`` when idle, which lets
@@ -145,6 +148,7 @@ class FaultController:
         self.base_topology: Optional[Topology] = None
         self.current_compiled: Optional[CompiledRoutes] = None
         self.recertify_s = 0.0
+        self.degrade_s = 0.0
         self._healthy: Optional[CompiledRoutes] = None
         self.failed: FrozenSet[Channel] = frozenset()
         self.next_event_cycle: float = _INF
@@ -174,6 +178,7 @@ class FaultController:
         self.base_topology = topology
         self.current_compiled = None
         self.recertify_s = 0.0
+        self.degrade_s = 0.0
         self._healthy = compiled if compiled is not None else CompiledRoutes(routing)
         self.failed = frozenset()
         self.stats = ResilienceStats()
@@ -222,7 +227,7 @@ class FaultController:
         healthy = self._healthy
         assert healthy is not None and self.base_topology is not None
         if not self.recertify_enabled:
-            return degrade(healthy, self.failed)
+            return self._degrade(healthy)
         # Imported lazily: repro.verify pulls in the whole prover stack,
         # which a no-fault (or --no-recertify) run never needs.
         from repro.verify import certify_table, recertify
@@ -231,11 +236,17 @@ class FaultController:
         started = perf_counter()
         certify_table(self.base_topology, healthy)
         spent = perf_counter() - started
-        derived = degrade(healthy, self.failed)
+        derived = self._degrade(healthy)
         started = perf_counter()
         recertify(derived)
         self.recertify_s += spent + perf_counter() - started
         self.stats.on_recertified()
+        return derived
+
+    def _degrade(self, healthy: CompiledRoutes) -> CompiledRoutes:
+        started = perf_counter()
+        derived = degrade(healthy, self.failed)
+        self.degrade_s += perf_counter() - started
         return derived
 
     # -- recovery ------------------------------------------------------

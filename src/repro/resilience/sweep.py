@@ -48,9 +48,10 @@ class FaultSweepCell:
         result: the run's :class:`SimulationResult`.
         resilience: the run's resilience summary (``None`` only for the
             zero-fault baseline cells, which run the plain engine path).
-        wall_time_s, recertify_s: host seconds the cell took and the
-            share spent certifying degraded tables (``None`` for baseline
-            cells and cache hits); both stay out of ``to_dict``.
+        wall_time_s, recertify_s, degrade_s: host seconds the cell took,
+            and the shares spent certifying and deriving degraded tables
+            (``None`` for baseline cells and cache hits); all stay out of
+            ``to_dict``.
     """
 
     algorithm: str
@@ -59,6 +60,7 @@ class FaultSweepCell:
     resilience: Optional[dict]
     wall_time_s: float = 0.0
     recertify_s: Optional[float] = None
+    degrade_s: Optional[float] = None
 
     @property
     def delivered_fraction(self) -> float:
@@ -230,6 +232,7 @@ def fault_sweep(
             resilience=run.resilience,
             wall_time_s=run.wall_time_s,
             recertify_s=run.recertify_s,
+            degrade_s=run.degrade_s,
         )
         for run in runs
     )
@@ -276,6 +279,7 @@ def render_fault_table(sweep: FaultSweepResult) -> str:
         lines.append(
             f"recertification: {proofs} proofs, "
             f"{sum(cell.recertify_s for cell in proved):.2f} s of "
-            f"{sum(cell.wall_time_s for cell in sweep.cells):.2f} s"
+            f"{sum(cell.wall_time_s for cell in sweep.cells):.2f} s; degrade "
+            f"{sum(cell.degrade_s or 0.0 for cell in proved):.2f} s"
         )
     return "\n".join(lines)

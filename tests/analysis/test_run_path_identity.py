@@ -123,11 +123,12 @@ class TestGoldenScenariosThroughTheRunPath:
                 outs.append(executor.run_points(points)[0])
 
         def numbers(out):
-            # recertify_s is host time too: the share of wall_time_s
-            # that went into the proofs.
+            # recertify_s and degrade_s are host time too: the shares of
+            # wall_time_s that went into the proofs and the derivations.
             assert out.wall_time_s >= out.recertify_s > 0
+            assert out.wall_time_s >= out.degrade_s > 0
             return dataclasses.replace(
-                out, wall_time_s=0.0, recertify_s=0.0, cached=False,
+                out, wall_time_s=0.0, recertify_s=0.0, degrade_s=0.0, cached=False,
                 series="", index=0, cache_problem=None,
             )
 

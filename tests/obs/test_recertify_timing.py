@@ -3,7 +3,8 @@
 ``FaultController.recertify_s`` rides on ``RunResult`` into the
 manifest's ``timings`` block, one ``recertify:`` line of ``repro
 report`` and the footer of the fault table — and nowhere a digest, a
-content hash or a cache entry could see it.
+content hash or a cache entry could see it.  ``degrade_s``, the time
+spent deriving the degraded tables, travels the same way.
 """
 
 import json
@@ -48,18 +49,22 @@ class TestCarriedOnTheRun:
         full = spec().run_full()
         assert full.resilience["recertifications"] == 3
         assert full.recertify_s is not None and full.recertify_s > 0.0
+        assert full.degrade_s is not None and full.degrade_s > 0.0
+        assert full.recertify_s + full.degrade_s <= full.wall_time_s
 
     def test_plain_runs_carry_none(self):
         plain = ExperimentSpec(
             topology="mesh:5x5", routing="xy", pattern="uniform", load=0.08,
             config=CONFIG, seed=3,
         ).run_full()
-        assert plain.recertify_s is None
+        assert plain.recertify_s is None and plain.degrade_s is None
 
     def test_disabled_recertification_reads_zero(self):
         full = spec(recertify=False).run_full()
         assert full.resilience["recertifications"] == 0
         assert full.recertify_s == 0.0
+        # The tables are still derived, and that is still timed.
+        assert full.degrade_s > 0.0
 
     def test_facade_and_executor_pass_it_through(self, tmp_path):
         first = run(spec(), manifest_dir=str(tmp_path / "m"),
@@ -68,7 +73,7 @@ class TestCarriedOnTheRun:
         again = run(spec(), manifest_dir=str(tmp_path / "m"),
                     cache_dir=str(tmp_path / "c"))
         # A cache hit proved nothing this time.
-        assert again.cached and again.recertify_s is None
+        assert again.cached and again.recertify_s is None and again.degrade_s is None
         assert again.resilience == first.resilience
 
 
@@ -77,12 +82,13 @@ class TestInvisible:
         point = spec()
         with SweepExecutor(jobs=1, cache_dir=str(tmp_path)) as executor:
             (outcome,) = executor.run_points([PointSpec(spec=point)])
-        assert outcome.recertify_s > 0.0
-        assert "recertify_s" not in outcome.resilience
-        assert "recertify_s" not in json.dumps(point.to_dict())
+        assert outcome.recertify_s > 0.0 and outcome.degrade_s > 0.0
         (entry,) = tmp_path.glob("*.json")
-        assert "recertify_s" not in entry.read_text()
-        assert "recertify_s" not in json.dumps(result_to_dict(outcome.result))
+        for key in ("recertify_s", "degrade_s"):
+            assert key not in outcome.resilience
+            assert key not in json.dumps(point.to_dict())
+            assert key not in entry.read_text()
+            assert key not in json.dumps(result_to_dict(outcome.result))
 
     def test_content_hash_and_digest_ignore_the_proof(self):
         proved = spec().run_full()
@@ -101,11 +107,13 @@ class TestInvisible:
         sim, _trace, controller = FAULTED_SCENARIOS[name]()
         result = sim.run()
         ledger = controller.stats.summary()
-        assert "recertify_s" not in ledger
+        assert "recertify_s" not in ledger and "degrade_s" not in ledger
         assert summary_digest(ledger) == PINNED[name]["ledger"]
         assert result_digest(result) == PINNED[name]["result"]
         if ledger["recertifications"]:
             assert controller.recertify_s > 0.0
+        if ledger["faults_applied"]:
+            assert controller.degrade_s > 0.0
 
 
 class TestManifestAndReport:
@@ -120,19 +128,22 @@ class TestManifestAndReport:
     def test_timings_block_carries_it(self, manifest):
         timings = manifest["timings"]
         assert 0.0 < timings["recertify_s"] <= timings["wall_time_s"]
+        assert 0.0 < timings["degrade_s"] <= timings["wall_time_s"]
         assert "recertify_s" not in manifest["resilience"]
+        assert "degrade_s" not in manifest["resilience"]
 
     def test_report_prints_one_recertify_line(self, manifest):
         lines = render_manifest_report(manifest).splitlines()
         (line,) = [text for text in lines if text.startswith("recertify:")]
         assert line.startswith("recertify: 3 proofs, ")
+        assert f"s + degrade {manifest['timings']['degrade_s']:.2f}s of " in line
         assert line.endswith(f" of {manifest['timings']['wall_time_s']:.2f}s")
 
     def test_earlier_manifests_still_load_and_render(self, manifest, tmp_path):
         old = dict(manifest)
         old["timings"] = {
             key: value for key, value in manifest["timings"].items()
-            if key != "recertify_s"
+            if key not in ("recertify_s", "degrade_s")
         }
         path = tmp_path / "manifest-old.json"
         path.write_text(json.dumps(old))
@@ -166,10 +177,13 @@ class TestFaultTableFooter:
         proved = sum(cell.recertify_s for cell in sweep.cells if cell.fault_count)
         total = sum(cell.wall_time_s for cell in sweep.cells)
         assert f"{proved:.2f} s of {total:.2f} s" in footer
+        derived = sum(cell.degrade_s for cell in sweep.cells if cell.fault_count)
+        assert footer.endswith(f"; degrade {derived:.2f} s")
         assert all(cell.recertify_s is None for cell in sweep.cells
                    if cell.fault_count == 0)
         # Host times stay out of the sweep's JSON.
         assert "recertify_s" not in sweep.to_json()
+        assert "degrade_s" not in sweep.to_json()
         assert "wall_time_s" not in sweep.to_json()
 
     def test_fully_cached_sweep_prints_no_footer(self, tmp_path):

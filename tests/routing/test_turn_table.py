@@ -10,10 +10,11 @@ from repro.core.restrictions import (
     xy_restriction,
 )
 from repro.core.channel_graph import turn_successors
-from repro.core.digraph import ancestors, mask_ids
+from repro.core.digraph import mask_ids
 from repro.routing import TurnRestrictionRouting
 from repro.topology import FaultyTopology, Mesh, parse_topology, random_channel_faults
 from tests.routing.test_turn_set_compile import check_reach_compile
+from tests.sim.reach_oracle import ancestors
 
 
 class TurnReach:

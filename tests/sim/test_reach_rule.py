@@ -15,7 +15,7 @@ from typing import List
 
 import pytest
 
-from repro.core.digraph import ancestors, mask_ids
+from repro.core.digraph import mask_ids
 from repro.routing import TurnRestrictionRouting, available_algorithms, make_routing
 from repro.sim.deadlock import figure4_routing
 from repro.sim.ids import CompiledRoutes
@@ -81,6 +81,25 @@ def greatest_fixpoint_drops(healthy: CompiledRoutes, failed: List[int]) -> List[
     return drops
 
 
+def dropped_by(rule: CompiledRoutes, healthy: CompiledRoutes) -> List[int]:
+    """Per destination, the healthy closure's ids that no entry of
+    ``rule`` offers any more, read over the healthy closure's states."""
+    closure = healthy.closure()
+    index = healthy.index
+    drops = []
+    for dest_idx, reached in enumerate(closure.reached):
+        offered = 0
+        injections = [
+            index.inj_base + source for source in range(index.num_nodes) if source != dest_idx
+        ]
+        for front in [*injections, *mask_ids(reached)]:
+            if index.dest_node_id[front] != dest_idx:
+                for out in rule.lookup(front, dest_idx):
+                    offered |= 1 << out
+        drops.append(reached & ~offered)
+    return drops
+
+
 class TestTheRuleIsReach:
     """On a cyclic relation the two fixpoints differ, and the rule is the
     least one: what the turn table re-made on the faulted mesh offers."""
@@ -98,13 +117,9 @@ class TestTheRuleIsReach:
                 rule = CompiledRoutes.reach_restricted(healthy, ids)
                 oracle = CompiledRoutes(degraded_routing(routing, failed, mesh), index)
                 assert_equal_tables(rule, oracle)
-                blocked = sum(1 << ident for ident in ids)
-                reverse = healthy.reverse
-                assert reverse is not None
-                for (predecessors, accepting, reached), kept in zip(
-                    reverse, greatest_fixpoint_drops(healthy, ids)
+                for dropped, kept in zip(
+                    dropped_by(rule, healthy), greatest_fixpoint_drops(healthy, ids)
                 ):
-                    dropped = reached & ~ancestors(predecessors, accepting, blocked)
                     # The other rule drops a subset: what it keeps beyond
                     # reach is a live cycle that never arrives.
                     assert kept & ~dropped == 0
@@ -155,10 +170,15 @@ def test_the_reversed_relation_is_built_once_per_table():
     healthy = CompiledRoutes(make_routing("west-first-nonminimal", mesh))
     channels = mesh.channels()
     CompiledRoutes.reach_restricted(healthy, [healthy.index.cid[channels[0]]])
-    reverse = healthy.reverse
-    assert reverse is not None and len(reverse) == 16
+    relation = healthy.reverse
+    assert relation is not None and healthy.reach_relation() is relation
+    # It holds, per id, the destinations of the closure that hold the id.
+    for dest_idx, reached in enumerate(healthy.closure().reached):
+        assert reached == sum(
+            1 << ident for ident, held in enumerate(relation.held) if held >> dest_idx & 1
+        )
     CompiledRoutes.reach_restricted(healthy, [healthy.index.cid[channels[5]]])
-    assert healthy.reverse is reverse
+    assert healthy.reverse is relation
 
 
 def test_no_fault_drops_nothing():
