@@ -35,6 +35,17 @@ class TestProofs:
         assert result.certificate.data["pairs"] == n * (n - 1)
         assert result.certificate.data["dead_ends"] == 0
 
+    def test_the_proof_keeps_no_relation_on_the_table(self, mesh44):
+        """Only a fault event keeps the reach relation; the prover reads
+        a kept one and otherwise builds one it drops."""
+        healthy = CompiledRoutes(make_routing("west-first-nonminimal", mesh44))
+        closure = healthy.closure()
+        assert check_connectivity(mesh44, healthy.routing, closure).verdict == PROVED
+        assert healthy.reverse is None
+        relation = healthy.reach_relation()
+        assert check_connectivity(mesh44, healthy.routing, closure).verdict == PROVED
+        assert healthy.reverse is relation
+
     def test_nonminimal_routes_around_certifiable_faults(self):
         result = check_connectivity(*faulted("west-first-nonminimal"))
         assert result.verdict == PROVED
