@@ -28,7 +28,7 @@ table instead (:meth:`repro.sim.ids.CompiledRoutes.reach_restricted`).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.channel_graph import turn_successors
 from repro.core.digraph import mask_ids
@@ -37,24 +37,18 @@ from repro.routing.base import RoutingAlgorithm
 from repro.topology.base import Topology
 from repro.topology.channels import Channel, NodeId
 
-__all__ = ["TurnRestrictionRouting"]
+if TYPE_CHECKING:
+    from repro.sim.ids import ChannelIndex
 
-#: An output channel and, per node index, whether the destination there
-#: is reached through it (one byte each, 0 or 1).
-_Offer = Tuple[Channel, bytes]
+__all__ = ["Offers", "TurnRestrictionRouting"]
 
-#: The outputs a header may take from one state: those reaching a
-#: destination by a productive hop, then those reaching it by a
-#: non-productive one, each part in ascending id order.  A channel is
-#: in both parts at most, for disjoint destinations.
-_Offers = Tuple[_Offer, ...]
-
-_BINARY = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _members(mask: int, count: int) -> bytes:
-    """The ``count`` low bits of ``mask`` as bytes, lowest first."""
-    return format(mask, f"0{count}b")[::-1].encode().translate(_BINARY)
+#: The outputs a header may take from one state, as ``(out, mask)``
+#: pairs: a channel id of ``topology.channels()`` and the node indices of
+#: the destinations reached through it.  Those reaching a destination by
+#: a productive hop come first, then those reaching it by a
+#: non-productive one, each part in ascending id order.  A channel is in
+#: both parts at most, for disjoint destinations.
+Offers = Tuple[Tuple[int, int], ...]
 
 
 class TurnRestrictionRouting(RoutingAlgorithm):
@@ -68,7 +62,11 @@ class TurnRestrictionRouting(RoutingAlgorithm):
     productive channels (a non-wraparound hop toward the destination's
     coordinate) hold any.  An entry is then the permitted non-wraparound
     outputs in the destination's reach: every out-channel at injection,
-    the turn-permitted ones after an arrival.
+    the turn-permitted ones after an arrival.  The compile is kept on
+    ids, as :data:`Offers` per injection node and per arrival id
+    (:meth:`offers_on`); :meth:`route` is their Channel view, and a
+    table compiled from this router closes on them directly
+    (:meth:`repro.sim.ids.CompiledRoutes.closure`).
 
     Args:
         topology: the network to route on.
@@ -103,11 +101,14 @@ class TurnRestrictionRouting(RoutingAlgorithm):
         if minimal and restriction.is_transitive():
             # Every reachable state routes like an injection at its node.
             self.uses_in_channel = False
-        # Filled by the first route: node -> its index, and the offers
-        # at injection per node and after arrival per channel.
+        # Filled by the first route: node -> its index, the channels by
+        # id and channel -> its id, and the offers at injection per node
+        # index and after arrival per channel id.
         self._index: Optional[Dict[NodeId, int]] = None
-        self._injections: Dict[NodeId, _Offers] = {}
-        self._arrivals: Dict[Channel, _Offers] = {}
+        self._channels: List[Channel] = []
+        self._cid: Dict[Channel, int] = {}
+        self._injections: List[Offers] = []
+        self._arrivals: List[Offers] = []
 
     def to_dict(self) -> Dict[str, Any]:
         """A JSON-ready dict; inverse of :meth:`from_dict`.
@@ -198,28 +199,41 @@ class TurnRestrictionRouting(RoutingAlgorithm):
                     work.append(front)
         # Per id, the offer of its channel toward the destinations it
         # reaches by a productive hop, and by a non-productive one.
-        near: List[Optional[_Offer]] = [None] * len(channels)
-        far: List[Optional[_Offer]] = [None] * len(channels)
-        leaving: Dict[NodeId, List[int]] = {node: [] for node in index}
+        near: List[Optional[Tuple[int, int]]] = [None] * len(channels)
+        far: List[Optional[Tuple[int, int]]] = [None] * len(channels)
+        leaving: List[List[int]] = [[] for _ in index]
         for ident, channel in enumerate(channels):
             if not channel.wraparound:
-                leaving[channel.src].append(ident)
+                leaving[index[channel.src]].append(ident)
                 direct = reach[ident] & productive[ident]
                 if direct:
-                    near[ident] = (channel, _members(direct, count))
+                    near[ident] = (ident, direct)
                 if reach[ident] ^ direct:
-                    far[ident] = (channel, _members(reach[ident] ^ direct, count))
+                    far[ident] = (ident, reach[ident] ^ direct)
 
-        def offers(ids: Sequence[int]) -> _Offers:
+        def offers(ids: Sequence[int]) -> Offers:
             return tuple(offer for part in (near, far) for offer in map(part.__getitem__, ids)
                          if offer)
 
-        self._injections = {node: offers(ids) for node, ids in leaving.items()}
-        self._arrivals = {
-            channel: offers(outs) for channel, outs in zip(channels, successors)
-        }
+        self._channels = channels
+        self._cid = {channel: ident for ident, channel in enumerate(channels)}
+        self._injections = [offers(ids) for ids in leaving]
+        self._arrivals = [offers(outs) for outs in successors]
         self._index = index
         return index
+
+    def offers_on(
+        self, index: "ChannelIndex"
+    ) -> Optional[Tuple[Sequence[Offers], Sequence[Offers]]]:
+        """The compile on ``index``'s ids: per node index the offers at
+        injection, and per network channel id the offers after arriving
+        on it.  ``None`` when ``index`` numbers other nodes or channels
+        than this router's topology (a faulted network's, say)."""
+        if self._index is None:
+            self._compile()
+        if index.channels != self._channels or index.node_id != self._index:
+            return None
+        return self._injections, self._arrivals
 
     def route(
         self, in_channel: Optional[Channel], node: NodeId, dest: NodeId
@@ -227,13 +241,15 @@ class TurnRestrictionRouting(RoutingAlgorithm):
         index = self._index
         if index is None:
             index = self._compile()
-        at = index[dest]
+        bit = 1 << index[dest]
+        channels = self._channels
         entry = []
         # A loop, not a comprehension, which would build a frame per call:
         # this runs once per routing state.
-        for channel, holds in (
-            self._injections[node] if in_channel is None else self._arrivals[in_channel]
+        for out, mask in (
+            self._injections[index[node]] if in_channel is None
+            else self._arrivals[self._cid[in_channel]]
         ):
-            if holds[at]:
-                entry.append(channel)
+            if mask & bit:
+                entry.append(channels[out])
         return tuple(entry)

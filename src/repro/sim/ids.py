@@ -23,7 +23,9 @@ The relation a table holds is read on ids too: its closure
 counts (:func:`shortest_path_counts`, the paper's degree of
 adaptiveness ``S``) and its reach (:class:`ReachRelation`): per channel
 id, a bitmask over destinations, so one fixpoint over ids answers for
-every destination at once.  Reach decides the table's connectivity and
+every destination at once.  A turn table's closure and reach are read
+off its router's compile on the same ids, with no ``route`` call per
+state.  Reach decides the table's connectivity and
 its restriction after a fault (:meth:`CompiledRoutes.reach_restricted`,
 the one rule every fault relation follows).  A fault event costs what it
 changes: the fixpoint is one pass over ids, only the entries at the
@@ -33,7 +35,7 @@ compares only the entries that are not the parent's own tuples.
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import compress, repeat
 from operator import is_not
 from typing import (
     AbstractSet,
@@ -58,6 +60,50 @@ from repro.topology.channels import Channel, NodeId
 __all__ = [
     "ChannelIndex", "CompiledRoutes", "ReachRelation", "RouteClosure", "shortest_path_counts",
 ]
+
+
+#: A router's offers from one state, as ``(out id, destination mask)``
+#: pairs (:data:`repro.routing.turn_table.Offers`).
+_Offers = Tuple[Tuple[int, int], ...]
+
+_BINARY = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _keys(mask: int, base: int, width: int) -> Iterable[int]:
+    """``base + bit`` for every bit below ``width`` set in ``mask``,
+    ascending (picked out in C, by its bits as bytes)."""
+    members = format(mask, f"0{width}b")[::-1].encode().translate(_BINARY)
+    return compress(range(base, base + width), members)
+
+
+def _entries(
+    offers: Iterable[Tuple[int, int]], dests: int
+) -> List[Tuple[int, Tuple[int, ...]]]:
+    """The distinct entries ``offers`` make over ``dests``: ``(mask,
+    entry)`` pairs, where ``entry`` is the outs whose mask holds each
+    destination of ``mask``, in offer order."""
+    groups: List[Tuple[int, Tuple[int, ...]]] = [(dests, ())]
+    for out, offered in offers:
+        split = []
+        for group, entry in groups:
+            inside = group & offered
+            if inside:
+                split.append((inside, entry + (out,)))
+            if inside != group:
+                split.append((group ^ inside, entry))
+        groups = split
+    return groups
+
+
+def _transpose(masks: Sequence[int], width: int) -> List[int]:
+    """Bit ``i`` of result ``b`` is bit ``b`` of ``masks[i]``, for every
+    ``b`` below ``width``: the bit matrix transposed as text, one row per
+    mask read off column by column (``format`` puts the highest bit
+    first)."""
+    if not masks:
+        return [0] * width
+    rows = [format(mask, f"0{width}b") for mask in masks]
+    return [int("".join(column)[::-1], 2) for column in zip(*rows)][::-1]
 
 
 class ChannelIndex:
@@ -181,9 +227,11 @@ class CompiledRoutes:
 
     Entries are filled lazily, straight from ``routing.route``, by
     whichever simulator first needs them — or all at once by
-    :meth:`closure`, which the provers read.  ``route`` is a pure
-    function of its arguments, so an entry is the same whoever computed
-    it and a warmed run is bit-identical to a cold one.  A table built by
+    :meth:`closure`, which the provers read, off the routing's own
+    compile on ids when it keeps one (a turn table's).  ``route`` is a
+    pure function of its arguments and the Channel view of that compile,
+    so an entry is the same whoever computed it and a warmed run is
+    bit-identical to a cold one.  A table built by
     :meth:`restricted` arrives holding every entry, read off the table
     it restricts, and never fills one.
 
@@ -436,7 +484,107 @@ class CompiledRoutes:
         Each visited state's decision lands in the table, so a simulator
         adopting this object routes those states without asking the
         algorithm again.
+
+        A table compiled from a router that keeps its compile on these
+        ids (a turn table, :meth:`_compiled_offers`) is closed on that
+        compile, for every destination at once; any other table by a
+        walk of its states, one :meth:`lookup` each.  Both leave the
+        same masks, entries and :attr:`filled`.
         """
+        compiled = self._compiled_offers()
+        if compiled is None:
+            succ, reached = self._walk()
+        else:
+            succ, reached = self._close(*compiled)
+        self.closed = (succ, reached)
+        return RouteClosure(self, succ, reached)
+
+    def _compiled_offers(self) -> Optional[Tuple[Sequence[_Offers], Sequence[_Offers]]]:
+        """The routing's compile behind this table's entries, when there
+        is one: per node index the ``(out, mask)`` offers at injection,
+        and per network id those its arrivals are routed by (the node's
+        own, in a dense table).  ``None`` for a table :meth:`restricted`
+        derived, whose entries are narrower than its routing's, for a
+        routing that keeps no compile, and off the routing's own ids."""
+        offers_on = getattr(self.routing, "offers_on", None)
+        if self.parent is not None or offers_on is None:
+            return None
+        compiled = offers_on(self.index)
+        if compiled is None:
+            return None
+        injections, arrivals = compiled
+        if self.dense is not None:
+            head = self.index.dest_node_id
+            return injections, [injections[head[ident]] for ident in range(self.index.num_channels)]
+        return injections, arrivals
+
+    def _close(
+        self, injections: Sequence[_Offers], arrivals: Sequence[_Offers]
+    ) -> Tuple[List[int], List[int]]:
+        """:meth:`closure` on the routing's compile: ``held`` (per id, the
+        destinations it is held for) as one forward fixpoint over every
+        destination at once, then the masks and the entries read off it."""
+        index = self.index
+        num_nodes, num_channels = index.num_nodes, index.num_channels
+        stop = [1 << node for node in index.dest_node_id[:num_channels]]
+        # A packet injected at a node holds what it is offered there, bound
+        # anywhere but that node; an arrival passes on what it holds short
+        # of its head.  A worklist takes that to the least fixpoint.  A
+        # turn table offers an output after an arrival for part of what it
+        # offers it for at injection, so there the seeds are closed
+        # already and each id is visited once.
+        held = [0] * num_channels
+        for node, offers in enumerate(injections):
+            for out, mask in offers:
+                held[out] |= mask & ~(1 << node)
+        work = [ident for ident, mask in enumerate(held) if mask]
+        while work:
+            front = work.pop()
+            passed = held[front] & ~stop[front]
+            for out, mask in arrivals[front]:
+                grown = held[out] | passed & mask
+                if grown != held[out]:
+                    held[out] = grown
+                    work.append(out)
+
+        succ = [0] * num_channels
+        for front, offers in enumerate(arrivals):
+            passed = held[front] & ~stop[front]
+            if passed:
+                for out, mask in offers:
+                    if passed & mask:
+                        succ[front] |= 1 << out
+        # The entries, one shared tuple per distinct offer set: every
+        # source state, and in a keyed table every in-flight one.
+        everyone = (1 << num_nodes) - 1
+        dense = self.dense
+        if dense is not None:
+            empty = dense.count(None)
+            for node, offers in enumerate(injections):
+                for dests, entry in _entries(offers, everyone & ~(1 << node)):
+                    for key in _keys(dests, node * num_nodes, num_nodes):
+                        dense[key] = entry
+            self.filled += empty - dense.count(None)
+        else:
+            bykey = self.bykey
+            assert bykey is not None
+            size = len(bykey)
+            for node, offers in enumerate(injections):
+                for dests, entry in _entries(offers, everyone & ~(1 << node)):
+                    bykey.update(zip(_keys(dests, node * num_nodes, num_nodes), repeat(entry)))
+            arrivals_base = num_nodes * num_nodes
+            for front, offers in enumerate(arrivals):
+                passed = held[front] & ~stop[front]
+                if passed:
+                    base = arrivals_base + front * num_nodes
+                    for dests, entry in _entries(offers, passed):
+                        bykey.update(zip(_keys(dests, base, num_nodes), repeat(entry)))
+            self.filled += len(bykey) - size
+        return succ, _transpose(held, num_nodes)
+
+    def _walk(self) -> Tuple[List[int], List[int]]:
+        """:meth:`closure` by a walk per destination, one :meth:`lookup`
+        per state."""
         index = self.index
         head = index.dest_node_id
         lookup = self.lookup
@@ -462,8 +610,7 @@ class CompiledRoutes:
                         reached |= bits[out]
                         frontier.append(out)
             reached_for.append(reached)
-        self.closed = (succ, reached_for)
-        return RouteClosure(self, succ, reached_for)
+        return succ, reached_for
 
     def __len__(self) -> int:
         return self.filled
@@ -501,14 +648,17 @@ class ReachRelation:
     from its closure (:meth:`CompiledRoutes.reach_relation`); the fault
     rule (:meth:`CompiledRoutes.reach_restricted`), the connectivity
     prover and :func:`repro.analysis.fault_tolerance.routable_fraction`
-    read it.
+    read it.  The offers come from one of two sources: the routing's
+    compile, for a table that closes on it (see
+    :meth:`CompiledRoutes.closure`), or else the table's own entries.
 
     Attributes:
         held: network channel id -> the destinations a packet may hold
             it bound for (the closure's ``reached``, transposed).
         accepting: id -> its head's bit, when it is held bound there.
-        offers: id -> ``(out, mask)`` per output it may request next:
-            the destinations its entry offers ``out`` for, when held.
+        offers: id -> ``(out, mask)`` per output it may request next,
+            ascending by ``out``: the destinations its entry offers
+            ``out`` for, when held.
         order: the ids every successor of which comes earlier, sinks
             first (Kahn's order of the relation over all destinations).
         feeders: each other id (on or behind a cycle) -> ``(front,
@@ -522,18 +672,24 @@ class ReachRelation:
         index = compiled.index
         num_channels, num_nodes = index.num_channels, index.num_nodes
         head = index.dest_node_id
-        # Transposed as text: one row of bits per destination, read off
-        # column by column (``format`` puts the highest id first).
-        rows = [format(reached, f"0{num_channels}b") for reached in closure.reached]
-        held = [int("".join(column)[::-1], 2) for column in zip(*rows)][::-1]
-        if not rows:
-            held = [0] * num_channels
+        held = _transpose(closure.reached, num_channels)
         accepting = [mask & 1 << head[ident] for ident, mask in enumerate(held)]
         # Only states of the closure count, the arrival at the head's own
         # node not among them.
         transit = [mask & ~bit for mask, bit in zip(held, accepting)]
         outs_of: List[Dict[int, int]] = [{} for _ in range(num_channels)]
-        if compiled.dense is not None:
+        compile = compiled._compiled_offers()
+        if compile is not None:
+            # The routing's compile: per arrival, each output's mask.
+            _, routed_by = compile
+            for front, offers in enumerate(routed_by):
+                here = transit[front]
+                if here:
+                    outs = outs_of[front]
+                    for out, mask in offers:
+                        if mask & here:
+                            outs[out] = outs.get(out, 0) | mask & here
+        elif compiled.dense is not None:
             # Every arrival at a node is routed by the node's entry, and
             # an entry offers only channels that leave its node.
             source, arriving = index.node_links()
@@ -565,7 +721,7 @@ class ReachRelation:
                     outs = outs_of[front]
                     for out in entry:
                         outs[out] = outs.get(out, 0) | mask
-        offers = [list(outs.items()) for outs in outs_of]
+        offers = [sorted(outs.items()) for outs in outs_of]
         into: List[List[Tuple[int, int]]] = [[] for _ in range(num_channels)]
         for front, outs in enumerate(offers):
             for out, mask in outs:
@@ -648,9 +804,8 @@ def shortest_path_counts(compiled: CompiledRoutes, dest_idx: int) -> List[int]:
     head = index.dest_node_id
     inj_base = index.inj_base
     lookup = compiled.lookup
-    distance = compiled.routing.topology.distance  # type: ignore[union-attr]
-    dest = index.nodes[dest_idx]
-    dist = [distance(node, dest) for node in index.nodes]
+    topology = compiled.routing.topology  # type: ignore[union-attr]
+    dist = topology.distances_to(index.nodes[dest_idx])
     collapse = compiled.dense is not None
     levels: List[List[int]] = [[] for _ in range(max(dist) + 1)]
     nearer: Dict[int, List[int]] = {}

@@ -40,8 +40,22 @@ class Topology(ABC):
         """The channels leaving ``node``, in a deterministic order."""
 
     @abstractmethod
+    def _hops(self, src: NodeId, dst: NodeId) -> int:
+        """:meth:`distance` between two nodes known to be in this network."""
+
     def distance(self, src: NodeId, dst: NodeId) -> int:
         """Length of a shortest path from ``src`` to ``dst`` in hops."""
+        self.validate_node(src)
+        self.validate_node(dst)
+        return self._hops(src, dst)
+
+    def distances_to(self, dst: NodeId) -> list[int]:
+        """:meth:`distance` from every node, in :meth:`nodes` order, to
+        ``dst``: ``dst`` is validated once, the nodes, being this
+        network's own, not at all."""
+        self.validate_node(dst)
+        hops = self._hops
+        return [hops(node, dst) for node in self.nodes()]
 
     @property
     def num_nodes(self) -> int:

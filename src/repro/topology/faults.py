@@ -76,8 +76,8 @@ class FaultyTopology(Topology):
         # A miss is not a node of the base: let the base say so.
         return live if live is not None else self._surviving(node)
 
-    def distance(self, src: NodeId, dst: NodeId) -> int:
-        return self.base.distance(src, dst)
+    def _hops(self, src: NodeId, dst: NodeId) -> int:
+        return self.base._hops(src, dst)
 
     def minimal_directions(self, src: NodeId, dst: NodeId) -> tuple[Direction, ...]:
         return self.base.minimal_directions(src, dst)

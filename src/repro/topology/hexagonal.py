@@ -87,7 +87,7 @@ class HexMesh(Topology):
             channels.append(Channel(node, (a + 1, b + 1), Direction(W_AXIS, 1)))
         return tuple(channels)
 
-    def distance(self, src: NodeId, dst: NodeId) -> int:
+    def _hops(self, src: NodeId, dst: NodeId) -> int:
         """Hex distance: diagonal hops cover one step of both axes.
 
         For displacement ``(dx, dy)``: when the components share a sign
@@ -95,8 +95,6 @@ class HexMesh(Topology):
         ``max(|dx|, |dy|)``; otherwise every hop helps only one axis and
         the distance is ``|dx| + |dy|``.
         """
-        self.validate_node(src)
-        self.validate_node(dst)
         dx = dst[0] - src[0]
         dy = dst[1] - src[1]
         if dx * dy > 0:
@@ -110,6 +108,6 @@ class HexMesh(Topology):
         here = self.distance(src, dst)
         productive = []
         for channel in self.out_channels(src):
-            if self.distance(channel.dst, dst) == here - 1:
+            if self._hops(channel.dst, dst) == here - 1:
                 productive.append(channel.direction)
         return tuple(productive)

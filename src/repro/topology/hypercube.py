@@ -61,10 +61,8 @@ class Hypercube(Topology):
             channels.append(Channel(node, dst, Direction(dim, sign)))
         return tuple(channels)
 
-    def distance(self, src: NodeId, dst: NodeId) -> int:
+    def _hops(self, src: NodeId, dst: NodeId) -> int:
         """Hamming distance between the two addresses."""
-        self.validate_node(src)
-        self.validate_node(dst)
         return sum(s != d for s, d in zip(src, dst))
 
 

@@ -58,9 +58,7 @@ class Mesh(Topology):
                     channels.append(Channel(node, dst, Direction(dim, sign)))
         return tuple(channels)
 
-    def distance(self, src: NodeId, dst: NodeId) -> int:
-        self.validate_node(src)
-        self.validate_node(dst)
+    def _hops(self, src: NodeId, dst: NodeId) -> int:
         return sum(abs(d - s) for s, d in zip(src, dst))
 
 

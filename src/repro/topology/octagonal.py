@@ -84,10 +84,8 @@ class OctMesh(Topology):
             channels.append(Channel(node, (a - 1, b + 1), Direction(V_AXIS, -1)))
         return tuple(channels)
 
-    def distance(self, src: NodeId, dst: NodeId) -> int:
+    def _hops(self, src: NodeId, dst: NodeId) -> int:
         """King-move (Chebyshev) distance: ``max(|dx|, |dy|)``."""
-        self.validate_node(src)
-        self.validate_node(dst)
         return max(abs(dst[0] - src[0]), abs(dst[1] - src[1]))
 
     def minimal_directions(self, src: NodeId, dst: NodeId) -> tuple[Direction, ...]:
@@ -98,7 +96,7 @@ class OctMesh(Topology):
         return tuple(
             channel.direction
             for channel in self.out_channels(src)
-            if self.distance(channel.dst, dst) == here - 1
+            if self._hops(channel.dst, dst) == here - 1
         )
 
     def potential(self, node: NodeId) -> int:

@@ -91,9 +91,7 @@ class Torus(Topology):
                 )
         return tuple(channels)
 
-    def distance(self, src: NodeId, dst: NodeId) -> int:
-        self.validate_node(src)
-        self.validate_node(dst)
+    def _hops(self, src: NodeId, dst: NodeId) -> int:
         k = self._k
         return sum(min(abs(d - s), k - abs(d - s)) for s, d in zip(src, dst))
 

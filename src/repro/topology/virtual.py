@@ -66,8 +66,8 @@ class VirtualChannelTopology(Topology):
             for lane in range(self.lanes)
         )
 
-    def distance(self, src: NodeId, dst: NodeId) -> int:
-        return self.base.distance(src, dst)
+    def _hops(self, src: NodeId, dst: NodeId) -> int:
+        return self.base._hops(src, dst)
 
     def lane_of(self, channel: Channel, lane: int) -> Channel:
         """The sibling of ``channel`` in the given lane."""

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.directions import EAST, NORTH, SOUTH, WEST, Direction
-from repro.topology import Mesh, Mesh2D
+from repro.topology import Mesh, Mesh2D, parse_topology, random_channel_faults
 
 
 class TestConstruction:
@@ -76,6 +76,20 @@ class TestNodes:
             mesh44.distance((0, 0), (9, 9))
         with pytest.raises(ValueError):
             mesh44.distance((9, 9), (0, 0))
+
+    @pytest.mark.parametrize("spec", [
+        "mesh:5x4", "mesh:3x3x3", "torus:4x3", "cube:4", "hex:4x4", "oct:4x4",
+    ])
+    def test_distances_to_is_distance_from_every_node(self, spec):
+        topology = parse_topology(spec)
+        faulty = random_channel_faults(topology, 2, seed=1)
+        for network in (topology, faulty):
+            for dst in network.nodes():
+                assert network.distances_to(dst) == [
+                    network.distance(node, dst) for node in network.nodes()
+                ]
+            with pytest.raises(ValueError):
+                network.distances_to((9,) * network.n_dims)
 
 
 class TestChannels:
